@@ -1,10 +1,10 @@
 """Family 4 — pooled-object lifecycle.
 
-``FlashOp`` and ``IORequest`` are slab-recycled: the pool hands the same
-object out again after release, so any reference that outlives the
-request (a module-level cache, a global history list) is silently
-rebound to a *different* logical operation later — the classic recycled-
-object aliasing bug, invisible until a fingerprint moves.
+``FlashOp`` is slab-recycled: the pool hands the same object out again
+after release, so any reference that outlives the operation (a
+module-level cache, a global history list) is silently rebound to a
+*different* logical operation later — the classic recycled-object
+aliasing bug, invisible until a fingerprint moves.
 
 The escape analysis is deliberately best-effort but zero-false-negative
 on the known patterns: a value is *pooled* when it is assigned from an
@@ -28,7 +28,7 @@ from repro.analysis.registry import module_rule
 __all__ = ["check_pool_escape"]
 
 #: classes whose instances are slab-recycled in this repo
-POOLED_CLASSES = {"FlashOp", "IORequest"}
+POOLED_CLASSES = {"FlashOp"}
 
 _STORE_METHODS = {"append", "appendleft", "add", "insert", "push", "extend"}
 

@@ -19,8 +19,6 @@ from repro.units import SECTOR
 __all__ = [
     "OpType",
     "IORequest",
-    "IORequestPool",
-    "REQUEST_POOL",
     "Completion",
     "DeviceStats",
     "StorageDevice",
@@ -51,12 +49,11 @@ class IORequest:
     the finished request; ``submit_us``/``complete_us`` are stamped by the
     device.
 
-    Instances are plain value objects and may be constructed directly, but
-    steady-state drivers should recycle them through an
-    :class:`IORequestPool` (``REQUEST_POOL`` is the shared default): a
-    replay then allocates no request objects at all, the same slab
-    discipline the flash layer applies to ``FlashOp``.  ``__slots__`` (via
-    the dataclass) keeps the instance compact and attribute access cheap.
+    Instances are plain value objects that drivers construct directly, one
+    per submission.  The device restamps the dispatch fields below on every
+    submit and hangs no callbacks or events off the request, so nothing on
+    it outlives a dispatch.  ``__slots__`` (via the dataclass) keeps the
+    instance compact and attribute access cheap.
     """
 
     op: OpType
@@ -104,24 +101,6 @@ class IORequest:
     #: host-side write retries remaining (stamped at submit from the
     #: device's ``host_retry_limit``; decremented per retry)
     retries_left: int = field(default=0, compare=False, repr=False)
-    #: reusable dispatch event (see ``SSD._pump``): the controller-overhead
-    #: hop re-arms this one Event instead of allocating per dispatch.  Owned
-    #: by whichever device dispatched the request last; a device checks the
-    #: bound callback before reuse, so a pooled request that migrates
-    #: between devices simply re-creates it.
-    _ev: Optional[object] = field(default=None, compare=False, repr=False)
-    #: prebound per-device completion adapters (write-arrival, read-proceed,
-    #: read-media-done, read-return), created together with ``_ev`` and
-    #: owned by the same device: the dispatch path then passes recycled
-    #: closures instead of allocating new ones per request (see
-    #: ``SSD._dispatch``)
-    _cbs: Optional[tuple] = field(default=None, compare=False, repr=False)
-    #: prebound FTL-write completion adapter of the passthrough write
-    #: buffer, plus its owner (same recycling pattern as ``_ev``/``_cbs``)
-    _wb_done: Optional[Callable] = field(default=None, compare=False,
-                                         repr=False)
-    _wb_owner: Optional[object] = field(default=None, compare=False,
-                                        repr=False)
 
     @property
     def response_us(self) -> float:
@@ -151,82 +130,6 @@ class IORequest:
                 f"request [{self.offset}, {self.offset + self.size}) exceeds "
                 f"capacity {capacity_bytes}"
             )
-
-
-class IORequestPool:
-    """Slab-recycled :class:`IORequest` allocator.
-
-    Mirrors the per-element ``FlashOp`` slab of PR 1: ``acquire`` pops a
-    recycled instance (or constructs one when the slab is dry) and
-    ``release`` returns it.  The contract is driver-owned: release a request
-    only after its completion callback has run — every device model invokes
-    ``on_complete`` as its final touch of the request, so inside that
-    callback the object is already free.  Device-internal dispatch plumbing
-    (``seq``/``queued``/``early_release``/admission memo) is restamped on
-    every submit, so a recycled request needs no scrubbing beyond the
-    host-visible fields; the reusable dispatch event (``_ev``) is
-    deliberately retained, which is what makes a pooled replay allocate no
-    per-dispatch events either.
-
-    **Lifetime**: the retained dispatch adapters bind the device that last
-    dispatched each request, so a pool's slab keeps that device's whole
-    object graph (FTL, element state arrays) reachable until the pool
-    itself is garbage.  Scope a pool to the device/run it serves — the
-    drivers in :mod:`repro.workloads.driver` create one per replay/driver
-    for exactly this reason.  ``REQUEST_POOL`` is a process-wide
-    convenience for interactive use; don't feed it requests from
-    short-lived devices you expect to reclaim.
-
-    Not thread-safe — like the simulator it feeds.
-    """
-
-    __slots__ = ("_slab",)
-
-    def __init__(self) -> None:
-        self._slab: list = []
-
-    def acquire(
-        self,
-        op: OpType,
-        offset: int,
-        size: int,
-        priority: int = 0,
-        on_complete: Optional[Callable[["IORequest"], None]] = None,
-        tag: Optional[object] = None,
-        hints: Optional[dict] = None,
-    ) -> IORequest:
-        slab = self._slab
-        if slab:
-            request = slab.pop()
-            request.op = op
-            request.offset = offset
-            request.size = size
-            request.priority = priority
-            request.on_complete = on_complete
-            request.tag = tag
-            request.hints = hints
-            request.submit_us = -1.0
-            request.complete_us = -1.0
-            request.error = None
-            return request
-        return IORequest(op, offset, size, priority, on_complete, tag, hints)
-
-    def release(self, request: IORequest) -> None:
-        """Recycle a completed (or never-submitted) request."""
-        assert not request.queued, "cannot release a request still queued"
-        # drop caller references so the slab never pins callbacks/hints alive
-        request.on_complete = None
-        request.tag = None
-        request.hints = None
-        self._slab.append(request)
-
-    def __len__(self) -> int:
-        return len(self._slab)
-
-
-#: process-wide convenience pool for interactive/ad-hoc use (the workload
-#: drivers scope their own pools per run — see the lifetime note above)
-REQUEST_POOL = IORequestPool()
 
 
 @dataclass(frozen=True, slots=True)
@@ -287,7 +190,7 @@ class DeviceStats:
         if streaming:
             # distinct seeds: each recorder's reservoir samples its own
             # stream deterministically
-            make = [StreamingLatencyRecorder(seed=0x5EED + i, buffered=True)
+            make = [StreamingLatencyRecorder(seed=0x5EED + i)
                     for i in range(4)]
         else:
             make = [LatencyRecorder() for _ in range(4)]

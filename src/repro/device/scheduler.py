@@ -58,9 +58,9 @@ memoized per request against the FTL's allocation epoch (see
 write during an allocation stall cost O(1) instead of re-walking its
 stripe/element ranges.
 
-Dispatch decisions are bit-identical to the brute-force scan (kept as
-:meth:`SWTFScheduler.reference_select` and pinned by the equivalence test
-in ``tests/test_dispatch_pipeline.py``); only the wall-time cost changes.
+Dispatch decisions are bit-identical to the seed's brute-force scan (kept
+as a test helper and pinned by the equivalence test in
+``tests/test_dispatch_pipeline.py``); only the wall-time cost changes.
 """
 
 from __future__ import annotations
@@ -338,36 +338,6 @@ class SWTFScheduler:
                 bucket.clear()
                 bucket.extend(live)
         return chosen
-
-    # -- reference implementation ---------------------------------------
-
-    def reference_select(self, ssd: "SSD") -> Optional[IORequest]:
-        """The seed's brute-force scan, kept as executable documentation.
-
-        The equivalence test drives :meth:`select` and this side by side on
-        randomized queues; they must always choose the same request.
-        """
-        best_request: Optional[IORequest] = None
-        best_wait = float("inf")
-        for request in ssd.queue:
-            if not ssd.admissible(request):
-                continue
-            wait = self._estimated_wait(request, ssd)
-            if wait < best_wait:
-                best_wait = wait
-                best_request = request
-                if wait == 0.0:
-                    break  # cannot do better than an idle target
-        return best_request
-
-    @staticmethod
-    def _estimated_wait(request: IORequest, ssd: "SSD") -> float:
-        if request.op in (OpType.FREE, OpType.FLUSH):
-            return 0.0
-        elements = ssd.ftl.elements_for_range(request.offset, request.size)
-        if not elements:
-            return 0.0
-        return max(ssd.ftl.elements[e].queue_wait_us() for e in elements)
 
 
 def make_scheduler(name: str):

@@ -38,7 +38,7 @@ from repro.flash.faults import FaultModel
 from repro.ftl.blockmap import BlockMappedFTL
 from repro.ftl.hybrid import HybridLogBlockFTL
 from repro.ftl.pagemap import PageMappedFTL
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.resource import SerialResource
 
 __all__ = ["SSD"]
@@ -176,20 +176,7 @@ class SSD:
             # (non-WRITEs are always admissible; the op check here saves
             # the probe call on the read-heavy half of a mixed load)
             self._inflight += 1
-            # _arm_dispatch, inlined: this branch runs once per record on
-            # a keeping-up replay
-            ev = request._ev
-            if ev is None or ev.fn.__self__ is not self:
-                ev = self._build_dispatch_event(request)
-            if request.op is OpType.WRITE:
-                # fused hop: the controller-overhead event and the link
-                # delivery collapse into one scheduled event (see
-                # _arm_dispatch)
-                self.link.transfer_after(
-                    self._overhead_us, request.size, request._cbs[0])
-            else:
-                sim = self.sim
-                sim.reschedule(ev, sim.now + self._overhead_us)
+            self._arm_dispatch(request)
             return
         self.queue.append(request)
         self.scheduler.on_submit(request, self)
@@ -205,9 +192,7 @@ class SSD:
         submission.  What the batch amortizes is the per-request constant:
         capacity, clock, queue, and scheduler entry points are resolved
         once per window instead of once per record, which is where a large
-        slice of the replay path's per-record overhead lived.  Pair with
-        :class:`repro.device.interface.IORequestPool` recycling and the
-        whole submission path allocates nothing per record.
+        slice of the replay path's per-record overhead lived.
         """
         now = self.sim.now
         capacity = self._capacity_bytes
@@ -299,56 +284,28 @@ class SSD:
 
         READs (and FREE/FLUSH) keep the discrete hop: their dispatch
         instant consults FTL mapping state and claims element-FIFO
-        positions, which cannot be deferred.  The hop rides the request's
-        reusable dispatch event (allocated once per pooled request per
-        device) instead of a fresh Event per dispatch; a request
-        dispatches at most once per queue residency, so the event is
-        always free here.  The per-device completion adapters (``_cbs``)
-        are built in the same breath, so the whole dispatch chain reuses
-        closures too.
+        positions, which cannot be deferred.
         """
-        ev = request._ev
-        if ev is None or ev.fn.__self__ is not self:
-            ev = self._build_dispatch_event(request)
         if request.op is OpType.WRITE:
-            self.link.transfer_after(
-                self._overhead_us, request.size, request._cbs[0])
+            self.link.transfer_after(self._overhead_us, request.size,
+                                     lambda now: self._write_arrived(request))
         else:
-            sim = self.sim
-            sim.reschedule(ev, sim.now + self._overhead_us)
-
-    def _build_dispatch_event(self, request: IORequest) -> Event:
-        """Bind the reusable dispatch event + completion adapters (cold
-        path: once per pooled request per device)."""
-        ev = Event(0.0, 0, self._dispatch, (request,))
-        ev.alive = False
-        request._ev = ev
-        read_media = lambda now, r=request: self._read_media_done(r)
-        request._cbs = (
-            lambda now, r=request: self._write_arrived(r),
-            lambda r=request, cb=read_media, f=self.ftl: f.read(
-                r.offset, r.size, done=cb
-            ),
-            read_media,
-            lambda now, r=request: self._complete(r),
-        )
-        return ev
+            self.sim.schedule(self._overhead_us, self._dispatch, request)
 
     def _dispatch(self, request: IORequest) -> None:
+        """The controller-overhead hop of a READ, FREE or FLUSH."""
         op = request.op
-        if op is OpType.WRITE:
-            self.link.transfer(request.size, request._cbs[0])
-        elif op is OpType.READ:
-            self.write_buffer.before_read(
-                request.offset, request.size, proceed=request._cbs[1]
-            )
+        if op is OpType.READ:
+            self.write_buffer.before_read(request.offset, request.size)
+            self.ftl.read(request.offset, request.size,
+                          done=lambda now: self._read_media_done(request))
         elif op is OpType.FREE:
             if self.config.trim_enabled:
                 self.ftl.trim(request.offset, request.size)
             self._complete(request)
         elif op is OpType.FLUSH:
-            self.write_buffer.flush_all(lambda r=request: self._complete(r))
-        else:  # pragma: no cover - enum is exhaustive
+            self.write_buffer.flush_all(lambda: self._complete(request))
+        else:  # pragma: no cover - WRITEs never take the hop
             raise ValueError(f"unhandled op {op!r}")
 
     def _write_arrived(self, request: IORequest) -> None:
@@ -367,7 +324,8 @@ class SSD:
 
     def _read_media_done(self, request: IORequest) -> None:
         """Flash reads finished: return data over the host link."""
-        self.link.transfer(request.size, request._cbs[3])
+        self.link.transfer(request.size,
+                           lambda now: self._complete(request))
 
     def _complete(self, request: IORequest) -> None:
         now = self.sim.now

@@ -72,23 +72,14 @@ class PassthroughBuffer:
         if hints is not None and hints.get("temp") == "cold":
             temp = "cold"
         self._outstanding += 1
-        # the completion adapter is prebound per (request, buffer) pairing
-        # and recycled with the pooled request, like the SSD's dispatch
-        # adapters; ``complete`` is the device's completion entry point and
-        # does not change between residencies of the same device
-        done = request._wb_done
-        if done is None or request._wb_owner is not self:
 
-            def done(now: float, r: IORequest = request,
-                     c: Callable[[IORequest], None] = complete) -> None:
-                c(r)
-                out = self._outstanding - 1
-                self._outstanding = out
-                if out == 0 and self._flush_waiters:
-                    self._flush_drained()
+        def done(now: float) -> None:
+            complete(request)
+            out = self._outstanding - 1
+            self._outstanding = out
+            if out == 0 and self._flush_waiters:
+                self._flush_drained()
 
-            request._wb_owner = self
-            request._wb_done = done
         ftl = self.ftl
         if not ftl.faults_enabled:
             ftl.write(request.offset, request.size, done=done, temp=temp)
@@ -98,7 +89,7 @@ class PassthroughBuffer:
         except DeviceFullError:
             # the spare pool dried mid-write (stripe FTLs under grown bad
             # blocks): fail the request instead of crashing the run; the
-            # completion still fires through the normal adapter
+            # completion still fires through ``done``
             ftl._note_write_error()
             self.sim.schedule(0.0, done, 0.0)
         # allocation-path failures are synchronous: attribute the FTL's
@@ -108,8 +99,8 @@ class PassthroughBuffer:
             request.error = ftl.write_error
             ftl.write_error = None
 
-    def before_read(self, offset: int, size: int, proceed: Callable[[], None]) -> None:
-        proceed()
+    def before_read(self, offset: int, size: int) -> None:
+        """Nothing is held here, so a read never waits on a flush."""
 
     def flush_all(self, done: Callable[[], None]) -> None:
         """Complete ``done`` once every issued write has left the FTL.
@@ -307,7 +298,7 @@ class _RunDone:
 
     The drain path used to allocate a fresh closure per issued run; these
     callables recycle through the buffer's pool instead (the same slab
-    discipline as ``CompletionJoin`` and the SSD's dispatch adapters)."""
+    discipline as ``CompletionJoin``)."""
 
     __slots__ = ("buffer", "run")
 
@@ -498,8 +489,8 @@ class AligningWriteBuffer:
 
     # ------------------------------------------------------------------
 
-    def before_read(self, offset: int, size: int, proceed: Callable[[], None]) -> None:
-        """Flush buffered pages overlapping a read, then let it proceed.
+    def before_read(self, offset: int, size: int) -> None:
+        """Flush buffered pages overlapping a read about to be issued.
 
         Ordering note: the read proceeds once the flushes are *issued*; the
         per-element FIFOs then order the flash commands.  If a flush is held
@@ -512,7 +503,6 @@ class AligningWriteBuffer:
         for page in range(first, last + 1):
             if page in self._pages:
                 self._flush_page(page, full=False)
-        proceed()
 
     def flush_all(self, done: Callable[[], None]) -> None:
         for page in list(self._insert_order):

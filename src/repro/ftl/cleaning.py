@@ -109,8 +109,8 @@ class Cleaner:
         # one callback object per element, created once — the per-batch /
         # per-erase lambdas the seed allocated were a measurable share of
         # cleaning-heavy runs
-        self._batch_cbs = [self._make_batch_cb(i) for i in range(n)]
-        self._erase_cbs = [self._make_erase_cb(i) for i in range(n)]
+        self._batch_callbacks = [self._make_batch_cb(i) for i in range(n)]
+        self._erase_callbacks = [self._make_erase_cb(i) for i in range(n)]
 
     def _make_batch_cb(self, e_idx: int):
         def batch_cb(now: float) -> None:
@@ -270,7 +270,7 @@ class Cleaner:
                 callback = None
                 if more and position == last:
                     self._batch_cont[e_idx] = (victim, pages, index)
-                    callback = self._batch_cbs[e_idx]
+                    callback = self._batch_callbacks[e_idx]
                 while not el.copy_page(victim, page, dst_block, dst_page,
                                        slot, tag=TAG_CLEAN,
                                        callback=callback):
@@ -295,7 +295,7 @@ class Cleaner:
         stats.clean_time_us += timing.erase_us()
         self._erasing[e_idx] = victim
         if not el.erase_block(victim, tag=TAG_CLEAN,
-                              callback=self._erase_cbs[e_idx]):
+                              callback=self._erase_callbacks[e_idx]):
             # grown bad block: _erase_done still runs (the callback fires)
             # and release_block keeps the retired block out of the pool
             stats.erase_failures += 1

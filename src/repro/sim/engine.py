@@ -250,23 +250,6 @@ class Simulator:
                 self.now_seq = seq
                 event.fn(*event.args)
                 ran += 1
-                # same-instant micro-batch: the rest of an identical-time
-                # group (batched submissions arrive in bursts) drains here
-                # without touching the clock again.  Callbacks that
-                # schedule back into the running instant push into the
-                # heap and are picked up by the same drain, so execution
-                # stays in exact (time, seq) order.
-                # same-instant test reuses the exact popped stamp, so float
-                # equality is sound here  # repro: allow[float-time-eq]
-                while heap and heap[0][0] == time_us:
-                    _t, seq, event = pop(heap)
-                    if not event.alive:
-                        continue
-                    event.alive = False
-                    self._alive -= 1
-                    self.now_seq = seq
-                    event.fn(*event.args)
-                    ran += 1
             self._events_run += ran
             return ran
         while heap:

@@ -584,42 +584,34 @@ class StreamingLatencyRecorder:
     keeps a uniform raw sample.  See the module docstring for when to use
     which.
 
-    With ``buffered=True`` the recorder takes itself off the per-sample
-    path entirely: ``record`` appends to a flat float buffer, and the
-    buffer is flushed through the numpy batch kernels
+    Recording is buffered: ``record`` appends to a flat float buffer, and
+    the buffer is flushed through the numpy batch kernels
     (:meth:`QuantileSketch.add_many` / :meth:`ReservoirSampler.add_many`)
     every :data:`FLUSH_THRESHOLD` samples and on any read.  Buckets,
     extremes, counts, and the reservoir's sample/RNG stream are identical
-    to unbuffered recording — only the order in which the work is done
+    to feeding :meth:`QuantileSketch.add` / :meth:`ReservoirSampler.add`
+    one sample at a time — only the order in which the work is done
     changes.  Reads (``count``/``samples``/``summary``) see a consistent
     view: they fold the buffer first.
     """
 
-    __slots__ = ("sketch", "reservoir", "_sketch_add", "_reservoir_add",
-                 "buffer")
+    __slots__ = ("sketch", "reservoir", "buffer")
 
     def __init__(self, alpha: float = 0.01, reservoir_k: int = 1024,
-                 seed: int = 0x5EED, buffered: bool = False) -> None:
+                 seed: int = 0x5EED) -> None:
         self.sketch = QuantileSketch(alpha)
         self.reservoir = ReservoirSampler(reservoir_k, seed)
-        # prebound: record() runs once per replayed request
-        self._sketch_add = self.sketch.add
-        self._reservoir_add = self.reservoir.add
-        #: pending raw samples when buffered, else None.  Hot callers may
-        #: append here directly and call :meth:`flush` at their own cadence
-        #: (the replay sinks do), as long as every read goes through the
-        #: recorder's API or flushes first.
-        self.buffer: Optional[List[float]] = [] if buffered else None
+        #: pending raw samples.  Hot callers may append here directly and
+        #: call :meth:`flush` at their own cadence (the replay sinks do),
+        #: as long as every read goes through the recorder's API or
+        #: flushes first.
+        self.buffer: List[float] = []
 
     def record(self, latency_us: float) -> None:
         buffer = self.buffer
-        if buffer is None:
-            self._sketch_add(latency_us)
-            self._reservoir_add(latency_us)
-        else:
-            buffer.append(latency_us)
-            if len(buffer) >= FLUSH_THRESHOLD:
-                self.flush()
+        buffer.append(latency_us)
+        if len(buffer) >= FLUSH_THRESHOLD:
+            self.flush()
 
     def flush(self) -> None:
         """Fold any buffered samples into the sketch and reservoir."""
@@ -662,10 +654,9 @@ class ClassAggregate:
     __slots__ = ("bytes", "latencies", "_record")
 
     def __init__(self, alpha: float = 0.01, reservoir_k: int = 1024,
-                 seed: int = 0x5EED, buffered: bool = False) -> None:
+                 seed: int = 0x5EED) -> None:
         self.bytes = 0
-        self.latencies = StreamingLatencyRecorder(alpha, reservoir_k, seed,
-                                                  buffered=buffered)
+        self.latencies = StreamingLatencyRecorder(alpha, reservoir_k, seed)
         self._record = self.latencies.record
 
     def add(self, latency_us: float, nbytes: int) -> None:

@@ -12,15 +12,15 @@ Streaming replay
 The seed ``replay_trace`` pre-scheduled one event per trace record, so a
 million-record trace put a million events in the heap before the first one
 ran.  The replay now *streams*: a bounded window of upcoming records
-(default :data:`REPLAY_WINDOW`) is held in a driver-local ``(time, feed
-order, record)`` heap, and exactly **one** reusable front-lane event stays
-armed at the head record's timestamp
+(default :data:`REPLAY_WINDOW`) is held driver-side as ``(time, feed
+order, record)`` tuples, and exactly **one** reusable front-lane event
+stays armed at the head record's timestamp
 (:meth:`repro.sim.engine.Simulator.reschedule_at_front`).  Each firing
 submits every record due at that instant and re-arms at the new head; each
-submitted record pulls one replacement from the iterator (a fused
-``heapreplace``), so window occupancy — and total replay state — is
-O(window) regardless of trace length, and the simulator heap carries a
-single replay entry instead of thousands.
+submitted record pulls one replacement from the iterator, so window
+occupancy — and total replay state — is O(window) regardless of trace
+length, and the simulator heap carries a single replay entry instead of
+thousands.
 
 Ordering is identical to pre-scheduling the whole trace: the front lane
 wins every same-timestamp tie against simulation-internal events, arrivals
@@ -31,17 +31,18 @@ same-timestamp group into one firing (and into one
 batched front door) indistinguishable from the seed's one-event-per-record
 scheme, apart from ``events_run``.  The only requirement streaming adds is
 that record timestamps be sorted to within the window (every generator in
-:mod:`repro.traces` emits sorted traces); pass ``window=None`` to fall back
-to full pre-scheduling for pathological inputs.
+:mod:`repro.traces` emits sorted traces); ``window=None`` makes the window
+the whole trace, which accepts any order at O(trace) memory.
 
-Requests themselves are slab-recycled: each replay (and each
-``ClosedLoopDriver``) owns an :class:`repro.device.interface.IORequestPool`
-and releases every request inside its completion callback, so steady-state
-replay allocates no request objects, no dispatch events, and no completion
-closures (the SSD hangs reusable adapters off the pooled request; see
-``SSD._arm_dispatch``).  The pool is scoped to the run on purpose: its
-slab retains those device-bound adapters, so a process-global pool would
-pin retired devices alive.
+The window is a sorted-run deque that degrades to a binary heap only when
+a record lands behind its tail.  The deque stays because it pays: a plain
+heap throughout cost 5-14 % of ``records_per_s`` on the open-loop
+workloads of ``benchmarks/e2e`` (replay_steady, swtf_burst, fleet_mixed;
+3 paired runs).
+
+Requests are plain :class:`~repro.device.interface.IORequest` objects,
+one per record; every completion, in every driver and result mode, goes
+through the result's ``record(request)`` (:class:`ResultSink`).
 
 Streaming results
 -----------------
@@ -54,9 +55,9 @@ each completion into per-(op, priority) aggregates
 (:class:`repro.sim.stats.ClassAggregate`: count, bytes, exact mean/max, a
 bounded-relative-error quantile sketch, and a seeded reservoir sample) and
 answers the same ``latency``/``bandwidth_mb_s``/``count`` queries as
-``WorkloadResult``.  The default remains the list-of-completions mode, so
-existing call sites and golden snapshots are untouched; the *simulation* is
-identical either way — only what is retained about it changes.
+``WorkloadResult``.  The default remains the list-of-completions mode,
+itself just another sink; the *simulation* is identical either way — only
+what is retained about it changes.
 """
 
 from __future__ import annotations
@@ -68,8 +69,7 @@ from itertools import islice
 from typing import (Callable, Deque, Dict, Iterable, List, Optional, Protocol,
                     Tuple, Union)
 
-from repro.device.interface import (Completion, IORequest, IORequestPool,
-                                    OpType)
+from repro.device.interface import Completion, IORequest, OpType
 from repro.sim.engine import Event, Simulator
 from repro.sim.stats import (ClassAggregate, FLUSH_THRESHOLD, LatencyRecorder,
                              LatencySummary, QuantileSketch)
@@ -91,10 +91,18 @@ REPLAY_WINDOW = 4096
 
 @dataclass
 class WorkloadResult:
-    """Latency/bandwidth summary of one driven workload."""
+    """Latency/bandwidth summary of one driven workload.
+
+    The list-mode :class:`ResultSink`: ``record`` keeps one
+    :class:`~repro.device.interface.Completion` per request, which is what
+    the paper's tables want at experiment scale.
+    """
 
     completions: List[Completion] = field(default_factory=list)
     elapsed_us: float = 0.0
+
+    def record(self, request: IORequest) -> None:
+        self.completions.append(Completion.of(request))
 
     def _recorder(self, predicate: Callable[[Completion], bool]) -> LatencyRecorder:
         recorder = LatencyRecorder()
@@ -146,10 +154,9 @@ class ResultSink(Protocol):
 
     ``record`` is called once per finished request, on the simulator clock,
     with the completed :class:`~repro.device.interface.IORequest`; the sink
-    must read what it needs immediately and hold no reference (the request
-    object is driver-owned and garbage the moment the callback returns —
-    retaining it would defeat the bounded-memory contract).  The driver
-    stamps ``elapsed_us`` when the replay drains.
+    must read what it needs immediately and hold no reference (retaining
+    requests would defeat the bounded-memory contract).  The driver stamps
+    ``elapsed_us`` when the replay drains.
     """
 
     elapsed_us: float
@@ -205,7 +212,7 @@ class StreamingResult:
             class_seed = (self._seed * 31
                           + self._OP_ORDER[request.op] * 2 + key[1])
             aggregate = self._classes[key] = ClassAggregate(
-                self._alpha, self._reservoir_k, class_seed, buffered=True
+                self._alpha, self._reservoir_k, class_seed
             )
             latencies = aggregate.latencies
             entry = self._fast[key] = (
@@ -335,195 +342,127 @@ def replay_trace(
     device,
     records: Iterable[TraceRecord],
     time_scale: float = 1.0,
-    collect_frees: bool = False,
     window: Optional[int] = REPLAY_WINDOW,
     sink: Optional[ResultSink] = None,
 ) -> Union[WorkloadResult, ResultSink]:
     """Open-loop replay: submit each record at ``time_us * time_scale``.
 
     Returns after the event queue drains.  READ/WRITE completions are
-    collected (FREEs too with ``collect_frees``); ``elapsed_us`` spans first
-    submission to last completion.
+    recorded; ``elapsed_us`` spans first submission to last completion.
 
-    At most ``window`` future submissions are scheduled at once (see the
-    module docstring); ``window=None`` pre-schedules the whole trace, which
-    accepts arbitrarily unsorted timestamps at O(trace) heap cost.
+    At most ``window`` upcoming records are held at once (see the module
+    docstring); ``window=None`` holds the whole trace, which accepts
+    arbitrarily unsorted timestamps at O(trace) memory.
 
-    With ``sink`` (any :class:`ResultSink`, e.g. :class:`StreamingResult`)
-    completions stream into the sink instead of accumulating as a list, and
-    the sink is returned; result memory is then whatever the sink keeps —
-    O(1) for :class:`StreamingResult` — so replay length is bounded by
-    patience, not RAM.  Pair it with a generator of records (e.g.
+    Completions go to ``sink`` (any :class:`ResultSink`, e.g.
+    :class:`StreamingResult`), which is returned; the default is a fresh
+    list-mode :class:`WorkloadResult`.  Result memory is whatever the sink
+    keeps — O(1) for :class:`StreamingResult` — so replay length is bounded
+    by patience, not RAM.  Pair it with a generator of records (e.g.
     :func:`repro.traces.synthetic.iter_synthetic`) to keep the trace side
     O(1) as well.
     """
-    result: Union[WorkloadResult, ResultSink]
-    # one pool per replay: recycling pays off *within* a run (thousands of
-    # residencies over ~window live requests), and scoping the slab here
-    # lets the device graph its retained adapters bind be collected with
-    # the run instead of being pinned by a process-global slab
-    pool = IORequestPool()
-    release = pool.release
-    if sink is None:
-        result = WorkloadResult()
-        completions = result.completions
-        completion_of = Completion.of
+    if window is not None and window <= 0:
+        raise ValueError(f"window must be positive or None, got {window}")
+    result = WorkloadResult() if sink is None else sink
+    record_completion = result.record
 
-        def on_complete(request: IORequest) -> None:
-            op = request.op
-            if op is OpType.READ or op is OpType.WRITE or collect_frees:
-                completions.append(completion_of(request))
-            release(request)
-    else:
-        result = sink
-        sink_record = sink.record
-
-        def on_complete(request: IORequest) -> None:
-            op = request.op
-            if op is OpType.READ or op is OpType.WRITE or collect_frees:
-                sink_record(request)
-            release(request)
+    def on_complete(request: IORequest) -> None:
+        op = request.op
+        if op is OpType.READ or op is OpType.WRITE:
+            record_completion(request)
 
     start = sim.now
-    acquire = pool.acquire
     op_of = _OP_OF
 
     def build(record: TraceRecord) -> IORequest:
-        """One pooled request per record (the only construction site —
-        the per-record, batched, and pre-scheduled paths all go through
-        here, so they cannot drift apart)."""
-        return acquire(op_of[record.op], record.offset, record.size,
-                       record.priority, on_complete)
+        return IORequest(op_of[record.op], record.offset, record.size,
+                         record.priority, on_complete)
 
-    if window is None:
-        def submit(record: TraceRecord) -> None:
-            device.submit(build(record))
+    # The window: a deque of (time, feed order, record) while the trace
+    # arrives sorted — one tail compare plus append/popleft per record —
+    # degrading to a binary heap the first time a record lands behind the
+    # tail.  A sorted, feed-ordered tuple list is already a valid min-heap,
+    # so degrading is a copy, not a sort, and submission order is identical
+    # in both modes.  ONE reusable front-lane event (``feeder``) stays
+    # armed at the head's timestamp (see the module docstring).
+    def unsorted_error(at: float, now: float) -> ValueError:
+        return ValueError(
+            f"trace timestamps unsorted beyond the replay window "
+            f"({window}): record time {at} is before the clock "
+            f"{now}; sort the trace or pass window=None"
+        )
 
-        for record in records:
-            sim.schedule_at_front(
-                start + record.time_us * time_scale, submit, record
-            )
-    else:
-        if window <= 0:
-            raise ValueError(f"window must be positive or None, got {window}")
-        # Streaming core: the window of upcoming records lives in a local
-        # (time, feed-order, record) structure and ONE reusable front-lane
-        # event stays armed at the head record's timestamp.  Firing submits
-        # every record due at that instant — back-to-back front-lane events
-        # at one timestamp admit nothing between them, so folding the group
-        # into one firing preserves the exact pre-scheduling order — then
-        # re-arms at the new head.  The simulator heap holds O(1) replay
-        # entries instead of O(window), and groups of same-instant records
-        # ride the device's batched front door when it has one.
-        #
-        # Traces are overwhelmingly time-sorted (generators emit monotone
-        # timestamps), so the window starts as a plain deque — one tail
-        # compare plus append/popleft per record, no O(log window) sifts —
-        # and degrades to a binary heap the first time a record lands
-        # behind the window tail.  A time-sorted, feed-ordered tuple list
-        # is already a valid min-heap, so degrading is a copy, not a sort,
-        # and submission order is identical in both modes.
-        def unsorted_error(at: float, now: float) -> ValueError:
-            return ValueError(
-                f"trace timestamps unsorted beyond the replay window "
-                f"({window}): record time {at} is before the clock "
-                f"{now}; sort the trace or pass window=None"
-            )
+    iterator = iter(records)
+    buffer: Deque[tuple] = deque()
+    heap: List[tuple] = []
+    use_heap = False
+    n = 0
+    last_at = -1.0  # timestamps are >= sim.now >= 0
+    for record in islice(iterator, window):
+        at = start + record.time_us * time_scale
+        if at < sim.now:
+            raise unsorted_error(at, sim.now)
+        if at < last_at:
+            use_heap = True
+        else:
+            last_at = at
+        buffer.append((at, n, record))
+        n += 1
+    if use_heap:
+        heap = list(buffer)
+        buffer.clear()
+        heapify(heap)
+    device_submit = device.submit
+    submit_batch = getattr(device, "submit_batch", None)
+    feeder = Event(0.0, 0, None, ())
+    feeder.alive = False
+    rearm = sim.reschedule_at_front
 
-        iterator = iter(records)
-        buffer: Deque[tuple] = deque()
-        heap: List[tuple] = []
-        use_heap = False
-        n = 0
-        last_at = -1.0  # timestamps are >= sim.now >= 0
-        for record in islice(iterator, window):
-            at = start + record.time_us * time_scale
-            if at < sim.now:
-                raise unsorted_error(at, sim.now)
-            if at < last_at:
-                use_heap = True
-            else:
-                last_at = at
-            buffer.append((at, n, record))
-            n += 1
-        if use_heap:
-            heap = list(buffer)
-            buffer.clear()
-            heapify(heap)
-        device_submit = device.submit
-        submit_batch = getattr(device, "submit_batch", None)
-        feeder = Event(0.0, 0, None, ())
-        feeder.alive = False
-        rearm = sim.reschedule_at_front
-
-        def fire(heappop=heappop, heapreplace=heapreplace) -> None:
-            nonlocal n, use_heap
-            now = sim.now
-            batch: Optional[List[TraceRecord]] = None
-            window_q = heap if use_heap else buffer
-            # pop the due head with its refill fused in (one refill per
-            # popped record keeps the window full; record generators are
-            # pure, so pulling just before the pop is unobservable).  In
-            # heap mode heapreplace does one sift where pop-then-push
-            # would do two.
+    def fire(heappop=heappop, heapreplace=heapreplace) -> None:
+        nonlocal n, use_heap
+        now = sim.now
+        window_q = heap if use_heap else buffer
+        due: List[TraceRecord] = []
+        # pop every due record (the head is due: the feeder was armed at its
+        # timestamp) with one refill fused into each pop, which keeps the
+        # window full; record generators are pure, so pulling just before
+        # the pop is unobservable.  In heap mode heapreplace does one sift
+        # where pop-then-push would do two.
+        while window_q and window_q[0][0] <= now:
             nxt = next(iterator, None)
             if nxt is None:
-                record = (heappop(heap) if use_heap else buffer.popleft())[2]
+                due.append(
+                    (heappop(heap) if use_heap else buffer.popleft())[2])
+                continue
+            at = start + nxt.time_us * time_scale
+            if at < now:
+                raise unsorted_error(at, now)
+            if use_heap:
+                due.append(heapreplace(heap, (at, n, nxt))[2])
+            elif at >= buffer[-1][0]:
+                buffer.append((at, n, nxt))
+                due.append(buffer.popleft()[2])
             else:
-                at = start + nxt.time_us * time_scale
-                if at < now:
-                    raise unsorted_error(at, now)
-                if use_heap:
-                    record = heapreplace(heap, (at, n, nxt))[2]
-                elif not buffer or at >= buffer[-1][0]:
-                    buffer.append((at, n, nxt))
-                    record = buffer.popleft()[2]
-                else:
-                    use_heap = True
-                    heap[:] = buffer
-                    buffer.clear()
-                    window_q = heap
-                    record = heapreplace(heap, (at, n, nxt))[2]
-                n += 1
-            while window_q and window_q[0][0] <= now:
-                if batch is None:
-                    batch = [record]
-                nxt = next(iterator, None)
-                if nxt is None:
-                    batch.append(
-                        (heappop(heap) if use_heap else buffer.popleft())[2])
-                else:
-                    at = start + nxt.time_us * time_scale
-                    if at < now:
-                        raise unsorted_error(at, now)
-                    if use_heap:
-                        batch.append(heapreplace(heap, (at, n, nxt))[2])
-                    elif not buffer or at >= buffer[-1][0]:
-                        buffer.append((at, n, nxt))
-                        batch.append(buffer.popleft()[2])
-                    else:
-                        use_heap = True
-                        heap[:] = buffer
-                        buffer.clear()
-                        window_q = heap
-                        batch.append(heapreplace(heap, (at, n, nxt))[2])
-                    n += 1
-            if batch is None:
+                use_heap = True
+                heap[:] = buffer
+                buffer.clear()
+                window_q = heap
+                due.append(heapreplace(heap, (at, n, nxt))[2])
+            n += 1
+        if len(due) == 1:
+            device_submit(build(due[0]))
+        elif submit_batch is not None:
+            submit_batch([build(r) for r in due])
+        else:
+            for record in due:
                 device_submit(build(record))
-            else:
-                requests = [build(r) for r in batch]
-                if submit_batch is not None:
-                    submit_batch(requests)
-                else:
-                    for request in requests:
-                        device_submit(request)
-            if window_q:
-                rearm(feeder, window_q[0][0])
+        if window_q:
+            rearm(feeder, window_q[0][0])
 
-        feeder.fn = fire
-        if buffer or heap:
-            sim.reschedule_at_front(feeder, (heap if use_heap
-                                             else buffer)[0][0])
+    feeder.fn = fire
+    if buffer or heap:
+        rearm(feeder, (heap if use_heap else buffer)[0][0])
     sim.run_until_idle()
     result.elapsed_us = sim.now - start
     finalize = getattr(result, "finalize", None)
@@ -537,7 +476,6 @@ def replay_pattern(
     device,
     records: Iterable["PatternRecord"],
     time_scale: float = 1.0,
-    collect_frees: bool = False,
     window: Optional[int] = REPLAY_WINDOW,
     sink: Optional[ResultSink] = None,
 ) -> ResultSink:
@@ -590,7 +528,7 @@ def replay_pattern(
 
     while not done:
         replay_trace(sim, device, segment(), time_scale=time_scale,
-                     collect_frees=collect_frees, window=window, sink=sink)
+                     window=window, sink=sink)
     sink.elapsed_us = sim.now - start
     return sink
 
@@ -623,9 +561,6 @@ class ClosedLoopDriver:
         self._issued = 0
         self._completed = 0
         self._start_us = 0.0
-        #: per-driver request slab (see replay_trace: scoping the pool to
-        #: the run keeps its retained adapters from pinning the device)
-        self._pool = IORequestPool()
 
     def run(self) -> WorkloadResult:
         self._start_us = self.sim.now
@@ -647,16 +582,14 @@ class ClosedLoopDriver:
         self._issued += 1
         op, offset, size = spec[:3]
         priority = spec[3] if len(spec) > 3 else 0
-        return self._pool.acquire(op, offset, size, priority,
-                                  self._on_complete)
+        return IORequest(op, offset, size, priority, self._on_complete)
 
     def _issue(self) -> None:
         self.device.submit(self._build())
 
     def _on_complete(self, request: IORequest) -> None:
         self._completed += 1
-        self.result.completions.append(Completion.of(request))
-        self._pool.release(request)
+        self.result.record(request)
         if self._issued < self.count:
             if self.think_time_us > 0:
                 self.sim.schedule(self.think_time_us, self._issue)

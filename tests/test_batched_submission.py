@@ -1,4 +1,4 @@
-"""The batched replay core: pooled requests, submit_batch, vectorized prefill.
+"""The batched replay core: submit_batch, streaming window, vectorized prefill.
 
 Pins the PR 5 tentpole contracts:
 
@@ -12,11 +12,10 @@ Pins the PR 5 tentpole contracts:
    which is exactly the events-for-wall-time trade the batch makes; the
    *simulated* behaviour (what the paper's tables read) must not move.
 2. **Streaming window equivalence** — the one-armed-event streaming core
-   orders submissions exactly like ``window=None`` full pre-scheduling,
-   including same-timestamp groups.
-3. **Request pool recycling** — acquire/release reuses instances and
-   resets the host-visible fields; a recycled request replays cleanly.
-4. **Vectorized prefill equivalence** — ``prefill_pagemap`` and
+   orders submissions exactly like pre-scheduling one front-lane event per
+   record (:func:`prescheduled_replay`, the seed's replay loop kept as the
+   reference), including same-timestamp groups and ``window=None``.
+3. **Vectorized prefill equivalence** — ``prefill_pagemap`` and
    ``prefill_stripe_ftl`` leave state byte-identical to the seed's
    per-block reference loops (kept verbatim below), including partial
    tail blocks, overwrite scatter, and partially-mapped stripe maps.
@@ -29,8 +28,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.device.interface import (REQUEST_POOL, Completion, IORequest,
-                                    IORequestPool, OpType)
+from repro.device.interface import IORequest, OpType
 from repro.device.ssd import SSD
 from repro.device.ssd_config import SSDConfig
 from repro.flash.element import FlashElement, PageState
@@ -43,7 +41,7 @@ from repro.ftl.prefill import _instant_clean, prefill_pagemap, prefill_stripe_ft
 from repro.sim.engine import Simulator
 from repro.traces.record import TraceOp, TraceRecord
 from repro.traces.synthetic import SyntheticConfig, iter_synthetic
-from repro.workloads.driver import replay_trace
+from repro.workloads.driver import WorkloadResult, replay_trace
 from tests.conftest import small_geometry
 
 KB4 = 4096
@@ -52,6 +50,28 @@ KB4 = 4096
 # ---------------------------------------------------------------------------
 # 1 + 2: submission equivalence
 # ---------------------------------------------------------------------------
+
+def prescheduled_replay(sim, device, records):
+    """The seed's replay loop: one front-lane event per record, all
+    scheduled before the run starts.  The reference the streaming window
+    must reproduce completion for completion."""
+    result = WorkloadResult()
+
+    def on_complete(request):
+        if request.op in (OpType.READ, OpType.WRITE):
+            result.record(request)
+
+    def submit(record):
+        device.submit(IORequest(record.op.to_op_type(), record.offset,
+                                record.size, record.priority, on_complete))
+
+    start = sim.now
+    for record in records:
+        sim.schedule_at_front(start + record.time_us, submit, record)
+    sim.run_until_idle()
+    result.elapsed_us = sim.now - start
+    return result
+
 
 class _SubmitOnly:
     """Device adapter hiding ``submit_batch``: forces the per-record path."""
@@ -121,19 +141,20 @@ class TestSubmitBatchEquivalence:
 
 
 class TestStreamingWindowEquivalence:
-    def _run(self, window):
+    def _run(self, replay):
         sim = Simulator()
         ssd = SSD(sim, SSDConfig(n_elements=4, geometry=small_geometry(),
                                  scheduler="swtf", max_inflight=8,
                                  controller_overhead_us=5.0))
         records = list(_bursty_records(5000, ssd.capacity_bytes, seed=3))
-        result = replay_trace(sim, ssd, records, window=window)
-        return result, sim, ssd
+        return replay(sim, ssd, records), sim, ssd
 
-    @pytest.mark.parametrize("window", [1, 7, 4096])
+    @pytest.mark.parametrize("window", [1, 7, 4096, None])
     def test_windowed_matches_full_prescheduling(self, window):
-        streamed, sim_s, ssd_s = self._run(window)
-        listed, sim_l, ssd_l = self._run(None)
+        streamed, sim_s, ssd_s = self._run(
+            lambda sim, ssd, records: replay_trace(sim, ssd, records,
+                                                   window=window))
+        listed, sim_l, ssd_l = self._run(prescheduled_replay)
         assert sim_s.now == sim_l.now
         assert streamed.completions == listed.completions
         assert ssd_s.ftl.stats.as_dict() == ssd_l.ftl.stats.as_dict()
@@ -164,71 +185,7 @@ class TestStreamingWindowEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# 3: the request pool
-# ---------------------------------------------------------------------------
-
-class TestRequestPool:
-    def test_acquire_recycles_released_instances(self):
-        pool = IORequestPool()
-        first = pool.acquire(OpType.WRITE, 0, KB4, 1, None)
-        pool.release(first)
-        second = pool.acquire(OpType.READ, KB4, 2 * KB4)
-        assert second is first
-        assert second.op is OpType.READ
-        assert second.offset == KB4 and second.size == 2 * KB4
-        assert second.priority == 0
-        assert second.on_complete is None
-        assert second.submit_us == -1.0 and second.complete_us == -1.0
-
-    def test_release_drops_callback_references(self):
-        pool = IORequestPool()
-        request = pool.acquire(OpType.WRITE, 0, KB4,
-                               on_complete=lambda r: None,
-                               tag="t", hints={"temp": "cold"})
-        pool.release(request)
-        assert request.on_complete is None
-        assert request.tag is None and request.hints is None
-        assert len(pool) == 1
-
-    def test_replay_pool_does_not_pin_device(self):
-        """The replay's request slab retains device-bound adapters; the
-        pool is scoped to the run so a finished replay's device graph is
-        collectable (a process-global slab would pin it forever)."""
-        import gc
-        import weakref
-
-        sim = Simulator()
-        ssd = SSD(sim, SSDConfig(n_elements=2, geometry=small_geometry()))
-        device_ref = weakref.ref(ssd)
-        sim_ref = weakref.ref(sim)
-        replay_trace(sim, ssd,
-                     list(_bursty_records(200, ssd.capacity_bytes)))
-        del ssd, sim
-        gc.collect()
-        assert device_ref() is None
-        assert sim_ref() is None
-
-    def test_recycled_request_resubmits_cleanly(self, sim):
-        ssd = SSD(sim, SSDConfig(n_elements=2, geometry=small_geometry()))
-        done = []
-        request = REQUEST_POOL.acquire(OpType.WRITE, 0, KB4,
-                                       on_complete=done.append)
-        ssd.submit(request)
-        sim.run_until_idle()
-        assert done == [request]
-        first_completion = Completion.of(request)
-        REQUEST_POOL.release(request)
-        again = REQUEST_POOL.acquire(OpType.WRITE, 0, KB4,
-                                     on_complete=done.append)
-        assert again is request
-        ssd.submit(again)
-        sim.run_until_idle()
-        assert len(done) == 2
-        assert Completion.of(again).response_us == first_completion.response_us
-
-
-# ---------------------------------------------------------------------------
-# 4: vectorized prefill vs the seed's per-block reference loops
+# 3: vectorized prefill vs the seed's per-block reference loops
 # ---------------------------------------------------------------------------
 
 def _reference_prefill_pagemap(ftl, fill_fraction, overwrite_fraction=0.0,

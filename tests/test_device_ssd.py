@@ -11,6 +11,7 @@ from repro.flash.geometry import FlashGeometry
 from repro.sim.engine import Simulator
 from repro.units import KIB, MIB
 from tests.conftest import run_io, small_geometry
+from tests.test_dispatch_pipeline import reference_select
 
 
 class TestBasics:
@@ -206,7 +207,7 @@ class TestSchedulers:
         self._enqueue(ssd, busy, idle)
         chosen = ssd.scheduler.select(ssd)
         assert chosen is idle  # the idle element's request wins
-        assert ssd.scheduler.reference_select(ssd) is idle
+        assert reference_select(ssd) is idle
         ssd.queue.remove(busy)
         ssd.queue.remove(idle)
         sim.run_until_idle()

@@ -3,9 +3,10 @@
 Four contracts:
 
 1. **SWTF equivalence** — the bucketed incremental ``select()`` must choose
-   exactly the request the seed's brute-force queue scan would, at every
-   dispatch of randomized saturated workloads (striped pagemap and gang
-   blockmap FTLs, FREEs, priorities, admission stalls included).
+   exactly the request the seed's brute-force queue scan
+   (:func:`reference_select`) would, at every dispatch of randomized
+   saturated workloads (striped pagemap and gang blockmap FTLs, FREEs,
+   priorities, admission stalls included).
 2. **Streaming replay** — ``replay_trace`` keeps at most ``window`` future
    submissions in the event heap regardless of trace length, preserves
    results against full pre-scheduling, and rejects traces unsorted beyond
@@ -31,8 +32,36 @@ from repro.sim.engine import Simulator
 from repro.traces.record import TraceOp, TraceRecord
 from repro.workloads.driver import ClosedLoopDriver, replay_trace
 from tests.conftest import small_geometry
+from tests.test_batched_submission import prescheduled_replay
 
 KB4 = 4096
+
+
+def _estimated_wait(request, ssd):
+    if request.op in (OpType.FREE, OpType.FLUSH):
+        return 0.0
+    elements = ssd.ftl.elements_for_range(request.offset, request.size)
+    if not elements:
+        return 0.0
+    return max(ssd.ftl.elements[e].queue_wait_us() for e in elements)
+
+
+def reference_select(ssd):
+    """The seed's brute-force SWTF scan: the first admissible queued
+    request with the strictly smallest estimated wait.  The incremental
+    ``SWTFScheduler.select`` must always choose the same request."""
+    best_request = None
+    best_wait = float("inf")
+    for request in ssd.queue:
+        if not ssd.admissible(request):
+            continue
+        wait = _estimated_wait(request, ssd)
+        if wait < best_wait:
+            best_wait = wait
+            best_request = request
+            if wait == 0.0:
+                break  # cannot do better than an idle target
+    return best_request
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +82,7 @@ class _CheckedSWTF:
 
     def select(self, ssd):
         self.max_queue = max(self.max_queue, len(ssd.queue))
-        expected = self.inner.reference_select(ssd)
+        expected = reference_select(ssd)
         got = self.inner.select(ssd)
         assert got is expected, (
             f"incremental SWTF chose {got!r}, brute force {expected!r} "
@@ -189,7 +218,7 @@ class TestStreamingReplay:
         assert high_water[0] <= window + 64, high_water[0]
 
     def test_streaming_matches_preschedule(self):
-        def run(window):
+        def run(replay):
             sim = Simulator()
             ssd = self._device(sim)
             region = ssd.capacity_bytes // KB4
@@ -200,11 +229,12 @@ class TestStreamingReplay:
                             rng.randrange(region) * KB4, KB4)
                 for i in range(2000)
             ]
-            result = replay_trace(sim, ssd, records, window=window)
+            result = replay(sim, ssd, records)
             return (round(sim.now, 6), sim.events_run, result.count,
                     ssd.ftl.stats.as_dict())
 
-        assert run(16) == run(None)
+        assert run(lambda sim, ssd, records: replay_trace(
+            sim, ssd, records, window=16)) == run(prescheduled_replay)
 
     def test_unsorted_beyond_window_rejected(self):
         sim = Simulator()

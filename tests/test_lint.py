@@ -268,8 +268,8 @@ class TestPooling:
         result = _lint(GUARDED, """\
             INFLIGHT = {}
 
-            def track(request: IORequest, key):
-                INFLIGHT[key] = request
+            def track(op: FlashOp, key):
+                INFLIGHT[key] = op
             """)
         assert _rules_hit(result) == {"pool-escape"}
 

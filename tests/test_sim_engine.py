@@ -179,10 +179,9 @@ def test_reschedule_into_past_rejected():
 
 # -- same-instant ordering properties ------------------------------------
 #
-# The run() hot path drains identical-timestamp groups in an inner
-# micro-batch loop without re-storing the clock; these properties pin the
-# contract it must preserve: execution follows exact (time, seq) order
-# across all three sequencing lanes — normal schedule(), the front lane
+# These properties pin the run loop's ordering contract: execution follows
+# exact (time, seq) order across all three sequencing lanes — normal
+# schedule(), the front lane
 # (schedule_at_front / reschedule_at_front), and reserved sequence numbers
 # armed later via reschedule(seq=...).
 

@@ -33,7 +33,8 @@ from repro.sim.stats import (LatencyRecorder, QuantileSketch,
                              percentile)
 from repro.traces.synthetic import (SyntheticConfig, generate_synthetic,
                                     iter_synthetic)
-from repro.workloads.driver import StreamingResult, replay_trace
+from repro.workloads.driver import (StreamingResult, WorkloadResult,
+                                    replay_trace)
 from tests.conftest import small_geometry
 
 KB4 = 4096
@@ -321,22 +322,24 @@ class TestBufferedRecorder:
         rng = random.Random(21)
         values = [rng.lognormvariate(5.0, 1.5) for _ in range(20_000)]
         values += [0.0] * 37
-        scalar = StreamingLatencyRecorder(seed=4)
-        buffered = StreamingLatencyRecorder(seed=4, buffered=True)
+        sketch = QuantileSketch()
+        reservoir = ReservoirSampler(capacity=1024, seed=4)
+        recorder = StreamingLatencyRecorder(seed=4)
         for value in values:
-            scalar.record(value)
-            buffered.record(value)
+            sketch.add(value)
+            reservoir.add(value)
+            recorder.record(value)
         # count must see unflushed samples
-        assert buffered.count == scalar.count == len(values)
-        assert buffered.samples == scalar.samples
-        assert buffered.sketch._buckets == scalar.sketch._buckets
-        a, b = scalar.summary(), buffered.summary()
+        assert recorder.count == sketch.count == len(values)
+        assert recorder.samples == reservoir.samples
+        assert recorder.sketch._buckets == sketch._buckets
+        a, b = sketch.summary(), recorder.summary()
         assert (a.count, a.max_us) == (b.count, b.max_us)
         assert b.mean_us == pytest.approx(a.mean_us, rel=1e-9)
         assert (a.p50_us, a.p95_us, a.p99_us) == (b.p50_us, b.p95_us, b.p99_us)
 
     def test_flush_is_idempotent_and_buffer_drains(self):
-        recorder = StreamingLatencyRecorder(buffered=True)
+        recorder = StreamingLatencyRecorder()
         recorder.record(5.0)
         assert len(recorder.buffer) == 1
         recorder.flush()
@@ -386,6 +389,18 @@ class TestStreamingResultSink:
         assert dev_s.ftl.stats.as_dict() == dev_l.ftl.stats.as_dict()
         assert streaming.elapsed_us == listed.elapsed_us
         assert streaming.count == listed.count
+
+    def test_workload_result_is_a_sink(self):
+        """Passing the list-mode result as the sink is the default call:
+        both go through ``WorkloadResult.record``."""
+        explicit, sim_e, _ = self._replay(WorkloadResult())
+        default, sim_d, _ = self._replay(None)
+        assert sim_e.now == sim_d.now
+        assert explicit.elapsed_us == default.elapsed_us
+        assert explicit.completions == default.completions
+        for op in (None, OpType.READ, OpType.WRITE):
+            assert explicit.latency(op=op) == default.latency(op=op)
+            assert explicit.bandwidth_mb_s(op) == default.bandwidth_mb_s(op)
 
     def test_query_api_parity(self):
         streaming, _, _ = self._replay(StreamingResult(seed=123))
