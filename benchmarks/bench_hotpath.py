@@ -2,8 +2,9 @@
 
 Three deterministic closed-loop scenarios drive a page-mapped FTL directly
 (no host link / scheduler in the way) so the measured cost is the command
-execution fast path itself — `FlashOp` issue, element FIFO, event loop,
-completion joining, allocation, and cleaning:
+execution fast path itself — op issue into the element's tuple FIFO, event
+loop, completion joining, allocation, and cleaning (run copy-back: one
+element call per frontier run of a copy batch):
 
 * ``pure_write``      — random 4 KB overwrite churn (programs + steady GC)
 * ``mixed_rw``        — 50/50 random 4 KB reads and writes

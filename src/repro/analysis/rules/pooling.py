@@ -1,17 +1,19 @@
 """Family 4 — pooled-object lifecycle.
 
-``FlashOp`` is slab-recycled: the pool hands the same object out again
-after release, so any reference that outlives the operation (a
-module-level cache, a global history list) is silently rebound to a
-*different* logical operation later — the classic recycled-object
-aliasing bug, invisible until a fingerprint moves.
+``CompletionJoin`` is slab-recycled, the only object pool in the tree:
+the FTL's ``_join_slab`` hands the same object out again after it fires,
+so any reference that outlives the request (a module-level cache, a
+global history list) is silently rebound to a *different* request's join
+later — the classic recycled-object aliasing bug, invisible until a
+fingerprint moves.
 
 The escape analysis is deliberately best-effort but zero-false-negative
 on the known patterns: a value is *pooled* when it is assigned from an
-``.acquire(...)`` call, popped from a ``*pool*``/``*slab*`` container,
-or is a parameter annotated with a pooled class; it *escapes* when it is
-stored into module-level state (append/add/insert on a module-level
-container, a subscript store into one, or a ``global`` rebind).
+``.acquire(...)`` or ``.acquire_join(...)`` call, popped from a
+``*pool*``/``*slab*`` container, or is a parameter annotated with a
+pooled class; it *escapes* when it is stored into module-level state
+(append/add/insert on a module-level container, a subscript store into
+one, or a ``global`` rebind).
 Instance-attribute stores are out of scope — lifetimes there need whole-
 program knowledge (the pools' own slabs would all be false positives).
 """
@@ -28,7 +30,10 @@ from repro.analysis.registry import module_rule
 __all__ = ["check_pool_escape"]
 
 #: classes whose instances are slab-recycled in this repo
-POOLED_CLASSES = {"FlashOp"}
+POOLED_CLASSES = {"CompletionJoin"}
+
+#: methods that hand out a slab-recycled object
+_ACQUIRE_METHODS = {"acquire", "acquire_join"}
 
 _STORE_METHODS = {"append", "appendleft", "add", "insert", "push", "extend"}
 
@@ -60,7 +65,7 @@ def _is_pooled_source(value: ast.expr) -> bool:
         return False
     func = value.func
     if isinstance(func, ast.Attribute):
-        if func.attr == "acquire":
+        if func.attr in _ACQUIRE_METHODS:
             return True
         receiver = terminal_name(func.value) or ""
         if func.attr == "pop" and ("pool" in receiver or "slab" in receiver):

@@ -10,6 +10,7 @@ ignores priorities simply treats every request the same.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol, runtime_checkable
 
@@ -132,18 +133,20 @@ class IORequest:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class Completion:
-    """Summary of one finished request (used by drivers that batch results)."""
+class Completion(namedtuple("Completion", (
+        "op", "offset", "size", "priority", "submit_us", "complete_us",
+        "error"), defaults=(None,))):
+    """Summary of one finished request (used by drivers that batch results).
 
-    op: OpType
-    offset: int
-    size: int
-    priority: int
-    submit_us: float
-    complete_us: float
-    #: terminal error of the request (see :attr:`IORequest.error`)
-    error: Optional[str] = None
+    Fields: ``op`` (:class:`OpType`), ``offset``, ``size``, ``priority``,
+    ``submit_us``, ``complete_us`` and ``error``, the terminal error of the
+    request (see :attr:`IORequest.error`; None on success).
+
+    A named tuple rather than a frozen dataclass: closed-loop drivers build
+    one per request, and a tuple builds about three times faster.  It is
+    immutable and has no ``__dict__``."""
+
+    __slots__ = ()
 
     @property
     def response_us(self) -> float:
@@ -151,15 +154,9 @@ class Completion:
 
     @classmethod
     def of(cls, request: IORequest) -> "Completion":
-        return cls(
-            op=request.op,
-            offset=request.offset,
-            size=request.size,
-            priority=request.priority,
-            submit_us=request.submit_us,
-            complete_us=request.complete_us,
-            error=request.error,
-        )
+        return cls(request.op, request.offset, request.size,
+                   request.priority, request.submit_us, request.complete_us,
+                   request.error)
 
 
 class DeviceStats:

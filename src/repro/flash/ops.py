@@ -6,11 +6,9 @@ mappings), and the element purely accounts for when the command finishes.
 Each op carries a ``tag`` that attributes its time to host I/O, cleaning, or
 wear-leveling — the accounting behind Tables 5 and 6.
 
-``FlashOp`` is deliberately a bare ``__slots__`` class, not a dataclass:
-millions of ops flow through a busy simulation, and the element recycles
-them through a per-element free list (see ``FlashElement``) so steady-state
-runs allocate approximately zero op objects.  Ops handed to ``enqueue`` by
-external callers are never recycled.
+``FlashOp`` is the public descriptor :meth:`FlashElement.enqueue` accepts.
+The element's own issue helpers never build one: its FIFO holds plain
+``(duration_us, accumulator, callback)`` tuples (see ``FlashElement``).
 """
 
 from __future__ import annotations
@@ -42,13 +40,10 @@ class FlashOp:
 
     ``callback`` (if any) runs when the command completes, with the
     completion time as its only argument.  ``duration_us`` is filled in by
-    the element when the op is enqueued; ``acc`` is the element's per-tag
-    ``[busy_us, op_count]`` accumulator, bound at enqueue so completion
-    needs no dict lookups.
+    the element when the op is enqueued.
     """
 
-    __slots__ = ("kind", "nbytes", "tag", "callback", "duration_us", "acc",
-                 "_pooled")
+    __slots__ = ("kind", "nbytes", "tag", "callback", "duration_us")
 
     def __init__(
         self,
@@ -63,8 +58,6 @@ class FlashOp:
         self.tag = tag
         self.callback = callback
         self.duration_us = duration_us
-        self.acc = None
-        self._pooled = False
 
     def compute_duration(self, timing: FlashTiming) -> float:
         return timing.duration_us(self.kind, self.nbytes)

@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.flash.element import PageState
 from repro.flash.ops import TAG_CLEAN
 from repro.ftl.base import DeviceFullError
 
@@ -234,65 +233,66 @@ class Cleaner:
         """Issue up to ``batch_pages`` copies; chain the rest via the last
         copy's completion.  Pages the host invalidated in the meantime
         (overwrites or trims racing the clean) are skipped — their data is
-        already dead."""
+        already dead.
+
+        A batch is copied in runs of consecutive frontier pages, one
+        :meth:`FlashElement.copy_run` call each.  When fault injection
+        burns a destination page the run stops there: the frontier pages
+        it did not reach go back to the free count, the block is retired
+        (its already-copied pages are rescued), and the next run retries
+        the failed page from its still-valid source."""
         ftl = self.ftl
         el = ftl.elements[e_idx]
-        geom = ftl.geometry
-        timing = el.timing
         stats = ftl.stats
         page_state = el._ps
         reverse_lpn = el._rl
         emap = ftl._mapv[e_idx]
-        ppb = geom.pages_per_block
-        copy_us = timing.copy_us(geom.page_bytes)
+        ppb = ftl._ppb
+        copy_us = el.timing.copy_us(ftl.geometry.page_bytes)
+        batch_pages = self.config.batch_pages
         n_pages = len(pages)
         index = start
         while index < n_pages:
-            end = min(index + self.config.batch_pages, n_pages)
-            batch = [
-                p for p in pages[index:end]
-                if page_state[victim, p] == PageState.VALID
-            ]
+            end = min(index + batch_pages, n_pages)
+            batch = [p for p in pages[index:end]
+                     if page_state[victim, p] == 1]  # PageState.VALID
             index = end
             if not batch:
                 continue
             more = index < n_pages
-            last = len(batch) - 1
-            for position, page in enumerate(batch):
-                slot = reverse_lpn[victim, page]
+            if more:
+                self._batch_cont[e_idx] = (victim, pages, index)
+            done = 0
+            todo = len(batch)
+            while done < todo:
                 try:
-                    dst_block, dst_page = ftl.allocate_page(
-                        e_idx, temp="hot", for_cleaning=True
-                    )
+                    block, first, count = ftl.allocate_run(e_idx, todo - done)
                 except DeviceFullError:
                     self._abandon(e_idx, victim)
                     return
                 callback = None
-                if more and position == last:
-                    self._batch_cont[e_idx] = (victim, pages, index)
+                if more and done + count == todo:
                     callback = self._batch_callbacks[e_idx]
-                while not el.copy_page(victim, page, dst_block, dst_page,
-                                       slot, tag=TAG_CLEAN,
-                                       callback=callback):
-                    # fault injection burned the destination page: retire
-                    # that block and retry the copy from the still-valid
-                    # source into a fresh frontier page
+                copied = el.copy_run(victim, batch[done:done + count],
+                                     block, first, TAG_CLEAN, callback)
+                # map the copies before a retirement can rescue them
+                clean_time_us = stats.clean_time_us
+                for page in range(first, first + copied):
+                    emap[reverse_lpn[block, page]] = block * ppb + page
+                    clean_time_us += copy_us
+                stats.clean_time_us = clean_time_us
+                stats.clean_pages_moved += copied
+                stats.flash_pages_programmed += copied
+                done += copied
+                if copied < count:
+                    # fault injection burned page first + copied: return
+                    # the pages the run did not reach, then retire the block
                     stats.program_failures += 1
-                    ftl.retire_block(e_idx, dst_block)
-                    try:
-                        dst_block, dst_page = ftl.allocate_page(
-                            e_idx, temp="hot", for_cleaning=True
-                        )
-                    except DeviceFullError:
-                        self._abandon(e_idx, victim)
-                        return
-                emap[slot] = dst_block * ppb + dst_page
-                stats.clean_pages_moved += 1
-                stats.clean_time_us += copy_us
-                stats.flash_pages_programmed += 1
+                    self._free[e_idx] += count - copied - 1
+                    ftl.retire_block(e_idx, block)
             if more:
                 return
-        stats.clean_time_us += timing.erase_us()
+        stats.clean_time_us += el.timing.erase_us()
         self._erasing[e_idx] = victim
         if not el.erase_block(victim, tag=TAG_CLEAN,
                               callback=self._erase_callbacks[e_idx]):

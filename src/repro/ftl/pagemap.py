@@ -161,20 +161,31 @@ class PageMappedFTL(BaseFTL):
             return pool.pop_min_wear()
         return pool.pop_lifo()
 
-    def allocate_page(
-        self, e_idx: int, temp: str = "hot", for_cleaning: bool = False
-    ) -> tuple[int, int]:
-        """Take the next frontier page of *e_idx*; pulls a new erased block
-        when the frontier fills.  Returns (block, page)."""
+    def allocate_run(self, e_idx: int, count: int,
+                     temp: str = "hot") -> tuple[int, int, int]:
+        """Take up to *count* consecutive frontier pages of *e_idx*; pulls
+        a new erased block when the frontier is full.
+
+        Returns ``(block, first_page, n)`` with ``1 <= n <= count``: a run
+        never crosses a block boundary, so when the frontier block has
+        fewer than *count* free pages the run stops at its end and the
+        caller allocates again (pulling a new erased block then, exactly
+        as *count* successive single-page allocations would).  All *n*
+        pages leave the free count; a caller that ends up using fewer must
+        add the rest back to ``_free``."""
         frontiers = self._frontier[e_idx]
         frontier = frontiers.get(temp)
         wp = self.elements[e_idx]._wp
-        if frontier is None or wp[frontier] >= self._ppb:
+        ppb = self._ppb
+        if frontier is None or wp[frontier] >= ppb:
             frontier = self._pull_block(e_idx, temp)
             frontiers[temp] = frontier
-        self._free[e_idx] -= 1
+        first = wp[frontier]
+        if count > ppb - first:
+            count = ppb - first
+        self._free[e_idx] -= count
         self.alloc_epoch = _ALLOC_EPOCH()
-        return frontier, wp[frontier]
+        return frontier, first, count
 
     def release_block(self, e_idx: int, block: int) -> None:
         """Return an erased block to the pool (erase already completed).
@@ -218,7 +229,7 @@ class PageMappedFTL(BaseFTL):
                 page = int(page)
                 slot = int(el.reverse_lpn[block, page])
                 try:
-                    dst_block, dst_page = self.allocate_page(e_idx, temp="hot")
+                    dst_block, dst_page, _ = self.allocate_run(e_idx, 1)
                 except DeviceFullError:
                     break  # unrescued pages stay readable in place
                 el.copy_page(block, page, dst_block, dst_page, slot,
@@ -242,7 +253,7 @@ class PageMappedFTL(BaseFTL):
             stats.program_failures += 1
             self.retire_block(e_idx, bad_block)
             try:
-                block, page = self.allocate_page(e_idx, temp=temp)
+                block, page, _ = self.allocate_run(e_idx, 1, temp)
             except DeviceFullError:
                 stats.failed_pages += 1
                 self._note_write_error()
@@ -318,7 +329,7 @@ class PageMappedFTL(BaseFTL):
                                  callback=callback)
                     stats.rmw_pages_read += 1
                 el.invalidate_state(old_block, old_page)
-            new_block, new_page = self.allocate_page(e_idx, temp=temp)
+            new_block, new_page, _ = self.allocate_run(e_idx, 1, temp)
             if el.program_page(new_block, new_page, slot, tag=tag,
                                callback=callback):
                 mapv[slot] = new_block * ppb + new_page
@@ -339,7 +350,7 @@ class PageMappedFTL(BaseFTL):
         stats = self.stats
         elements = self.elements
         mapvs = self._mapv
-        allocate = self.allocate_page
+        allocate_run = self.allocate_run
         fp = self.geometry.page_bytes
         ppb = self._ppb
         shards = self.shards
@@ -380,7 +391,7 @@ class PageMappedFTL(BaseFTL):
                                      callback=child_done)
                         stats.rmw_pages_read += 1
                     el.invalidate_state(old_block, old_page)
-                new_block, new_page = allocate(e_idx, temp=temp)
+                new_block, new_page, _ = allocate_run(e_idx, 1, temp)
                 expect()
                 if el.program_page(
                     new_block, new_page, slot, tag=tag, callback=child_done

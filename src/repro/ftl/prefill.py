@@ -101,7 +101,7 @@ def prefill_pagemap(
         elements = ftl.elements
         shards = ftl.shards
         free_pages = ftl.free_pages
-        allocate_page = ftl.allocate_page
+        allocate_run = ftl.allocate_run
         block_of, page_of, page_index = (
             geom.block_of, geom.page_of, geom.page_index
         )
@@ -120,7 +120,7 @@ def prefill_pagemap(
                         )
                 old = int(maps[e_idx][slot])
                 el.invalidate_state(block_of(old), page_of(old))
-                block, page = allocate_page(e_idx)
+                block, page, _ = allocate_run(e_idx, 1)
                 el.program_state(block, page, slot)
                 maps[e_idx][slot] = page_index(block, page)
     return count
@@ -141,7 +141,7 @@ def _instant_clean(ftl: PageMappedFTL, e_idx: int) -> bool:
     for page in pages:
         slot = int(el.reverse_lpn[victim, int(page)])
         el.invalidate_state(victim, int(page))
-        block, new_page = ftl.allocate_page(e_idx, for_cleaning=True)
+        block, new_page, _ = ftl.allocate_run(e_idx, 1)
         el.program_state(block, new_page, slot)
         ftl.map_for(e_idx)[slot] = geom.page_index(block, new_page)
     el.erase_state(victim)

@@ -17,12 +17,12 @@ Design notes
   :class:`repro.flash.element.FlashElement`) allocate one :class:`Event` up
   front and re-arm it with :meth:`Simulator.reschedule`, so steady-state
   simulation pushes no new Event objects at all.
-* A second, negative sequence lane (:meth:`Simulator.schedule_at_front`)
+* A second, negative sequence lane (:meth:`Simulator.reschedule_at_front`)
   exists for *external stimulus*: events that must win every same-timestamp
   tie against simulation-internal events, exactly as if they had all been
-  scheduled before the run started.  The streaming trace feeder uses it so
-  lazily-fed submissions order identically to the old
-  schedule-everything-up-front replay.
+  scheduled before the run started.  The streaming trace feeder keeps one
+  event re-armed on it, so lazily-fed submissions order identically to
+  scheduling the whole trace up front.
 """
 
 from __future__ import annotations
@@ -116,40 +116,20 @@ class Simulator:
         self._alive += 1
         return event
 
-    def schedule_at_front(self, time_us: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at *time_us*, ahead of every normal event
-        with the same timestamp.
-
-        Front-lane events draw from a separate (deeply negative) sequence
-        counter, so they (a) beat any same-time event scheduled through
-        :meth:`schedule`/:meth:`schedule_at`/:meth:`reschedule`, and (b)
-        keep their own scheduling order among themselves.  This models
-        external stimulus — trace records arriving from the host — which
-        must order exactly as if the whole trace had been scheduled before
-        the simulation started (the streaming replay contract).
-        """
-        if time_us < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time_us} before current time {self.now}"
-            )
-        seq = self._front_seq
-        self._front_seq = seq + 1
-        event = Event(time_us, seq, fn, args)
-        heapq.heappush(self._heap, (time_us, seq, event))
-        self._alive += 1
-        return event
-
     def reschedule_at_front(self, event: Event, time_us: float) -> None:
-        """Re-arm a previously fired (or never armed) event on the front lane.
+        """Arm a previously fired (or never armed) event on the front lane.
 
         The front-lane counterpart of :meth:`reschedule`: the event draws a
-        fresh front-lane sequence number, so it outranks every normal event
-        at the same timestamp while keeping scheduling order among
-        front-lane users — exactly as if :meth:`schedule_at_front` had been
-        called, minus the per-occurrence Event allocation.  The streaming
-        trace feeder keeps one such event armed at the next record's
-        timestamp.  The caller must guarantee the event is not currently in
-        the heap.
+        fresh sequence number from a separate, deeply negative counter, so
+        it (a) outranks every same-time event scheduled through
+        :meth:`schedule`/:meth:`schedule_at`/:meth:`reschedule`, and (b)
+        keeps scheduling order among front-lane events.  This models
+        external stimulus — trace records arriving from the host — which
+        must order exactly as if the whole trace had been scheduled before
+        the simulation started (the streaming replay contract).  The
+        streaming trace feeder keeps one such event armed at the next
+        record's timestamp.  The caller must guarantee the event is not
+        currently in the heap.
         """
         if time_us < self.now:
             raise SimulationError(

@@ -8,7 +8,7 @@ from repro.device.interface import IORequest, OpType
 from repro.device.ssd import SSD
 from repro.device.ssd_config import SSDConfig
 from repro.flash.geometry import FlashGeometry
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 
 
 @pytest.fixture
@@ -42,3 +42,12 @@ def run_io(sim: Simulator, device, op: OpType, offset: int, size: int, priority:
     sim.run_until_idle()
     assert done, f"request {op} [{offset}, {offset + size}) never completed"
     return done[0]
+
+
+def schedule_at_front(sim: Simulator, time_us: float, fn, *args) -> Event:
+    """Schedule ``fn(*args)`` at *time_us* on the simulator's front lane:
+    one fresh :class:`Event` armed through ``reschedule_at_front``."""
+    event = Event(time_us, 0, fn, args)
+    event.alive = False
+    sim.reschedule_at_front(event, time_us)
+    return event

@@ -42,7 +42,7 @@ from repro.sim.engine import Simulator
 from repro.traces.record import TraceOp, TraceRecord
 from repro.traces.synthetic import SyntheticConfig, iter_synthetic
 from repro.workloads.driver import WorkloadResult, replay_trace
-from tests.conftest import small_geometry
+from tests.conftest import schedule_at_front, small_geometry
 
 KB4 = 4096
 
@@ -67,7 +67,7 @@ def prescheduled_replay(sim, device, records):
 
     start = sim.now
     for record in records:
-        sim.schedule_at_front(start + record.time_us, submit, record)
+        schedule_at_front(sim, start + record.time_us, submit, record)
     sim.run_until_idle()
     result.elapsed_us = sim.now - start
     return result
@@ -231,7 +231,7 @@ def _reference_prefill_pagemap(ftl, fill_fraction, overwrite_fraction=0.0,
                     assert _instant_clean(ftl, e_idx)
                 old = int(ftl._maps[e_idx][slot])
                 el.invalidate_state(geom.block_of(old), geom.page_of(old))
-                block, page = ftl.allocate_page(e_idx)
+                block, page, _ = ftl.allocate_run(e_idx, 1)
                 el.program_state(block, page, slot)
                 ftl._maps[e_idx][slot] = geom.page_index(block, page)
     return count

@@ -16,7 +16,7 @@ from repro.sim.engine import Simulator
 from repro.traces.postmark import PostmarkConfig, generate_postmark
 from repro.traces.synthetic import SyntheticConfig, generate_synthetic
 from repro.units import KIB, MIB
-from repro.workloads.driver import replay_trace
+from repro.workloads.driver import ClosedLoopDriver, replay_trace
 
 
 def cleaning_ssd(sim, trim=False, aware=False, blocks=128, pages=16):
@@ -168,3 +168,73 @@ class TestSustainedRandomWrites:
             replay_trace(sim, device, trace)
             was.append(device.stats.write_amplification)
         assert was[1] > was[0]
+
+
+class TestCleaningConservation:
+    """Page and time conservation through cleaning, fault-free: every
+    cleaning op on an element is a copy or an erase, every program is a
+    host write, a cleaning move or a rescue, and the FTL's cleaning time
+    is the elements' cleaning busy time."""
+
+    @pytest.mark.parametrize("batch_pages", [1, 3, 8])
+    def test_cleaning_conserves_pages_and_time(self, batch_pages):
+        sim = Simulator()
+        ssd = SSD(sim, SSDConfig(
+            n_elements=2,
+            geometry=FlashGeometry(page_bytes=4096, pages_per_block=16,
+                                   blocks_per_element=64),
+            cleaning=CleaningConfig(batch_pages=batch_pages),
+            controller_overhead_us=2.0,
+            max_inflight=8,
+        ))
+        ftl = ssd.ftl
+        elements = ftl.elements
+        prefill_pagemap(ftl, 0.92, overwrite_fraction=0.4,
+                        rng=random.Random(2009))
+        programmed = [el.pages_programmed for el in elements]
+        erased = [el.erases_performed for el in elements]
+
+        # record every frontier run that stopped at a block boundary
+        split_runs = []
+        allocate_run = ftl.allocate_run
+
+        def recording_allocate_run(e_idx, count, temp="hot"):
+            run = allocate_run(e_idx, count, temp)
+            if run[2] < count:
+                split_runs.append(run)
+            return run
+
+        ftl.allocate_run = recording_allocate_run
+
+        rng = random.Random(batch_pages)
+        slots = int(ssd.capacity_bytes // 4096 * 0.9)
+        host_programs = [0] * len(elements)
+
+        def next_request(_index):
+            lpn = rng.randrange(slots)
+            host_programs[lpn % ftl.n_gangs] += 1
+            return (OpType.WRITE, lpn * 4096, 4096)
+
+        ClosedLoopDriver(sim, ssd, next_request, 4000, depth=8).run()
+
+        stats = ftl.stats
+        assert stats.clean_erases > 0
+        if batch_pages > 1:
+            assert split_runs, "no copy run crossed a frontier block"
+        moved = erases = 0
+        for e_idx, el in enumerate(elements):
+            el_moved = (el.pages_programmed - programmed[e_idx]
+                        - host_programs[e_idx])
+            el_erases = el.erases_performed - erased[e_idx]
+            assert el.ops_by_tag["clean"] == el_moved + el_erases, e_idx
+            moved += el_moved
+            erases += el_erases
+        assert moved == stats.clean_pages_moved
+        assert erases == stats.clean_erases
+        assert stats.host_pages_written == sum(host_programs)
+        assert stats.flash_pages_programmed == (
+            stats.host_pages_written + stats.clean_pages_moved
+            + stats.rescued_pages)
+        assert sum(el.busy_us("clean") for el in elements) == pytest.approx(
+            stats.clean_time_us)
+        ftl.check_consistency()

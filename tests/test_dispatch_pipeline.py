@@ -31,7 +31,7 @@ from repro.flash.geometry import FlashGeometry
 from repro.sim.engine import Simulator
 from repro.traces.record import TraceOp, TraceRecord
 from repro.workloads.driver import ClosedLoopDriver, replay_trace
-from tests.conftest import small_geometry
+from tests.conftest import schedule_at_front, small_geometry
 from tests.test_batched_submission import prescheduled_replay
 
 KB4 = 4096
@@ -264,9 +264,9 @@ class TestFrontLane:
         sim = Simulator()
         order = []
         sim.schedule_at(10.0, order.append, "normal-1")
-        sim.schedule_at_front(10.0, order.append, "front-1")
+        schedule_at_front(sim, 10.0, order.append, "front-1")
         sim.schedule_at(10.0, order.append, "normal-2")
-        sim.schedule_at_front(10.0, order.append, "front-2")
+        schedule_at_front(sim, 10.0, order.append, "front-2")
         sim.run_until_idle()
         assert order == ["front-1", "front-2", "normal-1", "normal-2"]
 
@@ -275,7 +275,7 @@ class TestFrontLane:
         sim.schedule_at(5.0, lambda: None)
         sim.run_until_idle()
         with pytest.raises(Exception):
-            sim.schedule_at_front(1.0, lambda: None)
+            schedule_at_front(sim, 1.0, lambda: None)
 
 
 # ---------------------------------------------------------------------------

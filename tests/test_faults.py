@@ -21,6 +21,9 @@ from repro.flash.element import FlashElement, PageState
 from repro.flash.faults import FaultConfig, FaultModel
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FlashTiming
+from repro.ftl.cleaning import CleaningConfig
+from repro.ftl.pagemap import PageMappedFTL
+from repro.ftl.prefill import prefill_pagemap
 from repro.sim.engine import Simulator
 from repro.units import KIB
 from tests.conftest import run_io, small_geometry
@@ -397,6 +400,151 @@ class TestSpareExhaustionEndToEnd:
             soak = _Soak(seed=seed, count=3000)
             soak.assert_books_balance()
             assert soak.ssd.ftl.stats.program_failures > 0
+
+
+# ---------------------------------------------------------------------------
+# cleaning: copy-back failures inside a run
+# ---------------------------------------------------------------------------
+
+
+class _RunRecorder(FlashElement):
+    """Element that logs every cleaning copy attempt with its place in the
+    copy batch: ``(batch_first, carries_callback, dst_page)`` per attempt."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.attempts = []
+        self.batch_starts = False
+
+    def copy_run(self, src_block, src_pages, dst_block, dst_page,
+                 tag="clean", callback=None):
+        copied = super().copy_run(src_block, src_pages, dst_block, dst_page,
+                                  tag, callback)
+        last = len(src_pages) - 1
+        for i in range(min(copied + 1, len(src_pages))):
+            self.attempts.append((self.batch_starts,
+                                  callback is not None and i == last,
+                                  dst_page + i))
+            self.batch_starts = False
+        return copied
+
+
+class _FailAt:
+    """Fault model failing the program half of the chosen draws (0-based,
+    counted across the element's program draws)."""
+
+    def __init__(self, plan):
+        self.plan = set(plan)
+        self.draws = 0
+        self.failures = 0
+
+    def draw_program_failure(self, block, page):
+        index = self.draws
+        self.draws += 1
+        if index in self.plan:
+            self.failures += 1
+            return True
+        return False
+
+    def draw_erase_failure(self, block, erase_count):
+        return False
+
+    def draw_read_retries(self, block, page):
+        return 0
+
+
+def _run_cleans(seed, plan=None, cleans=6):
+    """Prefill one element, then force ``cleans`` greedy cleans with no
+    host traffic, so every program draw is a cleaning copy (rescues run
+    with faults suspended)."""
+    sim = Simulator()
+    geom = FlashGeometry(page_bytes=4096, pages_per_block=16,
+                         blocks_per_element=48)
+    element = _RunRecorder(sim, geom, FlashTiming.slc(), element_id=0)
+    ftl = PageMappedFTL(sim, [element], spare_fraction=0.25,
+                        cleaning=CleaningConfig(batch_pages=3))
+    prefill_pagemap(ftl, 0.9, overwrite_fraction=0.2,
+                    rng=random.Random(seed))
+    cleaner = ftl.cleaner
+    copy_batch = cleaner._copy_batch
+
+    def mark_batch(*args):
+        element.batch_starts = True
+        copy_batch(*args)
+
+    cleaner._copy_batch = mark_batch
+    mapped = int((ftl.map_for(0) >= 0).sum())
+    if plan is not None:
+        element.fault_model = _FailAt(plan)
+    for _ in range(cleans):
+        cleaner.maybe_clean(0, force=True)
+        sim.run_until_idle()
+    return ftl, element, mapped
+
+
+def _roles(attempts):
+    """One attempt index per role, from a fault-free run's attempt log."""
+    n = len(attempts)
+
+    def ends_batch(k):
+        return k + 1 == n or attempts[k + 1][0]
+
+    roles = {}
+    for k, (first, carries, dst_page) in enumerate(attempts):
+        if first and not carries and dst_page and not ends_batch(k):
+            roles.setdefault("batch_first", k)
+        if (not first and not carries and dst_page
+                and not ends_batch(k)):
+            roles.setdefault("middle", k)
+        if carries and not first and dst_page:
+            roles.setdefault("batch_last", k)
+        if not first and dst_page == 0:
+            roles.setdefault("after_block_boundary", k)
+    return roles
+
+
+_ROLE_SEEDS = range(11, 11 + int(os.environ.get("REPRO_FAULT_SEEDS", "1")))
+
+
+class TestCopyRunFailures:
+    @pytest.mark.parametrize("seed", _ROLE_SEEDS)
+    def test_failure_at_each_position_of_a_run(self, seed):
+        _ftl, dry, _mapped = _run_cleans(seed)
+        roles = _roles(dry.attempts)
+        assert set(roles) == {"batch_first", "middle", "batch_last",
+                              "after_block_boundary"}, roles
+        for role, index in sorted(roles.items()):
+            self._check(seed, [index], role)
+        self._check(seed, sorted(roles.values()), "all")
+
+    @staticmethod
+    def _check(seed, plan, role):
+        ftl, element, mapped = _run_cleans(seed, plan)
+        model = element.fault_model
+        stats = ftl.stats
+        # the injected plan fired in full, and the books match it: one
+        # failure, one retired frontier block, per injected fault
+        assert model.failures == len(plan), role
+        assert stats.program_failures == len(plan), role
+        assert stats.blocks_retired == len(plan), role
+        assert stats.failed_pages == 0, role
+        # every clean finished: nothing active, paused or half-erased
+        cleaner = ftl.cleaner
+        assert not cleaner._active[0] and not cleaner._paused, role
+        assert not cleaner.being_cleaned[0], role
+        assert stats.clean_erases > 0, role
+        assert element.idle, role
+        # every mapped slot points at a VALID page whose reverse map agrees,
+        # and no slot lost its data
+        emap = ftl.map_for(0)
+        ppb = ftl.geometry.pages_per_block
+        slots = [int(s) for s in (emap >= 0).nonzero()[0]]
+        assert len(slots) == mapped, role
+        for slot in slots:
+            block, page = divmod(int(emap[slot]), ppb)
+            assert element.page_state[block, page] == PageState.VALID, role
+            assert element.reverse_lpn[block, page] == slot, role
+        ftl.check_consistency()
 
 
 class TestFaultsOffUnperturbed:

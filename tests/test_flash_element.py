@@ -121,26 +121,6 @@ class TestDeepQueue:
         assert elapsed < 5.0, f"deep FIFO took {elapsed:.1f}s — O(n) pop again?"
 
 
-class TestOpRecycling:
-    def test_internal_ops_are_recycled(self, element):
-        sim, el = element
-        el.program_state(0, 0, lpn=1)
-        for i in range(32):
-            el.read_page(0, 0)
-            sim.run_until_idle()
-        # steady state: the slab serves every op, no growth
-        assert len(el._op_pool) <= 2
-        assert el.pages_read == 32
-
-    def test_external_ops_are_not_recycled(self, element):
-        sim, el = element
-        op = FlashOp(OpKind.READ, nbytes=4096)
-        el.enqueue(op)
-        sim.run_until_idle()
-        assert op not in el._op_pool
-        assert op.kind is OpKind.READ  # untouched after completion
-
-
 class TestStateMachine:
     def test_program_requires_free(self, element):
         _sim, el = element

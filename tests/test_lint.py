@@ -268,8 +268,18 @@ class TestPooling:
         result = _lint(GUARDED, """\
             INFLIGHT = {}
 
-            def track(op: FlashOp, key):
-                INFLIGHT[key] = op
+            def track(join: CompletionJoin, key):
+                INFLIGHT[key] = join
+            """)
+        assert _rules_hit(result) == {"pool-escape"}
+
+    def test_acquired_join_into_module_container_flagged(self):
+        result = _lint(GUARDED, """\
+            JOINS = []
+
+            def write(ftl, done):
+                join = ftl.acquire_join(done)
+                JOINS.append(join)
             """)
         assert _rules_hit(result) == {"pool-escape"}
 

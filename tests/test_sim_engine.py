@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
+from tests.conftest import schedule_at_front
 
 
 def test_clock_starts_at_zero():
@@ -181,9 +182,9 @@ def test_reschedule_into_past_rejected():
 #
 # These properties pin the run loop's ordering contract: execution follows
 # exact (time, seq) order across all three sequencing lanes — normal
-# schedule(), the front lane
-# (schedule_at_front / reschedule_at_front), and reserved sequence numbers
-# armed later via reschedule(seq=...).
+# schedule(), the front lane (reschedule_at_front, through the
+# schedule_at_front test helper), and reserved sequence numbers armed later
+# via reschedule(seq=...).
 
 
 def _random_program(seed, drain):
@@ -203,7 +204,7 @@ def _random_program(seed, drain):
         if lane == 0:
             event = sim.schedule_at(time_us, order.append, label)
         elif lane == 1:
-            event = sim.schedule_at_front(time_us, order.append, label)
+            event = schedule_at_front(sim, time_us, order.append, label)
         else:
             from repro.sim.engine import Event
 
@@ -268,7 +269,7 @@ def test_front_lane_beats_normal_lane_scheduled_earlier():
     sim = Simulator()
     order = []
     sim.schedule_at(3.0, order.append, "normal-first-scheduled")
-    sim.schedule_at_front(3.0, order.append, "front-last-scheduled")
+    schedule_at_front(sim, 3.0, order.append, "front-last-scheduled")
     sim.run_until_idle()
     assert order == ["front-last-scheduled", "normal-first-scheduled"]
 
@@ -296,7 +297,7 @@ def test_now_seq_tracks_running_callback():
 
     e1 = sim.schedule_at(1.0, probe)
     e2 = sim.schedule_at(1.0, probe)
-    e3 = sim.schedule_at_front(1.0, probe)
+    e3 = schedule_at_front(sim, 1.0, probe)
     sim.run_until_idle()
     assert seen == [(1.0, e3.seq), (1.0, e1.seq), (1.0, e2.seq)]
 
@@ -314,7 +315,7 @@ def test_cancelled_events_skipped_inside_micro_batch():
     # killer was scheduled after 'a' but before 'victim'? No: victim drew
     # the first seq, so cancel must happen from a front-lane event that
     # runs before it within the same instant.
-    sim.schedule_at_front(4.0, killer)
+    schedule_at_front(sim, 4.0, killer)
     sim.run_until_idle()
     assert order == ["killer", "a"]
     assert sim.pending == 0
