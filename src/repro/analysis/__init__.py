@@ -4,7 +4,7 @@ Every PR since the seed has shipped under one contract: *simulated
 behaviour must be bit-identical* (the BENCH_CORE fingerprints, the N=1
 fleet differential, the merge-exactness property tests).  The hazards
 that can silently break that contract — unseeded randomness, wall-clock
-leakage, set-order-dependent decisions, pooled-object escapes,
+leakage, set-order-dependent decisions,
 unpicklable state crossing a ``ProcessPoolExecutor`` boundary — are
 exactly the ones a reviewer is worst at spotting, because the code runs
 fine and the divergence only shows up as a fingerprint mismatch three
@@ -13,7 +13,7 @@ PRs later.
 This package turns the convention into a checked invariant: a
 self-contained AST analysis pass (stdlib only) with
 
-* a rule registry (:mod:`repro.analysis.registry`) of six hazard
+* a rule registry (:mod:`repro.analysis.registry`) of five hazard
   families tuned to this codebase (:mod:`repro.analysis.rules`),
 * per-line ``# repro: allow[rule-id]`` suppression pragmas
   (:mod:`repro.analysis.context`) for deliberate idioms,

@@ -1,4 +1,4 @@
-"""Family 6 — hot-path hygiene.
+"""Family 5 — hot-path hygiene.
 
 Two checks:
 

@@ -1,4 +1,4 @@
-"""Family 5 — process-parallel safety.
+"""Family 4 — process-parallel safety.
 
 The fleet's determinism argument (bit-identical reports for any worker
 count) holds because nothing crosses the ``ProcessPoolExecutor``

@@ -297,8 +297,8 @@ class _RunDone:
     """Slab-recycled completion callable for one drained run.
 
     The drain path used to allocate a fresh closure per issued run; these
-    callables recycle through the buffer's pool instead (the same slab
-    discipline as ``CompletionJoin``)."""
+    callables recycle through the buffer's pool instead: an instance
+    returns itself to the pool when it fires."""
 
     __slots__ = ("buffer", "run")
 

@@ -1,4 +1,5 @@
-"""Shared FTL machinery: statistics, completion joining, the common API.
+"""Shared FTL machinery: statistics, completion joining, the common API and
+the block lifecycle every FTL family runs on.
 
 An FTL translates host byte ranges into timed flash commands on a set of
 :class:`repro.flash.element.FlashElement` objects.  The contract with the
@@ -11,13 +12,24 @@ SSD layer above:
 * Logical state (mappings, page states) is updated synchronously at command
   *issue*; elements serialize the timed work.  This keeps every queued
   command consistent with the mapping that existed when it was issued.
+
+The block lifecycle (:class:`BaseFTL`) is written once for all three
+families.  A **row** is block index *r* on every element of an allocation
+**group**: one element for the page-mapped FTL, one gang for the stripe
+FTLs.  Rows are pulled from a per-group pool, programmed, erased in the
+background and re-pooled, or retired when they go bad; a failed program
+retires its row (rescuing the live pages) and tries again elsewhere.  The
+families differ only in where a page goes, which they say through a few
+small hooks (:meth:`BaseFTL._pull_block`, :meth:`BaseFTL._rescue_row`,
+:meth:`BaseFTL._spare_page`, :meth:`BaseFTL._page_moved`,
+:meth:`BaseFTL._row_relocated`, :meth:`BaseFTL._row_pooled`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import count
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -124,29 +136,19 @@ class CompletionJoin:
     Only multi-op requests need a join; hot single-op paths attach ``done``
     straight to the flash op (see :func:`complete_async`), so a page-mapped
     4 KB write allocates no join at all.
-
-    Joins are **slab-recycled**: construct through
-    :meth:`BaseFTL.acquire_join` and the instance returns itself to the
-    FTL's free list when it fires, so steady-state multi-op traffic (gang
-    configs, stripe RMWs, log merges) allocates no join objects at all.
-    A join's lifetime is strictly ``acquire -> expect* -> arm -> children
-    complete -> fire``, and recycling happens inside the fire, so no live
-    reference can observe a reused instance.
     """
 
-    __slots__ = ("_remaining", "_done", "_sim", "_fired", "_slab")
+    __slots__ = ("_remaining", "_done", "_sim", "_fired")
 
     def __init__(
         self,
         sim: Simulator,
         done: Optional[Callable[[float], None]],
-        slab: Optional[list] = None,
     ):
         self._sim = sim
         self._done = done
         self._remaining = 0
         self._fired = False
-        self._slab = slab
 
     def expect(self, count: int = 1) -> None:
         self._remaining += count
@@ -172,22 +174,26 @@ class CompletionJoin:
         self._fired = True
         done = self._done
         self._done = None
-        if self._slab is not None:
-            # recycle before the callback so a reentrant acquire may reuse
-            # this instance immediately
-            self._slab.append(self)
         if done is not None:
             done(now)
 
 
 class BaseFTL:
-    """Common state and helpers for the concrete FTLs."""
+    """Common state, the common API and the block lifecycle of every FTL.
+
+    *group_width* elements form one allocation group; the elements are
+    split into consecutive groups of that width (see the module docstring).
+    """
+
+    #: appended to the DeviceFullError message (subclass hint)
+    _full_hint = ""
 
     def __init__(
         self,
         sim: Simulator,
         elements: List[FlashElement],
         logical_capacity_bytes: int,
+        group_width: int = 1,
     ) -> None:
         if not elements:
             raise ValueError("an FTL needs at least one element")
@@ -200,6 +206,18 @@ class BaseFTL:
         self.geometry = geom
         self.logical_capacity_bytes = logical_capacity_bytes
         self.stats = FTLStats()
+        self.group_width = group_width
+        n_groups = len(elements) // group_width
+        #: per-group erased-row pools; a row's wear is read off the first
+        #: element of its group (a row is erased on every element of the
+        #: group at once, so the counts move in lockstep)
+        self._pool: List[FreeBlockPool] = [
+            FreeBlockPool(range(geom.blocks_per_element),
+                          memoryview(elements[g * group_width].erase_count))
+            for g in range(n_groups)
+        ]
+        #: rows with erases in flight, per group
+        self._erasing: List[Set[int]] = [set() for _ in range(n_groups)]
         #: allocation epoch: takes a fresh globally-unique value whenever
         #: the inputs of ``can_accept_write`` change (a page/row allocated,
         #: a block/row returned by cleaning or retirement).  While the
@@ -209,8 +227,6 @@ class BaseFTL:
         #: loop's repeated stripe-range walks during an allocation stall
         #: into O(1) lookups.
         self.alloc_epoch = _ALLOC_EPOCH()
-        #: recycled CompletionJoin instances (see CompletionJoin docstring)
-        self._join_slab: list = []
         #: rotation cursor for sampled consistency checks
         self._cc_cursor = 0
         #: consulted by priority-aware cleaning; the SSD points this at its
@@ -244,19 +260,6 @@ class BaseFTL:
         is possible or in flight.  Probed by the SSD on the write-stall
         path only, and only when fault injection is enabled."""
         return False
-
-    def acquire_join(
-        self, done: Optional[Callable[[float], None]]
-    ) -> CompletionJoin:
-        """Take a join from the slab (or build one wired to recycle)."""
-        slab = self._join_slab
-        if slab:
-            join = slab.pop()
-            join._done = done
-            join._remaining = 0
-            join._fired = False
-            return join
-        return CompletionJoin(self.sim, done, slab)
 
     # -- interface the SSD drives ----------------------------------------
 
@@ -301,6 +304,174 @@ class BaseFTL:
         """Indices of elements a request would touch (for SWTF estimates)."""
         raise NotImplementedError
 
+    # -- addressing --------------------------------------------------------
+
+    def _check_range(self, offset: int, size: int) -> None:
+        if offset < 0 or size <= 0 or offset + size > self.logical_capacity_bytes:
+            raise ValueError(
+                f"range [{offset}, {offset + size}) outside logical capacity "
+                f"{self.logical_capacity_bytes}"
+            )
+
+    def _gang_slot(self, lpn: int) -> Tuple[int, int]:
+        """(gang, map slot) of logical unit *lpn*: units rotate across
+        gangs."""
+        return lpn % self.n_gangs, lpn // self.n_gangs
+
+    # -- block lifecycle ---------------------------------------------------
+
+    def _pull_row(self, group: int, temp: str = "hot") -> int:
+        """Take an erased row out of *group*'s pool (which one is the
+        family's :meth:`_pull_block` policy)."""
+        if not self._pool[group]:
+            raise DeviceFullError(
+                f"group {group}: no erased rows left{self._full_hint}"
+            )
+        self.alloc_epoch = _ALLOC_EPOCH()
+        return self._pull_block(group, temp)
+
+    def _pull_block(self, group: int, temp: str) -> int:
+        """Pop policy of the pool (non-empty): LIFO, the seed's list
+        ``pop()`` order."""
+        return self._pool[group].pop_lifo()
+
+    def _erase_row(self, group: int, row: int, tag: str,
+                   then: Callable[[], None]) -> None:
+        """Erase *row* on every element of *group* in the background.
+
+        Cleaning erases (``TAG_CLEAN``) count ``clean_erases`` and add their
+        time to ``clean_time_us`` at issue, in element order.  When the last
+        erase lands the row is released (:meth:`_release_row`) and *then*
+        runs, also for a row that went bad: stalled writes must re-probe
+        so the SSD can detect a wedged device."""
+        width = self.group_width
+        base = group * width
+        stats = self.stats
+        clean = tag == TAG_CLEAN
+        erasing = self._erasing[group]
+        erasing.add(row)
+        outstanding = [width]
+
+        def landed(now: float) -> None:
+            outstanding[0] -= 1
+            if outstanding[0] == 0:
+                erasing.discard(row)
+                self._release_row(group, row)
+                then()
+
+        for el in self.elements[base:base + width]:
+            if clean:
+                stats.clean_erases += 1
+                stats.clean_time_us += el.timing.erase_us()
+            if not el.erase_block(row, tag=tag, callback=landed):
+                stats.erase_failures += 1
+
+    def _release_row(self, group: int, row: int) -> None:
+        """An erased *row* goes back to its pool, or leaves circulation on
+        every element of the group when any of its blocks went bad (a
+        failed erase or wear-out): rows are allocated whole, and a retired
+        row shrinks the spare area, which is how grown bad blocks
+        eventually exhaust the spares."""
+        width = self.group_width
+        elements = self.elements[group * width:(group + 1) * width]
+        if any(el.retired[row] for el in elements):
+            for el in elements:
+                el.retired[row] = True
+            self.stats.blocks_retired += width
+        else:
+            self._pool[group].push(row)
+            self._row_pooled(group)
+        self.alloc_epoch = _ALLOC_EPOCH()
+
+    def _row_pooled(self, group: int) -> None:
+        """A row just went back into *group*'s pool."""
+
+    def _retire_row(self, group: int, row: int) -> int:
+        """Grow a bad row: copy its VALID pages out, then retire it on every
+        element of *group*.
+
+        The rescue copies run with fault injection suspended: they model
+        the verified writes a controller uses to save data off a failing
+        block.  :meth:`_rescue_row` picks the destination row (-1: none, so
+        nothing is retired), :meth:`_spare_page` each page's place (None:
+        the element is full, and the pages left stay readable in place).
+        Returns the destination row."""
+        dest = self._rescue_row(group, row)
+        if dest < 0:
+            return dest
+        width = self.group_width
+        base = group * width
+        elements = self.elements[base:base + width]
+        stats = self.stats
+        saved = [el.fault_model for el in elements]
+        try:
+            for e_idx, el in enumerate(elements, base):
+                el.fault_model = None
+                valid = np.nonzero(el.page_state[row] == PageState.VALID)[0]
+                for page in valid.tolist():
+                    lpn = int(el.reverse_lpn[row, page])
+                    spare = self._spare_page(e_idx, dest, page)
+                    if spare is None:
+                        break
+                    el.copy_page(row, page, spare[0], spare[1], lpn,
+                                 tag=TAG_CLEAN)
+                    self._page_moved(e_idx, lpn, spare[0], spare[1])
+                    stats.rescued_pages += 1
+                    stats.flash_pages_programmed += 1
+        finally:
+            for el, fault_model in zip(elements, saved):
+                el.fault_model = fault_model
+        for el in elements:
+            el.retired[row] = True
+        stats.blocks_retired += width
+        self._row_relocated(group, row, dest)
+        self.alloc_epoch = _ALLOC_EPOCH()
+        return dest
+
+    def _retry_program(self, e_idx: int, row: int, page: int, lpn: int,
+                       tag: str, callback: Optional[Callable[[float], None]],
+                       temp: str = "hot") -> Tuple[int, int]:
+        """The program of (*row*, *page*) on element *e_idx* just failed:
+        retire the row and program again at a spare place until the page
+        lands.  With no spare left the page is lost: the loss is counted,
+        ``write_error`` is raised for the host, and *callback* still fires.
+
+        Returns ``(row, page)`` where the page landed, or ``(row, -1)``
+        when it was lost; *row* is where the caller's data now lives."""
+        el = self.elements[e_idx]
+        group = e_idx // self.group_width
+        stats = self.stats
+        while True:
+            stats.program_failures += 1
+            dest = self._retire_row(group, row)
+            spare = self._spare_page(e_idx, dest, page, temp)
+            if spare is None:
+                stats.failed_pages += 1
+                self._note_write_error()
+                complete_async(self.sim, callback)
+                return row, -1
+            row, page = spare
+            if el.program_page(row, page, lpn, tag=tag, callback=callback):
+                stats.flash_pages_programmed += 1
+                return row, page
+
+    def _rescue_row(self, group: int, row: int) -> int:  # pragma: no cover
+        """Prepare to retire *row*; returns the row rescued pages go to,
+        or -1 to retire nothing."""
+        raise NotImplementedError
+
+    def _spare_page(self, e_idx: int, dest: int, page: int,  # pragma: no cover
+                    temp: str = "hot") -> Optional[Tuple[int, int]]:
+        """Place for page *page* of a row being left for *dest* on element
+        *e_idx*, as ``(row, page)``; None when there is none."""
+        raise NotImplementedError
+
+    def _page_moved(self, e_idx: int, lpn: int, row: int, page: int) -> None:
+        """A rescue copied the page tagged *lpn* to (*row*, *page*)."""
+
+    def _row_relocated(self, group: int, old_row: int, new_row: int) -> None:
+        """*old_row* was retired and its live pages rescued to *new_row*."""
+
     # -- shared accounting -------------------------------------------------
 
     def _note_write_error(self) -> None:
@@ -327,22 +498,32 @@ class BaseFTL:
         loop of N sampled checks still covers the device while costing
         O(device/N) each.  Final asserts should stay on the full sweep.
         """
-        n = self._consistency_shards()
+        n = len(self._pool)
         if full:
-            for index in range(n):
-                self._check_shard(index)
+            for group in range(n):
+                self._check_shard(group)
         else:
-            index = self._cc_cursor % n
+            group = self._cc_cursor % n
             self._cc_cursor += 1
-            self._check_shard(index)
+            self._check_shard(group)
 
-    def _consistency_shards(self) -> int:  # pragma: no cover - overridden
-        """Number of independently-checkable shards of the device."""
+    def _check_shard(self, group: int) -> None:  # pragma: no cover
+        """Verify the invariants of one allocation group."""
         raise NotImplementedError
 
-    def _check_shard(self, index: int) -> None:  # pragma: no cover
-        """Verify the invariants of one shard (element/gang)."""
-        raise NotImplementedError
+    def _check_element(self, e_idx: int) -> None:
+        """The lifecycle invariants of one element: per-block valid counts
+        agree with the page states, and every pooled row is erased."""
+        el = self.elements[e_idx]
+        recount = (el.page_state == PageState.VALID).sum(axis=1)
+        assert (recount == el.valid_count).all(), (
+            f"element {e_idx}: valid_count out of sync"
+        )
+        pooled = list(self._pool[e_idx // self.group_width])
+        written = [row for row in pooled if el.write_ptr[row]]
+        assert not written, (
+            f"element {e_idx}: pooled rows {written[:5]} not erased"
+        )
 
 
 class StripeFTLBase(BaseFTL):
@@ -351,15 +532,10 @@ class StripeFTLBase(BaseFTL):
     Both :class:`repro.ftl.blockmap.BlockMappedFTL` and
     :class:`repro.ftl.hybrid.HybridLogBlockFTL` map logical stripes (one
     erase block per element of a gang, page-interleaved) onto physical rows.
-    This base owns that geometry plus the row lifecycle: per-gang
-    :class:`repro.ftl.freepool.FreeBlockPool` free pools (LIFO pulls, the
-    seed's list-``pop()`` order, but O(log n) and wear-queryable), and
-    background stripe retirement.  Subclasses add their mapping policy on
-    top.
+    A gang is the allocation group of the shared block lifecycle
+    (:class:`BaseFTL`); this base adds the row-granular mapping, admission
+    and geometry.  Subclasses add their mapping policy on top.
     """
-
-    #: appended to the DeviceFullError message (subclass hint)
-    _full_hint = ""
 
     def __init__(
         self,
@@ -375,28 +551,16 @@ class StripeFTLBase(BaseFTL):
         self.pages_per_stripe = shards * geom.pages_per_block
         self.user_rows_per_gang = user_rows_per_gang
         user_lbns = self.n_gangs * user_rows_per_gang
-        super().__init__(sim, elements, user_lbns * self.stripe_bytes)
+        super().__init__(sim, elements, user_lbns * self.stripe_bytes, shards)
 
         # in-place page programming at arbitrary offsets (SLC-era behaviour)
         for el in elements:
             el.strict_program_order = False
 
-        rows_per_gang = geom.blocks_per_element
         self._maps = [
             np.full(user_rows_per_gang, -1, dtype=np.int64)
             for _ in range(self.n_gangs)
         ]
-        #: per-gang erased-row pools; a row's wear is read off the first
-        #: element of its gang (retirement erases a row on every element of
-        #: the gang, so counts move in lockstep)
-        self._pool: List[FreeBlockPool] = [
-            FreeBlockPool(
-                range(rows_per_gang),
-                memoryview(elements[gang * shards].erase_count),
-            )
-            for gang in range(self.n_gangs)
-        ]
-        self._retiring: List[Set[int]] = [set() for _ in range(self.n_gangs)]
         #: rows a write may consume before stalling (frontier + one RMW;
         #: subclasses with extra transient allocations raise this)
         self.reserve_rows = 2
@@ -412,110 +576,37 @@ class StripeFTLBase(BaseFTL):
 
     # -- address helpers -------------------------------------------------
 
-    def _check_range(self, offset: int, size: int) -> None:
-        if offset < 0 or size <= 0 or offset + size > self.logical_capacity_bytes:
-            raise ValueError(
-                f"range [{offset}, {offset + size}) outside logical capacity "
-                f"{self.logical_capacity_bytes}"
-            )
-
-    def _gang_slot(self, lbn: int) -> tuple:
-        return lbn % self.n_gangs, lbn // self.n_gangs
-
     def _element(self, gang: int, page_in_stripe: int) -> tuple:
         """(element, local page) for a stripe-relative flash page index."""
         j = page_in_stripe % self.shards
         local = page_in_stripe // self.shards
         return self.elements[gang * self.shards + j], local
 
-    # -- row lifecycle ---------------------------------------------------
+    # -- rows ------------------------------------------------------------
 
-    def _alloc_row(self, gang: int) -> int:
-        pool = self._pool[gang]
-        if not pool:
-            raise DeviceFullError(
-                f"gang {gang}: no erased stripes left{self._full_hint}"
-            )
-        self.alloc_epoch = _ALLOC_EPOCH()
-        return pool.pop_lifo()
+    def _program(self, gang: int, row: int, p: int, slot: int, tag: str,
+                 callback: Optional[Callable[[float], None]]) -> int:
+        """Program stripe page *p* of *row* (see :meth:`_retry_program` for
+        a failure) and count it; returns the row the stripe now lives in,
+        which callers must keep using."""
+        e_idx = gang * self.shards + p % self.shards
+        local = p // self.shards
+        if self.elements[e_idx].program_page(row, local, slot, tag=tag,
+                                             callback=callback):
+            self.stats.flash_pages_programmed += 1
+            return row
+        return self._retry_program(e_idx, row, local, slot, tag, callback)[0]
 
-    def _retire_row(self, gang: int, row: int) -> None:
-        """Erase a fully-invalidated stripe in the background and return it
-        to the pool once every element finishes.  If any element's erase
-        fails (fault injection), the whole stripe becomes a grown bad row
-        and leaves circulation instead of re-pooling."""
-        self._retiring[gang].add(row)
-        # [outstanding erases, any-failed]
-        remaining = [self.shards, False]
-
-        def _one_done(now: float) -> None:
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                self._retiring[gang].discard(row)
-                if remaining[1]:
-                    self._retire_bad_row(gang, row)
-                else:
-                    self._pool[gang].push(row)
-                self.alloc_epoch = _ALLOC_EPOCH()
-                # fires even for a bad row: stalled writes must re-probe so
-                # the SSD can detect a wedged (read-only) device
-                self._space_freed()
-
-        timing = self.elements[gang * self.shards].timing
-        for j in range(self.shards):
-            el = self.elements[gang * self.shards + j]
-            if not el.erase_block(row, tag=TAG_CLEAN, callback=_one_done):
-                remaining[1] = True
-                self.stats.erase_failures += 1
-            self.stats.clean_erases += 1
-            self.stats.clean_time_us += timing.erase_us()
-
-    def _retire_bad_row(self, gang: int, row: int) -> None:
-        """An erase failed somewhere in the stripe: the row is useless as a
-        unit (stripe FTLs allocate whole rows), so retire it on every
-        element of the gang."""
-        base = gang * self.shards
-        for j in range(self.shards):
-            self.elements[base + j].retired[row] = True
-        self.stats.blocks_retired += self.shards
-
-    def _relocate_row(self, gang: int, bad_row: int) -> int:
-        """A program failed in *bad_row*: move every valid page to the same
-        position in a fresh row, retire *bad_row* gang-wide, and rewrite
-        the logical maps via :meth:`_row_relocated`.
-
-        The rescue copies run with fault injection suspended — they model
-        the verified writes a controller performs when saving data off a
-        failing block.  Returns the new row, or -1 when no spare row is
-        available (the caller records the loss and leaves the bad row in
-        place, burned page and all)."""
+    def _rescue_row(self, gang: int, row: int) -> int:
+        """Rescued pages keep their positions in a fresh row; with no row
+        free nothing is retired (the bad row stays, burned page and all)."""
         if not self._pool[gang]:
             return -1
-        new_row = self._alloc_row(gang)
-        base = gang * self.shards
-        ppb = self.geometry.pages_per_block
-        saved = [self.elements[base + j].fault_model for j in range(self.shards)]
-        try:
-            for j in range(self.shards):
-                el = self.elements[base + j]
-                el.fault_model = None
-                ps = el.page_state
-                for local in range(ppb):
-                    if ps[bad_row, local] == PageState.VALID:
-                        lpn = int(el.reverse_lpn[bad_row, local])
-                        el.copy_page(bad_row, local, new_row, local, lpn,
-                                     tag=TAG_CLEAN)
-                        self.stats.rescued_pages += 1
-                        self.stats.flash_pages_programmed += 1
-        finally:
-            for j in range(self.shards):
-                self.elements[base + j].fault_model = saved[j]
-        for j in range(self.shards):
-            self.elements[base + j].retired[bad_row] = True
-        self.stats.blocks_retired += self.shards
-        self._row_relocated(gang, bad_row, new_row)
-        self.alloc_epoch = _ALLOC_EPOCH()
-        return new_row
+        return self._pull_row(gang)
+
+    def _spare_page(self, e_idx: int, dest: int, page: int,
+                    temp: str = "hot") -> Optional[Tuple[int, int]]:
+        return None if dest < 0 else (dest, page)
 
     def _row_relocated(self, gang: int, old_row: int, new_row: int) -> None:
         """Every live page of *old_row* now sits at the same position in
@@ -523,40 +614,6 @@ class StripeFTLBase(BaseFTL):
         indexes (the hybrid's log structures) extend this."""
         m = self._maps[gang]
         m[m == old_row] = new_row
-
-    def _rescue_program(self, gang: int, row: int, p: int, slot: int,
-                        tag: str, callback) -> int:
-        """The program of stripe page *p* into *row* just failed: relocate
-        the row and retry until the page lands or the spare rows run out
-        (then the page is recorded lost, *callback* still fires, and the
-        burned page stays in the surviving row).  Returns the row the
-        stripe now lives in — callers must keep using it — and bumps
-        ``flash_pages_programmed`` when the page landed."""
-        el, local = self._element(gang, p)
-        stats = self.stats
-        while True:
-            stats.program_failures += 1
-            new_row = self._relocate_row(gang, row)
-            if new_row < 0:
-                stats.failed_pages += 1
-                self._note_write_error()
-                complete_async(self.sim, callback)
-                return row
-            row = new_row
-            if el.program_page(row, local, slot, tag=tag, callback=callback):
-                stats.flash_pages_programmed += 1
-                return row
-
-    def _program_with_rescue(self, gang: int, row: int, p: int, slot: int,
-                             tag: str, callback) -> int:
-        """Program stripe page *p* of *row*, rescuing on a program failure;
-        counts ``flash_pages_programmed`` and returns the possibly-relocated
-        row (see :meth:`_rescue_program`)."""
-        el, local = self._element(gang, p)
-        if el.program_page(row, local, slot, tag=tag, callback=callback):
-            self.stats.flash_pages_programmed += 1
-            return row
-        return self._rescue_program(gang, row, p, slot, tag, callback)
 
     # -- admission / introspection ---------------------------------------
 
@@ -590,7 +647,7 @@ class StripeFTLBase(BaseFTL):
         for gang, count in needed.items():
             if len(self._pool[gang]) - count >= self.reserve_rows:
                 continue
-            if self._retiring[gang]:
+            if self._erasing[gang]:
                 # background erases in flight may replenish the pool
                 return False
             return True
@@ -613,14 +670,3 @@ class StripeFTLBase(BaseFTL):
 
     def free_rows(self, gang: int) -> int:
         return len(self._pool[gang])
-
-    # -- consistency -----------------------------------------------------
-
-    def _consistency_shards(self) -> int:
-        return self.n_gangs
-
-    def _check_shard(self, index: int) -> None:
-        self._check_gang(index)
-
-    def _check_gang(self, gang: int) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError

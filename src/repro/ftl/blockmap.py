@@ -18,10 +18,11 @@ in Table 2 and the saw-tooth of Figure 2:
 There is no separate cleaner: reclamation is inline (the erase after each
 RMW), as on the simple devices this models.
 
-Stripe rows live in per-gang :class:`repro.ftl.freepool.FreeBlockPool`
-pools (via :class:`repro.ftl.base.StripeFTLBase`), completion joins are
-slab-recycled, and single-page requests ride join-free with ``done``
-attached directly to the flash op — the same fast-path architecture as
+Stripe rows run the block lifecycle shared by every FTL family (per-gang
+:class:`repro.ftl.freepool.FreeBlockPool` pools, background erase,
+retire-and-rescue, program retry; see :class:`repro.ftl.base.BaseFTL`),
+and single-page requests ride join-free with ``done`` attached directly to
+the flash op — the same fast-path architecture as
 :class:`repro.ftl.pagemap.PageMappedFTL`.
 """
 
@@ -32,7 +33,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from repro.flash.element import FlashElement, PageState
-from repro.flash.ops import TAG_HOST
+from repro.flash.ops import TAG_CLEAN, TAG_HOST
 from repro.ftl.base import CompletionJoin, StripeFTLBase, complete_async
 from repro.sim.engine import Simulator
 
@@ -90,14 +91,10 @@ class BlockMappedFTL(StripeFTLBase):
             if row >= 0 and self._one_free(gang, row, p):
                 self.stats.host_pages_written += 1
                 self.stats.host_writes += 1
-                el, local = self._element(gang, p)
-                if el.program_page(row, local, slot, tag=tag, callback=done):
-                    self.stats.flash_pages_programmed += 1
-                else:
-                    self._rescue_program(gang, row, p, slot, tag, done)
+                self._program(gang, row, p, slot, tag, done)
                 return
 
-        join = self.acquire_join(done)
+        join = CompletionJoin(self.sim, done)
         for lbn in range(offset // sb, (end - 1) // sb + 1):
             base = lbn * sb
             a = max(offset, base) - base
@@ -108,7 +105,7 @@ class BlockMappedFTL(StripeFTLBase):
             self.stats.host_pages_written += p1 - p0 + 1
 
             if row < 0:
-                row = self._alloc_row(gang)
+                row = self._pull_row(gang)
                 self._maps[gang][slot] = row
                 self._program_covered(gang, row, slot, p0, p1, join, tag)
             elif self._all_free(gang, row, p0, p1):
@@ -143,8 +140,7 @@ class BlockMappedFTL(StripeFTLBase):
         """Program host pages in place (fresh stripe or pure append)."""
         for p in range(p0, p1 + 1):
             join.expect()
-            row = self._program_with_rescue(gang, row, p, slot, tag,
-                                            join.child_done)
+            row = self._program(gang, row, p, slot, tag, join.child_done)
 
     def _rmw(
         self,
@@ -164,7 +160,7 @@ class BlockMappedFTL(StripeFTLBase):
         stripe is erased in the background afterwards.
         """
         fp = self.geometry.page_bytes
-        new_row = self._alloc_row(gang)
+        new_row = self._pull_row(gang)
         for p in range(self.pages_per_stripe):
             el, local = self._element(gang, p)
             state = el.page_state[old_row, local]
@@ -181,7 +177,7 @@ class BlockMappedFTL(StripeFTLBase):
                                  callback=join.child_done)
                     el.invalidate_state(old_row, local)
                     join.expect()
-                    new_row = self._program_with_rescue(
+                    new_row = self._program(
                         gang, new_row, p, slot, tag, join.child_done
                     )
                     self.stats.rmw_pages_read += 1
@@ -197,11 +193,11 @@ class BlockMappedFTL(StripeFTLBase):
                     self.stats.rmw_pages_read += 1
                 el.invalidate_state(old_row, local)
             join.expect()
-            new_row = self._program_with_rescue(
+            new_row = self._program(
                 gang, new_row, p, slot, tag, join.child_done
             )
         self._maps[gang][slot] = new_row
-        self._retire_row(gang, old_row)
+        self._erase_row(gang, old_row, TAG_CLEAN, self._space_freed)
 
     def read(
         self,
@@ -238,7 +234,7 @@ class BlockMappedFTL(StripeFTLBase):
             el.read_page(row, local, nbytes=size, tag=tag, callback=done)
             return
 
-        join = self.acquire_join(done)
+        join = CompletionJoin(self.sim, done)
         for lbn in range(offset // sb, (end - 1) // sb + 1):
             base = lbn * sb
             a = max(offset, base) - base
@@ -287,7 +283,7 @@ class BlockMappedFTL(StripeFTLBase):
                         el.invalidate_state(row, local)
                         self.stats.trimmed_pages += 1
                 self._maps[gang][slot] = -1
-                self._retire_row(gang, row)
+                self._erase_row(gang, row, TAG_CLEAN, self._space_freed)
             else:
                 first = -(-a // fp)
                 last_excl = b // fp
@@ -299,26 +295,20 @@ class BlockMappedFTL(StripeFTLBase):
 
     # ------------------------------------------------------------------
 
-    def _check_gang(self, gang: int) -> None:
-        """Every row is mapped, pooled, retiring, or fully free; counts agree."""
+    def _check_shard(self, gang: int) -> None:
+        """Every row is mapped, pooled, being erased, or fully free; counts
+        agree."""
         mapped = set(int(r) for r in self._maps[gang] if r >= 0)
         pool = set(self._pool[gang])
-        retiring = set(self._retiring[gang])
+        erasing = self._erasing[gang]
         assert not mapped & pool, f"gang {gang}: mapped rows in pool"
-        assert not mapped & retiring, f"gang {gang}: mapped rows retiring"
-        assert not pool & retiring, f"gang {gang}: pooled rows retiring"
-        for j in range(self.shards):
-            el = self.elements[gang * self.shards + j]
-            recount = (el.page_state == PageState.VALID).sum(axis=1)
-            assert (recount == el.valid_count).all(), (
-                f"element {gang * self.shards + j}: valid_count out of sync"
-            )
-            live = set(np.nonzero(el.valid_count > 0)[0].tolist())
+        assert not mapped & erasing, f"gang {gang}: mapped rows being erased"
+        assert not pool & erasing, f"gang {gang}: pooled rows being erased"
+        for e_idx in range(gang * self.shards, (gang + 1) * self.shards):
+            self._check_element(e_idx)
+            live = set(np.nonzero(self.elements[e_idx].valid_count > 0)[0]
+                       .tolist())
             assert live <= mapped, (
-                f"element {gang * self.shards + j}: valid pages outside "
-                f"mapped rows: {sorted(live - mapped)[:5]}"
+                f"element {e_idx}: valid pages outside mapped rows: "
+                f"{sorted(live - mapped)[:5]}"
             )
-            for row in sorted(pool):
-                assert el.write_ptr[row] == 0, (
-                    f"gang {gang}: pooled row {row} not erased"
-                )

@@ -101,26 +101,19 @@ class Cleaner:
         self._paused: dict[int, tuple] = {}
         #: blocks mid-clean (copied out, erase not yet complete), per element
         self.being_cleaned: list[set[int]] = [set() for _ in range(n)]
-        #: continuation state for the pre-bound batch/erase callbacks below:
-        #: (victim, pages, start) and victim block, per element
+        #: continuation state for the pre-bound batch callbacks below:
+        #: (victim, pages, start), per element
         self._batch_cont: list = [None] * n
-        self._erasing: list = [None] * n
-        # one callback object per element, created once — the per-batch /
-        # per-erase lambdas the seed allocated were a measurable share of
+        # one callback object per element, created once — the per-batch
+        # lambdas the seed allocated were a measurable share of
         # cleaning-heavy runs
         self._batch_callbacks = [self._make_batch_cb(i) for i in range(n)]
-        self._erase_callbacks = [self._make_erase_cb(i) for i in range(n)]
 
     def _make_batch_cb(self, e_idx: int):
         def batch_cb(now: float) -> None:
             victim, pages, start = self._batch_cont[e_idx]
             self._batch_done(e_idx, victim, pages, start)
         return batch_cb
-
-    def _make_erase_cb(self, e_idx: int):
-        def erase_cb(now: float) -> None:
-            self._erase_done(e_idx, self._erasing[e_idx])
-        return erase_cb
 
     # ------------------------------------------------------------------
 
@@ -289,16 +282,11 @@ class Cleaner:
                     # the pages the run did not reach, then retire the block
                     stats.program_failures += 1
                     self._free[e_idx] += count - copied - 1
-                    ftl.retire_block(e_idx, block)
+                    ftl._retire_row(e_idx, block)
             if more:
                 return
-        stats.clean_time_us += el.timing.erase_us()
-        self._erasing[e_idx] = victim
-        if not el.erase_block(victim, tag=TAG_CLEAN,
-                              callback=self._erase_callbacks[e_idx]):
-            # grown bad block: _erase_done still runs (the callback fires)
-            # and release_block keeps the retired block out of the pool
-            stats.erase_failures += 1
+        ftl._erase_row(e_idx, victim, TAG_CLEAN,
+                       lambda: self._erase_done(e_idx, victim))
 
     def _abandon(self, e_idx: int, victim: int) -> None:
         """No destination page can be allocated for the victim's valid
@@ -320,10 +308,9 @@ class Cleaner:
         self._copy_batch(e_idx, victim, pages, start)
 
     def _erase_done(self, e_idx: int, block: int) -> None:
+        """The victim's erase landed (and the block was released)."""
         ftl = self.ftl
         self.being_cleaned[e_idx].discard(block)
-        ftl.release_block(e_idx, block)
-        ftl.stats.clean_erases += 1
         self._active[e_idx] = False
         ftl.wear_leveler.on_erase(e_idx)
         ftl._space_freed()

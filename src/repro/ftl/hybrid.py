@@ -17,11 +17,11 @@ allocates one fresh row per logical stripe present in the victim log stripe,
 so the spare pool must be provisioned for the workload's locality;
 pathological footprints raise :class:`repro.ftl.base.DeviceFullError`.
 
-Row pools, stripe retirement, and admission control come from
-:class:`repro.ftl.base.StripeFTLBase` (heap-ordered
-:class:`repro.ftl.freepool.FreeBlockPool` per gang); completion joins are
-slab-recycled and single-page reads ride join-free, matching the
-page-mapped FTL's fast-path architecture.
+Row pools, background erase, retire-and-rescue and program retry are the
+block lifecycle shared by every FTL family (:class:`repro.ftl.base.BaseFTL`);
+admission control comes from :class:`repro.ftl.base.StripeFTLBase`.
+Single-page reads ride join-free, matching the page-mapped FTL's fast-path
+architecture.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class HybridLogBlockFTL(StripeFTLBase):
         if self._log_fill[gang] >= self.pages_per_stripe:
             if len(self._log_rows[gang]) >= self.max_log_rows:
                 self._merge_oldest(gang)
-            row = self._alloc_row(gang)
+            row = self._pull_row(gang)
             self._log_rows[gang].append(row)
             self._log_contents[gang][row] = []
             self._log_fill[gang] = 0
@@ -93,18 +93,6 @@ class HybridLogBlockFTL(StripeFTLBase):
         pos = self._log_fill[gang]
         self._log_fill[gang] += 1
         return row, pos
-
-    def _current_location(
-        self, gang: int, slot: int, p: int
-    ) -> Optional[Tuple[int, int]]:
-        """Newest copy of stripe page *p* of *slot* as (block_row, local) on
-        its (possibly non-home) element, or None if the page holds no data.
-        Returns the element explicitly via the second helper below."""
-        entry = self._log_index[gang].get((slot, p))
-        if entry is not None:
-            lrow, lpos = entry
-            return lrow, lpos
-        return None
 
     def _invalidate_current(self, gang: int, slot: int, p: int) -> None:
         """Invalidate whatever copy (log or data row) currently holds page
@@ -140,7 +128,7 @@ class HybridLogBlockFTL(StripeFTLBase):
         for slot in live_slots:
             self._merge_slot(gang, slot)
         # every live entry of the victim has been folded into data rows
-        self._retire_row(gang, victim)
+        self._erase_row(gang, victim, TAG_CLEAN, self._space_freed)
         self.merges_performed += 1
 
     def _merge_slot(self, gang: int, slot: int) -> None:
@@ -148,7 +136,7 @@ class HybridLogBlockFTL(StripeFTLBase):
         geom = self.geometry
         timing = self.elements[gang * self.shards].timing
         old_row = int(self._maps[gang][slot])
-        new_row = self._alloc_row(gang)
+        new_row = self._pull_row(gang)
         index = self._log_index[gang]
 
         for p in range(self.pages_per_stripe):
@@ -166,7 +154,7 @@ class HybridLogBlockFTL(StripeFTLBase):
                 else:
                     src_el.read_page(lrow, src_local, tag=TAG_CLEAN)
                     src_el.invalidate_state(lrow, src_local)
-                    new_row = self._program_with_rescue(
+                    new_row = self._program(
                         gang, new_row, p, slot, TAG_CLEAN, None
                     )
                     if home_el.page_state[new_row, home_local] == PageState.VALID:
@@ -182,7 +170,7 @@ class HybridLogBlockFTL(StripeFTLBase):
 
         self._maps[gang][slot] = new_row
         if old_row >= 0:
-            self._retire_row(gang, old_row)
+            self._erase_row(gang, old_row, TAG_CLEAN, self._space_freed)
 
     def _merge_copy(
         self,
@@ -202,7 +190,7 @@ class HybridLogBlockFTL(StripeFTLBase):
             src_row, src_local, new_row, dst_local, slot, tag=TAG_CLEAN
         ):
             self.stats.program_failures += 1
-            rescued = self._relocate_row(gang, new_row)
+            rescued = self._retire_row(gang, new_row)
             if rescued < 0:
                 self.stats.failed_pages += 1
                 self._note_write_error()
@@ -246,7 +234,7 @@ class HybridLogBlockFTL(StripeFTLBase):
         fp = self.geometry.page_bytes
         end = offset + size
 
-        join = self.acquire_join(done)
+        join = CompletionJoin(self.sim, done)
         for lbn in range(offset // sb, (end - 1) // sb + 1):
             base = lbn * sb
             a = max(offset, base) - base
@@ -269,7 +257,7 @@ class HybridLogBlockFTL(StripeFTLBase):
     def _switch_write(self, gang: int, slot: int, join: CompletionJoin, tag: str) -> None:
         """Full-stripe overwrite: program a fresh row, drop all old copies."""
         old_row = int(self._maps[gang][slot])
-        new_row = self._alloc_row(gang)
+        new_row = self._pull_row(gang)
         index = self._log_index[gang]
         for p in range(self.pages_per_stripe):
             entry = index.pop((slot, p), None)
@@ -282,12 +270,12 @@ class HybridLogBlockFTL(StripeFTLBase):
                 if el.page_state[old_row, local] == PageState.VALID:
                     el.invalidate_state(old_row, local)
             join.expect()
-            new_row = self._program_with_rescue(
+            new_row = self._program(
                 gang, new_row, p, slot, tag, join.child_done
             )
         self._maps[gang][slot] = new_row
         if old_row >= 0:
-            self._retire_row(gang, old_row)
+            self._erase_row(gang, old_row, TAG_CLEAN, self._space_freed)
 
     def _log_write_page(
         self,
@@ -320,17 +308,16 @@ class HybridLogBlockFTL(StripeFTLBase):
         self._invalidate_current(gang, slot, p)
         lrow, lpos = self._log_append_pos(gang)
         join.expect()
-        # the element is keyed by the log *position*, so the rescue helper
-        # gets lpos (not p); a relocation moves the whole log row and
-        # _row_relocated fixes the log structures that reference it
-        lrow = self._program_with_rescue(gang, lrow, lpos, slot, tag,
-                                         join.child_done)
+        # the element is keyed by the log *position*, so the program
+        # helper gets lpos (not p); a relocation moves the whole log row
+        # and _row_relocated fixes the log structures that reference it
+        lrow = self._program(gang, lrow, lpos, slot, tag, join.child_done)
         el, local = self._element(gang, lpos)
         if el.page_state[lrow, local] == PageState.VALID:
             self._log_index[gang][(slot, p)] = (lrow, lpos)
             self._log_contents[gang][lrow].append((slot, p, lpos))
-        # else: the rescue ran out of spare rows and the page burned in
-        # place — the data is lost (counted by the rescue helper) and the
+        # else: the retry ran out of spare rows and the page burned in
+        # place — the data is lost (counted by the retry loop) and the
         # old copy was already invalidated above, so the page reads a hole
 
     def read(
@@ -371,7 +358,7 @@ class HybridLogBlockFTL(StripeFTLBase):
             complete_async(self.sim, done)
             return
 
-        join = self.acquire_join(done)
+        join = CompletionJoin(self.sim, done)
         for lbn in range(offset // sb, (end - 1) // sb + 1):
             base = lbn * sb
             a = max(offset, base) - base
@@ -440,11 +427,11 @@ class HybridLogBlockFTL(StripeFTLBase):
                 row = int(self._maps[gang][slot])
                 if row >= 0:
                     self._maps[gang][slot] = -1
-                    self._retire_row(gang, row)
+                    self._erase_row(gang, row, TAG_CLEAN, self._space_freed)
 
     # ------------------------------------------------------------------
 
-    def _check_gang(self, gang: int) -> None:
+    def _check_shard(self, gang: int) -> None:
         """Log index entries point at VALID pages; valid counts agree."""
         for (slot, p), (lrow, lpos) in self._log_index[gang].items():
             el, local = self._element(gang, lpos)
@@ -455,9 +442,5 @@ class HybridLogBlockFTL(StripeFTLBase):
             assert lrow in self._log_rows[gang], (
                 f"gang {gang}: log entry points at non-log row {lrow}"
             )
-        for j in range(self.shards):
-            el = self.elements[gang * self.shards + j]
-            recount = (el.page_state == PageState.VALID).sum(axis=1)
-            assert (recount == el.valid_count).all(), (
-                f"element {gang * self.shards + j}: valid_count out of sync"
-            )
+        for e_idx in range(gang * self.shards, (gang + 1) * self.shards):
+            self._check_element(e_idx)

@@ -34,15 +34,15 @@ from typing import Callable, List, Optional, Set
 import numpy as np
 
 from repro.flash.element import FlashElement, PageState
-from repro.flash.ops import TAG_CLEAN, TAG_HOST
+from repro.flash.ops import TAG_HOST
 from repro.ftl.base import (
     BaseFTL,
+    CompletionJoin,
     DeviceFullError,
     _ALLOC_EPOCH,
     complete_async,
 )
 from repro.ftl.cleaning import Cleaner, CleaningConfig
-from repro.ftl.freepool import FreeBlockPool
 from repro.ftl.wearlevel import WearConfig, WearLeveler
 from repro.sim.engine import Simulator
 
@@ -87,6 +87,7 @@ class PageMappedFTL(BaseFTL):
         if user_logical_pages <= 0:
             raise ValueError("device too small for the requested spare fraction")
         self.user_logical_pages = user_logical_pages
+        # each element is its own allocation group: a row is one block
         super().__init__(sim, elements, user_logical_pages * lp_bytes)
 
         slots = math.ceil(user_logical_pages / self.n_gangs)
@@ -94,11 +95,6 @@ class PageMappedFTL(BaseFTL):
         #: memoryviews over _maps: plain-int scalar access on the hot path
         #: (same buffers — bulk numpy users stay coherent)
         self._mapv = [memoryview(m) for m in self._maps]
-        self._pool: List[FreeBlockPool] = [
-            FreeBlockPool(range(geom.blocks_per_element),
-                          memoryview(el.erase_count))
-            for el in elements
-        ]
         self._frontier: List[dict] = [{} for _ in elements]
         self._ppb = geom.pages_per_block
         self._free: List[int] = [geom.pages_per_element for _ in elements]
@@ -123,16 +119,6 @@ class PageMappedFTL(BaseFTL):
     # address helpers
     # ------------------------------------------------------------------
 
-    def _check_range(self, offset: int, size: int) -> None:
-        if offset < 0 or size <= 0 or offset + size > self.logical_capacity_bytes:
-            raise ValueError(
-                f"range [{offset}, {offset + size}) outside logical capacity "
-                f"{self.logical_capacity_bytes}"
-            )
-
-    def _gang_slot(self, lpn: int) -> tuple[int, int]:
-        return lpn % self.n_gangs, lpn // self.n_gangs
-
     def map_for(self, e_idx: int) -> np.ndarray:
         return self._maps[e_idx]
 
@@ -148,11 +134,6 @@ class PageMappedFTL(BaseFTL):
 
     def _pull_block(self, e_idx: int, temp: str) -> int:
         pool = self._pool[e_idx]
-        if not pool:
-            raise DeviceFullError(
-                f"element {e_idx}: no erased blocks left "
-                f"(free_pages={self._free[e_idx]})"
-            )
         if temp == "cold":
             # cold data goes to the most-worn block: it will rarely be
             # rewritten, so parking it there stops further wear
@@ -178,7 +159,7 @@ class PageMappedFTL(BaseFTL):
         wp = self.elements[e_idx]._wp
         ppb = self._ppb
         if frontier is None or wp[frontier] >= ppb:
-            frontier = self._pull_block(e_idx, temp)
+            frontier = self._pull_row(e_idx, temp)
             frontiers[temp] = frontier
         first = wp[frontier]
         if count > ppb - first:
@@ -187,81 +168,33 @@ class PageMappedFTL(BaseFTL):
         self.alloc_epoch = _ALLOC_EPOCH()
         return frontier, first, count
 
-    def release_block(self, e_idx: int, block: int) -> None:
-        """Return an erased block to the pool (erase already completed).
+    # block lifecycle hooks (see BaseFTL): rescued pages and retried
+    # programs go to the next frontier page
 
-        Retired blocks — failed erases and wear-out — never re-pool: the
-        element's spare area shrinks by the whole block, which is how grown
-        bad blocks eventually exhaust the spares."""
-        if self.elements[e_idx].retired[block]:
-            self.stats.blocks_retired += 1
-            self.alloc_epoch = _ALLOC_EPOCH()
-            return
-        self._pool[e_idx].push(block)
-        self._free[e_idx] += self.geometry.pages_per_block
-        self.alloc_epoch = _ALLOC_EPOCH()
+    def _row_pooled(self, e_idx: int) -> None:
+        self._free[e_idx] += self._ppb
 
-    def retire_block(self, e_idx: int, block: int) -> None:
-        """Grow a bad block: remove *block* from circulation permanently.
-
-        Still-valid pages are rescued — copied to the frontier with fault
-        injection suspended, modelling the verified writes a controller
-        uses to save data off a failing block — so the mapping stays
-        intact.  Pages that cannot be rescued because the element is out
-        of spare pages stay readable in place (the map keeps pointing at
-        them); only new programs are forbidden."""
+    def _rescue_row(self, e_idx: int, block: int) -> int:
         el = self.elements[e_idx]
         if el.retired[block]:
-            return
-        el.retired[block] = True
-        self.stats.blocks_retired += 1
+            return -1
         frontiers = self._frontier[e_idx]
         for temp, frontier in list(frontiers.items()):
             if frontier == block:
                 del frontiers[temp]
                 self._free[e_idx] -= self._ppb - int(el.write_ptr[block])
-        mapv = self._mapv[e_idx]
-        ppb = self._ppb
-        fm = el.fault_model
-        el.fault_model = None
-        try:
-            for page in np.nonzero(el.page_state[block] == PageState.VALID)[0]:
-                page = int(page)
-                slot = int(el.reverse_lpn[block, page])
-                try:
-                    dst_block, dst_page, _ = self.allocate_run(e_idx, 1)
-                except DeviceFullError:
-                    break  # unrescued pages stay readable in place
-                el.copy_page(block, page, dst_block, dst_page, slot,
-                             tag=TAG_CLEAN)
-                mapv[slot] = dst_block * ppb + dst_page
-                self.stats.rescued_pages += 1
-                self.stats.flash_pages_programmed += 1
-        finally:
-            el.fault_model = fm
-        self.alloc_epoch = _ALLOC_EPOCH()
+        return block
 
-    def _program_redirect(self, e_idx: int, bad_block: int, slot: int,
-                          temp: str, tag: str, callback) -> int:
-        """A program on *bad_block* failed: retire it and redirect the page
-        to a fresh frontier page.  Returns the new ppn, or -1 when no spare
-        page could be allocated — the loss is counted, ``write_error`` is
-        raised for the host, and *callback* still fires."""
-        el = self.elements[e_idx]
-        stats = self.stats
-        while True:
-            stats.program_failures += 1
-            self.retire_block(e_idx, bad_block)
-            try:
-                block, page, _ = self.allocate_run(e_idx, 1, temp)
-            except DeviceFullError:
-                stats.failed_pages += 1
-                self._note_write_error()
-                complete_async(self.sim, callback)
-                return -1
-            if el.program_page(block, page, slot, tag=tag, callback=callback):
-                return block * self._ppb + page
-            bad_block = block
+    def _spare_page(self, e_idx: int, dest: int, page: int,
+                    temp: str = "hot") -> Optional[tuple[int, int]]:
+        try:
+            block, page, _ = self.allocate_run(e_idx, 1, temp)
+        except DeviceFullError:
+            return None
+        return block, page
+
+    def _page_moved(self, e_idx: int, lpn: int, row: int, page: int) -> None:
+        self._mapv[e_idx][lpn] = row * self._ppb + page
 
     def note_wear_changed(self, e_idx: Optional[int] = None) -> None:
         """Re-key the free-block wear ordering of one element (or all).
@@ -317,34 +250,34 @@ class PageMappedFTL(BaseFTL):
             old = mapv[slot]
             stats.host_pages_written += 1
             callback = done
-            if old >= 0:
-                old_block = old // ppb
-                old_page = old % ppb
-                if size < lp:
-                    # merge read: the old page contributes surviving bytes
-                    join = self.acquire_join(done)
-                    join.expect(2)
-                    callback = join.child_done
-                    el.read_page(old_block, old_page, nbytes=lp, tag=tag,
-                                 callback=callback)
-                    stats.rmw_pages_read += 1
-                el.invalidate_state(old_block, old_page)
+            if old >= 0 and size < lp:
+                # merge read: the old page contributes surviving bytes
+                join = CompletionJoin(self.sim, done)
+                join.expect(2)
+                callback = join.child_done
+                el.read_page(old // ppb, old % ppb, nbytes=lp, tag=tag,
+                             callback=callback)
+                stats.rmw_pages_read += 1
+            # allocate before superseding the old copy: a write refused for
+            # want of an erased block leaves the old copy mapped
             new_block, new_page, _ = self.allocate_run(e_idx, 1, temp)
+            if old >= 0:
+                el.invalidate_state(old // ppb, old % ppb)
             if el.program_page(new_block, new_page, slot, tag=tag,
                                callback=callback):
                 mapv[slot] = new_block * ppb + new_page
                 stats.flash_pages_programmed += 1
             else:
-                ppn = self._program_redirect(e_idx, new_block, slot, temp,
-                                             tag, callback)
-                mapv[slot] = ppn  # -1: data lost, the slot reads as unwritten
-                if ppn >= 0:
-                    stats.flash_pages_programmed += 1
+                new_block, new_page = self._retry_program(
+                    e_idx, new_block, new_page, slot, tag, callback, temp)
+                # -1: data lost, the slot reads as unwritten
+                mapv[slot] = (new_block * ppb + new_page
+                              if new_page >= 0 else -1)
             stats.host_writes += 1
             self._maybe_clean(e_idx)
             return
 
-        join = self.acquire_join(done)
+        join = CompletionJoin(self.sim, done)
         child_done = join.child_done
         expect = join.expect
         stats = self.stats
@@ -380,18 +313,15 @@ class PageMappedFTL(BaseFTL):
                 covered = cb - ca
                 if covered > 0:
                     stats.host_pages_written += 1
-                if old >= 0:
-                    old_block = old // ppb
-                    old_page = old % ppb
-                    if covered < fp:
-                        # merge read: the old shard contributes surviving
-                        # bytes
-                        expect()
-                        el.read_page(old_block, old_page, nbytes=fp, tag=tag,
-                                     callback=child_done)
-                        stats.rmw_pages_read += 1
-                    el.invalidate_state(old_block, old_page)
+                if old >= 0 and covered < fp:
+                    # merge read: the old shard contributes surviving bytes
+                    expect()
+                    el.read_page(old // ppb, old % ppb, nbytes=fp, tag=tag,
+                                 callback=child_done)
+                    stats.rmw_pages_read += 1
                 new_block, new_page, _ = allocate_run(e_idx, 1, temp)
+                if old >= 0:
+                    el.invalidate_state(old // ppb, old % ppb)
                 expect()
                 if el.program_page(
                     new_block, new_page, slot, tag=tag, callback=child_done
@@ -399,11 +329,11 @@ class PageMappedFTL(BaseFTL):
                     mapv[slot] = new_block * ppb + new_page
                     stats.flash_pages_programmed += 1
                 else:
-                    ppn = self._program_redirect(e_idx, new_block, slot,
-                                                 temp, tag, child_done)
-                    mapv[slot] = ppn
-                    if ppn >= 0:
-                        stats.flash_pages_programmed += 1
+                    new_block, new_page = self._retry_program(
+                        e_idx, new_block, new_page, slot, tag, child_done,
+                        temp)
+                    mapv[slot] = (new_block * ppb + new_page
+                                  if new_page >= 0 else -1)
                 touched.add(e_idx)
 
         stats.host_writes += 1
@@ -441,7 +371,7 @@ class PageMappedFTL(BaseFTL):
             )
             return
 
-        join = self.acquire_join(done)
+        join = CompletionJoin(self.sim, done)
         child_done = join.child_done
         expect = join.expect
         stats = self.stats
@@ -595,17 +525,14 @@ class PageMappedFTL(BaseFTL):
     # invariants
     # ------------------------------------------------------------------
 
-    def _consistency_shards(self) -> int:
-        return len(self.elements)
-
-    def _check_shard(self, index: int) -> None:
+    def _check_shard(self, e_idx: int) -> None:
         """Verify one element's map/reverse-map agreement and free
         accounting (``check_consistency`` drives the full/sampled sweep).
 
         Raises AssertionError on the first violation; the test suite calls
         the sweep after every workload it runs.
         """
-        e_idx = index
+        self._check_element(e_idx)
         geom = self.geometry
         ppb = geom.pages_per_block
         el = self.elements[e_idx]
@@ -628,15 +555,9 @@ class PageMappedFTL(BaseFTL):
             f"element {e_idx}: {valid_total} VALID pages but "
             f"{len(mapped)} mapped slots"
         )
-        # per-block valid counts agree with the state array
-        recount = (el.page_state == PageState.VALID).sum(axis=1)
-        assert (recount == el.valid_count).all(), (
-            f"element {e_idx}: valid_count out of sync"
-        )
-        # free accounting: pool blocks contribute ppb, frontiers their tail
-        free = sum(
-            ppb - int(el.write_ptr[b]) for b in self._pool[e_idx]
-        )
+        # free accounting: pooled (erased) blocks contribute ppb, frontiers
+        # their tail
+        free = ppb * len(self._pool[e_idx])
         for frontier in self._frontier[e_idx].values():
             free += ppb - int(el.write_ptr[frontier])
         assert free == self._free[e_idx], (

@@ -145,7 +145,7 @@ def _instant_clean(ftl: PageMappedFTL, e_idx: int) -> bool:
         el.program_state(block, new_page, slot)
         ftl.map_for(e_idx)[slot] = geom.page_index(block, new_page)
     el.erase_state(victim)
-    ftl.release_block(e_idx, victim)
+    ftl._release_row(e_idx, victim)
     return True
 
 

@@ -96,7 +96,8 @@ class WearLeveler:
 
     def _migrate(self, e_idx: int, source: int, dest: int) -> None:
         """Copy the source block's valid pages into the worn destination
-        block, then erase the source and return it to the pool.
+        block, then erase the source and release it (re-pooled, or retired
+        if the erase failed).
 
         The destination left the free pool wholesale in
         ``pull_worn_free_block``, so no per-page free accounting happens
@@ -136,13 +137,9 @@ class WearLeveler:
             self._migrating[e_idx] = False
             return
 
-        def _done(now: float, e: int = e_idx, b: int = source) -> None:
-            ftl.cleaner.being_cleaned[e].discard(b)
-            ftl.release_block(e, b)
-            self._migrating[e] = False
+        def _done() -> None:
+            ftl.cleaner.being_cleaned[e_idx].discard(source)
+            self._migrating[e_idx] = False
             ftl._space_freed()
 
-        if not el.erase_block(source, tag=TAG_WEAR, callback=_done):
-            # grown bad block: _done still fires and release_block keeps
-            # the retired source out of the pool
-            ftl.stats.erase_failures += 1
+        ftl._erase_row(e_idx, source, TAG_WEAR, _done)

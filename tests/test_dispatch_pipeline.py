@@ -468,25 +468,6 @@ class TestAdmissionMemo:
         assert request.admit_epoch == ssd_b.ftl.alloc_epoch
 
 
-class TestJoinSlab:
-    def test_joins_are_recycled(self):
-        from repro.ftl.pagemap import PageMappedFTL
-        from repro.flash.element import FlashElement
-        from repro.flash.timing import FlashTiming
-
-        sim = Simulator()
-        geom = small_geometry()
-        elements = [FlashElement(sim, geom, FlashTiming.slc(), element_id=i)
-                    for i in range(2)]
-        ftl = PageMappedFTL(sim, elements, spare_fraction=0.2)
-        assert not ftl._join_slab
-        ftl.write(0, 4 * KB4)  # multi-page: needs a join
-        sim.run_until_idle()
-        assert len(ftl._join_slab) == 1
-        recycled = ftl._join_slab[-1]
-        assert ftl.acquire_join(None) is recycled  # slab pop, not a new object
-
-
 class TestSampledConsistency:
     def test_sampled_mode_rotates_over_all_elements(self):
         from repro.flash.element import FlashElement

@@ -21,9 +21,11 @@ from repro.flash.element import FlashElement, PageState
 from repro.flash.faults import FaultConfig, FaultModel
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FlashTiming
+from repro.ftl.base import DeviceFullError
 from repro.ftl.cleaning import CleaningConfig
 from repro.ftl.pagemap import PageMappedFTL
 from repro.ftl.prefill import prefill_pagemap
+from repro.ftl.wearlevel import WearConfig
 from repro.sim.engine import Simulator
 from repro.units import KIB
 from tests.conftest import run_io, small_geometry
@@ -298,11 +300,14 @@ _SOAK_FAULTS = dict(program_fail_prob=0.02, erase_fail_base_prob=0.01,
                     erase_wear_scale=1e-3, read_transient_prob=0.02)
 
 
+_FAMILIES = ["pagemap", "blockmap", "hybrid"]
+
+
 class _Soak:
     """Closed-loop random mixed load against a fault-injecting SSD."""
 
     def __init__(self, seed, ftl_type="pagemap", count=6000, depth=4,
-                 write_fraction=0.7):
+                 write_fraction=0.7, wear=None):
         self.sim = Simulator()
         config = SSDConfig(
             n_elements=4,
@@ -314,6 +319,7 @@ class _Soak:
             faults=FaultConfig(enabled=True, seed=seed, **_SOAK_FAULTS),
             host_retry_limit=2,
             host_retry_backoff_us=20.0,
+            wear=WearConfig() if wear is None else wear,
         )
         self.ssd = SSD(self.sim, config)
         self.count = count
@@ -392,14 +398,50 @@ class TestSpareExhaustionEndToEnd:
         assert soak.ssd.ftl.stats.program_failures > 0
         assert soak.ssd.ftl.stats.blocks_retired > 0
 
-    def test_multi_seed_sweep(self):
+    @pytest.mark.parametrize("ftl_type", _FAMILIES)
+    def test_multi_seed_sweep(self, ftl_type):
         """CI sets REPRO_FAULT_SEEDS=3: the books must balance under every
-        seed's fault plan, not just the pinned one."""
+        seed's fault plan, not just the pinned one, on every FTL family."""
         seeds = int(os.environ.get("REPRO_FAULT_SEEDS", "1"))
         for seed in range(11, 11 + seeds):
-            soak = _Soak(seed=seed, count=3000)
+            soak = _Soak(seed=seed, ftl_type=ftl_type, count=3000)
             soak.assert_books_balance()
             assert soak.ssd.ftl.stats.program_failures > 0
+
+
+class TestRefusedWrite:
+    def test_pagemap_write_without_a_block_keeps_the_old_copy(self, sim):
+        """A write may reach the page-mapped FTL after its admission
+        headroom is gone (a rescue or a wear migration took the pages in
+        between).  Refused for want of an erased block, it must leave the
+        old copy mapped and VALID rather than invalidate it first."""
+        ftl = PageMappedFTL(sim, [_element(sim, blocks=4, pages=4)],
+                            spare_fraction=0.5)
+        ftl._maybe_clean = lambda e_idx: None  # no reclamation
+        with pytest.raises(DeviceFullError):
+            for _ in range(4 * 4 + 1):
+                ftl.write(0, 4096)
+        sim.run_until_idle()
+        ftl.check_consistency()
+        assert ftl.mapped_ppn(0) >= 0
+
+
+class TestLifecycleConservation:
+    """Block-lifecycle conservation laws under grown bad blocks: every
+    page the FTL books as programmed was programmed on some element, and
+    every block it books as retired is marked retired on its element."""
+
+    @pytest.mark.parametrize("ftl_type", _FAMILIES)
+    @pytest.mark.parametrize("seed", [1, 2, 3, 11])
+    def test_programs_and_retirements_balance(self, ftl_type, seed):
+        soak = _Soak(seed=seed, ftl_type=ftl_type, count=800)
+        ftl = soak.ssd.ftl
+        assert ftl.stats.flash_pages_programmed == sum(
+            el.pages_programmed for el in ftl.elements)
+        assert ftl.stats.blocks_retired == sum(
+            int(el.retired.sum()) for el in ftl.elements)
+        assert ftl.stats.program_failures > 0
+        ftl.check_consistency()
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,18 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.device.interface import OpType
 from repro.device.ssd import SSD
 from repro.device.ssd_config import SSDConfig
+from repro.flash.faults import FaultConfig
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.cleaning import CleaningConfig
 from repro.ftl.wearlevel import WearConfig
 from repro.sim.engine import Simulator
 from repro.workloads.driver import ClosedLoopDriver
+from tests.test_faults import _SOAK_FAULTS, _Soak
 
 # Recorded from the seed tree (commit 4f793d6) by running the workloads
 # below, before the hot-path refactor; see test docstring.
@@ -342,3 +346,161 @@ def test_hybrid_workload_matches_golden_snapshot():
     assert observed["stats"]["clean_pages_moved"] > 0  # log merges ran
     assert observed["stats"]["clean_erases"] > 0
     assert observed["stats"]["trims"] > 0
+
+
+# ---------------------------------------------------------------------------
+# fault paths: grown bad blocks under every FTL family
+# ---------------------------------------------------------------------------
+
+# Recorded before the three FTL families moved onto one block lifecycle in
+# BaseFTL (pool pull, erase-and-release, retire-and-rescue, program retry):
+# they pin the stripe FTLs' retire/rescue/retry paths and the static
+# wear-leveler's fault handling, which the fault-free goldens above never
+# reach.  Each pins the final clock (exact, as float hex), every FTLStats
+# counter, the error completions by kind and the event count.
+GOLDEN_FAULTS: dict = {
+    "blockmap": {
+        "final_clock": "0x1.34e9880000000p+16",
+        "events_run": 1391,
+        "stats": {
+            "host_reads": 124,
+            "host_writes": 390,
+            "host_pages_read": 124,
+            "host_pages_written": 390,
+            "flash_pages_programmed": 447,
+            "rmw_pages_read": 42,
+            "clean_pages_moved": 0,
+            "clean_time_us": 60080.0,
+            "clean_erases": 40,
+            "wear_migrations": 0,
+            "wear_pages_moved": 0,
+            "trims": 0,
+            "trimmed_pages": 0,
+            "write_stalls": 86,
+            "program_failures": 14,
+            "erase_failures": 1,
+            "blocks_retired": 30,
+            "rescued_pages": 15,
+            "failed_pages": 0
+        },
+        "errors": {
+            "readonly": 86
+        }
+    },
+    "hybrid": {
+        "final_clock": "0x1.d711680000000p+16",
+        "events_run": 1916,
+        "stats": {
+            "host_reads": 125,
+            "host_writes": 439,
+            "host_pages_read": 125,
+            "host_pages_written": 439,
+            "flash_pages_programmed": 885,
+            "rmw_pages_read": 0,
+            "clean_pages_moved": 285,
+            "clean_time_us": 115785.1875,
+            "clean_erases": 14,
+            "wear_migrations": 0,
+            "wear_pages_moved": 0,
+            "trims": 0,
+            "trimmed_pages": 0,
+            "write_stalls": 46,
+            "program_failures": 16,
+            "erase_failures": 0,
+            "blocks_retired": 32,
+            "rescued_pages": 161,
+            "failed_pages": 0
+        },
+        "errors": {
+            "readonly": 36
+        }
+    },
+    "wear": {
+        "final_clock": "0x1.bf8cd20000000p+18",
+        "events_run": 3246,
+        "stats": {
+            "host_reads": 0,
+            "host_writes": 1154,
+            "host_pages_read": 0,
+            "host_pages_written": 1154,
+            "flash_pages_programmed": 1545,
+            "rmw_pages_read": 0,
+            "clean_pages_moved": 217,
+            "clean_time_us": 265981.0,
+            "clean_erases": 144,
+            "wear_migrations": 16,
+            "wear_pages_moved": 77,
+            "trims": 0,
+            "trimmed_pages": 0,
+            "write_stalls": 574,
+            "program_failures": 33,
+            "erase_failures": 2,
+            "blocks_retired": 35,
+            "rescued_pages": 99,
+            "failed_pages": 2
+        },
+        "errors": {
+            "readonly": 348
+        }
+    }
+}
+
+
+def _run_wear_faulted():
+    """The static wear-leveling workload of :func:`_run_wear` on a medium
+    that fails programs and erases: migrations burn destination pages,
+    erases grow bad blocks, and the device ends read-only."""
+    sim = Simulator()
+    config = SSDConfig(
+        name="determinism-wear-faults",
+        n_elements=2,
+        geometry=FlashGeometry(page_bytes=4096, pages_per_block=8,
+                               blocks_per_element=32),
+        max_inflight=4,
+        controller_overhead_us=2.0,
+        wear=WearConfig(dynamic=False, static=True, spread_threshold=2,
+                        check_every_erases=2),
+        faults=FaultConfig(enabled=True, seed=1, **_SOAK_FAULTS),
+        host_retry_limit=2,
+        host_retry_backoff_us=20.0,
+    )
+    ssd = SSD(sim, config)
+    region = int(ssd.capacity_bytes * 0.3) // 4096
+    rng = random.Random(1)
+
+    def next_request(i: int):
+        return OpType.WRITE, rng.randrange(region) * 4096, 4096
+
+    result = ClosedLoopDriver(sim, ssd, next_request, count=1500,
+                              depth=4).run()
+    ssd.ftl.check_consistency()
+    return sim, ssd, result.errors
+
+
+def _run_fault_scenario(name: str):
+    if name == "wear":
+        return _run_wear_faulted()
+    soak = _Soak(seed=2, ftl_type=name, count=600, write_fraction=0.8)
+    return soak.sim, soak.ssd, soak.errors
+
+
+def _fault_observables(sim: Simulator, ssd: SSD, errors: dict) -> dict:
+    return {
+        "final_clock": sim.now.hex(),
+        "events_run": sim.events_run,
+        "stats": ssd.ftl.stats.as_dict(),
+        "errors": dict(sorted(errors.items())),
+    }
+
+
+@pytest.mark.parametrize("name", ["blockmap", "hybrid", "wear"])
+def test_fault_workload_matches_golden_snapshot(name):
+    observed = _fault_observables(*_run_fault_scenario(name))
+    assert observed == GOLDEN_FAULTS[name]
+    stats = observed["stats"]
+    # the fault paths must actually have run
+    assert stats["program_failures"] > 0
+    assert stats["blocks_retired"] > 0
+    if name == "wear":
+        assert stats["wear_migrations"] > 0
+        assert stats["erase_failures"] > 0
