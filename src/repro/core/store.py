@@ -276,13 +276,3 @@ class ObjectStore:
                     hints=hints,
                 )
             )
-
-    # ------------------------------------------------------------------
-
-    @property
-    def object_count(self) -> int:
-        return len(self._objects)
-
-    @property
-    def bytes_stored(self) -> int:
-        return sum(d.size for d in self._objects.values())

@@ -249,11 +249,6 @@ class FlashElement:
         return wait
 
     @property
-    def busy_us_by_tag(self) -> dict[str, float]:
-        """Busy time per accounting tag (snapshot view of the accumulators)."""
-        return {tag: acc[0] for tag, acc in self._accum.items()}
-
-    @property
     def ops_by_tag(self) -> dict[str, int]:
         """Completed op count per accounting tag."""
         return {tag: acc[1] for tag, acc in self._accum.items()}
@@ -535,11 +530,6 @@ class FlashElement:
         self.pages_programmed += copied
         self.pages_read += dst_page - first
         return copied
-
-    # ------------------------------------------------------------------
-
-    def free_pages_in_block(self, block: int) -> int:
-        return self.geometry.pages_per_block - self._wp[block]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -16,8 +16,6 @@ from __future__ import annotations
 import enum
 from typing import Callable, Optional
 
-from repro.flash.timing import FlashTiming
-
 __all__ = ["OpKind", "FlashOp", "TAG_HOST", "TAG_CLEAN", "TAG_WEAR"]
 
 TAG_HOST = "host"
@@ -58,9 +56,6 @@ class FlashOp:
         self.tag = tag
         self.callback = callback
         self.duration_us = duration_us
-
-    def compute_duration(self, timing: FlashTiming) -> float:
-        return timing.duration_us(self.kind, self.nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -7,25 +7,68 @@ event would dominate run time, so these helpers bulk-initialize FTL state
 directly (mappings, page states, counters), bypassing the event loop, and
 leave the device exactly as if the fill had been simulated:
 ``check_consistency`` passes afterwards, which the test suite asserts.
+Prefill builds that state from scratch, so it takes only a fresh FTL: one
+that holds no data and has taken no traffic (:class:`PrefillStateError`).
 
-``overwrite_fraction`` performs a second pass of random logical-page
-rewrites so invalid pages scatter across blocks — the steady state a real
-aged device is in.
+Aging
+-----
+``overwrite_fraction`` rewrites a further share of the filled logical pages
+at uniformly random LPNs, so invalid pages scatter across blocks — the
+steady state a real aged device is in.  Each rewrite invalidates the old
+copy and programs the next frontier page.  An element whose free count is
+at the *floor* (just above the cleaner's low watermark, where a live device
+hovers) before a rewrite is first cleaned in zero time, greedy victim
+first, until it is above the floor again.
+
+The rewrites are applied with numpy, in chunks, not page by page:
+
+* **Draws first.**  Every rewrite LPN is drawn up front: the values, and
+  the generator's final state, of one ``rng.randrange(count)`` per rewrite
+  in rewrite order (replayed in bulk from ``getrandbits``, see
+  :func:`_draw`).
+* **Elements are independent.**  An element sees only its own gang's map
+  slots, in draw order; its cleans, pool pulls and frontier depend on
+  nothing else.  So each element is aged on its own, from its gang's slot
+  subsequence.
+* **Chunk rule.**  With ``free`` pages above the floor, the element's next
+  ``free - floor`` rewrites all happen before any clean, so they are one
+  update: the old copy of each distinct slot is invalidated, the chunk is
+  programmed into consecutive frontier pages (one
+  :meth:`PageMappedFTL.allocate_run` per block crossed), and of a slot
+  rewritten more than once in the chunk only its last copy stays VALID.
+* **One step per clean.**  An instant clean moves all of the victim's
+  valid pages to the frontier at once, then erases and releases the victim
+  through the FTL's block lifecycle (a worn-out victim is retired).
+
+The per-page legality checks of :class:`repro.flash.element.FlashElement`
+are kept as array checks: a page is FREE before it is programmed and a run
+starts at its block's write pointer; a page is VALID before it is
+invalidated; a block holds no valid page when it is erased.  The resulting
+state — element arrays and counters, maps, free counts, frontiers, pool
+order, stats and the generator state — is the one a per-page loop leaves;
+``tests/test_prefill_kernel.py`` checks this against such a loop.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Optional, Union
 
 import numpy as np
 
-from repro.flash.element import PageState
+from repro.flash.element import FlashElement, FlashStateError, PageState
+from repro.ftl.base import FTLStats
 from repro.ftl.blockmap import BlockMappedFTL
 from repro.ftl.hybrid import HybridLogBlockFTL
 from repro.ftl.pagemap import PageMappedFTL
 
-__all__ = ["prefill_pagemap", "prefill_stripe_ftl"]
+__all__ = ["PrefillStateError", "prefill_pagemap", "prefill_stripe_ftl"]
+
+
+class PrefillStateError(ValueError):
+    """The FTL handed to :func:`prefill_pagemap` is not fresh: it already
+    maps data or has taken traffic, and prefill would corrupt it."""
 
 
 def prefill_pagemap(
@@ -39,13 +82,40 @@ def prefill_pagemap(
     logical pages mapped."""
     if not 0.0 <= fill_fraction <= 1.0:
         raise ValueError(f"fill_fraction must be in [0, 1], got {fill_fraction}")
-    if overwrite_fraction < 0.0:
-        raise ValueError("overwrite_fraction must be non-negative")
+    if not 0.0 <= overwrite_fraction < math.inf:
+        raise ValueError(
+            "overwrite_fraction must be finite and non-negative, got "
+            f"{overwrite_fraction}"
+        )
+    _check_fresh(ftl)
 
-    geom = ftl.geometry
-    ppb = geom.pages_per_block
     count = int(fill_fraction * ftl.user_logical_pages)
+    _fill(ftl, count)
+    if overwrite_fraction > 0.0 and count > 0:
+        _age(ftl, count, int(overwrite_fraction * count),
+             rng if rng is not None else random.Random(0))
+    return count
 
+
+def _check_fresh(ftl: PageMappedFTL) -> None:
+    """Raise :class:`PrefillStateError` unless *ftl* maps nothing, has
+    written nothing and counts no traffic."""
+    if (
+        ftl.stats != FTLStats()
+        or any(ftl._frontier)
+        or any((emap >= 0).any() for emap in ftl._maps)
+        or any(el.write_ptr.any() for el in ftl.elements)
+    ):
+        raise PrefillStateError(
+            "prefill_pagemap needs a fresh FTL; this one already holds data "
+            "or has taken traffic"
+        )
+
+
+def _fill(ftl: PageMappedFTL, count: int) -> None:
+    """Map logical pages ``0..count-1`` to fully-valid blocks carved in
+    pool order."""
+    ppb = ftl.geometry.pages_per_block
     for e_idx, el in enumerate(ftl.elements):
         gang = e_idx // ftl.shards
         # logical pages gang, gang+n_gangs, ... < count land here, at
@@ -87,43 +157,91 @@ def prefill_pagemap(
             ftl._frontier[e_idx]["hot"] = block
         ftl._free[e_idx] -= n
 
-    if overwrite_fraction > 0.0 and count > 0:
-        rng = rng if rng is not None else random.Random(0)
-        rewrites = int(overwrite_fraction * count)
-        # steady-state floor: just above the cleaner's low watermark (where
-        # a live device hovers); loop-invariant, hoisted out of the rewrites
-        floor = max(
-            ftl.reserve_pages,
-            ftl.cleaner.low_watermark_pages + geom.pages_per_block,
-        )
+
+def _age(ftl: PageMappedFTL, count: int, rewrites: int,
+         rng: random.Random) -> None:
+    """Rewrite *rewrites* random logical pages of the first *count*, with
+    instant cleans to hold every element at the floor (module docstring)."""
+    lpns = _draw(rng, count, rewrites)
+    gangs = lpns % ftl.n_gangs
+    slots = lpns // ftl.n_gangs
+    # steady-state floor: just above the cleaner's low watermark (where a
+    # live device hovers)
+    floor = max(
+        ftl.reserve_pages,
+        ftl.cleaner.low_watermark_pages + ftl.geometry.pages_per_block,
+    )
+    for gang in range(ftl.n_gangs):
+        gang_slots = slots[gangs == gang]
+        for e_idx in range(gang * ftl.shards, (gang + 1) * ftl.shards):
+            _age_element(ftl, e_idx, gang_slots, floor)
+
+
+def _draw(rng: random.Random, count: int, n: int) -> np.ndarray:
+    """*n* values of ``rng.randrange(count)``, drawn in order, leaving *rng*
+    in the state those *n* calls leave it in.
+
+    For a plain :class:`random.Random` and ``count < 2**32`` the calls are
+    replayed in bulk: each ``randrange(count)`` try takes the top
+    ``count.bit_length()`` bits of one 32-bit Mersenne Twister output and
+    rejects values ``>= count``, and ``getrandbits(32 * m)`` hands out the
+    next *m* outputs at once, first output in the lowest bits.  Every round
+    draws only as many outputs as values are still missing, so no output
+    past the last accepted one is consumed."""
+    k = count.bit_length()
+    if type(rng) is not random.Random or k > 32:
         randrange = rng.randrange
-        maps = ftl._maps
-        elements = ftl.elements
-        shards = ftl.shards
-        free_pages = ftl.free_pages
-        allocate_run = ftl.allocate_run
-        block_of, page_of, page_index = (
-            geom.block_of, geom.page_of, geom.page_index
+        return np.array([randrange(count) for _ in range(n)], dtype=np.int64)
+    parts = [np.empty(0, dtype=np.int64)]
+    missing = n
+    while missing:
+        words = np.frombuffer(
+            rng.getrandbits(32 * missing).to_bytes(4 * missing, "little"),
+            dtype="<u4",
         )
-        for _ in range(rewrites):
-            lpn = randrange(count)
-            gang = lpn % ftl.n_gangs
-            slot = lpn // ftl.n_gangs
-            for j in range(shards):
-                e_idx = gang * shards + j
-                el = elements[e_idx]
-                while free_pages(e_idx) <= floor:
-                    if not _instant_clean(ftl, e_idx):
-                        raise ValueError(
-                            f"element {e_idx}: nothing reclaimable during "
-                            "prefill (reduce fill_fraction)"
-                        )
-                old = int(maps[e_idx][slot])
-                el.invalidate_state(block_of(old), page_of(old))
-                block, page, _ = allocate_run(e_idx, 1)
-                el.program_state(block, page, slot)
-                maps[e_idx][slot] = page_index(block, page)
-    return count
+        values = words >> np.uint32(32 - k)
+        values = values[values < count]
+        parts.append(values.astype(np.int64))
+        missing -= len(values)
+    return np.concatenate(parts)
+
+
+def _age_element(ftl: PageMappedFTL, e_idx: int, slots: np.ndarray,
+                 floor: int) -> None:
+    """Rewrite map *slots* of element *e_idx* in order: one chunk per run of
+    rewrites between instant cleans."""
+    free = ftl._free
+    done = 0
+    while done < len(slots):
+        while free[e_idx] <= floor:
+            if not _instant_clean(ftl, e_idx):
+                raise ValueError(
+                    f"element {e_idx}: nothing reclaimable during prefill "
+                    "(reduce fill_fraction)"
+                )
+        end = min(done + free[e_idx] - floor, len(slots))
+        _rewrite(ftl, e_idx, slots[done:end])
+        done = end
+
+
+def _rewrite(ftl: PageMappedFTL, e_idx: int, slots: np.ndarray) -> None:
+    """Rewrite map *slots* of element *e_idx*, in order, with no clean in
+    between: each slot's old copy goes INVALID and the chunk fills the next
+    frontier pages, where only a slot's last copy stays VALID."""
+    el = ftl.elements[e_idx]
+    emap = ftl._maps[e_idx]
+    # last[i]: no later rewrite of slots[i] in this chunk (a stable sort
+    # keeps repeats of a slot in chunk order)
+    order = np.argsort(slots, kind="stable")
+    ranked = slots[order]
+    last = np.ones(len(slots), dtype=bool)
+    last[order[:-1][ranked[1:] == ranked[:-1]]] = False
+    live = slots[last]
+    _invalidate(el, emap[live])
+    pages = _program(ftl, e_idx, slots)
+    if len(live) < len(slots):
+        _invalidate(el, pages[~last])
+    emap[live] = pages[last]
 
 
 def _instant_clean(ftl: PageMappedFTL, e_idx: int) -> bool:
@@ -136,17 +254,68 @@ def _instant_clean(ftl: PageMappedFTL, e_idx: int) -> bool:
     if victim < 0:
         return False
     el = ftl.elements[e_idx]
-    geom = ftl.geometry
-    pages = np.nonzero(el.page_state[victim] == PageState.VALID)[0]
-    for page in pages:
-        slot = int(el.reverse_lpn[victim, int(page)])
-        el.invalidate_state(victim, int(page))
-        block, new_page, _ = ftl.allocate_run(e_idx, 1)
-        el.program_state(block, new_page, slot)
-        ftl.map_for(e_idx)[slot] = geom.page_index(block, new_page)
+    states = el.page_state[victim]
+    valid = states == PageState.VALID
+    n_valid = np.count_nonzero(valid)
+    if n_valid:
+        tags = el.reverse_lpn[victim]
+        slots = tags[valid]
+        states[valid] = PageState.INVALID
+        tags[valid] = -1
+        el._vc[victim] -= n_valid
+        ftl._maps[e_idx][slots] = _program(ftl, e_idx, slots)
     el.erase_state(victim)
     ftl._release_row(e_idx, victim)
     return True
+
+
+def _invalidate(el: FlashElement, ppns: np.ndarray) -> None:
+    """Mark the distinct VALID pages *ppns* (flat page numbers) INVALID."""
+    states = el.page_state.reshape(-1)
+    not_valid = states[ppns] != PageState.VALID
+    if np.count_nonzero(not_valid):
+        block, page = divmod(int(ppns[not_valid][0]),
+                             el.geometry.pages_per_block)
+        raise FlashStateError(
+            f"element {el.element_id}: invalidate of non-valid page "
+            f"({block}, {page}) state={el.page_state[block, page]}"
+        )
+    states[ppns] = PageState.INVALID
+    el.reverse_lpn.reshape(-1)[ppns] = -1
+    el.valid_count -= np.bincount(ppns // el.geometry.pages_per_block,
+                                  minlength=len(el.valid_count))
+
+
+def _program(ftl: PageMappedFTL, e_idx: int, slots: np.ndarray) -> np.ndarray:
+    """Program *slots* into consecutive frontier pages of element *e_idx*
+    (pulling erased blocks as the frontier fills); returns the flat page
+    numbers, in order."""
+    el = ftl.elements[e_idx]
+    ppb = ftl.geometry.pages_per_block
+    now = ftl.sim.now
+    ppns = np.empty(len(slots), dtype=np.int64)
+    done = 0
+    while done < len(slots):
+        block, first, n = ftl.allocate_run(e_idx, len(slots) - done)
+        end = first + n
+        states = el.page_state[block, first:end]
+        if first != el._wp[block] or np.count_nonzero(states):
+            raise FlashStateError(
+                f"element {el.element_id}: program of pages {first}..{end - 1}"
+                f" of block {block} (write_ptr={el._wp[block]}) not in order "
+                "or not free"
+            )
+        states[:] = PageState.VALID
+        el.reverse_lpn[block, first:end] = slots[done:done + n]
+        el._vc[block] += n
+        # allocate_run hands out pages from the write pointer without
+        # moving it: advance it now, or the next run gets these pages again
+        el._wp[block] = end
+        el._mt[block] = now
+        ppns[done:done + n] = np.arange(block * ppb + first, block * ppb + end)
+        done += n
+    el.pages_programmed += len(slots)
+    return ppns
 
 
 def prefill_stripe_ftl(

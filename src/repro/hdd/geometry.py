@@ -78,10 +78,6 @@ class DiskGeometry:
             sectors_per_track=zone.sectors_per_track,
         )
 
-    def zone_of_cylinder(self, cylinder: int) -> Zone:
-        index = bisect.bisect_right(self._zone_start_cyl, cylinder) - 1
-        return self.zones[index]
-
     @classmethod
     def stock(cls, capacity_bytes: int, heads: int = 4, n_zones: int = 8,
               outer_spt: int = 1600, inner_spt: int = 900) -> "DiskGeometry":

@@ -715,9 +715,6 @@ class Histogram:
         else:
             self.bins[index] += 1
 
-    def bin_edges(self) -> List[float]:
-        return [i * self._width for i in range(self.nbins + 1)]
-
 
 @dataclass(slots=True)
 class BandwidthMeter:

@@ -37,12 +37,13 @@ from repro.flash.timing import FlashTiming
 from repro.ftl.blockmap import BlockMappedFTL
 from repro.ftl.hybrid import HybridLogBlockFTL
 from repro.ftl.pagemap import PageMappedFTL
-from repro.ftl.prefill import _instant_clean, prefill_pagemap, prefill_stripe_ftl
+from repro.ftl.prefill import prefill_pagemap, prefill_stripe_ftl
 from repro.sim.engine import Simulator
 from repro.traces.record import TraceOp, TraceRecord
 from repro.traces.synthetic import SyntheticConfig, iter_synthetic
 from repro.workloads.driver import WorkloadResult, replay_trace
 from tests.conftest import schedule_at_front, small_geometry
+from tests.test_prefill_kernel import scalar_instant_clean
 
 KB4 = 4096
 
@@ -228,7 +229,7 @@ def _reference_prefill_pagemap(ftl, fill_fraction, overwrite_fraction=0.0,
                     ftl.cleaner.low_watermark_pages + geom.pages_per_block,
                 )
                 while ftl.free_pages(e_idx) <= floor:
-                    assert _instant_clean(ftl, e_idx)
+                    assert scalar_instant_clean(ftl, e_idx)
                 old = int(ftl._maps[e_idx][slot])
                 el.invalidate_state(geom.block_of(old), geom.page_of(old))
                 block, page, _ = ftl.allocate_run(e_idx, 1)

@@ -27,12 +27,17 @@ import random
 
 import pytest
 
+from benchmarks.bench_hotpath import _state_crc
 from repro.device.interface import OpType
 from repro.device.ssd import SSD
 from repro.device.ssd_config import SSDConfig
+from repro.flash.element import FlashElement
 from repro.flash.faults import FaultConfig
 from repro.flash.geometry import FlashGeometry
+from repro.flash.timing import FlashTiming
 from repro.ftl.cleaning import CleaningConfig
+from repro.ftl.pagemap import PageMappedFTL
+from repro.ftl.prefill import prefill_pagemap
 from repro.ftl.wearlevel import WearConfig
 from repro.sim.engine import Simulator
 from repro.workloads.driver import ClosedLoopDriver
@@ -504,3 +509,30 @@ def test_fault_workload_matches_golden_snapshot(name):
     if name == "wear":
         assert stats["wear_migrations"] > 0
         assert stats["erase_failures"] > 0
+
+
+# ---------------------------------------------------------------------------
+# prefill: the aging pass with instant cleans
+# ---------------------------------------------------------------------------
+
+# Recorded from the per-page overwrite-and-clean loop, before prefill aged
+# elements in numpy chunks.  ``perf_report``'s prefill scenario overwrites
+# too little to reach an instant clean; these runs clean ~290 blocks per
+# element and pin the resulting state (maps, page states, write pointers,
+# erase counts) with the same CRC its ``prefill_digest`` uses.
+GOLDEN_PREFILL_CLEANING: dict = {1: 3850192637, 2: 496666736}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_PREFILL_CLEANING))
+def test_cleaning_prefill_matches_golden_state(seed):
+    sim = Simulator()
+    geom = FlashGeometry(page_bytes=4096, pages_per_block=64,
+                         blocks_per_element=96)
+    elements = [FlashElement(sim, geom, FlashTiming.slc(), element_id=i)
+                for i in range(8)]
+    ftl = PageMappedFTL(sim, elements, spare_fraction=0.10)
+    prefill_pagemap(ftl, 0.92, overwrite_fraction=1.0,
+                    rng=random.Random(seed))
+    ftl.check_consistency()
+    assert sum(el.erases_performed for el in elements) > 0  # cleans ran
+    assert _state_crc(ftl) == GOLDEN_PREFILL_CLEANING[seed]
