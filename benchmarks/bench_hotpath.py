@@ -330,7 +330,7 @@ def _scenario_replay_10m(scale: float):
         count = max(10_000, int(_BASE_OPS["replay_10m"] * scale))
     sim = Simulator()
     device = s4slc_sim(sim, element_mb=32, scheduler="swtf", max_inflight=32,
-                       controller_overhead_us=5.0, streaming_stats=True)
+                       controller_overhead_us=5.0)
     prefill_pagemap(device.ftl, 0.60, overwrite_fraction=0.15)
     config = SyntheticConfig(
         count=count,

@@ -31,7 +31,7 @@ __all__ = ["check_procpool"]
 
 #: annotations that mean "live simulation state" — never picklable-safe
 UNPICKLABLE_TYPES = {
-    "Simulator", "Event", "SerialResource", "FlashElement", "FlashOp",
+    "Simulator", "Event", "SerialResource", "FlashElement",
     "SSD", "StorageDevice", "IORequest", "FaultModel", "BaseFTL",
 }
 

@@ -23,7 +23,7 @@ from repro.device.interface import OpType
 from repro.device.presets import s2slc
 from repro.ftl.prefill import prefill_stripe_ftl
 from repro.sim.engine import Simulator
-from repro.units import KIB, MIB, mb_per_s
+from repro.units import KIB, MIB
 from repro.workloads.driver import ClosedLoopDriver
 
 __all__ = ["run", "main", "sweep_sizes"]
@@ -54,8 +54,7 @@ def _bandwidth_for_size(size: int, count: int, element_mb: int) -> float:
         return (OpType.WRITE, offset, size)
 
     result = ClosedLoopDriver(sim, device, next_request, count=count, depth=2).run()
-    nbytes = sum(c.size for c in result.completions)
-    return mb_per_s(nbytes, result.elapsed_us)
+    return result.bandwidth_mb_s()
 
 
 def run(scale: float = 1.0, seed: int = 42) -> ExperimentResult:

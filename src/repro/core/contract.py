@@ -277,8 +277,7 @@ def _probe_term3(make: Callable) -> Tuple[str, str]:
             return (OpType.READ, offset - offset % 4096, MIB)
 
         result = ClosedLoopDriver(sim, device, next_request, count=16, depth=1).run()
-        nbytes = sum(c.size for c in result.completions)
-        rates.append(nbytes / max(result.elapsed_us, 1e-9))
+        rates.append(result.bandwidth_mb_s())
     ratio = max(rates) / max(min(rates), 1e-12)
     verdict = "T" if ratio <= 1.15 else "F"
     return verdict, f"low/high address-space bandwidth ratio={ratio:.2f}"

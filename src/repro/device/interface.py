@@ -14,7 +14,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol, runtime_checkable
 
-from repro.sim.stats import LatencyRecorder, StreamingLatencyRecorder
 from repro.units import SECTOR
 
 __all__ = [
@@ -160,19 +159,21 @@ class Completion(namedtuple("Completion", (
 
 
 class DeviceStats:
-    """Per-device accounting every model keeps.
+    """Per-device counters every model keeps; no latency.
 
-    * latency recorders split by op and by priority class,
-    * bytes moved at the host interface,
+    Response times are the result sink's to record
+    (:mod:`repro.workloads.driver`); the device only counts, so it holds
+    O(1) state however long it runs:
+
+    * ``reads``/``writes`` — successful completions by op, and
+      ``priority_reads``/``priority_writes`` — the priority-class subset
+      of each,
+    * ``bytes_read``/``bytes_written`` — bytes moved at the host interface
+      by those completions,
     * ``media_bytes_written`` — bytes physically written to the medium, the
-      numerator of the write-amplification factor (contract term 4).
-
-    ``streaming=True`` swaps the exact recorders for
-    :class:`repro.sim.stats.StreamingLatencyRecorder` (same
-    ``record``/``count``/``summary`` API; ``samples`` becomes a uniform
-    reservoir sample), so the device itself holds O(1) state over
-    arbitrarily long replays — the last per-record accumulator after the
-    driver's result moves to a streaming sink.
+      numerator of the write-amplification factor (contract term 4),
+    * ``requests_completed`` (every completion, failed or not),
+      ``requests_failed``, ``write_retries`` and ``request_timeouts``.
     """
 
     __slots__ = (
@@ -180,18 +181,13 @@ class DeviceStats:
         "bytes_read", "bytes_written", "media_bytes_written",
         "requests_completed", "write_retries", "request_timeouts",
         "requests_failed",
-        "_rec_read", "_rec_write", "_rec_pread", "_rec_pwrite",
     )
 
-    def __init__(self, streaming: bool = False) -> None:
-        if streaming:
-            # distinct seeds: each recorder's reservoir samples its own
-            # stream deterministically
-            make = [StreamingLatencyRecorder(seed=0x5EED + i)
-                    for i in range(4)]
-        else:
-            make = [LatencyRecorder() for _ in range(4)]
-        self.reads, self.writes, self.priority_reads, self.priority_writes = make
+    def __init__(self) -> None:
+        self.reads = 0
+        self.writes = 0
+        self.priority_reads = 0
+        self.priority_writes = 0
         self.bytes_read = 0
         self.bytes_written = 0
         self.media_bytes_written = 0
@@ -202,31 +198,24 @@ class DeviceStats:
         self.request_timeouts = 0
         #: requests that completed with an error (any kind)
         self.requests_failed = 0
-        # prebound recorder entry points: record() runs once per request
-        self._rec_read = self.reads.record
-        self._rec_write = self.writes.record
-        self._rec_pread = self.priority_reads.record
-        self._rec_pwrite = self.priority_writes.record
 
     def record(self, request: IORequest) -> None:
-        latency = request.complete_us - request.submit_us
         self.requests_completed += 1
         if request.error is not None:
-            # error completions move no data and carry no meaningful
-            # latency; they are counted, not folded into the recorders
+            # error completions move no data; they are counted apart
             self.requests_failed += 1
             return
         op = request.op
         if op is OpType.READ:
             self.bytes_read += request.size
-            self._rec_read(latency)
+            self.reads += 1
             if request.priority > 0:
-                self._rec_pread(latency)
+                self.priority_reads += 1
         elif op is OpType.WRITE:
             self.bytes_written += request.size
-            self._rec_write(latency)
+            self.writes += 1
             if request.priority > 0:
-                self._rec_pwrite(latency)
+                self.priority_writes += 1
 
     @property
     def write_amplification(self) -> float:

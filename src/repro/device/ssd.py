@@ -117,7 +117,7 @@ class SSD:
 
         self.scheduler = make_scheduler(cfg.scheduler)
         self.link = SerialResource(sim, cfg.host_interface_mb_s)
-        self._stats = DeviceStats(streaming=cfg.streaming_stats)
+        self._stats = DeviceStats()
         self.queue = HostQueue()
         self._inflight = 0
         self._pending_priority = 0

@@ -63,11 +63,6 @@ class SSDConfig:
     buffer_capacity_bytes: int = 1 << 20
     buffer_ack: str = "flush"
 
-    #: keep device-level latency recorders in constant memory (quantile
-    #: sketch + reservoir instead of every sample) — pair with a streaming
-    #: result sink for O(1)-memory replay of arbitrarily long traces
-    streaming_stats: bool = False
-
     #: flash failure injection (None or ``enabled=False`` leaves every
     #: fault hook dormant — runs are bit-identical to the fault-free model)
     faults: Optional[FaultConfig] = None

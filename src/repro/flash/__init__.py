@@ -10,7 +10,7 @@ element accounts for time and maintains the physical page state machine.
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FlashTiming
 from repro.flash.element import FlashElement, PageState
-from repro.flash.ops import FlashOp, OpKind
+from repro.flash.ops import OpKind
 from repro.flash.wear import WearSummary, summarize_wear
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "FlashTiming",
     "FlashElement",
     "PageState",
-    "FlashOp",
     "OpKind",
     "WearSummary",
     "summarize_wear",

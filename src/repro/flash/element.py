@@ -8,14 +8,16 @@ The element plays two roles:
    estimated wait, which is exactly the quantity the paper's SWTF scheduler
    (§3.2) ranks requests by.
 
-   The FIFO holds plain ``(duration_us, accumulator, callback)`` tuples in
-   a ``deque``; one reusable *drain* event per element realizes it on the
-   clock (no per-op Event), and each tuple carries its tag's
-   ``[busy_us, op_count]`` accumulator cell so completion does no dict
-   update.  :class:`repro.flash.ops.FlashOp` is only the public descriptor
-   :meth:`FlashElement.enqueue` accepts; the issue helpers below build the
-   tuple directly.  An earlier version recycled ``FlashOp`` objects through
-   a per-element slab; a tuple costs less to build than a slab round trip.
+   Commands enter through the issue helpers (:meth:`FlashElement.read_page`,
+   :meth:`~FlashElement.program_page`, :meth:`~FlashElement.erase_block`,
+   :meth:`~FlashElement.copy_run`), each of which makes its state
+   transition and queues the timed command.  The FIFO holds plain
+   ``(duration_us, accumulator, callback)`` tuples in a ``deque``; one
+   reusable *drain* event per element realizes it on the clock (no per-op
+   Event), and each tuple carries its tag's ``[busy_us, op_count]``
+   accumulator cell so completion does no dict update.  An earlier version
+   queued recycled command objects from a per-element slab; a tuple costs
+   less to build than a slab round trip.
 
    Cleaning copies pages in *runs*: :meth:`FlashElement.copy_run` moves a
    list of source pages into consecutive destination pages with one call,
@@ -46,7 +48,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.flash.geometry import FlashGeometry
-from repro.flash.ops import FlashOp, OpKind, TAG_CLEAN, TAG_HOST
+from repro.flash.ops import OpKind, TAG_CLEAN, TAG_HOST
 from repro.flash.timing import FlashTiming
 from repro.sim.engine import Event, Simulator
 
@@ -175,11 +177,6 @@ class FlashElement:
     # ------------------------------------------------------------------
     # timed execution
     # ------------------------------------------------------------------
-
-    def enqueue(self, op: FlashOp) -> None:
-        """Queue a command for serial execution on this element."""
-        op.duration_us = self.timing.duration_us(op.kind, op.nbytes)
-        self._issue(op.duration_us, op.tag, op.callback)
 
     def _issue(self, duration_us: float, tag: str,
                callback: Optional[Callable[[float], None]]) -> None:

@@ -9,22 +9,10 @@ same instant.
 
 from repro.sim.engine import Event, Simulator
 from repro.sim.rng import derive_seed, stream
-from repro.sim.stats import (
-    BandwidthMeter,
-    Counter,
-    Histogram,
-    LatencyRecorder,
-    RunningStats,
-)
 
 __all__ = [
     "Event",
     "Simulator",
     "derive_seed",
     "stream",
-    "BandwidthMeter",
-    "Counter",
-    "Histogram",
-    "LatencyRecorder",
-    "RunningStats",
 ]

@@ -1,21 +1,24 @@
-"""Measurement primitives: running moments, latency percentiles, rates.
+"""Latency measurement: exact summaries, and the streaming recorder.
 
-These are deliberately simple containers.  Experiments create them, devices
-feed them, and the bench harness formats their summaries into the paper's
-tables.
+Latency is recorded in one place, the driver's result sink
+(:mod:`repro.workloads.driver`).  Devices only *count* completions and
+bytes (:class:`repro.device.interface.DeviceStats`); nothing below the
+sink keeps a per-request sample.  The sink comes in two forms, and this
+module holds what each one summarizes with:
 
-Two families of latency recorder coexist:
+* the list sink (``WorkloadResult``) keeps every completion and reduces
+  the matching response times with :meth:`LatencySummary.exact`: exact
+  percentiles, what every paper table is built on;
+* the streaming sink (``StreamingResult``) keeps one
+  :class:`ClassAggregate` per traffic class, whose
+  :class:`StreamingLatencyRecorder` is the constant-memory path for
+  replay at scale (10M+ records): a log-bucketed :class:`QuantileSketch`
+  with bounded *relative* quantile error, an exact running
+  count/mean/min/max, and a seeded :class:`ReservoirSampler` holding a
+  uniform sample of the stream for inspection.
 
-* :class:`LatencyRecorder` keeps every sample and computes exact
-  percentiles — the right tool at experiment scale (≤ a few hundred
-  thousand samples), and what every paper table is built on.
-* :class:`StreamingLatencyRecorder` is the constant-memory stand-in for
-  replay-at-scale (10M+ records): a log-bucketed
-  :class:`QuantileSketch` with bounded *relative* quantile error, an
-  exact running mean/min/max, and a seeded :class:`ReservoirSampler`
-  holding a uniform sample of the stream for inspection.  It emits the
-  same :class:`LatencySummary` shape, so result objects built on either
-  are interchangeable to readers.
+Both emit the same :class:`LatencySummary` shape, so readers cannot tell
+which sink produced a table.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -39,17 +42,12 @@ _nextafter = math.nextafter
 FLUSH_THRESHOLD = 4096
 
 __all__ = [
-    "RunningStats",
-    "LatencyRecorder",
     "LatencySummary",
     "StreamingLatencyRecorder",
     "QuantileSketch",
     "ReservoirSampler",
     "ClassAggregate",
     "FLUSH_THRESHOLD",
-    "Counter",
-    "Histogram",
-    "BandwidthMeter",
     "percentile",
 ]
 
@@ -75,55 +73,12 @@ def percentile(sorted_values: List[float], fraction: float) -> float:
     return sorted_values[lo] * (1.0 - weight) + sorted_values[hi] * weight
 
 
-class RunningStats:
-    """Welford online mean/variance plus min/max."""
-
-    __slots__ = ("n", "mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, value: float) -> None:
-        self.n += 1
-        delta = value - self.mean
-        self.mean += delta / self.n
-        self._m2 += delta * (value - self.mean)
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
-
-    @property
-    def variance(self) -> float:
-        """Population variance; 0.0 until two samples exist."""
-        if self.n < 2:
-            return 0.0
-        return self._m2 / self.n
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.n == 0:
-            return "<RunningStats empty>"
-        return (
-            f"<RunningStats n={self.n} mean={self.mean:.3f} "
-            f"sd={self.stdev:.3f} min={self.min:.3f} max={self.max:.3f}>"
-        )
-
-
 @dataclass(frozen=True, slots=True)
 class LatencySummary:
-    """Immutable summary emitted by :class:`LatencyRecorder`."""
+    """Immutable latency summary (µs): count, mean, p50/p95/p99, max.
+
+    :meth:`exact` builds one from raw samples; :meth:`QuantileSketch.summary`
+    builds one from a sketch."""
 
     count: int
     mean_us: float
@@ -136,40 +91,16 @@ class LatencySummary:
     def mean_ms(self) -> float:
         return self.mean_us / 1000.0
 
-
-class LatencyRecorder:
-    """Collects response times (µs) and summarizes them.
-
-    Samples are kept in full by default; experiments in this repo record at
-    most a few hundred thousand samples so memory is not a concern, and exact
-    percentiles keep the tables honest.
-    """
-
-    __slots__ = ("_samples",)
-
-    def __init__(self) -> None:
-        self._samples: List[float] = []
-
-    def record(self, latency_us: float) -> None:
-        self._samples.append(latency_us)
-
-    @property
-    def count(self) -> int:
-        return len(self._samples)
-
-    @property
-    def samples(self) -> List[float]:
-        """The raw samples (not a copy; treat as read-only)."""
-        return self._samples
-
-    def summary(self) -> LatencySummary:
-        if not self._samples:
-            return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        ordered = sorted(self._samples)
-        total = sum(ordered)
-        return LatencySummary(
+    @classmethod
+    def exact(cls, samples: Iterable[float]) -> "LatencySummary":
+        """Exact summary of *samples*: every percentile by :func:`percentile`
+        over the sorted values.  All zeros when *samples* is empty."""
+        ordered = sorted(samples)
+        if not ordered:
+            return cls(0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return cls(
             count=len(ordered),
-            mean_us=total / len(ordered),
+            mean_us=sum(ordered) / len(ordered),
             p50_us=percentile(ordered, 0.50),
             p95_us=percentile(ordered, 0.95),
             p99_us=percentile(ordered, 0.99),
@@ -576,13 +507,13 @@ class ReservoirSampler:
 
 
 class StreamingLatencyRecorder:
-    """Constant-memory counterpart of :class:`LatencyRecorder`.
+    """Constant-memory latency recorder: the streaming sink's one
+    recording path.
 
-    ``record``/``count``/``summary`` match the exact recorder's API; the
-    summary's mean and max are exact, the percentiles come from the
-    quantile sketch (relative error ``alpha``), and a seeded reservoir
-    keeps a uniform raw sample.  See the module docstring for when to use
-    which.
+    ``record`` takes one response time; ``count``/``summary`` read it
+    back.  The summary's mean and max are exact, the percentiles come
+    from the quantile sketch (relative error ``alpha``), and a seeded
+    reservoir keeps a uniform raw sample.
 
     Recording is buffered: ``record`` appends to a flat float buffer, and
     the buffer is flushed through the numpy batch kernels
@@ -601,10 +532,7 @@ class StreamingLatencyRecorder:
                  seed: int = 0x5EED) -> None:
         self.sketch = QuantileSketch(alpha)
         self.reservoir = ReservoirSampler(reservoir_k, seed)
-        #: pending raw samples.  Hot callers may append here directly and
-        #: call :meth:`flush` at their own cadence (the replay sinks do),
-        #: as long as every read goes through the recorder's API or
-        #: flushes first.
+        #: pending raw samples, folded in by :meth:`flush`
         self.buffer: List[float] = []
 
     def record(self, latency_us: float) -> None:
@@ -631,8 +559,7 @@ class StreamingLatencyRecorder:
 
     @property
     def samples(self) -> List[float]:
-        """Reservoir sample (uniform, not exhaustive — unlike
-        :attr:`LatencyRecorder.samples`)."""
+        """Reservoir sample (uniform, not exhaustive)."""
         if self.buffer:
             self.flush()
         return self.reservoir.samples
@@ -651,98 +578,13 @@ class ClassAggregate:
     traffic class (≤ 8: four ops × two priority levels).
     """
 
-    __slots__ = ("bytes", "latencies", "_record")
+    __slots__ = ("bytes", "latencies")
 
     def __init__(self, alpha: float = 0.01, reservoir_k: int = 1024,
                  seed: int = 0x5EED) -> None:
         self.bytes = 0
         self.latencies = StreamingLatencyRecorder(alpha, reservoir_k, seed)
-        self._record = self.latencies.record
-
-    def add(self, latency_us: float, nbytes: int) -> None:
-        self.bytes += nbytes
-        self._record(latency_us)
 
     @property
     def count(self) -> int:
         return self.latencies.count
-
-
-class Counter:
-    """A dict of named monotonically increasing counters."""
-
-    __slots__ = ("_counts",)
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-
-    def add(self, name: str, amount: int = 1) -> None:
-        self._counts[name] = self._counts.get(name, 0) + amount
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self._counts!r})"
-
-
-class Histogram:
-    """Fixed-bin histogram over [0, upper) with an overflow bucket."""
-
-    __slots__ = ("upper", "nbins", "_width", "bins", "overflow", "count")
-
-    def __init__(self, upper: float, nbins: int) -> None:
-        if upper <= 0 or nbins <= 0:
-            raise ValueError("upper and nbins must be positive")
-        self.upper = upper
-        self.nbins = nbins
-        self._width = upper / nbins
-        self.bins = [0] * nbins
-        self.overflow = 0
-        self.count = 0
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        if value >= self.upper:
-            self.overflow += 1
-            return
-        index = int(value / self._width)
-        if index >= self.nbins:  # float edge case at exactly upper
-            self.overflow += 1
-        else:
-            self.bins[index] += 1
-
-
-@dataclass(slots=True)
-class BandwidthMeter:
-    """Accumulates completed bytes over a measurement window."""
-
-    bytes_done: int = 0
-    start_us: float = 0.0
-    end_us: float = 0.0
-    _started: bool = field(default=False, repr=False)
-
-    def begin(self, now_us: float) -> None:
-        self.start_us = now_us
-        self.end_us = now_us
-        self._started = True
-
-    def add(self, nbytes: int, now_us: float) -> None:
-        if not self._started:
-            self.begin(now_us)
-        self.bytes_done += nbytes
-        if now_us > self.end_us:
-            self.end_us = now_us
-
-    @property
-    def elapsed_us(self) -> float:
-        return self.end_us - self.start_us
-
-    def mb_per_s(self, elapsed_us: Optional[float] = None) -> float:
-        from repro.units import mb_per_s as _mbps
-
-        window = self.elapsed_us if elapsed_us is None else elapsed_us
-        return _mbps(self.bytes_done, window)

@@ -71,8 +71,7 @@ from typing import (Callable, Deque, Dict, Iterable, List, Optional, Protocol,
 
 from repro.device.interface import Completion, IORequest, OpType
 from repro.sim.engine import Event, Simulator
-from repro.sim.stats import (ClassAggregate, FLUSH_THRESHOLD, LatencyRecorder,
-                             LatencySummary, QuantileSketch)
+from repro.sim.stats import ClassAggregate, LatencySummary, QuantileSketch
 from repro.traces.patterns import Barrier, Pause, PatternRecord
 from repro.traces.record import TraceOp, TraceRecord
 from repro.units import mb_per_s
@@ -104,13 +103,6 @@ class WorkloadResult:
     def record(self, request: IORequest) -> None:
         self.completions.append(Completion.of(request))
 
-    def _recorder(self, predicate: Callable[[Completion], bool]) -> LatencyRecorder:
-        recorder = LatencyRecorder()
-        for completion in self.completions:
-            if completion.error is None and predicate(completion):
-                recorder.record(completion.response_us)
-        return recorder
-
     @property
     def errors(self) -> Dict[str, int]:
         """Error completions by kind (empty when every request succeeded)."""
@@ -125,26 +117,29 @@ class WorkloadResult:
         op: Optional[OpType] = None,
         priority: Optional[bool] = None,
     ) -> LatencySummary:
-        """Latency summary filtered by op and/or priority class."""
-
-        def match(completion: Completion) -> bool:
-            if op is not None and completion.op is not op:
-                return False
-            if priority is not None and (completion.priority > 0) != priority:
-                return False
-            return True
-
-        return self._recorder(match).summary()
+        """Exact latency summary of the successful completions, filtered
+        by op and/or priority class."""
+        return LatencySummary.exact(
+            c.response_us
+            for c in self.completions
+            if c.error is None
+            and (op is None or c.op is op)
+            and (priority is None or (c.priority > 0) == priority)
+        )
 
     @property
     def count(self) -> int:
+        """Every completion, failed ones included (unlike
+        :attr:`StreamingResult.count`, which counts successes only)."""
         return len(self.completions)
 
     def bandwidth_mb_s(self, op: Optional[OpType] = None) -> float:
+        """MB/s moved by the successful completions (error completions
+        move no data), optionally of one op."""
         nbytes = sum(
             c.size
             for c in self.completions
-            if op is None or c.op is op
+            if c.error is None and (op is None or c.op is op)
         )
         return mb_per_s(nbytes, self.elapsed_us)
 
@@ -189,12 +184,6 @@ class StreamingResult:
         self._reservoir_k = reservoir_k
         self._seed = seed
         self._classes: Dict[Tuple[OpType, bool], ClassAggregate] = {}
-        #: key -> (aggregate, buffer, recorder.flush): the record() hot
-        #: path appends the raw latency to the class recorder's flat
-        #: buffer and lets the numpy batch kernels fold a whole window at
-        #: once (buckets/sample identical to per-add recording; see
-        #: :class:`repro.sim.stats.StreamingLatencyRecorder`)
-        self._fast: Dict[Tuple[OpType, bool], tuple] = {}
         #: error completions by kind (e.g. {"readonly": 12})
         self.errors: Dict[str, int] = {}
         self.elapsed_us = 0.0
@@ -207,22 +196,15 @@ class StreamingResult:
             self.errors[error] = self.errors.get(error, 0) + 1
             return
         key = (request.op, request.priority > 0)
-        entry = self._fast.get(key)
-        if entry is None:
+        aggregate = self._classes.get(key)
+        if aggregate is None:
             class_seed = (self._seed * 31
                           + self._OP_ORDER[request.op] * 2 + key[1])
             aggregate = self._classes[key] = ClassAggregate(
                 self._alpha, self._reservoir_k, class_seed
             )
-            latencies = aggregate.latencies
-            entry = self._fast[key] = (
-                aggregate, latencies.buffer, latencies.flush
-            )
-        aggregate, buffer, flush = entry
         aggregate.bytes += request.size
-        buffer.append(request.complete_us - request.submit_us)
-        if len(buffer) >= FLUSH_THRESHOLD:
-            flush()
+        aggregate.latencies.record(request.complete_us - request.submit_us)
 
     def finalize(self) -> None:
         """Fold any buffered samples into the sketches/reservoirs.  The
@@ -235,6 +217,9 @@ class StreamingResult:
 
     @property
     def count(self) -> int:
+        """Successful completions only; failed ones are tallied in
+        :attr:`errors` (unlike :attr:`WorkloadResult.count`, which counts
+        every completion)."""
         return sum(agg.count for agg in self._classes.values())
 
     def class_items(self) -> List[Tuple[Tuple[OpType, bool], ClassAggregate]]:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from repro.device.interface import OpType
 from repro.sim.engine import Simulator
 from repro.sim.rng import stream
-from repro.units import mb_per_s
 from repro.workloads.driver import ClosedLoopDriver
 
 __all__ = ["MicrobenchResult", "measure_bandwidth", "prepare_region"]
@@ -80,9 +79,8 @@ def measure_bandwidth(
     result = ClosedLoopDriver(
         sim, device, next_request, count=count, depth=depth
     ).run()
-    nbytes = sum(c.size for c in result.completions)
     return MicrobenchResult(
-        mb_per_s=mb_per_s(nbytes, result.elapsed_us),
+        mb_per_s=result.bandwidth_mb_s(),
         mean_latency_us=result.latency().mean_us,
         count=result.count,
         pattern=pattern,

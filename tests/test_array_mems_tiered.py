@@ -39,20 +39,20 @@ class TestRAID5:
     def test_small_write_issues_four_disk_ops(self, sim):
         raid = make_raid(sim)
         run_io(sim, raid, OpType.WRITE, 0, 4 * KIB)
-        total_reads = sum(d.stats.reads.count for d in raid.disks)
-        total_writes = sum(d.stats.writes.count for d in raid.disks)
+        total_reads = sum(d.stats.reads for d in raid.disks)
+        total_writes = sum(d.stats.writes for d in raid.disks)
         assert total_reads == 2   # old data + old parity
         assert total_writes == 2  # new data + new parity
 
     def test_read_touches_one_disk_per_chunk(self, sim):
         raid = make_raid(sim)
         run_io(sim, raid, OpType.READ, 0, 4 * KIB)
-        assert sum(d.stats.reads.count for d in raid.disks) == 1
+        assert sum(d.stats.reads for d in raid.disks) == 1
 
     def test_multi_chunk_read_spreads(self, sim):
         raid = make_raid(sim)
         run_io(sim, raid, OpType.READ, 0, 192 * KIB)  # 3 chunks
-        busy = [d.stats.reads.count for d in raid.disks]
+        busy = [d.stats.reads for d in raid.disks]
         assert sum(busy) == 3
         assert max(busy) == 1  # striped across distinct disks
 

@@ -97,8 +97,8 @@ class TestPriorityPlumbing:
     def test_priority_latency_recorded_separately(self, sim, small_ssd):
         run_io(sim, small_ssd, OpType.WRITE, 0, 4 * KIB, priority=1)
         run_io(sim, small_ssd, OpType.WRITE, 0, 4 * KIB, priority=0)
-        assert small_ssd.stats.priority_writes.count == 1
-        assert small_ssd.stats.writes.count == 2
+        assert small_ssd.stats.priority_writes == 1
+        assert small_ssd.stats.writes == 2
 
 
 class TestInflightLimit:
@@ -194,14 +194,14 @@ class TestSchedulers:
             ssd.scheduler.on_submit(request, ssd)
 
     def test_swtf_selects_request_with_idle_target(self, sim):
-        from repro.flash.ops import FlashOp, OpKind
-
         ssd = SSD(sim, SSDConfig(n_elements=2, geometry=small_geometry(),
                                  scheduler="swtf", max_inflight=1,
                                  controller_overhead_us=1.0))
         run_io(sim, ssd, OpType.WRITE, 0, 32 * KIB)
-        # element 0 has a long op pending; element 1 is idle
-        ssd.ftl.elements[0].enqueue(FlashOp(OpKind.ERASE))
+        # element 0 has a long op pending (an erase of a block the FTL
+        # has not pulled yet); element 1 is idle
+        element = ssd.ftl.elements[0]
+        element.erase_block(element.geometry.blocks_per_element - 1)
         busy = IORequest(OpType.READ, 0, 4 * KIB)        # element 0 (lpn 0)
         idle = IORequest(OpType.READ, 4 * KIB, 4 * KIB)  # element 1 (lpn 1)
         self._enqueue(ssd, busy, idle)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.flash.element import FlashElement, FlashStateError, PageState
 from repro.flash.geometry import FlashGeometry
-from repro.flash.ops import FlashOp, OpKind
 from repro.flash.timing import FlashTiming
 from repro.sim.engine import Simulator
 
@@ -43,12 +42,18 @@ class TestTiming:
         assert FlashTiming.slc().transfer_us(0) == 0.0
 
 
+def _readable(el):
+    """Give page (0, 0) data so timed reads of it are legal."""
+    el.program_state(0, 0, lpn=0)
+
+
 class TestSerialExecution:
     def test_ops_execute_serially(self, element):
         sim, el = element
+        _readable(el)
         times = []
         for _ in range(3):
-            el.enqueue(FlashOp(OpKind.READ, nbytes=4096, callback=times.append))
+            el.read_page(0, 0, callback=times.append)
         sim.run_until_idle()
         dur = el.timing.read_us(4096)
         assert times == pytest.approx([dur, 2 * dur, 3 * dur])
@@ -56,8 +61,9 @@ class TestSerialExecution:
     def test_queue_wait_estimate(self, element):
         sim, el = element
         assert el.queue_wait_us() == 0.0
-        el.enqueue(FlashOp(OpKind.READ, nbytes=4096))
-        el.enqueue(FlashOp(OpKind.READ, nbytes=4096))
+        _readable(el)
+        el.read_page(0, 0)
+        el.read_page(0, 0)
         dur = el.timing.read_us(4096)
         assert el.queue_wait_us() == pytest.approx(2 * dur)
         sim.run(max_events=1)
@@ -65,8 +71,9 @@ class TestSerialExecution:
 
     def test_busy_accounting_by_tag(self, element):
         sim, el = element
-        el.enqueue(FlashOp(OpKind.READ, nbytes=4096, tag="host"))
-        el.enqueue(FlashOp(OpKind.ERASE, tag="clean"))
+        _readable(el)
+        el.read_page(0, 0, tag="host")
+        el.erase_block(1, tag="clean")
         sim.run_until_idle()
         assert el.busy_us("host") == pytest.approx(el.timing.read_us(4096))
         assert el.busy_us("clean") == pytest.approx(el.timing.erase_us())
@@ -78,7 +85,8 @@ class TestSerialExecution:
         sim, el = element
         idles = []
         el.on_idle = lambda: idles.append(sim.now)
-        el.enqueue(FlashOp(OpKind.READ, nbytes=4096))
+        _readable(el)
+        el.read_page(0, 0)
         sim.run_until_idle()
         assert len(idles) == 1
 
@@ -91,8 +99,9 @@ class TestDeepQueue:
         sim, el = element
         times = []
         depth = 500
+        _readable(el)
         for _ in range(depth):
-            el.enqueue(FlashOp(OpKind.READ, nbytes=4096, callback=times.append))
+            el.read_page(0, 0, callback=times.append)
         assert el.queue_depth == depth
         dur = el.timing.read_us(4096)
         assert el.queue_wait_us() == pytest.approx(depth * dur)
@@ -112,9 +121,10 @@ class TestDeepQueue:
                              blocks_per_element=16)
         el = FlashElement(sim, geom, FlashTiming.slc())
         count = 50_000
+        _readable(el)
         start = time.perf_counter()
         for _ in range(count):
-            el.enqueue(FlashOp(OpKind.READ, nbytes=4096))
+            el.read_page(0, 0)
         sim.run_until_idle()
         elapsed = time.perf_counter() - start
         assert el.ops_by_tag["host"] == count

@@ -563,12 +563,13 @@ class TestAppliedFixes:
         from repro.device.interface import Completion, DeviceStats
         from repro.flash.element import FlashElement
         from repro.sim.engine import Simulator
-        from repro.sim.stats import (BandwidthMeter, Counter, Histogram,
-                                     LatencyRecorder, LatencySummary)
+        from repro.sim.stats import (ClassAggregate, LatencySummary,
+                                     QuantileSketch, ReservoirSampler,
+                                     StreamingLatencyRecorder)
 
         for cls in (Completion, DeviceStats, FlashElement, Simulator,
-                    BandwidthMeter, Counter, Histogram, LatencyRecorder,
-                    LatencySummary):
+                    LatencySummary, ClassAggregate, QuantileSketch,
+                    ReservoirSampler, StreamingLatencyRecorder):
             assert not hasattr(cls(*_ctor_args(cls)), "__dict__"), cls
 
     def test_simulator_still_weakrefable(self):
@@ -584,7 +585,7 @@ def _ctor_args(cls):
     """Minimal constructor args for the slotted classes above."""
     from repro.flash.element import FlashElement
     from repro.device.interface import Completion
-    from repro.sim.stats import Histogram, LatencySummary
+    from repro.sim.stats import LatencySummary
 
     if cls is FlashElement:
         from repro.flash.geometry import FlashGeometry
@@ -594,8 +595,6 @@ def _ctor_args(cls):
         return (Simulator(), FlashGeometry(), FlashTiming())
     if cls is Completion:
         return ("read", 0, 4096, 0, 0.0, 1.0)
-    if cls is Histogram:
-        return (100.0, 10)
     if cls is LatencySummary:
         return (0, 0.0, 0.0, 0.0, 0.0, 0.0)
     return ()

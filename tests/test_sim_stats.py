@@ -2,19 +2,10 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.sim.rng import derive_seed, stream
-from repro.sim.stats import (
-    BandwidthMeter,
-    Counter,
-    Histogram,
-    LatencyRecorder,
-    RunningStats,
-    percentile,
-)
+from repro.sim.stats import LatencySummary, percentile
 
 
 class TestPercentile:
@@ -41,78 +32,21 @@ class TestPercentile:
         assert percentile(values, 1.0) == 9.0
 
 
-class TestRunningStats:
-    def test_moments(self):
-        stats = RunningStats()
-        stats.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-        assert stats.n == 8
-        assert stats.mean == pytest.approx(5.0)
-        assert stats.stdev == pytest.approx(2.0)
-        assert stats.min == 2.0
-        assert stats.max == 9.0
-
-    def test_variance_zero_until_two_samples(self):
-        stats = RunningStats()
-        stats.add(3.0)
-        assert stats.variance == 0.0
-
-
-class TestLatencyRecorder:
+class TestExactSummary:
     def test_empty_summary_is_zeros(self):
-        summary = LatencyRecorder().summary()
-        assert summary.count == 0
-        assert summary.mean_us == 0.0
+        summary = LatencySummary.exact([])
+        assert summary == LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_summary_fields(self):
-        rec = LatencyRecorder()
-        for value in range(1, 101):
-            rec.record(float(value))
-        summary = rec.summary()
+        # unsorted input, consumed from a one-shot iterator
+        summary = LatencySummary.exact(
+            float(value) for value in reversed(range(1, 101)))
         assert summary.count == 100
         assert summary.mean_us == pytest.approx(50.5)
         assert summary.p50_us == pytest.approx(50.5)
         assert summary.p99_us == pytest.approx(99.01)
         assert summary.max_us == 100.0
         assert summary.mean_ms == pytest.approx(0.0505)
-
-
-class TestCounter:
-    def test_add_and_get(self):
-        counter = Counter()
-        counter.add("x")
-        counter.add("x", 4)
-        assert counter.get("x") == 5
-        assert counter.get("missing") == 0
-        assert counter.as_dict() == {"x": 5}
-
-
-class TestHistogram:
-    def test_binning(self):
-        hist = Histogram(upper=10.0, nbins=5)
-        for value in [0.5, 2.5, 9.9, 10.0, 50.0]:
-            hist.add(value)
-        assert hist.count == 5
-        assert hist.bins[0] == 1
-        assert hist.bins[1] == 1
-        assert hist.bins[4] == 1
-        assert hist.overflow == 2
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            Histogram(upper=0, nbins=5)
-
-
-class TestBandwidthMeter:
-    def test_rate(self):
-        meter = BandwidthMeter()
-        meter.begin(0.0)
-        meter.add(1024 * 1024, 1_000_000.0)  # 1 MiB in 1 s
-        assert meter.mb_per_s() == pytest.approx(1.0)
-
-    def test_zero_window(self):
-        meter = BandwidthMeter()
-        meter.begin(5.0)
-        assert meter.mb_per_s() == 0.0
 
 
 class TestRng:

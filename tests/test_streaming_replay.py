@@ -28,11 +28,13 @@ from repro.device.ssd import SSD
 from repro.device.ssd_config import SSDConfig
 from repro.ftl.prefill import prefill_pagemap
 from repro.sim.engine import Simulator
-from repro.sim.stats import (LatencyRecorder, QuantileSketch,
+from repro.sim.stats import (LatencySummary, QuantileSketch,
                              ReservoirSampler, StreamingLatencyRecorder,
                              percentile)
+from repro.traces.record import TraceOp, TraceRecord
 from repro.traces.synthetic import (SyntheticConfig, generate_synthetic,
                                     iter_synthetic)
+from repro.units import mb_per_s
 from repro.workloads.driver import (StreamingResult, WorkloadResult,
                                     replay_trace)
 from tests.conftest import small_geometry
@@ -147,13 +149,13 @@ class TestReservoirSampler:
 class TestStreamingLatencyRecorder:
     def test_summary_matches_exact_recorder_within_alpha(self):
         rng = random.Random(11)
-        exact = LatencyRecorder()
+        samples = []
         streaming = StreamingLatencyRecorder(alpha=0.01)
         for _ in range(30_000):
             latency = rng.lognormvariate(6.0, 1.0)
-            exact.record(latency)
+            samples.append(latency)
             streaming.record(latency)
-        a, b = exact.summary(), streaming.summary()
+        a, b = LatencySummary.exact(samples), streaming.summary()
         assert b.count == a.count
         assert b.mean_us == pytest.approx(a.mean_us, rel=1e-9)
         assert b.max_us == a.max_us
@@ -430,42 +432,85 @@ class TestStreamingResultSink:
             assert len(aggregate.latencies.reservoir.samples) <= 32
             assert aggregate.latencies.sketch.bucket_count < 1000
 
-    def test_streaming_device_stats_bound_the_device_side(self):
-        """``streaming_stats=True`` keeps the *device's* recorders O(1) too
-        (the last per-record accumulator), with identical counts and
-        sketch-tolerance summaries."""
-        def build(streaming):
-            sim = Simulator()
-            return sim, SSD(sim, SSDConfig(
-                n_elements=4, geometry=small_geometry(),
-                controller_overhead_us=5.0, streaming_stats=streaming,
-            ))
-
-        sim_e, exact_dev = build(False)
-        sim_s, streaming_dev = build(True)
-        trace = generate_synthetic(SyntheticConfig(
-            count=3000, region_bytes=int(exact_dev.capacity_bytes * 0.5),
-            request_bytes=KB4, read_fraction=0.5, interarrival_max_us=100.0,
-            seed=4,
+    def test_device_holds_no_per_record_state(self):
+        """Latency is the sink's to record: the device only counts, so
+        every ``DeviceStats`` slot is a number, and its completion counters
+        agree with the sink's per-class success counts."""
+        sim = Simulator()
+        device = SSD(sim, SSDConfig(
+            n_elements=4, geometry=small_geometry(),
+            controller_overhead_us=5.0,
         ))
-        replay_trace(sim_e, exact_dev, list(trace))
-        replay_trace(sim_s, streaming_dev, list(trace))
-        for attr in ("reads", "writes"):
-            exact = getattr(exact_dev.stats, attr)
-            stream = getattr(streaming_dev.stats, attr)
-            assert stream.count == exact.count
-            # exact recorder retains everything; streaming one a reservoir
-            assert len(exact.samples) == exact.count
-            assert len(stream.samples) <= 1024
-            a, b = exact.summary(), stream.summary()
-            assert b.mean_us == pytest.approx(a.mean_us, rel=1e-9)
-            assert b.max_us == a.max_us
-            assert b.p95_us == pytest.approx(a.p95_us, rel=0.03)
+        trace = generate_synthetic(SyntheticConfig(
+            count=3000, region_bytes=int(device.capacity_bytes * 0.5),
+            request_bytes=KB4, read_fraction=0.5, priority_fraction=0.2,
+            interarrival_max_us=100.0, seed=4,
+        ))
+        sink = replay_trace(sim, device, trace, sink=StreamingResult())
+        stats = device.stats
+        assert not hasattr(stats, "__dict__")
+        for slot in type(stats).__slots__:
+            assert type(getattr(stats, slot)) in (int, float), slot
+        assert stats.requests_completed == 3000 == sink.count
+        assert stats.requests_failed == 0
+        assert stats.reads == sink.latency(op=OpType.READ).count > 0
+        assert stats.writes == sink.latency(op=OpType.WRITE).count > 0
+        assert stats.priority_reads == sink.latency(
+            op=OpType.READ, priority=True).count > 0
+        assert stats.priority_writes == sink.latency(
+            op=OpType.WRITE, priority=True).count > 0
+        moved = {op: sum(aggregate.bytes
+                         for (key_op, _), aggregate in sink.class_items()
+                         if key_op is op)
+                 for op in (OpType.READ, OpType.WRITE)}
+        assert stats.bytes_read == moved[OpType.READ]
+        assert stats.bytes_written == moved[OpType.WRITE]
 
     def test_empty_filters_return_zero_summary(self):
         streaming, _, _ = self._replay(StreamingResult())
         summary = streaming.latency(op=OpType.FREE)
         assert summary.count == 0 and summary.max_us == 0.0
+
+
+def _faulty_write_replay(sink):
+    """Ten 4 KiB writes, no host retries, every other FTL write failing
+    with a transient error."""
+    sim = Simulator()
+    device = SSD(sim, SSDConfig(
+        n_elements=2, geometry=small_geometry(),
+        controller_overhead_us=2.0, host_retry_limit=0,
+    ))
+    ftl = device.ftl
+    # the write error is scripted below, without a fault model
+    ftl.faults_enabled = True
+    write = ftl.write
+    calls = [0]
+
+    def every_other_fails(offset, size, done=None, tag=None, temp="hot"):
+        calls[0] += 1
+        write(offset, size, done=done, temp=temp)
+        if calls[0] % 2 == 0:
+            ftl.write_error = "transient"
+
+    ftl.write = every_other_fails
+    trace = [TraceRecord(100.0 * i, TraceOp.WRITE, i * KB4, KB4)
+             for i in range(10)]
+    return replay_trace(sim, device, trace, sink=sink)
+
+
+class TestFailedRequestsMoveNoData:
+    def test_both_sinks_agree_on_bandwidth(self):
+        listed = _faulty_write_replay(WorkloadResult())
+        streamed = _faulty_write_replay(StreamingResult())
+        assert listed.errors == streamed.errors == {"transient": 5}
+        assert listed.elapsed_us == streamed.elapsed_us
+        # the two sinks count differently: every completion vs successes
+        assert listed.count == 10 and streamed.count == 5
+        for op in (None, OpType.WRITE):
+            assert listed.bandwidth_mb_s(op) > 0.0
+            assert listed.bandwidth_mb_s(op) == streamed.bandwidth_mb_s(op)
+        expected = mb_per_s(5 * KB4, listed.elapsed_us)
+        assert listed.bandwidth_mb_s() == pytest.approx(expected)
 
 
 class TestReplayAtScaleCrossCheck:

@@ -87,15 +87,15 @@ class TestDeviceStats:
         stats.record(self._completed(OpType.WRITE, 8192))
         assert stats.bytes_read == 4096
         assert stats.bytes_written == 8192
-        assert stats.reads.count == 1
-        assert stats.writes.count == 1
+        assert stats.reads == 1
+        assert stats.writes == 1
 
     def test_priority_split(self):
         stats = DeviceStats()
         stats.record(self._completed(OpType.READ, 4096, priority=1))
         stats.record(self._completed(OpType.READ, 4096, priority=0))
-        assert stats.priority_reads.count == 1
-        assert stats.reads.count == 2
+        assert stats.priority_reads == 1
+        assert stats.reads == 2
 
     def test_write_amplification_defaults_to_one(self):
         assert DeviceStats().write_amplification == 1.0
