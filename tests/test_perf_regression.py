@@ -24,11 +24,13 @@ and gang-wide SWTF dispatch decisions.
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 
 from benchmarks.bench_hotpath import _state_crc
 from repro.device.interface import OpType
+from repro.device.presets import s1slc, s3slc
 from repro.device.ssd import SSD
 from repro.device.ssd_config import SSDConfig
 from repro.flash.element import FlashElement
@@ -40,7 +42,8 @@ from repro.ftl.pagemap import PageMappedFTL
 from repro.ftl.prefill import prefill_pagemap
 from repro.ftl.wearlevel import WearConfig
 from repro.sim.engine import Simulator
-from repro.workloads.driver import ClosedLoopDriver
+from repro.traces.record import TraceOp, TraceRecord
+from repro.workloads.driver import ClosedLoopDriver, replay_trace
 from tests.test_faults import _SOAK_FAULTS, _Soak
 
 # Recorded from the seed tree (commit 4f793d6) by running the workloads
@@ -536,3 +539,104 @@ def test_cleaning_prefill_matches_golden_state(seed):
     ftl.check_consistency()
     assert sum(el.erases_performed for el in elements) > 0  # cleans ran
     assert _state_crc(ftl) == GOLDEN_PREFILL_CLEANING[seed]
+
+
+# ---------------------------------------------------------------------------
+# write-back cache: the aligning buffer acking on insert (S1slc, S3slc)
+# ---------------------------------------------------------------------------
+
+# Recorded before the aligning buffer lost its flush-ack mode and moved
+# onto the passthrough buffer's outstanding-write barrier.  No other golden
+# or benchmark scenario runs ``write_buffer="align"``: these pin the insert
+# ack, the window and full-page flushes, read-triggered flushes and (on
+# S3slc's block-mapped FTL) the drain queue's allocation backpressure.
+GOLDEN_WRITEBACK: dict = {
+    "s1slc": {
+        "final_clock": "0x1.df92c98f41688p+15",
+        "stats": {
+            "host_reads": 914,
+            "host_writes": 2086,
+            "host_pages_read": 914,
+            "host_pages_written": 2086,
+            "flash_pages_programmed": 2086,
+            "rmw_pages_read": 0,
+            "clean_pages_moved": 0,
+            "clean_time_us": 0.0,
+            "clean_erases": 0,
+            "wear_migrations": 0,
+            "wear_pages_moved": 0,
+            "trims": 0,
+            "trimmed_pages": 0,
+            "write_stalls": 0,
+            "program_failures": 0,
+            "erase_failures": 0,
+            "blocks_retired": 0,
+            "rescued_pages": 0,
+            "failed_pages": 0
+        },
+        "completions": 3000,
+        "completion_crc": 1566815359
+    },
+    "s3slc": {
+        "final_clock": "0x1.3921e4018537ap+19",
+        "stats": {
+            "host_reads": 909,
+            "host_writes": 1937,
+            "host_pages_read": 909,
+            "host_pages_written": 2044,
+            "flash_pages_programmed": 9639,
+            "rmw_pages_read": 7595,
+            "clean_pages_moved": 0,
+            "clean_time_us": 1141520.0,
+            "clean_erases": 760,
+            "wear_migrations": 0,
+            "wear_pages_moved": 0,
+            "trims": 0,
+            "trimmed_pages": 0,
+            "write_stalls": 0,
+            "program_failures": 0,
+            "erase_failures": 0,
+            "blocks_retired": 0,
+            "rescued_pages": 0,
+            "failed_pages": 0
+        },
+        "completions": 3000,
+        "completion_crc": 642611087
+    }
+}
+
+
+def _writeback_records(capacity: int, seed: int = 7, count: int = 3000):
+    """Random 4 KiB reads (30 %) and writes over half the device, arriving
+    every 0-40 us: fast enough that S3slc's RMW drain falls behind."""
+    rng = random.Random(seed)
+    region = int(capacity * 0.5) // 4096
+    t = 0.0
+    for _ in range(count):
+        t += rng.uniform(0.0, 40.0)
+        op = TraceOp.READ if rng.random() < 0.3 else TraceOp.WRITE
+        yield TraceRecord(t, op, rng.randrange(region) * 4096, 4096)
+
+
+def _completion_crc(completions) -> int:
+    crc = 0
+    for c in completions:
+        key = (c.op.name, c.offset, c.submit_us.hex(), c.complete_us.hex(),
+               c.error)
+        crc = zlib.crc32(repr(key).encode(), crc)
+    return crc
+
+
+@pytest.mark.parametrize("preset", ["s1slc", "s3slc"])
+def test_writeback_cache_matches_golden_snapshot(preset):
+    sim = Simulator()
+    ssd = {"s1slc": s1slc, "s3slc": s3slc}[preset](sim, element_mb=4)
+    result = replay_trace(sim, ssd, _writeback_records(ssd.capacity_bytes))
+    ssd.ftl.check_consistency()
+    observed = {
+        "final_clock": sim.now.hex(),
+        "stats": ssd.ftl.stats.as_dict(),
+        "completions": len(result.completions),
+        "completion_crc": _completion_crc(result.completions),
+    }
+    assert observed == GOLDEN_WRITEBACK[preset]
