@@ -89,8 +89,7 @@ def _traces(count: int, region: int, seed: int) -> dict:
 
 def _mean_response(trace, aligned: bool) -> float:
     sim = Simulator()
-    device = table3_gang_ssd(sim, element_mb=64, aligned=aligned,
-                             buffer_window_us=800.0)
+    device = table3_gang_ssd(sim, element_mb=64, aligned=aligned)
     prefill_pagemap(device.ftl, 0.55)
     result = replay_trace(sim, device, trace)
     return result.latency().mean_us

@@ -76,7 +76,6 @@ def s1slc(sim: Simulator, element_mb: int = 32, **overrides) -> SSD:
         host_interface_mb_s=220.0,
         max_inflight=32,
         write_buffer="align",
-        buffer_ack="insert",
         buffer_capacity_bytes=8 * MIB,
         buffer_window_us=5000.0,
         buffer_page_bytes=4 * KIB,
@@ -122,7 +121,6 @@ def s3slc(sim: Simulator, element_mb: int = 32, **overrides) -> SSD:
         host_interface_mb_s=80.0,
         max_inflight=16,
         write_buffer="align",
-        buffer_ack="insert",
         buffer_capacity_bytes=16 * MIB,
         buffer_window_us=20_000.0,
     ).with_(**overrides)

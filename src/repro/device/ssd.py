@@ -96,7 +96,6 @@ class SSD:
                 logical_page_bytes=cfg.buffer_page_bytes or stripe,
                 window_us=cfg.buffer_window_us,
                 capacity_bytes=cfg.buffer_capacity_bytes,
-                ack=cfg.buffer_ack,
             )
         elif cfg.write_buffer == "queue-merge":
             self.write_buffer = QueueMergingBuffer(
@@ -130,10 +129,7 @@ class SSD:
         #: fresh bound method per insert is an allocation per write)
         self._complete_b = self._complete
         self._stats_record = self._stats.record
-        #: write-back-cache predicate hoisted off the buffer (per-write
-        #: getattr otherwise; the buffer's ack policy is construction-fixed)
-        self._ack_on_insert = (
-            getattr(self.write_buffer, "ack", None) == "insert")
+        self._ack_on_insert = self.write_buffer.acks_on_insert
 
         self.ftl.priority_probe = lambda: self._pending_priority
         self.ftl.on_space_freed = self._space_freed
@@ -183,45 +179,10 @@ class SSD:
         self._pump()
 
     def submit_batch(self, requests: Iterable[IORequest]) -> None:
-        """Submit many requests arriving at this instant, in order.
-
-        The batched front door for drivers: semantically identical to
-        calling :meth:`submit` once per request — the dispatch pump still
-        runs after *each* enqueue, so scheduler decisions (and therefore
-        every downstream clock stamp) are bit-identical to sequential
-        submission.  What the batch amortizes is the per-request constant:
-        capacity, clock, queue, and scheduler entry points are resolved
-        once per window instead of once per record, which is where a large
-        slice of the replay path's per-record overhead lived.
-        """
-        now = self.sim.now
-        capacity = self._capacity_bytes
-        queue = self.queue
-        append = queue.append
-        on_submit = self.scheduler.on_submit
-        pump = self._pump
-        max_inflight = self._max_inflight
-        admissible = self.admissible
-        arm = self._arm_dispatch
-        retry_limit = self._retry_limit
+        """Submit requests arriving at this instant, in order: one
+        :meth:`submit` each."""
         for request in requests:
-            request.validate(capacity)
-            request.submit_us = now
-            request.admit_epoch = 0
-            request.error = None
-            request.retries_left = retry_limit
-            if request.priority > 0:
-                self._pending_priority += 1
-            if (queue._live == 0 and self._inflight < max_inflight
-                    and (request.op is not OpType.WRITE
-                         or admissible(request))):
-                # empty-queue fast lane (see submit())
-                self._inflight += 1
-                arm(request)
-                continue
-            append(request)
-            on_submit(request, self)
-            pump()
+            self.submit(request)
 
     # ------------------------------------------------------------------
     # dispatch machinery

@@ -57,11 +57,12 @@ class SSDConfig:
     host_interface_mb_s: float = 250.0
 
     write_buffer: str = "passthrough"
-    #: alignment unit of the merging buffer (defaults to the FTL stripe)
+    #: alignment unit of the merging buffers (defaults to the FTL stripe)
     buffer_page_bytes: Optional[int] = None
+    #: write-back cache: idle time after which a partial page flushes
     buffer_window_us: float = 1000.0
+    #: write-back cache: buffered bytes above which the oldest page flushes
     buffer_capacity_bytes: int = 1 << 20
-    buffer_ack: str = "flush"
 
     #: flash failure injection (None or ``enabled=False`` leaves every
     #: fault hook dormant — runs are bit-identical to the fault-free model)
@@ -81,6 +82,12 @@ class SSDConfig:
             raise ValueError(f"ftl_type must be one of {FTL_TYPES}")
         if self.write_buffer not in BUFFER_TYPES:
             raise ValueError(f"write_buffer must be one of {BUFFER_TYPES}")
+        if self.buffer_page_bytes is not None and self.buffer_page_bytes <= 0:
+            raise ValueError("buffer_page_bytes must be positive (or None)")
+        if self.buffer_window_us < 0:
+            raise ValueError("buffer_window_us must be non-negative")
+        if self.buffer_capacity_bytes <= 0:
+            raise ValueError("buffer_capacity_bytes must be positive")
         if self.max_inflight <= 0:
             raise ValueError("max_inflight must be positive")
         if self.controller_overhead_us < 0:

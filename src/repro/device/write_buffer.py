@@ -1,35 +1,38 @@
-"""Write buffering: passthrough, stripe-aligning merge, and write-back cache.
+"""Write buffering: passthrough, queue merging, and a write-back cache.
 
 §3.4 of the paper: "Write amplification can be reduced by merging writes and
 aligning them to stripe sizes.  Since it is harder to estimate the stripe
 size and alignment boundaries from a file system ..., an SSD must be
 responsible for sector allocation and layout according to the stripe sizes."
 
-Three behaviours, selected by the SSD config:
+Three behaviours, selected by ``SSDConfig.write_buffer``:
 
-* :class:`PassthroughBuffer` — issue writes exactly as they arrive (the
-  paper's *unaligned* baseline in Tables 3/4).
-* :class:`AligningWriteBuffer` with ``ack="flush"`` — hold writes briefly,
-  merge contiguous runs, and flush a logical page as soon as the buffered
-  runs cover it completely (or a hold window expires, or capacity presses).
-  Requests complete when their last flush completes, so response times
-  include both the merge benefit and the hold cost — the paper's *aligned*
-  scheme (Tables 3/4).
-* ``ack="insert"`` — a volatile write-back cache (the 16 MB cache of
-  S3slc): requests complete on insertion while the buffer drains in the
-  background; sustained random writes become drain-limited, which is why
-  such a cache "is ineffective in masking the write amplifications"
-  (Table 2, S3slc).
+* ``"passthrough"`` — :class:`PassthroughBuffer` issues writes exactly as
+  they arrive (the paper's *unaligned* baseline in Tables 3/4).
+* ``"queue-merge"`` — :class:`QueueMergingBuffer` merges a dispatched
+  write with co-queued writes on the same logical pages and issues the
+  union as aligned runs (the paper's *aligned* scheme in Tables 3/4).
+* ``"align"`` — :class:`AligningWriteBuffer` is a volatile write-back
+  cache (the caches of S1slc and S3slc): requests complete on insertion
+  while the buffer merges runs per logical page and drains them in the
+  background — a page flushes once its runs cover it, when its hold window
+  expires, under capacity pressure, or ahead of an overlapping read.
+  Sustained random writes become drain-limited, which is why such a cache
+  "is ineffective in masking the write amplifications" (Table 2, S3slc).
+  Drained runs honour FTL allocation backpressure: they queue in a drain
+  list and retry when cleaning frees space.
 
-Flushes honour FTL allocation backpressure: they queue in a drain list and
-retry when cleaning frees space.
+All three share one FLUSH barrier (:meth:`PassthroughBuffer.flush_all`):
+a counter of writes handed over but not yet programmed, which a barrier
+waits to reach zero.  The cache counts a run from the moment it enters the
+drain list, so runs held back by backpressure hold the barrier too.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Deque, Dict, List, Tuple, TYPE_CHECKING
 
 from repro.device.interface import IORequest
 from repro.ftl.base import DeviceFullError
@@ -55,6 +58,12 @@ class PassthroughBuffer:
     regression test now pins against).
     """
 
+    #: a write-back cache completes a write when it enters the buffer; the
+    #: others complete it when the FTL has programmed it
+    acks_on_insert = False
+    #: bytes held in the buffer and not yet handed to the FTL
+    buffered_bytes = 0
+
     def __init__(self, sim: Simulator, ftl: "BaseFTL") -> None:
         self.sim = sim
         self.ftl = ftl
@@ -75,10 +84,7 @@ class PassthroughBuffer:
 
         def done(now: float) -> None:
             complete(request)
-            out = self._outstanding - 1
-            self._outstanding = out
-            if out == 0 and self._flush_waiters:
-                self._flush_drained()
+            self._written(now)
 
         ftl = self.ftl
         if not ftl.faults_enabled:
@@ -113,18 +119,18 @@ class PassthroughBuffer:
         else:
             self._flush_waiters.append(done)
 
-    def _flush_drained(self) -> None:
-        waiters = self._flush_waiters
-        self._flush_waiters = []
-        for done in waiters:
-            self.sim.schedule(0.0, done)
+    def _written(self, now: float) -> None:
+        """One outstanding write left the FTL; release the barrier at zero."""
+        out = self._outstanding - 1
+        self._outstanding = out
+        if out == 0 and self._flush_waiters:
+            waiters = self._flush_waiters
+            self._flush_waiters = []
+            for done in waiters:
+                self.sim.schedule(0.0, done)
 
     def on_space_freed(self) -> None:
         pass
-
-    @property
-    def buffered_bytes(self) -> int:
-        return 0
 
 
 class _MergeRun:
@@ -269,13 +275,10 @@ class QueueMergingBuffer(PassthroughBuffer):
 
         def run_done(now: float) -> None:
             remaining[0] -= 1
-            out = self._outstanding - 1
-            self._outstanding = out
             if remaining[0] == 0:
                 for member in group:
                     complete(member)
-            if out == 0 and self._flush_waiters:
-                self._flush_drained()
+            self._written(now)
 
         write = self.ftl.write
         for run in runs:
@@ -285,42 +288,24 @@ class QueueMergingBuffer(PassthroughBuffer):
 class _Run:
     """One buffered contiguous byte run inside a logical page."""
 
-    __slots__ = ("start", "end", "requests")
+    __slots__ = ("start", "end")
 
     def __init__(self, start: int, end: int) -> None:
         self.start = start
         self.end = end
-        self.requests: List[IORequest] = []
 
 
-class _RunDone:
-    """Slab-recycled completion callable for one drained run.
-
-    The drain path used to allocate a fresh closure per issued run; these
-    callables recycle through the buffer's pool instead: an instance
-    returns itself to the pool when it fires."""
-
-    __slots__ = ("buffer", "run")
-
-    def __init__(self, buffer: "AligningWriteBuffer") -> None:
-        self.buffer = buffer
-        self.run: Optional[_Run] = None
-
-    def __call__(self, now: float) -> None:
-        run, self.run = self.run, None
-        buffer = self.buffer
-        buffer._done_pool.append(self)
-        buffer._run_done(run)
-
-
-class AligningWriteBuffer:
-    """Merge and stripe-align buffered writes (see module docstring).
+class AligningWriteBuffer(PassthroughBuffer):
+    """Volatile write-back cache that merges and stripe-aligns runs (see
+    the module docstring).
 
     The buffer tracks byte runs per logical page.  A page whose runs cover
     it completely flushes immediately as one full-page write (no RMW in the
     FTL).  Pages still partial after ``window_us`` flush as-is.  When
     ``capacity_bytes`` is exceeded the oldest page flushes early.
     """
+
+    acks_on_insert = True
 
     def __init__(
         self,
@@ -329,18 +314,13 @@ class AligningWriteBuffer:
         logical_page_bytes: int,
         window_us: float = 1000.0,
         capacity_bytes: int = 1 << 20,
-        ack: str = "flush",
     ) -> None:
-        if ack not in ("flush", "insert"):
-            raise ValueError(f"ack must be 'flush' or 'insert', got {ack!r}")
         if logical_page_bytes <= 0:
             raise ValueError("logical_page_bytes must be positive")
-        self.sim = sim
-        self.ftl = ftl
+        super().__init__(sim, ftl)
         self.page_bytes = logical_page_bytes
         self.window_us = window_us
         self.capacity_bytes = capacity_bytes
-        self.ack = ack
         #: page index -> sorted disjoint runs
         self._pages: Dict[int, List[_Run]] = {}
         self._timers: Dict[int, Event] = {}
@@ -348,14 +328,11 @@ class AligningWriteBuffer:
         #: pages flushed but awaiting FTL admission (FIFO; deque keeps the
         #: backpressured drain path O(1) per run)
         self._drain_queue: Deque[Tuple[int, _Run]] = deque()
-        #: id(request) -> [request, pages-not-yet-flushed]
-        self._pending: Dict[int, list] = {}
         self.buffered_bytes = 0
         self.flushes = 0
         self.full_page_flushes = 0
-        self._complete: Optional[Callable[[IORequest], None]] = None
-        #: recycled per-run completion callables (see :class:`_RunDone`)
-        self._done_pool: List[_RunDone] = []
+        #: every drained run completes through this one bound method
+        self._written_b = self._written
 
     # ------------------------------------------------------------------
     # insertion
@@ -365,26 +342,23 @@ class AligningWriteBuffer:
         return True  # memory-bounded by capacity flushes, not admission
 
     def insert(self, request: IORequest, complete: Callable[[IORequest], None]) -> None:
-        """Absorb one write request (its byte range may span pages)."""
-        self._complete = complete
+        """Ack one write request and absorb it (its byte range may span
+        pages)."""
+        self.sim.schedule(0.0, complete, request)
         offset, end = request.offset, request.end
         first = offset // self.page_bytes
         last = (end - 1) // self.page_bytes
-        if self.ack == "insert":
-            self.sim.schedule(0.0, complete, request)
-        else:
-            self._pending[id(request)] = [request, last - first + 1]
         for page in range(first, last + 1):
             base = page * self.page_bytes
             lo = max(offset, base) - base
             hi = min(end, base + self.page_bytes) - base
-            self._add_run(page, lo, hi, request)
+            self._add_run(page, lo, hi)
         for page in range(first, last + 1):
             if page in self._pages and self._covered(page) == self.page_bytes:
                 self._flush_page(page, full=True)
         self._enforce_capacity()
 
-    def _add_run(self, page: int, lo: int, hi: int, request: IORequest) -> None:
+    def _add_run(self, page: int, lo: int, hi: int) -> None:
         runs = self._pages.get(page)
         if runs is None:
             runs = []
@@ -400,15 +374,12 @@ class AligningWriteBuffer:
             self.window_us, self._window_expired, page
         )
         # splice [lo, hi) into the sorted disjoint run list — the same
-        # bisect-window discipline as QueueMergingBuffer._absorb, replacing
-        # the scan-everything-then-sort pass.  Runs are kept strictly
-        # separated (touching runs merge on insert), so at most one left
-        # neighbour can fold and followers fold while they start inside the
-        # new range; request order within the merged run matches the old
-        # scan order (new request first, folded runs ascending by start).
+        # bisect-window discipline as QueueMergingBuffer._absorb.  Runs are
+        # kept strictly separated (touching runs merge on insert), so at
+        # most one left neighbour can fold and followers fold while they
+        # start inside the new range.
         added = hi - lo
         merged = _Run(lo, hi)
-        merged.requests.append(request)
         i = bisect_right(runs, lo, key=_run_start)
         if i and runs[i - 1].end >= lo:
             i -= 1
@@ -420,7 +391,6 @@ class AligningWriteBuffer:
                 merged.start = run.start
             if run.end > merged.end:
                 merged.end = run.end
-            merged.requests.extend(run.requests)
             j += 1
         runs[i:j] = [merged]
         self.buffered_bytes += max(0, added)
@@ -442,7 +412,10 @@ class AligningWriteBuffer:
             self._flush_page(self._insert_order[0], full=False)
 
     def _flush_page(self, page: int, full: bool) -> None:
-        """Move the page's runs to the drain queue and try to issue them."""
+        """Move the page's runs to the drain queue and try to issue them.
+
+        A run counts as outstanding from here on, so a FLUSH barrier also
+        waits for runs held back by allocation backpressure."""
         runs = self._pages.pop(page, None)
         if runs is None:
             return
@@ -453,6 +426,7 @@ class AligningWriteBuffer:
         self.flushes += 1
         if full:
             self.full_page_flushes += 1
+        self._outstanding += len(runs)
         for run in runs:
             self.buffered_bytes -= run.end - run.start
             self._drain_queue.append((page, run))
@@ -467,22 +441,8 @@ class AligningWriteBuffer:
                 self.ftl.ensure_space(base + run.start, run.end - run.start)
                 return  # retried via on_space_freed
             self._drain_queue.popleft()
-            pool = self._done_pool
-            cb = pool.pop() if pool else _RunDone(self)
-            cb.run = run
-            self.ftl.write(base + run.start, run.end - run.start, done=cb)
-
-    def _run_done(self, run: _Run) -> None:
-        if self.ack != "flush":
-            return
-        for request in run.requests:
-            entry = self._pending.get(id(request))
-            if entry is None:
-                continue
-            entry[1] -= 1
-            if entry[1] == 0:
-                del self._pending[id(request)]
-                self._complete(request)
+            self.ftl.write(base + run.start, run.end - run.start,
+                           done=self._written_b)
 
     def on_space_freed(self) -> None:
         self._drain()
@@ -505,6 +465,8 @@ class AligningWriteBuffer:
                 self._flush_page(page, full=False)
 
     def flush_all(self, done: Callable[[], None]) -> None:
+        """Drain every buffered page, then complete ``done`` once every run
+        has been programmed (the shared barrier)."""
         for page in list(self._insert_order):
             self._flush_page(page, full=False)
-        self.sim.schedule(0.0, done)
+        super().flush_all(done)

@@ -26,9 +26,8 @@ Ordering is identical to pre-scheduling the whole trace: the front lane
 wins every same-timestamp tie against simulation-internal events, arrivals
 keep record order among themselves, and consecutive same-instant front-lane
 events admit nothing between them — which is what makes folding a
-same-timestamp group into one firing (and into one
-:meth:`repro.device.ssd.SSD.submit_batch` call, when the device has the
-batched front door) indistinguishable from the seed's one-event-per-record
+same-timestamp group into one firing (one ``device.submit`` per record, in
+record order) indistinguishable from the seed's one-event-per-record
 scheme, apart from ``events_run``.  The only requirement streaming adds is
 that record timestamps be sorted to within the window (every generator in
 :mod:`repro.traces` emits sorted traces); ``window=None`` makes the window
@@ -399,7 +398,6 @@ def replay_trace(
         buffer.clear()
         heapify(heap)
     device_submit = device.submit
-    submit_batch = getattr(device, "submit_batch", None)
     feeder = Event(0.0, 0, None, ())
     feeder.alive = False
     rearm = sim.reschedule_at_front
@@ -408,40 +406,32 @@ def replay_trace(
         nonlocal n, use_heap
         now = sim.now
         window_q = heap if use_heap else buffer
-        due: List[TraceRecord] = []
-        # pop every due record (the head is due: the feeder was armed at its
-        # timestamp) with one refill fused into each pop, which keeps the
-        # window full; record generators are pure, so pulling just before
-        # the pop is unobservable.  In heap mode heapreplace does one sift
-        # where pop-then-push would do two.
+        # submit every due record (the head is due: the feeder was armed at
+        # its timestamp) with one refill fused into each pop, which keeps
+        # the window full; record generators are pure and a submit runs no
+        # event, so pulling just before the pop is unobservable.  In heap
+        # mode heapreplace does one sift where pop-then-push would do two.
         while window_q and window_q[0][0] <= now:
             nxt = next(iterator, None)
             if nxt is None:
-                due.append(
-                    (heappop(heap) if use_heap else buffer.popleft())[2])
-                continue
-            at = start + nxt.time_us * time_scale
-            if at < now:
-                raise unsorted_error(at, now)
-            if use_heap:
-                due.append(heapreplace(heap, (at, n, nxt))[2])
-            elif at >= buffer[-1][0]:
-                buffer.append((at, n, nxt))
-                due.append(buffer.popleft()[2])
+                record = (heappop(heap) if use_heap else buffer.popleft())[2]
             else:
-                use_heap = True
-                heap[:] = buffer
-                buffer.clear()
-                window_q = heap
-                due.append(heapreplace(heap, (at, n, nxt))[2])
-            n += 1
-        if len(due) == 1:
-            device_submit(build(due[0]))
-        elif submit_batch is not None:
-            submit_batch([build(r) for r in due])
-        else:
-            for record in due:
-                device_submit(build(record))
+                at = start + nxt.time_us * time_scale
+                if at < now:
+                    raise unsorted_error(at, now)
+                if use_heap:
+                    record = heapreplace(heap, (at, n, nxt))[2]
+                elif at >= buffer[-1][0]:
+                    buffer.append((at, n, nxt))
+                    record = buffer.popleft()[2]
+                else:
+                    use_heap = True
+                    heap[:] = buffer
+                    buffer.clear()
+                    window_q = heap
+                    record = heapreplace(heap, (at, n, nxt))[2]
+                n += 1
+            device_submit(build(record))
         if window_q:
             rearm(feeder, window_q[0][0])
 
@@ -549,28 +539,19 @@ class ClosedLoopDriver:
 
     def run(self) -> WorkloadResult:
         self._start_us = self.sim.now
-        burst = min(self.depth, self.count)
-        submit_batch = getattr(self.device, "submit_batch", None)
-        if submit_batch is not None and burst > 1:
-            # the depth-filling burst arrives at one instant: ride the
-            # batched front door (order-identical to sequential submits)
-            submit_batch(self._build() for _ in range(burst))
-        else:
-            for _ in range(burst):
-                self._issue()
+        for _ in range(min(self.depth, self.count)):
+            self._issue()
         self.sim.run_until_idle()
         self.result.elapsed_us = self.sim.now - self._start_us
         return self.result
 
-    def _build(self) -> IORequest:
+    def _issue(self) -> None:
         spec = self.next_request(self._issued)
         self._issued += 1
         op, offset, size = spec[:3]
         priority = spec[3] if len(spec) > 3 else 0
-        return IORequest(op, offset, size, priority, self._on_complete)
-
-    def _issue(self) -> None:
-        self.device.submit(self._build())
+        self.device.submit(
+            IORequest(op, offset, size, priority, self._on_complete))
 
     def _on_complete(self, request: IORequest) -> None:
         self._completed += 1

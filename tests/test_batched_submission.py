@@ -1,16 +1,10 @@
-"""The batched replay core: submit_batch, streaming window, vectorized prefill.
+"""The replay core: submit_batch, streaming window, vectorized prefill.
 
-Pins the PR 5 tentpole contracts:
+Pins three contracts:
 
-1. **submit_batch equivalence** — replaying a trace through
-   ``SSD.submit_batch`` (the batched front door ``replay_trace`` uses for
-   same-instant record groups) is *bit-identical* to per-record
-   ``submit()``: same clock, same FTL stats, same completion stream,
-   including on a 100k-record trace with bursty duplicate timestamps.
-   ``events_run`` is deliberately not compared across submission modes —
-   grouped same-instant records ride one feeder event instead of several,
-   which is exactly the events-for-wall-time trade the batch makes; the
-   *simulated* behaviour (what the paper's tables read) must not move.
+1. **submit_batch equivalence** — ``SSD.submit_batch(requests)`` is one
+   ``submit()`` per request, in order: same clock, same FTL stats, same
+   completion stream.
 2. **Streaming window equivalence** — the one-armed-event streaming core
    orders submissions exactly like pre-scheduling one front-lane event per
    record (:func:`prescheduled_replay`, the seed's replay loop kept as the
@@ -74,23 +68,8 @@ def prescheduled_replay(sim, device, records):
     return result
 
 
-class _SubmitOnly:
-    """Device adapter hiding ``submit_batch``: forces the per-record path."""
-
-    def __init__(self, device):
-        self._device = device
-
-    @property
-    def capacity_bytes(self):
-        return self._device.capacity_bytes
-
-    def submit(self, request):
-        self._device.submit(request)
-
-
 def _bursty_records(count, capacity, seed=11):
-    """A sorted trace with heavy timestamp ties (bursts of arrivals), so
-    the batched front door genuinely batches."""
+    """A sorted trace with heavy timestamp ties (bursts of arrivals)."""
     config = SyntheticConfig(
         count=count,
         region_bytes=int(capacity * 0.6),
@@ -108,37 +87,39 @@ def _bursty_records(count, capacity, seed=11):
 
 
 class TestSubmitBatchEquivalence:
-    COUNT = 100_000
-
-    def _run(self, per_record: bool):
+    def _run(self, batched: bool):
         sim = Simulator()
-        ssd = SSD(sim, SSDConfig(
-            n_elements=4,
-            geometry=FlashGeometry(page_bytes=KB4, pages_per_block=64,
-                                   blocks_per_element=512),
-            scheduler="swtf",
-            max_inflight=16,
-            controller_overhead_us=5.0,
-        ))
-        device = _SubmitOnly(ssd) if per_record else ssd
-        result = replay_trace(
-            sim, device, _bursty_records(self.COUNT, ssd.capacity_bytes)
-        )
-        ssd.ftl.check_consistency()
-        return result, sim, ssd
+        ssd = SSD(sim, SSDConfig(n_elements=4, geometry=small_geometry(),
+                                 scheduler="swtf", max_inflight=4,
+                                 controller_overhead_us=5.0))
+        result = WorkloadResult()
+        groups: dict = {}
+        for record in _bursty_records(2000, ssd.capacity_bytes, seed=5):
+            groups.setdefault(record.time_us, []).append(record)
+        assert max(map(len, groups.values())) > 1  # real same-instant groups
 
-    def test_batched_replay_bit_identical_to_per_record_submit(self):
-        batched, sim_b, ssd_b = self._run(per_record=False)
-        reference, sim_r, ssd_r = self._run(per_record=True)
+        def arrive(records):
+            requests = [IORequest(r.op.to_op_type(), r.offset, r.size,
+                                  r.priority, result.record)
+                        for r in records]
+            if batched:
+                ssd.submit_batch(requests)
+            else:
+                for request in requests:
+                    ssd.submit(request)
+
+        for at, records in groups.items():
+            schedule_at_front(sim, at, arrive, records)
+        sim.run_until_idle()
+        return sim, ssd, result
+
+    def test_batch_equals_per_request_submit(self):
+        sim_b, ssd_b, batched = self._run(batched=True)
+        sim_r, ssd_r, reference = self._run(batched=False)
         assert sim_b.now == sim_r.now
         assert ssd_b.ftl.stats.as_dict() == ssd_r.ftl.stats.as_dict()
-        assert batched.count == reference.count == self.COUNT
-        # the full completion stream — op, offsets, and both clock stamps
-        # of every record — must match exactly
+        assert batched.count == reference.count == 2000
         assert batched.completions == reference.completions
-        for op in (None, OpType.READ, OpType.WRITE):
-            assert batched.latency(op=op) == reference.latency(op=op)
-            assert batched.bandwidth_mb_s(op) == reference.bandwidth_mb_s(op)
 
 
 class TestStreamingWindowEquivalence:

@@ -333,7 +333,7 @@ class TestHostQueue:
     def test_early_release_flag_cleared_after_completion(self, sim):
         config = SSDConfig(
             n_elements=2, geometry=small_geometry(), write_buffer="align",
-            buffer_ack="insert", controller_overhead_us=5.0,
+            controller_overhead_us=5.0,
         )
         ssd = SSD(sim, config)
         done = []

@@ -47,7 +47,7 @@ class TestPresets:
 
     def test_s1_has_writeback_cache(self, sim):
         device = s1slc(sim)
-        assert getattr(device.write_buffer, "ack", None) == "insert"
+        assert device.write_buffer.acks_on_insert
 
     def test_s3_has_16mb_cache(self, sim):
         device = s3slc(sim)

@@ -31,14 +31,14 @@ from repro.units import KIB
 from tests.conftest import run_io, small_geometry
 
 
-def aligning_ssd(sim, ack="flush", window_us=500.0, capacity=1 << 20,
-                 lp_kib=16):
+def aligning_ssd(sim, window_us=500.0, capacity=1 << 20, lp_kib=16,
+                 ftl_type="pagemap"):
     config = SSDConfig(
         n_elements=4,
         geometry=small_geometry(),
+        ftl_type=ftl_type,
         logical_page_bytes=lp_kib * KIB,
         write_buffer="align",
-        buffer_ack=ack,
         buffer_window_us=window_us,
         buffer_capacity_bytes=capacity,
         controller_overhead_us=2.0,
@@ -46,97 +46,187 @@ def aligning_ssd(sim, ack="flush", window_us=500.0, capacity=1 << 20,
     return SSD(sim, config)
 
 
+def submit_write(ssd, offset, size=4 * KIB, done=None):
+    ssd.submit(IORequest(OpType.WRITE, offset, size,
+                         on_complete=None if done is None else done.append))
+
+
 class TestAligningFlush:
+    """When the write-back cache hands its pages to the FTL.  Writes ack on
+    insert (~18 us here: 2 us overhead + a 4 KiB link transfer), so each
+    test reads the buffer's flush count and the FTL's programmed pages at
+    chosen instants."""
+
     def test_full_page_flushes_immediately_without_rmw(self):
         sim = Simulator()
         ssd = aligning_ssd(sim)
-        done = []
         for i in range(4):
-            ssd.submit(IORequest(OpType.WRITE, i * 4 * KIB, 4 * KIB,
-                                 on_complete=done.append))
+            submit_write(ssd, i * 4 * KIB)
+        sim.run(until_us=200.0)  # well inside the 500 us window
+        assert ssd.write_buffer.flushes == 1
+        assert ssd.write_buffer.full_page_flushes == 1
         sim.run_until_idle()
-        assert len(done) == 4
         assert ssd.ftl.stats.rmw_pages_read == 0
         assert ssd.ftl.stats.flash_pages_programmed == 4
-        assert ssd.write_buffer.full_page_flushes == 1
+        assert ssd.write_buffer.flushes == 1
 
     def test_partial_page_waits_for_window(self):
         sim = Simulator()
         ssd = aligning_ssd(sim, window_us=500.0)
         done = []
-        ssd.submit(IORequest(OpType.WRITE, 0, 4 * KIB, on_complete=done.append))
+        submit_write(ssd, 0, done=done)
         sim.run(until_us=300.0)
-        assert not done  # still buffered
+        assert done  # acked on insert ...
+        assert ssd.write_buffer.flushes == 0  # ... but still buffered
+        assert ssd.ftl.stats.flash_pages_programmed == 0
+        sim.run(until_us=600.0)  # window expired at ~518 us
+        assert ssd.write_buffer.flushes == 1
+        assert ssd.write_buffer.full_page_flushes == 0
         sim.run_until_idle()
-        assert done
-        assert done[0].response_us >= 500.0
+        # the 4 KB partial flush programs the whole 16 KB logical page
+        assert ssd.ftl.stats.flash_pages_programmed == 4
 
     def test_window_resets_on_touch(self):
         sim = Simulator()
         ssd = aligning_ssd(sim, window_us=500.0)
-        done = []
-        ssd.submit(IORequest(OpType.WRITE, 0, 4 * KIB, on_complete=done.append))
+        submit_write(ssd, 0)
         sim.run(until_us=400.0)
-        ssd.submit(IORequest(OpType.WRITE, 4 * KIB, 4 * KIB,
-                             on_complete=done.append))
+        submit_write(ssd, 4 * KIB)
         sim.run(until_us=700.0)
-        # original window (at 500) must not have fired: it was reset at 400
-        assert not done
+        # the original window (at ~518) must not have fired: it was reset
+        assert ssd.write_buffer.flushes == 0
+        sim.run(until_us=1000.0)  # the reset window expired at ~918 us
+        assert ssd.write_buffer.flushes == 1
         sim.run_until_idle()
-        assert len(done) == 2
+        assert ssd.write_buffer.flushes == 1
+        assert ssd.ftl.stats.flash_pages_programmed == 4
 
     def test_capacity_pressure_flushes_oldest(self):
         sim = Simulator()
         ssd = aligning_ssd(sim, window_us=1e6, capacity=8 * KIB)
-        done = []
+        log = _RunLog(ssd.ftl)
         for i in range(4):  # 16 KiB buffered > 8 KiB capacity
-            ssd.submit(IORequest(OpType.WRITE, i * 32 * KIB, 4 * KIB,
-                                 on_complete=done.append))
-        sim.run_until_idle()
-        assert len(done) >= 2  # oldest pages were forced out
+            submit_write(ssd, i * 32 * KIB)
+        sim.run(until_us=1000.0)  # long before any window expires
+        buffer = ssd.write_buffer
+        assert buffer.flushes == 2
+        assert buffer.buffered_bytes == 8 * KIB
+        # the two oldest pages were forced out, oldest first
+        assert [run[0] for run in log.runs] == [0, 32 * KIB]
+        assert ssd.ftl.stats.flash_pages_programmed == 8
 
     def test_read_flushes_overlapping_page(self):
         sim = Simulator()
         ssd = aligning_ssd(sim, window_us=1e6)
-        done = []
-        ssd.submit(IORequest(OpType.WRITE, 0, 4 * KIB, on_complete=done.append))
-        read = run_io(sim, ssd, OpType.READ, 0, 4 * KIB)
-        assert done  # buffered write was flushed ahead of the read
-        assert read.complete_us >= done[0].complete_us or True
+        submit_write(ssd, 0)
+        submit_write(ssd, 64 * KIB)
+        sim.run(until_us=100.0)
+        assert ssd.write_buffer.flushes == 0
+        reads = []
+        ssd.submit(IORequest(OpType.READ, 0, 4 * KIB, on_complete=reads.append))
+        sim.run(until_us=1000.0)
+        assert reads
+        # only the page under the read was flushed ahead of it
+        assert ssd.write_buffer.flushes == 1
+        assert ssd.write_buffer.buffered_bytes == 4 * KIB
+        assert ssd.ftl.stats.flash_pages_programmed == 4
 
     def test_flush_op_drains_buffer(self):
         sim = Simulator()
         ssd = aligning_ssd(sim, window_us=1e6)
-        done = []
-        ssd.submit(IORequest(OpType.WRITE, 0, 4 * KIB, on_complete=done.append))
-        run_io(sim, ssd, OpType.FLUSH, 0, 0)
-        assert done
+        submit_write(ssd, 0)
+        submit_write(ssd, 64 * KIB)
+        sim.run(until_us=100.0)  # both writes are in the buffer
+        flushed = []
+        ssd.submit(IORequest(OpType.FLUSH, 0, 0, on_complete=flushed.append))
+        sim.run(until_us=1000.0)
+        assert flushed
+        assert ssd.write_buffer.flushes == 2
+        assert ssd.write_buffer.buffered_bytes == 0
+        assert ssd.ftl.stats.flash_pages_programmed == 8
 
-    def test_spanning_write_completes_after_all_pages(self):
+    def test_spanning_write_flushes_both_pages(self):
         sim = Simulator()
         ssd = aligning_ssd(sim, window_us=200.0)
         done = []
         # spans two 16 KiB logical pages
-        ssd.submit(IORequest(OpType.WRITE, 12 * KIB, 8 * KIB,
-                             on_complete=done.append))
-        sim.run_until_idle()
+        submit_write(ssd, 12 * KIB, 8 * KIB, done=done)
+        sim.run(until_us=100.0)
         assert len(done) == 1
+        assert ssd.write_buffer.flushes == 0
+        sim.run(until_us=300.0)
+        assert ssd.write_buffer.flushes == 2
+        sim.run_until_idle()
+        assert ssd.ftl.stats.flash_pages_programmed == 8
 
 
 class TestWriteBackAck:
     def test_insert_ack_is_fast(self):
         sim = Simulator()
-        ssd = aligning_ssd(sim, ack="insert", window_us=300.0)
+        ssd = aligning_ssd(sim, window_us=300.0)
         request = run_io(sim, ssd, OpType.WRITE, 0, 4 * KIB)
         # acked without waiting for flash programs (which take ~300 us)
         assert request.response_us < 100.0
 
     def test_drain_happens_in_background(self):
         sim = Simulator()
-        ssd = aligning_ssd(sim, ack="insert", window_us=300.0)
+        ssd = aligning_ssd(sim, window_us=300.0)
         run_io(sim, ssd, OpType.WRITE, 0, 4 * KIB)
         # the 4 KB partial flush still programs the whole 16 KB logical page
         assert ssd.ftl.stats.flash_pages_programmed == 4
+
+
+class TestWriteBackFlushBarrier:
+    """Bugfix: a FLUSH on the write-back cache completes only once the
+    buffered data is on flash (it used to complete ~2 us after submission,
+    with the data still in the buffer or on the flash queues)."""
+
+    @pytest.mark.parametrize("ftl_type", ["pagemap", "blockmap"])
+    def test_flush_waits_for_programs(self, ftl_type):
+        sim = Simulator()
+        ssd = aligning_ssd(sim, window_us=1e6, ftl_type=ftl_type)
+        programmed = []
+        write = ssd.ftl.write
+
+        def logged_write(offset, size, done=None, **kw):
+            def landed(now):
+                programmed.append(now)
+                done(now)
+            write(offset, size, done=landed, **kw)
+
+        ssd.ftl.write = logged_write
+        acked = []
+        submit_write(ssd, 0, done=acked)
+        sim.run(until_us=100.0)
+        assert acked and not programmed  # acked, still buffered
+        flushed = []
+        ssd.submit(IORequest(OpType.FLUSH, 0, 0, on_complete=flushed.append))
+        sim.run_until_idle()
+        assert programmed and flushed
+        assert flushed[0].complete_us >= max(programmed)
+
+    def test_flush_waits_for_runs_held_by_backpressure(self):
+        sim = Simulator()
+        ssd = aligning_ssd(sim, window_us=1e6)
+        ftl = ssd.ftl
+        admit = [False]
+        can_accept = ftl.can_accept_write
+        ftl.can_accept_write = (
+            lambda offset, size: admit[0] and can_accept(offset, size))
+        submit_write(ssd, 0)
+        sim.run(until_us=100.0)  # the write is in the buffer
+        flushed = []
+        ssd.submit(IORequest(OpType.FLUSH, 0, 0, on_complete=flushed.append))
+        sim.run_until_idle()
+        # the run left the buffer but waits in the drain queue
+        assert ssd.write_buffer.buffered_bytes == 0
+        assert ftl.stats.flash_pages_programmed == 0
+        assert not flushed
+        admit[0] = True
+        ssd.write_buffer.on_space_freed()
+        sim.run_until_idle()
+        assert ftl.stats.flash_pages_programmed == 4
+        assert flushed
 
 
 def merging_ssd(sim, **overrides):
@@ -381,11 +471,25 @@ class TestQueueMergeRuns:
 
 
 class TestValidation:
-    def test_bad_ack_mode_rejected(self):
+    def test_zero_logical_page_rejected(self):
         sim = Simulator()
         ssd = SSD(sim, SSDConfig(n_elements=2, geometry=small_geometry()))
         with pytest.raises(ValueError):
-            AligningWriteBuffer(sim, ssd.ftl, logical_page_bytes=4096,
-                                ack="never")
-        with pytest.raises(ValueError):
             AligningWriteBuffer(sim, ssd.ftl, logical_page_bytes=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("buffer_window_us", -5.0),
+        ("buffer_capacity_bytes", 0),
+        ("buffer_capacity_bytes", -4096),
+        ("buffer_page_bytes", 0),
+        ("buffer_page_bytes", -4096),
+    ])
+    def test_bad_buffer_knob_rejected_at_config(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SSDConfig(write_buffer="align", **{field: value})
+
+    def test_zero_window_accepted(self):
+        sim = Simulator()
+        ssd = aligning_ssd(sim, window_us=0.0)
+        run_io(sim, ssd, OpType.WRITE, 0, 4 * KIB)
+        assert ssd.write_buffer.flushes == 1
