@@ -1,7 +1,8 @@
-"""Tests for the write-buffer family (passthrough / merging / aligning).
+"""Tests for the write-buffer family (passthrough / queue merging /
+write-back cache).
 
 Besides the behavioural coverage of each buffer, this module pins the
-PR 5 write-buffer bugfixes, each with a dedicated regression test:
+write-buffer bugfixes, each with a dedicated regression test:
 
 * ``QueueMergingBuffer`` forwards the ``temp`` hot/cold hint per merged
   run (majority vote; the seed dropped the hint entirely)
@@ -13,6 +14,9 @@ PR 5 write-buffer bugfixes, each with a dedicated regression test:
   co-queued write overlapping the window from below is stolen and merged
   (the seed's steal predicate only matched writes starting inside the
   window) — ``TestQueueMergeStealWindow``.
+* The write-back cache's FLUSH completes only once its data is programmed,
+  including runs held back by allocation backpressure (it used to complete
+  with the data still buffered) — ``TestWriteBackFlushBarrier``.
 
 Plus golden-pinned coverage of the incremental sorted-run merge structure
 (overlap, adjacency, MAX_BATCH truncation) — ``TestQueueMergeRuns``.
