@@ -91,13 +91,6 @@ class IORequest:
     #: table, it cannot be corrupted by CPython reusing the id of a
     #: garbage-collected request.
     early_release: bool = field(default=False, compare=False, repr=False)
-    #: admission memo (stamped by ``SSD.admissible``): the FTL allocation
-    #: epoch the cached answer was computed under, and the answer.  Epoch
-    #: values are globally unique (see ``repro.ftl.base._ALLOC_EPOCH``), so
-    #: a memo stamped against one device can never be read as fresh by
-    #: another even if the request object is resubmitted elsewhere.
-    admit_epoch: int = field(default=0, compare=False, repr=False)
-    admit_ok: bool = field(default=False, compare=False, repr=False)
     #: host-side write retries remaining (stamped at submit from the
     #: device's ``host_retry_limit``; decremented per retry)
     retries_left: int = field(default=0, compare=False, repr=False)

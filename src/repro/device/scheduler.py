@@ -52,11 +52,10 @@ Admission mirrors the seed's skip-don't-block rule: candidates are probed
 in ``(wait, arrival)`` order and an inadmissible candidate is passed over
 in favour of the next arrival in its bucket (same wait, later seq).
 Removals (dispatch, queue-merge steals) are lazy flag flips; buckets skim
-dead entries when they surface.  The probe itself (``SSD.admissible``) is
-memoized per request against the FTL's allocation epoch (see
-``repro.ftl.base.BaseFTL.alloc_epoch``), so repeated probes of a stalled
-write during an allocation stall cost O(1) instead of re-walking its
-stripe/element ranges.
+dead entries when they surface.  The probe itself (``SSD.admissible``) asks
+the FTL afresh each time; ``can_accept_write`` is O(1) for single-page and
+single-stripe writes on every FTL (docs/architecture.md §4 records why no
+memo sits in front of it).
 
 Dispatch decisions are bit-identical to the seed's brute-force scan (kept
 as a test helper and pinned by the equivalence test in
@@ -243,10 +242,8 @@ class SWTFScheduler:
         decides the dispatch with no candidate heap built at all.  An
         inadmissible best falls back to :meth:`_select_probing`, which
         rebuilds the full candidate heap and walks it in ``(wait, arrival)``
-        order exactly as the always-heap implementation did; the repeated
-        probe of the best candidate is a memoized O(1) hit
-        (``SSD.admissible``), so the two-phase split never recomputes an
-        admission answer.
+        order exactly as the always-heap implementation did (probing the
+        best candidate a second time).
         """
         now = ssd.sim.now
         best: Optional[IORequest] = None

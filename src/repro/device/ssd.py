@@ -6,7 +6,7 @@ Request lifecycle::
            -> WRITE: host-link transfer -> write buffer -> FTL fan-out
            -> READ:  buffer flush check -> FTL fan-out -> host-link transfer
            -> FREE:  FTL trim (when trim_enabled) — metadata only
-           -> FLUSH: write-buffer drain
+           -> FLUSH: host-link crossing -> write-buffer drain
     completion -> stats, on_complete callback
 
 Concurrency model: up to ``max_inflight`` requests are in service at once
@@ -15,6 +15,12 @@ once the device has absorbed the data (buffer insert), which is when a real
 device acknowledges a cached write command's transfer.  Flash-level
 parallelism and queueing happen inside the per-element FIFOs; background
 cleaning competes there, which is exactly the interference §3.6 studies.
+
+A FLUSH is a barrier: it completes only once every WRITE submitted before
+it is on flash.  It is not admitted while an earlier WRITE is still in the
+host queue, and it crosses the host link behind the data of every WRITE
+already dispatched (the link is FIFO), so all of them are in the write
+buffer when its drain starts.
 
 Priority plumbing: the count of outstanding priority requests feeds the
 FTL's cleaner through ``priority_probe``, enabling the paper's
@@ -52,14 +58,10 @@ class SSD:
         self.config = config if config is not None else SSDConfig()
         cfg = self.config
 
-        self.elements: List[FlashElement] = []
-        for index in range(cfg.n_elements):
-            timing = cfg.timing
-            if cfg.element_timings and index in cfg.element_timings:
-                timing = cfg.element_timings[index]
-            self.elements.append(
-                FlashElement(sim, cfg.geometry, timing, element_id=index)
-            )
+        self.elements: List[FlashElement] = [
+            FlashElement(sim, cfg.geometry, cfg.timing, element_id=index)
+            for index in range(cfg.n_elements)
+        ]
 
         if cfg.ftl_type == "pagemap":
             self.ftl = PageMappedFTL(
@@ -150,10 +152,6 @@ class SSD:
     def submit(self, request: IORequest) -> None:
         request.validate(self._capacity_bytes)
         request.submit_us = self.sim.now
-        # a reused request object may have been mutated since its last
-        # residency; its admission memo keys only the allocation state, so
-        # it must restart fresh here (like the seq restamp below)
-        request.admit_epoch = 0
         request.error = None
         request.retries_left = self._retry_limit
         if request.priority > 0:
@@ -189,25 +187,20 @@ class SSD:
     # ------------------------------------------------------------------
 
     def admissible(self, request: IORequest) -> bool:
-        """Can this request start service now (flash allocation headroom)?
-
-        Memoized per request against the FTL's allocation epoch: the answer
-        is a pure function of (offset, size, allocation state), and the
-        epoch takes a fresh globally-unique value whenever that state
-        changes, so a hit is exact — not heuristic.  This is what keeps the
-        SWTF probe loop cheap under backpressure: a stalled write is probed
-        on every dispatch attempt, but its stripe/element ranges are only
-        re-walked when an allocate or clean actually moved the headroom.
-        """
-        if request.op is not OpType.WRITE:
-            return True
-        epoch = self.ftl.alloc_epoch
-        if request.admit_epoch == epoch:
-            return request.admit_ok
-        ok = self.write_buffer.admits(request.offset, request.size)
-        request.admit_epoch = epoch
-        request.admit_ok = ok
-        return ok
+        """Can this request start service now?  A WRITE needs flash
+        allocation headroom; a FLUSH waits until no WRITE submitted before
+        it is still queued (under SWTF its wait is zero, so it would
+        otherwise overtake them)."""
+        op = request.op
+        if op is OpType.WRITE:
+            return self.write_buffer.admits(request.offset, request.size)
+        if op is OpType.FLUSH:
+            for queued in self.queue:
+                if queued is request:
+                    break
+                if queued.op is OpType.WRITE:
+                    return False
+        return True
 
     def _pump(self) -> None:
         queue = self.queue
@@ -243,31 +236,35 @@ class SSD:
         same queueing position, same clock stamps — and one scheduled
         event covers overhead + transfer where the seed used two.
 
-        READs (and FREE/FLUSH) keep the discrete hop: their dispatch
-        instant consults FTL mapping state and claims element-FIFO
-        positions, which cannot be deferred.
+        A FLUSH reserves the link the same way with no data: it arrives
+        behind every WRITE dispatched before it, then drains the buffer.
+
+        READs (and FREEs) keep the discrete hop: their dispatch instant
+        consults FTL mapping state and claims element-FIFO positions,
+        which cannot be deferred.
         """
-        if request.op is OpType.WRITE:
+        op = request.op
+        if op is OpType.WRITE:
             self.link.transfer_after(self._overhead_us, request.size,
                                      lambda now: self._write_arrived(request))
+        elif op is OpType.FLUSH:
+            self.link.transfer_after(
+                self._overhead_us, 0,
+                lambda now: self.write_buffer.flush_all(
+                    lambda: self._complete(request)))
         else:
             self.sim.schedule(self._overhead_us, self._dispatch, request)
 
     def _dispatch(self, request: IORequest) -> None:
-        """The controller-overhead hop of a READ, FREE or FLUSH."""
-        op = request.op
-        if op is OpType.READ:
+        """The controller-overhead hop of a READ or FREE."""
+        if request.op is OpType.READ:
             self.write_buffer.before_read(request.offset, request.size)
             self.ftl.read(request.offset, request.size,
                           done=lambda now: self._read_media_done(request))
-        elif op is OpType.FREE:
+        else:
             if self.config.trim_enabled:
                 self.ftl.trim(request.offset, request.size)
             self._complete(request)
-        elif op is OpType.FLUSH:
-            self.write_buffer.flush_all(lambda: self._complete(request))
-        else:  # pragma: no cover - WRITEs never take the hop
-            raise ValueError(f"unhandled op {op!r}")
 
     def _write_arrived(self, request: IORequest) -> None:
         """Host data fully transferred: hand to the buffer.

@@ -7,7 +7,7 @@ module only defines the schema and its validation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.flash.faults import FaultConfig
 from repro.flash.geometry import FlashGeometry
@@ -30,9 +30,6 @@ class SSDConfig:
     n_elements: int = 8
     geometry: FlashGeometry = field(default_factory=FlashGeometry)
     timing: FlashTiming = field(default_factory=FlashTiming.slc)
-    #: per-element timing overrides (element index -> timing) for
-    #: heterogeneous SLC/MLC devices (§3.3)
-    element_timings: Optional[Dict[int, FlashTiming]] = None
 
     ftl_type: str = "pagemap"
     #: page-mapped FTL: mapping/striping unit (defaults to the flash page)

@@ -4,9 +4,9 @@ The element plays two roles:
 
 1. **Timed executor.**  Commands are enqueued FIFO and executed one at a
    time — a flash die can only do one array operation at once.  Completion
-   callbacks fire on the simulator clock.  ``queue_wait_us()`` exposes the
-   estimated wait, which is exactly the quantity the paper's SWTF scheduler
-   (§3.2) ranks requests by.
+   callbacks fire on the simulator clock.  ``drain_at_us`` is the one wait
+   state: ``queue_wait_us()`` reads it as the estimated wait, and the
+   paper's SWTF scheduler (§3.2) ranks requests by it.
 
    Commands enter through the issue helpers (:meth:`FlashElement.read_page`,
    :meth:`~FlashElement.program_page`, :meth:`~FlashElement.erase_block`,
@@ -77,12 +77,11 @@ class FlashElement:
         "page_state", "reverse_lpn", "valid_count", "write_ptr",
         "erase_count", "block_mtime", "retired",
         "_ps", "_rl", "_vc", "_wp", "_ec", "_mt", "_rt",
-        "_queue", "_inflight", "_inflight_done_at", "_queued_us",
-        "drain_at_us", "_drain",
+        "_queue", "_inflight", "drain_at_us", "_drain",
         "_page_bytes", "_page_read_us", "_page_program_us",
         "_erase_cmd_us", "_page_copy_us",
         "_accum", "erases_performed", "pages_programmed", "pages_read",
-        "read_retries", "fault_model", "on_idle", "strict_program_order",
+        "read_retries", "fault_model", "strict_program_order",
         "__weakref__",
     )
 
@@ -131,15 +130,13 @@ class FlashElement:
         #: queued ops as (duration_us, accumulator, callback) tuples
         self._queue: deque[tuple] = deque()
         self._inflight: Optional[tuple] = None
-        self._inflight_done_at: float = 0.0
-        self._queued_us: float = 0.0  # total duration of queued (not inflight) ops
         #: absolute simulated time at which everything currently enqueued
         #: (inflight + FIFO) finishes.  Updated O(1) at enqueue only: popping
         #: the next op moves work from the FIFO to the in-flight slot without
         #: changing when the tail drains, and an idle element simply leaves a
-        #: stale (past) value behind — ``max(drain_at_us, now) - now`` is the
-        #: element's queue wait.  Monotonically non-decreasing, which is the
-        #: property the SWTF scheduler's lazy heap relies on.
+        #: stale (past) value behind, so ``queue_wait_us()`` clamps at zero.
+        #: Monotonically non-decreasing, which is the property the SWTF
+        #: scheduler's lazy heap relies on.
         self.drain_at_us: float = 0.0
         #: the one drain event realizing this element's FIFO on the clock
         self._drain = Event(0.0, -1, self._on_drain, ())
@@ -166,8 +163,6 @@ class FlashElement:
         #: so fault-free runs stay bit-identical
         self.fault_model = None
 
-        #: optional hook invoked whenever the element becomes idle
-        self.on_idle: Optional[Callable[[], None]] = None
         #: NAND in-order programming enforcement.  Log-structured FTLs keep
         #: this True; the block-mapped FTL programs pages in place at
         #: arbitrary offsets (legal on the SLC-era parts it models) and
@@ -189,12 +184,10 @@ class FlashElement:
         if self._inflight is None:
             self._inflight = (duration_us, acc, callback)
             done_at = self.sim.now + duration_us
-            self._inflight_done_at = done_at
             self.drain_at_us = done_at
             self.sim.reschedule(self._drain, done_at)
         else:
             self._queue.append((duration_us, acc, callback))
-            self._queued_us += duration_us
             self.drain_at_us += duration_us
 
     def _on_drain(self) -> None:
@@ -206,20 +199,14 @@ class FlashElement:
         queue = self._queue
         if queue:
             nxt = queue.popleft()
-            next_us = nxt[0]
-            self._queued_us -= next_us
             self._inflight = nxt
-            done_at = sim.now + next_us
-            self._inflight_done_at = done_at
-            sim.reschedule(self._drain, done_at)
+            sim.reschedule(self._drain, sim.now + nxt[0])
             if callback is not None:
                 callback(sim.now)
             return
         self._inflight = None
         if callback is not None:
             callback(sim.now)
-        if self._inflight is None and self.on_idle is not None:
-            self.on_idle()
 
     @property
     def idle(self) -> bool:
@@ -233,17 +220,11 @@ class FlashElement:
         return depth
 
     def queue_wait_us(self) -> float:
-        """Estimated wait before a newly enqueued op would start executing.
-
-        This is the remaining time of the in-flight command plus the summed
-        durations of everything queued behind it — the quantity SWTF uses.
-        """
-        wait = self._queued_us
-        if self._inflight is not None:
-            remaining = self._inflight_done_at - self.sim.now
-            if remaining > 0.0:
-                wait += remaining
-        return wait
+        """Estimated wait before a newly enqueued op would start executing:
+        the time until everything enqueued drains — the quantity SWTF
+        ranks by."""
+        wait = self.drain_at_us - self.sim.now
+        return wait if wait > 0.0 else 0.0
 
     @property
     def ops_by_tag(self) -> dict[str, int]:
@@ -482,7 +463,6 @@ class FlashElement:
         duration = self._page_copy_us
         fm = self.fault_model
         queue = self._queue
-        queued_us = self._queued_us
         drain_at = self.drain_at_us
         first = dst_page
         last = len(src_pages) - 1
@@ -510,15 +490,12 @@ class FlashElement:
             if self._inflight is None:
                 self._inflight = entry
                 drain_at = self.sim.now + duration
-                self._inflight_done_at = drain_at
                 self.sim.reschedule(self._drain, drain_at)
             else:
                 queue.append(entry)
-                queued_us += duration
                 drain_at += duration
             if failed:
                 break
-        self._queued_us = queued_us
         self.drain_at_us = drain_at
         if dst_page > write_ptr:
             wp[dst_block] = dst_page

@@ -28,7 +28,6 @@ small hooks (:meth:`BaseFTL._pull_block`, :meth:`BaseFTL._rescue_row`,
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import count
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -56,14 +55,6 @@ def complete_async(sim: Simulator, done: Optional[Callable[[float], None]]) -> N
     """
     if done is not None:
         sim.schedule(0.0, done, sim.now)
-
-
-#: allocation-epoch values are *globally* unique (one process-wide counter)
-#: rather than per-FTL: admission answers are memoized per-request against
-#: the epoch value (see ``SSD.admissible``), and a globally-unique epoch
-#: makes a memo stamped against one device's FTL unambiguously stale on any
-#: other — the same trick the scheduler plays with submission seqs.
-_ALLOC_EPOCH = count(1).__next__
 
 
 class DeviceFullError(RuntimeError):
@@ -218,15 +209,6 @@ class BaseFTL:
         ]
         #: rows with erases in flight, per group
         self._erasing: List[Set[int]] = [set() for _ in range(n_groups)]
-        #: allocation epoch: takes a fresh globally-unique value whenever
-        #: the inputs of ``can_accept_write`` change (a page/row allocated,
-        #: a block/row returned by cleaning or retirement).  While the
-        #: epoch stands still, every admission answer stands still too, so
-        #: callers may memoize ``can_accept_write`` keyed on this value —
-        #: the SSD dispatcher does, per request, which turns the SWTF probe
-        #: loop's repeated stripe-range walks during an allocation stall
-        #: into O(1) lookups.
-        self.alloc_epoch = _ALLOC_EPOCH()
         #: rotation cursor for sampled consistency checks
         self._cc_cursor = 0
         #: consulted by priority-aware cleaning; the SSD points this at its
@@ -251,8 +233,6 @@ class BaseFTL:
         (the SSD fails queued writes instead of stalling forever)."""
         if not self.read_only:
             self.read_only = True
-            # admission memos are keyed on the epoch; invalidate them all
-            self.alloc_epoch = _ALLOC_EPOCH()
 
     def write_wedged(self, offset: int, size: int) -> bool:
         """True when a blocked write can never be admitted again: the free
@@ -327,7 +307,6 @@ class BaseFTL:
             raise DeviceFullError(
                 f"group {group}: no erased rows left{self._full_hint}"
             )
-        self.alloc_epoch = _ALLOC_EPOCH()
         return self._pull_block(group, temp)
 
     def _pull_block(self, group: int, temp: str) -> int:
@@ -381,7 +360,6 @@ class BaseFTL:
         else:
             self._pool[group].push(row)
             self._row_pooled(group)
-        self.alloc_epoch = _ALLOC_EPOCH()
 
     def _row_pooled(self, group: int) -> None:
         """A row just went back into *group*'s pool."""
@@ -425,7 +403,6 @@ class BaseFTL:
             el.retired[row] = True
         stats.blocks_retired += width
         self._row_relocated(group, row, dest)
-        self.alloc_epoch = _ALLOC_EPOCH()
         return dest
 
     def _retry_program(self, e_idx: int, row: int, page: int, lpn: int,

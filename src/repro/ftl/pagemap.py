@@ -39,7 +39,6 @@ from repro.ftl.base import (
     BaseFTL,
     CompletionJoin,
     DeviceFullError,
-    _ALLOC_EPOCH,
     complete_async,
 )
 from repro.ftl.cleaning import Cleaner, CleaningConfig
@@ -165,7 +164,6 @@ class PageMappedFTL(BaseFTL):
         if count > ppb - first:
             count = ppb - first
         self._free[e_idx] -= count
-        self.alloc_epoch = _ALLOC_EPOCH()
         return frontier, first, count
 
     # block lifecycle hooks (see BaseFTL): rescued pages and retried
@@ -218,7 +216,6 @@ class PageMappedFTL(BaseFTL):
             return -1
         block = pool.pop_max_wear()
         self._free[e_idx] -= self.geometry.pages_per_block
-        self.alloc_epoch = _ALLOC_EPOCH()
         return block
 
     # ------------------------------------------------------------------

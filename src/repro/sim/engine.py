@@ -8,8 +8,7 @@ Design notes
   for reproducible experiments.
 * Cancellation is lazy: :meth:`Simulator.cancel` flips the ``alive`` flag and
   the event is discarded when popped.  This keeps ``schedule``/``cancel``
-  O(log n) without heap surgery.  A live-event counter is maintained on
-  push/cancel/pop so :attr:`Simulator.pending` is O(1).
+  O(log n) without heap surgery.
 * Callbacks run with the simulator clock already advanced to the event time,
   so a callback that calls :meth:`Simulator.schedule` with delay 0 runs later
   in the same instant (after all earlier same-time events).
@@ -46,9 +45,12 @@ class Event:
     """Handle for a scheduled callback.
 
     Instances are returned by :meth:`Simulator.schedule` and can be passed to
-    :meth:`Simulator.cancel`.  The heap orders entries by ``(time, seq)``;
-    the comparison here only backs sorting of bare Event lists in tests and
-    debugging.
+    :meth:`Simulator.cancel`.  The heap orders ``(time, seq, event)``
+    tuples, and two entries can share ``(time, seq)``: a cancelled entry
+    stays in the heap, and :class:`repro.sim.resource.SerialResource` may
+    re-arm a fresh event at the same deferred reservation's unchanged
+    projection.  The tuple compare then falls through to this method, which
+    finds the two equal (the cancelled one is skipped when popped).
     """
 
     __slots__ = ("time", "seq", "fn", "args", "alive")
@@ -76,7 +78,7 @@ class Simulator:
     """Single-threaded discrete-event loop with a float-microsecond clock."""
 
     __slots__ = ("now", "now_seq", "_heap", "_seq", "_front_seq",
-                 "_events_run", "_alive", "__weakref__")
+                 "_events_run", "__weakref__")
 
     def __init__(self) -> None:
         self.now: float = 0.0
@@ -93,7 +95,6 @@ class Simulator:
         self._seq: int = 0
         self._front_seq: int = _FRONT_SEQ_BASE
         self._events_run: int = 0
-        self._alive: int = 0
 
     # -- scheduling -------------------------------------------------------
 
@@ -113,7 +114,6 @@ class Simulator:
         self._seq = seq + 1
         event = Event(time_us, seq, fn, args)
         heapq.heappush(self._heap, (time_us, seq, event))
-        self._alive += 1
         return event
 
     def reschedule_at_front(self, event: Event, time_us: float) -> None:
@@ -141,7 +141,6 @@ class Simulator:
         event.seq = seq
         event.alive = True
         heapq.heappush(self._heap, (time_us, seq, event))
-        self._alive += 1
 
     def reserve_seq(self) -> int:
         """Claim the next normal-lane sequence number without scheduling.
@@ -182,35 +181,16 @@ class Simulator:
         event.seq = seq
         event.alive = True
         heapq.heappush(self._heap, (time_us, seq, event))
-        self._alive += 1
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event; cancelling twice or after it ran is a no-op."""
-        if event.alive:
-            event.alive = False
-            self._alive -= 1
+        event.alive = False
 
     # -- running ----------------------------------------------------------
 
-    def step(self) -> bool:
-        """Run the next pending event.  Returns False if the queue is empty."""
-        heap = self._heap
-        while heap:
-            time_us, seq, event = heapq.heappop(heap)
-            if not event.alive:
-                continue
-            self.now = time_us
-            event.alive = False
-            self._alive -= 1
-            self._events_run += 1
-            self.now_seq = seq
-            event.fn(*event.args)
-            return True
-        return False
-
-    def run(self, until_us: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the queue drains, the clock passes *until_us*, or
-        *max_events* callbacks have run.  Returns the number of callbacks run.
+    def run(self, until_us: Optional[float] = None) -> int:
+        """Run events until the queue drains or the clock passes *until_us*.
+        Returns the number of callbacks run.
 
         When stopping on *until_us*, the clock is advanced to exactly
         *until_us* and events scheduled later stay queued.
@@ -218,52 +198,42 @@ class Simulator:
         ran = 0
         heap = self._heap
         pop = heapq.heappop
-        if until_us is None and max_events is None:
-            # hot path: drain everything, no bound checks per iteration
+        if until_us is None:
+            # hot path: drain everything, no bound check per iteration
             while heap:
                 time_us, seq, event = pop(heap)
                 if not event.alive:
                     continue
                 self.now = time_us
                 event.alive = False
-                self._alive -= 1
                 self.now_seq = seq
                 event.fn(*event.args)
                 ran += 1
             self._events_run += ran
             return ran
         while heap:
-            if max_events is not None and ran >= max_events:
-                break
             time_us, seq, event = heap[0]
             if not event.alive:
                 pop(heap)
                 continue
-            if until_us is not None and time_us > until_us:
+            if time_us > until_us:
                 break
             pop(heap)
             self.now = time_us
             event.alive = False
-            self._alive -= 1
             self.now_seq = seq
             event.fn(*event.args)
             ran += 1
-        if until_us is not None and self.now < until_us:
+        if self.now < until_us:
             self.now = until_us
         self._events_run += ran
         return ran
 
-    def run_until_idle(self, max_events: Optional[int] = None) -> int:
+    def run_until_idle(self) -> int:
         """Run until no events remain.  Convenience wrapper over :meth:`run`."""
-        return self.run(until_us=None, max_events=max_events)
+        return self.run()
 
     # -- introspection ------------------------------------------------------
-
-    @property
-    def pending(self) -> int:
-        """Number of not-yet-cancelled events still queued.  O(1): a live
-        counter is maintained on push/cancel/pop."""
-        return self._alive
 
     @property
     def events_run(self) -> int:

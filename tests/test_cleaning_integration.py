@@ -93,7 +93,7 @@ class TestPriorityAwareCleaning:
         for _ in range(60):
             offset = rng.randrange(region // (4 * KIB)) * 4 * KIB
             device.submit(IORequest(OpType.WRITE, offset, 4 * KIB))
-            sim.run(max_events=50)
+            sim.run(until_us=sim.now + 100.0)
             for e_idx in range(len(device.ftl.elements)):
                 if device.ftl.free_pages(e_idx) > cleaner.critical_watermark_pages:
                     continue

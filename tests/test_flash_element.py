@@ -66,8 +66,14 @@ class TestSerialExecution:
         el.read_page(0, 0)
         dur = el.timing.read_us(4096)
         assert el.queue_wait_us() == pytest.approx(2 * dur)
-        sim.run(max_events=1)
+        sim.run(until_us=dur / 2)
+        assert el.queue_wait_us() == pytest.approx(1.5 * dur)
+        sim.run(until_us=dur)  # the first read completes
         assert el.queue_wait_us() == pytest.approx(dur)
+        sim.run_until_idle()
+        assert el.queue_wait_us() == 0.0
+        sim.run(until_us=3 * dur)  # idle: the drain stamp is in the past
+        assert el.queue_wait_us() == 0.0
 
     def test_busy_accounting_by_tag(self, element):
         sim, el = element
@@ -83,12 +89,15 @@ class TestSerialExecution:
 
     def test_idle_hook_fires_when_drained(self, element):
         sim, el = element
-        idles = []
-        el.on_idle = lambda: idles.append(sim.now)
         _readable(el)
-        el.read_page(0, 0)
+        seen = []
+        el.read_page(0, 0, callback=lambda now: seen.append(el.idle))
+        el.read_page(0, 0, callback=lambda now: seen.append(el.idle))
+        assert not el.idle and el.queue_depth == 2
         sim.run_until_idle()
-        assert len(idles) == 1
+        # the last command's completion callback fires once it has drained
+        assert seen == [False, True]
+        assert el.idle and el.queue_depth == 0
 
 
 class TestDeepQueue:

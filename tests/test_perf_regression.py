@@ -640,3 +640,126 @@ def test_writeback_cache_matches_golden_snapshot(preset):
         "completion_crc": _completion_crc(result.completions),
     }
     assert observed == GOLDEN_WRITEBACK[preset]
+
+
+# ---------------------------------------------------------------------------
+# allocation stall: writes refused admission and probed again
+# ---------------------------------------------------------------------------
+
+# Recorded before ``SSD.admissible`` lost its per-request memo.  Both
+# drives write over 90 % of a small SWTF device, so the pool sits at its
+# reserve, writes are refused (``write_stalls``) and re-probed on every
+# dispatch attempt; the pins cover which write dispatches when.
+GOLDEN_STALL: dict = {
+    "blockmap": {
+        "final_clock": "0x1.a195c60000000p+21",
+        "events_run": 42850,
+        "stats": {
+            "host_reads": 0,
+            "host_writes": 1500,
+            "host_pages_read": 0,
+            "host_pages_written": 2276,
+            "flash_pages_programmed": 20437,
+            "rmw_pages_read": 18161,
+            "clean_pages_moved": 0,
+            "clean_time_us": 4133504.0,
+            "clean_erases": 2752,
+            "wear_migrations": 0,
+            "wear_pages_moved": 0,
+            "trims": 0,
+            "trimmed_pages": 0,
+            "write_stalls": 350,
+            "program_failures": 0,
+            "erase_failures": 0,
+            "blocks_retired": 0,
+            "rescued_pages": 0,
+            "failed_pages": 0
+        },
+        "completions": 1500,
+        "completion_crc": 1391765755
+    },
+    "pagemap": {
+        "final_clock": "0x1.2898340000000p+19",
+        "events_run": 9825,
+        "stats": {
+            "host_reads": 329,
+            "host_writes": 2671,
+            "host_pages_read": 486,
+            "host_pages_written": 3999,
+            "flash_pages_programmed": 5849,
+            "rmw_pages_read": 0,
+            "clean_pages_moved": 1850,
+            "clean_time_us": 794644.0,
+            "clean_erases": 247,
+            "wear_migrations": 0,
+            "wear_pages_moved": 0,
+            "trims": 0,
+            "trimmed_pages": 0,
+            "write_stalls": 598,
+            "program_failures": 0,
+            "erase_failures": 0,
+            "blocks_retired": 0,
+            "rescued_pages": 0,
+            "failed_pages": 0
+        },
+        "completions": 3000,
+        "completion_crc": 638412834
+    }
+}
+
+#: name -> (config, seed, request count, read fraction)
+_STALL_DRIVES = {
+    "blockmap": (SSDConfig(
+        name="stall-blockmap",
+        n_elements=4,
+        geometry=FlashGeometry(page_bytes=4096, pages_per_block=8,
+                               blocks_per_element=16),
+        ftl_type="blockmap",
+        gang_size=2,
+        spare_fraction=0.3,
+        scheduler="swtf",
+        max_inflight=4,
+        controller_overhead_us=5.0,
+    ), 404, 1500, 0.0),
+    "pagemap": (SSDConfig(
+        name="stall-pagemap",
+        n_elements=4,
+        geometry=FlashGeometry(page_bytes=4096, pages_per_block=16,
+                               blocks_per_element=32),
+        scheduler="swtf",
+        max_inflight=8,
+        controller_overhead_us=5.0,
+    ), 11, 3000, 0.1),
+}
+
+
+def _run_stall(name: str):
+    config, seed, count, read_frac = _STALL_DRIVES[name]
+    sim = Simulator()
+    ssd = SSD(sim, config)
+    region = int(ssd.capacity_bytes * 0.9) // 4096
+    rng = random.Random(seed)
+
+    def next_request(i: int):
+        offset = rng.randrange(region) * 4096
+        size = min(rng.choice((4096, 8192)), ssd.capacity_bytes - offset)
+        op = OpType.READ if rng.random() < read_frac else OpType.WRITE
+        return op, offset, size
+
+    result = ClosedLoopDriver(sim, ssd, next_request, count=count,
+                              depth=8).run()
+    ssd.ftl.check_consistency()
+    return {
+        "final_clock": sim.now.hex(),
+        "events_run": sim.events_run,
+        "stats": ssd.ftl.stats.as_dict(),
+        "completions": len(result.completions),
+        "completion_crc": _completion_crc(result.completions),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_STALL_DRIVES))
+def test_allocation_stall_matches_golden_snapshot(name):
+    observed = _run_stall(name)
+    assert observed["stats"]["write_stalls"] > 0  # the regime must stall
+    assert observed == GOLDEN_STALL[name]

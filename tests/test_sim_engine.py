@@ -90,14 +90,6 @@ def test_run_until_stops_and_advances_clock():
     assert seen == [1, 2]
 
 
-def test_run_max_events():
-    sim = Simulator()
-    for _ in range(10):
-        sim.schedule(1.0, lambda: None)
-    assert sim.run(max_events=3) == 3
-    assert sim.pending == 7
-
-
 def test_callback_scheduling_during_run():
     sim = Simulator()
     times = []
@@ -122,30 +114,32 @@ def test_events_run_counter():
 
 def test_pending_excludes_cancelled():
     sim = Simulator()
-    keep = sim.schedule(1.0, lambda: None)
-    drop = sim.schedule(2.0, lambda: None)
+    ran = []
+    keep = sim.schedule(1.0, ran.append, "keep")
+    drop = sim.schedule(2.0, ran.append, "drop")
     sim.cancel(drop)
-    assert sim.pending == 1
-    assert keep.alive
+    assert keep.alive and not drop.alive
+    assert sim.run_until_idle() == 1
+    assert ran == ["keep"]
 
 
 def test_pending_is_counter_based_and_exact():
-    # pending is O(1) (a live counter), so it must stay exact through any
-    # interleaving of schedule / cancel / double-cancel / run
+    # the events_run counter and run()'s return values stay exact through
+    # any interleaving of schedule / cancel / double-cancel / bounded run:
+    # cancelled events neither run nor count
     sim = Simulator()
-    events = [sim.schedule(float(i + 1), lambda: None) for i in range(6)]
-    assert sim.pending == 6
+    ran = []
+    events = [sim.schedule(float(i + 1), ran.append, i) for i in range(6)]
     sim.cancel(events[0])
-    sim.cancel(events[0])  # idempotent: must not double-decrement
-    assert sim.pending == 5
-    sim.run(max_events=2)
-    assert sim.pending == 3
+    sim.cancel(events[0])  # idempotent
+    assert events[1].alive
+    assert sim.run(until_us=3.0) == 2
     sim.cancel(events[3])
-    assert sim.pending == 2
-    sim.run_until_idle()
-    assert sim.pending == 0
+    assert sim.run_until_idle() == 2
     sim.cancel(events[5])  # cancelling an already-run event is a no-op
-    assert sim.pending == 0
+    assert sim.run_until_idle() == 0
+    assert ran == [1, 2, 4, 5]
+    assert sim.events_run == 4
 
 
 def test_reschedule_reuses_one_event_object():
@@ -156,7 +150,7 @@ def test_reschedule_reuses_one_event_object():
     event = Event(0.0, -1, fired.append, ("tick",))
     event.alive = False
     sim.reschedule(event, 5.0)
-    assert sim.pending == 1
+    assert event.alive
     sim.run_until_idle()
     assert fired == ["tick"]
     assert sim.now == 5.0
@@ -164,7 +158,7 @@ def test_reschedule_reuses_one_event_object():
     sim.run_until_idle()
     assert fired == ["tick", "tick"]
     assert sim.now == 7.0
-    assert sim.pending == 0
+    assert not event.alive
 
 
 def test_reschedule_into_past_rejected():
@@ -232,8 +226,9 @@ def test_hot_run_loop_matches_step_loop(seed):
     hot, _, _ = _random_program(seed, lambda sim: sim.run_until_idle())
 
     def step_all(sim):
-        while sim.step():
-            pass
+        # one instant per call: stop at the next queued timestamp
+        while sim._heap:
+            sim.run(until_us=sim._heap[0][0])
 
     stepped, _, _ = _random_program(seed, step_all)
     assert hot == stepped
@@ -318,4 +313,41 @@ def test_cancelled_events_skipped_inside_micro_batch():
     schedule_at_front(sim, 4.0, killer)
     sim.run_until_idle()
     assert order == ["killer", "a"]
-    assert sim.pending == 0
+    assert sim.events_run == 2
+
+
+def test_event_lt_breaks_full_heap_ties():
+    # SerialResource cancels its armed event (the entry stays in the heap)
+    # and may later re-arm a fresh one at the same deferred reservation's
+    # unchanged projection: two heap entries then share (time, seq), so
+    # the tuple compare falls through to Event.__lt__
+    from repro.sim.engine import Event
+    from repro.sim.resource import SerialResource
+
+    calls = []
+    compare = Event.__lt__
+
+    def counted(a, b):
+        calls.append((a.time, a.seq, b.time, b.seq))
+        return compare(a, b)
+
+    Event.__lt__ = counted
+    try:
+        sim = Simulator()
+        link = SerialResource(sim, 250.0)
+        done = []
+        link.transfer_after(20.0, 4096, lambda t: done.append(("big", t)))
+        for i in range(4):
+            sim.schedule(1.0 + i, link.transfer, 512,
+                         lambda t, i=i: done.append((i, t)))
+        sim.run_until_idle()
+    finally:
+        Event.__lt__ = compare
+    assert calls and all(a[:2] == a[2:] for a in calls)
+    assert [label for label, _t in done] == [0, 1, 2, 3, "big"]
+    assert [t for _label, t in done] == sorted(t for _label, t in done)
+    # the comparison itself: (time, seq) order, equal stamps not less
+    early, late = Event(1.0, 5, print, ()), Event(2.0, 0, print, ())
+    assert early < late and not late < early
+    twin = Event(1.0, 5, print, ())
+    assert not early < twin and not twin < early

@@ -17,6 +17,9 @@ write-buffer bugfixes, each with a dedicated regression test:
 * The write-back cache's FLUSH completes only once its data is programmed,
   including runs held back by allocation backpressure (it used to complete
   with the data still buffered) — ``TestWriteBackFlushBarrier``.
+* On every buffer, a FLUSH waits for earlier WRITEs still crossing the host
+  link or, under SWTF, still in the host queue —
+  ``TestFlushOrdersEarlierWrites``.
 
 Plus golden-pinned coverage of the incremental sorted-run merge structure
 (overlap, adjacency, MAX_BATCH truncation) — ``TestQueueMergeRuns``.
@@ -53,6 +56,22 @@ def aligning_ssd(sim, window_us=500.0, capacity=1 << 20, lp_kib=16,
 def submit_write(ssd, offset, size=4 * KIB, done=None):
     ssd.submit(IORequest(OpType.WRITE, offset, size,
                          on_complete=None if done is None else done.append))
+
+
+def log_landings(ssd):
+    """Wrap the FTL's write entry; returns the list of times at which
+    each handed-over write is on flash."""
+    landed = []
+    write = ssd.ftl.write
+
+    def logged_write(offset, size, done=None, **kw):
+        def on_flash(now):
+            landed.append(now)
+            done(now)
+        write(offset, size, done=on_flash, **kw)
+
+    ssd.ftl.write = logged_write
+    return landed
 
 
 class TestAligningFlush:
@@ -189,16 +208,7 @@ class TestWriteBackFlushBarrier:
     def test_flush_waits_for_programs(self, ftl_type):
         sim = Simulator()
         ssd = aligning_ssd(sim, window_us=1e6, ftl_type=ftl_type)
-        programmed = []
-        write = ssd.ftl.write
-
-        def logged_write(offset, size, done=None, **kw):
-            def landed(now):
-                programmed.append(now)
-                done(now)
-            write(offset, size, done=landed, **kw)
-
-        ssd.ftl.write = logged_write
+        programmed = log_landings(ssd)
         acked = []
         submit_write(ssd, 0, done=acked)
         sim.run(until_us=100.0)
@@ -231,6 +241,66 @@ class TestWriteBackFlushBarrier:
         sim.run_until_idle()
         assert ftl.stats.flash_pages_programmed == 4
         assert flushed
+
+
+class TestFlushOrdersEarlierWrites:
+    """Bugfix: a FLUSH completes only after every WRITE submitted before it
+    is on flash, on every buffer.  It used to count writes from buffer
+    insert on, so it missed (a) a write still crossing the host link and
+    (b) under SWTF, an earlier write still in the host queue: a FLUSH has
+    no target elements, so its wait key is ``now`` and it was picked ahead
+    of writes to busy elements."""
+
+    BUFFERS = ["passthrough", "queue-merge", "align"]
+
+    @staticmethod
+    def _ssd(sim, write_buffer, scheduler, max_inflight):
+        config = SSDConfig(
+            n_elements=2,
+            geometry=small_geometry(),
+            scheduler=scheduler,
+            write_buffer=write_buffer,
+            buffer_window_us=1e6,  # the cache holds data until the FLUSH
+            max_inflight=max_inflight,
+            controller_overhead_us=5.0,
+        )
+        ssd = SSD(sim, config)
+        return ssd, log_landings(ssd)
+
+    def _flush(self, sim, ssd, landed):
+        """Submit a FLUSH; returns (completion time, writes on flash then)."""
+        seen = []
+        ssd.submit(IORequest(
+            OpType.FLUSH, 0, 0,
+            on_complete=lambda r: seen.append((r.complete_us, len(landed)))))
+        sim.run_until_idle()
+        assert len(seen) == 1
+        return seen[0]
+
+    @pytest.mark.parametrize("scheduler", ["fcfs", "swtf"])
+    @pytest.mark.parametrize("write_buffer", BUFFERS)
+    def test_flush_waits_for_write_crossing_the_link(self, write_buffer,
+                                                     scheduler):
+        sim = Simulator()
+        ssd, landed = self._ssd(sim, write_buffer, scheduler, max_inflight=8)
+        submit_write(ssd, 0)  # dispatched at once; its data is on the link
+        complete_us, on_flash = self._flush(sim, ssd, landed)
+        assert on_flash == 1
+        assert complete_us >= landed[0]
+
+    @pytest.mark.parametrize("scheduler", ["fcfs", "swtf"])
+    @pytest.mark.parametrize("write_buffer", BUFFERS)
+    def test_flush_waits_for_write_still_queued(self, write_buffer,
+                                                scheduler):
+        sim = Simulator()
+        ssd, landed = self._ssd(sim, write_buffer, scheduler, max_inflight=1)
+        # element 0 erases a spare block for ~1.5 ms: a write to it waits
+        ssd.elements[0].erase_block(small_geometry().blocks_per_element - 1)
+        submit_write(ssd, 4 * KIB)   # element 1: takes the only slot
+        submit_write(ssd, 16 * KIB)  # element 0: queued behind it
+        complete_us, on_flash = self._flush(sim, ssd, landed)
+        assert on_flash == 2
+        assert complete_us >= max(landed)
 
 
 def merging_ssd(sim, **overrides):
@@ -283,7 +353,9 @@ class TestPassthroughFlushDrain:
         flushed = []
         buffer.flush_all(lambda: flushed.append(sim.now))
         # the write is in flight inside the FTL: the barrier must hold
-        assert sim.pending > 0
+        # past the current instant
+        sim.run(until_us=0.0)
+        assert not flushed
         sim.run_until_idle()
         assert write_done and flushed
         # seed behaviour: flushed at +0 us, before the program completed
