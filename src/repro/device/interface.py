@@ -71,7 +71,7 @@ class IORequest:
     complete_us: float = field(default=-1.0, compare=False)
     #: terminal error of the completed request — None on success,
     #: ``"transient"`` (flash failure, retries exhausted), ``"readonly"``
-    #: (spares exhausted, device degraded to read-only), or ``"timeout"``
+    #: (spares exhausted, device degraded to read-only)
     error: Optional[str] = field(default=None, compare=False)
 
     # -- device-internal dispatch plumbing (stamped by the SSD; not part of
@@ -166,14 +166,13 @@ class DeviceStats:
     * ``media_bytes_written`` — bytes physically written to the medium, the
       numerator of the write-amplification factor (contract term 4),
     * ``requests_completed`` (every completion, failed or not),
-      ``requests_failed``, ``write_retries`` and ``request_timeouts``.
+      ``requests_failed`` and ``write_retries``.
     """
 
     __slots__ = (
         "reads", "writes", "priority_reads", "priority_writes",
         "bytes_read", "bytes_written", "media_bytes_written",
-        "requests_completed", "write_retries", "request_timeouts",
-        "requests_failed",
+        "requests_completed", "write_retries", "requests_failed",
     )
 
     def __init__(self) -> None:
@@ -187,8 +186,6 @@ class DeviceStats:
         self.requests_completed = 0
         #: host-side write retries performed after transient device errors
         self.write_retries = 0
-        #: requests whose service time exceeded the configured bound
-        self.request_timeouts = 0
         #: requests that completed with an error (any kind)
         self.requests_failed = 0
 

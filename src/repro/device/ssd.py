@@ -107,14 +107,12 @@ class SSD:
         else:
             self.write_buffer = PassthroughBuffer(sim, self.ftl)
 
-        self._faults_on = cfg.faults is not None and cfg.faults.enabled
-        if self._faults_on:
+        if cfg.faults is not None and cfg.faults.enabled:
             for el in self.elements:
                 el.fault_model = FaultModel(cfg.faults, el.element_id)
             self.ftl.faults_enabled = True
         self._retry_limit = cfg.host_retry_limit
         self._retry_backoff_us = cfg.host_retry_backoff_us
-        self._timeout_us = cfg.request_timeout_us
 
         self.scheduler = make_scheduler(cfg.scheduler)
         self.link = SerialResource(sim, cfg.host_interface_mb_s)
@@ -211,10 +209,12 @@ class SSD:
                 if head is not None and head.op is OpType.WRITE:
                     ftl = self.ftl
                     ftl.stats.write_stalls += 1
-                    if (self._faults_on and not ftl.read_only
+                    if (not ftl.read_only
                             and ftl.write_wedged(head.offset, head.size)):
-                        # spares exhausted with no reclamation in flight:
-                        # degrade to read-only instead of stalling forever
+                        # spares exhausted with no reclamation in flight
+                        # (grown bad blocks, or a spare area too small for
+                        # the workload): degrade to read-only instead of
+                        # stalling forever
                         ftl.enter_read_only()
                     if ftl.read_only:
                         self._fail_queued_writes()
@@ -237,7 +237,9 @@ class SSD:
         event covers overhead + transfer where the seed used two.
 
         A FLUSH reserves the link the same way with no data: it arrives
-        behind every WRITE dispatched before it, then drains the buffer.
+        behind every WRITE dispatched before it, then drains the buffer;
+        it completes with ``"readonly"`` if a wedged device dropped data
+        it waited on.
 
         READs (and FREEs) keep the discrete hop: their dispatch instant
         consults FTL mapping state and claims element-FIFO positions,
@@ -251,7 +253,7 @@ class SSD:
             self.link.transfer_after(
                 self._overhead_us, 0,
                 lambda now: self.write_buffer.flush_all(
-                    lambda: self._complete(request)))
+                    lambda error: self._flushed(request, error)))
         else:
             self.sim.schedule(self._overhead_us, self._dispatch, request)
 
@@ -280,24 +282,22 @@ class SSD:
         else:
             self.write_buffer.insert(request, complete=self._complete_b)
 
+    def _flushed(self, request: IORequest, error: Optional[str]) -> None:
+        """The FLUSH barrier released *request*."""
+        request.error = error
+        self._complete(request)
+
     def _read_media_done(self, request: IORequest) -> None:
         """Flash reads finished: return data over the host link."""
         self.link.transfer(request.size,
                            lambda now: self._complete(request))
 
     def _complete(self, request: IORequest) -> None:
-        now = self.sim.now
-        request.complete_us = now
-        error = request.error
-        if error is not None:
-            if (error == "transient" and request.retries_left > 0
-                    and not self.ftl.read_only):
-                self._schedule_retry(request)
-                return
-        elif (self._timeout_us is not None
-              and now - request.submit_us > self._timeout_us):
-            request.error = "timeout"
-            self._stats.request_timeouts += 1
+        request.complete_us = self.sim.now
+        if (request.error == "transient" and request.retries_left > 0
+                and not self.ftl.read_only):
+            self._schedule_retry(request)
+            return
         self._stats_record(request)
         if request.priority > 0:
             self._pending_priority -= 1

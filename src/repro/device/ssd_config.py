@@ -68,9 +68,6 @@ class SSDConfig:
     host_retry_limit: int = 2
     #: backoff before the first retry; doubles per subsequent attempt
     host_retry_backoff_us: float = 100.0
-    #: completion-time bound: a request whose service exceeds this completes
-    #: with ``error="timeout"`` (None disables the check)
-    request_timeout_us: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.n_elements <= 0:
@@ -93,8 +90,6 @@ class SSDConfig:
             raise ValueError("host_retry_limit must be non-negative")
         if self.host_retry_backoff_us < 0:
             raise ValueError("host_retry_backoff_us must be non-negative")
-        if self.request_timeout_us is not None and self.request_timeout_us <= 0:
-            raise ValueError("request_timeout_us must be positive (or None)")
 
     def with_(self, **overrides) -> "SSDConfig":
         """Copy with the given fields replaced."""

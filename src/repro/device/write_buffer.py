@@ -20,19 +20,22 @@ Three behaviours, selected by ``SSDConfig.write_buffer``:
   Sustained random writes become drain-limited, which is why such a cache
   "is ineffective in masking the write amplifications" (Table 2, S3slc).
   Drained runs honour FTL allocation backpressure: they queue in a drain
-  list and retry when cleaning frees space.
+  list and retry when cleaning frees space.  When the FTL reports that no
+  reclamation can ever admit the head run (a wedged device), the device
+  goes read-only and the held runs are dropped as lost pages.
 
 All three share one FLUSH barrier (:meth:`PassthroughBuffer.flush_all`):
 a counter of writes handed over but not yet programmed, which a barrier
 waits to reach zero.  The cache counts a run from the moment it enters the
-drain list, so runs held back by backpressure hold the barrier too.
+drain list, so runs held back by backpressure hold the barrier too; a
+barrier that waited on dropped runs completes with ``"readonly"``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from typing import Callable, Deque, Dict, List, Tuple, TYPE_CHECKING
+from typing import Callable, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.device.interface import IORequest
 from repro.ftl.base import DeviceFullError
@@ -69,8 +72,10 @@ class PassthroughBuffer:
         self.ftl = ftl
         #: writes handed to the FTL whose ``done`` has not fired yet
         self._outstanding = 0
-        #: barrier callbacks waiting for the outstanding count to hit zero
-        self._flush_waiters: List[Callable[[], None]] = []
+        #: barriers waiting for the outstanding count to hit zero, as
+        #: ``[done, error]``: the error a barrier completes with is set
+        #: when held runs it waited on are dropped
+        self._flush_waiters: List[list] = []
 
     def admits(self, offset: int, size: int) -> bool:
         return self.ftl.can_accept_write(offset, size)
@@ -94,8 +99,10 @@ class PassthroughBuffer:
             ftl.write(request.offset, request.size, done=done, temp=temp)
         except DeviceFullError:
             # the spare pool dried mid-write (stripe FTLs under grown bad
-            # blocks): fail the request instead of crashing the run; the
-            # completion still fires through ``done``
+            # blocks): fail the request instead of crashing the run.  The
+            # completion fires here only: a write that raised never
+            # completes through its FTL join, though the programs it
+            # issued before raising still land
             ftl._note_write_error()
             self.sim.schedule(0.0, done, 0.0)
         # allocation-path failures are synchronous: attribute the FTL's
@@ -108,26 +115,34 @@ class PassthroughBuffer:
     def before_read(self, offset: int, size: int) -> None:
         """Nothing is held here, so a read never waits on a flush."""
 
-    def flush_all(self, done: Callable[[], None]) -> None:
-        """Complete ``done`` once every issued write has left the FTL.
+    def flush_all(self, done: Callable[[Optional[str]], None]) -> None:
+        """Hand every held write to the FTL, then call ``done(error)`` once
+        every issued write has left it (``error`` is None, or
+        ``"readonly"`` when writes it waited on were dropped).
 
         Completion is asynchronous (zero-delay event) even when nothing is
         outstanding, preserving the no-reentrant-callback contract.
         """
+        self._flush_waiters.append([done, None])
+        self._flush_held()
         if self._outstanding == 0:
-            self.sim.schedule(0.0, done)
-        else:
-            self._flush_waiters.append(done)
+            self._release_barrier()
+
+    def _flush_held(self) -> None:
+        """A barrier arrived: hand over every held write (none here)."""
 
     def _written(self, now: float) -> None:
         """One outstanding write left the FTL; release the barrier at zero."""
         out = self._outstanding - 1
         self._outstanding = out
         if out == 0 and self._flush_waiters:
-            waiters = self._flush_waiters
-            self._flush_waiters = []
-            for done in waiters:
-                self.sim.schedule(0.0, done)
+            self._release_barrier()
+
+    def _release_barrier(self) -> None:
+        waiters = self._flush_waiters
+        self._flush_waiters = []
+        for done, error in waiters:
+            self.sim.schedule(0.0, done, error)
 
     def on_space_freed(self) -> None:
         pass
@@ -339,7 +354,9 @@ class AligningWriteBuffer(PassthroughBuffer):
     # ------------------------------------------------------------------
 
     def admits(self, offset: int, size: int) -> bool:
-        return True  # memory-bounded by capacity flushes, not admission
+        # memory-bounded by capacity flushes, not admission; a read-only
+        # device refuses writes (the SSD fails them)
+        return not self.ftl.read_only
 
     def insert(self, request: IORequest, complete: Callable[[IORequest], None]) -> None:
         """Ack one write request and absorb it (its byte range may span
@@ -434,15 +451,36 @@ class AligningWriteBuffer(PassthroughBuffer):
 
     def _drain(self) -> None:
         """Issue drained runs to the FTL, respecting allocation backpressure."""
+        ftl = self.ftl
         while self._drain_queue:
             page, run = self._drain_queue[0]
-            base = page * self.page_bytes
-            if not self.ftl.can_accept_write(base + run.start, run.end - run.start):
-                self.ftl.ensure_space(base + run.start, run.end - run.start)
-                return  # retried via on_space_freed
+            offset = page * self.page_bytes + run.start
+            size = run.end - run.start
+            if not ftl.can_accept_write(offset, size):
+                if ftl.read_only or ftl.write_wedged(offset, size):
+                    self._drop_held()
+                else:
+                    ftl.ensure_space(offset, size)  # retried via on_space_freed
+                return
             self._drain_queue.popleft()
-            self.ftl.write(base + run.start, run.end - run.start,
-                           done=self._written_b)
+            ftl.write(offset, size, done=self._written_b)
+
+    def _drop_held(self) -> None:
+        """No reclamation can ever admit the held runs: the device goes
+        read-only, their pages are lost (``failed_pages``) and they leave
+        the barrier, failing every FLUSH that waits on them."""
+        ftl = self.ftl
+        ftl.enter_read_only()
+        fp = ftl.geometry.page_bytes
+        for waiter in self._flush_waiters:
+            waiter[1] = "readonly"
+        held = self._drain_queue
+        self._drain_queue = deque()
+        for page, run in held:
+            base = page * self.page_bytes
+            ftl.stats.failed_pages += ((base + run.end - 1) // fp
+                                       - (base + run.start) // fp + 1)
+            self._written(self.sim.now)
 
     def on_space_freed(self) -> None:
         self._drain()
@@ -464,9 +502,6 @@ class AligningWriteBuffer(PassthroughBuffer):
             if page in self._pages:
                 self._flush_page(page, full=False)
 
-    def flush_all(self, done: Callable[[], None]) -> None:
-        """Drain every buffered page, then complete ``done`` once every run
-        has been programmed (the shared barrier)."""
+    def _flush_held(self) -> None:
         for page in list(self._insert_order):
             self._flush_page(page, full=False)
-        super().flush_all(done)

@@ -28,7 +28,7 @@ small hooks (:meth:`BaseFTL._pull_block`, :meth:`BaseFTL._rescue_row`,
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -46,12 +46,11 @@ __all__ = [
 def complete_async(sim: Simulator, done: Optional[Callable[[float], None]]) -> None:
     """Complete a request that needs no flash work.
 
-    Zero-flash-op requests (reads of never-written space, metadata no-ops)
-    still complete through a zero-delay event so callers never re-enter.
-    This is the join-free fast path for the zero-op case; the single-op
-    case needs no helper at all — the request's ``done`` rides directly on
-    the flash op as its completion callback (see ``PageMappedFTL.write``),
-    which is why the common 4 KB request allocates no ``CompletionJoin``.
+    Zero-flash-op requests (reads of never-written space, a program lost
+    for want of a spare) still complete through a zero-delay event so
+    callers never re-enter.  The page-mapped FTL's single-page paths use
+    it for holes and otherwise ride ``done`` directly on their one flash
+    op, allocating no :class:`CompletionJoin`.
     """
     if done is not None:
         sim.schedule(0.0, done, sim.now)
@@ -122,14 +121,17 @@ class FTLStats:
 
 
 class CompletionJoin:
-    """Join N flash-command completions into one ``done(now)`` callback.
+    """Join a request's flash-command completions into one ``done(now)``.
 
-    Only multi-op requests need a join; hot single-op paths attach ``done``
-    straight to the flash op (see :func:`complete_async`), so a page-mapped
-    4 KB write allocates no join at all.
+    The join holds itself open until :meth:`arm`, so ``done`` fires only
+    for a request that issued all its commands.  A request that raises
+    part-way (a stripe write finding no spare row) is never completed by
+    its join, even as the commands it did issue land; whoever catches the
+    error completes it.  A one-op request costs no extra event: ``done``
+    fires from the op's own completion.
     """
 
-    __slots__ = ("_remaining", "_done", "_sim", "_fired")
+    __slots__ = ("_remaining", "_done", "_sim")
 
     def __init__(
         self,
@@ -138,31 +140,26 @@ class CompletionJoin:
     ):
         self._sim = sim
         self._done = done
-        self._remaining = 0
-        self._fired = False
+        #: outstanding commands, plus the hold :meth:`arm` releases
+        self._remaining = 1
 
     def expect(self, count: int = 1) -> None:
         self._remaining += count
 
     def arm(self) -> None:
-        """Call after all ``expect`` calls; fires immediately if nothing is
-        outstanding (zero-flash-op requests still complete asynchronously so
-        callers never re-enter)."""
+        """Call after all ``expect`` calls; fires through a zero-delay event
+        if nothing is outstanding (zero-flash-op requests still complete
+        asynchronously so callers never re-enter)."""
+        self._remaining -= 1
         if self._remaining == 0:
-            self._fire_later()
+            self._sim.schedule(0.0, self._fire, self._sim.now)
 
     def child_done(self, now: float) -> None:
         self._remaining -= 1
         if self._remaining == 0:
             self._fire(now)
 
-    def _fire_later(self) -> None:
-        self._sim.schedule(0.0, self._fire, self._sim.now)
-
     def _fire(self, now: float) -> None:
-        if self._fired:
-            return
-        self._fired = True
         done = self._done
         self._done = None
         if done is not None:
@@ -216,11 +213,12 @@ class BaseFTL:
         self.priority_probe: Callable[[], int] = lambda: 0
         #: hook fired when cleaning frees space (SSD retries stalled writes)
         self.on_space_freed: Optional[Callable[[], None]] = None
-        #: True once fault injection is attached (set by the SSD); gates the
-        #: wedge probes so fault-free runs never pay for them
+        #: True once fault injection is attached (set by the SSD): a write
+        #: that runs out of spares part-way is then failed, not fatal
         self.faults_enabled = False
         #: once True the device only serves reads: spares are exhausted and
-        #: no reclamation can make progress (grown bad blocks ate the pool)
+        #: no reclamation can make progress (grown bad blocks ate the pool,
+        #: or the spare area was too small for the workload to begin with)
         self.read_only = False
         #: set when an in-flight write lost data ("transient": a retry may
         #: succeed once reclamation or retirement completes; "readonly":
@@ -237,8 +235,9 @@ class BaseFTL:
     def write_wedged(self, offset: int, size: int) -> bool:
         """True when a blocked write can never be admitted again: the free
         pool is exhausted and no reclamation (cleaning, stripe retirement)
-        is possible or in flight.  Probed by the SSD on the write-stall
-        path only, and only when fault injection is enabled."""
+        is possible or in flight.  Probed on the write-stall paths only:
+        by the SSD for a refused queued write and by the write-back cache
+        for a refused drain."""
         return False
 
     # -- interface the SSD drives ----------------------------------------
@@ -510,8 +509,11 @@ class StripeFTLBase(BaseFTL):
     :class:`repro.ftl.hybrid.HybridLogBlockFTL` map logical stripes (one
     erase block per element of a gang, page-interleaved) onto physical rows.
     A gang is the allocation group of the shared block lifecycle
-    (:class:`BaseFTL`); this base adds the row-granular mapping, admission
-    and geometry.  Subclasses add their mapping policy on top.
+    (:class:`BaseFTL`); this base adds the row-granular mapping, admission,
+    geometry and the host path: it walks a byte range stripe by stripe for
+    ``read``, ``trim`` and ``write``.  The families differ only in how a
+    stripe absorbs a write (:meth:`_write_stripe`) and, on the hybrid, in
+    where a page's newest copy lives (:meth:`_newest`, :meth:`_drop`).
     """
 
     def __init__(
@@ -559,6 +561,107 @@ class StripeFTLBase(BaseFTL):
         local = page_in_stripe // self.shards
         return self.elements[gang * self.shards + j], local
 
+    def _stripes(self, offset: int, size: int) -> Iterator[Tuple[int, int, int, int]]:
+        """``(gang, slot, a, b)`` for each stripe the range touches, where
+        ``[a, b)`` is the part of the range inside that stripe."""
+        sb = self.stripe_bytes
+        end = offset + size
+        for lbn in range(offset // sb, (end - 1) // sb + 1):
+            base = lbn * sb
+            gang, slot = self._gang_slot(lbn)
+            yield gang, slot, max(offset, base) - base, min(end, base + sb) - base
+
+    def _newest(self, gang: int, slot: int,
+                p: int) -> Optional[Tuple[FlashElement, int, int]]:
+        """``(element, row, local page)`` of the newest copy of page *p* of
+        *slot*, or None for a hole.  Here: the VALID page of its row."""
+        row = int(self._maps[gang][slot])
+        if row < 0:
+            return None
+        el, local = self._element(gang, p)
+        if el.page_state[row, local] != PageState.VALID:
+            return None
+        return el, row, local
+
+    def _drop(self, gang: int, slot: int, p: int) -> bool:
+        """Invalidate the newest copy of page *p* of *slot* (trimmed or
+        superseded); True if there was one."""
+        copy = self._newest(gang, slot, p)
+        if copy is None:
+            return False
+        el, row, local = copy
+        el.invalidate_state(row, local)
+        return True
+
+    # -- host path ---------------------------------------------------------
+
+    def read(
+        self,
+        offset: int,
+        size: int,
+        done: Optional[Callable[[float], None]] = None,
+        tag: str = TAG_HOST,
+    ) -> None:
+        """Read each page's newest copy; holes cost no flash work."""
+        self._check_range(offset, size)
+        fp = self.geometry.page_bytes
+        stats = self.stats
+        join = CompletionJoin(self.sim, done)
+        for gang, slot, a, b in self._stripes(offset, size):
+            for p in range(a // fp, (b - 1) // fp + 1):
+                stats.host_pages_read += 1
+                copy = self._newest(gang, slot, p)
+                if copy is None:
+                    continue
+                el, row, local = copy
+                join.expect()
+                el.read_page(row, local,
+                             nbytes=min(b, (p + 1) * fp) - max(a, p * fp),
+                             tag=tag, callback=join.child_done)
+        stats.host_reads += 1
+        join.arm()
+
+    def write(
+        self,
+        offset: int,
+        size: int,
+        done: Optional[Callable[[float], None]] = None,
+        tag: str = TAG_HOST,
+        temp: str = "hot",
+    ) -> None:
+        self._check_range(offset, size)
+        fp = self.geometry.page_bytes
+        join = CompletionJoin(self.sim, done)
+        for gang, slot, a, b in self._stripes(offset, size):
+            self.stats.host_pages_written += (b - 1) // fp - a // fp + 1
+            self._write_stripe(gang, slot, a, b, join, tag)
+        self.stats.host_writes += 1
+        join.arm()
+
+    def _write_stripe(self, gang: int, slot: int, a: int, b: int,  # pragma: no cover
+                      join: CompletionJoin, tag: str) -> None:
+        """Absorb bytes ``[a, b)`` of stripe *slot*, issuing the flash
+        commands into *join*."""
+        raise NotImplementedError
+
+    def trim(self, offset: int, size: int) -> None:
+        """FREE notification: wholly-covered pages lose their newest copy,
+        and a wholly-covered stripe is unmapped and its row erased."""
+        self._check_range(offset, size)
+        sb = self.stripe_bytes
+        fp = self.geometry.page_bytes
+        stats = self.stats
+        stats.trims += 1
+        for gang, slot, a, b in self._stripes(offset, size):
+            for p in range(-(-a // fp), b // fp):
+                if self._drop(gang, slot, p):
+                    stats.trimmed_pages += 1
+            if a == 0 and b == sb:
+                row = int(self._maps[gang][slot])
+                if row >= 0:
+                    self._maps[gang][slot] = -1
+                    self._erase_row(gang, row, TAG_CLEAN, self._space_freed)
+
     # -- rows ------------------------------------------------------------
 
     def _program(self, gang: int, row: int, p: int, slot: int, tag: str,
@@ -594,51 +697,37 @@ class StripeFTLBase(BaseFTL):
 
     # -- admission / introspection ---------------------------------------
 
-    def can_accept_write(self, offset: int, size: int) -> bool:
-        if self.read_only:
-            return False
-        sb = self.stripe_bytes
-        lbn0 = offset // sb
-        lbn1 = (offset + size - 1) // sb
-        if lbn0 == lbn1:
-            # fast path: the write lands in one stripe — the common 4 KB
-            # probe shape, answered off one gang's pool length with no
-            # range walk or dict build
-            gang = lbn0 % self.n_gangs
-            return len(self._pool[gang]) - 1 >= self.reserve_rows
-        needed: Dict[int, int] = {}
-        for lbn in range(lbn0, lbn1 + 1):
-            gang = lbn % self.n_gangs
-            needed[gang] = needed.get(gang, 0) + 1
-        return all(
-            len(self._pool[gang]) - count >= self.reserve_rows
-            for gang, count in needed.items()
-        )
-
-    def write_wedged(self, offset: int, size: int) -> bool:
+    def _rows_needed(self, offset: int, size: int) -> Dict[int, int]:
+        """Gang -> stripes of the range it holds: the rows a write of the
+        range may pull there."""
         sb = self.stripe_bytes
         needed: Dict[int, int] = {}
         for lbn in range(offset // sb, (offset + size - 1) // sb + 1):
             gang = lbn % self.n_gangs
             needed[gang] = needed.get(gang, 0) + 1
-        for gang, count in needed.items():
+        return needed
+
+    def can_accept_write(self, offset: int, size: int) -> bool:
+        if self.read_only:
+            return False
+        pool = self._pool
+        return all(
+            len(pool[gang]) - count >= self.reserve_rows
+            for gang, count in self._rows_needed(offset, size).items()
+        )
+
+    def write_wedged(self, offset: int, size: int) -> bool:
+        for gang, count in self._rows_needed(offset, size).items():
             if len(self._pool[gang]) - count >= self.reserve_rows:
                 continue
-            if self._erasing[gang]:
-                # background erases in flight may replenish the pool
-                return False
-            return True
+            # background erases in flight may replenish the pool
+            return not self._erasing[gang]
         return False
 
     def elements_for_range(self, offset: int, size: int) -> List[int]:
-        sb = self.stripe_bytes
         shards = self.shards
-        end = offset + size
-        out: Set[int] = set()
-        for lbn in range(offset // sb, (end - 1) // sb + 1):
-            gang = lbn % self.n_gangs
-            out.update(range(gang * shards, (gang + 1) * shards))
-        return sorted(out)
+        return [e_idx for gang in sorted(self._rows_needed(offset, size))
+                for e_idx in range(gang * shards, (gang + 1) * shards)]
 
     def mapped_row(self, lbn: int) -> int:
         """Physical stripe row of *lbn* (-1 if unmapped); test hook."""

@@ -20,21 +20,21 @@ RMW), as on the simple devices this models.
 
 Stripe rows run the block lifecycle shared by every FTL family (per-gang
 :class:`repro.ftl.freepool.FreeBlockPool` pools, background erase,
-retire-and-rescue, program retry; see :class:`repro.ftl.base.BaseFTL`),
-and single-page requests ride join-free with ``done`` attached directly to
-the flash op — the same fast-path architecture as
-:class:`repro.ftl.pagemap.PageMappedFTL`.
+retire-and-rescue, program retry; see :class:`repro.ftl.base.BaseFTL`).
+Reads, FREEs, the stripe walk and admission are the stripe host path of
+:class:`repro.ftl.base.StripeFTLBase`; this module only says how one
+stripe absorbs a write (:meth:`BlockMappedFTL._write_stripe`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.flash.element import FlashElement, PageState
-from repro.flash.ops import TAG_CLEAN, TAG_HOST
-from repro.ftl.base import CompletionJoin, StripeFTLBase, complete_async
+from repro.flash.ops import TAG_CLEAN
+from repro.ftl.base import CompletionJoin, StripeFTLBase
 from repro.sim.engine import Simulator
 
 __all__ = ["BlockMappedFTL"]
@@ -61,64 +61,23 @@ class BlockMappedFTL(StripeFTLBase):
         super().__init__(sim, elements, shards, user_rows)
         # reserve_rows stays at the StripeFTLBase default (frontier + one RMW)
 
-    # ------------------------------------------------------------------
-    # host interface
-    # ------------------------------------------------------------------
-
-    def write(
-        self,
-        offset: int,
-        size: int,
-        done: Optional[Callable[[float], None]] = None,
-        tag: str = TAG_HOST,
-        temp: str = "hot",
-    ) -> None:
-        self._check_range(offset, size)
-        sb = self.stripe_bytes
+    def _write_stripe(self, gang: int, slot: int, a: int, b: int,
+                      join: CompletionJoin, tag: str) -> None:
+        """Program the pages in place when the stripe is fresh or they are
+        all still free (sequential streams run at near-full speed); any
+        other write runs the read-modify-erase-write cycle."""
         fp = self.geometry.page_bytes
-        end = offset + size
-
-        if (offset % fp) + size <= fp:
-            # fast path: a single-page append into a mapped stripe — the
-            # sequential-stream common case — needs exactly one program, so
-            # ``done`` rides join-free on the flash op.  Everything else
-            # (fresh stripes, RMW, multi-page) falls into the general loop.
-            lbn = offset // sb
-            a = offset - lbn * sb
-            gang, slot = self._gang_slot(lbn)
-            row = int(self._maps[gang][slot])
-            p = a // fp
-            if row >= 0 and self._one_free(gang, row, p):
-                self.stats.host_pages_written += 1
-                self.stats.host_writes += 1
-                self._program(gang, row, p, slot, tag, done)
-                return
-
-        join = CompletionJoin(self.sim, done)
-        for lbn in range(offset // sb, (end - 1) // sb + 1):
-            base = lbn * sb
-            a = max(offset, base) - base
-            b = min(end, base + sb) - base
-            gang, slot = self._gang_slot(lbn)
-            row = int(self._maps[gang][slot])
-            p0, p1 = a // fp, (b - 1) // fp
-            self.stats.host_pages_written += p1 - p0 + 1
-
-            if row < 0:
-                row = self._pull_row(gang)
-                self._maps[gang][slot] = row
-                self._program_covered(gang, row, slot, p0, p1, join, tag)
-            elif self._all_free(gang, row, p0, p1):
-                self._program_covered(gang, row, slot, p0, p1, join, tag)
-            else:
-                self._rmw(gang, slot, row, a, b, join, tag)
-
-        self.stats.host_writes += 1
-        join.arm()
-
-    def _one_free(self, gang: int, row: int, p: int) -> bool:
-        el, local = self._element(gang, p)
-        return el.page_state[row, local] == PageState.FREE
+        p0, p1 = a // fp, (b - 1) // fp
+        row = int(self._maps[gang][slot])
+        if row < 0:
+            row = self._pull_row(gang)
+            self._maps[gang][slot] = row
+        elif not self._all_free(gang, row, p0, p1):
+            self._rmw(gang, slot, row, a, b, join, tag)
+            return
+        for p in range(p0, p1 + 1):
+            join.expect()
+            row = self._program(gang, row, p, slot, tag, join.child_done)
 
     def _all_free(self, gang: int, row: int, p0: int, p1: int) -> bool:
         for p in range(p0, p1 + 1):
@@ -126,21 +85,6 @@ class BlockMappedFTL(StripeFTLBase):
             if el.page_state[row, local] != PageState.FREE:
                 return False
         return True
-
-    def _program_covered(
-        self,
-        gang: int,
-        row: int,
-        slot: int,
-        p0: int,
-        p1: int,
-        join: CompletionJoin,
-        tag: str,
-    ) -> None:
-        """Program host pages in place (fresh stripe or pure append)."""
-        for p in range(p0, p1 + 1):
-            join.expect()
-            row = self._program(gang, row, p, slot, tag, join.child_done)
 
     def _rmw(
         self,
@@ -198,100 +142,6 @@ class BlockMappedFTL(StripeFTLBase):
             )
         self._maps[gang][slot] = new_row
         self._erase_row(gang, old_row, TAG_CLEAN, self._space_freed)
-
-    def read(
-        self,
-        offset: int,
-        size: int,
-        done: Optional[Callable[[float], None]] = None,
-        tag: str = TAG_HOST,
-    ) -> None:
-        self._check_range(offset, size)
-        sb = self.stripe_bytes
-        fp = self.geometry.page_bytes
-        end = offset + size
-
-        if (offset % fp) + size <= fp:
-            # fast path: one flash page on one element (pages are aligned
-            # within stripes, so one page implies one stripe); ``done``
-            # rides directly on the single read op (holes complete via a
-            # zero-delay event, preserving the no-reentrant-done contract)
-            lbn = offset // sb
-            base = lbn * sb
-            a = offset - base
-            gang, slot = self._gang_slot(lbn)
-            row = int(self._maps[gang][slot])
-            self.stats.host_pages_read += 1
-            self.stats.host_reads += 1
-            if row < 0:
-                complete_async(self.sim, done)
-                return
-            p = a // fp
-            el, local = self._element(gang, p)
-            if el.page_state[row, local] != PageState.VALID:
-                complete_async(self.sim, done)
-                return
-            el.read_page(row, local, nbytes=size, tag=tag, callback=done)
-            return
-
-        join = CompletionJoin(self.sim, done)
-        for lbn in range(offset // sb, (end - 1) // sb + 1):
-            base = lbn * sb
-            a = max(offset, base) - base
-            b = min(end, base + sb) - base
-            gang, slot = self._gang_slot(lbn)
-            row = int(self._maps[gang][slot])
-            p0, p1 = a // fp, (b - 1) // fp
-            self.stats.host_pages_read += p1 - p0 + 1
-            if row < 0:
-                continue
-            for p in range(p0, p1 + 1):
-                el, local = self._element(gang, p)
-                if el.page_state[row, local] != PageState.VALID:
-                    continue
-                ca = max(a, p * fp)
-                cb = min(b, (p + 1) * fp)
-                join.expect()
-                el.read_page(
-                    row, local, nbytes=cb - ca, tag=tag, callback=join.child_done
-                )
-        self.stats.host_reads += 1
-        join.arm()
-
-    def trim(self, offset: int, size: int) -> None:
-        """FREE notification: wholly-covered stripes are unmapped and erased;
-        wholly-covered pages of partly-covered stripes are invalidated so a
-        later RMW stops copying them."""
-        self._check_range(offset, size)
-        sb = self.stripe_bytes
-        fp = self.geometry.page_bytes
-        end = offset + size
-        self.stats.trims += 1
-
-        for lbn in range(offset // sb, (end - 1) // sb + 1):
-            base = lbn * sb
-            a = max(offset, base) - base
-            b = min(end, base + sb) - base
-            gang, slot = self._gang_slot(lbn)
-            row = int(self._maps[gang][slot])
-            if row < 0:
-                continue
-            if a == 0 and b == sb:
-                for p in range(self.pages_per_stripe):
-                    el, local = self._element(gang, p)
-                    if el.page_state[row, local] == PageState.VALID:
-                        el.invalidate_state(row, local)
-                        self.stats.trimmed_pages += 1
-                self._maps[gang][slot] = -1
-                self._erase_row(gang, row, TAG_CLEAN, self._space_freed)
-            else:
-                first = -(-a // fp)
-                last_excl = b // fp
-                for p in range(first, last_excl):
-                    el, local = self._element(gang, p)
-                    if el.page_state[row, local] == PageState.VALID:
-                        el.invalidate_state(row, local)
-                        self.stats.trimmed_pages += 1
 
     # ------------------------------------------------------------------
 

@@ -19,18 +19,19 @@ pathological footprints raise :class:`repro.ftl.base.DeviceFullError`.
 
 Row pools, background erase, retire-and-rescue and program retry are the
 block lifecycle shared by every FTL family (:class:`repro.ftl.base.BaseFTL`);
-admission control comes from :class:`repro.ftl.base.StripeFTLBase`.
-Single-page reads ride join-free, matching the page-mapped FTL's fast-path
-architecture.
+reads, FREEs, the stripe walk and admission are the stripe host path of
+:class:`repro.ftl.base.StripeFTLBase`.  This module says how a stripe
+absorbs a write (a full-stripe switch or log appends) and that a page's
+newest copy is its log entry when it has one.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.flash.element import FlashElement, PageState
-from repro.flash.ops import TAG_CLEAN, TAG_HOST
-from repro.ftl.base import CompletionJoin, StripeFTLBase, complete_async
+from repro.flash.ops import TAG_CLEAN
+from repro.ftl.base import CompletionJoin, StripeFTLBase
 from repro.sim.engine import Simulator
 
 __all__ = ["HybridLogBlockFTL"]
@@ -94,20 +95,20 @@ class HybridLogBlockFTL(StripeFTLBase):
         self._log_fill[gang] += 1
         return row, pos
 
-    def _invalidate_current(self, gang: int, slot: int, p: int) -> None:
-        """Invalidate whatever copy (log or data row) currently holds page
-        *p* of *slot*, if any."""
-        entry = self._log_index[gang].pop((slot, p), None)
-        if entry is not None:
-            lrow, lpos = entry
-            el, local = self._element(gang, lpos)
-            el.invalidate_state(lrow, local)
-            return
-        row = int(self._maps[gang][slot])
-        if row >= 0:
-            el, local = self._element(gang, p)
-            if el.page_state[row, local] == PageState.VALID:
-                el.invalidate_state(row, local)
+    def _newest(self, gang: int, slot: int,
+                p: int) -> Optional[Tuple[FlashElement, int, int]]:
+        """A page's newest copy is its log entry when it has one."""
+        entry = self._log_index[gang].get((slot, p))
+        if entry is None:
+            return super()._newest(gang, slot, p)
+        lrow, lpos = entry
+        el, local = self._element(gang, lpos)
+        return el, lrow, local
+
+    def _drop(self, gang: int, slot: int, p: int) -> bool:
+        dropped = super()._drop(gang, slot, p)
+        self._log_index[gang].pop((slot, p), None)
+        return dropped
 
     def _merge_oldest(self, gang: int) -> None:
         """Full merge of the oldest log stripe (cost model of FAST).
@@ -218,57 +219,27 @@ class HybridLogBlockFTL(StripeFTLBase):
         super()._row_relocated(gang, old_row, new_row)
 
     # ------------------------------------------------------------------
-    # host interface
+    # host writes
     # ------------------------------------------------------------------
 
-    def write(
-        self,
-        offset: int,
-        size: int,
-        done: Optional[Callable[[float], None]] = None,
-        tag: str = TAG_HOST,
-        temp: str = "hot",
-    ) -> None:
-        self._check_range(offset, size)
-        sb = self.stripe_bytes
+    def _write_stripe(self, gang: int, slot: int, a: int, b: int,
+                      join: CompletionJoin, tag: str) -> None:
+        """A whole stripe switches to a fresh row; anything less goes to
+        the log page by page."""
+        if a == 0 and b == self.stripe_bytes:
+            self._switch_write(gang, slot, join, tag)
+            return
         fp = self.geometry.page_bytes
-        end = offset + size
-
-        join = CompletionJoin(self.sim, done)
-        for lbn in range(offset // sb, (end - 1) // sb + 1):
-            base = lbn * sb
-            a = max(offset, base) - base
-            b = min(end, base + sb) - base
-            gang, slot = self._gang_slot(lbn)
-            p0, p1 = a // fp, (b - 1) // fp
-            self.stats.host_pages_written += p1 - p0 + 1
-
-            if a == 0 and b == sb:
-                self._switch_write(gang, slot, join, tag)
-            else:
-                for p in range(p0, p1 + 1):
-                    ca = max(a, p * fp)
-                    cb = min(b, (p + 1) * fp)
-                    self._log_write_page(gang, slot, p, cb - ca < fp, join, tag)
-
-        self.stats.host_writes += 1
-        join.arm()
+        for p in range(a // fp, (b - 1) // fp + 1):
+            partial = min(b, (p + 1) * fp) - max(a, p * fp) < fp
+            self._log_write_page(gang, slot, p, partial, join, tag)
 
     def _switch_write(self, gang: int, slot: int, join: CompletionJoin, tag: str) -> None:
         """Full-stripe overwrite: program a fresh row, drop all old copies."""
         old_row = int(self._maps[gang][slot])
         new_row = self._pull_row(gang)
-        index = self._log_index[gang]
         for p in range(self.pages_per_stripe):
-            entry = index.pop((slot, p), None)
-            if entry is not None:
-                lrow, lpos = entry
-                el, local = self._element(gang, lpos)
-                el.invalidate_state(lrow, local)
-            if old_row >= 0:
-                el, local = self._element(gang, p)
-                if el.page_state[old_row, local] == PageState.VALID:
-                    el.invalidate_state(old_row, local)
+            self._drop(gang, slot, p)
             join.expect()
             new_row = self._program(
                 gang, new_row, p, slot, tag, join.child_done
@@ -290,22 +261,13 @@ class HybridLogBlockFTL(StripeFTLBase):
         write covers only part of the page."""
         if partial:
             # merge read from wherever the newest copy lives
-            entry = self._log_index[gang].get((slot, p))
-            if entry is not None:
-                lrow, lpos = entry
-                el, local = self._element(gang, lpos)
+            copy = self._newest(gang, slot, p)
+            if copy is not None:
+                el, row, local = copy
                 join.expect()
-                el.read_page(lrow, local, tag=tag, callback=join.child_done)
+                el.read_page(row, local, tag=tag, callback=join.child_done)
                 self.stats.rmw_pages_read += 1
-            else:
-                row = int(self._maps[gang][slot])
-                if row >= 0:
-                    el, local = self._element(gang, p)
-                    if el.page_state[row, local] == PageState.VALID:
-                        join.expect()
-                        el.read_page(row, local, tag=tag, callback=join.child_done)
-                        self.stats.rmw_pages_read += 1
-        self._invalidate_current(gang, slot, p)
+        self._drop(gang, slot, p)
         lrow, lpos = self._log_append_pos(gang)
         join.expect()
         # the element is keyed by the log *position*, so the program
@@ -319,115 +281,6 @@ class HybridLogBlockFTL(StripeFTLBase):
         # else: the retry ran out of spare rows and the page burned in
         # place — the data is lost (counted by the retry loop) and the
         # old copy was already invalidated above, so the page reads a hole
-
-    def read(
-        self,
-        offset: int,
-        size: int,
-        done: Optional[Callable[[float], None]] = None,
-        tag: str = TAG_HOST,
-    ) -> None:
-        self._check_range(offset, size)
-        sb = self.stripe_bytes
-        fp = self.geometry.page_bytes
-        end = offset + size
-
-        if (offset % fp) + size <= fp:
-            # fast path: one flash page, newest copy from log or data row;
-            # ``done`` rides directly on the single read op (holes complete
-            # via a zero-delay event)
-            lbn = offset // sb
-            base = lbn * sb
-            a = offset - base
-            gang, slot = self._gang_slot(lbn)
-            p = a // fp
-            self.stats.host_pages_read += 1
-            self.stats.host_reads += 1
-            entry = self._log_index[gang].get((slot, p))
-            if entry is not None:
-                lrow, lpos = entry
-                el, local = self._element(gang, lpos)
-                el.read_page(lrow, local, nbytes=size, tag=tag, callback=done)
-                return
-            row = int(self._maps[gang][slot])
-            if row >= 0:
-                el, local = self._element(gang, p)
-                if el.page_state[row, local] == PageState.VALID:
-                    el.read_page(row, local, nbytes=size, tag=tag, callback=done)
-                    return
-            complete_async(self.sim, done)
-            return
-
-        join = CompletionJoin(self.sim, done)
-        for lbn in range(offset // sb, (end - 1) // sb + 1):
-            base = lbn * sb
-            a = max(offset, base) - base
-            b = min(end, base + sb) - base
-            gang, slot = self._gang_slot(lbn)
-            row = int(self._maps[gang][slot])
-            for p in range(a // fp, (b - 1) // fp + 1):
-                ca = max(a, p * fp)
-                cb = min(b, (p + 1) * fp)
-                self.stats.host_pages_read += 1
-                entry = self._log_index[gang].get((slot, p))
-                if entry is not None:
-                    lrow, lpos = entry
-                    el, local = self._element(gang, lpos)
-                    join.expect()
-                    el.read_page(
-                        lrow, local, nbytes=cb - ca, tag=tag, callback=join.child_done
-                    )
-                    continue
-                if row < 0:
-                    continue
-                el, local = self._element(gang, p)
-                if el.page_state[row, local] != PageState.VALID:
-                    continue
-                join.expect()
-                el.read_page(
-                    row, local, nbytes=cb - ca, tag=tag, callback=join.child_done
-                )
-        self.stats.host_reads += 1
-        join.arm()
-
-    def trim(self, offset: int, size: int) -> None:
-        """FREE notification at stripe granularity (plus page-granularity
-        invalidation inside partly-covered stripes)."""
-        self._check_range(offset, size)
-        sb = self.stripe_bytes
-        fp = self.geometry.page_bytes
-        end = offset + size
-        self.stats.trims += 1
-
-        for lbn in range(offset // sb, (end - 1) // sb + 1):
-            base = lbn * sb
-            a = max(offset, base) - base
-            b = min(end, base + sb) - base
-            gang, slot = self._gang_slot(lbn)
-            if a == 0 and b == sb:
-                pages = range(self.pages_per_stripe)
-            else:
-                pages = range(-(-a // fp), b // fp)
-            count = 0
-            for p in pages:
-                before = self._log_index[gang].get((slot, p)) is not None
-                row = int(self._maps[gang][slot])
-                had_data = before or (
-                    row >= 0
-                    and self._element(gang, p)[0].page_state[
-                        row, self._element(gang, p)[1]
-                    ]
-                    == PageState.VALID
-                )
-                if had_data:
-                    self._invalidate_current(gang, slot, p)
-                    count += 1
-            self.stats.trimmed_pages += count
-            if a == 0 and b == sb:
-                row = int(self._maps[gang][slot])
-                if row >= 0:
-                    self._maps[gang][slot] = -1
-                    self._erase_row(gang, row, TAG_CLEAN, self._space_freed)
 
     # ------------------------------------------------------------------
 

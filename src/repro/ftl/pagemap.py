@@ -251,6 +251,7 @@ class PageMappedFTL(BaseFTL):
                 # merge read: the old page contributes surviving bytes
                 join = CompletionJoin(self.sim, done)
                 join.expect(2)
+                join.arm()
                 callback = join.child_done
                 el.read_page(old // ppb, old % ppb, nbytes=lp, tag=tag,
                              callback=callback)

@@ -522,7 +522,6 @@ class ClosedLoopDriver:
         next_request: Callable[[int], Tuple],
         count: int,
         depth: int = 1,
-        think_time_us: float = 0.0,
     ) -> None:
         if depth <= 0 or count <= 0:
             raise ValueError("depth and count must be positive")
@@ -531,7 +530,6 @@ class ClosedLoopDriver:
         self.next_request = next_request
         self.count = count
         self.depth = depth
-        self.think_time_us = think_time_us
         self.result = WorkloadResult()
         self._issued = 0
         self._completed = 0
@@ -557,7 +555,4 @@ class ClosedLoopDriver:
         self._completed += 1
         self.result.record(request)
         if self._issued < self.count:
-            if self.think_time_us > 0:
-                self.sim.schedule(self.think_time_us, self._issue)
-            else:
-                self._issue()
+            self._issue()

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.device.interface import IORequest, OpType, RequestError
+from repro.device.presets import s2slc, s3slc
 from repro.device.ssd import SSD
 from repro.device.ssd_config import SSDConfig
 from repro.flash.geometry import FlashGeometry
@@ -226,3 +230,55 @@ class TestSchedulers:
 
         with pytest.raises(ValueError):
             make_scheduler("elevator")
+
+
+class TestWedgedDevice:
+    """A fault-free device whose spare area is too small for the workload
+    wedges: no reclamation can ever admit the next write.  It must degrade
+    to read-only instead of stalling, so every request and the FLUSH
+    behind them complete exactly once."""
+
+    def _drive(self, preset, element_mb):
+        sim = Simulator()
+        ssd = preset(sim, element_mb=element_mb)
+        region = int(ssd.capacity_bytes * 0.9) // 4096
+        rng = random.Random(5)
+        completed: Counter = Counter()
+        outcomes: Counter = Counter()
+
+        def on_complete(request):
+            completed[id(request)] += 1
+            outcomes[request.op, request.error] += 1
+
+        requests = [IORequest(OpType.WRITE, rng.randrange(region) * 4096,
+                              4 * KIB, on_complete=on_complete)
+                    for _ in range(3000)]
+        requests.append(IORequest(OpType.FLUSH, 0, 0, on_complete=on_complete))
+        for request in requests:
+            ssd.submit(request)
+        sim.run_until_idle()
+        assert len(completed) == 3001
+        assert set(completed.values()) == {1}
+        assert ssd.ftl.read_only
+        assert len(ssd.queue) == 0
+        return ssd, outcomes
+
+    def test_passthrough_fails_the_queued_writes(self):
+        ssd, outcomes = self._drive(s2slc, 1)
+        assert outcomes[OpType.WRITE, "readonly"] > 0
+        # the FLUSH waited on no dropped data
+        assert outcomes[OpType.FLUSH, None] == 1
+        assert ssd.ftl.stats.failed_pages == 0
+
+    @pytest.mark.parametrize("element_mb", [1, 2])
+    def test_write_back_cache_drops_held_runs(self, element_mb):
+        ssd, outcomes = self._drive(s3slc, element_mb)
+        # the cache acked every write on insert; the runs it could not
+        # drain are lost pages, and the FLUSH that waited on them fails
+        assert outcomes[OpType.WRITE, None] == 3000
+        assert outcomes[OpType.FLUSH, "readonly"] == 1
+        assert ssd.ftl.stats.failed_pages > 0
+        assert ssd.write_buffer._outstanding == 0
+        # read-only from here on: the cache refuses a write, not acks it
+        late = run_io(ssd.sim, ssd, OpType.WRITE, 0, 4 * KIB)
+        assert late.error == "readonly"

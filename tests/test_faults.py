@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 
 import pytest
 
 from repro.device.interface import IORequest, OpType
+from repro.device.presets import s2slc
 from repro.device.ssd import SSD
 from repro.device.ssd_config import SSDConfig
 from repro.flash.element import FlashElement, PageState
@@ -266,26 +268,12 @@ class TestHostRetry:
 
 
 class TestRequestTimeout:
-    def test_slow_request_marked_timed_out(self, sim):
-        ssd = SSD(sim, SSDConfig(n_elements=2, geometry=small_geometry(),
-                                 request_timeout_us=1.0))
-        completion = run_io(sim, ssd, OpType.WRITE, 0, 64 * KIB)
-        assert completion.error == "timeout"
-        assert ssd.stats.request_timeouts == 1
-        assert ssd.stats.requests_failed == 1
-
-    def test_fast_request_not_timed_out(self, sim):
-        ssd = SSD(sim, SSDConfig(n_elements=2, geometry=small_geometry(),
-                                 request_timeout_us=1e9))
-        completion = run_io(sim, ssd, OpType.WRITE, 0, 4 * KIB)
-        assert completion.error is None
-        assert ssd.stats.request_timeouts == 0
+    """The host-side knobs that bound how long a failing request is
+    served: the retry budget and its backoff."""
 
     @pytest.mark.parametrize("kwargs", [
         dict(host_retry_limit=-1),
         dict(host_retry_backoff_us=-1.0),
-        dict(request_timeout_us=0.0),
-        dict(request_timeout_us=-5.0),
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -424,6 +412,36 @@ class TestRefusedWrite:
         sim.run_until_idle()
         ftl.check_consistency()
         assert ftl.mapped_ppn(0) >= 0
+
+
+class TestFaultedStripeWriteCompletesOnce:
+    """A stripe write that raises ``DeviceFullError`` on its second stripe
+    has already issued the first stripe's programs.  The passthrough
+    buffer fails it; the programs that landed must not complete it a
+    second time (which also drove the FLUSH barrier's count below the
+    writes outstanding)."""
+
+    def test_each_write_completes_once(self):
+        sim = Simulator()
+        ssd = s2slc(sim, element_mb=8, max_inflight=1,
+                    faults=FaultConfig(enabled=True, seed=3,
+                                       program_fail_prob=0.03))
+        sb = ssd.ftl.stripe_bytes
+        rng = random.Random(3)
+        completed: Counter = Counter()
+        t = 0.0
+        for _ in range(3000):
+            t += rng.uniform(0.0, 400.0)
+            size = rng.choice((4 * KIB, sb + 8 * KIB, 2 * sb))
+            offset = rng.randrange((ssd.capacity_bytes - size) // 4096) * 4096
+            request = IORequest(OpType.WRITE, offset, size,
+                                on_complete=lambda r: completed.update([id(r)]))
+            sim.schedule_at(t, ssd.submit, request)
+        sim.run_until_idle()
+        assert len(completed) == 3000
+        assert set(completed.values()) == {1}
+        assert ssd.write_buffer._outstanding == 0
+        assert ssd.ftl.read_only  # the run did reach the mid-write failure
 
 
 class TestLifecycleConservation:

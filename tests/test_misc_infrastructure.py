@@ -78,6 +78,18 @@ class TestCompletionJoin:
         sim.run_until_idle()
         assert len(fired) == 1
 
+    def test_unarmed_join_never_fires(self):
+        """A request that raised before arming is completed by whoever
+        caught the error, not by the commands it had already issued."""
+        sim = Simulator()
+        fired = []
+        join = CompletionJoin(sim, fired.append)
+        join.expect(2)
+        join.child_done(1.0)
+        join.child_done(2.0)
+        sim.run_until_idle()
+        assert not fired
+
     def test_none_callback_tolerated(self):
         sim = Simulator()
         join = CompletionJoin(sim, None)

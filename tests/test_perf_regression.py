@@ -763,3 +763,193 @@ def test_allocation_stall_matches_golden_snapshot(name):
     observed = _run_stall(name)
     assert observed["stats"]["write_stalls"] > 0  # the regime must stall
     assert observed == GOLDEN_STALL[name]
+
+
+# ---------------------------------------------------------------------------
+# stripe host path: every request shape the stripe FTLs walk
+# ---------------------------------------------------------------------------
+
+# Recorded before the stripe FTLs' read, trim and stripe walk moved into
+# StripeFTLBase.  GOLDEN_BLOCKMAP/GOLDEN_HYBRID send 4-8 KiB requests only
+# and leave ``events_run`` unpinned; this mix adds 512 B writes and reads,
+# whole-stripe writes and FREEs, and requests crossing a stripe boundary,
+# over a region with holes (never written or trimmed) and, on the hybrid,
+# pages whose newest copy sits in a log stripe.  Depth 8 over 4 slots
+# gives SWTF a queue to choose from.
+GOLDEN_STRIPE_MIX: dict = {
+    "blockmap-fcfs": {
+        "final_clock": "0x1.468d000000000p+20",
+        "events_run": 24880,
+        "stats": {
+            "host_reads": 354,
+            "host_writes": 744,
+            "host_pages_read": 3231,
+            "host_pages_written": 6496,
+            "flash_pages_programmed": 12852,
+            "rmw_pages_read": 6489,
+            "clean_pages_moved": 0,
+            "clean_time_us": 2475296.0,
+            "clean_erases": 1648,
+            "wear_migrations": 0,
+            "wear_pages_moved": 0,
+            "trims": 102,
+            "trimmed_pages": 627,
+            "write_stalls": 0,
+            "program_failures": 0,
+            "erase_failures": 0,
+            "blocks_retired": 0,
+            "rescued_pages": 0,
+            "failed_pages": 0
+        },
+        "completions": 1200,
+        "completion_crc": 2627927998
+    },
+    "blockmap-swtf": {
+        "final_clock": "0x1.1e416e8000000p+20",
+        "events_run": 24824,
+        "stats": {
+            "host_reads": 354,
+            "host_writes": 744,
+            "host_pages_read": 3231,
+            "host_pages_written": 6496,
+            "flash_pages_programmed": 12831,
+            "rmw_pages_read": 6469,
+            "clean_pages_moved": 0,
+            "clean_time_us": 2472292.0,
+            "clean_erases": 1646,
+            "wear_migrations": 0,
+            "wear_pages_moved": 0,
+            "trims": 102,
+            "trimmed_pages": 621,
+            "write_stalls": 0,
+            "program_failures": 0,
+            "erase_failures": 0,
+            "blocks_retired": 0,
+            "rescued_pages": 0,
+            "failed_pages": 0
+        },
+        "completions": 1200,
+        "completion_crc": 381378828
+    },
+    "hybrid-fcfs": {
+        "final_clock": "0x1.29b6215000000p+20",
+        "events_run": 17427,
+        "stats": {
+            "host_reads": 372,
+            "host_writes": 737,
+            "host_pages_read": 3546,
+            "host_pages_written": 6531,
+            "flash_pages_programmed": 10579,
+            "rmw_pages_read": 143,
+            "clean_pages_moved": 4048,
+            "clean_time_us": 3097420.6875,
+            "clean_erases": 1312,
+            "wear_migrations": 0,
+            "wear_pages_moved": 0,
+            "trims": 91,
+            "trimmed_pages": 630,
+            "write_stalls": 0,
+            "program_failures": 0,
+            "erase_failures": 0,
+            "blocks_retired": 0,
+            "rescued_pages": 0,
+            "failed_pages": 0
+        },
+        "completions": 1200,
+        "completion_crc": 2392915887
+    },
+    "hybrid-swtf": {
+        "final_clock": "0x1.eca82d0000000p+19",
+        "events_run": 17446,
+        "stats": {
+            "host_reads": 372,
+            "host_writes": 737,
+            "host_pages_read": 3546,
+            "host_pages_written": 6531,
+            "flash_pages_programmed": 10592,
+            "rmw_pages_read": 142,
+            "clean_pages_moved": 4061,
+            "clean_time_us": 3090557.75,
+            "clean_erases": 1310,
+            "wear_migrations": 0,
+            "wear_pages_moved": 0,
+            "trims": 91,
+            "trimmed_pages": 629,
+            "write_stalls": 0,
+            "program_failures": 0,
+            "erase_failures": 0,
+            "blocks_retired": 0,
+            "rescued_pages": 0,
+            "failed_pages": 0
+        },
+        "completions": 1200,
+        "completion_crc": 1581632487
+    }
+}
+
+
+def _stripe_mix_request_factory(ssd: SSD, rng: random.Random):
+    """Reads (30 %), FREEs (8 %) and writes over 60 % of the device, in
+    four shapes: 512 B at any sector, 4 or 12 KiB inside one stripe, one
+    whole aligned stripe, and a range crossing into the next stripe."""
+    sb = ssd.ftl.stripe_bytes
+    stripes = int(ssd.capacity_bytes * 0.6) // sb
+
+    def next_request(i: int):
+        lbn = rng.randrange(stripes - 1)
+        shape = rng.random()
+        if shape < 0.25:
+            offset, size = lbn * sb + rng.randrange(sb // 512) * 512, 512
+        elif shape < 0.55:
+            size = rng.choice((4096, 12288))
+            offset = lbn * sb + rng.randrange((sb - size) // 4096 + 1) * 4096
+        elif shape < 0.75:
+            offset, size = lbn * sb, sb
+        else:
+            offset = lbn * sb + rng.randrange(1, sb // 4096) * 4096
+            size = rng.choice((sb, 2 * sb - (offset - lbn * sb)))
+        roll = rng.random()
+        if roll < 0.30:
+            op = OpType.READ
+        elif roll < 0.38:
+            op = OpType.FREE
+        else:
+            op = OpType.WRITE
+        return op, offset, size
+
+    return next_request
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STRIPE_MIX))
+def test_stripe_mix_matches_golden_snapshot(name):
+    ftl_type, scheduler = name.split("-")
+    sim = Simulator()
+    ssd = SSD(sim, SSDConfig(
+        name=f"stripe-mix-{name}",
+        n_elements=8,
+        geometry=FlashGeometry(page_bytes=4096, pages_per_block=8,
+                               blocks_per_element=32),
+        ftl_type=ftl_type,
+        gang_size=2,
+        max_log_rows=3,
+        spare_fraction=0.25,
+        scheduler=scheduler,
+        max_inflight=4,
+        controller_overhead_us=5.0,
+        trim_enabled=True,
+    ))
+    result = ClosedLoopDriver(
+        sim, ssd, _stripe_mix_request_factory(ssd, random.Random(2020)),
+        count=1200, depth=8,
+    ).run()
+    ssd.ftl.check_consistency()
+    observed = {
+        "final_clock": sim.now.hex(),
+        "events_run": sim.events_run,
+        "stats": ssd.ftl.stats.as_dict(),
+        "completions": len(result.completions),
+        "completion_crc": _completion_crc(result.completions),
+    }
+    assert observed == GOLDEN_STRIPE_MIX[name]
+    if ftl_type == "hybrid":
+        assert ssd.ftl.merges_performed > 0

@@ -88,14 +88,6 @@ class TestClosedLoop:
         for prev, cur in zip(completions, completions[1:]):
             assert cur.submit_us >= prev.complete_us
 
-    def test_think_time_spaces_issues(self, sim, device):
-        result = ClosedLoopDriver(
-            sim, device,
-            lambda i: (OpType.WRITE, 0, 4 * KIB),
-            count=4, depth=1, think_time_us=500.0,
-        ).run()
-        assert result.elapsed_us >= 3 * 500.0
-
     def test_priority_tuple_accepted(self, sim, device):
         result = ClosedLoopDriver(
             sim, device,

@@ -351,7 +351,7 @@ class TestPassthroughFlushDrain:
         buffer.insert(IORequest(OpType.WRITE, 0, 4 * KIB),
                       complete=lambda r: write_done.append(sim.now))
         flushed = []
-        buffer.flush_all(lambda: flushed.append(sim.now))
+        buffer.flush_all(lambda error: flushed.append(sim.now))
         # the write is in flight inside the FTL: the barrier must hold
         # past the current instant
         sim.run(until_us=0.0)
@@ -365,10 +365,11 @@ class TestPassthroughFlushDrain:
         sim = Simulator()
         ssd = SSD(sim, SSDConfig(n_elements=2, geometry=small_geometry()))
         flushed = []
-        ssd.write_buffer.flush_all(lambda: flushed.append(sim.now))
+        ssd.write_buffer.flush_all(
+            lambda error: flushed.append((sim.now, error)))
         assert not flushed  # still asynchronous (no reentrant callbacks)
         sim.run_until_idle()
-        assert flushed == [0.0]
+        assert flushed == [(0.0, None)]
 
     def test_merging_buffer_flush_waits_for_runs(self):
         sim = Simulator()
@@ -378,7 +379,7 @@ class TestPassthroughFlushDrain:
         buffer.insert(IORequest(OpType.WRITE, 0, 4 * KIB),
                       complete=lambda r: write_done.append(sim.now))
         flushed = []
-        buffer.flush_all(lambda: flushed.append(sim.now))
+        buffer.flush_all(lambda error: flushed.append(sim.now))
         sim.run_until_idle()
         assert flushed and write_done
         assert flushed[0] >= write_done[0] > 0.0
