@@ -15,7 +15,11 @@ achieved).  Exits nonzero when:
 ``--profile`` additionally cProfiles every scenario and writes a top-N
 cumulative-time report plus the per-scenario event-budget table to
 ``BENCH_PROFILE.txt`` next to ``BENCH_CORE.json`` (CI uploads it as an
-artifact).
+artifact).  The table's ``calls/rec`` column is the profiled repetition's
+primitive call count (every Python and C function call cProfile sees,
+set-up included) per record.  Unlike wall time it repeats exactly from
+run to run, so it shows a per-record saving on a noisy machine.  It is
+advisory: nothing gates on it.
 
 Two committed entries exist:
 
@@ -89,14 +93,8 @@ def _write_profile_report(scale: float, fresh: dict, top_n: int = 25) -> None:
 
     from benchmarks.bench_hotpath import SCENARIOS, run_scenario
 
-    lines = [f"hotpath profile, scale {scale} (top {top_n} by cumulative time)",
-             ""]
-    lines.append(f"{'scenario':16s} {'ops':>10s} {'events':>10s} "
-                 f"{'events/rec':>10s}")
-    for name, result in fresh.items():
-        lines.append(f"{name:16s} {result['ops']:10d} {result['events']:10d} "
-                     f"{_events_per_record(result):10.3f}")
-    lines.append("")
+    calls = {}
+    profiles = []
     for name in SCENARIOS:
         profiler = cProfile.Profile()
         profiler.enable()
@@ -104,11 +102,20 @@ def _write_profile_report(scale: float, fresh: dict, top_n: int = 25) -> None:
         profiler.disable()
         buffer = io.StringIO()
         stats = pstats.Stats(profiler, stream=buffer)
+        calls[name] = stats.prim_calls
         stats.sort_stats("cumulative").print_stats(top_n)
-        lines.append(f"=== {name} ===")
-        lines.append(buffer.getvalue().rstrip())
-        lines.append("")
-    PROFILE_REPORT.write_text("\n".join(lines) + "\n")
+        profiles += [f"=== {name} ===", buffer.getvalue().rstrip(), ""]
+    lines = [f"hotpath profile, scale {scale} (top {top_n} by cumulative time)",
+             ""]
+    lines.append(f"{'scenario':16s} {'ops':>10s} {'events':>10s} "
+                 f"{'events/rec':>10s} {'calls/rec':>10s}")
+    for name, result in fresh.items():
+        ops = result["ops"]
+        per_record = calls[name] / ops if name in calls and ops else 0.0
+        lines.append(f"{name:16s} {ops:10d} {result['events']:10d} "
+                     f"{_events_per_record(result):10.3f} {per_record:10.1f}")
+    lines.append("")
+    PROFILE_REPORT.write_text("\n".join(lines + profiles) + "\n")
     print(f"profile written to {PROFILE_REPORT}")
 
 

@@ -38,6 +38,14 @@ class OpType(enum.Enum):
     #: barrier / cache flush
     FLUSH = "flush"
 
+    #: identity, not ``Enum``'s Python-level (and per-process salted) name
+    #: hash.  Member access is slow too on CPython 3.11 (the metaclass
+    #: ``__getattr__`` hook), so per-request code binds members to names.
+    __hash__ = object.__hash__
+
+
+_READ, _WRITE, _FLUSH = OpType.READ, OpType.WRITE, OpType.FLUSH
+
 
 @dataclass(slots=True)
 class IORequest:
@@ -107,7 +115,7 @@ class IORequest:
         return self.offset + self.size
 
     def validate(self, capacity_bytes: int) -> None:
-        if self.op is OpType.FLUSH:
+        if self.op is _FLUSH:
             return
         if self.size <= 0:
             raise RequestError(f"request size must be positive, got {self.size}")
@@ -196,12 +204,12 @@ class DeviceStats:
             self.requests_failed += 1
             return
         op = request.op
-        if op is OpType.READ:
+        if op is _READ:
             self.bytes_read += request.size
             self.reads += 1
             if request.priority > 0:
                 self.priority_reads += 1
-        elif op is OpType.WRITE:
+        elif op is _WRITE:
             self.bytes_written += request.size
             self.writes += 1
             if request.priority > 0:

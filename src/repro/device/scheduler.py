@@ -76,6 +76,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["HostQueue", "FCFSScheduler", "SWTFScheduler", "make_scheduler"]
 
+_FREE, _FLUSH = OpType.FREE, OpType.FLUSH  # see OpType
+
 #: compact the arrival deque once dead entries outnumber live ones by this
 _COMPACT_SLACK = 64
 
@@ -206,7 +208,7 @@ class SWTFScheduler:
         carrying per-request state.
         """
         op = request.op
-        if op is OpType.FREE or op is OpType.FLUSH:
+        if op is _FREE or op is _FLUSH:
             targets: tuple = ()
         else:
             ftl = ssd.ftl

@@ -49,6 +49,8 @@ from repro.sim.resource import SerialResource
 
 __all__ = ["SSD"]
 
+_READ, _WRITE, _FLUSH = OpType.READ, OpType.WRITE, OpType.FLUSH  # see OpType
+
 
 class SSD:
     """A simulated solid-state device (see module docstring)."""
@@ -155,7 +157,7 @@ class SSD:
         if request.priority > 0:
             self._pending_priority += 1
         if (self.queue._live == 0 and self._inflight < self._max_inflight
-                and (request.op is not OpType.WRITE
+                and (request.op is not _WRITE
                      or self.admissible(request))):
             # empty-queue fast lane: with a single candidate every
             # scheduler picks it (FCFS head; SWTF minimum over one bucket)
@@ -190,13 +192,13 @@ class SSD:
         it is still queued (under SWTF its wait is zero, so it would
         otherwise overtake them)."""
         op = request.op
-        if op is OpType.WRITE:
+        if op is _WRITE:
             return self.write_buffer.admits(request.offset, request.size)
-        if op is OpType.FLUSH:
+        if op is _FLUSH:
             for queued in self.queue:
                 if queued is request:
                     break
-                if queued.op is OpType.WRITE:
+                if queued.op is _WRITE:
                     return False
         return True
 
@@ -206,7 +208,7 @@ class SSD:
             request = self.scheduler.select(self)
             if request is None:
                 head = queue.head()
-                if head is not None and head.op is OpType.WRITE:
+                if head is not None and head.op is _WRITE:
                     ftl = self.ftl
                     ftl.stats.write_stalls += 1
                     if (not ftl.read_only
@@ -246,10 +248,11 @@ class SSD:
         which cannot be deferred.
         """
         op = request.op
-        if op is OpType.WRITE:
+        if op is _WRITE:
+            self.write_buffer.dispatched(request)
             self.link.transfer_after(self._overhead_us, request.size,
                                      lambda now: self._write_arrived(request))
-        elif op is OpType.FLUSH:
+        elif op is _FLUSH:
             self.link.transfer_after(
                 self._overhead_us, 0,
                 lambda now: self.write_buffer.flush_all(
@@ -259,7 +262,7 @@ class SSD:
 
     def _dispatch(self, request: IORequest) -> None:
         """The controller-overhead hop of a READ or FREE."""
-        if request.op is OpType.READ:
+        if request.op is _READ:
             self.write_buffer.before_read(request.offset, request.size)
             self.ftl.read(request.offset, request.size,
                           done=lambda now: self._read_media_done(request))
@@ -340,7 +343,7 @@ class SSD:
     def _fail_queued_writes(self) -> None:
         """Read-only degradation: complete every queued write with an
         error so the reads queued behind them can proceed."""
-        failed = [r for r in self.queue if r.op is OpType.WRITE]
+        failed = [r for r in self.queue if r.op is _WRITE]
         for request in failed:
             self.queue.remove(request)
             request.error = "readonly"
@@ -384,7 +387,7 @@ class SSD:
         """
         stolen: List[IORequest] = []
         for queued in self.queue:
-            if (queued.op is OpType.WRITE and queued.offset <= hi
+            if (queued.op is _WRITE and queued.offset <= hi
                     and queued.offset + queued.size >= lo):
                 stolen.append(queued)
                 if limit is not None and len(stolen) >= limit:

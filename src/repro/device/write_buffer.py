@@ -80,7 +80,13 @@ class PassthroughBuffer:
     def admits(self, offset: int, size: int) -> bool:
         return self.ftl.can_accept_write(offset, size)
 
+    def dispatched(self, request: IORequest) -> None:
+        """*request* passed :meth:`admits` and left the device queue: the
+        FTL holds the rows admission counted until :meth:`insert`."""
+        self.ftl.promise(request.offset, request.size, 1)
+
     def insert(self, request: IORequest, complete: Callable[[IORequest], None]) -> None:
+        self.ftl.promise(request.offset, request.size, -1)
         temp = "hot"
         hints = request.hints
         if hints is not None and hints.get("temp") == "cold":
@@ -259,6 +265,7 @@ class QueueMergingBuffer(PassthroughBuffer):
             del runs[i:j]
 
     def insert(self, request: IORequest, complete: Callable[[IORequest], None]) -> None:
+        self.ftl.promise(request.offset, request.size, -1)
         lp = self.page_bytes
         group = [request]
         runs: List[_MergeRun] = [
@@ -357,6 +364,10 @@ class AligningWriteBuffer(PassthroughBuffer):
         # memory-bounded by capacity flushes, not admission; a read-only
         # device refuses writes (the SSD fails them)
         return not self.ftl.read_only
+
+    def dispatched(self, request: IORequest) -> None:
+        """Admission here counts no FTL rows: the drain checks the FTL
+        when it issues a run."""
 
     def insert(self, request: IORequest, complete: Callable[[IORequest], None]) -> None:
         """Ack one write request and absorb it (its byte range may span

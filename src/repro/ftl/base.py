@@ -269,6 +269,12 @@ class BaseFTL:
         failure (the SSD dispatcher holds writes back otherwise)."""
         raise NotImplementedError
 
+    def promise(self, offset: int, size: int, rows: int) -> None:
+        """Hold (``rows=1``) or hand back (``rows=-1``) what a write of
+        the range may pull, for a write admitted before its data arrives.
+        Default: nothing is counted (the page-mapped FTL's admission keeps
+        ``reserve_pages`` of headroom per element instead)."""
+
     def ensure_space(self, offset: int, size: int) -> None:
         """A write for this range is blocked on allocation headroom: start
         whatever reclamation the FTL has, regardless of watermarks.  The
@@ -543,6 +549,9 @@ class StripeFTLBase(BaseFTL):
         #: rows a write may consume before stalling (frontier + one RMW;
         #: subclasses with extra transient allocations raise this)
         self.reserve_rows = 2
+        #: per gang, rows promised to admitted writes whose data is still
+        #: crossing the host link (see :meth:`promise`)
+        self._promised = [0] * self.n_gangs
 
     @staticmethod
     def resolve_shards(elements: List[FlashElement], gang_size: Optional[int]) -> int:
@@ -707,12 +716,22 @@ class StripeFTLBase(BaseFTL):
             needed[gang] = needed.get(gang, 0) + 1
         return needed
 
+    def promise(self, offset: int, size: int, rows: int) -> None:
+        """Admission reads the pool at dispatch, but a write pulls its rows
+        only when its data arrives, so every write admitted in between
+        would otherwise count the same headroom.  The device promises the
+        rows at dispatch and hands them back just before the write pulls."""
+        promised = self._promised
+        for gang, count in self._rows_needed(offset, size).items():
+            promised[gang] += rows * count
+
     def can_accept_write(self, offset: int, size: int) -> bool:
         if self.read_only:
             return False
         pool = self._pool
+        promised = self._promised
         return all(
-            len(pool[gang]) - count >= self.reserve_rows
+            len(pool[gang]) - promised[gang] - count >= self.reserve_rows
             for gang, count in self._rows_needed(offset, size).items()
         )
 

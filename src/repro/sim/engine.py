@@ -27,6 +27,7 @@ Design notes
 from __future__ import annotations
 
 import heapq
+from itertools import count
 from typing import Any, Callable, Optional
 
 __all__ = ["Event", "Simulator", "SimulationError"]
@@ -77,8 +78,18 @@ class Event:
 class Simulator:
     """Single-threaded discrete-event loop with a float-microsecond clock."""
 
-    __slots__ = ("now", "now_seq", "_heap", "_seq", "_front_seq",
-                 "_events_run", "__weakref__")
+    __slots__ = ("now", "now_seq", "_heap", "reserve_seq",
+                 "_next_front_seq", "_events_run", "__weakref__")
+
+    #: Claim the next normal-lane sequence number without scheduling, for
+    #: callers that decide *now* where an occurrence ranks among
+    #: same-timestamp events but arm it later through :meth:`reschedule`
+    #: (:class:`repro.sim.resource.SerialResource`).  The reserved seq
+    #: orders exactly as a fresh event scheduled at reservation time
+    #: would: the heap needs only that every ``(time, seq)`` pushed is
+    #: still in the future.  It *is* the normal lane's counter, the C-level
+    #: ``__next__`` of an :func:`itertools.count`, so it runs no Python frame.
+    reserve_seq: Callable[[], int]
 
     def __init__(self) -> None:
         self.now: float = 0.0
@@ -92,8 +103,9 @@ class Simulator:
         #: which nothing precedes).
         self.now_seq: int = _FRONT_SEQ_BASE
         self._heap: list[tuple[float, int, Event]] = []
-        self._seq: int = 0
-        self._front_seq: int = _FRONT_SEQ_BASE
+        self.reserve_seq = count().__next__
+        #: the front lane's counter (see :meth:`reschedule_at_front`)
+        self._next_front_seq: Callable[[], int] = count(_FRONT_SEQ_BASE).__next__
         self._events_run: int = 0
 
     # -- scheduling -------------------------------------------------------
@@ -102,7 +114,11 @@ class Simulator:
         """Schedule ``fn(*args)`` to run *delay_us* after the current time."""
         if delay_us < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay_us})")
-        return self.schedule_at(self.now + delay_us, fn, *args)
+        time_us = self.now + delay_us
+        seq = self.reserve_seq()
+        event = Event(time_us, seq, fn, args)
+        heapq.heappush(self._heap, (time_us, seq, event))
+        return event
 
     def schedule_at(self, time_us: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at the absolute simulated time *time_us*."""
@@ -110,8 +126,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time_us} before current time {self.now}"
             )
-        seq = self._seq
-        self._seq = seq + 1
+        seq = self.reserve_seq()
         event = Event(time_us, seq, fn, args)
         heapq.heappush(self._heap, (time_us, seq, event))
         return event
@@ -135,29 +150,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time_us} before current time {self.now}"
             )
-        seq = self._front_seq
-        self._front_seq = seq + 1
+        seq = self._next_front_seq()
         event.time = time_us
         event.seq = seq
         event.alive = True
         heapq.heappush(self._heap, (time_us, seq, event))
-
-    def reserve_seq(self) -> int:
-        """Claim the next normal-lane sequence number without scheduling.
-
-        For callers that decide *now* where an occurrence ranks among
-        same-timestamp events but arm the heap entry later through
-        :meth:`reschedule` (e.g. :class:`repro.sim.resource.SerialResource`
-        keeps one armed event over a FIFO of pending completions).  Using
-        the reserved seq at arm time reproduces exactly the ordering that
-        scheduling a fresh event at reservation time would have produced —
-        the heap does not require monotone seq insertion, only that every
-        ``(time, seq)`` pushed is still in the future, which holds because
-        a reserved occurrence's time can only be ahead of the clock.
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        return seq
 
     def reschedule(self, event: Event, time_us: float, seq: Optional[int] = None) -> None:
         """Re-arm a previously fired (or never armed) event at *time_us*.
@@ -175,8 +172,7 @@ class Simulator:
                 f"cannot schedule at {time_us} before current time {self.now}"
             )
         if seq is None:
-            seq = self._seq
-            self._seq = seq + 1
+            seq = self.reserve_seq()
         event.time = time_us
         event.seq = seq
         event.alive = True

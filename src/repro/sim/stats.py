@@ -41,6 +41,10 @@ _nextafter = math.nextafter
 #: call overhead, small enough to keep buffers trivially bounded)
 FLUSH_THRESHOLD = 4096
 
+#: bucket upper edges per ``(floor, gamma)``, shared by every sketch; edge
+#: *k* is a pure function of the key and *k*, so a table only grows
+_EDGES: Dict[Tuple[float, float], List[float]] = {}
+
 __all__ = [
     "LatencySummary",
     "StreamingLatencyRecorder",
@@ -168,7 +172,7 @@ class QuantileSketch:
         return _ceil(_log(value / self._floor) / self._log_gamma)
 
     def _grow_boundaries(self, vmax: float) -> np.ndarray:
-        """(Re)build the bucket-boundary table out to at least *vmax*.
+        """Take a copy of the bucket-boundary table out to at least *vmax*.
 
         ``np.log`` and ``math.log`` disagree by ULPs, so a vectorized
         replay of the scalar ``ceil(log(v/floor)/log_gamma)`` would put
@@ -180,9 +184,12 @@ class QuantileSketch:
         ``nextafter`` steps against the scalar formula itself.  A
         ``searchsorted`` over the corrected edges then reproduces the
         scalar bucketing bit-for-bit for every input.
+
+        Building ~900 edges costs milliseconds, so sketches share one table
+        (:data:`_EDGES`); extra edges beyond *vmax* change no bucket, and
+        each sketch searches its own array copy.
         """
-        old = self._boundaries
-        edges = [] if old is None else list(old)
+        edges = _EDGES.setdefault((self._floor, self._gamma), [])
         index = self._scalar_index
         floor = self._floor
         gamma = self._gamma

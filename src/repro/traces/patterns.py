@@ -172,7 +172,7 @@ def _emit(config: PatternConfig, name: str, next_slot) -> Iterator[TraceRecord]:
     fixed_gap = gap / 2.0
     mix_random = mix_rng.random
     priority_random = priority_rng.random
-    arrival_uniform = arrival_rng.uniform
+    arrival_random = arrival_rng.random  # gap * random(): uniform(0.0, gap) exactly
     arrival_expovariate = arrival_rng.expovariate
     read_op, write_op = TraceOp.READ, TraceOp.WRITE
 
@@ -184,7 +184,7 @@ def _emit(config: PatternConfig, name: str, next_slot) -> Iterator[TraceRecord]:
             elif fixed:
                 now += fixed_gap
             else:
-                now += arrival_uniform(0.0, gap)
+                now += gap * arrival_random()
         op = read_op if mix_random() < read_fraction else write_op
         priority = (
             1
@@ -287,7 +287,7 @@ def iter_snake(config: PatternConfig,
                 elif fixed:
                     now += gap / 2.0
                 else:
-                    now += arrival_rng.uniform(0.0, gap)
+                    now += gap * arrival_rng.random()
             priority = (
                 1
                 if priority_fraction > 0

@@ -9,7 +9,7 @@ without trim support simply complete FREEs as no-ops.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 from repro.device.interface import OpType
 
@@ -21,8 +21,10 @@ class TraceOp(enum.Enum):
     WRITE = "W"
     FREE = "F"
 
+    __hash__ = object.__hash__  # identity, as OpType's
+
     def to_op_type(self) -> OpType:
-        return _TO_OPTYPE[self]
+        return OpType[self.name]
 
     @classmethod
     def parse(cls, token: str) -> "TraceOp":
@@ -32,35 +34,33 @@ class TraceOp(enum.Enum):
             raise ValueError(f"unknown trace op {token!r} (expected R/W/F)") from None
 
 
-_TO_OPTYPE = {
-    TraceOp.READ: OpType.READ,
-    TraceOp.WRITE: OpType.WRITE,
-    TraceOp.FREE: OpType.FREE,
-}
+_tuple_new = tuple.__new__  # bound once, as namedtuple's own __new__ does
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
+class TraceRecord(namedtuple("TraceRecord",
+                             ("time_us", "op", "offset", "size", "priority"))):
     """One operation: issue ``op`` on bytes [offset, offset+size) at
     ``time_us`` with the given priority class (0 = background).
 
-    ``slots=True``: traces are produced at replay-path rates (one record
-    per simulated request), so the instance must stay dict-free and
-    compact."""
+    A tuple validated in ``__new__`` (also behind ``_make``/``_replace``
+    and unpickling): replay builds one or two per request, and a tuple
+    builds in under half a frozen slotted dataclass's time."""
 
-    time_us: float
-    op: TraceOp
-    offset: int
-    size: int
-    priority: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError(f"trace record size must be positive, got {self.size}")
-        if self.offset < 0:
-            raise ValueError(f"trace record offset must be >= 0, got {self.offset}")
-        if self.time_us < 0:
-            raise ValueError(f"trace record time must be >= 0, got {self.time_us}")
+    def __new__(cls, time_us: float, op: TraceOp, offset: int, size: int,
+                priority: int = 0) -> "TraceRecord":
+        if size <= 0:
+            raise ValueError(f"trace record size must be positive, got {size}")
+        if offset < 0:
+            raise ValueError(f"trace record offset must be >= 0, got {offset}")
+        if time_us < 0:
+            raise ValueError(f"trace record time must be >= 0, got {time_us}")
+        return _tuple_new(cls, (time_us, op, offset, size, priority))
+
+    @classmethod
+    def _make(cls, iterable) -> "TraceRecord":
+        return cls(*iterable)
 
     @property
     def end(self) -> int:

@@ -91,7 +91,7 @@ def iter_synthetic(config: SyntheticConfig) -> Iterator[TraceRecord]:
     addr_randrange = addr_rng.randrange
     mix_random = mix_rng.random
     priority_random = priority_rng.random
-    arrival_uniform = arrival_rng.uniform
+    arrival_random = arrival_rng.random  # gap * random(): uniform(0.0, gap) exactly
     arrival_expovariate = arrival_rng.expovariate
     read_op, write_op = TraceOp.READ, TraceOp.WRITE
 
@@ -104,7 +104,7 @@ def iter_synthetic(config: SyntheticConfig) -> Iterator[TraceRecord]:
             if poisson:
                 now += arrival_expovariate(rate)
             else:
-                now += arrival_uniform(0.0, interarrival_max_us)
+                now += interarrival_max_us * arrival_random()
         op = read_op if mix_random() < read_fraction else write_op
         if not first and addr_random() < seq_probability:
             offset = last_end

@@ -350,18 +350,14 @@ def replay_trace(
         raise ValueError(f"window must be positive or None, got {window}")
     result = WorkloadResult() if sink is None else sink
     record_completion = result.record
+    read_op, write_op = OpType.READ, OpType.WRITE
 
     def on_complete(request: IORequest) -> None:
         op = request.op
-        if op is OpType.READ or op is OpType.WRITE:
+        if op is read_op or op is write_op:
             record_completion(request)
 
     start = sim.now
-    op_of = _OP_OF
-
-    def build(record: TraceRecord) -> IORequest:
-        return IORequest(op_of[record.op], record.offset, record.size,
-                         record.priority, on_complete)
 
     # The window: a deque of (time, feed order, record) while the trace
     # arrives sorted — one tail compare plus append/popleft per record —
@@ -431,7 +427,8 @@ def replay_trace(
                     window_q = heap
                     record = heapreplace(heap, (at, n, nxt))[2]
                 n += 1
-            device_submit(build(record))
+            device_submit(IORequest(_OP_OF[record.op], record.offset,
+                                    record.size, record.priority, on_complete))
         if window_q:
             rearm(feeder, window_q[0][0])
 

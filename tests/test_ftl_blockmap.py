@@ -171,6 +171,48 @@ class TestBackpressure:
             ftl._pool[0].pop_lifo()
         assert not ftl.can_accept_write(0, KB4)
 
+    def test_promised_rows_count_against_admission(self):
+        _sim, ftl = make_ftl()
+        while len(ftl._pool[0]) > ftl.reserve_rows + 1:
+            ftl._pool[0].pop_lifo()
+        assert ftl.can_accept_write(0, KB4)
+        ftl.promise(0, KB4, 1)      # admitted, data still on the link
+        assert not ftl.can_accept_write(0, KB4)
+        assert not ftl.write_wedged(0, KB4)  # the promise will resolve
+        ftl.promise(0, KB4, -1)     # arrived: the write pulls for itself
+        assert ftl.can_accept_write(0, KB4)
+
+    @pytest.mark.parametrize("preset, overrides", [
+        ("s2slc", {}),
+        ("s3slc", {"write_buffer": "passthrough"}),
+    ])
+    def test_deep_queue_never_overcommits_rows(self, preset, overrides):
+        """Regression: admission read the pool at dispatch while a write
+        pulls its rows only when its data arrives, so a depth-8 closed
+        loop admitted several writes on the same headroom and the pull
+        raised ``DeviceFullError`` out of ``sim.run`` (S2slc at 1.65 s,
+        S3slc at 4.54 s of simulated time)."""
+        import random
+
+        from repro.device import presets
+        from repro.device.interface import OpType
+        from repro.workloads.driver import ClosedLoopDriver
+
+        sim = Simulator()
+        device = getattr(presets, preset)(sim, element_mb=8, **overrides)
+        rng = random.Random(1)
+        slots = device.capacity_bytes // KB4
+        result = ClosedLoopDriver(
+            sim, device,
+            lambda i: (OpType.WRITE, rng.randrange(slots) * KB4, KB4),
+            count=20_000, depth=8,
+        ).run()
+        assert result.count == 20_000
+        assert result.errors == {}
+        assert device.stats.writes == 20_000
+        assert not device.ftl.read_only
+        assert device.ftl._promised == [0] * device.ftl.n_gangs
+
     def test_elements_for_range_covers_gang(self):
         _sim, ftl = make_ftl(n_elements=4, gang_size=2)
         elements = ftl.elements_for_range(0, KB4)

@@ -229,6 +229,39 @@ class TestQuantileSketchBatch:
         sketch.add_many(np.asarray([], dtype=np.float64))
         assert sketch.count == 0
 
+    def test_shared_edge_table_equals_fresh_build(self, monkeypatch):
+        from repro.sim import stats
+
+        shared = QuantileSketch()
+        shared.add_many(np.asarray([3e6]))
+        table = shared._boundaries
+        # a private, empty table forces this sketch to build its own
+        monkeypatch.setattr(stats, "_EDGES", {})
+        fresh = QuantileSketch()
+        fresh.add_many(np.asarray([table[-1]]))
+        assert fresh._boundaries.tobytes() == table.tobytes()
+
+    def test_growing_one_sketch_never_changes_another(self, monkeypatch):
+        from repro.sim import stats
+
+        monkeypatch.setattr(stats, "_EDGES", {})
+        values = self._values(3000)
+        small, big = QuantileSketch(), QuantileSketch()
+        small.add_many(np.asarray([v for v in values if v < 100.0]))
+        table = small._boundaries.copy()
+        buckets = dict(small._buckets)
+        big.add_many(np.asarray(values + [1e9]))  # grows the shared table
+        assert len(big._boundaries) > len(table)
+        assert small._boundaries.tobytes() == table.tobytes()
+        assert dict(small._buckets) == buckets
+        # and both still bucket exactly like the scalar path
+        for sketch, batch in ((small, [v for v in values if v < 100.0]),
+                              (big, values + [1e9])):
+            scalar = QuantileSketch()
+            for value in batch:
+                scalar.add(value)
+            assert sketch._buckets == scalar._buckets
+
 
 class TestReservoirSamplerBatch:
     def test_add_many_state_and_rng_identical_to_scalar(self):
