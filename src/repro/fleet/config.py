@@ -17,6 +17,7 @@ the process boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import inf
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["QOS_CLASSES", "TenantSpec", "FleetConfig"]
@@ -74,6 +75,11 @@ class TenantSpec:
             )
         if self.count <= 0:
             raise ValueError("count must be positive")
+        if not 0.0 <= self.interarrival_max_us < inf:
+            raise ValueError(
+                f"interarrival_max_us must be finite and >= 0, got "
+                f"{self.interarrival_max_us}"
+            )
         if self.weight <= 0.0:
             raise ValueError(f"weight must be positive, got {self.weight}")
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.device.presets import s1slc, s2slc, s3slc, s4slc_sim, s5mlc
 from repro.fleet.config import FleetConfig
@@ -37,7 +37,7 @@ from repro.sim.rng import derive_seed
 from repro.workloads.driver import (ShardedResult, StreamingResult,
                                     replay_trace)
 
-__all__ = ["DeviceRun", "build_device", "run_device", "run_fleet"]
+__all__ = ["DeviceRun", "build_device", "fan_out", "run_device", "run_fleet"]
 
 #: SSD preset builders a fleet may use (HDD/MEMS lack the FTL the
 #: report's WA dimension reads)
@@ -137,6 +137,41 @@ def run_device(config: FleetConfig, device_index: int) -> DeviceRun:
     return run
 
 
+def fan_out(worker: Callable[..., Any], tasks: Sequence[Tuple],
+            max_workers: Optional[int] = None,
+            submit_order: Optional[Sequence[int]] = None) -> List[Any]:
+    """Run ``worker(*task)`` for every task; results come back in task
+    order, whatever order they finish in.
+
+    ``max_workers=None``/``0``/``1`` runs serially in-process;
+    ``max_workers >= 2`` fans the tasks out over a
+    :class:`~concurrent.futures.ProcessPoolExecutor` (``worker`` must then
+    be a module-level function of picklable arguments).  ``submit_order``
+    (any permutation of task indices) controls *submission* order only —
+    the determinism tests shuffle it to prove results cannot see it.
+    """
+    indices = list(range(len(tasks)))
+    order = list(submit_order) if submit_order is not None else indices
+    if sorted(order) != indices:
+        raise ValueError(
+            f"submit_order must be a permutation of range({len(tasks)}), "
+            f"got {order}")
+    results: List[Any] = [None] * len(tasks)
+    if max_workers is None or max_workers <= 1:
+        for index in order:
+            results[index] = worker(*tasks[index])
+        return results
+    with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        futures = {pool.submit(worker, *tasks[index]): index
+                   for index in order}
+        pending = set(futures)
+        while pending:
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                results[futures[future]] = future.result()
+    return results
+
+
 def run_fleet(
     config: FleetConfig,
     max_workers: Optional[int] = None,
@@ -145,11 +180,8 @@ def run_fleet(
 ):
     """Run every device of a fleet and merge the report.
 
-    ``max_workers=None``/``0``/``1`` runs serially in-process;
-    ``max_workers >= 2`` fans devices out over a
-    :class:`~concurrent.futures.ProcessPoolExecutor`.  ``submit_order``
-    (any permutation of device indices) controls *submission* order only —
-    the determinism tests shuffle it to prove the report cannot see it.
+    ``max_workers`` and ``submit_order`` (a permutation of device indices)
+    work as in :func:`fan_out`.
 
     Returns a :class:`~repro.fleet.report.FleetReport`.  With
     ``keep_devices`` (serial mode only) the report additionally carries
@@ -158,37 +190,16 @@ def run_fleet(
     """
     from repro.fleet.report import FleetReport
 
-    indices = list(range(config.n_devices))
-    order = list(submit_order) if submit_order is not None else indices
-    if sorted(order) != indices:
-        raise ValueError(
-            f"submit_order must be a permutation of {indices}, got {order}")
-    parallel = max_workers is not None and max_workers > 1
-    if keep_devices and parallel:
+    if keep_devices and max_workers is not None and max_workers > 1:
         raise ValueError("keep_devices needs the serial (in-process) path")
-
-    runs: Dict[int, DeviceRun] = {}
-    live = {}
-    if not parallel:
-        for device_index in order:
-            if keep_devices:
-                run, sim, device = run_device_live(config, device_index)
-                live[device_index] = (sim, device)
-            else:
-                run = run_device(config, device_index)
-            runs[device_index] = run
-    else:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(run_device, config, device_index)
-                       for device_index in order]
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    run = future.result()
-                    runs[run.device_index] = run
-
-    report = FleetReport.build(config, runs)
-    if keep_devices:
-        report.live = live
+    tasks = [(config, device_index)
+             for device_index in range(config.n_devices)]
+    if not keep_devices:
+        results = fan_out(run_device, tasks, max_workers, submit_order)
+        return FleetReport.build(config, dict(enumerate(results)))
+    results = fan_out(run_device_live, tasks, None, submit_order)
+    report = FleetReport.build(
+        config, {index: run for index, (run, _, _) in enumerate(results)})
+    report.live = {index: (sim, device)
+                   for index, (_, sim, device) in enumerate(results)}
     return report

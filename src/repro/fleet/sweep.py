@@ -24,13 +24,12 @@ CLI::
 from __future__ import annotations
 
 import argparse
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.fleet.config import PATTERN_NAMES, QOS_CLASSES, FleetConfig, TenantSpec
 from repro.fleet.report import FleetReport
-from repro.fleet.runner import DeviceRun, run_device
+from repro.fleet.runner import fan_out, run_device
 
 __all__ = ["SweepPoint", "op_grid", "run_sweep", "main"]
 
@@ -51,12 +50,6 @@ def op_grid(base: FleetConfig, spare_fractions: Sequence[float]) -> List[SweepPo
             for fraction in spare_fractions]
 
 
-def _run_point_device(point_index: int, config: FleetConfig,
-                      device_index: int) -> Tuple[int, DeviceRun]:
-    """Worker-pool target: one device of one sweep point."""
-    return point_index, run_device(config, device_index)
-
-
 def run_sweep(
     points: Sequence[SweepPoint],
     max_workers: Optional[int] = None,
@@ -71,43 +64,16 @@ def run_sweep(
     :func:`run_fleet`'s, and exists so tests can prove scheduling cannot
     leak into results.
     """
-    tasks: List[Tuple[int, int]] = [
-        (point_index, device_index)
-        for point_index, point in enumerate(points)
-        for device_index in range(point.config.n_devices)
-    ]
-    order = list(submit_order) if submit_order is not None else list(range(len(tasks)))
-    if sorted(order) != list(range(len(tasks))):
-        raise ValueError(
-            f"submit_order must be a permutation of range({len(tasks)}), "
-            f"got {order}")
-
-    gathered: Dict[int, Dict[int, DeviceRun]] = {
-        point_index: {} for point_index in range(len(points))}
-    parallel = max_workers is not None and max_workers > 1
-    if not parallel:
-        for task_index in order:
-            point_index, device_index = tasks[task_index]
-            run = run_device(points[point_index].config, device_index)
-            gathered[point_index][device_index] = run
-    else:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                pool.submit(_run_point_device, tasks[task_index][0],
-                            points[tasks[task_index][0]].config,
-                            tasks[task_index][1])
-                for task_index in order
-            ]
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    point_index, run = future.result()
-                    gathered[point_index][run.device_index] = run
-
+    tasks = [(point.config, device_index)
+             for point in points
+             for device_index in range(point.config.n_devices)]
+    runs = iter(fan_out(run_device, tasks, max_workers, submit_order))
     return [
-        (point, FleetReport.build(point.config, gathered[point_index]))
-        for point_index, point in enumerate(points)
+        (point, FleetReport.build(
+            point.config,
+            {device_index: next(runs)
+             for device_index in range(point.config.n_devices)}))
+        for point in points
     ]
 
 

@@ -112,7 +112,7 @@ class Simulator:
 
     def schedule(self, delay_us: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run *delay_us* after the current time."""
-        if delay_us < 0:
+        if not delay_us >= 0:  # also refuses NaN
             raise SimulationError(f"cannot schedule into the past (delay={delay_us})")
         time_us = self.now + delay_us
         seq = self.reserve_seq()
@@ -122,7 +122,7 @@ class Simulator:
 
     def schedule_at(self, time_us: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at the absolute simulated time *time_us*."""
-        if time_us < self.now:
+        if not time_us >= self.now:  # also refuses NaN
             raise SimulationError(
                 f"cannot schedule at {time_us} before current time {self.now}"
             )
@@ -146,7 +146,7 @@ class Simulator:
         record's timestamp.  The caller must guarantee the event is not
         currently in the heap.
         """
-        if time_us < self.now:
+        if not time_us >= self.now:  # also refuses NaN
             raise SimulationError(
                 f"cannot schedule at {time_us} before current time {self.now}"
             )
@@ -167,7 +167,7 @@ class Simulator:
         ``seq`` may be a value obtained earlier from :meth:`reserve_seq`;
         by default a fresh sequence number is drawn at re-arm time.
         """
-        if time_us < self.now:
+        if not time_us >= self.now:  # also refuses NaN
             raise SimulationError(
                 f"cannot schedule at {time_us} before current time {self.now}"
             )

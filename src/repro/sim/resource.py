@@ -165,7 +165,7 @@ class SerialResource:
         per-device delay, so this holds naturally); mixing shrinking
         delays would need a sorted structure and is refused loudly.
         """
-        if delay_us < 0:
+        if not delay_us >= 0:  # also refuses NaN
             raise SimulationError(
                 f"cannot activate in the past (delay={delay_us})")
         sim = self.sim

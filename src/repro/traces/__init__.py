@@ -1,9 +1,8 @@
-"""Trace model, serialization, generators, pattern suite, and ingest."""
+"""Trace model and seeded generators: the record type, the pattern suite
+on its one emission loop, the paper's synthetic generator, and the
+application-shaped workloads."""
 
-from repro.traces.analysis import TraceProfile, analyze, sequentiality
 from repro.traces.record import TraceOp, TraceRecord
-from repro.traces.ingest import iter_msr_csv, load_msr_csv
-from repro.traces.io import load_trace, save_trace
 from repro.traces.patterns import (Barrier, PatternConfig, Pause, compose,
                                    iter_hot_cold, iter_random, iter_sequential,
                                    iter_snake, iter_strided, iter_zipf,
@@ -13,11 +12,6 @@ from repro.traces.synthetic import SyntheticConfig, generate_synthetic
 __all__ = [
     "TraceOp",
     "TraceRecord",
-    "TraceProfile",
-    "analyze",
-    "sequentiality",
-    "load_trace",
-    "save_trace",
     "SyntheticConfig",
     "generate_synthetic",
     "PatternConfig",
@@ -31,6 +25,4 @@ __all__ = [
     "iter_zipf",
     "iter_hot_cold",
     "strided_period",
-    "iter_msr_csv",
-    "load_msr_csv",
 ]

@@ -1,10 +1,9 @@
 """Composable access-pattern suite: the synthetic half of the workload zoo.
 
-:mod:`repro.traces.synthetic` models the paper's own generator (one knob of
-sequentiality, one mix).  Real device studies need a *zoo* of access shapes,
-and the classic suites (wiscsee's ``patternsuite``/``lbabench`` family) build
-them from a handful of composable primitives.  This module ports that idea
-onto the repo's streaming replay:
+Real device studies need a *zoo* of access shapes, and the classic suites
+(wiscsee's ``patternsuite``/``lbabench`` family) build them from a handful
+of composable primitives.  This module ports that idea onto the repo's
+streaming replay:
 
 * every pattern is a **lazy, seeded generator** of
   :class:`~repro.traces.record.TraceRecord` — one record materialized at a
@@ -15,6 +14,10 @@ onto the repo's streaming replay:
 * patterns share one :class:`PatternConfig` (count, region, request size,
   read/write mix, arrival process, priority tagging, seed), so "the same
   traffic, different address shape" is a one-argument change;
+* patterns share one emission loop, :func:`_emit`: arrivals, the
+  read/write mix and priority tagging are drawn there, and a pattern only
+  supplies its stream of address slots.  The paper's own generator
+  (:mod:`repro.traces.synthetic`) is one more pattern on that loop;
 * phases compose: :func:`compose` chains pattern streams and emits
   **control records** between them — :class:`Barrier` (drain the device
   before the next phase; phase timestamps restart at the drain instant) and
@@ -47,8 +50,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd
-from typing import Iterable, Iterator, List, Union
+from itertools import count, islice, repeat
+from math import gcd, inf
+from random import Random
+from typing import Iterable, Iterator, List, Tuple, Union
 
 from repro.sim.rng import stream
 from repro.traces.record import TraceOp, TraceRecord
@@ -105,7 +110,8 @@ class PatternConfig:
     ``"poisson"`` is exponential with the same mean, and ``"fixed"`` spaces
     records exactly ``interarrival_max_us / 2`` apart — the same offered
     load as the other two, jitter-free.  ``interarrival_max_us=0`` packs
-    every record at t=0 (a pure burst).
+    every record at t=0 (a pure burst); a negative or non-finite value is
+    refused.
 
     ``lba_base_bytes`` shifts the whole pattern to a namespaced window
     ``[lba_base_bytes, lba_base_bytes + region_bytes)`` of the device's
@@ -142,6 +148,11 @@ class PatternConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
+        if not 0.0 <= self.interarrival_max_us < inf:
+            raise ValueError(
+                f"interarrival_max_us must be finite and >= 0, got "
+                f"{self.interarrival_max_us}"
+            )
         if self.lba_base_bytes < 0 or self.lba_base_bytes % self.request_bytes:
             raise ValueError(
                 f"lba_base_bytes ({self.lba_base_bytes}) must be a "
@@ -154,13 +165,27 @@ class PatternConfig:
         return self.region_bytes // self.request_bytes
 
 
-def _emit(config: PatternConfig, name: str, next_slot) -> Iterator[TraceRecord]:
-    """Shared emission loop: arrivals, read/write mix, and priority tagging
-    around a pattern-specific ``next_slot(i) -> slot`` address source."""
-    mix_rng = stream(config.seed, f"pattern.{name}.mix")
-    arrival_rng = stream(config.seed, f"pattern.{name}.arrivals")
-    priority_rng = stream(config.seed, f"pattern.{name}.priority")
+#: a generator's (mix, arrivals, priority) random streams
+Streams = Tuple[Random, Random, Random]
 
+
+def _streams(config: PatternConfig, name: str) -> Streams:
+    """Pattern *name*'s (mix, arrivals, priority) streams, namespaced
+    ``pattern.<name>.<purpose>``."""
+    seed = config.seed
+    return (stream(seed, f"pattern.{name}.mix"),
+            stream(seed, f"pattern.{name}.arrivals"),
+            stream(seed, f"pattern.{name}.priority"))
+
+
+def _emit(config: PatternConfig, streams: Streams,
+          slot_stream: Iterable[int]) -> Iterator[TraceRecord]:
+    """The one emission loop: arrivals, read/write mix, and priority
+    tagging around a generator-specific stream of address slots (record
+    *i* lands on the *i*-th slot; it is pulled once per record, so a lazy
+    stream draws exactly as an inline loop would).  A write-only config
+    (``read_fraction=0``) draws no mix."""
+    mix_rng, arrival_rng, priority_rng = streams
     request_bytes = config.request_bytes
     base = config.lba_base_bytes
     read_fraction = config.read_fraction
@@ -177,7 +202,7 @@ def _emit(config: PatternConfig, name: str, next_slot) -> Iterator[TraceRecord]:
     read_op, write_op = TraceOp.READ, TraceOp.WRITE
 
     now = 0.0
-    for i in range(config.count):
+    for slot in islice(slot_stream, config.count):
         if gap > 0:
             if poisson:
                 now += arrival_expovariate(rate)
@@ -185,13 +210,14 @@ def _emit(config: PatternConfig, name: str, next_slot) -> Iterator[TraceRecord]:
                 now += fixed_gap
             else:
                 now += gap * arrival_random()
-        op = read_op if mix_random() < read_fraction else write_op
+        op = (read_op if read_fraction and mix_random() < read_fraction
+              else write_op)
         priority = (
             1
             if priority_fraction > 0 and priority_random() < priority_fraction
             else 0
         )
-        yield TraceRecord(now, op, base + next_slot(i) * request_bytes,
+        yield TraceRecord(now, op, base + slot * request_bytes,
                           request_bytes, priority)
 
 
@@ -201,15 +227,16 @@ def iter_sequential(config: PatternConfig,
     slots = config.slots
     if not 0 <= start_slot < slots:
         raise ValueError(f"start_slot must be in [0, {slots}), got {start_slot}")
-    return _emit(config, "sequential",
-                 lambda i: (start_slot + i) % slots)
+    return _emit(config, _streams(config, "sequential"),
+                 ((start_slot + i) % slots for i in count()))
 
 
 def iter_random(config: PatternConfig) -> Iterator[TraceRecord]:
     """Uniform-random slot per record."""
     randrange = stream(config.seed, "pattern.random.addresses").randrange
     slots = config.slots
-    return _emit(config, "random", lambda i: randrange(slots))
+    return _emit(config, _streams(config, "random"),
+                 map(randrange, repeat(slots)))
 
 
 def strided_period(config: PatternConfig, stride_bytes: int) -> int:
@@ -235,8 +262,8 @@ def iter_strided(config: PatternConfig, stride_bytes: int,
     step = stride_bytes // config.request_bytes
     if not 0 <= start_slot < slots:
         raise ValueError(f"start_slot must be in [0, {slots}), got {start_slot}")
-    return _emit(config, "strided",
-                 lambda i: (start_slot + i * step) % slots)
+    return _emit(config, _streams(config, "strided"),
+                 ((start_slot + i * step) % slots for i in count()))
 
 
 def iter_snake(config: PatternConfig,
@@ -267,42 +294,21 @@ def iter_snake(config: PatternConfig,
             f"({slots} slots)"
         )
 
-    def generate() -> Iterator[TraceRecord]:
-        arrival_rng = stream(config.seed, "pattern.snake.arrivals")
-        priority_rng = stream(config.seed, "pattern.snake.priority")
+    def trail(writes: Iterator[TraceRecord]) -> Iterator[TraceRecord]:
+        # the first window of writes frees nothing; after it, write i
+        # frees slot ``(i - window_slots) % slots`` at its own timestamp
         request_bytes = config.request_bytes
         base = config.lba_base_bytes
-        priority_fraction = config.priority_fraction
-        gap = config.interarrival_max_us
-        poisson = config.arrival_process == "poisson"
-        fixed = config.arrival_process == "fixed"
-        rate = 2.0 / gap if poisson and gap > 0 else 0.0
-        write_op, free_op = TraceOp.WRITE, TraceOp.FREE
+        free_op = TraceOp.FREE
+        yield from islice(writes, window_slots)
+        for tail, record in enumerate(writes):
+            yield record
+            yield TraceRecord(record.time_us, free_op,
+                              base + tail % slots * request_bytes,
+                              request_bytes, 0)
 
-        now = 0.0
-        for i in range(config.count):
-            if gap > 0:
-                if poisson:
-                    now += arrival_rng.expovariate(rate)
-                elif fixed:
-                    now += gap / 2.0
-                else:
-                    now += gap * arrival_rng.random()
-            priority = (
-                1
-                if priority_fraction > 0
-                and priority_rng.random() < priority_fraction
-                else 0
-            )
-            yield TraceRecord(now, write_op,
-                              base + (i % slots) * request_bytes,
-                              request_bytes, priority)
-            if i >= window_slots:
-                tail = (i - window_slots) % slots
-                yield TraceRecord(now, free_op, base + tail * request_bytes,
-                                  request_bytes, 0)
-
-    return generate()
+    return trail(_emit(config, _streams(config, "snake"),
+                       (i % slots for i in count())))
 
 
 def iter_zipf(config: PatternConfig, theta: float = 1.0,
@@ -325,13 +331,14 @@ def iter_zipf(config: PatternConfig, theta: float = 1.0,
         stream(config.seed, "pattern.zipf.permute").shuffle(rank_to_slot)
     draw = stream(config.seed, "pattern.zipf.addresses").random
 
-    def next_slot(i: int) -> int:
-        rank = bisect_right(cumulative, draw() * total)
-        if rank >= slots:  # guard the floating-point top edge
-            rank = slots - 1
-        return rank_to_slot[rank]
+    def slot_stream() -> Iterator[int]:
+        while True:
+            rank = bisect_right(cumulative, draw() * total)
+            if rank >= slots:  # guard the floating-point top edge
+                rank = slots - 1
+            yield rank_to_slot[rank]
 
-    return _emit(config, "zipf", next_slot)
+    return _emit(config, _streams(config, "zipf"), slot_stream())
 
 
 def iter_hot_cold(config: PatternConfig, hot_space_fraction: float = 0.2,
@@ -355,12 +362,14 @@ def iter_hot_cold(config: PatternConfig, hot_space_fraction: float = 0.2,
     rng = stream(config.seed, "pattern.hot_cold.addresses")
     random_, randrange = rng.random, rng.randrange
 
-    def next_slot(i: int) -> int:
-        if random_() < hot_access_fraction:
-            return randrange(hot_slots)
-        return hot_slots + randrange(cold_slots)
+    def slot_stream() -> Iterator[int]:
+        while True:
+            if random_() < hot_access_fraction:
+                yield randrange(hot_slots)
+            else:
+                yield hot_slots + randrange(cold_slots)
 
-    return _emit(config, "hot_cold", next_slot)
+    return _emit(config, _streams(config, "hot_cold"), slot_stream())
 
 
 def compose(*phases: Iterable[PatternRecord], barrier: bool = True,

@@ -54,7 +54,7 @@ class TraceRecord(namedtuple("TraceRecord",
             raise ValueError(f"trace record size must be positive, got {size}")
         if offset < 0:
             raise ValueError(f"trace record offset must be >= 0, got {offset}")
-        if time_us < 0:
+        if not time_us >= 0:  # also refuses NaN
             raise ValueError(f"trace record time must be >= 0, got {time_us}")
         return _tuple_new(cls, (time_us, op, offset, size, priority))
 

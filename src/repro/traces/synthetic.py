@@ -9,6 +9,12 @@ Two experiments in the paper are driven by exactly this generator:
   times uniformly distributed between 0 and 0.1 ms.  The fraction of
   priority requests was set to 10%": ``interarrival_max_us=100``,
   ``priority_fraction=0.1``, write fraction swept.
+
+It is one pattern of :mod:`repro.traces.patterns`: arrivals, mix and
+priority come from the shared emission loop, and only the address walk
+(continue where the last request ended, or jump) lives here.  Its streams
+keep their original unprefixed names (``addresses``, ``mix``,
+``arrivals``, ``priority``), so every seeded trace is unchanged.
 """
 
 from __future__ import annotations
@@ -17,111 +23,55 @@ from dataclasses import dataclass
 from typing import Iterator, List
 
 from repro.sim.rng import stream
-from repro.traces.record import TraceOp, TraceRecord
+from repro.traces.patterns import PatternConfig, _emit
+from repro.traces.record import TraceRecord
 
 __all__ = ["SyntheticConfig", "generate_synthetic", "iter_synthetic"]
 
 
 @dataclass(frozen=True)
-class SyntheticConfig:
-    """Knobs of the synthetic generator (sizes in bytes, times in µs)."""
+class SyntheticConfig(PatternConfig):
+    """:class:`~repro.traces.patterns.PatternConfig` plus the paper's
+    sequentiality knob."""
 
-    count: int = 1000
-    region_bytes: int = 64 << 20
-    request_bytes: int = 4096
-    read_fraction: float = 0.0
     #: probability the next request continues where the previous ended
     seq_probability: float = 0.0
-    #: inter-arrival ~ U(0, interarrival_max_us); 0 packs all at t=0
-    interarrival_max_us: float = 100.0
-    #: "uniform" (the paper's Figure 3 process) or "poisson" with the same
-    #: mean (interarrival_max_us / 2)
-    arrival_process: str = "uniform"
-    #: fraction of requests tagged priority (foreground)
-    priority_fraction: float = 0.0
-    seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.arrival_process not in ("uniform", "poisson"):
+        super().__post_init__()
+        if not 0.0 <= self.seq_probability <= 1.0:
             raise ValueError(
-                f"arrival_process must be 'uniform' or 'poisson', got "
-                f"{self.arrival_process!r}"
-            )
-        if self.count <= 0:
-            raise ValueError("count must be positive")
-        if self.request_bytes <= 0 or self.request_bytes % 512:
-            raise ValueError("request_bytes must be a positive multiple of 512")
-        if self.region_bytes < self.request_bytes:
-            raise ValueError("region must hold at least one request")
-        for name in ("read_fraction", "seq_probability", "priority_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+                f"seq_probability must be in [0, 1], got {self.seq_probability}")
 
 
 def iter_synthetic(config: SyntheticConfig) -> Iterator[TraceRecord]:
     """Yield the trace described by *config* lazily (deterministic per seed).
 
-    One record is materialized at a time, so a 10M-record replay can feed
-    :func:`repro.workloads.driver.replay_trace` straight from the generator
-    with O(1) trace memory.  Identical stream to
-    :func:`generate_synthetic`: the list form is just this iterator,
-    collected (the RNG draw order, including the first record's skipped
-    sequentiality roll, is preserved exactly).
+    Each record continues where the previous one ended (wrapping to slot 0
+    at the region end) with probability ``seq_probability``, and otherwise
+    lands on a uniform-random slot.  The first record has no predecessor,
+    so it never rolls.  One record is materialized at a time, so a
+    10M-record replay can feed :func:`repro.workloads.driver.replay_trace`
+    straight from the generator with O(1) trace memory.
     """
     addr_rng = stream(config.seed, "addresses")
     mix_rng = stream(config.seed, "mix")
     arrival_rng = stream(config.seed, "arrivals")
     priority_rng = stream(config.seed, "priority")
-
-    # the loop below runs once per replayed record; config fields and rng
-    # entry points are hoisted so the per-record cost is the draws and the
-    # record itself, not attribute traffic (draw order is untouched)
-    count = config.count
-    region_bytes = config.region_bytes
-    request_bytes = config.request_bytes
-    read_fraction = config.read_fraction
+    roll, randrange = addr_rng.random, addr_rng.randrange
     seq_probability = config.seq_probability
-    priority_fraction = config.priority_fraction
-    interarrival_max_us = config.interarrival_max_us
-    poisson = config.arrival_process == "poisson"
-    rate = (2.0 / interarrival_max_us
-            if poisson and interarrival_max_us > 0 else 0.0)
-    addr_random = addr_rng.random
-    addr_randrange = addr_rng.randrange
-    mix_random = mix_rng.random
-    priority_random = priority_rng.random
-    arrival_random = arrival_rng.random  # gap * random(): uniform(0.0, gap) exactly
-    arrival_expovariate = arrival_rng.expovariate
-    read_op, write_op = TraceOp.READ, TraceOp.WRITE
+    slots = config.slots
 
-    slots = region_bytes // request_bytes
-    now = 0.0
-    last_end = 0
-    first = True
-    for _ in range(count):
-        if interarrival_max_us > 0:
-            if poisson:
-                now += arrival_expovariate(rate)
+    def walk() -> Iterator[int]:
+        last = randrange(slots)  # no predecessor: the first record never rolls
+        while True:
+            yield last
+            if roll() < seq_probability:
+                last = last + 1 if last + 1 < slots else 0
             else:
-                now += interarrival_max_us * arrival_random()
-        op = read_op if mix_random() < read_fraction else write_op
-        if not first and addr_random() < seq_probability:
-            offset = last_end
-            if offset + request_bytes > region_bytes:
-                offset = 0
-        else:
-            offset = addr_randrange(slots) * request_bytes
-        offset -= offset % 512  # align_down(offset, 512), sans the call
-        priority = (
-            1
-            if priority_fraction > 0
-            and priority_random() < priority_fraction
-            else 0
-        )
-        yield TraceRecord(now, op, offset, request_bytes, priority)
-        first = False
-        last_end = offset + request_bytes
+                last = randrange(slots)
+
+    return _emit(config, (mix_rng, arrival_rng, priority_rng), walk())
 
 
 def generate_synthetic(config: SyntheticConfig) -> List[TraceRecord]:

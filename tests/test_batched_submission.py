@@ -153,18 +153,6 @@ class TestStreamingWindowEquivalence:
         with pytest.raises(ValueError, match="unsorted"):
             replay_trace(sim, ssd, records, window=2)
 
-    def test_unsorted_inside_first_window_raises_valueerror(self):
-        """The initial window fill keeps the documented error contract: a
-        record landing before the clock raises the actionable ValueError,
-        not a raw scheduling error (a negative time_scale is the one way
-        to construct this, since TraceRecord forbids negative times)."""
-        sim = Simulator()
-        ssd = SSD(sim, SSDConfig(n_elements=2, geometry=small_geometry()))
-        records = [TraceRecord(100.0 * (i + 1), TraceOp.WRITE, i * KB4, KB4)
-                   for i in range(8)]
-        with pytest.raises(ValueError, match="unsorted"):
-            replay_trace(sim, ssd, records, time_scale=-1.0, window=4)
-
 
 # ---------------------------------------------------------------------------
 # 3: vectorized prefill vs the seed's per-block reference loops

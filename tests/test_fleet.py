@@ -71,6 +71,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="spare_fraction"):
             FleetConfig(tenants=two_tenants(), spare_fraction=1.5)
 
+    @pytest.mark.parametrize("gap", [float("nan"), -1.0, float("inf")])
+    def test_bad_interarrival_rejected_at_construction(self, gap):
+        # refused here, not later inside a pool worker's PatternConfig
+        with pytest.raises(ValueError, match="interarrival_max_us"):
+            TenantSpec(name="t", interarrival_max_us=gap)
+
     def test_qos_maps_to_priority_fraction(self):
         gold, bronze = two_tenants()
         assert gold.priority_fraction == 1.0

@@ -30,6 +30,7 @@ from repro.traces.patterns import (Barrier, PatternConfig, Pause, compose,
                                    iter_sequential, iter_snake, iter_strided,
                                    iter_zipf, strided_period)
 from repro.traces.record import TraceOp
+from repro.traces.synthetic import SyntheticConfig
 from repro.workloads.driver import StreamingResult, replay_pattern, replay_trace
 
 KB4 = 4096
@@ -59,6 +60,14 @@ class TestConfig:
 
     def test_slots(self):
         assert PatternConfig(region_bytes=MIB, request_bytes=KB4).slots == 256
+
+    @pytest.mark.parametrize("config_type", [PatternConfig, SyntheticConfig])
+    @pytest.mark.parametrize("gap", [float("nan"), -1.0, float("inf")])
+    def test_bad_interarrival_rejected(self, config_type, gap):
+        """NaN and negative gaps failed the loop's ``gap > 0`` and emitted
+        a silent burst at t=0; +inf stamped every record inf."""
+        with pytest.raises(ValueError, match="interarrival_max_us"):
+            config_type(count=5, interarrival_max_us=gap)
 
 
 class TestEmission:

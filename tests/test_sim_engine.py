@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator
 from tests.conftest import schedule_at_front
 
 
@@ -170,6 +170,22 @@ def test_reschedule_into_past_rejected():
     event = Event(0.0, -1, lambda: None, ())
     with pytest.raises(SimulationError):
         sim.reschedule(event, 5.0)
+
+
+@pytest.mark.parametrize("arm", [
+    lambda sim, t: sim.schedule(t, lambda: None),
+    lambda sim, t: sim.schedule_at(t, lambda: None),
+    lambda sim, t: sim.reschedule(Event(0.0, -1, lambda: None, ()), t),
+    lambda sim, t: schedule_at_front(sim, t, lambda: None),
+], ids=["schedule", "schedule_at", "reschedule", "reschedule_at_front"])
+def test_nan_time_rejected(arm):
+    """NaN compares false against everything, so a ``time < now`` guard let
+    it through and the clock became NaN."""
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        arm(sim, float("nan"))
+    sim.run_until_idle()
+    assert sim.now == 0.0
 
 
 # -- same-instant ordering properties ------------------------------------

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.resource import SerialResource
 
 MIB = 1024 * 1024
@@ -99,6 +99,12 @@ class TestAccounting:
     def test_bandwidth_validation(self):
         with pytest.raises(ValueError):
             SerialResource(Simulator(), mb_per_s=0)
+
+    @pytest.mark.parametrize("delay_us", [-1.0, float("nan")])
+    def test_transfer_after_rejects_bad_delay(self, delay_us):
+        link = SerialResource(Simulator(), mb_per_s=1.0)
+        with pytest.raises(SimulationError):
+            link.transfer_after(delay_us, 4096, lambda at: None)
 
 
 class TestBatchingEquivalence:

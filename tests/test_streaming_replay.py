@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -544,6 +545,40 @@ class TestFailedRequestsMoveNoData:
             assert listed.bandwidth_mb_s(op) == streamed.bandwidth_mb_s(op)
         expected = mb_per_s(5 * KB4, listed.elapsed_us)
         assert listed.bandwidth_mb_s() == pytest.approx(expected)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("replay did not return within the test's timeout")
+
+
+class TestTimeScaleValidation:
+    """A NaN scale stamped every record NaN, and the feeder re-armed at NaN
+    forever; a negative one failed with a misleading "unsorted" error."""
+
+    @pytest.mark.parametrize("time_scale",
+                             [float("nan"), float("inf"), -1.0])
+    def test_bad_time_scale_rejected_before_any_event(self, time_scale):
+        sim = Simulator()
+        device = SSD(sim, SSDConfig(n_elements=2))
+        records = iter_synthetic(SyntheticConfig(count=50,
+                                                 region_bytes=1 << 20))
+        previous = signal.signal(signal.SIGALRM, _alarm)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        try:
+            with pytest.raises(ValueError, match="time_scale"):
+                replay_trace(sim, device, records, time_scale=time_scale)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert sim.events_run == 0 and sim.now == 0.0
+
+    def test_zero_time_scale_is_a_burst(self):
+        sim = Simulator()
+        device = SSD(sim, SSDConfig(n_elements=2))
+        records = generate_synthetic(SyntheticConfig(count=50,
+                                                     region_bytes=1 << 20))
+        result = replay_trace(sim, device, records, time_scale=0.0)
+        assert result.count == 50
 
 
 class TestReplayAtScaleCrossCheck:

@@ -5,9 +5,8 @@ Coverage backfill for :mod:`repro.traces.exchange`,
 generator gets (a) structural checks for the workload feature it exists
 to model (Exchange's bursty write runs, TPCC's log-append stream,
 Postmark's delete notifications) and (b) a full-stack replay pinned by a
-:class:`StreamingResult` fingerprint, the same anchor idiom as
-``tests/test_ingest.py``: these exact configs must keep producing these
-exact results.
+:class:`StreamingResult` fingerprint: these exact configs must keep
+producing these exact results.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Tests for trace records, serialization, and the workload generators."""
+"""Tests for trace records and the workload generators."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.traces.exchange import ExchangeConfig, generate_exchange
 from repro.traces.filesystem import AllocationError, Ext3LiteAllocator
-from repro.traces.io import load_trace, save_trace
 from repro.traces.iozone import IOzoneConfig, generate_iozone
 from repro.traces.postmark import PostmarkConfig, generate_postmark
 from repro.traces.record import TraceOp, TraceRecord
@@ -26,29 +25,16 @@ class TestRecord:
         with pytest.raises(ValueError):
             TraceRecord(-1.0, TraceOp.READ, 0, 512)
 
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError, match="time"):
+            TraceRecord(float("nan"), TraceOp.READ, 0, 512)
+
     def test_op_parse(self):
         assert TraceOp.parse("r") is TraceOp.READ
         assert TraceOp.parse("W") is TraceOp.WRITE
         assert TraceOp.parse("F") is TraceOp.FREE
         with pytest.raises(ValueError):
             TraceOp.parse("X")
-
-    def test_round_trip(self, tmp_path):
-        records = [
-            TraceRecord(0.0, TraceOp.WRITE, 0, 4096, 0),
-            TraceRecord(10.5, TraceOp.READ, 8192, 512, 1),
-            TraceRecord(20.0, TraceOp.FREE, 0, 4096, 0),
-        ]
-        path = tmp_path / "trace.txt"
-        assert save_trace(records, path) == 3
-        loaded = load_trace(path)
-        assert loaded == records
-
-    def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("1.0 W 0\n")
-        with pytest.raises(ValueError):
-            load_trace(path)
 
 
 class TestSynthetic:

@@ -8,7 +8,10 @@ independently of this codebase* (Desnoyers; Bux & Iliadis; Dayan et al.):
 * the OP sweep — measured steady-state WA within the tolerance band at
   every point and monotonically decreasing in overprovisioning;
 * discrimination — a deliberately broken cleaner (worst-victim selection)
-  must blow through the band, proving the validator can actually fail.
+  must blow through the band, proving the validator can actually fail;
+* sequential overwrite — on every FTL family, whole-unit writes that sweep
+  the device in order invalidate each unit whole before it is cleaned, so
+  WA is exactly 1 and cleaning copies nothing.
 """
 
 from __future__ import annotations
@@ -18,13 +21,17 @@ from math import exp
 import numpy as np
 import pytest
 
+from repro.device.interface import OpType
+from repro.device.presets import s2slc, s4slc_sim
 from repro.ftl.cleaning import Cleaner
+from repro.sim.engine import Simulator
 from repro.validation.write_amp import (DEFAULT_SPARES, HIGH_RTOL, LOW_RTOL,
                                         WAConfig, WAMeasurement,
                                         fifo_write_amp, format_table,
                                         greedy_write_amp, harmonic,
                                         measure_write_amp, sweep_write_amp,
                                         within_band)
+from repro.workloads.driver import ClosedLoopDriver
 
 #: CI-sized harness (same as the CLI's --fast): calibration showed the
 #: same ratios as the full size to within a point
@@ -214,3 +221,37 @@ class TestTable:
         text = format_table([good, bad])
         assert "ok" in text and "FAIL" in text
         assert "OP_eff" in text
+
+
+#: (builder, its write unit, builder args).  Smaller elements are not a
+#: cheaper variant: at ``element_mb=2`` (and hybrid at 8) the admission
+#: reserve meets the spare area, and the device goes read-only on the
+#: first overwrite through the designed wedge path.
+SEQUENTIAL_FAMILIES = {
+    "pagemap": (s4slc_sim, "logical_page_bytes", {"element_mb": 8}),
+    "blockmap": (s2slc, "stripe_bytes", {"element_mb": 8}),
+    "hybrid": (s2slc, "stripe_bytes",
+               {"element_mb": 16, "ftl_type": "hybrid"}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SEQUENTIAL_FAMILIES))
+def test_sequential_overwrite_wa_is_one(family):
+    """Three in-order passes of unit-sized writes (a logical page on the
+    page-mapped FTL, a stripe on the stripe FTLs), closed loop at depth 4."""
+    build, unit_attr, kwargs = SEQUENTIAL_FAMILIES[family]
+    sim = Simulator()
+    device = build(sim, **kwargs)
+    unit = getattr(device.ftl, unit_attr)
+    units = device.capacity_bytes // unit
+    result = ClosedLoopDriver(
+        sim, device, lambda i: (OpType.WRITE, (i % units) * unit, unit),
+        count=3 * units, depth=4).run()
+    stats = device.ftl.stats
+    assert result.errors == {}
+    assert stats.host_pages_written == 3 * units * unit // 4096
+    assert stats.flash_pages_programmed == stats.host_pages_written
+    assert stats.clean_erases > 0  # the passes did reclaim blocks
+    assert stats.clean_pages_moved == 0
+    assert device.stats.write_amplification == 1.0
+    device.ftl.check_consistency()
