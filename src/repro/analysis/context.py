@@ -43,7 +43,6 @@ HOT_MODULES: Set[str] = {
     "repro/sim/resource.py",
     "repro/sim/stats.py",
     "repro/device/interface.py",
-    "repro/ftl/freepool.py",
 }
 
 #: comment marker that opts any module into the hot-path checks

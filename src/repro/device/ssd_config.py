@@ -94,7 +94,3 @@ class SSDConfig:
     def with_(self, **overrides) -> "SSDConfig":
         """Copy with the given fields replaced."""
         return replace(self, **overrides)
-
-    @property
-    def raw_capacity_bytes(self) -> int:
-        return self.n_elements * self.geometry.element_bytes

@@ -140,6 +140,10 @@ class FleetConfig:
         if self.spare_fraction is not None and not (
                 0.0 < self.spare_fraction < 1.0):
             raise ValueError("spare_fraction must be in (0, 1) or None")
+        if not 0.0 <= self.time_scale < inf:
+            raise ValueError(
+                f"time_scale must be finite and >= 0, got {self.time_scale}"
+            )
         if self.placement == "round_robin" and self.n_devices > len(self.tenants):
             raise ValueError(
                 f"round_robin placement leaves {self.n_devices - len(self.tenants)} "

@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.flash.element import FlashElement, PageState
 from repro.flash.ops import TAG_CLEAN, TAG_HOST
-from repro.ftl.freepool import FreeBlockPool
 from repro.sim.engine import Simulator
 
 __all__ = [
@@ -196,13 +195,10 @@ class BaseFTL:
         self.stats = FTLStats()
         self.group_width = group_width
         n_groups = len(elements) // group_width
-        #: per-group erased-row pools; a row's wear is read off the first
-        #: element of its group (a row is erased on every element of the
-        #: group at once, so the counts move in lockstep)
-        self._pool: List[FreeBlockPool] = [
-            FreeBlockPool(range(geom.blocks_per_element),
-                          memoryview(elements[g * group_width].erase_count))
-            for g in range(n_groups)
+        #: per-group erased-row pools, in pool-entry order: a row leaves
+        #: from anywhere (the family's pull policy) and re-enters at the end
+        self._pool: List[List[int]] = [
+            list(range(geom.blocks_per_element)) for _ in range(n_groups)
         ]
         #: rows with erases in flight, per group
         self._erasing: List[Set[int]] = [set() for _ in range(n_groups)]
@@ -315,9 +311,8 @@ class BaseFTL:
         return self._pull_block(group, temp)
 
     def _pull_block(self, group: int, temp: str) -> int:
-        """Pop policy of the pool (non-empty): LIFO, the seed's list
-        ``pop()`` order."""
-        return self._pool[group].pop_lifo()
+        """Pop policy of the pool (non-empty): LIFO, the newest entry."""
+        return self._pool[group].pop()
 
     def _erase_row(self, group: int, row: int, tag: str,
                    then: Callable[[], None]) -> None:
@@ -363,7 +358,7 @@ class BaseFTL:
                 el.retired[row] = True
             self.stats.blocks_retired += width
         else:
-            self._pool[group].push(row)
+            self._pool[group].append(row)
             self._row_pooled(group)
 
     def _row_pooled(self, group: int) -> None:
@@ -495,16 +490,24 @@ class BaseFTL:
 
     def _check_element(self, e_idx: int) -> None:
         """The lifecycle invariants of one element: per-block valid counts
-        agree with the page states, and every pooled row is erased."""
+        agree with the page states, and every pooled row is pooled once,
+        erased and in service."""
         el = self.elements[e_idx]
         recount = (el.page_state == PageState.VALID).sum(axis=1)
         assert (recount == el.valid_count).all(), (
             f"element {e_idx}: valid_count out of sync"
         )
         pooled = list(self._pool[e_idx // self.group_width])
+        assert len(set(pooled)) == len(pooled), (
+            f"element {e_idx}: a row is pooled twice"
+        )
         written = [row for row in pooled if el.write_ptr[row]]
         assert not written, (
             f"element {e_idx}: pooled rows {written[:5]} not erased"
+        )
+        retired = [row for row in pooled if el.retired[row]]
+        assert not retired, (
+            f"element {e_idx}: pooled rows {retired[:5]} are retired"
         )
 
 

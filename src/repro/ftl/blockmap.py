@@ -18,9 +18,9 @@ in Table 2 and the saw-tooth of Figure 2:
 There is no separate cleaner: reclamation is inline (the erase after each
 RMW), as on the simple devices this models.
 
-Stripe rows run the block lifecycle shared by every FTL family (per-gang
-:class:`repro.ftl.freepool.FreeBlockPool` pools, background erase,
-retire-and-rescue, program retry; see :class:`repro.ftl.base.BaseFTL`).
+Stripe rows run the block lifecycle shared by every FTL family (a per-gang
+list of erased rows pulled LIFO, background erase, retire-and-rescue,
+program retry; see :class:`repro.ftl.base.BaseFTL`).
 Reads, FREEs, the stripe walk and admission are the stripe host path of
 :class:`repro.ftl.base.StripeFTLBase`; this module only says how one
 stripe absorbs a write (:meth:`BlockMappedFTL._write_stripe`).

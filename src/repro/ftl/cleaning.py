@@ -101,19 +101,6 @@ class Cleaner:
         self._paused: dict[int, tuple] = {}
         #: blocks mid-clean (copied out, erase not yet complete), per element
         self.being_cleaned: list[set[int]] = [set() for _ in range(n)]
-        #: continuation state for the pre-bound batch callbacks below:
-        #: (victim, pages, start), per element
-        self._batch_cont: list = [None] * n
-        # one callback object per element, created once — the per-batch
-        # lambdas the seed allocated were a measurable share of
-        # cleaning-heavy runs
-        self._batch_callbacks = [self._make_batch_cb(i) for i in range(n)]
-
-    def _make_batch_cb(self, e_idx: int):
-        def batch_cb(now: float) -> None:
-            victim, pages, start = self._batch_cont[e_idx]
-            self._batch_done(e_idx, victim, pages, start)
-        return batch_cb
 
     # ------------------------------------------------------------------
 
@@ -253,8 +240,6 @@ class Cleaner:
             if not batch:
                 continue
             more = index < n_pages
-            if more:
-                self._batch_cont[e_idx] = (victim, pages, index)
             done = 0
             todo = len(batch)
             while done < todo:
@@ -265,7 +250,9 @@ class Cleaner:
                     return
                 callback = None
                 if more and done + count == todo:
-                    callback = self._batch_callbacks[e_idx]
+                    # the batch's last copy chains the next batch
+                    callback = (lambda now, start=index:
+                                self._batch_done(e_idx, victim, pages, start))
                 copied = el.copy_run(victim, batch[done:done + count],
                                      block, first, TAG_CLEAN, callback)
                 # map the copies before a retirement can rescue them

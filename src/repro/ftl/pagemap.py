@@ -48,6 +48,26 @@ from repro.sim.engine import Simulator
 __all__ = ["PageMappedFTL"]
 
 
+# Wear-ordered pulls scan the pool and read each block's erase count live
+# (*wear* maps block -> count), so a count may change while its block is
+# pooled.  Ties go to the earliest pool entry: ``min``/``max`` keep the
+# first of equal keys.  Pools hold a few blocks once a device is aged, so
+# a scan beats any index kept in step with the counts.
+
+def pop_least_worn(pool: List[int], wear) -> int:
+    """Remove and return the least-worn block of *pool*."""
+    block = min(pool, key=wear.__getitem__)
+    pool.remove(block)
+    return block
+
+
+def pop_most_worn(pool: List[int], wear) -> int:
+    """Remove and return the most-worn block of *pool*."""
+    block = max(pool, key=wear.__getitem__)
+    pool.remove(block)
+    return block
+
+
 class PageMappedFTL(BaseFTL):
     """Page-mapped log-structured FTL (see module docstring)."""
 
@@ -136,10 +156,10 @@ class PageMappedFTL(BaseFTL):
         if temp == "cold":
             # cold data goes to the most-worn block: it will rarely be
             # rewritten, so parking it there stops further wear
-            return pool.pop_max_wear()
+            return pop_most_worn(pool, self.elements[e_idx]._ec)
         if self.wear_config.dynamic:
-            return pool.pop_min_wear()
-        return pool.pop_lifo()
+            return pop_least_worn(pool, self.elements[e_idx]._ec)
+        return pool.pop()
 
     def allocate_run(self, e_idx: int, count: int,
                      temp: str = "hot") -> tuple[int, int, int]:
@@ -194,27 +214,13 @@ class PageMappedFTL(BaseFTL):
     def _page_moved(self, e_idx: int, lpn: int, row: int, page: int) -> None:
         self._mapv[e_idx][lpn] = row * self._ppb + page
 
-    def note_wear_changed(self, e_idx: Optional[int] = None) -> None:
-        """Re-key the free-block wear ordering of one element (or all).
-
-        Call after mutating ``element.erase_count`` outside the normal
-        erase path (tests, fault injection, imported wear state); the pull
-        structures cache wear keys because production erases can only touch
-        blocks that are outside the pool.
-        """
-        if e_idx is not None:
-            self._pool[e_idx].rekey()
-        else:
-            for pool in self._pool:
-                pool.rekey()
-
     def pull_worn_free_block(self, e_idx: int) -> int:
         """Remove the most-worn erased block from the pool (for static
         wear-leveling migration); the whole block leaves the free count."""
         pool = self._pool[e_idx]
         if not pool:
             return -1
-        block = pool.pop_max_wear()
+        block = pop_most_worn(pool, self.elements[e_idx]._ec)
         self._free[e_idx] -= self.geometry.pages_per_block
         return block
 

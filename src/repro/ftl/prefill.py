@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -135,7 +135,7 @@ def _fill(ftl: PageMappedFTL, count: int) -> None:
         # instead of one per block (state identical to the seed's per-block
         # loop — blocks leave the pool in the same FIFO order and map to
         # the same consecutive slot runs)
-        blocks = np.asarray(pool.pop_fifo_many(n_blocks), dtype=np.int64)
+        blocks = _carve(pool, n_blocks)
         tail = n % ppb
         full = blocks if tail == 0 else blocks[:-1]
         n_full_pages = len(full) * ppb
@@ -156,6 +156,15 @@ def _fill(ftl: PageMappedFTL, count: int) -> None:
             emap[n - tail : n] = block * ppb + np.arange(tail)
             ftl._frontier[e_idx]["hot"] = block
         ftl._free[e_idx] -= n
+
+
+def _carve(pool: List[int], count: int) -> np.ndarray:
+    """Take the *count* oldest entries of *pool*, in pool order."""
+    if count > len(pool):
+        raise IndexError(f"pool holds {len(pool)} rows, {count} needed")
+    rows = np.asarray(pool[:count], dtype=np.int64)
+    del pool[:count]
+    return rows
 
 
 def _age(ftl: PageMappedFTL, count: int, rewrites: int,
@@ -341,8 +350,7 @@ def prefill_stripe_ftl(
         slots = np.nonzero(gmap[:n_slots] < 0)[0]
         if len(slots) == 0:
             continue
-        rows = np.asarray(ftl._pool[gang].pop_fifo_many(len(slots)),
-                          dtype=np.int64)
+        rows = _carve(ftl._pool[gang], len(slots))
         gmap[slots] = rows
         for j in range(ftl.shards):
             el = ftl.elements[gang * ftl.shards + j]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
+from math import isnan
 from typing import Any, Callable, Optional
 
 __all__ = ["Event", "Simulator", "SimulationError"]
@@ -75,6 +76,15 @@ class Event:
         return f"<Event t={self.time:.3f}us #{self.seq} {name} {state}>"
 
 
+def _refused_time(time_us: float, now: float) -> SimulationError:
+    """The error for an arm time the ``time_us >= now`` guard refused:
+    NaN fails that comparison too, and is named as such."""
+    if isnan(time_us):
+        return SimulationError("cannot schedule at a NaN time")
+    return SimulationError(
+        f"cannot schedule at {time_us} before current time {now}")
+
+
 class Simulator:
     """Single-threaded discrete-event loop with a float-microsecond clock."""
 
@@ -113,7 +123,9 @@ class Simulator:
     def schedule(self, delay_us: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run *delay_us* after the current time."""
         if not delay_us >= 0:  # also refuses NaN
-            raise SimulationError(f"cannot schedule into the past (delay={delay_us})")
+            raise SimulationError(
+                "cannot schedule at a NaN delay" if isnan(delay_us)
+                else f"cannot schedule into the past (delay={delay_us})")
         time_us = self.now + delay_us
         seq = self.reserve_seq()
         event = Event(time_us, seq, fn, args)
@@ -123,9 +135,7 @@ class Simulator:
     def schedule_at(self, time_us: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at the absolute simulated time *time_us*."""
         if not time_us >= self.now:  # also refuses NaN
-            raise SimulationError(
-                f"cannot schedule at {time_us} before current time {self.now}"
-            )
+            raise _refused_time(time_us, self.now)
         seq = self.reserve_seq()
         event = Event(time_us, seq, fn, args)
         heapq.heappush(self._heap, (time_us, seq, event))
@@ -147,9 +157,7 @@ class Simulator:
         currently in the heap.
         """
         if not time_us >= self.now:  # also refuses NaN
-            raise SimulationError(
-                f"cannot schedule at {time_us} before current time {self.now}"
-            )
+            raise _refused_time(time_us, self.now)
         seq = self._next_front_seq()
         event.time = time_us
         event.seq = seq
@@ -168,9 +176,7 @@ class Simulator:
         by default a fresh sequence number is drawn at re-arm time.
         """
         if not time_us >= self.now:  # also refuses NaN
-            raise SimulationError(
-                f"cannot schedule at {time_us} before current time {self.now}"
-            )
+            raise _refused_time(time_us, self.now)
         if seq is None:
             seq = self.reserve_seq()
         event.time = time_us

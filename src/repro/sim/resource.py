@@ -62,6 +62,7 @@ exact interleaving the discrete prologue events would have produced.
 from __future__ import annotations
 
 from collections import deque
+from math import isnan
 from typing import Callable, Deque, Tuple
 
 from repro.sim.engine import Event, SimulationError, Simulator
@@ -167,7 +168,8 @@ class SerialResource:
         """
         if not delay_us >= 0:  # also refuses NaN
             raise SimulationError(
-                f"cannot activate in the past (delay={delay_us})")
+                "cannot activate at a NaN delay" if isnan(delay_us)
+                else f"cannot activate in the past (delay={delay_us})")
         sim = self.sim
         activate_at = sim.now + delay_us
         deferred = self._deferred

@@ -26,13 +26,6 @@ class TraceOp(enum.Enum):
     def to_op_type(self) -> OpType:
         return OpType[self.name]
 
-    @classmethod
-    def parse(cls, token: str) -> "TraceOp":
-        try:
-            return cls(token.upper())
-        except ValueError:
-            raise ValueError(f"unknown trace op {token!r} (expected R/W/F)") from None
-
 
 _tuple_new = tuple.__new__  # bound once, as namedtuple's own __new__ does
 

@@ -35,16 +35,6 @@ def mb_per_s(nbytes: int, elapsed_us: float) -> float:
     return (nbytes / MIB) / (elapsed_us / SEC)
 
 
-def align_down(value: int, granularity: int) -> int:
-    """Largest multiple of *granularity* that is <= *value*."""
-    return (value // granularity) * granularity
-
-
 def align_up(value: int, granularity: int) -> int:
     """Smallest multiple of *granularity* that is >= *value*."""
     return -(-value // granularity) * granularity
-
-
-def is_aligned(value: int, granularity: int) -> bool:
-    """True when *value* is a multiple of *granularity*."""
-    return value % granularity == 0

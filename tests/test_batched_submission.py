@@ -173,7 +173,7 @@ def _reference_prefill_pagemap(ftl, fill_fraction, overwrite_fraction=0.0,
         pool = ftl._pool[e_idx]
         filled = 0
         while filled < n:
-            block = pool.pop_fifo()
+            block = pool.pop(0)
             take = min(ppb, n - filled)
             el.page_state[block, :take] = PageState.VALID
             el.reverse_lpn[block, :take] = np.arange(filled, filled + take)
@@ -216,7 +216,7 @@ def _reference_prefill_stripe(ftl, fill_fraction):
         gang, slot = ftl._gang_slot(lbn)
         if ftl._maps[gang][slot] >= 0:
             continue
-        row = ftl._pool[gang].pop_fifo()
+        row = ftl._pool[gang].pop(0)
         ftl._maps[gang][slot] = row
         for j in range(ftl.shards):
             el = ftl.elements[gang * ftl.shards + j]

@@ -165,7 +165,6 @@ class TestAttributes:
         ftl = store.device.ftl
         for el in ftl.elements:
             el.erase_count[5] = 50  # make block 5 the most worn everywhere
-        ftl.note_wear_changed()  # counters mutated behind the pool's back
         oid = store.create(ObjectAttributes(read_only=True))
         store.write(oid, 0, 8 * KIB)
         settle(sim)

@@ -77,6 +77,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="interarrival_max_us"):
             TenantSpec(name="t", interarrival_max_us=gap)
 
+    @pytest.mark.parametrize("scale", [float("nan"), -1.0, float("inf")])
+    def test_bad_time_scale_rejected_at_construction(self, scale):
+        # refused by the config itself, before run_fleet builds and
+        # prefills a device only for replay_trace to refuse it
+        with pytest.raises(ValueError,
+                           match="time_scale must be finite and >= 0"):
+            FleetConfig(tenants=two_tenants(), time_scale=scale)
+
     def test_qos_maps_to_priority_fraction(self):
         gold, bronze = two_tenants()
         assert gold.priority_fraction == 1.0

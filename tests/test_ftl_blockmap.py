@@ -168,13 +168,13 @@ class TestBackpressure:
         _sim, ftl = make_ftl()
         assert ftl.can_accept_write(0, KB4)
         while len(ftl._pool[0]) > ftl.reserve_rows:
-            ftl._pool[0].pop_lifo()
+            ftl._pool[0].pop()
         assert not ftl.can_accept_write(0, KB4)
 
     def test_promised_rows_count_against_admission(self):
         _sim, ftl = make_ftl()
         while len(ftl._pool[0]) > ftl.reserve_rows + 1:
-            ftl._pool[0].pop_lifo()
+            ftl._pool[0].pop()
         assert ftl.can_accept_write(0, KB4)
         ftl.promise(0, KB4, 1)      # admitted, data still on the link
         assert not ftl.can_accept_write(0, KB4)
@@ -243,4 +243,67 @@ class TestChurnConsistency:
             sim.run_until_idle()
             # cheap rotating spot-check per iteration; full sweep at the end
             ftl.check_consistency(full=False)
+        ftl.check_consistency()
+
+
+class TestStripeWearOut:
+    """Rows that reach ``erase_cycles`` leave circulation whole: the RMW
+    erases wear every block of a row in lockstep, so the row retires on
+    every element of its gang, and once the spares are worn out the device
+    goes read-only instead of stalling or raising."""
+
+    def test_worn_rows_retire_and_device_goes_read_only(self):
+        import random
+        from collections import Counter
+
+        from repro.device.interface import IORequest, OpType
+        from repro.device.ssd import SSD
+        from repro.device.ssd_config import SSDConfig
+
+        sim = Simulator()
+        ssd = SSD(sim, SSDConfig(
+            n_elements=4,
+            geometry=FlashGeometry(page_bytes=KB4, pages_per_block=4,
+                                   blocks_per_element=16),
+            timing=FlashTiming.slc().scaled(erase_cycles=3),
+            ftl_type="blockmap", gang_size=2, spare_fraction=0.25,
+        ))
+        ftl = ssd.ftl
+        width = ftl.group_width
+
+        pooled_worn = []
+        row_pooled = ftl._row_pooled
+
+        def watch(gang):
+            row = ftl._pool[gang][-1]
+            if ftl.elements[gang * width].erase_count[row] >= 3:
+                pooled_worn.append((gang, row))
+            row_pooled(gang)
+
+        ftl._row_pooled = watch
+
+        completed = Counter()
+        rng = random.Random(7)
+        slots = ssd.capacity_bytes // KB4
+        for _ in range(600):
+            ssd.submit(IORequest(
+                OpType.WRITE, rng.randrange(slots) * KB4, KB4,
+                on_complete=lambda request: completed.update([id(request)])))
+        sim.run_until_idle()  # no DeviceFullError escapes
+
+        assert len(completed) == 600
+        assert set(completed.values()) == {1}
+        assert ftl.read_only
+        assert pooled_worn == []
+        worn_rows = 0
+        for gang in range(ftl.n_gangs):
+            gang_elements = ftl.elements[gang * width:(gang + 1) * width]
+            worn = gang_elements[0].erase_count >= 3
+            worn_rows += int(worn.sum())
+            for el in gang_elements:
+                assert (el.erase_count == gang_elements[0].erase_count).all()
+                assert el.retired[worn].all()
+            assert not set(ftl._pool[gang]) & set(worn.nonzero()[0].tolist())
+        assert worn_rows > 0
+        assert ftl.stats.blocks_retired == width * worn_rows
         ftl.check_consistency()

@@ -349,7 +349,6 @@ class TestWearLeveling:
         el = ftl.elements[0]
         el.erase_count[:] = 10
         el.erase_count[5] = 1
-        ftl.note_wear_changed()  # counters mutated behind the pool's back
         block = ftl._pull_block(0, "hot")
         assert block == 5
 
@@ -358,7 +357,6 @@ class TestWearLeveling:
         el = ftl.elements[0]
         el.erase_count[:] = 1
         el.erase_count[7] = 99
-        ftl.note_wear_changed()  # counters mutated behind the pool's back
         block = ftl._pull_block(0, "cold")
         assert block == 7
 

@@ -131,11 +131,6 @@ class TestConfigValidation:
         assert config.n_elements == 3
         assert SSDConfig().n_elements == 8  # original untouched
 
-    def test_raw_capacity(self):
-        config = SSDConfig(n_elements=2, geometry=FlashGeometry(
-            pages_per_block=4, blocks_per_element=4))
-        assert config.raw_capacity_bytes == 2 * 4 * 4 * 4096
-
 
 class TestWearSummary:
     def test_aggregates_across_elements(self):

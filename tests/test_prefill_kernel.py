@@ -60,7 +60,8 @@ def scalar_prefill_pagemap(ftl, fill_fraction=0.9, overwrite_fraction=0.0,
         n_blocks = -(-n // ppb)
         if n_blocks > len(pool):
             raise ValueError("fill does not fit")
-        blocks = np.asarray(pool.pop_fifo_many(n_blocks), dtype=np.int64)
+        blocks = np.asarray(pool[:n_blocks], dtype=np.int64)
+        del pool[:n_blocks]
         tail = n % ppb
         full = blocks if tail == 0 else blocks[:-1]
         n_full_pages = len(full) * ppb
@@ -156,11 +157,7 @@ def _state(ftl) -> dict:
         "maps": [emap.tobytes() for emap in ftl._maps],
         "free": list(ftl._free),
         "frontier": [dict(f) for f in ftl._frontier],
-        "pools": [
-            (dict(pool._live), pool._seq, list(pool._order), pool._head,
-             list(pool._minh), list(pool._maxh))
-            for pool in ftl._pool
-        ],
+        "pools": [list(pool) for pool in ftl._pool],
         "erasing": [set(e) for e in ftl._erasing],
         "being_cleaned": [set(b) for b in ftl.cleaner.being_cleaned],
         "stats": ftl.stats.as_dict(),

@@ -180,9 +180,10 @@ def test_reschedule_into_past_rejected():
 ], ids=["schedule", "schedule_at", "reschedule", "reschedule_at_front"])
 def test_nan_time_rejected(arm):
     """NaN compares false against everything, so a ``time < now`` guard let
-    it through and the clock became NaN."""
+    it through and the clock became NaN.  The message names NaN, not a
+    time in the past."""
     sim = Simulator()
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match="NaN"):
         arm(sim, float("nan"))
     sim.run_until_idle()
     assert sim.now == 0.0

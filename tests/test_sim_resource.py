@@ -100,10 +100,12 @@ class TestAccounting:
         with pytest.raises(ValueError):
             SerialResource(Simulator(), mb_per_s=0)
 
-    @pytest.mark.parametrize("delay_us", [-1.0, float("nan")])
-    def test_transfer_after_rejects_bad_delay(self, delay_us):
+    @pytest.mark.parametrize("delay_us,why", [(-1.0, "in the past"),
+                                              (float("nan"), "NaN")],
+                             ids=["-1.0", "nan"])
+    def test_transfer_after_rejects_bad_delay(self, delay_us, why):
         link = SerialResource(Simulator(), mb_per_s=1.0)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match=why):
             link.transfer_after(delay_us, 4096, lambda at: None)
 
 

@@ -29,13 +29,6 @@ class TestRecord:
         with pytest.raises(ValueError, match="time"):
             TraceRecord(float("nan"), TraceOp.READ, 0, 512)
 
-    def test_op_parse(self):
-        assert TraceOp.parse("r") is TraceOp.READ
-        assert TraceOp.parse("W") is TraceOp.WRITE
-        assert TraceOp.parse("F") is TraceOp.FREE
-        with pytest.raises(ValueError):
-            TraceOp.parse("X")
-
 
 class TestSynthetic:
     def test_deterministic(self):

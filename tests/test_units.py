@@ -10,9 +10,7 @@ from repro.units import (
     KIB,
     MIB,
     SECTOR,
-    align_down,
     align_up,
-    is_aligned,
     mb_per_s,
 )
 
@@ -29,19 +27,10 @@ class TestUnits:
         assert mb_per_s(MIB, 0.0) == 0.0
         assert mb_per_s(MIB, -5.0) == 0.0
 
-    def test_align_down(self):
-        assert align_down(1000, 512) == 512
-        assert align_down(512, 512) == 512
-        assert align_down(0, 512) == 0
-
     def test_align_up(self):
         assert align_up(1000, 512) == 1024
         assert align_up(512, 512) == 512
         assert align_up(1, 4096) == 4096
-
-    def test_is_aligned(self):
-        assert is_aligned(4096, 512)
-        assert not is_aligned(4097, 512)
 
 
 class TestIORequest:

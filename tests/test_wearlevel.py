@@ -41,9 +41,8 @@ def _aged_ftl(threshold=10):
 
 
 def _stretch_spread(ftl, el, worn_block, count=100):
-    """Give one free-pool block a high erase count (and re-key the pool)."""
+    """Give one free-pool block a high erase count."""
     el.erase_count[worn_block] = count
-    ftl.note_wear_changed(0)
 
 
 class TestStaticMigration:
@@ -53,7 +52,6 @@ class TestStaticMigration:
         worn, runner_up = pool[0], pool[1]
         _stretch_spread(ftl, el, worn, 100)
         el.erase_count[runner_up] = 40
-        ftl.note_wear_changed(0)
 
         ftl.wear_leveler._maybe_migrate(0)
         sim.run_until_idle()
@@ -83,7 +81,6 @@ class TestStaticMigration:
         outlier = ftl.frontier_blocks(0)[0]
         el.erase_count[outlier] = 1000
         el.retired[outlier] = True
-        ftl.note_wear_changed(0)
 
         ftl.wear_leveler._maybe_migrate(0)
         sim.run_until_idle()

@@ -395,7 +395,6 @@ class TestQueueMergeTemp:
             block = 7 + e_idx  # arbitrary, inside every pool
             el.erase_count[block] = 50
             worn[e_idx] = block
-        ssd.ftl.note_wear_changed()
         return worn
 
     def test_cold_hinted_batch_lands_on_worn_blocks(self):
