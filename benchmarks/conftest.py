@@ -1,6 +1,6 @@
 """Benchmark configuration.
 
-Each experiment runs once per benchmark round (the experiments are
+Each scenario runs once per benchmark round (the scenarios are
 deterministic; wall time is what varies), so pytest-benchmark is configured
 for a single round.
 
@@ -8,9 +8,8 @@ Two additions for CI time budgets:
 
 * ``REPRO_BENCH_FAST=1`` — :func:`bench_scale` shrinks IO counts (and with
   them effective geometry churn) by 10x for suites whose assertions are
-  scale-invariant (the hotpath microbenches).  The paper-table benches keep
-  their full size: their assertions encode paper-shaped results that only
-  emerge at realistic trace lengths.
+  scale-invariant (the hotpath microbenches).  The paper's claims are not
+  here: ``python -m repro.bench.cli claims`` runs them at fixed scales.
 * **pytest-benchmark-free timing mode** — when the plugin is not installed
   this conftest provides a minimal ``benchmark`` fixture with the same
   ``pedantic``/call interface, timed with ``time.perf_counter``, so the

@@ -1,4 +1,5 @@
-"""Experiment modules, one per paper table/figure (see DESIGN.md §4)."""
+"""Experiment modules, one per paper table/figure, each with its claims
+(see :mod:`repro.bench`)."""
 
 __all__ = [
     "table1_contract",

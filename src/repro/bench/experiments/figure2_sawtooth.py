@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.bench.tables import ExperimentResult
+from repro.bench.tables import Claim, ExperimentResult, check
 from repro.device.interface import OpType
 from repro.device.presets import s2slc
 from repro.ftl.prefill import prefill_stripe_ftl
@@ -26,7 +26,7 @@ from repro.sim.engine import Simulator
 from repro.units import KIB, MIB
 from repro.workloads.driver import ClosedLoopDriver
 
-__all__ = ["run", "main", "sweep_sizes"]
+__all__ = ["run", "claims", "sweep_sizes"]
 
 
 def sweep_sizes(stripe_bytes: int = MIB, stripes: int = 4) -> List[int]:
@@ -70,27 +70,22 @@ def run(scale: float = 1.0, seed: int = 42) -> ExperimentResult:
         headers=["Bytes", "SizeMB", "MB/s"],
         rows=rows,
         metadata={"stripe_bytes": MIB},
-        paper_reference={
-            "shape": "bandwidth peaks at stripe multiples (~67 MB/s at 1 MB "
-                     "on the paper's sample) and collapses just past them",
-        },
     )
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    from repro.bench.plot import ascii_plot
-
-    result = run()
-    print(result.render())
-    points = [(row[1], row[2]) for row in result.rows]
-    print()
-    print(ascii_plot({"bandwidth": points}, title="Figure 2 (reproduced)",
-                     x_label="write size (MB)", y_label="MB/s"))
-    peak = result.row_by("Bytes", MIB)[2]
-    trough = result.row_by("Bytes", MIB + 512)[2]
-    print(f"\npeak@1MB = {peak:.1f} MB/s, trough@1MB+512B = {trough:.1f} MB/s "
-          f"(saw-tooth depth {peak / trough:.1f}x)")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def claims(result: ExperimentResult) -> List[Claim]:
+    """The saw-tooth's shape, from a run at scale 0.5 (the paper plots
+    it without a table: ~67 MB/s peaks on its sample)."""
+    bw = {row[0]: row[2] for row in result.rows}
+    pairs = [(bw[m * MIB], bw[m * MIB + 512]) for m in (1, 2, 3)]
+    return [
+        Claim("bandwidth_512_256k_1m", (bw[512], bw[256 * KIB], bw[MIB]),
+              None, "increasing", bw[512] < bw[256 * KIB] < bw[MIB],
+              "bandwidth rises toward the stripe size"),
+        Claim("peak_over_trough_min", min(p / t for p, t in pairs), None,
+              "> 1.5", all(p > 1.5 * t for p, t in pairs),
+              "a peak at every stripe multiple, a collapse just past it"),
+        check("peak_1m_vs_2m", abs(bw[MIB] - bw[2 * MIB]) / bw[MIB], "<",
+              0.25, None, "stripe-aligned writes never RMW, so the peaks "
+              "are about the same height"),
+    ]

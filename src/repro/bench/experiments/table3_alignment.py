@@ -1,10 +1,7 @@
 """Table 3 — Improved Response Time with Write Alignment.
 
-Paper (average I/O response time, ms, for 4 KB writes):
-
-    P(sequential)   0     0.2   0.4   0.6   0.8
-    Unaligned      10.6  10.6  10.5  10.2  10.5
-    Aligned        10.6  10.4   8.9   7.6   5.6
+Paper: :data:`PAPER_TABLE3`, the mean response time (ms) of 4 KB writes
+at each of :data:`SEQ_POINTS`.
 
 Setup from the paper: "We simulated a 32 GB SSD with one gang of eight 4 GB
 flash packages.  A single 32 KB logical page spanned over all the packages.
@@ -21,14 +18,16 @@ unaligned at low sequentiality and dropping steeply beyond p = 0.4.
 
 from __future__ import annotations
 
-from repro.bench.tables import ExperimentResult
+from typing import List
+
+from repro.bench.tables import Claim, ExperimentResult, check, near
 from repro.device.presets import table3_gang_ssd
 from repro.ftl.prefill import prefill_pagemap
 from repro.sim.engine import Simulator
 from repro.traces.synthetic import SyntheticConfig, generate_synthetic
 from repro.workloads.driver import replay_trace
 
-__all__ = ["run", "main", "SEQ_POINTS", "PAPER_TABLE3"]
+__all__ = ["run", "claims", "SEQ_POINTS", "PAPER_TABLE3"]
 
 SEQ_POINTS = (0.0, 0.2, 0.4, 0.6, 0.8)
 
@@ -81,18 +80,27 @@ def run(scale: float = 1.0, seed: int = 42) -> ExperimentResult:
         title="Avg 4 KB write response time (ms) vs sequentiality",
         headers=["Scheme", *[f"p={p}" for p in SEQ_POINTS]],
         rows=rows,
-        paper_reference=PAPER_TABLE3,
     )
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    result = run()
-    print(result.render())
-    aligned = result.row_by("Scheme", "Aligned")[1:]
-    unaligned = result.row_by("Scheme", "Unaligned")[1:]
-    gain = (unaligned[-1] - aligned[-1]) / unaligned[-1] * 100.0
-    print(f"\naligned gain at p=0.8: {gain:.0f}% (paper: ~47%)")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def claims(result: ExperimentResult) -> List[Claim]:
+    """The shape of Table 3, from a run at scale 0.5."""
+    u = result.row_by("Scheme", "Unaligned")[1:]
+    a = result.row_by("Scheme", "Aligned")[1:]
+    paper_u, paper_a = PAPER_TABLE3["unaligned"], PAPER_TABLE3["aligned"]
+    return [
+        check("unaligned_max_over_min", max(u) / min(u), "<", 1.25,
+              max(paper_u) / min(paper_u),
+              "flat in the paper; queueing near saturation adds a few points"),
+        check("aligned_vs_unaligned_at_p0", abs(a[0] - u[0]) / u[0], "<",
+              0.10, abs(paper_a[0] - paper_u[0]) / paper_u[0],
+              "nothing to merge: both schemes issue the same writes"),
+        Claim("aligned_over_unaligned_at_p0.8", a[-1] / u[-1],
+              paper_a[-1] / paper_u[-1], "< 0.8", a[-1] < 0.8 * u[-1],
+              "the paper's aligned scheme saves 47 %; 20 % is 'markedly'"),
+        check("aligned_at_p0.8_below_p0.2", a[-1], "<", a[1], paper_a[-1],
+              "the benefit grows with sequentiality"),
+        near("aligned_over_unaligned_at_p0.2", a[1] / u[1],
+             paper_a[1] / paper_u[1], "unexplained: the paper's aligned "
+             "scheme gains nothing before p = 0.4, here it gains at 0.2"),
+    ]

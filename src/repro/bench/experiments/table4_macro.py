@@ -1,12 +1,8 @@
 """Table 4 — Macro Benchmarks with Stripe-aligned Writes.
 
-Paper (response-time improvement from the aligning scheme):
-
-    Postmark  TPCC   Exchange  IOzone
-    1.15%     3.08%  4.89%     36.54%
-
-"Of all the workloads, IOzone benefits the most (over 36% improvement) due
-to its large write sizes."
+Paper: :data:`PAPER_TABLE4`, the response-time improvement (%) from the
+aligning scheme.  "Of all the workloads, IOzone benefits the most (over
+36% improvement) due to its large write sizes."
 
 Each macro generator replays against the §3.4 gang SSD (32 KB logical
 page) twice — passthrough vs aligning buffer — and we report the mean
@@ -17,9 +13,9 @@ details the paper does not specify.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import List
 
-from repro.bench.tables import ExperimentResult
+from repro.bench.tables import Claim, ExperimentResult, check, near
 from repro.device.presets import table3_gang_ssd
 from repro.ftl.prefill import prefill_pagemap
 from repro.sim.engine import Simulator
@@ -31,7 +27,7 @@ from repro.traces.tpcc import TPCCConfig, generate_tpcc
 from repro.units import KIB, MIB
 from repro.workloads.driver import replay_trace
 
-__all__ = ["run", "main", "PAPER_TABLE4"]
+__all__ = ["run", "claims", "PAPER_TABLE4"]
 
 PAPER_TABLE4 = {"Postmark": 1.15, "TPCC": 3.08, "Exchange": 4.89, "IOzone": 36.54}
 
@@ -51,8 +47,8 @@ def _traces(count: int, region: int, seed: int) -> dict:
 
     # Arrival rates put each workload at the utilization its paper response
     # times imply: the OLTP-ish traces run at moderate load, IOzone (a
-    # throughput benchmark) runs at the edge of saturation.  EXPERIMENTS.md
-    # discusses the sensitivity.
+    # throughput benchmark) runs at the edge of saturation, where its gain
+    # is most sensitive to the arrival rate.
     usable = region - 2 * MIB
     return {
         "Postmark": skewed(
@@ -111,15 +107,32 @@ def run(scale: float = 1.0, seed: int = 42) -> ExperimentResult:
         title="Macro benchmarks: response-time improvement from alignment",
         headers=["Workload", "UnalignedMs", "AlignedMs", "Improvement%"],
         rows=rows,
-        paper_reference=PAPER_TABLE4,
     )
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    result = run()
-    print(result.render())
-    print("\npaper: Postmark 1.15%, TPCC 3.08%, Exchange 4.89%, IOzone 36.54%")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def claims(result: ExperimentResult) -> List[Claim]:
+    """The ordering of Table 4, from a run at scale 0.5."""
+    gain = {row[0]: row[3] for row in result.rows}
+    others = max(gain[k] for k in ("Postmark", "TPCC", "Exchange"))
+    return [
+        check("iozone_gain_above_others", gain["IOzone"], ">", others,
+              PAPER_TABLE4["IOzone"], "the paper's headline: large writes "
+              "gain the most"),
+        check("iozone_gain_pct", gain["IOzone"], ">", 10.0,
+              PAPER_TABLE4["IOzone"], "36.5 % in the paper, from request "
+              "sizes it does not give; 10 % is still a large gain"),
+        check("postmark_gain_pct", gain["Postmark"], "<", 10.0,
+              PAPER_TABLE4["Postmark"], "small OLTP-like writes gain single "
+              "digits"),
+        check("tpcc_gain_pct", gain["TPCC"], "<", 10.0, PAPER_TABLE4["TPCC"],
+              "as postmark_gain_pct"),
+        check("min_gain_pct", min(gain.values()), ">", -5.0,
+              min(PAPER_TABLE4.values()), "alignment makes nothing markedly "
+              "worse; 5 points absorbs queueing noise"),
+        *(near(f"{name.lower()}_gain_vs_paper", gain[name],
+               PAPER_TABLE4[name], "scale and a model simplification: "
+               "synthetic traces stand in for the paper's, and the gains "
+               "move with trace length (scale 1.0: IOzone 25.7 %, "
+               "Postmark 2.9 %)")
+          for name in ("IOzone", "Postmark")),
+    ]

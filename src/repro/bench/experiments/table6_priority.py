@@ -10,20 +10,18 @@ uniformly distributed between 0 and 0.1 ms.  The fraction of priority
 requests was set to 10%; critical and low thresholds were fixed at 2% and
 5% of free pages."
 
-Table 6 (foreground response-time improvement):
-
-    Writes (%)       20    40     50     60     80
-    Improvement (%)  0     9.56   10.27  9.61   9.47
-
-Figure 3 plots the four series (foreground/background x aware/agnostic).
-Expected shape: foreground improves ~10% once cleaning is frequent
-(writes >= 40%), background pays for it; at 20% writes cleaning is rare and
-nothing changes.
+Table 6 (:data:`PAPER_TABLE6`) is the foreground response-time
+improvement (%) at each write share.  Figure 3 plots the four series
+(foreground/background x aware/agnostic).  Expected shape: foreground
+improves ~10% once cleaning is frequent (writes >= 40%), background pays
+for it; at 20% writes cleaning is rare and nothing changes.
 """
 
 from __future__ import annotations
 
-from repro.bench.tables import ExperimentResult
+from typing import List
+
+from repro.bench.tables import Claim, ExperimentResult, check, near
 from repro.device.presets import s4slc_sim
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.cleaning import CleaningConfig
@@ -32,7 +30,7 @@ from repro.sim.engine import Simulator
 from repro.traces.synthetic import SyntheticConfig, generate_synthetic
 from repro.workloads.driver import replay_trace
 
-__all__ = ["run", "main", "WRITE_POINTS", "PAPER_TABLE6"]
+__all__ = ["run", "claims", "figure3_claims", "WRITE_POINTS", "PAPER_TABLE6"]
 
 WRITE_POINTS = (20, 40, 50, 60, 80)
 
@@ -112,24 +110,48 @@ def run(scale: float = 1.0, seed: int = 42) -> ExperimentResult:
             "FgImprovement%",
         ],
         rows=rows,
-        paper_reference=PAPER_TABLE6,
     )
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    from repro.bench.plot import ascii_plot
-
-    result = run()
-    print(result.render())
-    series = {}
-    for column in ("FgAgnostic", "BgAgnostic", "FgAware", "BgAware"):
-        series[column] = list(zip(result.column("Writes%"),
-                                  result.column(column)))
-    print()
-    print(ascii_plot(series, title="Figure 3 (reproduced)",
-                     x_label="writes %", y_label="response ms"))
-    print("\npaper: ~10% foreground improvement for writes >= 40%, none at 20%")
+#: the write shares at which cleaning is frequent
+_HEAVY = (40, 50, 60, 80)
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def claims(result: ExperimentResult) -> List[Claim]:
+    """Table 6, from a run at scale 0.6."""
+    gain = {row[0]: row[5] for row in result.rows}
+    heavy = [gain[w] for w in _HEAVY]
+    paper = [PAPER_TABLE6[w] for w in _HEAVY]
+    fg_agnostic = result.column("FgAgnostic")
+    return [
+        Claim("gain_pct_at_20", gain[20], PAPER_TABLE6[20], "|x| < 5",
+              abs(gain[20]) < 5.0, "cleaning is rare, so nothing to gate"),
+        check("mean_heavy_gain_pct", sum(heavy) / len(heavy), ">", 2.0,
+              sum(paper) / len(paper), "about 10 % in the paper; a net gain, "
+              "as the gain swings with the write share here"),
+        check("max_heavy_gain_pct", max(heavy), ">", 5.0, max(paper),
+              "at least one heavy point shows a clear gain"),
+        check("fg_agnostic_at_80_over_20", fg_agnostic[-1], ">",
+              fg_agnostic[0], None, "more writes, more cleaning pressure"),
+        *(near(f"gain_pct_at_{w}", gain[w], PAPER_TABLE6[w],
+               "unexplained: the gain swings with the write share, at scale "
+               "1.0 too (7.8, 3.3, 8.4, 13.3 % at 40-80 %); the paper's "
+               "stays near 10 %")
+          for w in _HEAVY),
+    ]
+
+
+def figure3_claims(result: ExperimentResult) -> List[Claim]:
+    """Figure 3's series, from a run at scale 0.4."""
+    series = [result.column(c)
+              for c in ("FgAgnostic", "FgAware", "BgAgnostic", "BgAware")]
+    fg_agnostic, fg_aware = series[0], series[1]
+    return [
+        Claim("series_min_last_over_first", min(s[-1] / s[0] for s in series),
+              None, "> 1", all(s[-1] > s[0] for s in series),
+              "every series grows with the write share"),
+        Claim("fg_aware_over_agnostic_at_80", fg_aware[-1] / fg_agnostic[-1],
+              1.0 - PAPER_TABLE6[80] / 100.0, "<= 1.05",
+              fg_aware[-1] <= fg_agnostic[-1] * 1.05,
+              "the gate must not slow the foreground; 5 % absorbs noise"),
+    ]

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-__all__ = ["ExperimentResult", "format_table"]
+__all__ = ["Claim", "ExperimentResult", "check", "format_table", "near"]
 
 
 def _format_cell(value: Any) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(_format_cell(v) for v in value)
     if isinstance(value, float):
         if value == 0:
             return "0"
@@ -47,20 +50,63 @@ def format_table(
     return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class Claim:
+    """One check of a reproduced result against the paper.
+
+    ``band`` states the accepted range, ``ok`` whether ``measured`` lies
+    in it, and ``why`` why the band is that wide.  ``paper`` is the
+    paper's value, None where the paper gives no number.  A ``gap`` claim
+    records a known divergence from the paper: out of its band it reads
+    ``diverges`` instead of failing, and ``why`` names the cause (scale,
+    a named model simplification, or "unexplained")."""
+
+    name: str
+    measured: Any
+    paper: Any
+    band: str
+    ok: bool
+    why: str
+    gap: bool = False
+
+    @property
+    def verdict(self) -> str:
+        if self.ok:
+            return "pass"
+        return "diverges" if self.gap else "FAIL"
+
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge, "==": operator.eq}
+
+
+def check(name: str, measured: Any, op: str, bound: Any, paper: Any,
+          why: str) -> Claim:
+    """The claim ``measured <op> bound``."""
+    return Claim(name, measured, paper, f"{op} {_format_cell(bound)}",
+                 _COMPARE[op](measured, bound), why)
+
+
+#: relative distance from the paper's value inside which a gap claim
+#: counts as reproduced
+GAP_RTOL = 0.25
+
+
+def near(name: str, measured: float, paper: float, why: str) -> Claim:
+    """A gap claim: *measured* within :data:`GAP_RTOL` of *paper*."""
+    return Claim(name, measured, paper, f"paper ± {GAP_RTOL:.0%}",
+                 abs(measured - paper) <= GAP_RTOL * abs(paper), why, gap=True)
+
+
 @dataclass
 class ExperimentResult:
-    """Output of one experiment: table rows plus free-form metadata.
-
-    ``paper_reference`` holds the numbers the paper reports so EXPERIMENTS.md
-    and the test suite can compare shapes without re-reading the PDF.
-    """
+    """Output of one experiment: table rows plus free-form metadata."""
 
     experiment_id: str
     title: str
     headers: List[str]
     rows: List[List[Any]]
     metadata: Dict[str, Any] = field(default_factory=dict)
-    paper_reference: Dict[str, Any] = field(default_factory=dict)
 
     def render(self) -> str:
         return format_table(

@@ -2,7 +2,8 @@
 
 Table 2 measures one HDD and five SSDs.  The real SSDs were anonymized
 engineering samples, so these presets recreate each *class* of device from
-its published behaviour (DESIGN.md §2 documents the substitution):
+its published behaviour; the controller details the paper does not give are
+approximated, so Table 2's shape reproduces rather than its exact numbers:
 
 =========  =====================================================================
 S1slc      high-end SLC: wide internal parallelism, page-mapped FTL.  Fast

@@ -202,6 +202,9 @@ class BaseFTL:
         ]
         #: rows with erases in flight, per group
         self._erasing: List[Set[int]] = [set() for _ in range(n_groups)]
+        #: per group, what admitted writes whose data is still crossing
+        #: the host link will pull (see :meth:`promise`)
+        self._promised = [0] * n_groups
         #: rotation cursor for sampled consistency checks
         self._cc_cursor = 0
         #: consulted by priority-aware cleaning; the SSD points this at its
@@ -265,11 +268,21 @@ class BaseFTL:
         failure (the SSD dispatcher holds writes back otherwise)."""
         raise NotImplementedError
 
-    def promise(self, offset: int, size: int, rows: int) -> None:
-        """Hold (``rows=1``) or hand back (``rows=-1``) what a write of
-        the range may pull, for a write admitted before its data arrives.
-        Default: nothing is counted (the page-mapped FTL's admission keeps
-        ``reserve_pages`` of headroom per element instead)."""
+    def promise(self, offset: int, size: int, count: int) -> None:
+        """Hold (``count=1``) or hand back (``count=-1``) what a write of
+        the range will pull (:meth:`_needed`).  Admission reads the pool at
+        dispatch, but a write pulls only when its data arrives, so every
+        write admitted in between would otherwise count the same headroom.
+        The device promises at dispatch and hands the promise back just
+        before the write pulls; ``can_accept_write`` subtracts it."""
+        promised = self._promised
+        for group, n in self._needed(offset, size).items():
+            promised[group] += count * n
+
+    def _needed(self, offset: int, size: int) -> Dict[int, int]:
+        """Group -> what a write of the range may pull there: rows for
+        the stripe FTLs, pages for the page-mapped FTL."""
+        raise NotImplementedError
 
     def ensure_space(self, offset: int, size: int) -> None:
         """A write for this range is blocked on allocation headroom: start
@@ -497,7 +510,7 @@ class BaseFTL:
         assert (recount == el.valid_count).all(), (
             f"element {e_idx}: valid_count out of sync"
         )
-        pooled = list(self._pool[e_idx // self.group_width])
+        pooled = self._pool[e_idx // self.group_width]
         assert len(set(pooled)) == len(pooled), (
             f"element {e_idx}: a row is pooled twice"
         )
@@ -552,9 +565,6 @@ class StripeFTLBase(BaseFTL):
         #: rows a write may consume before stalling (frontier + one RMW;
         #: subclasses with extra transient allocations raise this)
         self.reserve_rows = 2
-        #: per gang, rows promised to admitted writes whose data is still
-        #: crossing the host link (see :meth:`promise`)
-        self._promised = [0] * self.n_gangs
 
     @staticmethod
     def resolve_shards(elements: List[FlashElement], gang_size: Optional[int]) -> int:
@@ -709,7 +719,7 @@ class StripeFTLBase(BaseFTL):
 
     # -- admission / introspection ---------------------------------------
 
-    def _rows_needed(self, offset: int, size: int) -> Dict[int, int]:
+    def _needed(self, offset: int, size: int) -> Dict[int, int]:
         """Gang -> stripes of the range it holds: the rows a write of the
         range may pull there."""
         sb = self.stripe_bytes
@@ -719,15 +729,6 @@ class StripeFTLBase(BaseFTL):
             needed[gang] = needed.get(gang, 0) + 1
         return needed
 
-    def promise(self, offset: int, size: int, rows: int) -> None:
-        """Admission reads the pool at dispatch, but a write pulls its rows
-        only when its data arrives, so every write admitted in between
-        would otherwise count the same headroom.  The device promises the
-        rows at dispatch and hands them back just before the write pulls."""
-        promised = self._promised
-        for gang, count in self._rows_needed(offset, size).items():
-            promised[gang] += rows * count
-
     def can_accept_write(self, offset: int, size: int) -> bool:
         if self.read_only:
             return False
@@ -735,11 +736,11 @@ class StripeFTLBase(BaseFTL):
         promised = self._promised
         return all(
             len(pool[gang]) - promised[gang] - count >= self.reserve_rows
-            for gang, count in self._rows_needed(offset, size).items()
+            for gang, count in self._needed(offset, size).items()
         )
 
     def write_wedged(self, offset: int, size: int) -> bool:
-        for gang, count in self._rows_needed(offset, size).items():
+        for gang, count in self._needed(offset, size).items():
             if len(self._pool[gang]) - count >= self.reserve_rows:
                 continue
             # background erases in flight may replenish the pool
@@ -748,7 +749,7 @@ class StripeFTLBase(BaseFTL):
 
     def elements_for_range(self, offset: int, size: int) -> List[int]:
         shards = self.shards
-        return [e_idx for gang in sorted(self._rows_needed(offset, size))
+        return [e_idx for gang in sorted(self._needed(offset, size))
                 for e_idx in range(gang * shards, (gang + 1) * shards)]
 
     def mapped_row(self, lbn: int) -> int:

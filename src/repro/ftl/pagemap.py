@@ -448,7 +448,7 @@ class PageMappedFTL(BaseFTL):
     # admission control / introspection
     # ------------------------------------------------------------------
 
-    def pages_needed(self, offset: int, size: int) -> dict[int, int]:
+    def _needed(self, offset: int, size: int) -> dict[int, int]:
         """Programs per element a write of this range will issue."""
         lp = self.logical_page_bytes
         end = offset + size
@@ -466,15 +466,25 @@ class PageMappedFTL(BaseFTL):
         lp = self.logical_page_bytes
         if self.shards == 1 and (offset % lp) + size <= lp:
             e_idx = (offset // lp) % self.n_gangs
-            return self._free[e_idx] - 1 >= self.reserve_pages
-        for e_idx, count in self.pages_needed(offset, size).items():
-            if self._free[e_idx] - count < self.reserve_pages:
+            return (self._free[e_idx] - self._promised[e_idx] - 1
+                    >= self.reserve_pages)
+        free = self._free
+        promised = self._promised
+        for e_idx, count in self._needed(offset, size).items():
+            if free[e_idx] - promised[e_idx] - count < self.reserve_pages:
                 return False
         return True
 
+    def promise(self, offset: int, size: int, count: int) -> None:
+        lp = self.logical_page_bytes
+        if self.shards == 1 and (offset % lp) + size <= lp:
+            self._promised[(offset // lp) % self.n_gangs] += count
+            return
+        super().promise(offset, size, count)
+
     def write_wedged(self, offset: int, size: int) -> bool:
         cleaner = self.cleaner
-        for e_idx, count in self.pages_needed(offset, size).items():
+        for e_idx, count in self._needed(offset, size).items():
             if self._free[e_idx] - count >= self.reserve_pages:
                 continue
             if cleaner._no_space[e_idx]:
@@ -496,7 +506,7 @@ class PageMappedFTL(BaseFTL):
         return False
 
     def ensure_space(self, offset: int, size: int) -> None:
-        for e_idx, count in self.pages_needed(offset, size).items():
+        for e_idx, count in self._needed(offset, size).items():
             if self._free[e_idx] - count < self.reserve_pages:
                 self.cleaner.maybe_clean(e_idx, force=True)
 

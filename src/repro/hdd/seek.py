@@ -42,7 +42,7 @@ class SeekModel:
         """Coefficients fitted for the *scaled-capacity* model drive so that
         average random positioning lands near the Barracuda 7200.11's ≈8 ms
         (the scaled drive has far fewer cylinders, so per-cylinder costs are
-        proportionally higher; DESIGN.md §5 documents the scaling)."""
+        proportionally higher)."""
         return cls(
             settle_us=500.0,
             sqrt_coeff_us=85.0,

@@ -1,13 +1,24 @@
-"""Cheap smoke tests for the experiment harness (full runs live in
-benchmarks/; these only check the plumbing at tiny scale)."""
+"""Cheap smoke tests for the experiment harness.  The full-scale runs
+are the claim sets of ``python -m repro.bench.cli claims``; these only
+check the plumbing at tiny scale, where the claims' verdicts do not hold."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench.experiments import figure2_sawtooth, swtf_scheduler
-from repro.bench.experiments.ablations import stripe_size
+from repro.bench.experiments import ablations, figure2_sawtooth, swtf_scheduler
 from repro.bench.experiments.table2_bandwidth import PAPER_TABLE2, PROBES
+from repro.bench.tables import Claim
+
+
+def assert_well_formed(claims):
+    """Records with unique names, a band, a reason and a verdict."""
+    assert claims
+    assert all(isinstance(claim, Claim) for claim in claims)
+    names = [claim.name for claim in claims]
+    assert len(set(names)) == len(names), names
+    for claim in claims:
+        assert claim.name and claim.band and claim.why, claim
+        assert isinstance(claim.ok, bool), claim
+        assert claim.verdict in ("pass", "FAIL", "diverges"), claim
 
 
 class TestFigure2Smoke:
@@ -17,6 +28,7 @@ class TestFigure2Smoke:
         sizes = result.column("Bytes")
         assert 512 in sizes and 1048576 in sizes
         assert all(row[2] > 0 for row in result.rows)
+        assert_well_formed(figure2_sawtooth.claims(result))
 
     def test_sweep_sizes_cover_peaks_and_troughs(self):
         sizes = figure2_sawtooth.sweep_sizes(stripe_bytes=1 << 20, stripes=3)
@@ -31,13 +43,15 @@ class TestSwtfSmoke:
         schedulers = result.column("Scheduler")
         assert schedulers == ["FCFS", "SWTF"]
         assert "improvement_pct" in result.metadata
+        assert_well_formed(swtf_scheduler.claims(result))
 
 
 class TestAblationSmoke:
     def test_stripe_size_monotone_wa(self):
-        result = stripe_size(scale=0.2)
+        result = ablations.stripe_size(scale=0.2)
         wa = result.column("WriteAmp")
         assert wa == sorted(wa)
+        assert_well_formed(ablations.claims(result))
 
 
 class TestTable2Config:

@@ -269,6 +269,50 @@ class TestCleaning:
         ftl._free[0] = ftl.reserve_pages
         assert not ftl.can_accept_write(0, KB4)
 
+    def test_promised_pages_count_against_admission(self):
+        _sim, ftl = make_ftl(n_elements=2, blocks=8, pages=4, spare=0.3)
+        ftl._free[0] = ftl.reserve_pages + 1
+        assert ftl.can_accept_write(0, KB4)
+        ftl.promise(0, KB4, 1)      # admitted, data still on the link
+        assert not ftl.can_accept_write(0, KB4)
+        assert ftl.can_accept_write(KB4, KB4)  # element 1 is untouched
+        assert not ftl.can_accept_write(0, 2 * KB4)
+        ftl.promise(0, KB4, -1)     # arrived: the write pulls for itself
+        assert ftl.can_accept_write(0, 2 * KB4)
+        ftl.promise(0, 4 * KB4, 1)  # multi-page: one page per element
+        assert ftl._promised == [2, 2]
+        ftl.promise(0, 4 * KB4, -1)
+        assert ftl._promised == [0, 0]
+
+    def test_deep_queue_never_overcommits_pages(self):
+        """Regression: every write admitted while an earlier one was still
+        on the host link counted the same headroom, so at depth 32 the
+        pulls raised ``DeviceFullError`` out of ``sim.run`` after 1016
+        completions (depth 8 completed)."""
+        from repro.device.interface import OpType
+        from repro.device.ssd import SSD
+        from repro.device.ssd_config import SSDConfig
+        from repro.workloads.driver import ClosedLoopDriver
+
+        sim = Simulator()
+        device = SSD(sim, SSDConfig(
+            n_elements=4,
+            geometry=FlashGeometry(page_bytes=KB4, pages_per_block=4,
+                                   blocks_per_element=64),
+            ftl_type="pagemap", spare_fraction=0.25,
+        ))
+        rng = random.Random(7)
+        slots = device.capacity_bytes // KB4
+        result = ClosedLoopDriver(
+            sim, device,
+            lambda i: (OpType.WRITE, rng.randrange(slots) * KB4, KB4),
+            count=4000, depth=32,
+        ).run()
+        assert result.count == 4000
+        assert result.errors == {}
+        assert device.ftl._promised == [0] * 4
+        device.ftl.check_consistency()
+
 
 class TestPriorityGate:
     def test_threshold_drops_to_critical_with_priority_pending(self):
@@ -379,4 +423,58 @@ class TestWearLeveling:
             ftl.write(lpn * KB4, KB4)
             sim.run_until_idle()
         assert ftl.stats.wear_migrations > 0
+        ftl.check_consistency()
+
+
+class TestPageWearOut:
+    """Blocks that reach ``erase_cycles`` leave circulation for good, and
+    once the spares are worn out the device goes read-only instead of
+    stalling or raising (the page-mapped sibling of the stripe FTLs'
+    ``TestStripeWearOut``)."""
+
+    def test_worn_blocks_retire_and_device_goes_read_only(self):
+        from collections import Counter
+
+        from repro.device.interface import IORequest, OpType
+        from repro.device.ssd import SSD
+        from repro.device.ssd_config import SSDConfig
+
+        sim = Simulator()
+        ssd = SSD(sim, SSDConfig(
+            n_elements=4,
+            geometry=FlashGeometry(page_bytes=KB4, pages_per_block=4,
+                                   blocks_per_element=16),
+            timing=FlashTiming.slc().scaled(erase_cycles=3),
+            ftl_type="pagemap", spare_fraction=0.25,
+        ))
+        ftl = ssd.ftl
+
+        pooled_worn = []
+        row_pooled = ftl._row_pooled
+
+        def watch(e_idx):
+            block = ftl._pool[e_idx][-1]
+            if ftl.elements[e_idx].erase_count[block] >= 3:
+                pooled_worn.append((e_idx, block))
+            row_pooled(e_idx)
+
+        ftl._row_pooled = watch
+
+        completed = Counter()
+        rng = random.Random(7)
+        slots = ssd.capacity_bytes // KB4
+        for _ in range(600):
+            ssd.submit(IORequest(
+                OpType.WRITE, rng.randrange(slots) * KB4, KB4,
+                on_complete=lambda request: completed.update([id(request)])))
+        sim.run_until_idle()  # no DeviceFullError escapes
+
+        assert len(completed) == 600
+        assert set(completed.values()) == {1}
+        assert ftl.read_only
+        assert ftl.stats.blocks_retired > 0
+        assert pooled_worn == []
+        for e_idx, el in enumerate(ftl.elements):
+            worn = set((el.erase_count >= 3).nonzero()[0].tolist())
+            assert not set(ftl._pool[e_idx]) & worn
         ftl.check_consistency()

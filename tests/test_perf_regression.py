@@ -367,7 +367,9 @@ def test_hybrid_workload_matches_golden_snapshot():
 # reach.  Each pins the final clock (exact, as float hex), every FTLStats
 # counter, the error completions by kind and the event count.  The hybrid
 # entry's clock and ``write_stalls`` were re-recorded when stripe admission
-# began counting rows promised to writes still crossing the host link.
+# began counting rows promised to writes still crossing the host link, and
+# the wear entry when page-mapped admission began counting promised pages
+# (its over-committed pulls had lost 2 pages).
 GOLDEN_FAULTS: dict = {
     "blockmap": {
         "final_clock": "0x1.34e9880000000p+16",
@@ -426,31 +428,31 @@ GOLDEN_FAULTS: dict = {
         }
     },
     "wear": {
-        "final_clock": "0x1.bf8cd20000000p+18",
-        "events_run": 3246,
+        "final_clock": "0x1.a531040000000p+18",
+        "events_run": 3163,
         "stats": {
             "host_reads": 0,
-            "host_writes": 1154,
+            "host_writes": 1138,
             "host_pages_read": 0,
-            "host_pages_written": 1154,
-            "flash_pages_programmed": 1545,
+            "host_pages_written": 1138,
+            "flash_pages_programmed": 1479,
             "rmw_pages_read": 0,
-            "clean_pages_moved": 217,
-            "clean_time_us": 265981.0,
-            "clean_erases": 144,
+            "clean_pages_moved": 164,
+            "clean_time_us": 240326.0,
+            "clean_erases": 135,
             "wear_migrations": 16,
             "wear_pages_moved": 77,
             "trims": 0,
             "trimmed_pages": 0,
-            "write_stalls": 574,
-            "program_failures": 33,
+            "write_stalls": 559,
+            "program_failures": 31,
             "erase_failures": 2,
-            "blocks_retired": 35,
-            "rescued_pages": 99,
-            "failed_pages": 2
+            "blocks_retired": 33,
+            "rescued_pages": 100,
+            "failed_pages": 0
         },
         "errors": {
-            "readonly": 348
+            "readonly": 362
         }
     }
 }
@@ -651,7 +653,9 @@ def test_writeback_cache_matches_golden_snapshot(preset):
 # Recorded before ``SSD.admissible`` lost its per-request memo.  Both
 # drives write over 90 % of a small SWTF device, so the pool sits at its
 # reserve, writes are refused (``write_stalls``) and re-probed on every
-# dispatch attempt; the pins cover which write dispatches when.
+# dispatch attempt; the pins cover which write dispatches when.  The
+# pagemap entry's ``write_stalls`` and completion order were re-recorded
+# when page-mapped admission began counting promised pages.
 GOLDEN_STALL: dict = {
     "blockmap": {
         "final_clock": "0x1.a195c60000000p+21",
@@ -697,7 +701,7 @@ GOLDEN_STALL: dict = {
             "wear_pages_moved": 0,
             "trims": 0,
             "trimmed_pages": 0,
-            "write_stalls": 598,
+            "write_stalls": 603,
             "program_failures": 0,
             "erase_failures": 0,
             "blocks_retired": 0,
@@ -705,7 +709,7 @@ GOLDEN_STALL: dict = {
             "failed_pages": 0
         },
         "completions": 3000,
-        "completion_crc": 638412834
+        "completion_crc": 3549823772
     }
 }
 

@@ -123,3 +123,61 @@ class TestCliRegistry:
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
         assert "table2" in out
+
+    def test_every_claim_set_resolves(self):
+        import importlib
+
+        from repro.bench.cli import CLAIM_SETS, EXPERIMENTS
+
+        for name, run, claims, _scale in CLAIM_SETS:
+            module = importlib.import_module(EXPERIMENTS[name])
+            assert callable(getattr(module, run)), (name, run)
+            assert callable(getattr(module, claims)), (name, claims)
+
+    def test_claims_refuse_scale_and_seed(self):
+        from repro.bench.cli import main
+
+        for flags in (["--scale", "0.1"], ["--seed", "1"]):
+            with pytest.raises(SystemExit):
+                main(["claims", *flags])
+
+    def _claims_on(self, monkeypatch, name, module, result):
+        """Point ``cli claims`` at one claim set whose run returns
+        *result* at once."""
+        from repro.bench import cli
+
+        monkeypatch.setattr(cli, "CLAIM_SETS", ((name, "run", "claims", 0.5),))
+        monkeypatch.setattr(module, "run", lambda scale: result)
+        return cli.main(["claims"])
+
+    def test_claims_exit_1_and_name_the_failing_claim(self, monkeypatch,
+                                                      capsys):
+        from repro.bench.experiments import swtf_scheduler
+
+        def result(gain):
+            return ExperimentResult(experiment_id="swtf", title="t",
+                                    headers=[], rows=[],
+                                    metadata={"improvement_pct": gain})
+
+        assert self._claims_on(monkeypatch, "swtf", swtf_scheduler,
+                               result(0.5)) == 1
+        out = capsys.readouterr().out
+        assert "FAIL swtf/swtf_gain_pct" in out
+        assert "1 failed" in out
+        assert self._claims_on(monkeypatch, "swtf", swtf_scheduler,
+                               result(8.0)) == 0
+        assert "0 failed" in capsys.readouterr().out
+
+    def test_a_diverging_gap_does_not_fail(self, monkeypatch, capsys):
+        from repro.bench.experiments import table3_alignment
+
+        result = ExperimentResult(
+            experiment_id="table3", title="t",
+            headers=["Scheme", *("p" * 5)],
+            rows=[["Unaligned", 10.0, 10.0, 10.0, 10.0, 10.0],
+                  ["Aligned", 10.0, 6.0, 6.0, 6.0, 5.0]])
+        assert self._claims_on(monkeypatch, "table3", table3_alignment,
+                               result) == 0
+        out = capsys.readouterr().out
+        assert "diverges table3/aligned_over_unaligned_at_p0.2" in out
+        assert "0 failed, 1 diverge" in out
