@@ -27,6 +27,9 @@ from repro.units import GIB, SECTOR
 
 __all__ = ["RAID5", "RAID5Config"]
 
+#: bytes each background scrub read covers
+SCRUB_BYTES = 64 * 1024
+
 
 @dataclass(frozen=True)
 class RAID5Config:
@@ -36,7 +39,6 @@ class RAID5Config:
     disk: HDDConfig = field(default_factory=lambda: HDDConfig(capacity_bytes=GIB))
     #: issue a scrub read every interval (0 disables); term-6 probe material
     scrub_interval_us: float = 0.0
-    scrub_bytes: int = 64 * 1024
     #: scrubbing stops after this much simulated time (keeps the event loop
     #: finite: an endless self-rescheduling scrub would never go idle)
     scrub_duration_us: float = 1_000_000.0
@@ -164,12 +166,12 @@ class RAID5:
         if self.sim.now >= cfg.scrub_duration_us:
             return
         disk = self.disks[self._scrub_position % cfg.n_disks]
-        offset = (self._scrub_position * cfg.scrub_bytes) % (
-            disk.capacity_bytes - cfg.scrub_bytes
+        offset = (self._scrub_position * SCRUB_BYTES) % (
+            disk.capacity_bytes - SCRUB_BYTES
         )
         self._scrub_position += 1
         self.scrub_reads += 1
-        disk.submit(IORequest(OpType.READ, offset, cfg.scrub_bytes))
+        disk.submit(IORequest(OpType.READ, offset, SCRUB_BYTES))
         self.sim.schedule(cfg.scrub_interval_us, self._scrub_tick)
 
     def _complete(self, request: IORequest) -> None:

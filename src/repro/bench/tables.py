@@ -28,17 +28,25 @@ def format_table(
     rows: Sequence[Sequence[Any]],
     title: Optional[str] = None,
 ) -> str:
-    """Render an ASCII table (right-aligned numbers, left-aligned text)."""
+    """Render an ASCII table (right-aligned numbers, left-aligned text).
+
+    A column of numbers only, header included, is right-aligned; any other
+    column is left-aligned."""
     cells = [[_format_cell(v) for v in row] for row in rows]
+    columns = range(len(headers))
     widths = [
         max(len(str(headers[col])), *(len(row[col]) for row in cells))
         if cells
         else len(str(headers[col]))
-        for col in range(len(headers))
+        for col in columns
     ]
+    numeric = [all(isinstance(row[col], (int, float)) for row in rows)
+               for col in columns]
 
     def render_row(values: Sequence[str]) -> str:
-        return "  ".join(str(v).rjust(widths[i]) for i, v in enumerate(values))
+        return "  ".join(
+            v.rjust(widths[i]) if numeric[i] else v.ljust(widths[i])
+            for i, v in enumerate(values)).rstrip()
 
     lines = []
     if title:

@@ -142,14 +142,6 @@ class ExtentAllocator:
 
     # ------------------------------------------------------------------
 
-    @property
-    def used_bytes(self) -> int:
-        return self.capacity_bytes - self.free_bytes
-
-    def fragmentation(self) -> int:
-        """Number of free extents (1 = fully coalesced)."""
-        return len(self._free)
-
     def check_invariants(self) -> None:
         """Free list is sorted, disjoint, non-adjacent, and sums correctly."""
         total = 0

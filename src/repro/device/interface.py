@@ -166,39 +166,31 @@ class DeviceStats:
     (:mod:`repro.workloads.driver`); the device only counts, so it holds
     O(1) state however long it runs:
 
-    * ``reads``/``writes`` — successful completions by op, and
-      ``priority_reads``/``priority_writes`` — the priority-class subset
-      of each,
+    * ``reads``/``writes`` — successful completions by op,
     * ``bytes_read``/``bytes_written`` — bytes moved at the host interface
       by those completions,
     * ``media_bytes_written`` — bytes physically written to the medium, the
       numerator of the write-amplification factor (contract term 4),
-    * ``requests_completed`` (every completion, failed or not),
-      ``requests_failed`` and ``write_retries``.
+    * ``requests_failed`` and ``write_retries``.
     """
 
     __slots__ = (
-        "reads", "writes", "priority_reads", "priority_writes",
-        "bytes_read", "bytes_written", "media_bytes_written",
-        "requests_completed", "write_retries", "requests_failed",
+        "reads", "writes", "bytes_read", "bytes_written",
+        "media_bytes_written", "write_retries", "requests_failed",
     )
 
     def __init__(self) -> None:
         self.reads = 0
         self.writes = 0
-        self.priority_reads = 0
-        self.priority_writes = 0
         self.bytes_read = 0
         self.bytes_written = 0
         self.media_bytes_written = 0
-        self.requests_completed = 0
         #: host-side write retries performed after transient device errors
         self.write_retries = 0
         #: requests that completed with an error (any kind)
         self.requests_failed = 0
 
     def record(self, request: IORequest) -> None:
-        self.requests_completed += 1
         if request.error is not None:
             # error completions move no data; they are counted apart
             self.requests_failed += 1
@@ -207,13 +199,9 @@ class DeviceStats:
         if op is _READ:
             self.bytes_read += request.size
             self.reads += 1
-            if request.priority > 0:
-                self.priority_reads += 1
         elif op is _WRITE:
             self.bytes_written += request.size
             self.writes += 1
-            if request.priority > 0:
-                self.priority_writes += 1
 
     @property
     def write_amplification(self) -> float:

@@ -37,7 +37,7 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FlashTiming
 from repro.ftl.cleaning import CleaningConfig
 from repro.hdd.disk import HDD, HDDConfig
-from repro.mems.device import MEMSConfig, MEMSStore
+from repro.mems.device import MEMSStore
 from repro.sim.engine import Simulator
 from repro.units import GIB, KIB, MIB
 
@@ -170,9 +170,8 @@ def hdd_barracuda(sim: Simulator, capacity_bytes: int = 4 * GIB, **overrides) ->
     return HDD(sim, config)
 
 
-def mems_store(sim: Simulator, **overrides) -> MEMSStore:
-    config = MEMSConfig(**overrides) if overrides else MEMSConfig()
-    return MEMSStore(sim, config)
+def mems_store(sim: Simulator) -> MEMSStore:
+    return MEMSStore(sim)
 
 
 def tiered_slc_mlc(

@@ -409,14 +409,6 @@ class SSD:
     def queued(self) -> int:
         return len(self.queue)
 
-    @property
-    def inflight(self) -> int:
-        return self._inflight
-
-    @property
-    def pending_priority(self) -> int:
-        return self._pending_priority
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<SSD {self.config.name} queued={len(self.queue)} "

@@ -209,10 +209,6 @@ class FlashElement:
             callback(sim.now)
 
     @property
-    def idle(self) -> bool:
-        return self._inflight is None and not self._queue
-
-    @property
     def queue_depth(self) -> int:
         depth = len(self._queue)
         if self._inflight is not None:

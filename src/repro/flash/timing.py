@@ -23,6 +23,9 @@ from dataclasses import dataclass, replace
 
 __all__ = ["FlashTiming"]
 
+#: fixed command issue/decode overhead per flash command
+CMD_OVERHEAD_US = 2.0
+
 
 @dataclass(frozen=True)
 class FlashTiming:
@@ -33,8 +36,6 @@ class FlashTiming:
     block_erase_us: float = 1500.0
     #: serial bus bandwidth between controller and flash register
     bus_mb_per_s: float = 40.0
-    #: fixed command issue/decode overhead per flash command
-    cmd_overhead_us: float = 2.0
     #: rated erase cycles per block before wear-out
     erase_cycles: int = 100_000
 
@@ -79,15 +80,15 @@ class FlashTiming:
 
     def read_us(self, nbytes: int) -> float:
         """Full page-read command: issue + array read + bus transfer out."""
-        return self.cmd_overhead_us + self.page_read_us + self.transfer_us(nbytes)
+        return CMD_OVERHEAD_US + self.page_read_us + self.transfer_us(nbytes)
 
     def program_us(self, nbytes: int) -> float:
         """Full program command: issue + bus transfer in + array program."""
-        return self.cmd_overhead_us + self.transfer_us(nbytes) + self.page_program_us
+        return CMD_OVERHEAD_US + self.transfer_us(nbytes) + self.page_program_us
 
     def erase_us(self) -> float:
         """Block erase command."""
-        return self.cmd_overhead_us + self.block_erase_us
+        return CMD_OVERHEAD_US + self.block_erase_us
 
     def copy_us(self, nbytes: int) -> float:
         """Internal copy-back (read + program without crossing the bus).
@@ -95,9 +96,7 @@ class FlashTiming:
         Used for cleaning moves within one element; real parts support
         copy-back to avoid the bus round trip.
         """
-        return (
-            2 * self.cmd_overhead_us + self.page_read_us + self.page_program_us
-        )
+        return 2 * CMD_OVERHEAD_US + self.page_read_us + self.page_program_us
 
     # -- presets -----------------------------------------------------------
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, replace
 from math import inf
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["QOS_CLASSES", "TenantSpec", "FleetConfig"]
+__all__ = ["QOS_CLASSES", "REGION_FRACTION", "PREFILL_FRACTION",
+           "TenantSpec", "FleetConfig"]
 
 #: QoS class -> fraction of the tenant's requests tagged priority.  Gold
 #: tenants ride the priority path end to end (dispatch preference and
@@ -30,6 +31,12 @@ QOS_CLASSES: Dict[str, float] = {
     "silver": 0.25,
     "bronze": 0.0,
 }
+
+#: the slice of each device's logical space the tenants share
+REGION_FRACTION = 0.5
+#: the fraction of each device's logical space written before the run
+#: (aged state: ``FleetConfig.prefill_overwrite`` of it is overwritten)
+PREFILL_FRACTION = 0.6
 
 #: pattern names a tenant may use (resolved by the router; ``compose``
 #: suites with control records are deliberately excluded — fleet streams
@@ -101,8 +108,7 @@ class FleetConfig:
     ``spare_fraction`` is the over-provisioning knob (None keeps the
     preset's default); ``device_args`` passes any further ``SSDConfig``
     overrides (``scheduler``, ``max_inflight``, ...) to the preset
-    builder.  ``region_fraction`` bounds the slice of each device's
-    logical space the tenants share.
+    builder.
     """
 
     tenants: Tuple[TenantSpec, ...]
@@ -112,8 +118,6 @@ class FleetConfig:
     element_mb: int = 8
     spare_fraction: Optional[float] = None
     device_args: Dict[str, Any] = field(default_factory=dict)
-    region_fraction: float = 0.5
-    prefill_fraction: float = 0.6
     prefill_overwrite: float = 0.1
     time_scale: float = 1.0
     seed: int = 2009
@@ -135,8 +139,6 @@ class FleetConfig:
                 f"placement must be 'all' or 'round_robin', "
                 f"got {self.placement!r}"
             )
-        if not 0.0 < self.region_fraction <= 1.0:
-            raise ValueError("region_fraction must be in (0, 1]")
         if self.spare_fraction is not None and not (
                 0.0 < self.spare_fraction < 1.0):
             raise ValueError("spare_fraction must be in (0, 1) or None")

@@ -94,9 +94,6 @@ class TenantAggregate:
     def latency(self) -> LatencySummary:
         return self.sketch.summary()
 
-    def priority_latency(self) -> LatencySummary:
-        return self.priority_sketch.summary()
-
 
 def _sketch_canon(sketch: QuantileSketch) -> str:
     """The sketch's merge-invariant state as one canonical line (floats

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from heapq import merge as _heap_merge
 from typing import Callable, Iterator, List, Tuple
 
-from repro.fleet.config import FleetConfig, TenantSpec
+from repro.fleet.config import REGION_FRACTION, FleetConfig, TenantSpec
 from repro.sim.rng import derive_seed
 from repro.traces.patterns import (PatternConfig, iter_hot_cold, iter_random,
                                    iter_sequential, iter_snake, iter_strided,
@@ -60,10 +60,6 @@ class TenantPlacement:
     base_bytes: int
     region_bytes: int
 
-    @property
-    def end_bytes(self) -> int:
-        return self.base_bytes + self.region_bytes
-
 
 def tenant_seed(config: FleetConfig, device_index: int,
                 tenant_index: int) -> int:
@@ -84,7 +80,7 @@ def device_layout(config: FleetConfig, device_index: int,
     agree on the layout.
     """
     residents = config.tenants_on(device_index)
-    usable = int(capacity_bytes * config.region_fraction)
+    usable = int(capacity_bytes * REGION_FRACTION)
     total_weight = sum(spec.weight for _, spec in residents)
     placements: List[TenantPlacement] = []
     base = 0
@@ -97,7 +93,7 @@ def device_layout(config: FleetConfig, device_index: int,
             raise ValueError(
                 f"device {device_index}: tenant {spec.name!r} gets "
                 f"{share} bytes — not even one {rb}-byte slot; grow "
-                f"element_mb/region_fraction or the tenant's weight"
+                f"element_mb or the tenant's weight"
             )
         placements.append(TenantPlacement(tenant_index, spec, base, region))
         base += region

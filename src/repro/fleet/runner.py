@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.device.presets import s1slc, s2slc, s3slc, s4slc_sim, s5mlc
-from repro.fleet.config import FleetConfig
+from repro.fleet.config import PREFILL_FRACTION, FleetConfig
 from repro.fleet.router import device_layout, device_stream, make_classifier
 from repro.ftl.pagemap import PageMappedFTL
 from repro.ftl.prefill import prefill_pagemap, prefill_stripe_ftl
@@ -84,15 +84,13 @@ def build_device(config: FleetConfig, device_index: int):
     sim = Simulator()
     device = _PRESETS[config.preset](sim, element_mb=config.element_mb,
                                      **overrides)
-    if config.prefill_fraction > 0.0:
-        rng = random.Random(
-            derive_seed(config.seed, f"fleet.device.{device_index}.prefill"))
-        if isinstance(device.ftl, PageMappedFTL):
-            prefill_pagemap(device.ftl, config.prefill_fraction,
-                            overwrite_fraction=config.prefill_overwrite,
-                            rng=rng)
-        else:
-            prefill_stripe_ftl(device.ftl, config.prefill_fraction)
+    rng = random.Random(
+        derive_seed(config.seed, f"fleet.device.{device_index}.prefill"))
+    if isinstance(device.ftl, PageMappedFTL):
+        prefill_pagemap(device.ftl, PREFILL_FRACTION,
+                        overwrite_fraction=config.prefill_overwrite, rng=rng)
+    else:
+        prefill_stripe_ftl(device.ftl, PREFILL_FRACTION)
     return sim, device
 
 

@@ -756,6 +756,3 @@ class StripeFTLBase(BaseFTL):
         """Physical stripe row of *lbn* (-1 if unmapped); test hook."""
         gang, slot = self._gang_slot(lbn)
         return int(self._maps[gang][slot])
-
-    def free_rows(self, gang: int) -> int:
-        return len(self._pool[gang])

@@ -82,7 +82,7 @@ class Cleaner:
         # floors guarantee cleaning engages before admission control blocks
         # (reserve) and has headroom for a full block of copies; on
         # realistically-sized elements the configured fractions dominate
-        reserve = getattr(ftl, "reserve_pages", ppb + 4)
+        reserve = ftl.reserve_pages
         self._low_pages = max(
             int(config.low_watermark * pages_per_element), reserve + ppb
         )
@@ -106,16 +106,6 @@ class Cleaner:
 
     @property
     def low_watermark_pages(self) -> int:
-        return self._low_pages
-
-    @property
-    def critical_watermark_pages(self) -> int:
-        return self._critical_pages
-
-    def threshold_pages(self) -> int:
-        """Current trigger threshold, honouring the priority gate."""
-        if self.config.priority_aware and self.ftl.priority_probe() > 0:
-            return self._critical_pages
         return self._low_pages
 
     def maybe_clean(self, e_idx: int, force: bool = False) -> None:

@@ -37,6 +37,12 @@ from repro.units import GIB, SECTOR
 
 __all__ = ["HDD", "HDDConfig"]
 
+#: effectively-overlapped transfer (the drive streams to the host while
+#: reading ahead), so the link rarely bounds throughput
+INTERFACE_MB_S = 1000.0
+#: write-back cache size (when ``HDDConfig.write_cache`` is on)
+WRITE_CACHE_BYTES = 16 << 20
+
 
 @dataclass(frozen=True)
 class HDDConfig:
@@ -50,13 +56,8 @@ class HDDConfig:
     inner_spt: int = 950
     rpm: int = 7200
     seek: SeekModel = field(default_factory=SeekModel.barracuda)
-    #: effectively-overlapped transfer (the drive streams to the host while
-    #: reading ahead), so the link rarely bounds throughput
-    interface_mb_s: float = 1000.0
     controller_overhead_us: float = 100.0
     write_cache: bool = True
-    write_cache_bytes: int = 16 << 20
-    readahead: bool = True
 
 
 class _MediaJob:
@@ -85,7 +86,7 @@ class HDD:
             inner_spt=cfg.inner_spt,
         )
         self.rotation_us = 60_000_000.0 / cfg.rpm
-        self.link = SerialResource(sim, cfg.interface_mb_s)
+        self.link = SerialResource(sim, INTERFACE_MB_S)
         self._stats = DeviceStats()
 
         self._current_cylinder = 0
@@ -100,8 +101,6 @@ class HDD:
         self._flush_waiters: List[IORequest] = []
         #: (start_lba, end_lba) span held in the read-ahead buffer
         self._readahead_span: Tuple[int, int] = (0, 0)
-        self.media_seeks = 0
-        self.media_jobs_done = 0
 
     # ------------------------------------------------------------------
     # StorageDevice protocol
@@ -181,15 +180,14 @@ class HDD:
         return False
 
     def _read_media_done(self, request: IORequest) -> None:
-        if self.config.readahead:
-            # the drive keeps reading to the end of the track
-            end_lba = request.offset // SECTOR + request.size // SECTOR
-            loc = self.geometry.locate(min(end_lba, self.geometry.total_sectors - 1))
-            to_track_end = loc.sectors_per_track - loc.sector
-            self._readahead_span = (
-                request.offset // SECTOR,
-                min(end_lba + to_track_end, self.geometry.total_sectors),
-            )
+        # the drive keeps reading to the end of the track
+        end_lba = request.offset // SECTOR + request.size // SECTOR
+        loc = self.geometry.locate(min(end_lba, self.geometry.total_sectors - 1))
+        to_track_end = loc.sectors_per_track - loc.sector
+        self._readahead_span = (
+            request.offset // SECTOR,
+            min(end_lba + to_track_end, self.geometry.total_sectors),
+        )
         self.link.transfer(request.size, lambda now, r=request: self._complete(r))
 
     # -- writes -----------------------------------------------------------
@@ -204,7 +202,7 @@ class HDD:
             self._dirty.append(job)
             self._media_kick()
             return
-        if self._dirty_bytes + request.size <= self.config.write_cache_bytes:
+        if self._dirty_bytes + request.size <= WRITE_CACHE_BYTES:
             self._absorb_write(request)
         else:
             self._ack_waiters.append((request, request.size))
@@ -222,7 +220,7 @@ class HDD:
         self._dirty_bytes -= size
         while self._ack_waiters:
             request, need = self._ack_waiters[0]
-            if self._dirty_bytes + need > self.config.write_cache_bytes:
+            if self._dirty_bytes + need > WRITE_CACHE_BYTES:
                 break
             self._ack_waiters.pop(0)
             self._absorb_write(request)
@@ -280,8 +278,6 @@ class HDD:
         seek = cfg.seek.seek_us(distance)
         if distance == 0 and loc.head != self._current_head:
             seek += cfg.seek.head_switch_us
-        if distance > 0:
-            self.media_seeks += 1
 
         arrive = self.sim.now + seek
         spt = loc.sectors_per_track
@@ -309,7 +305,6 @@ class HDD:
     def _media_done(self, job: _MediaJob) -> None:
         self._media_busy = False
         self._inflight_job = None
-        self.media_jobs_done += 1
         job.callback()
         self._media_kick()
 

@@ -1,5 +1,5 @@
 """MEMS-based storage model (the MEMS column of Table 1)."""
 
-from repro.mems.device import MEMSConfig, MEMSStore
+from repro.mems.device import MEMSStore
 
-__all__ = ["MEMSConfig", "MEMSStore"]
+__all__ = ["MEMSStore"]

@@ -17,44 +17,36 @@ marks every contract term satisfied for MEMS:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from repro.device.interface import DeviceStats, IORequest, OpType
 from repro.sim.engine import Simulator
 from repro.sim.resource import SerialResource
 from repro.units import MIB, SECTOR
 
-__all__ = ["MEMSConfig", "MEMSStore"]
+__all__ = ["MEMSStore"]
 
-
-@dataclass(frozen=True)
-class MEMSConfig:
-    name: str = "mems"
-    capacity_bytes: int = 512 * MIB
-    #: media grid: sled positions in x, sectors per sled track in y
-    x_positions: int = 2500
-    #: full-sweep actuator times per axis
-    x_full_sweep_us: float = 800.0
-    y_full_sweep_us: float = 500.0
-    settle_us: float = 120.0
-    #: streaming rate once positioned (parallel tips)
-    media_mb_s: float = 25.0
-    interface_mb_s: float = 100.0
-    controller_overhead_us: float = 15.0
+CAPACITY_BYTES = 512 * MIB
+#: media grid: sled positions in x, sectors per sled track in y
+X_POSITIONS = 2500
+#: full-sweep actuator times per axis
+X_FULL_SWEEP_US = 800.0
+Y_FULL_SWEEP_US = 500.0
+SETTLE_US = 120.0
+#: streaming rate once positioned (parallel tips)
+MEDIA_MB_S = 25.0
+INTERFACE_MB_S = 100.0
+CONTROLLER_OVERHEAD_US = 15.0
 
 
 class MEMSStore:
     """A MEMS storage device implementing the StorageDevice protocol."""
 
-    def __init__(self, sim: Simulator, config: Optional[MEMSConfig] = None) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.config = config if config is not None else MEMSConfig()
-        cfg = self.config
-        self.sectors = cfg.capacity_bytes // SECTOR
-        self.sectors_per_column = max(1, self.sectors // cfg.x_positions)
-        self.link = SerialResource(sim, cfg.interface_mb_s)
-        self.media = SerialResource(sim, cfg.media_mb_s)
+        self.sectors = CAPACITY_BYTES // SECTOR
+        self.sectors_per_column = max(1, self.sectors // X_POSITIONS)
+        self.link = SerialResource(sim, INTERFACE_MB_S)
+        self.media = SerialResource(sim, MEDIA_MB_S)
         self._stats = DeviceStats()
         self._x = 0.0
         self._y = 0.0
@@ -76,35 +68,30 @@ class MEMSStore:
         consecutive LBNs run down a column, then move one x position)."""
         column = lba // self.sectors_per_column
         row = lba % self.sectors_per_column
-        x = min(1.0, column / max(1, self.config.x_positions - 1))
+        x = min(1.0, column / max(1, X_POSITIONS - 1))
         y = row / max(1, self.sectors_per_column - 1)
         return x, y
 
     def seek_us(self, from_lba: int, to_lba: int) -> float:
         """Two-axis seek time between two logical sectors (exposed for the
         contract checker's distance probe)."""
-        cfg = self.config
         x0, y0 = self._position_of(from_lba)
         x1, y1 = self._position_of(to_lba)
         # spring-limited sled: time grows with sqrt of normalized distance
-        tx = cfg.x_full_sweep_us * math.sqrt(abs(x1 - x0))
-        ty = cfg.y_full_sweep_us * math.sqrt(abs(y1 - y0))
+        tx = X_FULL_SWEEP_US * math.sqrt(abs(x1 - x0))
+        ty = Y_FULL_SWEEP_US * math.sqrt(abs(y1 - y0))
         seek = max(tx, ty)
-        return cfg.settle_us + seek if seek > 0 else 0.0
+        return SETTLE_US + seek if seek > 0 else 0.0
 
     def submit(self, request: IORequest) -> None:
         request.validate(self.capacity_bytes)
         request.submit_us = self.sim.now
         if request.op in (OpType.FREE, OpType.FLUSH):
-            self.sim.schedule(
-                self.config.controller_overhead_us, self._complete, request
-            )
+            self.sim.schedule(CONTROLLER_OVERHEAD_US, self._complete, request)
             return
-        self.sim.schedule(self.config.controller_overhead_us,
-                          self._media_access, request)
+        self.sim.schedule(CONTROLLER_OVERHEAD_US, self._media_access, request)
 
     def _media_access(self, request: IORequest) -> None:
-        cfg = self.config
         lba = request.offset // SECTOR
         x1, y1 = self._position_of(lba)
         if lba == self._last_end_lba:
@@ -112,15 +99,15 @@ class MEMSStore:
             # streaming velocity, no reposition/settle
             seek = 0.0
         else:
-            tx = cfg.x_full_sweep_us * math.sqrt(abs(x1 - self._x))
-            ty = cfg.y_full_sweep_us * math.sqrt(abs(y1 - self._y))
+            tx = X_FULL_SWEEP_US * math.sqrt(abs(x1 - self._x))
+            ty = Y_FULL_SWEEP_US * math.sqrt(abs(y1 - self._y))
             seek = max(tx, ty)
             if seek > 0:
-                seek += cfg.settle_us
+                seek += SETTLE_US
         self._x, self._y = x1, y1
         self._last_end_lba = lba + request.size // SECTOR
         start = max(self.sim.now + seek, self._media_free_at)
-        transfer = request.size / (cfg.media_mb_s * 1024 * 1024 / 1e6)
+        transfer = request.size / (MEDIA_MB_S * 1024 * 1024 / 1e6)
         self._media_free_at = start + transfer
         if request.op is OpType.WRITE:
             self._stats.media_bytes_written += request.size

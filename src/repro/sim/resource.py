@@ -283,9 +283,3 @@ class SerialResource:
             busy = start + nbytes / bytes_per_us
         wait = busy - now
         return wait if wait > 0.0 else 0.0
-
-    @property
-    def queued_transfers(self) -> int:
-        """Completions not yet delivered (includes the one in service and
-        fused reservations whose activation is still ahead)."""
-        return len(self._pending) + len(self._deferred)

@@ -325,11 +325,6 @@ class QuantileSketch:
         )
 
     @property
-    def bucket_count(self) -> int:
-        """Occupied buckets (memory bound diagnostics)."""
-        return len(self._buckets)
-
-    @property
     def zero_count(self) -> int:
         """Samples below the floor (the collapsed zero bucket)."""
         return self._zero_count

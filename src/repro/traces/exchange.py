@@ -17,6 +17,10 @@ from repro.traces.record import TraceOp, TraceRecord
 
 __all__ = ["ExchangeConfig", "generate_exchange"]
 
+#: a write burst touches this many consecutive pages on average
+BURST_MEAN_PAGES = 3
+BURST_MAX_PAGES = 8
+
 
 @dataclass(frozen=True)
 class ExchangeConfig:
@@ -24,9 +28,6 @@ class ExchangeConfig:
     region_bytes: int = 192 << 20
     page_bytes: int = 8192
     read_fraction: float = 0.55
-    #: a write burst touches this many consecutive pages on average
-    burst_mean_pages: int = 3
-    burst_max_pages: int = 8
     interarrival_us: float = 300.0
     seed: int = 42
 
@@ -50,8 +51,8 @@ def generate_exchange(config: ExchangeConfig) -> List[TraceRecord]:
             continue
         # write burst: consecutive pages, arriving back-to-back
         length = min(
-            config.burst_max_pages,
-            max(1, round(burst_rng.expovariate(1.0 / config.burst_mean_pages))),
+            BURST_MAX_PAGES,
+            max(1, round(burst_rng.expovariate(1.0 / BURST_MEAN_PAGES))),
         )
         start = addr_rng.randrange(max(1, pages - length)) * config.page_bytes
         for index in range(length):

@@ -18,16 +18,17 @@ from repro.traces.record import TraceOp, TraceRecord
 
 __all__ = ["IOzoneConfig", "generate_iozone"]
 
+RECORD_BYTES = 256 * 1024
+#: write, rewrite, read phase proportions; the reread phase takes the rest
+WRITE_SHARE = 0.35
+REWRITE_SHARE = 0.25
+READ_SHARE = 0.25
+
 
 @dataclass(frozen=True)
 class IOzoneConfig:
     count: int = 3000
     file_bytes: int = 128 << 20
-    record_bytes: int = 256 * 1024
-    #: write, rewrite, read, reread phase proportions (normalized)
-    write_share: float = 0.35
-    rewrite_share: float = 0.25
-    read_share: float = 0.25
     interarrival_us: float = 500.0
     seed: int = 42
 
@@ -41,14 +42,14 @@ def generate_iozone(config: IOzoneConfig) -> List[TraceRecord]:
     def advance() -> int:
         nonlocal position
         offset = position
-        position += config.record_bytes
-        if position + config.record_bytes > config.file_bytes:
+        position += RECORD_BYTES
+        if position + RECORD_BYTES > config.file_bytes:
             position = 0
         return offset
 
-    n_write = int(config.count * config.write_share)
-    n_rewrite = int(config.count * config.rewrite_share)
-    n_read = int(config.count * config.read_share)
+    n_write = int(config.count * WRITE_SHARE)
+    n_rewrite = int(config.count * REWRITE_SHARE)
+    n_read = int(config.count * READ_SHARE)
     n_reread = config.count - n_write - n_rewrite - n_read
 
     phases = (
@@ -61,5 +62,5 @@ def generate_iozone(config: IOzoneConfig) -> List[TraceRecord]:
         position = 0
         for _ in range(count):
             now += arrival_rng.expovariate(1.0 / config.interarrival_us)
-            records.append(TraceRecord(now, op, advance(), config.record_bytes))
+            records.append(TraceRecord(now, op, advance(), RECORD_BYTES))
     return records

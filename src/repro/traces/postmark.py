@@ -25,6 +25,9 @@ from repro.traces.record import TraceOp, TraceRecord
 __all__ = ["PostmarkConfig", "generate_postmark"]
 
 _BLOCK = 4096
+#: transaction mix (create+delete and read+append, as in Postmark)
+CREATE_BIAS = 0.5
+READ_BIAS = 0.5
 
 
 @dataclass(frozen=True)
@@ -36,9 +39,6 @@ class PostmarkConfig:
     transactions: int = 5000
     min_file_bytes: int = 4096
     max_file_bytes: int = 64 * 1024
-    #: transaction mix (create+delete and read+append, as in Postmark)
-    create_bias: float = 0.5
-    read_bias: float = 0.5
     #: mean inter-arrival between block operations
     interarrival_us: float = 200.0
     seed: int = 42
@@ -48,8 +48,6 @@ class PostmarkConfig:
             raise ValueError("initial_files must be > 0, transactions >= 0")
         if self.min_file_bytes <= 0 or self.max_file_bytes < self.min_file_bytes:
             raise ValueError("bad file size range")
-        if not 0.0 <= self.create_bias <= 1.0 or not 0.0 <= self.read_bias <= 1.0:
-            raise ValueError("biases must be in [0, 1]")
 
 
 class _File:
@@ -138,12 +136,12 @@ def generate_postmark(config: PostmarkConfig) -> List[TraceRecord]:
         create_file()
     for _ in range(config.transactions):
         if op_rng.random() < 0.5:
-            if op_rng.random() < config.create_bias:
+            if op_rng.random() < CREATE_BIAS:
                 create_file()
             else:
                 delete_file()
         else:
-            if op_rng.random() < config.read_bias:
+            if op_rng.random() < READ_BIAS:
                 read_file()
             else:
                 append_file()

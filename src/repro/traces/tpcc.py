@@ -17,6 +17,9 @@ from repro.traces.record import TraceOp, TraceRecord
 
 __all__ = ["TPCCConfig", "generate_tpcc"]
 
+#: size of one sequential log append
+LOG_BYTES = 4096
+
 
 @dataclass(frozen=True)
 class TPCCConfig:
@@ -26,7 +29,6 @@ class TPCCConfig:
     read_fraction: float = 0.65
     #: fraction of operations that are sequential log appends
     log_fraction: float = 0.10
-    log_bytes: int = 4096
     #: log area at the top of the region
     log_region_bytes: int = 16 << 20
     interarrival_us: float = 300.0
@@ -50,12 +52,10 @@ def generate_tpcc(config: TPCCConfig) -> List[TraceRecord]:
     for _ in range(config.count):
         now += arrival_rng.expovariate(1.0 / config.interarrival_us)
         if mix_rng.random() < config.log_fraction:
-            if log_head + config.log_bytes > config.region_bytes:
+            if log_head + LOG_BYTES > config.region_bytes:
                 log_head = table_bytes
-            records.append(
-                TraceRecord(now, TraceOp.WRITE, log_head, config.log_bytes)
-            )
-            log_head += config.log_bytes
+            records.append(TraceRecord(now, TraceOp.WRITE, log_head, LOG_BYTES))
+            log_head += LOG_BYTES
             continue
         offset = addr_rng.randrange(table_pages) * config.page_bytes
         op = TraceOp.READ if mix_rng.random() < config.read_fraction else TraceOp.WRITE

@@ -8,7 +8,7 @@ from repro.array.raid import RAID5, RAID5Config
 from repro.device.interface import IORequest, OpType
 from repro.device.presets import tiered_slc_mlc
 from repro.hdd.disk import HDDConfig
-from repro.mems.device import MEMSConfig, MEMSStore
+from repro.mems.device import MEMSStore
 from repro.sim.engine import Simulator
 from repro.units import GIB, KIB, MIB
 from tests.conftest import run_io

@@ -95,7 +95,7 @@ class TestPriorityAwareCleaning:
             device.submit(IORequest(OpType.WRITE, offset, 4 * KIB))
             sim.run(until_us=sim.now + 100.0)
             for e_idx in range(len(device.ftl.elements)):
-                if device.ftl.free_pages(e_idx) > cleaner.critical_watermark_pages:
+                if device.ftl.free_pages(e_idx) > cleaner._critical_pages:
                     continue
         sim.run_until_idle()
         device.ftl.check_consistency()
@@ -121,14 +121,30 @@ class TestPriorityAwareCleaning:
     def test_threshold_responds_to_live_priority_count(self):
         sim = Simulator()
         device = cleaning_ssd(sim, aware=True)
-        cleaner = device.ftl.cleaner
-        low, critical = cleaner.low_watermark_pages, cleaner.critical_watermark_pages
-        assert cleaner.threshold_pages() == low
+        ftl = device.ftl
+        cleaner = ftl.cleaner
+        # prefill holds every element just above the low watermark
+        prefill_pagemap(ftl, 0.9, overwrite_fraction=0.3,
+                        rng=random.Random(5))
         device.submit(IORequest(OpType.READ, 0, 4 * KIB, priority=1))
-        # read of unwritten space still completes via events; check before
-        assert cleaner.threshold_pages() == critical
+        # with the priority read outstanding, host writes take element 0
+        # below the low watermark and no clean starts
+        offset = 0
+        while ftl.free_pages(0) >= cleaner.low_watermark_pages:
+            ftl.write(offset, 4 * KIB)
+            offset += ftl.n_gangs * 4 * KIB
+        assert ftl.free_pages(0) > cleaner._critical_pages
+        cleaner.maybe_clean(0)
+        assert not cleaner._active[0]
+        # the read completes, the device's live priority count drops to 0,
+        # and the same free count now starts a clean
         sim.run_until_idle()
-        assert cleaner.threshold_pages() == low
+        assert ftl.priority_probe() == 0
+        assert ftl.free_pages(0) < cleaner.low_watermark_pages
+        cleaner.maybe_clean(0)
+        assert cleaner._active[0]
+        sim.run_until_idle()
+        ftl.check_consistency()
 
 
 class TestSustainedRandomWrites:

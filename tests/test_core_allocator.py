@@ -76,8 +76,9 @@ class TestFree:
         b = alloc.allocate(4 * KIB)
         alloc.free(a)
         alloc.free(b)
-        assert alloc.fragmentation() == 1
         alloc.check_invariants()
+        # coalesced: the whole volume comes back as one extent
+        assert alloc.allocate(64 * KIB) == [Extent(0, 64 * KIB)]
 
     def test_double_free_rejected(self):
         alloc = ExtentAllocator(64 * KIB, granularity=4 * KIB)
@@ -97,5 +98,5 @@ class TestFree:
         for batch in batches:
             alloc.free(batch)
         assert alloc.free_bytes == 256 * KIB
-        assert alloc.fragmentation() == 1
         alloc.check_invariants()
+        assert alloc.allocate(256 * KIB) == [Extent(0, 256 * KIB)]

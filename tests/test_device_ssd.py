@@ -14,6 +14,7 @@ from repro.device.ssd_config import SSDConfig
 from repro.flash.geometry import FlashGeometry
 from repro.sim.engine import Simulator
 from repro.units import KIB, MIB
+from repro.workloads.driver import StreamingResult
 from tests.conftest import run_io, small_geometry
 from tests.test_dispatch_pipeline import reference_select
 
@@ -59,7 +60,7 @@ class TestBasics:
         stats = small_ssd.stats
         assert stats.bytes_written == 8 * KIB
         assert stats.bytes_read == 4 * KIB
-        assert stats.requests_completed >= 2
+        assert (stats.writes, stats.reads) == (1, 1)
         assert stats.media_bytes_written >= 8 * KIB
 
 
@@ -80,29 +81,24 @@ class TestTrimPlumbing:
 
 
 class TestPriorityPlumbing:
-    def test_pending_priority_tracked(self, sim, small_ssd):
-        assert small_ssd.pending_priority == 0
-        done = []
-        small_ssd.submit(
-            IORequest(OpType.WRITE, 0, 4 * KIB, priority=1,
-                      on_complete=done.append)
-        )
-        assert small_ssd.pending_priority == 1
-        sim.run_until_idle()
-        assert small_ssd.pending_priority == 0
-        assert done
-
     def test_priority_visible_to_ftl_probe(self, sim, small_ssd):
-        small_ssd.submit(IORequest(OpType.WRITE, 0, 4 * KIB, priority=1))
+        assert small_ssd.ftl.priority_probe() == 0
+        done = []
+        small_ssd.submit(IORequest(OpType.WRITE, 0, 4 * KIB, priority=1,
+                                   on_complete=done.append))
         assert small_ssd.ftl.priority_probe() == 1
         sim.run_until_idle()
         assert small_ssd.ftl.priority_probe() == 0
+        assert done
 
     def test_priority_latency_recorded_separately(self, sim, small_ssd):
-        run_io(sim, small_ssd, OpType.WRITE, 0, 4 * KIB, priority=1)
-        run_io(sim, small_ssd, OpType.WRITE, 0, 4 * KIB, priority=0)
-        assert small_ssd.stats.priority_writes == 1
-        assert small_ssd.stats.writes == 2
+        sink = StreamingResult()
+        sink.record(run_io(sim, small_ssd, OpType.WRITE, 0, 4 * KIB,
+                           priority=1))
+        sink.record(run_io(sim, small_ssd, OpType.WRITE, 0, 4 * KIB,
+                           priority=0))
+        assert sink.latency(priority=True).count == 1
+        assert sink.latency().count == small_ssd.stats.writes == 2
 
 
 class TestInflightLimit:
@@ -112,10 +108,10 @@ class TestInflightLimit:
         for i in range(8):
             ssd.submit(IORequest(OpType.READ, 0, 4 * KIB))
         # before any event runs, only 2 of 8 may be in service
-        assert ssd.inflight == 2
+        assert ssd._inflight == 2
         assert ssd.queued == 6
         sim.run_until_idle()
-        assert ssd.inflight == 0
+        assert ssd._inflight == 0
         assert ssd.queued == 0
 
 

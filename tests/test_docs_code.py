@@ -26,7 +26,6 @@ import pytest
 from repro.device import presets
 from repro.device.ssd_config import SSDConfig
 from repro.hdd.disk import HDDConfig
-from repro.mems.device import MEMSConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DOCS = ("README.md", "docs/architecture.md")
@@ -35,7 +34,7 @@ _BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
 #: the config a preset's ``**overrides`` replace fields of, by the
 #: preset's return annotation
-_OVERRIDES_OF = {"SSD": SSDConfig, "HDD": HDDConfig, "MEMSStore": MEMSConfig}
+_OVERRIDES_OF = {"SSD": SSDConfig, "HDD": HDDConfig}
 
 
 def _fields(config_cls) -> set:

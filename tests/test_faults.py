@@ -593,7 +593,7 @@ class TestCopyRunFailures:
         assert not cleaner._active[0] and not cleaner._paused, role
         assert not cleaner.being_cleaned[0], role
         assert stats.clean_erases > 0, role
-        assert element.idle, role
+        assert element.queue_depth == 0, role
         # every mapped slot points at a VALID page whose reverse map agrees,
         # and no slot lost its data
         emap = ftl.map_for(0)

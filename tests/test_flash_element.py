@@ -91,13 +91,13 @@ class TestSerialExecution:
         sim, el = element
         _readable(el)
         seen = []
-        el.read_page(0, 0, callback=lambda now: seen.append(el.idle))
-        el.read_page(0, 0, callback=lambda now: seen.append(el.idle))
-        assert not el.idle and el.queue_depth == 2
+        el.read_page(0, 0, callback=lambda now: seen.append(el.queue_depth == 0))
+        el.read_page(0, 0, callback=lambda now: seen.append(el.queue_depth == 0))
+        assert el.queue_depth == 2
         sim.run_until_idle()
         # the last command's completion callback fires once it has drained
         assert seen == [False, True]
-        assert el.idle and el.queue_depth == 0
+        assert el.queue_depth == 0
 
 
 class TestDeepQueue:
@@ -116,7 +116,7 @@ class TestDeepQueue:
         assert el.queue_wait_us() == pytest.approx(depth * dur)
         sim.run_until_idle()
         assert times == pytest.approx([dur * (i + 1) for i in range(depth)])
-        assert el.idle
+        assert el.queue_depth == 0
         assert el.ops_by_tag["host"] == depth
 
     def test_deep_queue_wall_time_is_not_quadratic(self):

@@ -29,6 +29,7 @@ import pytest
 
 from repro.fleet import (FleetConfig, TenantSpec, op_grid, run_fleet,
                          run_sweep)
+from repro.fleet.config import REGION_FRACTION
 from repro.fleet.router import (device_layout, device_stream, make_classifier,
                                 tenant_records, tenant_seed)
 from repro.fleet.runner import build_device
@@ -120,14 +121,14 @@ class TestRouterNamespacing:
             TenantSpec(name="c", request_bytes=4096, weight=0.5),
         )
         config, placements = self.layout(tenants)
-        usable = int((32 << 20) * config.region_fraction)
+        usable = int((32 << 20) * REGION_FRACTION)
         end = 0
         for placement in placements:
             rb = placement.spec.request_bytes
             assert placement.base_bytes % rb == 0
             assert placement.region_bytes % rb == 0
             assert placement.base_bytes >= end
-            end = placement.end_bytes
+            end = placement.base_bytes + placement.region_bytes
         assert end <= usable
         # weight-proportional within one slot of the exact share
         shares = [p.region_bytes for p in placements]
@@ -148,7 +149,8 @@ class TestRouterNamespacing:
                 class R:  # the sink sees Request objects; offset is enough
                     offset = record.offset
                 assert placement.base_bytes <= record.offset
-                assert record.offset + record.size <= placement.end_bytes
+                assert (record.offset + record.size
+                        <= placement.base_bytes + placement.region_bytes)
                 assert classify(R) == shard
 
     def test_device_stream_time_sorted(self):
@@ -309,7 +311,7 @@ class TestDifferentialN1:
         assert latency_key(tenant.latency()) == latency_key(sink.latency())
         assert latency_key(report.latency()) == latency_key(sink.latency())
         # silver QoS: both priority and best-effort classes flowed through
-        assert latency_key(tenant.priority_latency()) == \
+        assert latency_key(tenant.priority_sketch.summary()) == \
             latency_key(sink.latency(priority=True))
 
     def test_gold_tenant_rides_the_priority_path(self):
@@ -317,9 +319,9 @@ class TestDifferentialN1:
             tenants=(TenantSpec(name="vip", qos="gold", count=100),))
         report = run_fleet(config)
         tenant = report.tenants[0]
-        assert tenant.priority_latency().count == 100
-        assert latency_key(tenant.priority_latency()) == \
-            latency_key(tenant.latency())
+        priority = tenant.priority_sketch.summary()
+        assert priority.count == 100
+        assert latency_key(priority) == latency_key(tenant.latency())
 
 
 class TestParallelDeterminism:

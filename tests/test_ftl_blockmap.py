@@ -87,11 +87,11 @@ class TestWritePaths:
     def test_old_row_returns_to_pool_after_erase(self):
         sim, ftl = make_ftl()
         prefill_stripe_ftl(ftl, 0.5)
-        pool_before = ftl.free_rows(0)
+        pool_before = len(ftl._pool[0])
         ftl.write(0, KB4)
         sim.run_until_idle()
         # consumed one row, erased and returned the old one
-        assert ftl.free_rows(0) == pool_before
+        assert len(ftl._pool[0]) == pool_before
         ftl.check_consistency()
 
     def test_partial_page_overwrite_merge_reads(self):
@@ -137,11 +137,11 @@ class TestTrim:
     def test_full_stripe_trim_unmaps_and_recycles(self):
         sim, ftl = make_ftl()
         prefill_stripe_ftl(ftl, 0.5)
-        pool_before = ftl.free_rows(0)
+        pool_before = len(ftl._pool[0])
         ftl.trim(0, ftl.stripe_bytes)
         sim.run_until_idle()
         assert ftl.mapped_row(0) == -1
-        assert ftl.free_rows(0) == pool_before + 1
+        assert len(ftl._pool[0]) == pool_before + 1
         ftl.check_consistency()
 
     def test_partial_trim_invalidates_covered_pages(self):

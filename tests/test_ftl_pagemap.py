@@ -315,26 +315,46 @@ class TestCleaning:
 
 
 class TestPriorityGate:
-    def test_threshold_drops_to_critical_with_priority_pending(self):
-        cleaning = CleaningConfig(
-            low_watermark=0.25, critical_watermark=0.05, priority_aware=True
-        )
+    @staticmethod
+    def _below_low_watermark(priority_aware):
+        """An aged FTL whose element 0 host writes pushed just below the
+        low watermark while a priority request was outstanding."""
+        cleaning = CleaningConfig(low_watermark=0.25, critical_watermark=0.05,
+                                  priority_aware=priority_aware)
         # elements big enough that the fractions dominate the safety floors
         _sim, ftl = make_ftl(blocks=64, pages=16, cleaning=cleaning)
         pages = ftl.geometry.pages_per_element
-        assert ftl.cleaner.threshold_pages() == int(0.25 * pages)
+        cleaner = ftl.cleaner
+        assert cleaner.low_watermark_pages == int(0.25 * pages)
+        assert cleaner._critical_pages == int(0.05 * pages)
+        # prefill holds every element just above the low watermark
+        prefill_pagemap(ftl, 0.9, overwrite_fraction=0.2,
+                        rng=random.Random(1))
         ftl.priority_probe = lambda: 2
-        assert ftl.cleaner.threshold_pages() == int(0.05 * pages)
+        offset = 0
+        while ftl.free_pages(0) >= cleaner.low_watermark_pages:
+            assert not cleaner._active[0]
+            ftl.write(offset, KB4)  # logical pages 0, n, 2n, ... are element 0's
+            offset += ftl.n_gangs * KB4
+        assert cleaner._critical_pages < ftl.free_pages(0)
+        return ftl
+
+    def test_threshold_drops_to_critical_with_priority_pending(self):
+        ftl = self._below_low_watermark(priority_aware=True)
+        cleaner = ftl.cleaner
+        # between the watermarks, the write path's maybe_clean held off
+        assert not cleaner._active[0]
+        cleaner.maybe_clean(0)
+        assert not cleaner._active[0]
+        ftl.priority_probe = lambda: 0
+        cleaner.maybe_clean(0)
+        assert cleaner._active[0] and cleaner.being_cleaned[0]
 
     def test_agnostic_ignores_priority(self):
-        cleaning = CleaningConfig(
-            low_watermark=0.25, critical_watermark=0.05, priority_aware=False
-        )
-        _sim, ftl = make_ftl(blocks=64, pages=16, cleaning=cleaning)
-        ftl.priority_probe = lambda: 5
-        assert ftl.cleaner.threshold_pages() == int(
-            0.25 * ftl.geometry.pages_per_element
-        )
+        ftl = self._below_low_watermark(priority_aware=False)
+        # the write that crossed the low watermark started a clean despite
+        # the outstanding priority request
+        assert ftl.cleaner._active[0] and ftl.cleaner.being_cleaned[0]
 
     def test_watermark_floors_on_tiny_elements(self):
         # fractions of a small element fall below the safety floors; the
@@ -342,8 +362,8 @@ class TestPriorityGate:
         _sim, ftl = make_ftl(blocks=32, pages=8)
         cleaner = ftl.cleaner
         assert cleaner.low_watermark_pages >= ftl.reserve_pages
-        assert cleaner.critical_watermark_pages > ftl.reserve_pages // 2
-        assert cleaner.critical_watermark_pages <= cleaner.low_watermark_pages
+        assert cleaner._critical_pages > ftl.reserve_pages // 2
+        assert cleaner._critical_pages <= cleaner.low_watermark_pages
 
 
 class TestPrefill:

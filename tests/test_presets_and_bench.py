@@ -86,10 +86,15 @@ class TestTables:
     def test_format_table_alignment(self):
         text = format_table(["A", "Num"], [["x", 1.5], ["yy", 22.25]],
                             title="T")
-        lines = text.splitlines()
-        assert lines[0] == "T"
-        assert "1.50" in text
-        assert "22.25" in text
+        # text left-aligned, numbers right-aligned, each header with its
+        # column
+        assert text.splitlines() == [
+            "T",
+            "A     Num",
+            "--  -----",
+            "x    1.50",
+            "yy  22.25",
+        ]
 
     def test_format_empty(self):
         text = format_table(["A"], [])

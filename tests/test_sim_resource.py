@@ -46,13 +46,13 @@ class TestFIFOOrdering:
         finishes = []
         for tag in range(4):
             link.transfer(MIB, lambda at, t=tag: finishes.append((t, at)))
-        assert link.queued_transfers == 4
+        assert len(link._pending) == 4 and finishes == []
         sim.run_until_idle()
         assert [t for t, _ in finishes] == [0, 1, 2, 3]
         assert [at for _, at in finishes] == pytest.approx(
             [1_000_000.0, 2_000_000.0, 3_000_000.0, 4_000_000.0]
         )
-        assert link.queued_transfers == 0
+        assert not link._pending and not link._deferred
 
     def test_idle_gap_restarts_from_now(self):
         sim = Simulator()
@@ -151,7 +151,7 @@ class TestBatchingEquivalence:
         link = SerialResource(sim, mb_per_s=1.0)
         for _ in range(500):
             link.transfer(4096, lambda at: None)
-        assert link.queued_transfers == 500
+        assert len(link._pending) == 500
         # the pending FIFO absorbs the backlog; the heap carries one entry
         assert len(sim._heap) == 1
 

@@ -108,7 +108,7 @@ class TestQuantileSketch:
         for _ in range(200_000):
             sketch.add(rng.uniform(1.0, 1e7))
         # log_gamma(1e7) ≈ 810 buckets at alpha=1% — count-independent
-        assert sketch.bucket_count < 1000
+        assert len(sketch.bucket_items()) < 1000
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -464,7 +464,7 @@ class TestStreamingResultSink:
         assert len(streaming._classes) <= 8
         for aggregate in streaming._classes.values():
             assert len(aggregate.latencies.reservoir.samples) <= 32
-            assert aggregate.latencies.sketch.bucket_count < 1000
+            assert len(aggregate.latencies.sketch.bucket_items()) < 1000
 
     def test_device_holds_no_per_record_state(self):
         """Latency is the sink's to record: the device only counts, so
@@ -485,14 +485,10 @@ class TestStreamingResultSink:
         assert not hasattr(stats, "__dict__")
         for slot in type(stats).__slots__:
             assert type(getattr(stats, slot)) in (int, float), slot
-        assert stats.requests_completed == 3000 == sink.count
+        assert stats.reads + stats.writes == 3000 == sink.count
         assert stats.requests_failed == 0
         assert stats.reads == sink.latency(op=OpType.READ).count > 0
         assert stats.writes == sink.latency(op=OpType.WRITE).count > 0
-        assert stats.priority_reads == sink.latency(
-            op=OpType.READ, priority=True).count > 0
-        assert stats.priority_writes == sink.latency(
-            op=OpType.WRITE, priority=True).count > 0
         moved = {op: sum(aggregate.bytes
                          for (key_op, _), aggregate in sink.class_items()
                          if key_op is op)

@@ -18,7 +18,7 @@ from repro.sim.engine import Simulator
 from repro.traces.exchange import ExchangeConfig, generate_exchange
 from repro.traces.postmark import PostmarkConfig, generate_postmark
 from repro.traces.record import TraceOp
-from repro.traces.tpcc import TPCCConfig, generate_tpcc
+from repro.traces.tpcc import LOG_BYTES, TPCCConfig, generate_tpcc
 from repro.workloads.driver import StreamingResult, replay_trace
 
 MIB = 1 << 20
@@ -96,7 +96,7 @@ class TestTPCC:
         log = [r for r in records if r.offset >= table_top]
         table = [r for r in records if r.offset < table_top]
         assert log and table
-        assert all(r.size == self.CONFIG.log_bytes and r.op is TraceOp.WRITE
+        assert all(r.size == LOG_BYTES and r.op is TraceOp.WRITE
                    for r in log)
         # log appends are sequential modulo wrap
         offsets = [r.offset for r in log]

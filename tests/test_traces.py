@@ -8,7 +8,7 @@ import pytest
 
 from repro.traces.exchange import ExchangeConfig, generate_exchange
 from repro.traces.filesystem import AllocationError, Ext3LiteAllocator
-from repro.traces.iozone import IOzoneConfig, generate_iozone
+from repro.traces.iozone import RECORD_BYTES, IOzoneConfig, generate_iozone
 from repro.traces.postmark import PostmarkConfig, generate_postmark
 from repro.traces.record import TraceOp, TraceRecord
 from repro.traces.synthetic import SyntheticConfig, generate_synthetic
@@ -198,7 +198,7 @@ class TestMacroGenerators:
     def test_iozone_is_large_and_sequential(self):
         config = IOzoneConfig(count=400)
         records = generate_iozone(config)
-        assert all(r.size == config.record_bytes for r in records)
+        assert all(r.size == RECORD_BYTES for r in records)
         writes = [r for r in records if r.op is TraceOp.WRITE]
         sequential = sum(
             1 for prev, cur in zip(writes, writes[1:])

@@ -64,8 +64,8 @@ class TestIORequest:
 
 
 class TestDeviceStats:
-    def _completed(self, op, size, priority=0, latency=100.0):
-        request = IORequest(op, 0, size, priority=priority)
+    def _completed(self, op, size, latency=100.0):
+        request = IORequest(op, 0, size)
         request.submit_us = 0.0
         request.complete_us = latency
         return request
@@ -78,13 +78,6 @@ class TestDeviceStats:
         assert stats.bytes_written == 8192
         assert stats.reads == 1
         assert stats.writes == 1
-
-    def test_priority_split(self):
-        stats = DeviceStats()
-        stats.record(self._completed(OpType.READ, 4096, priority=1))
-        stats.record(self._completed(OpType.READ, 4096, priority=0))
-        assert stats.priority_reads == 1
-        assert stats.reads == 2
 
     def test_write_amplification_defaults_to_one(self):
         assert DeviceStats().write_amplification == 1.0
