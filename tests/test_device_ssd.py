@@ -81,15 +81,24 @@ class TestTrimPlumbing:
 
 
 class TestPriorityPlumbing:
+    def test_pending_priority_tracked(self, sim, small_ssd):
+        assert small_ssd._pending_priority == 0
+        done = []
+        small_ssd.submit(
+            IORequest(OpType.WRITE, 0, 4 * KIB, priority=1,
+                      on_complete=done.append)
+        )
+        assert small_ssd._pending_priority == 1
+        sim.run_until_idle()
+        assert small_ssd._pending_priority == 0
+        assert done
+
     def test_priority_visible_to_ftl_probe(self, sim, small_ssd):
         assert small_ssd.ftl.priority_probe() == 0
-        done = []
-        small_ssd.submit(IORequest(OpType.WRITE, 0, 4 * KIB, priority=1,
-                                   on_complete=done.append))
+        small_ssd.submit(IORequest(OpType.WRITE, 0, 4 * KIB, priority=1))
         assert small_ssd.ftl.priority_probe() == 1
         sim.run_until_idle()
         assert small_ssd.ftl.priority_probe() == 0
-        assert done
 
     def test_priority_latency_recorded_separately(self, sim, small_ssd):
         sink = StreamingResult()
