@@ -135,7 +135,7 @@ def claims(result: ExperimentResult) -> List[Claim]:
               fg_agnostic[0], None, "more writes, more cleaning pressure"),
         *(near(f"gain_pct_at_{w}", gain[w], PAPER_TABLE6[w],
                "unexplained: the gain swings with the write share, at scale "
-               "1.0 too (7.8, 3.3, 8.4, 13.3 % at 40-80 %); the paper's "
+               "1.0 too (4.7, 2.0, 12.4, 12.8 % at 40-80 %); the paper's "
                "stays near 10 %")
           for w in _HEAVY),
     ]

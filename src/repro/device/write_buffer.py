@@ -343,10 +343,9 @@ class AligningWriteBuffer(PassthroughBuffer):
         self.page_bytes = logical_page_bytes
         self.window_us = window_us
         self.capacity_bytes = capacity_bytes
-        #: page index -> sorted disjoint runs
+        #: page index -> sorted disjoint runs, oldest buffered page first
         self._pages: Dict[int, List[_Run]] = {}
         self._timers: Dict[int, Event] = {}
-        self._insert_order: List[int] = []
         #: pages flushed but awaiting FTL admission (FIFO; deque keeps the
         #: backpressured drain path O(1) per run)
         self._drain_queue: Deque[Tuple[int, _Run]] = deque()
@@ -391,7 +390,6 @@ class AligningWriteBuffer(PassthroughBuffer):
         if runs is None:
             runs = []
             self._pages[page] = runs
-            self._insert_order.append(page)
         else:
             # idle-based window: every touch restarts the clock, so an
             # in-progress sequential run is not flushed half-merged
@@ -436,8 +434,8 @@ class AligningWriteBuffer(PassthroughBuffer):
             self._flush_page(page, full=False)
 
     def _enforce_capacity(self) -> None:
-        while self.buffered_bytes > self.capacity_bytes and self._insert_order:
-            self._flush_page(self._insert_order[0], full=False)
+        while self.buffered_bytes > self.capacity_bytes and self._pages:
+            self._flush_page(next(iter(self._pages)), full=False)
 
     def _flush_page(self, page: int, full: bool) -> None:
         """Move the page's runs to the drain queue and try to issue them.
@@ -450,7 +448,6 @@ class AligningWriteBuffer(PassthroughBuffer):
         timer = self._timers.pop(page, None)
         if timer is not None:
             self.sim.cancel(timer)
-        self._insert_order.remove(page)
         self.flushes += 1
         if full:
             self.full_page_flushes += 1
@@ -514,5 +511,5 @@ class AligningWriteBuffer(PassthroughBuffer):
                 self._flush_page(page, full=False)
 
     def _flush_held(self) -> None:
-        for page in list(self._insert_order):
+        for page in list(self._pages):
             self._flush_page(page, full=False)

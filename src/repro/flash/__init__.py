@@ -10,7 +10,6 @@ element accounts for time and maintains the physical page state machine.
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FlashTiming
 from repro.flash.element import FlashElement, PageState
-from repro.flash.ops import OpKind
 from repro.flash.wear import WearSummary, summarize_wear
 
 __all__ = [
@@ -18,7 +17,6 @@ __all__ = [
     "FlashTiming",
     "FlashElement",
     "PageState",
-    "OpKind",
     "WearSummary",
     "summarize_wear",
 ]

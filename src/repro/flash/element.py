@@ -48,7 +48,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.flash.geometry import FlashGeometry
-from repro.flash.ops import OpKind, TAG_CLEAN, TAG_HOST
+from repro.flash.ops import TAG_CLEAN, TAG_HOST
 from repro.flash.timing import FlashTiming
 from repro.sim.engine import Event, Simulator
 
@@ -145,10 +145,10 @@ class FlashElement:
         # per-page-command durations for the overwhelmingly common sizes
         page_bytes = geometry.page_bytes
         self._page_bytes = page_bytes
-        self._page_read_us = timing.duration_us(OpKind.READ, page_bytes)
-        self._page_program_us = timing.duration_us(OpKind.PROGRAM, page_bytes)
-        self._erase_cmd_us = timing.duration_us(OpKind.ERASE, 0)
-        self._page_copy_us = timing.duration_us(OpKind.COPY, page_bytes)
+        self._page_read_us = timing.read_us(page_bytes)
+        self._page_program_us = timing.program_us(page_bytes)
+        self._erase_cmd_us = timing.erase_us()
+        self._page_copy_us = timing.copy_us(page_bytes)
 
         # accounting: tag -> [busy_us, op_count]; queued ops hold their cell
         self._accum: dict[str, list] = {}
@@ -322,7 +322,7 @@ class FlashElement:
         if nbytes is None or nbytes == self._page_bytes:
             duration = self._page_read_us
         else:
-            duration = self.timing.duration_us(OpKind.READ, nbytes)
+            duration = self.timing.read_us(nbytes)
         fm = self.fault_model
         if fm is not None:
             steps = fm.draw_read_retries(block, page)
@@ -358,7 +358,7 @@ class FlashElement:
         if nbytes is None or nbytes == self._page_bytes:
             duration = self._page_program_us
         else:
-            duration = self.timing.duration_us(OpKind.PROGRAM, nbytes)
+            duration = self.timing.program_us(nbytes)
         fm = self.fault_model
         if fm is not None and fm.draw_program_failure(block, page):
             ps[block, page] = 2  # PageState.INVALID: burned

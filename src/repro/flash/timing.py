@@ -39,39 +39,6 @@ class FlashTiming:
     #: rated erase cycles per block before wear-out
     erase_cycles: int = 100_000
 
-    def __post_init__(self) -> None:
-        # (kind, nbytes) -> duration memo; command durations are pure
-        # functions of the timing parameters, and real workloads use a
-        # handful of distinct transfer sizes, so steady state is a dict hit.
-        # The instance is frozen; object.__setattr__ is the sanctioned
-        # escape hatch for derived state.
-        object.__setattr__(self, "_duration_cache", {})
-
-    def duration_us(self, kind, nbytes: int) -> float:
-        """Duration of one flash command, memoized per ``(kind, nbytes)``.
-
-        ``kind`` is a :class:`repro.flash.ops.OpKind` (taken untyped to keep
-        this module import-free of :mod:`repro.flash.ops`).
-        """
-        cache = self._duration_cache
-        key = (kind, nbytes)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        name = kind.value
-        if name == "read":
-            duration = self.read_us(nbytes)
-        elif name == "program":
-            duration = self.program_us(nbytes)
-        elif name == "erase":
-            duration = self.erase_us()
-        elif name == "copy":
-            duration = self.copy_us(nbytes)
-        else:
-            raise ValueError(f"unknown op kind {kind!r}")
-        cache[key] = duration
-        return duration
-
     def transfer_us(self, nbytes: int) -> float:
         """Time to move *nbytes* over the serial pin bus."""
         if nbytes <= 0:

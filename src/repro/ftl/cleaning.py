@@ -146,10 +146,15 @@ class Cleaner:
             victim, pages, start = self._paused.pop(e_idx)
             self._copy_batch(e_idx, victim, pages, start)
 
-    def resume_paused(self) -> None:
-        """Priority queue drained: paused cleans pick back up."""
-        for e_idx in list(self._paused):
-            self._maybe_resume(e_idx)
+    def priority_drained(self) -> None:
+        """Priority queue drained.  §3.6 postpones cleaning while priority
+        requests are outstanding, it does not cancel it: every element
+        below the low watermark starts its clean, and paused cleans pick
+        back up, in element order.  Nothing was postponed on a
+        priority-agnostic cleaner."""
+        if self._priority_aware:
+            for e_idx in range(len(self._active)):
+                self.maybe_clean(e_idx)
 
     def select_victim(self, e_idx: int) -> int:
         """Pick a victim block, or -1 if no block would gain free pages."""

@@ -511,7 +511,7 @@ class PageMappedFTL(BaseFTL):
                 self.cleaner.maybe_clean(e_idx, force=True)
 
     def priority_idle(self) -> None:
-        self.cleaner.resume_paused()
+        self.cleaner.priority_drained()
 
     def elements_for_range(self, offset: int, size: int) -> List[int]:
         lp = self.logical_page_bytes

@@ -106,9 +106,6 @@ class SerialResource:
         self._reserve_seq = sim.reserve_seq
         self._push = self._pending.append
 
-    def duration_us(self, nbytes: int) -> float:
-        return nbytes / self._bytes_per_us
-
     def transfer(self, nbytes: int, then: Callable[[float], None]) -> float:
         """Queue a transfer; ``then(finish_time)`` fires when it completes.
         Returns the scheduled finish time."""

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from repro.device.interface import OpType
 from repro.sim.rng import stream
-from repro.traces.record import TraceOp, TraceRecord
+from repro.traces.record import TraceRecord
 
 __all__ = ["ExchangeConfig", "generate_exchange"]
 
@@ -46,7 +47,7 @@ def generate_exchange(config: ExchangeConfig) -> List[TraceRecord]:
         now += arrival_rng.expovariate(1.0 / config.interarrival_us)
         if mix_rng.random() < config.read_fraction:
             offset = addr_rng.randrange(pages) * config.page_bytes
-            records.append(TraceRecord(now, TraceOp.READ, offset, config.page_bytes))
+            records.append(TraceRecord(now, OpType.READ, offset, config.page_bytes))
             emitted += 1
             continue
         # write burst: consecutive pages, arriving back-to-back
@@ -61,7 +62,7 @@ def generate_exchange(config: ExchangeConfig) -> List[TraceRecord]:
             now += arrival_rng.expovariate(1.0 / (config.interarrival_us / 4))
             records.append(
                 TraceRecord(
-                    now, TraceOp.WRITE,
+                    now, OpType.WRITE,
                     start + index * config.page_bytes, config.page_bytes,
                 )
             )

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from repro.device.interface import OpType
 from repro.sim.rng import stream
-from repro.traces.record import TraceOp, TraceRecord
+from repro.traces.record import TraceRecord
 
 __all__ = ["IOzoneConfig", "generate_iozone"]
 
@@ -53,10 +54,10 @@ def generate_iozone(config: IOzoneConfig) -> List[TraceRecord]:
     n_reread = config.count - n_write - n_rewrite - n_read
 
     phases = (
-        (TraceOp.WRITE, n_write),
-        (TraceOp.WRITE, n_rewrite),
-        (TraceOp.READ, n_read),
-        (TraceOp.READ, n_reread),
+        (OpType.WRITE, n_write),
+        (OpType.WRITE, n_rewrite),
+        (OpType.READ, n_read),
+        (OpType.READ, n_reread),
     )
     for op, count in phases:
         position = 0

@@ -55,8 +55,9 @@ from math import gcd, inf
 from random import Random
 from typing import Iterable, Iterator, List, Tuple, Union
 
+from repro.device.interface import OpType
 from repro.sim.rng import stream
-from repro.traces.record import TraceOp, TraceRecord
+from repro.traces.record import TraceRecord
 
 __all__ = [
     "PatternConfig",
@@ -199,7 +200,7 @@ def _emit(config: PatternConfig, streams: Streams,
     priority_random = priority_rng.random
     arrival_random = arrival_rng.random  # gap * random(): uniform(0.0, gap) exactly
     arrival_expovariate = arrival_rng.expovariate
-    read_op, write_op = TraceOp.READ, TraceOp.WRITE
+    read_op, write_op = OpType.READ, OpType.WRITE
 
     now = 0.0
     for slot in islice(slot_stream, config.count):
@@ -299,7 +300,7 @@ def iter_snake(config: PatternConfig,
         # frees slot ``(i - window_slots) % slots`` at its own timestamp
         request_bytes = config.request_bytes
         base = config.lba_base_bytes
-        free_op = TraceOp.FREE
+        free_op = OpType.FREE
         yield from islice(writes, window_slots)
         for tail, record in enumerate(writes):
             yield record

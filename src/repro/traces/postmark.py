@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.device.interface import OpType
 from repro.sim.rng import stream
 from repro.traces.filesystem import Ext3LiteAllocator
-from repro.traces.record import TraceOp, TraceRecord
+from repro.traces.record import TraceRecord
 
 __all__ = ["PostmarkConfig", "generate_postmark"]
 
@@ -75,7 +76,7 @@ def generate_postmark(config: PostmarkConfig) -> List[TraceRecord]:
         clock[0] += arrival_rng.expovariate(1.0 / config.interarrival_us)
         return clock[0]
 
-    def emit(op: TraceOp, blocks: List[int]) -> None:
+    def emit(op: OpType, blocks: List[int]) -> None:
         """Coalesce consecutive block runs into single records."""
         if not blocks:
             return
@@ -103,7 +104,7 @@ def generate_postmark(config: PostmarkConfig) -> List[TraceRecord]:
         blocks = allocator.allocate(nblocks, group_hint=group)
         files[next_id] = _File(blocks, group)
         next_id += 1
-        emit(TraceOp.WRITE, blocks)
+        emit(OpType.WRITE, blocks)
 
     def delete_file() -> None:
         if not files:
@@ -111,13 +112,13 @@ def generate_postmark(config: PostmarkConfig) -> List[TraceRecord]:
         fid = pick_rng.choice(list(files))
         victim = files.pop(fid)
         allocator.free(victim.blocks)
-        emit(TraceOp.FREE, victim.blocks)
+        emit(OpType.FREE, victim.blocks)
 
     def read_file() -> None:
         if not files:
             return
         fid = pick_rng.choice(list(files))
-        emit(TraceOp.READ, files[fid].blocks)
+        emit(OpType.READ, files[fid].blocks)
 
     def append_file() -> None:
         if not files:
@@ -130,7 +131,7 @@ def generate_postmark(config: PostmarkConfig) -> List[TraceRecord]:
             return
         blocks = allocator.allocate(nblocks, group_hint=target.group)
         target.blocks.extend(blocks)
-        emit(TraceOp.WRITE, blocks)
+        emit(OpType.WRITE, blocks)
 
     for _ in range(config.initial_files):
         create_file()
@@ -150,5 +151,5 @@ def generate_postmark(config: PostmarkConfig) -> List[TraceRecord]:
     for fid in list(files):
         victim = files.pop(fid)
         allocator.free(victim.blocks)
-        emit(TraceOp.FREE, victim.blocks)
+        emit(OpType.FREE, victim.blocks)
     return records

@@ -1,30 +1,19 @@
 """The trace record: one timestamped block-level operation.
 
 Traces are the lingua franca between workload generators and devices.  A
-record's ``op`` is READ/WRITE/FREE — FREE being the delete notification that
-the paper's informed-cleaning experiment feeds the SSD (§3.5); devices
+record's ``op`` is the :class:`~repro.device.interface.OpType` member the
+replay submits: READ, WRITE or FREE — FREE being the delete notification
+that the paper's informed-cleaning experiment feeds the SSD (§3.5); devices
 without trim support simply complete FREEs as no-ops.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import namedtuple
 
 from repro.device.interface import OpType
 
-__all__ = ["TraceOp", "TraceRecord"]
-
-
-class TraceOp(enum.Enum):
-    READ = "R"
-    WRITE = "W"
-    FREE = "F"
-
-    __hash__ = object.__hash__  # identity, as OpType's
-
-    def to_op_type(self) -> OpType:
-        return OpType[self.name]
+__all__ = ["TraceRecord"]
 
 
 _tuple_new = tuple.__new__  # bound once, as namedtuple's own __new__ does
@@ -41,7 +30,7 @@ class TraceRecord(namedtuple("TraceRecord",
 
     __slots__ = ()
 
-    def __new__(cls, time_us: float, op: TraceOp, offset: int, size: int,
+    def __new__(cls, time_us: float, op: OpType, offset: int, size: int,
                 priority: int = 0) -> "TraceRecord":
         if size <= 0:
             raise ValueError(f"trace record size must be positive, got {size}")

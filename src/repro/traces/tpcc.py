@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from repro.device.interface import OpType
 from repro.sim.rng import stream
-from repro.traces.record import TraceOp, TraceRecord
+from repro.traces.record import TraceRecord
 
 __all__ = ["TPCCConfig", "generate_tpcc"]
 
@@ -54,10 +55,10 @@ def generate_tpcc(config: TPCCConfig) -> List[TraceRecord]:
         if mix_rng.random() < config.log_fraction:
             if log_head + LOG_BYTES > config.region_bytes:
                 log_head = table_bytes
-            records.append(TraceRecord(now, TraceOp.WRITE, log_head, LOG_BYTES))
+            records.append(TraceRecord(now, OpType.WRITE, log_head, LOG_BYTES))
             log_head += LOG_BYTES
             continue
         offset = addr_rng.randrange(table_pages) * config.page_bytes
-        op = TraceOp.READ if mix_rng.random() < config.read_fraction else TraceOp.WRITE
+        op = OpType.READ if mix_rng.random() < config.read_fraction else OpType.WRITE
         records.append(TraceRecord(now, op, offset, config.page_bytes))
     return records

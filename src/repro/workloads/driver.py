@@ -73,11 +73,8 @@ from repro.device.interface import Completion, IORequest, OpType
 from repro.sim.engine import Event, Simulator
 from repro.sim.stats import ClassAggregate, LatencySummary, QuantileSketch
 from repro.traces.patterns import Barrier, Pause, PatternRecord
-from repro.traces.record import TraceOp, TraceRecord
+from repro.traces.record import TraceRecord
 from repro.units import mb_per_s
-
-#: TraceOp -> OpType, resolved once (the replay loop is per-record hot)
-_OP_OF = {trace_op: trace_op.to_op_type() for trace_op in TraceOp}
 
 __all__ = ["WorkloadResult", "ResultSink", "StreamingResult", "ShardedResult",
            "replay_trace", "replay_pattern", "ClosedLoopDriver",
@@ -428,8 +425,8 @@ def replay_trace(
                     window_q = heap
                     record = heapreplace(heap, (at, n, nxt))[2]
                 n += 1
-            device_submit(IORequest(_OP_OF[record.op], record.offset,
-                                    record.size, record.priority, on_complete))
+            device_submit(IORequest(record.op, record.offset, record.size,
+                                    record.priority, on_complete))
         if window_q:
             rearm(feeder, window_q[0][0])
 

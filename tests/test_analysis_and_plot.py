@@ -9,8 +9,9 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.plot import ascii_plot
+from repro.device.interface import OpType
 from repro.traces.iozone import IOzoneConfig, generate_iozone
-from repro.traces.record import TraceOp, TraceRecord
+from repro.traces.record import TraceRecord
 from repro.traces.synthetic import SyntheticConfig, generate_synthetic
 from repro.traces.tpcc import TPCCConfig, generate_tpcc
 from repro.units import KIB, MIB
@@ -22,7 +23,7 @@ def sequentiality(records) -> float:
     last_end = {}
     hits = considered = 0
     for record in records:
-        if record.op is TraceOp.FREE:
+        if record.op is OpType.FREE:
             continue
         if record.op in last_end:
             considered += 1
@@ -32,21 +33,21 @@ def sequentiality(records) -> float:
 
 
 def mean_request_bytes(records) -> float:
-    sizes = [r.size for r in records if r.op is not TraceOp.FREE]
+    sizes = [r.size for r in records if r.op is not OpType.FREE]
     return sum(sizes) / len(sizes)
 
 
 class TestSequentiality:
     def test_fully_sequential(self):
         records = [
-            TraceRecord(i * 10.0, TraceOp.WRITE, i * 4096, 4096)
+            TraceRecord(i * 10.0, OpType.WRITE, i * 4096, 4096)
             for i in range(10)
         ]
         assert sequentiality(records) == 1.0
 
     def test_fully_random(self):
         records = [
-            TraceRecord(i * 10.0, TraceOp.WRITE, (i * 7919 % 100) * 8192, 4096)
+            TraceRecord(i * 10.0, OpType.WRITE, (i * 7919 % 100) * 8192, 4096)
             for i in range(50)
         ]
         assert sequentiality(records) < 0.1
@@ -55,9 +56,9 @@ class TestSequentiality:
         # alternating read/write streams, each sequential in itself
         records = []
         for i in range(10):
-            records.append(TraceRecord(i * 10.0, TraceOp.READ, i * 4096, 4096))
+            records.append(TraceRecord(i * 10.0, OpType.READ, i * 4096, 4096))
             records.append(
-                TraceRecord(i * 10.0 + 5, TraceOp.WRITE, MIB + i * 4096, 4096)
+                TraceRecord(i * 10.0 + 5, OpType.WRITE, MIB + i * 4096, 4096)
             )
         assert sequentiality(records) == 1.0
 

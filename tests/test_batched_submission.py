@@ -33,7 +33,7 @@ from repro.ftl.hybrid import HybridLogBlockFTL
 from repro.ftl.pagemap import PageMappedFTL
 from repro.ftl.prefill import prefill_pagemap, prefill_stripe_ftl
 from repro.sim.engine import Simulator
-from repro.traces.record import TraceOp, TraceRecord
+from repro.traces.record import TraceRecord
 from repro.traces.synthetic import SyntheticConfig, iter_synthetic
 from repro.workloads.driver import WorkloadResult, replay_trace
 from tests.conftest import schedule_at_front, small_geometry
@@ -57,7 +57,7 @@ def prescheduled_replay(sim, device, records):
             result.record(request)
 
     def submit(record):
-        device.submit(IORequest(record.op.to_op_type(), record.offset,
+        device.submit(IORequest(record.op, record.offset,
                                 record.size, record.priority, on_complete))
 
     start = sim.now
@@ -99,7 +99,7 @@ class TestSubmitBatchEquivalence:
         assert max(map(len, groups.values())) > 1  # real same-instant groups
 
         def arrive(records):
-            requests = [IORequest(r.op.to_op_type(), r.offset, r.size,
+            requests = [IORequest(r.op, r.offset, r.size,
                                   r.priority, result.record)
                         for r in records]
             if batched:

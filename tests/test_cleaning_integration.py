@@ -10,7 +10,7 @@ from repro.device.interface import IORequest, OpType
 from repro.device.ssd import SSD
 from repro.device.ssd_config import SSDConfig
 from repro.flash.geometry import FlashGeometry
-from repro.ftl.cleaning import CleaningConfig
+from repro.ftl.cleaning import Cleaner, CleaningConfig
 from repro.ftl.prefill import prefill_pagemap
 from repro.sim.engine import Simulator
 from repro.traces.postmark import PostmarkConfig, generate_postmark
@@ -75,48 +75,82 @@ class TestInformedCleaning:
         device.ftl.check_consistency()
 
 
+def _fill_until(ftl, e_idx, done, rng):
+    """Overwrite random logical pages of element *e_idx*, straight on the
+    FTL (the simulator does not run), until ``done()``."""
+    slots = int(ftl.logical_capacity_bytes * 0.85) // (4 * KIB) // ftl.n_gangs
+    while not done():
+        slot = rng.randrange(slots)
+        ftl.write((slot * ftl.n_gangs + e_idx) * 4 * KIB, 4 * KIB)
+
+
 class TestPriorityAwareCleaning:
-    def test_cleaning_pauses_for_priority_request(self):
+    def test_cleaning_pauses_for_priority_request(self, monkeypatch):
         sim = Simulator()
-        device = cleaning_ssd(sim, aware=True)
-        prefill_pagemap(device.ftl, 0.9, overwrite_fraction=0.3,
-                        rng=random.Random(1))
-        cleaner = device.ftl.cleaner
-        # drive free pages below the low watermark with a priority request
-        # outstanding the whole time: cleaning must defer (no moves) until
-        # the critical watermark
-        hog = IORequest(OpType.READ, 0, 4 * KIB, priority=1)
-        device.submit(hog)
-        region = int(device.capacity_bytes * 0.85)
-        rng = random.Random(2)
-        moved_while_above_critical = 0
-        for _ in range(60):
-            offset = rng.randrange(region // (4 * KIB)) * 4 * KIB
-            device.submit(IORequest(OpType.WRITE, offset, 4 * KIB))
-            sim.run(until_us=sim.now + 100.0)
-            for e_idx in range(len(device.ftl.elements)):
-                if device.ftl.free_pages(e_idx) > cleaner._critical_pages:
-                    continue
+        device = cleaning_ssd(sim, aware=True, blocks=64, pages=32)
+        ftl = device.ftl
+        cleaner = ftl.cleaner
+        critical = cleaner._critical_pages
+        prefill_pagemap(ftl, 0.9, overwrite_fraction=0.2,
+                        rng=random.Random(3))
+        # (priority requests outstanding, free pages) at every copy batch
+        # a clean issues, whether it starts the clean or continues it
+        batches = []
+        copy_batch = Cleaner._copy_batch
+
+        def logged(self, e_idx, *args):
+            batches.append((ftl.priority_probe(), ftl.free_pages(e_idx)))
+            copy_batch(self, e_idx, *args)
+
+        monkeypatch.setattr(Cleaner, "_copy_batch", logged)
+        # element 0 starts a clean with no priority request outstanding
+        rng = random.Random(4)
+        _fill_until(ftl, 0, lambda: cleaner._active[0], rng)
+        assert len(batches) == 1 and batches[0][1] > critical
+        # a priority read arrives (it queues behind element 0's clean), and
+        # host writes take element 1 below the low watermark: no clean
+        # starts there until it is below the critical watermark
+        device.submit(IORequest(OpType.READ, 0, 4 * KIB, priority=1))
+        _fill_until(ftl, 1,
+                    lambda: ftl.free_pages(1) < cleaner.low_watermark_pages,
+                    rng)
+        assert not cleaner._active[1]
+        _fill_until(ftl, 1, lambda: cleaner._active[1], rng)
+        assert ftl.free_pages(1) < critical
         sim.run_until_idle()
-        device.ftl.check_consistency()
+        assert ftl.priority_probe() == 0
+        # cleaning ran under priority traffic, but only below critical:
+        # element 0's clean waited out the read between batches
+        assert any(pending and free < critical for pending, free in batches)
+        assert [(pending, free) for pending, free in batches
+                if pending and free >= critical] == []
+        ftl.check_consistency()
 
     def test_paused_cleaning_resumes_on_priority_drain(self):
         sim = Simulator()
-        device = cleaning_ssd(sim, aware=True, blocks=64, pages=16)
-        prefill_pagemap(device.ftl, 0.9, overwrite_fraction=0.3,
+        device = cleaning_ssd(sim, aware=True, blocks=64, pages=32)
+        ftl = device.ftl
+        cleaner = ftl.cleaner
+        el = ftl.elements[0]
+        prefill_pagemap(ftl, 0.9, overwrite_fraction=0.2,
                         rng=random.Random(3))
-        region = int(device.capacity_bytes * 0.85)
-        rng = random.Random(4)
-        # alternate priority presence with background writes
-        for round_index in range(30):
-            if round_index % 3 == 0:
-                device.submit(IORequest(OpType.READ, 0, 4 * KIB, priority=1))
-            offset = rng.randrange(region // (4 * KIB)) * 4 * KIB
-            device.submit(IORequest(OpType.WRITE, offset, 4 * KIB))
-            sim.run_until_idle()
-        assert device.ftl.cleaner._paused == {} or True  # all resumed
+        _fill_until(ftl, 0, lambda: cleaner._active[0], random.Random(4))
+        (victim,) = cleaner.being_cleaned[0]
+        erases = int(el.erase_count[victim])
+        # the priority read queues behind the clean's first batch, so the
+        # batch ends with it outstanding and the clean pauses
+        device.submit(IORequest(OpType.READ, 0, 4 * KIB, priority=1))
+        while 0 not in cleaner._paused and sim.now < 1e6:
+            sim.run(until_us=sim.now + 50.0)
+        assert cleaner._paused[0][0] == victim
+        assert ftl.priority_probe() == 1
+        # nothing but the drain can resume it: no host write follows
         sim.run_until_idle()
-        device.ftl.check_consistency()
+        assert ftl.priority_probe() == 0
+        assert cleaner._paused == {}
+        assert el.erase_count[victim] == erases + 1
+        assert victim not in cleaner.being_cleaned[0]
+        ftl.check_consistency()
 
     def test_threshold_responds_to_live_priority_count(self):
         sim = Simulator()
@@ -126,24 +160,26 @@ class TestPriorityAwareCleaning:
         # prefill holds every element just above the low watermark
         prefill_pagemap(ftl, 0.9, overwrite_fraction=0.3,
                         rng=random.Random(5))
-        device.submit(IORequest(OpType.READ, 0, 4 * KIB, priority=1))
+        # whether element 0 is cleaning when the read completes, read right
+        # after the device's priority drain ran
+        active_at_drain = []
+        device.submit(IORequest(
+            OpType.READ, 0, 4 * KIB, priority=1,
+            on_complete=lambda _: active_at_drain.append(cleaner._active[0])))
         # with the priority read outstanding, host writes take element 0
         # below the low watermark and no clean starts
-        offset = 0
-        while ftl.free_pages(0) >= cleaner.low_watermark_pages:
-            ftl.write(offset, 4 * KIB)
-            offset += ftl.n_gangs * 4 * KIB
+        _fill_until(ftl, 0,
+                    lambda: ftl.free_pages(0) < cleaner.low_watermark_pages,
+                    random.Random(6))
         assert ftl.free_pages(0) > cleaner._critical_pages
         cleaner.maybe_clean(0)
         assert not cleaner._active[0]
         # the read completes, the device's live priority count drops to 0,
-        # and the same free count now starts a clean
+        # and the drain starts the clean the gate held back
         sim.run_until_idle()
         assert ftl.priority_probe() == 0
-        assert ftl.free_pages(0) < cleaner.low_watermark_pages
-        cleaner.maybe_clean(0)
-        assert cleaner._active[0]
-        sim.run_until_idle()
+        assert active_at_drain == [True]
+        assert ftl.free_pages(0) >= cleaner.low_watermark_pages
         ftl.check_consistency()
 
 

@@ -29,7 +29,7 @@ from repro.device.ssd import SSD
 from repro.device.ssd_config import SSDConfig
 from repro.flash.geometry import FlashGeometry
 from repro.sim.engine import Simulator
-from repro.traces.record import TraceOp, TraceRecord
+from repro.traces.record import TraceRecord
 from repro.workloads.driver import ClosedLoopDriver, replay_trace
 from tests.conftest import schedule_at_front, small_geometry
 from tests.test_batched_submission import prescheduled_replay
@@ -172,7 +172,7 @@ class TestSWTFEquivalence:
         records = [
             TraceRecord(
                 i * 2.0,
-                TraceOp.READ if rng.random() < 0.5 else TraceOp.WRITE,
+                OpType.READ if rng.random() < 0.5 else OpType.WRITE,
                 rng.randrange(region) * KB4,
                 KB4,
             )
@@ -208,7 +208,7 @@ class TestStreamingReplay:
         def records():
             for i in range(total):
                 high_water[0] = max(high_water[0], len(sim._heap))
-                yield TraceRecord(i * 1.0, TraceOp.WRITE,
+                yield TraceRecord(i * 1.0, OpType.WRITE,
                                   (i * 7 % region) * KB4, KB4)
 
         result = replay_trace(sim, ssd, records(), window=window)
@@ -225,7 +225,7 @@ class TestStreamingReplay:
             rng = random.Random(11)
             records = [
                 TraceRecord(i * 3.0,
-                            TraceOp.READ if rng.random() < 0.4 else TraceOp.WRITE,
+                            OpType.READ if rng.random() < 0.4 else OpType.WRITE,
                             rng.randrange(region) * KB4, KB4)
                 for i in range(2000)
             ]
@@ -239,18 +239,18 @@ class TestStreamingReplay:
     def test_unsorted_beyond_window_rejected(self):
         sim = Simulator()
         ssd = self._device(sim)
-        records = [TraceRecord(1000.0 + i, TraceOp.WRITE, 0, KB4)
+        records = [TraceRecord(1000.0 + i, OpType.WRITE, 0, KB4)
                    for i in range(64)]
-        records.append(TraceRecord(0.5, TraceOp.WRITE, 0, KB4))
+        records.append(TraceRecord(0.5, OpType.WRITE, 0, KB4))
         with pytest.raises(ValueError, match="unsorted"):
             replay_trace(sim, ssd, records, window=8)
 
     def test_unsorted_accepted_with_full_preschedule(self):
         sim = Simulator()
         ssd = self._device(sim)
-        records = [TraceRecord(1000.0 + i, TraceOp.WRITE, i * KB4, KB4)
+        records = [TraceRecord(1000.0 + i, OpType.WRITE, i * KB4, KB4)
                    for i in range(16)]
-        records.append(TraceRecord(0.5, TraceOp.WRITE, 0, KB4))
+        records.append(TraceRecord(0.5, OpType.WRITE, 0, KB4))
         result = replay_trace(sim, ssd, records, window=None)
         assert result.count == 17
 

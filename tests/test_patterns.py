@@ -23,13 +23,13 @@ from math import log
 import numpy as np
 import pytest
 
+from repro.device.interface import OpType
 from repro.device.presets import s4slc_sim
 from repro.sim.engine import Simulator
 from repro.traces.patterns import (Barrier, PatternConfig, Pause, compose,
                                    iter_hot_cold, iter_random,
                                    iter_sequential, iter_snake, iter_strided,
                                    iter_zipf, strided_period)
-from repro.traces.record import TraceOp
 from repro.traces.synthetic import SyntheticConfig
 from repro.workloads.driver import StreamingResult, replay_pattern, replay_trace
 
@@ -96,7 +96,7 @@ class TestEmission:
         config = PatternConfig(count=5000, read_fraction=0.3,
                                priority_fraction=0.1, seed=2)
         records = list(iter_random(config))
-        reads = sum(1 for r in records if r.op is TraceOp.READ)
+        reads = sum(1 for r in records if r.op is OpType.READ)
         tagged = sum(1 for r in records if r.priority > 0)
         assert 0.27 < reads / 5000 < 0.33
         assert 0.08 < tagged / 5000 < 0.12
@@ -190,8 +190,8 @@ class TestSnake:
     def test_structure_counts(self):
         config, records = self._records()
         window_slots = MIB // KB4  # 256
-        writes = [r for r in records if r.op is TraceOp.WRITE]
-        frees = [r for r in records if r.op is TraceOp.FREE]
+        writes = [r for r in records if r.op is OpType.WRITE]
+        frees = [r for r in records if r.op is OpType.FREE]
         assert len(writes) == 3000
         assert len(frees) == 3000 - window_slots
         assert len(records) == len(writes) + len(frees)
@@ -203,7 +203,7 @@ class TestSnake:
         head = -1
         for record in records:
             slot = record.offset // KB4
-            if record.op is TraceOp.WRITE:
+            if record.op is OpType.WRITE:
                 head += 1
                 assert slot == head % slots
             else:
@@ -212,8 +212,8 @@ class TestSnake:
     def test_free_shares_timestamp_with_its_write(self):
         _, records = self._records(count=600)
         for prev, cur in zip(records, records[1:]):
-            if cur.op is TraceOp.FREE:
-                assert prev.op is TraceOp.WRITE
+            if cur.op is OpType.FREE:
+                assert prev.op is OpType.WRITE
                 assert cur.time_us == prev.time_us
 
     def test_live_set_bounded_by_window(self):
@@ -223,7 +223,7 @@ class TestSnake:
         high_water = 0
         for record in records:
             slot = record.offset // KB4
-            if record.op is TraceOp.WRITE:
+            if record.op is OpType.WRITE:
                 live.add(slot)
             else:
                 assert slot in live, "free of a non-live slot"

@@ -42,33 +42,36 @@ from repro.ftl.pagemap import PageMappedFTL
 from repro.ftl.prefill import prefill_pagemap
 from repro.ftl.wearlevel import WearConfig
 from repro.sim.engine import Simulator
-from repro.traces.record import TraceOp, TraceRecord
+from repro.traces.record import TraceRecord
 from repro.workloads.driver import ClosedLoopDriver, replay_trace
 from tests.test_faults import _SOAK_FAULTS, _Soak
 
 # Recorded from the seed tree (commit 4f793d6) by running the workloads
-# below, before the hot-path refactor; see test docstring.
+# below, before the hot-path refactor; see test docstring.  Re-pinned when
+# the priority drain began starting the cleans the §3.6 gate had held
+# back (the workload is priority-aware): clock, cleaning counts and write
+# stalls moved; host traffic did not.
 GOLDEN_MAIN: dict = {
-    "final_clock_us": 1034132.2812,
+    "final_clock_us": 1040044.4688,
     "events_run": 22116,
     "stats": {
         "host_reads": 972,
         "host_writes": 2865,
         "host_pages_read": 1948,
         "host_pages_written": 5788,
-        "flash_pages_programmed": 10273,
+        "flash_pages_programmed": 10274,
         "rmw_pages_read": 2025,
-        "clean_pages_moved": 1605,
-        "clean_time_us": 965341.0,
-        "clean_erases": 398,
+        "clean_pages_moved": 1606,
+        "clean_time_us": 968574.0,
+        "clean_erases": 400,
         "wear_migrations": 0,
         "wear_pages_moved": 0,
         "trims": 163,
         "trimmed_pages": 120,
-        "write_stalls": 85,
+        "write_stalls": 27,
     },
-    "busy_us": {"host": 3016514.6875, "clean": 965341.0, "wear": 0.0},
-    "erases": 398,
+    "busy_us": {"host": 3016514.6875, "clean": 968574.0, "wear": 0.0},
+    "erases": 400,
 }
 # Recorded from the pre-PR 2 tree (commit cdd2aed) by running the stripe
 # workloads below before the dispatch/freepool refactor; see test docstring.
@@ -618,7 +621,7 @@ def _writeback_records(capacity: int, seed: int = 7, count: int = 3000):
     t = 0.0
     for _ in range(count):
         t += rng.uniform(0.0, 40.0)
-        op = TraceOp.READ if rng.random() < 0.3 else TraceOp.WRITE
+        op = OpType.READ if rng.random() < 0.3 else OpType.WRITE
         yield TraceRecord(t, op, rng.randrange(region) * 4096, 4096)
 
 

@@ -14,7 +14,7 @@ times).
 
 The contract tests hold the record's checks, immutability, pickling and
 equality, and that an op-keyed dict survives a pickle round trip into a
-fresh process (op enums hash by identity within a process, so the dict
+fresh process (the op enum hashes by identity within a process, so the dict
 must be rebuilt by value on load, never by a stored hash).
 """
 
@@ -36,7 +36,7 @@ from repro.fleet.config import FleetConfig, TenantSpec
 from repro.fleet.router import _PATTERNS, device_layout, device_stream
 from repro.sim.engine import Simulator
 from repro.traces.patterns import PatternConfig, compose, iter_random
-from repro.traces.record import TraceOp, TraceRecord
+from repro.traces.record import TraceRecord
 from repro.traces.synthetic import SyntheticConfig, iter_synthetic
 from repro.workloads.driver import replay_pattern
 
@@ -44,17 +44,23 @@ from repro.workloads.driver import replay_pattern
 N = 2000
 
 
+#: the op spelling record rows were pinned with, when records carried
+#: their own R/W/F op enum; the records are unchanged, so the pins hold
+_LETTER = {OpType.READ: "R", OpType.WRITE: "W", OpType.FREE: "F"}
+
+
 def _crc(rows) -> int:
-    """CRC32 of ``(time, op, offset, size, priority)`` rows, exactly."""
+    """CRC32 of ``(time, op, offset, size, priority)`` rows, exactly;
+    ``op`` is already the string to hash."""
     crc = 0
     for time_us, op, offset, size, priority in rows:
-        line = f"{float(time_us).hex()},{op.value},{offset},{size},{priority};"
+        line = f"{float(time_us).hex()},{op},{offset},{size},{priority};"
         crc = zlib.crc32(line.encode(), crc)
     return crc
 
 
 def _record_rows(records):
-    return ((r.time_us, r.op, r.offset, r.size, r.priority)
+    return ((r.time_us, _LETTER[r.op], r.offset, r.size, r.priority)
             for r in islice(records, N))
 
 
@@ -113,7 +119,7 @@ class _FrontDoor:
         self.seen = []
 
     def submit(self, request) -> None:
-        self.seen.append((self.sim.now, request.op, request.offset,
+        self.seen.append((self.sim.now, request.op.value, request.offset,
                           request.size, request.priority))
 
 
@@ -159,10 +165,10 @@ def test_fleet_device_stream_pinned():
 
 
 @pytest.mark.parametrize("args, message", [
-    ((0.0, TraceOp.READ, 0, 0), "trace record size must be positive, got 0"),
-    ((0.0, TraceOp.READ, -512, 512),
+    ((0.0, OpType.READ, 0, 0), "trace record size must be positive, got 0"),
+    ((0.0, OpType.READ, -512, 512),
      "trace record offset must be >= 0, got -512"),
-    ((-1.0, TraceOp.READ, 0, 512),
+    ((-1.0, OpType.READ, 0, 512),
      "trace record time must be >= 0, got -1.0"),
 ])
 def test_record_checks(args, message):
@@ -172,16 +178,16 @@ def test_record_checks(args, message):
 
 
 def test_record_rebuilds_run_the_checks():
-    record = TraceRecord(1.0, TraceOp.READ, 0, 512)
+    record = TraceRecord(1.0, OpType.READ, 0, 512)
     for rebuild in (lambda: record._replace(size=0),
-                    lambda: type(record)._make((1.0, TraceOp.READ, -1, 512,
+                    lambda: type(record)._make((1.0, OpType.READ, -1, 512,
                                                 0))):
         with pytest.raises(ValueError):
             rebuild()
 
 
 def test_record_is_immutable():
-    record = TraceRecord(1.5, TraceOp.WRITE, 4096, 512, 1)
+    record = TraceRecord(1.5, OpType.WRITE, 4096, 512, 1)
     for name in ("time_us", "op", "offset", "size", "priority"):
         with pytest.raises(AttributeError):
             setattr(record, name, 0)
@@ -191,32 +197,30 @@ def test_record_is_immutable():
 
 
 def test_record_fields_defaults_and_equality():
-    record = TraceRecord(2.0, TraceOp.READ, 0, 4096)
+    record = TraceRecord(2.0, OpType.READ, 0, 4096)
     assert (record.time_us, record.op, record.offset, record.size,
-            record.priority) == (2.0, TraceOp.READ, 0, 4096, 0)
-    assert record == TraceRecord(2.0, TraceOp.READ, 0, 4096, 0)
-    assert record != TraceRecord(2.0, TraceOp.READ, 0, 4096, 1)
-    assert hash(record) == hash(TraceRecord(2.0, TraceOp.READ, 0, 4096, 0))
-    assert TraceRecord(time_us=2.0, op=TraceOp.READ, offset=0,
+            record.priority) == (2.0, OpType.READ, 0, 4096, 0)
+    assert record == TraceRecord(2.0, OpType.READ, 0, 4096, 0)
+    assert record != TraceRecord(2.0, OpType.READ, 0, 4096, 1)
+    assert hash(record) == hash(TraceRecord(2.0, OpType.READ, 0, 4096, 0))
+    assert TraceRecord(time_us=2.0, op=OpType.READ, offset=0,
                        size=4096) == record
 
 
 def test_record_pickle_round_trip():
-    records = [TraceRecord(0.25, TraceOp.FREE, 8192, 4096, 0),
-               TraceRecord(7.0, TraceOp.WRITE, 0, 512, 2)]
+    records = [TraceRecord(0.25, OpType.FREE, 8192, 4096, 0),
+               TraceRecord(7.0, OpType.WRITE, 0, 512, 2)]
     loaded = pickle.loads(pickle.dumps(records))
     assert loaded == records
     assert [type(r) for r in loaded] == [TraceRecord, TraceRecord]
-    assert loaded[0].op is TraceOp.FREE
+    assert loaded[0].op is OpType.FREE
 
 
 _CHILD = """
 import pickle, sys
 from repro.device.interface import OpType
-from repro.traces.record import TraceOp
 data = pickle.loads(sys.stdin.buffer.read())
 assert data["ops"][OpType.WRITE] == 2 and data["ops"][OpType.FLUSH] == 4
-assert data["trace"][TraceOp.FREE] == "F"
 assert data["keys"][(OpType.READ, True)] == "read-priority"
 data["ops"][OpType.READ] += 10
 sys.stdout.buffer.write(pickle.dumps(data))
@@ -225,7 +229,6 @@ sys.stdout.buffer.write(pickle.dumps(data))
 
 def test_op_keyed_dict_survives_pickle_between_processes():
     data = {"ops": {op: i for i, op in enumerate(OpType, 1)},
-            "trace": {op: op.value for op in TraceOp},
             "keys": {(OpType.READ, True): "read-priority"}}
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = {**os.environ, "PYTHONPATH": src}
@@ -235,5 +238,4 @@ def test_op_keyed_dict_survives_pickle_between_processes():
     back = pickle.loads(out.stdout)
     assert back["ops"][OpType.READ] == 11
     assert back["ops"][OpType.WRITE] == 2
-    assert back["trace"] == data["trace"]
     assert back["keys"][(OpType.READ, True)] == "read-priority"

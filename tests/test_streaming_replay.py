@@ -32,7 +32,7 @@ from repro.sim.engine import Simulator
 from repro.sim.stats import (LatencySummary, QuantileSketch,
                              ReservoirSampler, StreamingLatencyRecorder,
                              percentile)
-from repro.traces.record import TraceOp, TraceRecord
+from repro.traces.record import TraceRecord
 from repro.traces.synthetic import (SyntheticConfig, generate_synthetic,
                                     iter_synthetic)
 from repro.units import mb_per_s
@@ -523,7 +523,7 @@ def _faulty_write_replay(sink):
             ftl.write_error = "transient"
 
     ftl.write = every_other_fails
-    trace = [TraceRecord(100.0 * i, TraceOp.WRITE, i * KB4, KB4)
+    trace = [TraceRecord(100.0 * i, OpType.WRITE, i * KB4, KB4)
              for i in range(10)]
     return replay_trace(sim, device, trace, sink=sink)
 

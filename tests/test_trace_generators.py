@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.device.interface import OpType
 from repro.device.presets import s4slc_sim
 from repro.sim.engine import Simulator
 from repro.traces.exchange import ExchangeConfig, generate_exchange
 from repro.traces.postmark import PostmarkConfig, generate_postmark
-from repro.traces.record import TraceOp
 from repro.traces.tpcc import LOG_BYTES, TPCCConfig, generate_tpcc
 from repro.workloads.driver import StreamingResult, replay_trace
 
@@ -50,7 +50,7 @@ class TestExchange:
         times = [r.time_us for r in records]
         assert times == sorted(times)
         for record in records:
-            assert record.op in (TraceOp.READ, TraceOp.WRITE)
+            assert record.op in (OpType.READ, OpType.WRITE)
             assert record.offset % self.CONFIG.page_bytes == 0
             assert record.end <= self.CONFIG.region_bytes
 
@@ -59,7 +59,7 @@ class TestExchange:
         pages, so a meaningful share of write->write steps is exactly
         page-adjacent (what the aligning buffer merges)."""
         records = generate_exchange(self.CONFIG)
-        writes = [r for r in records if r.op is TraceOp.WRITE]
+        writes = [r for r in records if r.op is OpType.WRITE]
         adjacent = sum(
             1 for a, b in zip(writes, writes[1:]) if b.offset == a.end)
         assert adjacent / len(writes) > 0.3
@@ -85,7 +85,7 @@ class TestTPCC:
         times = [r.time_us for r in records]
         assert times == sorted(times)
         for record in records:
-            assert record.op in (TraceOp.READ, TraceOp.WRITE)
+            assert record.op in (OpType.READ, OpType.WRITE)
             assert record.end <= self.CONFIG.region_bytes
 
     def test_log_appends_stay_in_log_region(self):
@@ -96,7 +96,7 @@ class TestTPCC:
         log = [r for r in records if r.offset >= table_top]
         table = [r for r in records if r.offset < table_top]
         assert log and table
-        assert all(r.size == LOG_BYTES and r.op is TraceOp.WRITE
+        assert all(r.size == LOG_BYTES and r.op is OpType.WRITE
                    for r in log)
         # log appends are sequential modulo wrap
         offsets = [r.offset for r in log]
@@ -122,20 +122,20 @@ class TestPostmark:
         records = generate_postmark(
             PostmarkConfig(volume_bytes=2 * MIB, initial_files=60,
                            transactions=300, max_file_bytes=32768))
-        ops = {op: [r for r in records if r.op is op] for op in TraceOp}
-        assert ops[TraceOp.WRITE] and ops[TraceOp.READ] and ops[TraceOp.FREE]
+        ops = {op: [r for r in records if r.op is op] for op in OpType}
+        assert ops[OpType.WRITE] and ops[OpType.READ] and ops[OpType.FREE]
         # every FREE covers bytes that were written earlier
         written = set()
         reused_after_free = False
         freed = set()
         for record in records:
             blocks = range(record.offset, record.end, 4096)
-            if record.op is TraceOp.WRITE:
+            if record.op is OpType.WRITE:
                 if freed & set(blocks):
                     reused_after_free = True
                 written.update(blocks)
                 freed.difference_update(blocks)
-            elif record.op is TraceOp.FREE:
+            elif record.op is OpType.FREE:
                 assert set(blocks) <= written
                 freed.update(blocks)
         assert reused_after_free  # eager reuse, as Ext3 does

@@ -6,11 +6,12 @@ from collections import Counter
 
 import pytest
 
+from repro.device.interface import OpType
 from repro.traces.exchange import ExchangeConfig, generate_exchange
 from repro.traces.filesystem import AllocationError, Ext3LiteAllocator
 from repro.traces.iozone import RECORD_BYTES, IOzoneConfig, generate_iozone
 from repro.traces.postmark import PostmarkConfig, generate_postmark
-from repro.traces.record import TraceOp, TraceRecord
+from repro.traces.record import TraceRecord
 from repro.traces.synthetic import SyntheticConfig, generate_synthetic
 from repro.traces.tpcc import TPCCConfig, generate_tpcc
 from repro.units import MIB
@@ -19,15 +20,15 @@ from repro.units import MIB
 class TestRecord:
     def test_validation(self):
         with pytest.raises(ValueError):
-            TraceRecord(0.0, TraceOp.READ, 0, 0)
+            TraceRecord(0.0, OpType.READ, 0, 0)
         with pytest.raises(ValueError):
-            TraceRecord(0.0, TraceOp.READ, -1, 512)
+            TraceRecord(0.0, OpType.READ, -1, 512)
         with pytest.raises(ValueError):
-            TraceRecord(-1.0, TraceOp.READ, 0, 512)
+            TraceRecord(-1.0, OpType.READ, 0, 512)
 
     def test_nan_time_rejected(self):
         with pytest.raises(ValueError, match="time"):
-            TraceRecord(float("nan"), TraceOp.READ, 0, 512)
+            TraceRecord(float("nan"), OpType.READ, 0, 512)
 
 
 class TestSynthetic:
@@ -46,7 +47,7 @@ class TestSynthetic:
     def test_read_fraction(self):
         config = SyntheticConfig(count=2000, read_fraction=0.7, seed=3)
         records = generate_synthetic(config)
-        reads = sum(1 for r in records if r.op is TraceOp.READ)
+        reads = sum(1 for r in records if r.op is OpType.READ)
         assert 0.65 < reads / len(records) < 0.75
 
     def test_full_sequentiality_is_contiguous(self):
@@ -135,8 +136,8 @@ class TestPostmark:
         records = generate_postmark(PostmarkConfig(
             volume_bytes=32 * MIB, initial_files=50, transactions=500))
         ops = Counter(r.op for r in records)
-        assert ops[TraceOp.FREE] > 0
-        assert ops[TraceOp.WRITE] > 0
+        assert ops[OpType.FREE] > 0
+        assert ops[OpType.WRITE] > 0
 
     def test_frees_match_writes_blockwise(self):
         """Every freed block was previously written and not freed since."""
@@ -145,9 +146,9 @@ class TestPostmark:
         live = set()
         for record in records:
             blocks = range(record.offset // 4096, record.end // 4096)
-            if record.op is TraceOp.WRITE:
+            if record.op is OpType.WRITE:
                 live.update(blocks)
-            elif record.op is TraceOp.FREE:
+            elif record.op is OpType.FREE:
                 for block in blocks:
                     assert block in live, "free of never-written block"
                     live.discard(block)
@@ -155,7 +156,7 @@ class TestPostmark:
     def test_ends_with_deletion_phase(self):
         records = generate_postmark(PostmarkConfig(
             volume_bytes=16 * MIB, initial_files=30, transactions=100))
-        assert records[-1].op is TraceOp.FREE
+        assert records[-1].op is OpType.FREE
 
     def test_deterministic(self):
         config = PostmarkConfig(volume_bytes=16 * MIB, initial_files=20,
@@ -173,14 +174,14 @@ class TestMacroGenerators:
     def test_tpcc_mix(self):
         records = generate_tpcc(TPCCConfig(count=2000))
         ops = Counter(r.op for r in records)
-        assert ops[TraceOp.READ] > ops[TraceOp.WRITE] * 0.8
+        assert ops[OpType.READ] > ops[OpType.WRITE] * 0.8
 
     def test_tpcc_log_appends_sequential(self):
         config = TPCCConfig(count=3000, log_fraction=0.5)
         records = generate_tpcc(config)
         log_region = config.region_bytes - config.log_region_bytes
         log_writes = [r for r in records
-                      if r.op is TraceOp.WRITE and r.offset >= log_region]
+                      if r.op is OpType.WRITE and r.offset >= log_region]
         assert len(log_writes) > 100
         # appends are consecutive until wrap
         for prev, cur in zip(log_writes, log_writes[1:]):
@@ -188,7 +189,7 @@ class TestMacroGenerators:
 
     def test_exchange_bursts_are_contiguous(self):
         records = generate_exchange(ExchangeConfig(count=2000, seed=2))
-        writes = [r for r in records if r.op is TraceOp.WRITE]
+        writes = [r for r in records if r.op is OpType.WRITE]
         contiguous = sum(
             1 for prev, cur in zip(writes, writes[1:])
             if cur.offset == prev.end
@@ -199,7 +200,7 @@ class TestMacroGenerators:
         config = IOzoneConfig(count=400)
         records = generate_iozone(config)
         assert all(r.size == RECORD_BYTES for r in records)
-        writes = [r for r in records if r.op is TraceOp.WRITE]
+        writes = [r for r in records if r.op is OpType.WRITE]
         sequential = sum(
             1 for prev, cur in zip(writes, writes[1:])
             if cur.offset == prev.end or cur.offset == 0

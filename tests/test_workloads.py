@@ -8,7 +8,7 @@ from repro.device.interface import OpType
 from repro.device.ssd import SSD
 from repro.device.ssd_config import SSDConfig
 from repro.sim.engine import Simulator
-from repro.traces.record import TraceOp, TraceRecord
+from repro.traces.record import TraceRecord
 from repro.traces.synthetic import SyntheticConfig, generate_synthetic
 from repro.units import KIB, MIB
 from repro.workloads.driver import ClosedLoopDriver, WorkloadResult, replay_trace
@@ -25,7 +25,7 @@ def device(sim):
 class TestReplay:
     def test_all_records_complete(self, sim, device):
         records = [
-            TraceRecord(i * 50.0, TraceOp.WRITE, i * 4 * KIB, 4 * KIB)
+            TraceRecord(i * 50.0, OpType.WRITE, i * 4 * KIB, 4 * KIB)
             for i in range(20)
         ]
         result = replay_trace(sim, device, records)
@@ -34,8 +34,8 @@ class TestReplay:
 
     def test_frees_replayed_but_not_collected_by_default(self, sim, device):
         records = [
-            TraceRecord(0.0, TraceOp.WRITE, 0, 16 * KIB),
-            TraceRecord(100.0, TraceOp.FREE, 0, 16 * KIB),
+            TraceRecord(0.0, OpType.WRITE, 0, 16 * KIB),
+            TraceRecord(100.0, OpType.FREE, 0, 16 * KIB),
         ]
         result = replay_trace(sim, device, records)
         assert result.count == 1  # the write only
@@ -43,15 +43,15 @@ class TestReplay:
 
     def test_time_scale_stretches_arrivals(self, sim, device):
         records = [
-            TraceRecord(i * 100.0, TraceOp.WRITE, 0, 4 * KIB) for i in range(5)
+            TraceRecord(i * 100.0, OpType.WRITE, 0, 4 * KIB) for i in range(5)
         ]
         result = replay_trace(sim, device, records, time_scale=10.0)
         assert result.elapsed_us >= 4000.0
 
     def test_latency_filters(self, sim, device):
         records = [
-            TraceRecord(0.0, TraceOp.WRITE, 0, 4 * KIB, 1),
-            TraceRecord(50.0, TraceOp.READ, 0, 4 * KIB, 0),
+            TraceRecord(0.0, OpType.WRITE, 0, 4 * KIB, 1),
+            TraceRecord(50.0, OpType.READ, 0, 4 * KIB, 0),
         ]
         result = replay_trace(sim, device, records)
         assert result.latency(op=OpType.WRITE).count == 1
@@ -61,7 +61,7 @@ class TestReplay:
 
     def test_bandwidth_accounting(self, sim, device):
         records = [
-            TraceRecord(i * 10.0, TraceOp.WRITE, i * 4 * KIB, 4 * KIB)
+            TraceRecord(i * 10.0, OpType.WRITE, i * 4 * KIB, 4 * KIB)
             for i in range(10)
         ]
         result = replay_trace(sim, device, records)
