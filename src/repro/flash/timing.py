@@ -20,11 +20,21 @@ which is why bus ganging shows up in the paper's saw-tooth experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import inf, isnan
 
 __all__ = ["FlashTiming"]
 
 #: fixed command issue/decode overhead per flash command
 CMD_OVERHEAD_US = 2.0
+
+#: each field's admissible values, as ``(field, test, wording)``
+_LIMITS = (
+    ("page_read_us", lambda v: 0.0 <= v < inf, "finite and >= 0"),
+    ("page_program_us", lambda v: 0.0 <= v < inf, "finite and >= 0"),
+    ("block_erase_us", lambda v: 0.0 <= v < inf, "finite and >= 0"),
+    ("bus_mb_per_s", lambda v: 0.0 < v < inf, "finite and > 0"),
+    ("erase_cycles", lambda v: 1 <= v < inf, "finite and >= 1"),
+)
 
 
 @dataclass(frozen=True)
@@ -38,6 +48,13 @@ class FlashTiming:
     bus_mb_per_s: float = 40.0
     #: rated erase cycles per block before wear-out
     erase_cycles: int = 100_000
+
+    def __post_init__(self) -> None:
+        for name, admissible, wording in _LIMITS:
+            value = getattr(self, name)
+            if not admissible(value):  # NaN fails every test
+                shown = "NaN" if isnan(value) else value
+                raise ValueError(f"{name} must be {wording}, got {shown}")
 
     def transfer_us(self, nbytes: int) -> float:
         """Time to move *nbytes* over the serial pin bus."""

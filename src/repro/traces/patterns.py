@@ -8,8 +8,8 @@ streaming replay:
 * every pattern is a **lazy, seeded generator** of
   :class:`~repro.traces.record.TraceRecord` — one record materialized at a
   time, so a pattern can feed
-  :func:`repro.workloads.driver.replay_trace`'s bounded window at O(1)
-  memory regardless of ``count`` (the zipf/hot-cold tables are O(region
+  :func:`repro.workloads.driver.replay_trace`'s one-record-ahead feeder at
+  O(1) memory regardless of ``count`` (the zipf/hot-cold tables are O(region
   slots), the same order as the FTL map itself);
 * patterns share one :class:`PatternConfig` (count, region, request size,
   read/write mix, arrival process, priority tagging, seed), so "the same
@@ -373,15 +373,17 @@ def iter_hot_cold(config: PatternConfig, hot_space_fraction: float = 0.2,
     return _emit(config, _streams(config, "hot_cold"), slot_stream())
 
 
-def compose(*phases: Iterable[PatternRecord], barrier: bool = True,
+def compose(*phases: Iterable[PatternRecord],
             pause_us: float = 0.0) -> Iterator[PatternRecord]:
     """Chain pattern streams into one suite.
 
-    Between consecutive phases a :class:`Barrier` is emitted (unless
-    ``barrier=False``) and then a :class:`Pause` of ``pause_us`` (when
-    positive).  Each phase keeps its own relative timestamps —
-    :func:`repro.workloads.driver.replay_pattern` restarts the clock at
-    every barrier, so phases compose without any re-stamping.
+    Between consecutive phases a :class:`Barrier` is emitted and then a
+    :class:`Pause` of ``pause_us`` (when positive).  Each phase keeps its
+    own relative timestamps — :func:`repro.workloads.driver.replay_pattern`
+    restarts the clock at every barrier, so phases compose without any
+    re-stamping.  Streams meant to overlap in time are merged into one
+    sorted stream instead (as :func:`repro.fleet.router.device_stream`
+    does), since replay requires sorted timestamps.
 
     Phases may themselves contain control records, so suites nest:
     ``compose(compose(a, b), c)`` behaves exactly like
@@ -393,7 +395,6 @@ def compose(*phases: Iterable[PatternRecord], barrier: bool = True,
     for index, phase in enumerate(phases):
         yield from phase
         if index != last:
-            if barrier:
-                yield Barrier(label=f"phase-{index}")
+            yield Barrier(label=f"phase-{index}")
             if pause_us > 0:
                 yield Pause(pause_us)

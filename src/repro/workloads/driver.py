@@ -11,16 +11,13 @@ Streaming replay
 ----------------
 The seed ``replay_trace`` pre-scheduled one event per trace record, so a
 million-record trace put a million events in the heap before the first one
-ran.  The replay now *streams*: a bounded window of upcoming records
-(default :data:`REPLAY_WINDOW`) is held driver-side as ``(time, feed
-order, record)`` tuples, and exactly **one** reusable front-lane event
-stays armed at the head record's timestamp
-(:meth:`repro.sim.engine.Simulator.reschedule_at_front`).  Each firing
-submits every record due at that instant and re-arms at the new head; each
-submitted record pulls one replacement from the iterator, so window
-occupancy — and total replay state — is O(window) regardless of trace
-length, and the simulator heap carries a single replay entry instead of
-thousands.
+ran.  The replay now *streams*: it holds exactly one upcoming record, and
+exactly **one** reusable front-lane event stays armed at that record's
+timestamp (:meth:`repro.sim.engine.Simulator.reschedule_at_front`).  Each
+firing submits every record due at that instant, pulling the next record
+from the iterator after each submission, and re-arms at the first later
+one.  Replay state is O(1) regardless of trace length, and the simulator
+heap carries a single replay entry.
 
 Ordering is identical to pre-scheduling the whole trace: the front lane
 wins every same-timestamp tie against simulation-internal events, arrivals
@@ -28,16 +25,18 @@ keep record order among themselves, and consecutive same-instant front-lane
 events admit nothing between them — which is what makes folding a
 same-timestamp group into one firing (one ``device.submit`` per record, in
 record order) indistinguishable from the seed's one-event-per-record
-scheme, apart from ``events_run``.  The only requirement streaming adds is
-that record timestamps be sorted to within the window (every generator in
-:mod:`repro.traces` emits sorted traces); ``window=None`` makes the window
-the whole trace, which accepts any order at O(trace) memory.
+scheme, apart from ``events_run``.  The one requirement streaming adds is
+that record timestamps be sorted (every generator in :mod:`repro.traces`
+emits sorted traces); the first record earlier than the one before it
+raises :class:`ValueError`.  Streams meant to overlap in time are merged
+before replay, as :func:`repro.fleet.router.device_stream` does.
 
-The window is a sorted-run deque that degrades to a binary heap only when
-a record lands behind its tail.  The deque stays because it pays: a plain
-heap throughout cost 5-14 % of ``records_per_s`` on the open-loop
-workloads of ``benchmarks/e2e`` (replay_steady, swtf_burst, fleet_mixed;
-3 paired runs).
+An earlier feeder held a 4096-record window, a sorted-run deque that fell
+back to a heap, so that locally unsorted input replayed too.  Only a
+test-only option of :func:`repro.traces.patterns.compose` ever fed it such
+input.  Run as a heap throughout, that window added 2.0 % run time on the
+``replay_steady`` workload of ``benchmarks/e2e`` and 3.8 % on
+``swtf_burst`` (in-process paired runs, 2-core machine).
 
 Requests are plain :class:`~repro.device.interface.IORequest` objects,
 one per record; every completion, in every driver and result mode, goes
@@ -61,13 +60,10 @@ what is retained about it changes.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heapreplace
-from itertools import islice
 from math import inf
-from typing import (Callable, Deque, Dict, Iterable, List, Optional, Protocol,
-                    Tuple, Union)
+from typing import (Callable, Dict, Iterable, List, Optional, Protocol, Tuple,
+                    Union)
 
 from repro.device.interface import Completion, IORequest, OpType
 from repro.sim.engine import Event, Simulator
@@ -77,12 +73,7 @@ from repro.traces.record import TraceRecord
 from repro.units import mb_per_s
 
 __all__ = ["WorkloadResult", "ResultSink", "StreamingResult", "ShardedResult",
-           "replay_trace", "replay_pattern", "ClosedLoopDriver",
-           "REPLAY_WINDOW"]
-
-#: default bound on concurrently-scheduled future submissions in
-#: :func:`replay_trace` (heap memory is O(window), not O(trace length))
-REPLAY_WINDOW = 4096
+           "replay_trace", "replay_pattern", "ClosedLoopDriver"]
 
 
 @dataclass
@@ -324,7 +315,6 @@ def replay_trace(
     device,
     records: Iterable[TraceRecord],
     time_scale: float = 1.0,
-    window: Optional[int] = REPLAY_WINDOW,
     sink: Optional[ResultSink] = None,
 ) -> Union[WorkloadResult, ResultSink]:
     """Open-loop replay: submit each record at ``time_us * time_scale``.
@@ -332,9 +322,9 @@ def replay_trace(
     Returns after the event queue drains.  READ/WRITE completions are
     recorded; ``elapsed_us`` spans first submission to last completion.
 
-    At most ``window`` upcoming records are held at once (see the module
-    docstring); ``window=None`` holds the whole trace, which accepts
-    arbitrarily unsorted timestamps at O(trace) memory.
+    ``records`` must be sorted by ``time_us``: one upcoming record is held
+    at a time (see the module docstring), and the first record earlier
+    than the one before it raises :class:`ValueError`.
 
     Completions go to ``sink`` (any :class:`ResultSink`, e.g.
     :class:`StreamingResult`), which is returned; the default is a fresh
@@ -344,8 +334,6 @@ def replay_trace(
     :func:`repro.traces.synthetic.iter_synthetic`) to keep the trace side
     O(1) as well.
     """
-    if window is not None and window <= 0:
-        raise ValueError(f"window must be positive or None, got {window}")
     if not 0.0 <= time_scale < inf:
         raise ValueError(f"time_scale must be finite and >= 0, got {time_scale}")
     result = WorkloadResult() if sink is None else sink
@@ -358,81 +346,40 @@ def replay_trace(
             record_completion(request)
 
     start = sim.now
-
-    # The window: a deque of (time, feed order, record) while the trace
-    # arrives sorted — one tail compare plus append/popleft per record —
-    # degrading to a binary heap the first time a record lands behind the
-    # tail.  A sorted, feed-ordered tuple list is already a valid min-heap,
-    # so degrading is a copy, not a sort, and submission order is identical
-    # in both modes.  ONE reusable front-lane event (``feeder``) stays
-    # armed at the head's timestamp (see the module docstring).
-    def unsorted_error(at: float, now: float) -> ValueError:
-        return ValueError(
-            f"trace timestamps unsorted beyond the replay window "
-            f"({window}): record time {at} is before the clock "
-            f"{now}; sort the trace or pass window=None"
-        )
-
     iterator = iter(records)
-    buffer: Deque[tuple] = deque()
-    heap: List[tuple] = []
-    use_heap = False
-    n = 0
-    last_at = -1.0  # timestamps are >= sim.now >= 0
-    for record in islice(iterator, window):
-        at = start + record.time_us * time_scale  # >= start: nothing is late yet
-        if at < last_at:
-            use_heap = True
-        else:
-            last_at = at
-        buffer.append((at, n, record))
-        n += 1
-    if use_heap:
-        heap = list(buffer)
-        buffer.clear()
-        heapify(heap)
     device_submit = device.submit
-    feeder = Event(0.0, 0, None, ())
-    feeder.alive = False
     rearm = sim.reschedule_at_front
+    head = next(iterator, None)
 
-    def fire(heappop=heappop, heapreplace=heapreplace) -> None:
-        nonlocal n, use_heap
+    # ONE reusable front-lane event stays armed at ``head``'s timestamp
+    # (see the module docstring).  Each firing submits ``head`` and every
+    # following record due at the same instant, then re-arms at the first
+    # later one.
+    def fire() -> None:
+        nonlocal head
         now = sim.now
-        window_q = heap if use_heap else buffer
-        # submit every due record (the head is due: the feeder was armed at
-        # its timestamp) with one refill fused into each pop, which keeps
-        # the window full; record generators are pure and a submit runs no
-        # event, so pulling just before the pop is unobservable.  In heap
-        # mode heapreplace does one sift where pop-then-push would do two.
-        while window_q and window_q[0][0] <= now:
-            nxt = next(iterator, None)
-            if nxt is None:
-                record = (heappop(heap) if use_heap else buffer.popleft())[2]
-            else:
-                at = start + nxt.time_us * time_scale
-                if at < now:
-                    raise unsorted_error(at, now)
-                if use_heap:
-                    record = heapreplace(heap, (at, n, nxt))[2]
-                elif at >= buffer[-1][0]:
-                    buffer.append((at, n, nxt))
-                    record = buffer.popleft()[2]
-                else:
-                    use_heap = True
-                    heap[:] = buffer
-                    buffer.clear()
-                    window_q = heap
-                    record = heapreplace(heap, (at, n, nxt))[2]
-                n += 1
+        record = head
+        while True:
             device_submit(IORequest(record.op, record.offset, record.size,
                                     record.priority, on_complete))
-        if window_q:
-            rearm(feeder, window_q[0][0])
+            upcoming = next(iterator, None)
+            if upcoming is None:
+                return
+            at = start + upcoming.time_us * time_scale
+            if at != now:
+                break
+            record = upcoming
+        if at < now:
+            raise ValueError(
+                f"trace timestamps unsorted: a record at "
+                f"{upcoming.time_us} us follows one at {record.time_us} us; "
+                f"sort the trace, or merge streams that overlap in time")
+        head = upcoming
+        rearm(feeder, at)
 
-    feeder.fn = fire
-    if buffer or heap:
-        rearm(feeder, (heap if use_heap else buffer)[0][0])
+    feeder = Event(0.0, 0, fire, ())
+    if head is not None:
+        rearm(feeder, start + head.time_us * time_scale)
     sim.run_until_idle()
     result.elapsed_us = sim.now - start
     finalize = getattr(result, "finalize", None)
@@ -446,7 +393,6 @@ def replay_pattern(
     device,
     records: Iterable["PatternRecord"],
     time_scale: float = 1.0,
-    window: Optional[int] = REPLAY_WINDOW,
     sink: Optional[ResultSink] = None,
 ) -> ResultSink:
     """Open-loop replay of a pattern stream with control records.
@@ -498,7 +444,7 @@ def replay_pattern(
 
     while not done:
         replay_trace(sim, device, segment(), time_scale=time_scale,
-                     window=window, sink=sink)
+                     sink=sink)
     sink.elapsed_us = sim.now - start
     return sink
 

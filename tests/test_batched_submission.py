@@ -1,14 +1,14 @@
-"""The replay core: submit_batch, streaming window, vectorized prefill.
+"""The replay core: submit_batch, streaming feeder, vectorized prefill.
 
 Pins three contracts:
 
 1. **submit_batch equivalence** — ``SSD.submit_batch(requests)`` is one
    ``submit()`` per request, in order: same clock, same FTL stats, same
    completion stream.
-2. **Streaming window equivalence** — the one-armed-event streaming core
-   orders submissions exactly like pre-scheduling one front-lane event per
-   record (:func:`prescheduled_replay`, the seed's replay loop kept as the
-   reference), including same-timestamp groups and ``window=None``.
+2. **Streaming equivalence** — the one-armed-event streaming core orders
+   submissions exactly like pre-scheduling one front-lane event per record
+   (:func:`prescheduled_replay`, the seed's replay loop kept as the
+   reference), including same-timestamp groups.
 3. **Vectorized prefill equivalence** — ``prefill_pagemap`` and
    ``prefill_stripe_ftl`` leave state byte-identical to the seed's
    per-block reference loops (kept verbatim below), including partial
@@ -48,7 +48,7 @@ KB4 = 4096
 
 def prescheduled_replay(sim, device, records):
     """The seed's replay loop: one front-lane event per record, all
-    scheduled before the run starts.  The reference the streaming window
+    scheduled before the run starts.  The reference the streaming feeder
     must reproduce completion for completion."""
     result = WorkloadResult()
 
@@ -122,7 +122,7 @@ class TestSubmitBatchEquivalence:
         assert batched.completions == reference.completions
 
 
-class TestStreamingWindowEquivalence:
+class TestStreamingEquivalence:
     def _run(self, replay):
         sim = Simulator()
         ssd = SSD(sim, SSDConfig(n_elements=4, geometry=small_geometry(),
@@ -131,27 +131,12 @@ class TestStreamingWindowEquivalence:
         records = list(_bursty_records(5000, ssd.capacity_bytes, seed=3))
         return replay(sim, ssd, records), sim, ssd
 
-    @pytest.mark.parametrize("window", [1, 7, 4096, None])
-    def test_windowed_matches_full_prescheduling(self, window):
-        streamed, sim_s, ssd_s = self._run(
-            lambda sim, ssd, records: replay_trace(sim, ssd, records,
-                                                   window=window))
+    def test_streamed_matches_full_prescheduling(self):
+        streamed, sim_s, ssd_s = self._run(replay_trace)
         listed, sim_l, ssd_l = self._run(prescheduled_replay)
         assert sim_s.now == sim_l.now
         assert streamed.completions == listed.completions
         assert ssd_s.ftl.stats.as_dict() == ssd_l.ftl.stats.as_dict()
-
-    def test_unsorted_beyond_window_raises(self):
-        sim = Simulator()
-        ssd = SSD(sim, SSDConfig(n_elements=2, geometry=small_geometry()))
-        base = [(r.op, r.offset, r.size) for r in
-                _bursty_records(4, ssd.capacity_bytes)]
-        # sorted within the window of 2, but the last record's timestamp
-        # lies far behind the clock by the time it is pulled
-        times = [0.0, 500.0, 1000.0, 0.1]
-        records = [TraceRecord(t, *rest) for t, rest in zip(times, base)]
-        with pytest.raises(ValueError, match="unsorted"):
-            replay_trace(sim, ssd, records, window=2)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,9 @@ Four contracts:
    (:func:`reference_select`) would, at every dispatch of randomized
    saturated workloads (striped pagemap and gang blockmap FTLs, FREEs,
    priorities, admission stalls included).
-2. **Streaming replay** — ``replay_trace`` keeps at most ``window`` future
-   submissions in the event heap regardless of trace length, preserves
-   results against full pre-scheduling, and rejects traces unsorted beyond
-   the window.
+2. **Streaming replay** — ``replay_trace`` keeps one feeder event in the
+   event heap regardless of trace length, preserves results against full
+   pre-scheduling, and rejects the first out-of-order record.
 3. **Front-lane engine ordering** — external-stimulus events beat
    same-timestamp internal events and keep their own order.
 4. **Host-queue / early-release plumbing** — lazy removal, arrival-order
@@ -21,6 +20,7 @@ Four contracts:
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -30,7 +30,8 @@ from repro.device.ssd_config import SSDConfig
 from repro.flash.geometry import FlashGeometry
 from repro.sim.engine import Simulator
 from repro.traces.record import TraceRecord
-from repro.workloads.driver import ClosedLoopDriver, replay_trace
+from repro.workloads.driver import (ClosedLoopDriver, WorkloadResult,
+                                    replay_trace)
 from tests.conftest import schedule_at_front, small_geometry
 from tests.test_batched_submission import prescheduled_replay
 
@@ -197,25 +198,33 @@ class TestStreamingReplay:
         return SSD(sim, SSDConfig(n_elements=2, geometry=small_geometry(),
                                   controller_overhead_us=5.0))
 
-    def test_heap_stays_bounded_by_window(self):
+    def test_feeder_holds_one_heap_entry(self):
+        """The replay keeps one front-lane event armed at the next record,
+        never one per upcoming record: at every completion the heap holds
+        at most one front-lane (negative-sequence) entry, and its size is
+        bounded by the device's own events, not by trace length."""
         sim = Simulator()
         ssd = self._device(sim)
         region = ssd.capacity_bytes // KB4
-        window = 128
-        high_water = [0]
         total = 20_000
+        front_entries = set()
+        high_water = [0]
 
-        def records():
-            for i in range(total):
-                high_water[0] = max(high_water[0], len(sim._heap))
-                yield TraceRecord(i * 1.0, OpType.WRITE,
-                                  (i * 7 % region) * KB4, KB4)
+        class Probe(WorkloadResult):
+            def record(self, request):
+                super().record(request)
+                heap = sim._heap
+                high_water[0] = max(high_water[0], len(heap))
+                front_entries.add(sum(1 for _, seq, _ in heap if seq < 0))
 
-        result = replay_trace(sim, ssd, records(), window=window)
+        records = (TraceRecord(i * 1.0, OpType.WRITE,
+                               (i * 7 % region) * KB4, KB4)
+                   for i in range(total))
+        result = replay_trace(sim, ssd, records, sink=Probe())
         assert result.count == total
-        # heap holds at most `window` future submissions plus device events
-        # (bounded by elements + inflight), never O(trace length)
-        assert high_water[0] <= window + 64, high_water[0]
+        assert 1 in front_entries and front_entries <= {0, 1}
+        # device events are bounded by elements + inflight
+        assert high_water[0] <= 64, high_water[0]
 
     def test_streaming_matches_preschedule(self):
         def run(replay):
@@ -233,26 +242,20 @@ class TestStreamingReplay:
             return (round(sim.now, 6), sim.events_run, result.count,
                     ssd.ftl.stats.as_dict())
 
-        assert run(lambda sim, ssd, records: replay_trace(
-            sim, ssd, records, window=16)) == run(prescheduled_replay)
+        assert run(replay_trace) == run(prescheduled_replay)
 
-    def test_unsorted_beyond_window_rejected(self):
-        sim = Simulator()
-        ssd = self._device(sim)
-        records = [TraceRecord(1000.0 + i, OpType.WRITE, 0, KB4)
-                   for i in range(64)]
-        records.append(TraceRecord(0.5, OpType.WRITE, 0, KB4))
-        with pytest.raises(ValueError, match="unsorted"):
-            replay_trace(sim, ssd, records, window=8)
-
-    def test_unsorted_accepted_with_full_preschedule(self):
-        sim = Simulator()
-        ssd = self._device(sim)
-        records = [TraceRecord(1000.0 + i, OpType.WRITE, i * KB4, KB4)
-                   for i in range(16)]
-        records.append(TraceRecord(0.5, OpType.WRITE, 0, KB4))
-        result = replay_trace(sim, ssd, records, window=None)
-        assert result.count == 17
+    def test_out_of_order_record_raises(self):
+        """The first record earlier than the one before it is refused, and
+        the error names both timestamps; a two-record trace is refused
+        just like a long one."""
+        for times in ([5.0, 2.5], [1000.0 + i for i in range(64)] + [0.5]):
+            sim = Simulator()
+            ssd = self._device(sim)
+            records = [TraceRecord(t, OpType.WRITE, 0, KB4) for t in times]
+            message = (f"a record at {times[-1]} us follows one at "
+                       f"{times[-2]} us")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                replay_trace(sim, ssd, records)
 
 
 # ---------------------------------------------------------------------------

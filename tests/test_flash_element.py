@@ -41,6 +41,28 @@ class TestTiming:
     def test_zero_transfer(self):
         assert FlashTiming.slc().transfer_us(0) == 0.0
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), -1.0])
+    @pytest.mark.parametrize("name", ["page_read_us", "page_program_us",
+                                      "block_erase_us", "bus_mb_per_s",
+                                      "erase_cycles"])
+    def test_bad_value_refused_at_construction(self, name, value):
+        shown = "NaN" if value != value else str(value)
+        with pytest.raises(ValueError, match=f"^{name} must be .*got {shown}$"):
+            FlashTiming(**{name: value})
+        with pytest.raises(ValueError, match=name):
+            FlashTiming.mlc().scaled(**{name: value})
+
+    @pytest.mark.parametrize("name", ["bus_mb_per_s", "erase_cycles"])
+    def test_zero_refused_where_it_divides_or_wears_out(self, name):
+        with pytest.raises(ValueError, match=name):
+            FlashTiming(**{name: 0})
+
+    def test_zero_times_accepted(self):
+        timing = FlashTiming(page_read_us=0.0, page_program_us=0.0,
+                             block_erase_us=0.0, erase_cycles=1)
+        assert timing.erase_us() == 2.0
+
 
 def _readable(el):
     """Give page (0, 0) data so timed reads of it are legal."""

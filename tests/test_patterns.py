@@ -323,9 +323,11 @@ class TestCompose:
         assert isinstance(out[3], Barrier) and isinstance(out[4], Pause)
         assert out[4].delta_us == 500.0
 
-    def test_no_barrier_mode(self):
+    def test_barrier_always_separates_phases(self):
         a, b = self._phase(3, 1), self._phase(3, 2)
-        assert list(compose(a, b, barrier=False)) == a + b
+        out = list(compose(a, b))
+        assert out[:3] == a and out[4:] == b
+        assert isinstance(out[3], Barrier)
 
     def test_nesting_flattens(self):
         a, b, c = self._phase(4, 1), self._phase(4, 2), self._phase(4, 3)
