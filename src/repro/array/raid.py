@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
+from repro.checks import Checked, bounded
 from repro.device.interface import DeviceStats, IORequest, OpType, RequestError
 from repro.hdd.disk import HDD, HDDConfig
 from repro.sim.engine import Simulator
@@ -32,20 +33,20 @@ SCRUB_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
-class RAID5Config:
+class RAID5Config(Checked):
     name: str = "raid5"
-    n_disks: int = 4
-    chunk_bytes: int = 64 * 1024
+    #: RAID-5 needs at least two data disks and one parity disk
+    n_disks: int = bounded(4, ge=3)
+    chunk_bytes: int = bounded(64 * 1024, ge=SECTOR)
     disk: HDDConfig = field(default_factory=lambda: HDDConfig(capacity_bytes=GIB))
     #: issue a scrub read every interval (0 disables); term-6 probe material
-    scrub_interval_us: float = 0.0
+    scrub_interval_us: float = bounded(0.0, ge=0)
     #: scrubbing stops after this much simulated time (keeps the event loop
     #: finite: an endless self-rescheduling scrub would never go idle)
-    scrub_duration_us: float = 1_000_000.0
+    scrub_duration_us: float = bounded(1_000_000.0, ge=0)
 
     def __post_init__(self) -> None:
-        if self.n_disks < 3:
-            raise ValueError("RAID-5 needs at least 3 disks")
+        super().__post_init__()
         if self.chunk_bytes % SECTOR:
             raise ValueError("chunk must be sector aligned")
 

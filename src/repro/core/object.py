@@ -12,15 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.checks import Checked, bounded
+
 __all__ = ["ObjectAttributes", "ObjectDescriptor"]
 
 
 @dataclass
-class ObjectAttributes:
+class ObjectAttributes(Checked):
     """Per-object semantic hints exported through the OSD interface."""
 
     #: >0 marks the object's I/O as foreground/priority (§3.6)
-    priority: int = 0
+    priority: int = bounded(0, ge=0)
     #: read-only (cold) data: placed on the most-worn blocks (§3.5/§3.7)
     read_only: bool = False
     #: "fast" pins the object to the SLC tier of a heterogeneous device
@@ -28,8 +30,7 @@ class ObjectAttributes:
     tier: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.priority < 0:
-            raise ValueError("priority must be >= 0")
+        super().__post_init__()
         if self.tier not in (None, "fast", "capacity"):
             raise ValueError(f"tier must be None/'fast'/'capacity', got {self.tier!r}")
 

@@ -69,7 +69,6 @@ class IORequest:
     size: int
     priority: int = 0
     on_complete: Optional[Callable[["IORequest"], None]] = None
-    tag: Optional[object] = None
     #: semantic hints (e.g. {"temp": "cold"}).  Only device-internal layers
     #: such as the OSD object store set these; a file system speaking the
     #: narrow block interface cannot — which is the paper's point.

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
+from repro.checks import Checked, bounded
 from repro.sim.rng import stream
 
 __all__ = ["FaultConfig", "FaultModel"]
@@ -39,37 +40,30 @@ _LOG_CAP = 10_000
 
 
 @dataclass(frozen=True)
-class FaultConfig:
+class FaultConfig(Checked):
     """Knobs for the seeded fault model.  All probabilities are per-op."""
 
     #: master switch; False means no FaultModel is ever attached
     enabled: bool = False
     #: parent seed for the per-element fault streams
-    seed: int = 0
+    seed: int = bounded(0)
     #: probability that a page program (or the program half of a copy) fails
-    program_fail_prob: float = 0.0
+    program_fail_prob: float = bounded(0.0, ge=0, le=1)
     #: erase failure probability at zero wear ...
-    erase_fail_base_prob: float = 0.0
+    erase_fail_base_prob: float = bounded(0.0, ge=0, le=1)
     #: ... scaled up with wear: p = base * (1 + scale * erase_count)
-    erase_wear_scale: float = 0.0
+    erase_wear_scale: float = bounded(0.0, ge=0)
     #: probability a read needs at least one retry step
-    read_transient_prob: float = 0.0
+    read_transient_prob: float = bounded(0.0, ge=0, le=1)
     #: escalating added latency per retry step; a transient read draws a
     #: number of steps and pays the sum of the first that many entries
-    read_retry_steps_us: Tuple[float, ...] = (50.0, 150.0, 450.0)
+    read_retry_steps_us: Tuple[float, ...] = bounded((50.0, 150.0, 450.0),
+                                                     ge=0)
 
     def __post_init__(self) -> None:
-        for name in ("program_fail_prob", "erase_fail_base_prob",
-                     "read_transient_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if self.erase_wear_scale < 0.0:
-            raise ValueError("erase_wear_scale must be non-negative")
+        super().__post_init__()
         if not self.read_retry_steps_us:
             raise ValueError("read_retry_steps_us must not be empty")
-        if any(s < 0.0 for s in self.read_retry_steps_us):
-            raise ValueError("read_retry_steps_us entries must be non-negative")
 
 
 class FaultModel:

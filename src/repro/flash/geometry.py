@@ -11,20 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.checks import Checked, bounded
+
 __all__ = ["FlashGeometry"]
 
 
 @dataclass(frozen=True)
-class FlashGeometry:
+class FlashGeometry(Checked):
     """Physical layout of one flash element."""
 
-    page_bytes: int = 4096
-    pages_per_block: int = 64
-    blocks_per_element: int = 2048
-
-    def __post_init__(self) -> None:
-        if self.page_bytes <= 0 or self.pages_per_block <= 0 or self.blocks_per_element <= 0:
-            raise ValueError("geometry fields must be positive")
+    page_bytes: int = bounded(4096, ge=1)
+    pages_per_block: int = bounded(64, ge=1)
+    blocks_per_element: int = bounded(2048, ge=1)
 
     @property
     def block_bytes(self) -> int:

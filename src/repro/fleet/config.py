@@ -17,8 +17,9 @@ the process boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import inf
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.checks import Checked, bounded
 
 __all__ = ["QOS_CLASSES", "REGION_FRACTION", "PREFILL_FRACTION",
            "TenantSpec", "FleetConfig"]
@@ -46,7 +47,7 @@ PATTERN_NAMES = ("sequential", "random", "strided", "snake", "zipf",
 
 
 @dataclass(frozen=True)
-class TenantSpec:
+class TenantSpec(Checked):
     """One tenant: an access pattern, its traffic knobs, and a QoS class.
 
     ``weight`` sets the tenant's share of each device's usable region
@@ -59,15 +60,16 @@ class TenantSpec:
     name: str
     pattern: str = "random"
     qos: str = "bronze"
-    count: int = 2000
-    request_bytes: int = 4096
-    read_fraction: float = 0.0
-    interarrival_max_us: float = 100.0
+    count: int = bounded(2000, ge=1)
+    request_bytes: int = bounded(4096, ge=512)
+    read_fraction: float = bounded(0.0, ge=0, le=1)
+    interarrival_max_us: float = bounded(100.0, ge=0)
     arrival_process: str = "uniform"
-    weight: float = 1.0
+    weight: float = bounded(1.0, gt=0)
     pattern_args: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.name:
             raise ValueError("tenant needs a name")
         if self.pattern not in PATTERN_NAMES:
@@ -80,15 +82,6 @@ class TenantSpec:
                 f"unknown QoS class {self.qos!r}; expected one of "
                 f"{tuple(QOS_CLASSES)}"
             )
-        if self.count <= 0:
-            raise ValueError("count must be positive")
-        if not 0.0 <= self.interarrival_max_us < inf:
-            raise ValueError(
-                f"interarrival_max_us must be finite and >= 0, got "
-                f"{self.interarrival_max_us}"
-            )
-        if self.weight <= 0.0:
-            raise ValueError(f"weight must be positive, got {self.weight}")
 
     @property
     def priority_fraction(self) -> float:
@@ -96,7 +89,7 @@ class TenantSpec:
 
 
 @dataclass(frozen=True)
-class FleetConfig:
+class FleetConfig(Checked):
     """The complete input of one fleet run (picklable; see module doc).
 
     ``placement``: ``"all"`` runs every tenant on every device (each
@@ -112,17 +105,18 @@ class FleetConfig:
     """
 
     tenants: Tuple[TenantSpec, ...]
-    n_devices: int = 1
+    n_devices: int = bounded(1, ge=1)
     placement: str = "all"
     preset: str = "s4slc_sim"
-    element_mb: int = 8
-    spare_fraction: Optional[float] = None
+    element_mb: int = bounded(8, ge=1)
+    spare_fraction: Optional[float] = bounded(None, gt=0, lt=1)
     device_args: Dict[str, Any] = field(default_factory=dict)
-    prefill_overwrite: float = 0.1
-    time_scale: float = 1.0
-    seed: int = 2009
+    prefill_overwrite: float = bounded(0.1, ge=0)
+    time_scale: float = bounded(1.0, ge=0)
+    seed: int = bounded(2009)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.tenants:
             raise ValueError("fleet needs at least one tenant")
         # tolerate a list from callers; canonicalize to a tuple so the
@@ -132,19 +126,10 @@ class FleetConfig:
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"tenant names must be unique, got {names}")
-        if self.n_devices <= 0:
-            raise ValueError("n_devices must be positive")
         if self.placement not in ("all", "round_robin"):
             raise ValueError(
                 f"placement must be 'all' or 'round_robin', "
                 f"got {self.placement!r}"
-            )
-        if self.spare_fraction is not None and not (
-                0.0 < self.spare_fraction < 1.0):
-            raise ValueError("spare_fraction must be in (0, 1) or None")
-        if not 0.0 <= self.time_scale < inf:
-            raise ValueError(
-                f"time_scale must be finite and >= 0, got {self.time_scale}"
             )
         if self.placement == "round_robin" and self.n_devices > len(self.tenants):
             raise ValueError(

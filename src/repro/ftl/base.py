@@ -205,8 +205,6 @@ class BaseFTL:
         #: per group, what admitted writes whose data is still crossing
         #: the host link will pull (see :meth:`promise`)
         self._promised = [0] * n_groups
-        #: rotation cursor for sampled consistency checks
-        self._cc_cursor = 0
         #: consulted by priority-aware cleaning; the SSD points this at its
         #: own count of outstanding priority requests
         self.priority_probe: Callable[[], int] = lambda: 0
@@ -478,23 +476,11 @@ class BaseFTL:
     def media_bytes_written(self) -> int:
         return self.stats.flash_pages_programmed * self.geometry.page_bytes
 
-    def check_consistency(self, full: bool = True) -> None:
-        """Verify internal invariants; used heavily by the test suite.
-
-        ``full=True`` (the default) sweeps the whole device.  ``full=False``
-        is the *sampled* mode for per-iteration use inside workload sweeps:
-        it verifies one deterministically-rotating shard of the device
-        (an element or a gang, whatever :meth:`_check_shard` covers), so a
-        loop of N sampled checks still covers the device while costing
-        O(device/N) each.  Final asserts should stay on the full sweep.
-        """
-        n = len(self._pool)
-        if full:
-            for group in range(n):
-                self._check_shard(group)
-        else:
-            group = self._cc_cursor % n
-            self._cc_cursor += 1
+    def check_consistency(self) -> None:
+        """Verify internal invariants over the whole device, one
+        allocation group (element or gang) at a time; used heavily by the
+        test suite."""
+        for group in range(len(self._pool)):
             self._check_shard(group)
 
     def _check_shard(self, group: int) -> None:  # pragma: no cover

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.checks import Checked, bounded
 from repro.flash.ops import TAG_CLEAN
 from repro.ftl.base import DeviceFullError
 
@@ -41,28 +42,27 @@ COST_BENEFIT = "cost_benefit"
 
 
 @dataclass(frozen=True)
-class CleaningConfig:
+class CleaningConfig(Checked):
     """Cleaning policy parameters (paper values: low 5%, critical 2%)."""
 
-    low_watermark: float = 0.05
-    critical_watermark: float = 0.02
+    low_watermark: float = bounded(0.05, gt=0, lt=1)
+    critical_watermark: float = bounded(0.02, gt=0, lt=1)
     policy: str = GREEDY
     #: postpone cleaning while priority requests are outstanding (§3.6)
     priority_aware: bool = False
     #: copies issued per element-FIFO round; host requests interleave
     #: between rounds instead of waiting out a whole block's worth
-    batch_pages: int = 8
+    batch_pages: int = bounded(8, ge=1)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.critical_watermark <= self.low_watermark < 1.0:
+        super().__post_init__()
+        if self.critical_watermark > self.low_watermark:
             raise ValueError(
-                "need 0 < critical_watermark <= low_watermark < 1, got "
+                "critical_watermark must be <= low_watermark, got "
                 f"critical={self.critical_watermark} low={self.low_watermark}"
             )
         if self.policy not in (GREEDY, COST_BENEFIT):
             raise ValueError(f"unknown cleaning policy {self.policy!r}")
-        if self.batch_pages < 1:
-            raise ValueError("batch_pages must be >= 1")
 
 
 class Cleaner:

@@ -541,7 +541,7 @@ class PageMappedFTL(BaseFTL):
 
     def _check_shard(self, e_idx: int) -> None:
         """Verify one element's map/reverse-map agreement and free
-        accounting (``check_consistency`` drives the full/sampled sweep).
+        accounting (``check_consistency`` sweeps every element).
 
         Raises AssertionError on the first violation; the test suite calls
         the sweep after every workload it runs.

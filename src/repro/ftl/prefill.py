@@ -51,12 +51,12 @@ order, stats and the generator state — is the one a per-page loop leaves;
 
 from __future__ import annotations
 
-import math
 import random
 from typing import List, Optional, Union
 
 import numpy as np
 
+from repro.checks import Bound
 from repro.flash.element import FlashElement, FlashStateError, PageState
 from repro.ftl.base import FTLStats
 from repro.ftl.blockmap import BlockMappedFTL
@@ -80,13 +80,8 @@ def prefill_pagemap(
     """Fill the first ``fill_fraction`` of the logical space, then rewrite a
     further ``overwrite_fraction`` of it at random.  Returns the number of
     logical pages mapped."""
-    if not 0.0 <= fill_fraction <= 1.0:
-        raise ValueError(f"fill_fraction must be in [0, 1], got {fill_fraction}")
-    if not 0.0 <= overwrite_fraction < math.inf:
-        raise ValueError(
-            "overwrite_fraction must be finite and non-negative, got "
-            f"{overwrite_fraction}"
-        )
+    Bound(ge=0, le=1).check("fill_fraction", fill_fraction)
+    Bound(ge=0).check("overwrite_fraction", overwrite_fraction)
     _check_fresh(ftl)
 
     count = int(fill_fraction * ftl.user_logical_pages)
@@ -334,8 +329,7 @@ def prefill_stripe_ftl(
     """Map the first ``fill_fraction`` of a stripe-mapped FTL's logical
     stripes to fully-valid rows (so overwrites trigger RMW/log appends, as on
     an aged device).  Returns the number of stripes mapped."""
-    if not 0.0 <= fill_fraction <= 1.0:
-        raise ValueError(f"fill_fraction must be in [0, 1], got {fill_fraction}")
+    Bound(ge=0, le=1).check("fill_fraction", fill_fraction)
     ppb = ftl.geometry.pages_per_block
     total = ftl.n_gangs * ftl.user_rows_per_gang
     count = int(fill_fraction * total)

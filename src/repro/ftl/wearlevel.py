@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.checks import Checked, bounded
 from repro.flash.ops import TAG_WEAR
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -28,7 +29,7 @@ __all__ = ["WearConfig", "WearLeveler"]
 
 
 @dataclass(frozen=True)
-class WearConfig:
+class WearConfig(Checked):
     """Wear-leveling parameters."""
 
     #: dynamic (allocation-time) least-worn-first block selection
@@ -36,9 +37,9 @@ class WearConfig:
     #: static migration of cold blocks
     static: bool = False
     #: erase-count spread that triggers a static migration
-    spread_threshold: int = 64
+    spread_threshold: int = bounded(64, ge=0)
     #: how often (in erases per element) to evaluate the spread
-    check_every_erases: int = 64
+    check_every_erases: int = bounded(64, ge=1)
 
 
 class WearLeveler:

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
+from repro.checks import Checked, bounded
 from repro.device.interface import DeviceStats, IORequest, OpType
 from repro.hdd.geometry import DiskGeometry
 from repro.hdd.seek import SeekModel
@@ -45,18 +46,18 @@ WRITE_CACHE_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
-class HDDConfig:
+class HDDConfig(Checked):
     """Parameters of the disk model (defaults ≈ Barracuda 7200.11, scaled)."""
 
     name: str = "hdd"
-    capacity_bytes: int = 4 * GIB
-    heads: int = 4
-    n_zones: int = 8
-    outer_spt: int = 1700
-    inner_spt: int = 950
-    rpm: int = 7200
+    capacity_bytes: int = bounded(4 * GIB, ge=SECTOR)
+    heads: int = bounded(4, ge=1)
+    n_zones: int = bounded(8, ge=1)
+    outer_spt: int = bounded(1700, ge=1)
+    inner_spt: int = bounded(950, ge=1)
+    rpm: int = bounded(7200, ge=1)
     seek: SeekModel = field(default_factory=SeekModel.barracuda)
-    controller_overhead_us: float = 100.0
+    controller_overhead_us: float = bounded(100.0, ge=0)
     write_cache: bool = True
 
 

@@ -83,8 +83,6 @@ class DiskGeometry:
               outer_spt: int = 1600, inner_spt: int = 900) -> "DiskGeometry":
         """Build a geometry of roughly *capacity_bytes* with a linear
         outer-to-inner sectors-per-track taper (7200.11-flavoured)."""
-        if n_zones < 1:
-            raise ValueError("need at least one zone")
         spts = [
             outer_spt - (outer_spt - inner_spt) * z // max(1, n_zones - 1)
             for z in range(n_zones)

@@ -15,18 +15,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.checks import Checked, bounded
+
 __all__ = ["SeekModel"]
 
 
 @dataclass(frozen=True)
-class SeekModel:
+class SeekModel(Checked):
     """Piecewise seek curve over cylinder distance."""
 
-    settle_us: float = 500.0
-    sqrt_coeff_us: float = 90.0
-    linear_coeff_us: float = 0.04
-    pivot_cylinders: int = 12000
-    head_switch_us: float = 800.0
+    settle_us: float = bounded(500.0, ge=0)
+    sqrt_coeff_us: float = bounded(90.0, ge=0)
+    linear_coeff_us: float = bounded(0.04, ge=0)
+    pivot_cylinders: int = bounded(12000, ge=0)
+    head_switch_us: float = bounded(800.0, ge=0)
 
     def seek_us(self, distance_cylinders: int) -> float:
         d = abs(distance_cylinders)

@@ -46,7 +46,6 @@ class MEMSStore:
         self.sectors = CAPACITY_BYTES // SECTOR
         self.sectors_per_column = max(1, self.sectors // X_POSITIONS)
         self.link = SerialResource(sim, INTERFACE_MB_S)
-        self.media = SerialResource(sim, MEDIA_MB_S)
         self._stats = DeviceStats()
         self._x = 0.0
         self._y = 0.0

@@ -31,6 +31,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.checks import Bound
+
 #: bound once — the sketch/reservoir adds run once per replayed record
 _ceil = math.ceil
 _log = math.log
@@ -131,10 +133,9 @@ class QuantileSketch:
                  "count", "sum", "min", "max", "_zero_count", "_boundaries")
 
     def __init__(self, alpha: float = 0.01, floor: float = 1e-3) -> None:
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-        if floor <= 0.0:
-            raise ValueError(f"floor must be positive, got {floor}")
+        Bound(gt=0, lt=1).check("alpha", alpha)
+        # an infinite floor would send every sample to the zero bucket
+        Bound(gt=0).check("floor", floor)
         self.alpha = alpha
         self._gamma = (1.0 + alpha) / (1.0 - alpha)
         self._log_gamma = math.log(self._gamma)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from repro.checks import Checked, bounded
 from repro.device.interface import OpType
 from repro.sim.rng import stream
 from repro.traces.record import TraceRecord
@@ -24,13 +25,13 @@ BURST_MAX_PAGES = 8
 
 
 @dataclass(frozen=True)
-class ExchangeConfig:
-    count: int = 5000
-    region_bytes: int = 192 << 20
-    page_bytes: int = 8192
-    read_fraction: float = 0.55
-    interarrival_us: float = 300.0
-    seed: int = 42
+class ExchangeConfig(Checked):
+    count: int = bounded(5000, ge=1)
+    region_bytes: int = bounded(192 << 20, ge=1)
+    page_bytes: int = bounded(8192, ge=1)
+    read_fraction: float = bounded(0.55, ge=0, le=1)
+    interarrival_us: float = bounded(300.0, gt=0)
+    seed: int = bounded(42)
 
 
 def generate_exchange(config: ExchangeConfig) -> List[TraceRecord]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from repro.checks import Checked, bounded
 from repro.device.interface import OpType
 from repro.sim.rng import stream
 from repro.traces.record import TraceRecord
@@ -27,11 +28,11 @@ READ_SHARE = 0.25
 
 
 @dataclass(frozen=True)
-class IOzoneConfig:
-    count: int = 3000
-    file_bytes: int = 128 << 20
-    interarrival_us: float = 500.0
-    seed: int = 42
+class IOzoneConfig(Checked):
+    count: int = bounded(3000, ge=1)
+    file_bytes: int = bounded(128 << 20, ge=RECORD_BYTES)
+    interarrival_us: float = bounded(500.0, gt=0)
+    seed: int = bounded(42)
 
 
 def generate_iozone(config: IOzoneConfig) -> List[TraceRecord]:

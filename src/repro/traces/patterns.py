@@ -51,10 +51,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import count, islice, repeat
-from math import gcd, inf
+from math import gcd
 from random import Random
 from typing import Iterable, Iterator, List, Tuple, Union
 
+from repro.checks import Bound, Checked, bounded
 from repro.device.interface import OpType
 from repro.sim.rng import stream
 from repro.traces.record import TraceRecord
@@ -86,16 +87,12 @@ class Barrier:
 
 
 @dataclass(frozen=True, slots=True)
-class Pause:
+class Pause(Checked):
     """Control record: shift every later record of the current segment
     ``delta_us`` into the future — injected idle time (background cleaning
     and wear-leveling keep running through it)."""
 
-    delta_us: float
-
-    def __post_init__(self) -> None:
-        if self.delta_us < 0:
-            raise ValueError(f"pause must be >= 0 us, got {self.delta_us}")
+    delta_us: float = bounded(ge=0)
 
 
 #: what a pattern stream yields: data records plus the two control records
@@ -103,7 +100,7 @@ PatternRecord = Union[TraceRecord, Barrier, Pause]
 
 
 @dataclass(frozen=True)
-class PatternConfig:
+class PatternConfig(Checked):
     """Shared knobs of the pattern generators (sizes in bytes, times in µs).
 
     ``arrival_process``: ``"uniform"`` draws inter-arrivals from
@@ -123,41 +120,31 @@ class PatternConfig:
     tenant's *relative* trace is invariant under relocation.
     """
 
-    count: int = 1000
-    region_bytes: int = 64 << 20
-    request_bytes: int = 4096
-    read_fraction: float = 0.0
-    interarrival_max_us: float = 100.0
+    count: int = bounded(1000, ge=1)
+    region_bytes: int = bounded(64 << 20, ge=512)
+    request_bytes: int = bounded(4096, ge=512)
+    read_fraction: float = bounded(0.0, ge=0, le=1)
+    interarrival_max_us: float = bounded(100.0, ge=0)
     arrival_process: str = "uniform"
-    priority_fraction: float = 0.0
-    seed: int = 42
-    lba_base_bytes: int = 0
+    priority_fraction: float = bounded(0.0, ge=0, le=1)
+    seed: int = bounded(42)
+    lba_base_bytes: int = bounded(0, ge=0)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.arrival_process not in ("uniform", "poisson", "fixed"):
             raise ValueError(
                 f"arrival_process must be 'uniform', 'poisson', or 'fixed', "
                 f"got {self.arrival_process!r}"
             )
-        if self.count <= 0:
-            raise ValueError("count must be positive")
-        if self.request_bytes <= 0 or self.request_bytes % 512:
-            raise ValueError("request_bytes must be a positive multiple of 512")
+        if self.request_bytes % 512:
+            raise ValueError("request_bytes must be a multiple of 512")
         if self.region_bytes < self.request_bytes:
             raise ValueError("region must hold at least one request")
-        for name in ("read_fraction", "priority_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if not 0.0 <= self.interarrival_max_us < inf:
-            raise ValueError(
-                f"interarrival_max_us must be finite and >= 0, got "
-                f"{self.interarrival_max_us}"
-            )
-        if self.lba_base_bytes < 0 or self.lba_base_bytes % self.request_bytes:
+        if self.lba_base_bytes % self.request_bytes:
             raise ValueError(
                 f"lba_base_bytes ({self.lba_base_bytes}) must be a "
-                f"non-negative multiple of request_bytes ({self.request_bytes})"
+                f"multiple of request_bytes ({self.request_bytes})"
             )
 
     @property
@@ -319,8 +306,7 @@ def iter_zipf(config: PatternConfig, theta: float = 1.0,
     onto the region through a seeded permutation so the hot slots scatter
     instead of clustering at offset 0.  The rank table is O(region slots),
     built once; each draw is one bisect."""
-    if theta <= 0.0:
-        raise ValueError(f"theta must be positive, got {theta}")
+    Bound(gt=0).check("theta", theta)
     slots = config.slots
     cumulative: List[float] = []
     total = 0.0
@@ -350,8 +336,7 @@ def iter_hot_cold(config: PatternConfig, hot_space_fraction: float = 0.2,
     default."""
     for name, value in (("hot_space_fraction", hot_space_fraction),
                         ("hot_access_fraction", hot_access_fraction)):
-        if not 0.0 < value < 1.0:
-            raise ValueError(f"{name} must be in (0, 1), got {value}")
+        Bound(gt=0, lt=1).check(name, value)
     slots = config.slots
     hot_slots = max(1, int(slots * hot_space_fraction))
     cold_slots = slots - hot_slots
@@ -389,8 +374,7 @@ def compose(*phases: Iterable[PatternRecord],
     ``compose(compose(a, b), c)`` behaves exactly like
     ``compose(a, b, c)``.
     """
-    if pause_us < 0:
-        raise ValueError(f"pause_us must be >= 0, got {pause_us}")
+    Bound(ge=0).check("pause_us", pause_us)
     last = len(phases) - 1
     for index, phase in enumerate(phases):
         yield from phase

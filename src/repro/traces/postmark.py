@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.checks import Checked, bounded
 from repro.device.interface import OpType
 from repro.sim.rng import stream
 from repro.traces.filesystem import Ext3LiteAllocator
@@ -32,23 +33,24 @@ READ_BIAS = 0.5
 
 
 @dataclass(frozen=True)
-class PostmarkConfig:
+class PostmarkConfig(Checked):
     """Postmark knobs (sizes in bytes; block-level granularity is 4 KB)."""
 
-    volume_bytes: int = 256 << 20
-    initial_files: int = 500
-    transactions: int = 5000
-    min_file_bytes: int = 4096
-    max_file_bytes: int = 64 * 1024
+    volume_bytes: int = bounded(256 << 20, ge=_BLOCK)
+    initial_files: int = bounded(500, ge=1)
+    transactions: int = bounded(5000, ge=0)
+    min_file_bytes: int = bounded(4096, ge=1)
+    max_file_bytes: int = bounded(64 * 1024, ge=1)
     #: mean inter-arrival between block operations
-    interarrival_us: float = 200.0
-    seed: int = 42
+    interarrival_us: float = bounded(200.0, gt=0)
+    seed: int = bounded(42)
 
     def __post_init__(self) -> None:
-        if self.initial_files <= 0 or self.transactions < 0:
-            raise ValueError("initial_files must be > 0, transactions >= 0")
-        if self.min_file_bytes <= 0 or self.max_file_bytes < self.min_file_bytes:
-            raise ValueError("bad file size range")
+        super().__post_init__()
+        if self.max_file_bytes < self.min_file_bytes:
+            raise ValueError(
+                f"max_file_bytes ({self.max_file_bytes}) must be >= "
+                f"min_file_bytes ({self.min_file_bytes})")
 
 
 class _File:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List
 
+from repro.checks import bounded
 from repro.sim.rng import stream
 from repro.traces.patterns import PatternConfig, _emit
 from repro.traces.record import TraceRecord
@@ -35,13 +36,7 @@ class SyntheticConfig(PatternConfig):
     sequentiality knob."""
 
     #: probability the next request continues where the previous ended
-    seq_probability: float = 0.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0.0 <= self.seq_probability <= 1.0:
-            raise ValueError(
-                f"seq_probability must be in [0, 1], got {self.seq_probability}")
+    seq_probability: float = bounded(0.0, ge=0, le=1)
 
 
 def iter_synthetic(config: SyntheticConfig) -> Iterator[TraceRecord]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from repro.checks import Checked, bounded
 from repro.device.interface import OpType
 from repro.sim.rng import stream
 from repro.traces.record import TraceRecord
@@ -23,19 +24,20 @@ LOG_BYTES = 4096
 
 
 @dataclass(frozen=True)
-class TPCCConfig:
-    count: int = 5000
-    region_bytes: int = 192 << 20
-    page_bytes: int = 8192
-    read_fraction: float = 0.65
+class TPCCConfig(Checked):
+    count: int = bounded(5000, ge=1)
+    region_bytes: int = bounded(192 << 20, ge=1)
+    page_bytes: int = bounded(8192, ge=1)
+    read_fraction: float = bounded(0.65, ge=0, le=1)
     #: fraction of operations that are sequential log appends
-    log_fraction: float = 0.10
+    log_fraction: float = bounded(0.10, ge=0, le=1)
     #: log area at the top of the region
-    log_region_bytes: int = 16 << 20
-    interarrival_us: float = 300.0
-    seed: int = 42
+    log_region_bytes: int = bounded(16 << 20, ge=LOG_BYTES)
+    interarrival_us: float = bounded(300.0, gt=0)
+    seed: int = bounded(42)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.region_bytes <= self.log_region_bytes:
             raise ValueError("region must exceed the log area")
 

@@ -92,6 +92,7 @@ from dataclasses import dataclass
 from math import exp, log
 from typing import Callable, List, Optional, Sequence
 
+from repro.checks import Checked, bounded
 from repro.device.interface import OpType
 from repro.device.ssd import SSD
 from repro.device.ssd_config import SSDConfig
@@ -214,7 +215,7 @@ def greedy_write_amp(op: float, pages_per_block: int) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WAConfig:
+class WAConfig(Checked):
     """One steady-state WA measurement point.
 
     The device is a pagemap :class:`~repro.device.ssd.SSD` (the device
@@ -228,25 +229,18 @@ class WAConfig:
     ``measure_multiple`` × user pages measured via :meth:`FTLStats.delta`.
     """
 
-    spare_fraction: float = 0.11
-    elements: int = 2
-    blocks_per_element: int = 128
-    pages_per_block: int = 64
-    page_bytes: int = 4096
-    settle_multiple: float = 3.0
-    measure_multiple: float = 1.0
-    depth: int = 8
-    seed: int = 1504_00229
-    low_watermark: float = 0.02
-    critical_watermark: float = 0.01
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.spare_fraction < 1.0:
-            raise ValueError(
-                f"spare_fraction must be in (0, 1), got {self.spare_fraction}")
-        if self.settle_multiple < 0 or self.measure_multiple <= 0:
-            raise ValueError("settle_multiple must be >= 0 and "
-                             "measure_multiple > 0")
+    spare_fraction: float = bounded(0.11, gt=0, lt=1)
+    elements: int = bounded(2, ge=1)
+    blocks_per_element: int = bounded(128, ge=1)
+    #: the greedy model (:func:`greedy_write_amp`) needs two or more
+    pages_per_block: int = bounded(64, ge=2)
+    page_bytes: int = bounded(4096, ge=1)
+    settle_multiple: float = bounded(3.0, ge=0)
+    measure_multiple: float = bounded(1.0, gt=0)
+    depth: int = bounded(8, ge=1)
+    seed: int = bounded(1504_00229)
+    low_watermark: float = bounded(0.02, gt=0, lt=1)
+    critical_watermark: float = bounded(0.01, gt=0, lt=1)
 
 
 @dataclass(frozen=True)

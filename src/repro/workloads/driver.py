@@ -61,10 +61,10 @@ what is retained about it changes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf
 from typing import (Callable, Dict, Iterable, List, Optional, Protocol, Tuple,
                     Union)
 
+from repro.checks import Bound
 from repro.device.interface import Completion, IORequest, OpType
 from repro.sim.engine import Event, Simulator
 from repro.sim.stats import ClassAggregate, LatencySummary, QuantileSketch
@@ -334,8 +334,7 @@ def replay_trace(
     :func:`repro.traces.synthetic.iter_synthetic`) to keep the trace side
     O(1) as well.
     """
-    if not 0.0 <= time_scale < inf:
-        raise ValueError(f"time_scale must be finite and >= 0, got {time_scale}")
+    Bound(ge=0).check("time_scale", time_scale)
     result = WorkloadResult() if sink is None else sink
     record_completion = result.record
     read_op, write_op = OpType.READ, OpType.WRITE

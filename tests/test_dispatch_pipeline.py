@@ -414,8 +414,8 @@ class TestAdmissionUnderBackpressure:
         self._drive(config, seed=11, count=3000, read_frac=0.1)
 
 
-class TestSampledConsistency:
-    def test_sampled_mode_rotates_over_all_elements(self):
+class TestConsistencyCheck:
+    def test_check_covers_every_element(self):
         from repro.flash.element import FlashElement
         from repro.flash.timing import FlashTiming
         from repro.ftl.pagemap import PageMappedFTL
@@ -426,10 +426,8 @@ class TestSampledConsistency:
         ftl = PageMappedFTL(sim, elements, spare_fraction=0.2)
         ftl.write(0, 8 * KB4)
         sim.run_until_idle()
-        for _ in range(len(elements)):
-            ftl.check_consistency(full=False)  # consistent: never raises
-        # corrupt one element's counters: a full rotation must catch it
+        ftl.check_consistency()  # consistent: never raises
+        # corrupt a later element's counters: the one sweep must catch it
         ftl._free[2] += 1
         with pytest.raises(AssertionError):
-            for _ in range(len(elements)):
-                ftl.check_consistency(full=False)
+            ftl.check_consistency()

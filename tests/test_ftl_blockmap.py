@@ -241,9 +241,7 @@ class TestChurnConsistency:
             else:
                 ftl.trim(offset, size)
             sim.run_until_idle()
-            # cheap rotating spot-check per iteration; full sweep at the end
-            ftl.check_consistency(full=False)
-        ftl.check_consistency()
+            ftl.check_consistency()
 
 
 class TestStripeWearOut:

@@ -156,6 +156,4 @@ class TestChurn:
             else:
                 ftl.read(offset, size)
             sim.run_until_idle()
-            # cheap rotating spot-check per iteration; full sweep at the end
-            ftl.check_consistency(full=False)
-        ftl.check_consistency()
+            ftl.check_consistency()

@@ -272,8 +272,10 @@ class TestZipf:
         assert max(_slots(iter_zipf(config, theta=0.5))) == 255
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            iter_zipf(PatternConfig(count=10), theta=0.0)
+        # a NaN or infinite theta put every record on one slot
+        for theta in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="theta"):
+                iter_zipf(PatternConfig(count=10), theta=theta)
 
 
 class TestHotCold:
@@ -340,8 +342,9 @@ class TestCompose:
                 == [x for x in flat if not isinstance(x, (Barrier, Pause))])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            list(compose([], [], pause_us=-1.0))
+        for pause_us in (-1.0, float("nan")):  # NaN skipped the pause
+            with pytest.raises(ValueError, match="pause_us"):
+                list(compose([], [], pause_us=pause_us))
         with pytest.raises(ValueError):
             Pause(-5.0)
 

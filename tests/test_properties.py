@@ -76,9 +76,7 @@ class TestPagemapProperties:
             else:
                 ftl.read(offset, size)
             sim.run_until_idle()
-            # rotating sampled invariant check per op; full sweep below
-            ftl.check_consistency(full=False)
-        ftl.check_consistency()
+            ftl.check_consistency()
         for lpn in range(cap_pages):
             mapped = ftl.mapped_ppn(lpn) >= 0
             assert mapped == (lpn in shadow), (
@@ -96,8 +94,7 @@ class TestPagemapProperties:
             if ftl.can_accept_write(lpn * KB4, KB4):
                 ftl.write(lpn * KB4, KB4)
             sim.run_until_idle()
-            ftl.check_consistency(full=False)
-        ftl.check_consistency()
+            ftl.check_consistency()
         assert ftl.stats.clean_erases > 0
 
     @common

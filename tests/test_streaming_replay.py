@@ -122,6 +122,14 @@ class TestQuantileSketch:
         with pytest.raises(ValueError):
             sketch.quantile(1.5)
 
+    @pytest.mark.parametrize("floor, shown", [(math.inf, "inf"),
+                                              (math.nan, "NaN")])
+    def test_non_finite_floor_refused(self, floor, shown):
+        """An infinite floor sent every sample to the zero bucket, so
+        p50/p95/p99 all read 0.0; a NaN floor failed at the first add."""
+        with pytest.raises(ValueError, match=f"^floor must be .*got {shown}$"):
+            QuantileSketch(floor=floor)
+
 
 class TestReservoirSampler:
     def test_size_bounded_and_deterministic(self):
