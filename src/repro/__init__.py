@@ -15,7 +15,7 @@ Sub-packages:
 
 * :mod:`repro.sim` — discrete-event engine, RNG streams, statistics
 * :mod:`repro.flash` — NAND geometry/timing and the parallel-element model
-* :mod:`repro.ftl` — page-mapped / block-mapped / hybrid FTLs, cleaning,
+* :mod:`repro.ftl` — page-mapped and block-mapped FTLs, cleaning,
   wear-leveling, warmup
 * :mod:`repro.device` — the SSD (+ tiered SLC/MLC), write buffers,
   schedulers, the paper's device presets

@@ -5,7 +5,7 @@ A2  stripe (logical page) size: amplification vs parallelism (§3.4)
 A3  SLC/MLC tiering: object placement vs linear block allocation (§3.3)
 A4  delete notifications: none vs pseudo-driver vs OSD-native (§3.5/§3.7)
 A5  wear-leveling: dynamic only vs dynamic+static, erase spread (§3.5)
-A6  FTL family: page-mapped vs hybrid vs block-mapped under random writes
+A6  FTL family: page-mapped vs block-mapped under random writes
     (the mechanism behind Table 2's S2/S4 split)
 
 Each returns an :class:`repro.bench.tables.ExperimentResult`;
@@ -305,15 +305,14 @@ def wear_leveling(scale: float = 1.0, seed: int = 42) -> ExperimentResult:
 
 
 def ftl_family(scale: float = 1.0, seed: int = 42) -> ExperimentResult:
-    """Random 4 KB overwrites against the three FTL families on identical
-    hardware: the page-mapped FTL absorbs them in its log, the hybrid
-    absorbs a window then pays for merges, the block-mapped FTL pays a full
-    stripe RMW every time."""
+    """Random 4 KB overwrites against the two FTL families on identical
+    hardware: the page-mapped FTL absorbs them in its log, the block-mapped
+    FTL pays a full stripe RMW every time."""
     from repro.ftl.prefill import prefill_stripe_ftl
 
     count = max(150, int(600 * scale))
     rows = []
-    for ftl_type in ("pagemap", "hybrid", "blockmap"):
+    for ftl_type in ("pagemap", "blockmap"):
         sim = Simulator()
         config = SSDConfig(
             name=f"ftl-{ftl_type}",
@@ -321,7 +320,6 @@ def ftl_family(scale: float = 1.0, seed: int = 42) -> ExperimentResult:
             geometry=FlashGeometry(pages_per_block=16, blocks_per_element=128),
             ftl_type=ftl_type,
             gang_size=4,
-            max_log_rows=4,
             spare_fraction=0.12,
             controller_overhead_us=5.0,
         )
@@ -406,15 +404,15 @@ def claims(result: ExperimentResult) -> List[Claim]:
                   "a plain block file system sends no FREE"),
         ]
     if kind == "ablation-ftl":
-        order = ("pagemap", "hybrid", "blockmap")
+        order = ("pagemap", "blockmap")
         mean_ms = tuple(rows[f][1] for f in order)
         wa = tuple(rows[f][2] for f in order)
-        why = "Table 2's mechanism: page map < hybrid log < stripe RMW"
+        why = "Table 2's mechanism: page map < stripe RMW"
         return [
-            Claim("a6_mean_ms_page_hybrid_block", mean_ms, None, "increasing",
-                  mean_ms[0] < mean_ms[1] < mean_ms[2], why),
-            Claim("a6_write_amp_page_hybrid_block", wa, None, "increasing",
-                  wa[0] < wa[1] < wa[2], why),
+            Claim("a6_mean_ms_page_block", mean_ms, None, "increasing",
+                  mean_ms[0] < mean_ms[1], why),
+            Claim("a6_write_amp_page_block", wa, None, "increasing",
+                  wa[0] < wa[1], why),
         ]
     if kind == "ablation-wear":
         dynamic, static = rows["dynamic-only"], rows["dynamic+static"]

@@ -42,7 +42,6 @@ from repro.device.write_buffer import (
 from repro.flash.element import FlashElement
 from repro.flash.faults import FaultModel
 from repro.ftl.blockmap import BlockMappedFTL
-from repro.ftl.hybrid import HybridLogBlockFTL
 from repro.ftl.pagemap import PageMappedFTL
 from repro.sim.engine import Simulator
 from repro.sim.resource import SerialResource
@@ -75,21 +74,12 @@ class SSD:
                 wear=cfg.wear,
             )
             stripe = self.ftl.logical_page_bytes
-        elif cfg.ftl_type == "blockmap":
+        else:
             self.ftl = BlockMappedFTL(
                 sim,
                 self.elements,
                 gang_size=cfg.gang_size,
                 spare_fraction=cfg.spare_fraction,
-            )
-            stripe = self.ftl.stripe_bytes
-        else:
-            self.ftl = HybridLogBlockFTL(
-                sim,
-                self.elements,
-                gang_size=cfg.gang_size,
-                spare_fraction=cfg.spare_fraction,
-                max_log_rows=cfg.max_log_rows,
             )
             stripe = self.ftl.stripe_bytes
 

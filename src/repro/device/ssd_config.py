@@ -18,7 +18,7 @@ from repro.ftl.wearlevel import WearConfig
 
 __all__ = ["SSDConfig"]
 
-FTL_TYPES = ("pagemap", "blockmap", "hybrid")
+FTL_TYPES = ("pagemap", "blockmap")
 BUFFER_TYPES = ("passthrough", "align", "queue-merge")
 
 
@@ -35,10 +35,8 @@ class SSDConfig(Checked):
     ftl_type: str = "pagemap"
     #: page-mapped FTL: mapping/striping unit (defaults to the flash page)
     logical_page_bytes: Optional[int] = bounded(None, ge=1)
-    #: block-mapped / hybrid FTL: elements per gang (defaults to all)
+    #: block-mapped FTL: elements per gang (defaults to all)
     gang_size: Optional[int] = bounded(None, ge=1)
-    #: hybrid FTL: log stripes per gang
-    max_log_rows: int = bounded(4, ge=1)
     spare_fraction: float = bounded(0.10, gt=0, lt=1)
 
     cleaning: CleaningConfig = field(default_factory=CleaningConfig)

@@ -104,7 +104,7 @@ class PassthroughBuffer:
         try:
             ftl.write(request.offset, request.size, done=done, temp=temp)
         except DeviceFullError:
-            # the spare pool dried mid-write (stripe FTLs under grown bad
+            # the spare pool dried mid-write (block-mapped FTL under grown bad
             # blocks): fail the request instead of crashing the run.  The
             # completion fires here only: a write that raised never
             # completes through its FTL join, though the programs it

@@ -1,6 +1,6 @@
 """Flash translation layers.
 
-Three FTL families, matching the device classes the paper measures:
+Two FTL families, matching the device classes the paper measures:
 
 * :class:`repro.ftl.pagemap.PageMappedFTL` — log-structured, page-mapped,
   with background cleaning and wear-leveling.  This is the Agrawal-style
@@ -11,27 +11,22 @@ Three FTL families, matching the device classes the paper measures:
   with read-modify-erase-write on partial overwrite; models the low-end
   devices (S2slc/S3slc) whose random writes are worse than an HDD and whose
   striped logical pages produce the Figure 2 saw-tooth.
-* :class:`repro.ftl.hybrid.HybridLogBlockFTL` — FAST-style log-block hybrid,
-  included as the classic mid-range baseline.
 """
 
-from repro.ftl.base import BaseFTL, DeviceFullError, FTLStats, StripeFTLBase
+from repro.ftl.base import BaseFTL, DeviceFullError, FTLStats
 from repro.ftl.cleaning import CleaningConfig, Cleaner
 from repro.ftl.pagemap import PageMappedFTL
 from repro.ftl.blockmap import BlockMappedFTL
-from repro.ftl.hybrid import HybridLogBlockFTL
 from repro.ftl.wearlevel import WearConfig, WearLeveler
 
 __all__ = [
     "BaseFTL",
-    "StripeFTLBase",
     "DeviceFullError",
     "FTLStats",
     "CleaningConfig",
     "Cleaner",
     "PageMappedFTL",
     "BlockMappedFTL",
-    "HybridLogBlockFTL",
     "WearConfig",
     "WearLeveler",
 ]

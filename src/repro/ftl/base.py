@@ -13,22 +13,23 @@ SSD layer above:
   *issue*; elements serialize the timed work.  This keeps every queued
   command consistent with the mapping that existed when it was issued.
 
-The block lifecycle (:class:`BaseFTL`) is written once for all three
+The block lifecycle (:class:`BaseFTL`) is written once for both FTL
 families.  A **row** is block index *r* on every element of an allocation
-**group**: one element for the page-mapped FTL, one gang for the stripe
-FTLs.  Rows are pulled from a per-group pool, programmed, erased in the
-background and re-pooled, or retired when they go bad; a failed program
-retires its row (rescuing the live pages) and tries again elsewhere.  The
-families differ only in where a page goes, which they say through a few
-small hooks (:meth:`BaseFTL._pull_block`, :meth:`BaseFTL._rescue_row`,
-:meth:`BaseFTL._spare_page`, :meth:`BaseFTL._page_moved`,
-:meth:`BaseFTL._row_relocated`, :meth:`BaseFTL._row_pooled`).
+**group**: one element for the page-mapped FTL, one gang for the
+block-mapped FTL.  Rows are pulled from a per-group pool, programmed,
+erased in the background and re-pooled, or retired when they go bad; a
+failed program retires its row (rescuing the live pages) and tries again
+elsewhere.  The families differ only in where a page goes, which they say
+through a few small hooks (:meth:`BaseFTL._pull_block`,
+:meth:`BaseFTL._rescue_row`, :meth:`BaseFTL._spare_page`,
+:meth:`BaseFTL._page_moved`, :meth:`BaseFTL._row_relocated`,
+:meth:`BaseFTL._row_pooled`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -37,8 +38,8 @@ from repro.flash.ops import TAG_CLEAN, TAG_HOST
 from repro.sim.engine import Simulator
 
 __all__ = [
-    "FTLStats", "BaseFTL", "StripeFTLBase", "DeviceFullError",
-    "CompletionJoin", "complete_async",
+    "FTLStats", "BaseFTL", "DeviceFullError", "CompletionJoin",
+    "complete_async",
 ]
 
 
@@ -172,9 +173,6 @@ class BaseFTL:
     split into consecutive groups of that width (see the module docstring).
     """
 
-    #: appended to the DeviceFullError message (subclass hint)
-    _full_hint = ""
-
     def __init__(
         self,
         sim: Simulator,
@@ -279,7 +277,7 @@ class BaseFTL:
 
     def _needed(self, offset: int, size: int) -> Dict[int, int]:
         """Group -> what a write of the range may pull there: rows for
-        the stripe FTLs, pages for the page-mapped FTL."""
+        the block-mapped FTL, pages for the page-mapped FTL."""
         raise NotImplementedError
 
     def ensure_space(self, offset: int, size: int) -> None:
@@ -316,9 +314,7 @@ class BaseFTL:
         """Take an erased row out of *group*'s pool (which one is the
         family's :meth:`_pull_block` policy)."""
         if not self._pool[group]:
-            raise DeviceFullError(
-                f"group {group}: no erased rows left{self._full_hint}"
-            )
+            raise DeviceFullError(f"group {group}: no erased rows left")
         return self._pull_block(group, temp)
 
     def _pull_block(self, group: int, temp: str) -> int:
@@ -508,237 +504,3 @@ class BaseFTL:
         assert not retired, (
             f"element {e_idx}: pooled rows {retired[:5]} are retired"
         )
-
-
-class StripeFTLBase(BaseFTL):
-    """Shared machinery of the stripe-mapped (gang) FTLs.
-
-    Both :class:`repro.ftl.blockmap.BlockMappedFTL` and
-    :class:`repro.ftl.hybrid.HybridLogBlockFTL` map logical stripes (one
-    erase block per element of a gang, page-interleaved) onto physical rows.
-    A gang is the allocation group of the shared block lifecycle
-    (:class:`BaseFTL`); this base adds the row-granular mapping, admission,
-    geometry and the host path: it walks a byte range stripe by stripe for
-    ``read``, ``trim`` and ``write``.  The families differ only in how a
-    stripe absorbs a write (:meth:`_write_stripe`) and, on the hybrid, in
-    where a page's newest copy lives (:meth:`_newest`, :meth:`_drop`).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        elements: List[FlashElement],
-        shards: int,
-        user_rows_per_gang: int,
-    ) -> None:
-        geom = elements[0].geometry
-        self.shards = shards
-        self.n_gangs = len(elements) // shards
-        self.stripe_bytes = shards * geom.block_bytes
-        self.pages_per_stripe = shards * geom.pages_per_block
-        self.user_rows_per_gang = user_rows_per_gang
-        user_lbns = self.n_gangs * user_rows_per_gang
-        super().__init__(sim, elements, user_lbns * self.stripe_bytes, shards)
-
-        # in-place page programming at arbitrary offsets (SLC-era behaviour)
-        for el in elements:
-            el.strict_program_order = False
-
-        self._maps = [
-            np.full(user_rows_per_gang, -1, dtype=np.int64)
-            for _ in range(self.n_gangs)
-        ]
-        #: rows a write may consume before stalling (frontier + one RMW;
-        #: subclasses with extra transient allocations raise this)
-        self.reserve_rows = 2
-
-    @staticmethod
-    def resolve_shards(elements: List[FlashElement], gang_size: Optional[int]) -> int:
-        shards = len(elements) if gang_size is None else gang_size
-        if shards <= 0 or len(elements) % shards:
-            raise ValueError(
-                f"element count {len(elements)} not divisible by gang size {shards}"
-            )
-        return shards
-
-    # -- address helpers -------------------------------------------------
-
-    def _element(self, gang: int, page_in_stripe: int) -> tuple:
-        """(element, local page) for a stripe-relative flash page index."""
-        j = page_in_stripe % self.shards
-        local = page_in_stripe // self.shards
-        return self.elements[gang * self.shards + j], local
-
-    def _stripes(self, offset: int, size: int) -> Iterator[Tuple[int, int, int, int]]:
-        """``(gang, slot, a, b)`` for each stripe the range touches, where
-        ``[a, b)`` is the part of the range inside that stripe."""
-        sb = self.stripe_bytes
-        end = offset + size
-        for lbn in range(offset // sb, (end - 1) // sb + 1):
-            base = lbn * sb
-            gang, slot = self._gang_slot(lbn)
-            yield gang, slot, max(offset, base) - base, min(end, base + sb) - base
-
-    def _newest(self, gang: int, slot: int,
-                p: int) -> Optional[Tuple[FlashElement, int, int]]:
-        """``(element, row, local page)`` of the newest copy of page *p* of
-        *slot*, or None for a hole.  Here: the VALID page of its row."""
-        row = int(self._maps[gang][slot])
-        if row < 0:
-            return None
-        el, local = self._element(gang, p)
-        if el.page_state[row, local] != PageState.VALID:
-            return None
-        return el, row, local
-
-    def _drop(self, gang: int, slot: int, p: int) -> bool:
-        """Invalidate the newest copy of page *p* of *slot* (trimmed or
-        superseded); True if there was one."""
-        copy = self._newest(gang, slot, p)
-        if copy is None:
-            return False
-        el, row, local = copy
-        el.invalidate_state(row, local)
-        return True
-
-    # -- host path ---------------------------------------------------------
-
-    def read(
-        self,
-        offset: int,
-        size: int,
-        done: Optional[Callable[[float], None]] = None,
-        tag: str = TAG_HOST,
-    ) -> None:
-        """Read each page's newest copy; holes cost no flash work."""
-        self._check_range(offset, size)
-        fp = self.geometry.page_bytes
-        stats = self.stats
-        join = CompletionJoin(self.sim, done)
-        for gang, slot, a, b in self._stripes(offset, size):
-            for p in range(a // fp, (b - 1) // fp + 1):
-                stats.host_pages_read += 1
-                copy = self._newest(gang, slot, p)
-                if copy is None:
-                    continue
-                el, row, local = copy
-                join.expect()
-                el.read_page(row, local,
-                             nbytes=min(b, (p + 1) * fp) - max(a, p * fp),
-                             tag=tag, callback=join.child_done)
-        stats.host_reads += 1
-        join.arm()
-
-    def write(
-        self,
-        offset: int,
-        size: int,
-        done: Optional[Callable[[float], None]] = None,
-        tag: str = TAG_HOST,
-        temp: str = "hot",
-    ) -> None:
-        self._check_range(offset, size)
-        fp = self.geometry.page_bytes
-        join = CompletionJoin(self.sim, done)
-        for gang, slot, a, b in self._stripes(offset, size):
-            self.stats.host_pages_written += (b - 1) // fp - a // fp + 1
-            self._write_stripe(gang, slot, a, b, join, tag)
-        self.stats.host_writes += 1
-        join.arm()
-
-    def _write_stripe(self, gang: int, slot: int, a: int, b: int,  # pragma: no cover
-                      join: CompletionJoin, tag: str) -> None:
-        """Absorb bytes ``[a, b)`` of stripe *slot*, issuing the flash
-        commands into *join*."""
-        raise NotImplementedError
-
-    def trim(self, offset: int, size: int) -> None:
-        """FREE notification: wholly-covered pages lose their newest copy,
-        and a wholly-covered stripe is unmapped and its row erased."""
-        self._check_range(offset, size)
-        sb = self.stripe_bytes
-        fp = self.geometry.page_bytes
-        stats = self.stats
-        stats.trims += 1
-        for gang, slot, a, b in self._stripes(offset, size):
-            for p in range(-(-a // fp), b // fp):
-                if self._drop(gang, slot, p):
-                    stats.trimmed_pages += 1
-            if a == 0 and b == sb:
-                row = int(self._maps[gang][slot])
-                if row >= 0:
-                    self._maps[gang][slot] = -1
-                    self._erase_row(gang, row, TAG_CLEAN, self._space_freed)
-
-    # -- rows ------------------------------------------------------------
-
-    def _program(self, gang: int, row: int, p: int, slot: int, tag: str,
-                 callback: Optional[Callable[[float], None]]) -> int:
-        """Program stripe page *p* of *row* (see :meth:`_retry_program` for
-        a failure) and count it; returns the row the stripe now lives in,
-        which callers must keep using."""
-        e_idx = gang * self.shards + p % self.shards
-        local = p // self.shards
-        if self.elements[e_idx].program_page(row, local, slot, tag=tag,
-                                             callback=callback):
-            self.stats.flash_pages_programmed += 1
-            return row
-        return self._retry_program(e_idx, row, local, slot, tag, callback)[0]
-
-    def _rescue_row(self, gang: int, row: int) -> int:
-        """Rescued pages keep their positions in a fresh row; with no row
-        free nothing is retired (the bad row stays, burned page and all)."""
-        if not self._pool[gang]:
-            return -1
-        return self._pull_row(gang)
-
-    def _spare_page(self, e_idx: int, dest: int, page: int,
-                    temp: str = "hot") -> Optional[Tuple[int, int]]:
-        return None if dest < 0 else (dest, page)
-
-    def _row_relocated(self, gang: int, old_row: int, new_row: int) -> None:
-        """Every live page of *old_row* now sits at the same position in
-        *new_row*: rewrite the logical maps.  Subclasses with extra row
-        indexes (the hybrid's log structures) extend this."""
-        m = self._maps[gang]
-        m[m == old_row] = new_row
-
-    # -- admission / introspection ---------------------------------------
-
-    def _needed(self, offset: int, size: int) -> Dict[int, int]:
-        """Gang -> stripes of the range it holds: the rows a write of the
-        range may pull there."""
-        sb = self.stripe_bytes
-        needed: Dict[int, int] = {}
-        for lbn in range(offset // sb, (offset + size - 1) // sb + 1):
-            gang = lbn % self.n_gangs
-            needed[gang] = needed.get(gang, 0) + 1
-        return needed
-
-    def can_accept_write(self, offset: int, size: int) -> bool:
-        if self.read_only:
-            return False
-        pool = self._pool
-        promised = self._promised
-        return all(
-            len(pool[gang]) - promised[gang] - count >= self.reserve_rows
-            for gang, count in self._needed(offset, size).items()
-        )
-
-    def write_wedged(self, offset: int, size: int) -> bool:
-        for gang, count in self._needed(offset, size).items():
-            if len(self._pool[gang]) - count >= self.reserve_rows:
-                continue
-            # background erases in flight may replenish the pool
-            return not self._erasing[gang]
-        return False
-
-    def elements_for_range(self, offset: int, size: int) -> List[int]:
-        shards = self.shards
-        return [e_idx for gang in sorted(self._needed(offset, size))
-                for e_idx in range(gang * shards, (gang + 1) * shards)]
-
-    def mapped_row(self, lbn: int) -> int:
-        """Physical stripe row of *lbn* (-1 if unmapped); test hook."""
-        gang, slot = self._gang_slot(lbn)
-        return int(self._maps[gang][slot])

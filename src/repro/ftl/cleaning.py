@@ -35,10 +35,20 @@ from repro.ftl.base import DeviceFullError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ftl.pagemap import PageMappedFTL
 
-__all__ = ["CleaningConfig", "Cleaner"]
+__all__ = ["CleaningConfig", "Cleaner", "check_watermarks"]
 
 GREEDY = "greedy"
 COST_BENEFIT = "cost_benefit"
+
+
+def check_watermarks(low: float, critical: float) -> None:
+    """Refuse a critical watermark above the low one: priority-aware
+    cleaning postpones from the low watermark down to the critical one."""
+    if critical > low:
+        raise ValueError(
+            "critical_watermark must be <= low_watermark, got "
+            f"critical={critical} low={low}"
+        )
 
 
 @dataclass(frozen=True)
@@ -56,11 +66,7 @@ class CleaningConfig(Checked):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.critical_watermark > self.low_watermark:
-            raise ValueError(
-                "critical_watermark must be <= low_watermark, got "
-                f"critical={self.critical_watermark} low={self.low_watermark}"
-            )
+        check_watermarks(self.low_watermark, self.critical_watermark)
         if self.policy not in (GREEDY, COST_BENEFIT):
             raise ValueError(f"unknown cleaning policy {self.policy!r}")
 

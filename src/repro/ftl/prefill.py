@@ -52,7 +52,7 @@ order, stats and the generator state — is the one a per-page loop leaves;
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -60,7 +60,6 @@ from repro.checks import Bound
 from repro.flash.element import FlashElement, FlashStateError, PageState
 from repro.ftl.base import FTLStats
 from repro.ftl.blockmap import BlockMappedFTL
-from repro.ftl.hybrid import HybridLogBlockFTL
 from repro.ftl.pagemap import PageMappedFTL
 
 __all__ = ["PrefillStateError", "prefill_pagemap", "prefill_stripe_ftl"]
@@ -323,12 +322,12 @@ def _program(ftl: PageMappedFTL, e_idx: int, slots: np.ndarray) -> np.ndarray:
 
 
 def prefill_stripe_ftl(
-    ftl: Union[BlockMappedFTL, HybridLogBlockFTL],
+    ftl: BlockMappedFTL,
     fill_fraction: float = 0.9,
 ) -> int:
-    """Map the first ``fill_fraction`` of a stripe-mapped FTL's logical
-    stripes to fully-valid rows (so overwrites trigger RMW/log appends, as on
-    an aged device).  Returns the number of stripes mapped."""
+    """Map the first ``fill_fraction`` of a block-mapped FTL's logical
+    stripes to fully-valid rows (so overwrites trigger RMW, as on an aged
+    device).  Returns the number of stripes mapped."""
     Bound(ge=0, le=1).check("fill_fraction", fill_fraction)
     ppb = ftl.geometry.pages_per_block
     total = ftl.n_gangs * ftl.user_rows_per_gang

@@ -33,6 +33,14 @@ class ExchangeConfig(Checked):
     interarrival_us: float = bounded(300.0, gt=0)
     seed: int = bounded(42)
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.region_bytes < self.page_bytes:
+            raise ValueError(
+                f"region_bytes must hold one page of {self.page_bytes} bytes, "
+                f"got {self.region_bytes}"
+            )
+
 
 def generate_exchange(config: ExchangeConfig) -> List[TraceRecord]:
     addr_rng = stream(config.seed, "exch-addr")

@@ -97,10 +97,3 @@ class Ext3LiteAllocator:
                 raise ValueError(f"double free of block {block}")
             bucket.insert(index, block)
         self.free_blocks += len(blocks)
-
-    @property
-    def used_blocks(self) -> int:
-        return self.total_blocks - self.free_blocks
-
-    def utilization(self) -> float:
-        return self.used_blocks / self.total_blocks

@@ -38,8 +38,13 @@ class TPCCConfig(Checked):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.region_bytes <= self.log_region_bytes:
-            raise ValueError("region must exceed the log area")
+        table_bytes = self.region_bytes - self.log_region_bytes
+        if table_bytes < self.page_bytes:
+            raise ValueError(
+                "the region outside the log area must hold one table page: "
+                f"region_bytes - log_region_bytes must be >= {self.page_bytes},"
+                f" got {table_bytes}"
+            )
 
 
 def generate_tpcc(config: TPCCConfig) -> List[TraceRecord]:

@@ -98,7 +98,7 @@ from repro.device.ssd import SSD
 from repro.device.ssd_config import SSDConfig
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FlashTiming
-from repro.ftl.cleaning import Cleaner, CleaningConfig
+from repro.ftl.cleaning import Cleaner, CleaningConfig, check_watermarks
 from repro.ftl.pagemap import PageMappedFTL
 from repro.ftl.prefill import prefill_pagemap
 from repro.sim.engine import Simulator
@@ -241,6 +241,10 @@ class WAConfig(Checked):
     seed: int = bounded(1504_00229)
     low_watermark: float = bounded(0.02, gt=0, lt=1)
     critical_watermark: float = bounded(0.01, gt=0, lt=1)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_watermarks(self.low_watermark, self.critical_watermark)
 
 
 @dataclass(frozen=True)

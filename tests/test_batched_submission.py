@@ -29,7 +29,6 @@ from repro.flash.element import FlashElement, PageState
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FlashTiming
 from repro.ftl.blockmap import BlockMappedFTL
-from repro.ftl.hybrid import HybridLogBlockFTL
 from repro.ftl.pagemap import PageMappedFTL
 from repro.ftl.prefill import prefill_pagemap, prefill_stripe_ftl
 from repro.sim.engine import Simulator
@@ -222,16 +221,13 @@ def _pagemap(lp=None, blocks=64, pages=16):
                          spare_fraction=0.15)
 
 
-def _stripe(kind):
+def _stripe():
     sim = Simulator()
     geom = FlashGeometry(page_bytes=KB4, pages_per_block=8,
                          blocks_per_element=48)
     elements = [FlashElement(sim, geom, FlashTiming.slc(), element_id=i)
                 for i in range(4)]
-    if kind == "blockmap":
-        return BlockMappedFTL(sim, elements, gang_size=2, spare_fraction=0.25)
-    return HybridLogBlockFTL(sim, elements, gang_size=2, spare_fraction=0.25,
-                             max_log_rows=3)
+    return BlockMappedFTL(sim, elements, gang_size=2, spare_fraction=0.25)
 
 
 def _assert_same_state(a, b):
@@ -267,19 +263,17 @@ class TestPrefillVectorizationEquivalence:
         _assert_same_state(vectorized, reference)
         vectorized.check_consistency()
 
-    @pytest.mark.parametrize("kind", ["blockmap", "hybrid"])
-    def test_stripe_matches_reference(self, kind):
-        vectorized, reference = _stripe(kind), _stripe(kind)
+    def test_stripe_matches_reference(self):
+        vectorized, reference = _stripe(), _stripe()
         assert prefill_stripe_ftl(vectorized, 0.9) == \
             _reference_prefill_stripe(reference, 0.9)
         _assert_same_state(vectorized, reference)
         vectorized.check_consistency()
 
-    @pytest.mark.parametrize("kind", ["blockmap", "hybrid"])
-    def test_stripe_partially_mapped_resume(self, kind):
+    def test_stripe_partially_mapped_resume(self):
         """The vectorized mask path: continuing a partially-mapped fill
         carves only the still-unmapped slots, like the seed's skip."""
-        vectorized, reference = _stripe(kind), _stripe(kind)
+        vectorized, reference = _stripe(), _stripe()
         prefill_stripe_ftl(vectorized, 0.3)
         prefill_stripe_ftl(reference, 0.3)
         assert prefill_stripe_ftl(vectorized, 0.9) == \

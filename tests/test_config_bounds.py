@@ -10,7 +10,9 @@ it at construction.  These tests hold the whole set to that contract:
 * a hypothesis test: NaN, ±inf, a value just past each bound, and any
   value beyond a bound raise ``ValueError`` naming the field;
 * the NaN / −1 / +inf probe over every float field, which accepts only
-  what a declared bound deliberately admits.
+  what a declared bound deliberately admits;
+* the rules that relate fields, and the family names, each refused when
+  the config is built.
 """
 
 from __future__ import annotations
@@ -262,3 +264,32 @@ def test_nan_probe_accepts_only_what_a_bound_admits():
                     continue
                 accepted.add((cls, spec.name, _shown(value)))
     assert tried and accepted == set(ADMITTED)
+
+
+# ---------------------------------------------------------------------------
+# rules that relate fields, and names
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: TPCCConfig(region_bytes=(16 << 20) + 4096),
+                 r"^the region outside the log area must hold one table page: "
+                 r"region_bytes - log_region_bytes must be >= 8192, got 4096$",
+                 id="TPCCConfig-no-table-page"),
+    pytest.param(lambda: ExchangeConfig(region_bytes=4096),
+                 r"^region_bytes must hold one page of 8192 bytes, got 4096$",
+                 id="ExchangeConfig-region-under-a-page"),
+    pytest.param(lambda: WAConfig(low_watermark=0.01, critical_watermark=0.02),
+                 r"^critical_watermark must be <= low_watermark, "
+                 r"got critical=0\.02 low=0\.01$",
+                 id="WAConfig-critical-over-low"),
+    pytest.param(lambda: SSDConfig(ftl_type="hybrid"),
+                 r"^ftl_type must be one of \('pagemap', 'blockmap'\)$",
+                 id="SSDConfig-unknown-ftl-type"),
+])
+def test_cross_field_rule_refused_when_built(build, message):
+    """Each config passes every field bound but breaks a rule that relates
+    fields (or names a family that does not exist); building it fails at
+    once, not later inside generation or a measurement."""
+    with pytest.raises(ValueError, match=message):
+        build()

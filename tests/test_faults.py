@@ -288,7 +288,7 @@ _SOAK_FAULTS = dict(program_fail_prob=0.02, erase_fail_base_prob=0.01,
                     erase_wear_scale=1e-3, read_transient_prob=0.02)
 
 
-_FAMILIES = ["pagemap", "blockmap", "hybrid"]
+_FAMILIES = ["pagemap", "blockmap"]
 
 
 class _Soak:
@@ -378,7 +378,7 @@ class TestSpareExhaustionEndToEnd:
             b.ssd.ftl.stats.program_failures
         assert a.ssd.ftl.stats.blocks_retired == b.ssd.ftl.stats.blocks_retired
 
-    @pytest.mark.parametrize("ftl_type", ["blockmap", "hybrid"])
+    @pytest.mark.parametrize("ftl_type", ["blockmap"])
     def test_stripe_ftls_retire_and_stay_consistent(self, ftl_type):
         soak = _Soak(seed=2, ftl_type=ftl_type, count=600,
                      write_fraction=0.8)

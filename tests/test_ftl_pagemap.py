@@ -449,7 +449,7 @@ class TestWearLeveling:
 class TestPageWearOut:
     """Blocks that reach ``erase_cycles`` leave circulation for good, and
     once the spares are worn out the device goes read-only instead of
-    stalling or raising (the page-mapped sibling of the stripe FTLs'
+    stalling or raising (the page-mapped sibling of the block-mapped FTL's
     ``TestStripeWearOut``)."""
 
     def test_worn_blocks_retire_and_device_goes_read_only(self):

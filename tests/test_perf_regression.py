@@ -15,10 +15,10 @@ optimizes: striped logical pages (shards=2) with read-modify-writes, SWTF
 scheduling (queue_wait_us), priority-aware cleaning, TRIM, and dynamic
 wear-leveling.  The second workload hammers a tiny device with static
 wear-leveling so block migration (pull_worn_free_block) is exercised.
-The blockmap/hybrid workloads (goldens recorded pre-PR 2, before those
-FTLs moved onto FreeBlockPool row pools, slab joins, and the incremental
-SWTF dispatch) pin stripe RMW cycles, log merges, background retirement,
-and gang-wide SWTF dispatch decisions.
+The blockmap workload (golden recorded pre-PR 2, before that FTL moved
+onto FreeBlockPool row pools, slab joins, and the incremental SWTF
+dispatch) pins stripe RMW cycles, background retirement, and gang-wide
+SWTF dispatch decisions.
 """
 
 from __future__ import annotations
@@ -97,29 +97,6 @@ GOLDEN_BLOCKMAP: dict = {
     "busy_us": {"host": 3695549.125, "clean": 2180904.0, "wear": 0.0},
     "erases": 1452,
     "media_bytes_written": 37048320,
-}
-GOLDEN_HYBRID: dict = {
-    "final_clock_us": 1027753.6562,
-    "events_run": 9585,
-    "stats": {
-        "host_reads": 448,
-        "host_writes": 993,
-        "host_pages_read": 674,
-        "host_pages_written": 1465,
-        "flash_pages_programmed": 5545,
-        "rmw_pages_read": 0,
-        "clean_pages_moved": 4080,
-        "clean_time_us": 2421108.5625,
-        "clean_erases": 906,
-        "wear_migrations": 0,
-        "wear_pages_moved": 0,
-        "trims": 59,
-        "trimmed_pages": 51,
-        "write_stalls": 0,
-    },
-    "busy_us": {"host": 484620.5938, "clean": 2421108.5625, "wear": 0.0},
-    "erases": 906,
-    "media_bytes_written": 22712320,
 }
 GOLDEN_WEAR: dict = {
     "final_clock_us": 699290.4375,
@@ -269,33 +246,6 @@ def _run_blockmap():
     return sim, ssd
 
 
-def _run_hybrid():
-    sim = Simulator()
-    config = SSDConfig(
-        name="determinism-hybrid",
-        n_elements=4,
-        geometry=FlashGeometry(page_bytes=4096, pages_per_block=8,
-                               blocks_per_element=48),
-        ftl_type="hybrid",
-        gang_size=2,
-        max_log_rows=3,
-        spare_fraction=0.25,
-        scheduler="swtf",
-        max_inflight=8,
-        controller_overhead_us=5.0,
-        trim_enabled=True,
-    )
-    ssd = SSD(sim, config)
-    driver = ClosedLoopDriver(
-        sim, ssd, _stripe_request_factory(ssd, random.Random(3434), 0.6),
-        count=1500, depth=6,
-    )
-    result = driver.run()
-    assert result.count >= 1400, result.count
-    ssd.ftl.check_consistency()
-    return sim, ssd
-
-
 def test_same_seed_twice_is_identical():
     assert _observables(*_run_main()) == _observables(*_run_main())
 
@@ -358,28 +308,18 @@ def test_blockmap_workload_matches_golden_snapshot():
     assert observed["stats"]["trims"] > 0
 
 
-def test_hybrid_workload_matches_golden_snapshot():
-    observed = _observables(*_run_hybrid())
-    _assert_matches(observed, GOLDEN_HYBRID)
-    assert observed["stats"]["clean_pages_moved"] > 0  # log merges ran
-    assert observed["stats"]["clean_erases"] > 0
-    assert observed["stats"]["trims"] > 0
-
-
 # ---------------------------------------------------------------------------
 # fault paths: grown bad blocks under every FTL family
 # ---------------------------------------------------------------------------
 
-# Recorded before the three FTL families moved onto one block lifecycle in
+# Recorded before the FTL families moved onto one block lifecycle in
 # BaseFTL (pool pull, erase-and-release, retire-and-rescue, program retry):
-# they pin the stripe FTLs' retire/rescue/retry paths and the static
+# they pin the block-mapped FTL's retire/rescue/retry paths and the static
 # wear-leveler's fault handling, which the fault-free goldens above never
 # reach.  Each pins the final clock (exact, as float hex), every FTLStats
-# counter, the error completions by kind and the event count.  The hybrid
-# entry's clock and ``write_stalls`` were re-recorded when stripe admission
-# began counting rows promised to writes still crossing the host link, and
-# the wear entry when page-mapped admission began counting promised pages
-# (its over-committed pulls had lost 2 pages).
+# counter, the error completions by kind and the event count.  The wear
+# entry was re-recorded when page-mapped admission began counting promised
+# pages (its over-committed pulls had lost 2 pages).
 GOLDEN_FAULTS: dict = {
     "blockmap": {
         "final_clock": "0x1.34e9880000000p+16",
@@ -407,34 +347,6 @@ GOLDEN_FAULTS: dict = {
         },
         "errors": {
             "readonly": 86
-        }
-    },
-    "hybrid": {
-        "final_clock": "0x1.d9d2780000000p+16",
-        "events_run": 1916,
-        "stats": {
-            "host_reads": 125,
-            "host_writes": 439,
-            "host_pages_read": 125,
-            "host_pages_written": 439,
-            "flash_pages_programmed": 885,
-            "rmw_pages_read": 0,
-            "clean_pages_moved": 285,
-            "clean_time_us": 115785.1875,
-            "clean_erases": 14,
-            "wear_migrations": 0,
-            "wear_pages_moved": 0,
-            "trims": 0,
-            "trimmed_pages": 0,
-            "write_stalls": 70,
-            "program_failures": 16,
-            "erase_failures": 0,
-            "blocks_retired": 32,
-            "rescued_pages": 161,
-            "failed_pages": 0
-        },
-        "errors": {
-            "readonly": 36
         }
     },
     "wear": {
@@ -515,7 +427,7 @@ def _fault_observables(sim: Simulator, ssd: SSD, errors: dict) -> dict:
     }
 
 
-@pytest.mark.parametrize("name", ["blockmap", "hybrid", "wear"])
+@pytest.mark.parametrize("name", ["blockmap", "wear"])
 def test_fault_workload_matches_golden_snapshot(name):
     observed = _fault_observables(*_run_fault_scenario(name))
     assert observed == GOLDEN_FAULTS[name]
@@ -782,16 +694,15 @@ def test_allocation_stall_matches_golden_snapshot(name):
 
 
 # ---------------------------------------------------------------------------
-# stripe host path: every request shape the stripe FTLs walk
+# stripe host path: every request shape the block-mapped FTL walks
 # ---------------------------------------------------------------------------
 
-# Recorded before the stripe FTLs' read, trim and stripe walk moved into
-# StripeFTLBase.  GOLDEN_BLOCKMAP/GOLDEN_HYBRID send 4-8 KiB requests only
-# and hold ``events_run`` to a budget; this mix adds 512 B writes and reads,
+# Recorded before the stripe read, trim and stripe walk became one host
+# path.  GOLDEN_BLOCKMAP sends 4-8 KiB requests only and holds
+# ``events_run`` to a budget; this mix adds 512 B writes and reads,
 # whole-stripe writes and FREEs, and requests crossing a stripe boundary,
-# over a region with holes (never written or trimmed) and, on the hybrid,
-# pages whose newest copy sits in a log stripe.  Depth 8 over 4 slots
-# gives SWTF a queue to choose from.
+# over a region with holes (never written or trimmed).  Depth 8 over 4
+# slots gives SWTF a queue to choose from.
 GOLDEN_STRIPE_MIX: dict = {
     "blockmap-fcfs": {
         "final_clock": "0x1.468d000000000p+20",
@@ -846,60 +757,6 @@ GOLDEN_STRIPE_MIX: dict = {
         },
         "completions": 1200,
         "completion_crc": 381378828
-    },
-    "hybrid-fcfs": {
-        "final_clock": "0x1.29b6215000000p+20",
-        "events_run": 17427,
-        "stats": {
-            "host_reads": 372,
-            "host_writes": 737,
-            "host_pages_read": 3546,
-            "host_pages_written": 6531,
-            "flash_pages_programmed": 10579,
-            "rmw_pages_read": 143,
-            "clean_pages_moved": 4048,
-            "clean_time_us": 3097420.6875,
-            "clean_erases": 1312,
-            "wear_migrations": 0,
-            "wear_pages_moved": 0,
-            "trims": 91,
-            "trimmed_pages": 630,
-            "write_stalls": 0,
-            "program_failures": 0,
-            "erase_failures": 0,
-            "blocks_retired": 0,
-            "rescued_pages": 0,
-            "failed_pages": 0
-        },
-        "completions": 1200,
-        "completion_crc": 2392915887
-    },
-    "hybrid-swtf": {
-        "final_clock": "0x1.eca82d0000000p+19",
-        "events_run": 17446,
-        "stats": {
-            "host_reads": 372,
-            "host_writes": 737,
-            "host_pages_read": 3546,
-            "host_pages_written": 6531,
-            "flash_pages_programmed": 10592,
-            "rmw_pages_read": 142,
-            "clean_pages_moved": 4061,
-            "clean_time_us": 3090557.75,
-            "clean_erases": 1310,
-            "wear_migrations": 0,
-            "wear_pages_moved": 0,
-            "trims": 91,
-            "trimmed_pages": 629,
-            "write_stalls": 0,
-            "program_failures": 0,
-            "erase_failures": 0,
-            "blocks_retired": 0,
-            "rescued_pages": 0,
-            "failed_pages": 0
-        },
-        "completions": 1200,
-        "completion_crc": 1581632487
     }
 }
 
@@ -947,7 +804,6 @@ def test_stripe_mix_matches_golden_snapshot(name):
                                blocks_per_element=32),
         ftl_type=ftl_type,
         gang_size=2,
-        max_log_rows=3,
         spare_fraction=0.25,
         scheduler=scheduler,
         max_inflight=4,
@@ -967,5 +823,3 @@ def test_stripe_mix_matches_golden_snapshot(name):
         "completion_crc": _completion_crc(result.completions),
     }
     assert observed == GOLDEN_STRIPE_MIX[name]
-    if ftl_type == "hybrid":
-        assert ssd.ftl.merges_performed > 0

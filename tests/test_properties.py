@@ -203,7 +203,7 @@ class TestExt3AllocatorProperties:
                 assert not set(blocks) & outstanding
                 outstanding.update(blocks)
                 held.append(blocks)
-        assert len(outstanding) == alloc.used_blocks
+        assert len(outstanding) == alloc.total_blocks - alloc.free_blocks
 
 
 class TestEngineProperties:

@@ -31,7 +31,7 @@ _REGISTERING = {"module_rule", "project_rule"}
 ALLOWED = {
     "PageMappedFTL.mapped_ppn":
         "hides the gang/shard map layout from the page-mapped FTL tests",
-    "StripeFTLBase.mapped_row":
+    "BlockMappedFTL.mapped_row":
         "hides the gang/slot map layout from the stripe FTL tests",
     "ExtentAllocator.check_invariants":
         "the allocator's conservation check; ROADMAP item 6's "

@@ -224,21 +224,20 @@ class TestTable:
 
 
 #: (builder, its write unit, builder args).  Smaller elements are not a
-#: cheaper variant: at ``element_mb=2`` (and hybrid at 8) the admission
-#: reserve meets the spare area, and the device goes read-only on the
-#: first overwrite through the designed wedge path.
+#: cheaper variant: at ``element_mb=2`` the admission reserve meets the
+#: spare area, and the device goes read-only on the first overwrite
+#: through the designed wedge path.
 SEQUENTIAL_FAMILIES = {
     "pagemap": (s4slc_sim, "logical_page_bytes", {"element_mb": 8}),
     "blockmap": (s2slc, "stripe_bytes", {"element_mb": 8}),
-    "hybrid": (s2slc, "stripe_bytes",
-               {"element_mb": 16, "ftl_type": "hybrid"}),
 }
 
 
 @pytest.mark.parametrize("family", sorted(SEQUENTIAL_FAMILIES))
 def test_sequential_overwrite_wa_is_one(family):
     """Three in-order passes of unit-sized writes (a logical page on the
-    page-mapped FTL, a stripe on the stripe FTLs), closed loop at depth 4."""
+    page-mapped FTL, a stripe on the block-mapped FTL), closed loop at
+    depth 4."""
     build, unit_attr, kwargs = SEQUENTIAL_FAMILIES[family]
     sim = Simulator()
     device = build(sim, **kwargs)
