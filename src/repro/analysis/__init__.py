@@ -26,27 +26,7 @@ self-contained AST analysis pass (stdlib only) with
 See ``docs/architecture.md`` §12 for the rule catalogue and the
 pragma/baseline workflow.
 
-Imports are lazy (module ``__getattr__``) so ``python -m
+The package imports nothing itself, so ``python -m
 repro.analysis.lint`` does not trip runpy's "found in sys.modules
 after import of package" warning.
 """
-
-from __future__ import annotations
-
-from typing import TYPE_CHECKING
-
-__all__ = ["Finding", "LintResult", "lint_paths", "lint_sources"]
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.findings import Finding
-    from repro.analysis.lint import LintResult, lint_paths, lint_sources
-
-
-def __getattr__(name: str) -> object:
-    if name == "Finding":
-        from repro.analysis.findings import Finding
-        return Finding
-    if name in ("LintResult", "lint_paths", "lint_sources"):
-        from repro.analysis import lint
-        return getattr(lint, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

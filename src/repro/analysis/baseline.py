@@ -87,5 +87,3 @@ class Baseline:
         ]
         return kept, matched, stale
 
-    def __len__(self) -> int:
-        return sum(self._allow.values())

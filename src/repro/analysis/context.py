@@ -21,7 +21,6 @@ __all__ = [
     "HOT_MARKER",
     "ModuleContext",
     "scope_statements",
-    "iter_scopes",
     "terminal_name",
     "dotted_name",
 ]
@@ -165,15 +164,6 @@ def scope_statements(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.stmt):
                 stack.append(child)
-
-
-def iter_scopes(tree: ast.Module) -> Iterator[Sequence[ast.stmt]]:
-    """Yield the statement list of every scope in the module: the module
-    body first, then each (possibly nested) function body."""
-    yield tree.body
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.body
 
 
 def terminal_name(node: ast.AST) -> Optional[str]:

@@ -55,18 +55,6 @@ class BlockFilesystem:
         self._submit_runs(OpType.WRITE, blocks, done)
         return fid
 
-    def append(self, fid: int, nbytes: int,
-               done: Optional[Callable[[], None]] = None) -> None:
-        blocks = self._blocks(fid)
-        nblocks = -(-nbytes // _BLOCK)
-        hint = (blocks[-1] // self.allocator.blocks_per_group) if blocks else 0
-        new_blocks = self.allocator.allocate(nblocks, group_hint=hint)
-        blocks.extend(new_blocks)
-        self._submit_runs(OpType.WRITE, new_blocks, done)
-
-    def read(self, fid: int, done: Optional[Callable[[], None]] = None) -> None:
-        self._submit_runs(OpType.READ, self._blocks(fid), done)
-
     def delete(self, fid: int, done: Optional[Callable[[], None]] = None) -> None:
         """Delete: the FS frees its own bitmap; the device only hears about
         it through the pseudo-driver (if enabled)."""
@@ -80,16 +68,7 @@ class BlockFilesystem:
         elif done is not None:
             self.sim.schedule(0.0, done)
 
-    def files(self) -> List[int]:
-        return sorted(self._files)
-
     # ------------------------------------------------------------------
-
-    def _blocks(self, fid: int) -> List[int]:
-        try:
-            return self._files[fid]
-        except KeyError:
-            raise FilesystemError(f"no such file {fid}") from None
 
     def _submit_runs(self, op: OpType, blocks: List[int],
                      done: Optional[Callable[[], None]]) -> None:

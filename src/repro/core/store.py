@@ -7,9 +7,9 @@ each of the paper's proposed improvements:
 
 * **stripe alignment** — extents are allocated in whole, aligned stripes,
   so object writes avoid the §3.4 read-modify-write amplification;
-* **informed cleaning** — ``remove`` (and truncating rewrites) immediately
-  issues FREE for the dead extents; with ``trim_enabled`` devices the
-  cleaner stops preserving dead data (§3.5);
+* **informed cleaning** — ``remove`` immediately issues FREE for the dead
+  extents; with ``trim_enabled`` devices the cleaner stops preserving dead
+  data (§3.5);
 * **priority** — an object's priority attribute tags all its I/O, which the
   priority-aware cleaner defers to (§3.6);
 * **cold placement** — read-only objects write with a ``temp="cold"`` hint,
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.core.allocator import Extent, ExtentAllocator
+from repro.core.allocator import ExtentAllocator
 from repro.core.object import ObjectAttributes, ObjectDescriptor
 from repro.core.placement import LinearPlacement
 from repro.device.interface import IORequest, OpType
@@ -84,17 +84,8 @@ class ObjectStore:
         )
         return oid
 
-    def exists(self, oid: int) -> bool:
-        return oid in self._objects
-
     def list_objects(self) -> List[int]:
         return sorted(self._objects)
-
-    def get_attributes(self, oid: int) -> ObjectAttributes:
-        return self._descriptor(oid).attributes
-
-    def set_attributes(self, oid: int, attributes: ObjectAttributes) -> None:
-        self._descriptor(oid).attributes = attributes
 
     def stat(self, oid: int) -> ObjectDescriptor:
         return self._descriptor(oid)
@@ -137,58 +128,6 @@ class ObjectStore:
                 f"{descriptor.size}"
             )
         self._issue(descriptor, OpType.READ, offset, size, done)
-
-    def truncate(self, oid: int, new_size: int,
-                 done: Optional[Callable[[], None]] = None) -> None:
-        """TRUNCATE: shrink the object, freeing (and trimming) whole
-        stripes past the new end — partial-stripe tails stay allocated.
-
-        Like ``remove``, this is free-page knowledge the block interface
-        cannot express: the device immediately stops preserving the
-        truncated extents.
-        """
-        descriptor = self._descriptor(oid)
-        if new_size < 0 or new_size > descriptor.size:
-            raise ObjectStoreError(
-                f"object {oid}: truncate to {new_size} outside [0, "
-                f"{descriptor.size}]"
-            )
-        keep_bytes = align_up(new_size, self.stripe_bytes)
-        kept: List[Extent] = []
-        released: List[Extent] = []
-        covered = 0
-        for extent in descriptor.extents:
-            if covered >= keep_bytes:
-                released.append(extent)
-            elif covered + extent.length <= keep_bytes:
-                kept.append(extent)
-            else:
-                split = keep_bytes - covered
-                kept.append(Extent(extent.start, split))
-                released.append(Extent(extent.start + split,
-                                       extent.length - split))
-            covered += extent.length
-        descriptor.extents = kept
-        descriptor.size = new_size
-        self.allocator.free(released)
-        if not released:
-            if done is not None:
-                self.sim.schedule(0.0, done)
-            return
-        remaining = [len(released)]
-
-        def child_done(_request: IORequest) -> None:
-            remaining[0] -= 1
-            if remaining[0] == 0 and done is not None:
-                done()
-
-        for extent in released:
-            self.frees_issued += 1
-            self.device.submit(
-                IORequest(OpType.FREE, extent.start, extent.length,
-                          priority=descriptor.attributes.priority,
-                          on_complete=child_done)
-            )
 
     def remove(self, oid: int, done: Optional[Callable[[], None]] = None) -> None:
         """REMOVE: free the object's extents and *tell the device* (FREE).

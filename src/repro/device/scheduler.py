@@ -118,9 +118,6 @@ class HostQueue:
     def __len__(self) -> int:
         return self._live
 
-    def __bool__(self) -> bool:
-        return self._live > 0
-
     def __iter__(self) -> Iterator[IORequest]:
         """Live requests in arrival order."""
         return (entry[1] for entry in self._items if _live(entry))

@@ -395,10 +395,6 @@ class SSD:
     # introspection
     # ------------------------------------------------------------------
 
-    @property
-    def queued(self) -> int:
-        return len(self.queue)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<SSD {self.config.name} queued={len(self.queue)} "

@@ -135,11 +135,3 @@ class FaultModel:
     def retry_penalty_us(self, steps: int) -> float:
         """Added latency for *steps* retry steps (escalating ladder)."""
         return self._penalty_prefix[steps]
-
-    def counters(self) -> dict:
-        return {
-            "program_failures": self.program_failures,
-            "erase_failures": self.erase_failures,
-            "read_transients": self.read_transients,
-            "read_retry_steps": self.read_retry_steps,
-        }

@@ -32,10 +32,6 @@ class FlashGeometry(Checked):
     def pages_per_element(self) -> int:
         return self.pages_per_block * self.blocks_per_element
 
-    @property
-    def element_bytes(self) -> int:
-        return self.block_bytes * self.blocks_per_element
-
     @classmethod
     def with_capacity(
         cls,

@@ -16,7 +16,7 @@ the process boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.checks import Checked, bounded
@@ -137,10 +137,6 @@ class FleetConfig(Checked):
                 f"device(s) tenant-less ({self.n_devices} devices, "
                 f"{len(self.tenants)} tenants)"
             )
-
-    def with_(self, **overrides) -> "FleetConfig":
-        """A modified copy — the sweep grids are built from these."""
-        return replace(self, **overrides)
 
     def tenants_on(self, device_index: int) -> List[Tuple[int, TenantSpec]]:
         """``(tenant_index, spec)`` pairs resident on one device, in

@@ -222,9 +222,6 @@ class FleetReport:
         flash = sum(d.stats["flash_pages_programmed"] for d in self.devices)
         return flash / host if host else 0.0
 
-    def latency(self) -> LatencySummary:
-        return self.aggregate_sketch.summary()
-
     # -- determinism surface ---------------------------------------------
 
     def fingerprint(self) -> int:
@@ -288,7 +285,7 @@ class FleetReport:
                 f"{summary.p99_us:10.1f} {summary.max_us:10.1f} "
                 f"{tenant.wa_attributed:9.3f}"
             )
-        aggregate = self.latency()
+        aggregate = self.aggregate_sketch.summary()
         out.append(
             f"{'(aggregate)':14s} {'':7s} {aggregate.count:7d} "
             f"{sum(t.throughput_mb_s for t in self.tenants):8.3f} "

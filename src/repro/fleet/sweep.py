@@ -2,7 +2,7 @@
 
 A sweep is a list of :class:`SweepPoint`\\s — labelled
 :class:`~repro.fleet.config.FleetConfig` variants, typically built with
-:meth:`FleetConfig.with_` (tenant mix, over-provisioning, QoS shares,
+:func:`dataclasses.replace` (tenant mix, over-provisioning, QoS shares,
 device preset).  :func:`run_sweep` flattens the grid into independent
 ``(point, device)`` simulations, fans them over one
 :class:`~concurrent.futures.ProcessPoolExecutor`, and regroups each
@@ -46,7 +46,7 @@ def op_grid(base: FleetConfig, spare_fractions: Sequence[float]) -> List[SweepPo
     """The paper's over-provisioning axis as a sweep: one point per spare
     fraction (Table 4's knob, here swept across a whole fleet)."""
     return [SweepPoint(label=f"op={fraction:.2f}",
-                       config=base.with_(spare_fraction=fraction))
+                       config=replace(base, spare_fraction=fraction))
             for fraction in spare_fractions]
 
 

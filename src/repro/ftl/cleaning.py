@@ -39,6 +39,8 @@ __all__ = ["CleaningConfig", "Cleaner", "check_watermarks"]
 
 GREEDY = "greedy"
 COST_BENEFIT = "cost_benefit"
+#: greedy selection masks non-candidates with this valid count
+_NOT_A_CANDIDATE = np.iinfo(np.int32).max
 
 
 def check_watermarks(low: float, critical: float) -> None:
@@ -179,7 +181,7 @@ class Cleaner:
             return -1
         valid = el.valid_count
         if self.config.policy == GREEDY:
-            masked = np.where(candidates, valid, np.iinfo(np.int32).max)
+            masked = np.where(candidates, valid, _NOT_A_CANDIDATE)
             victim = int(masked.argmin())
             if masked[victim] >= ppb:
                 return -1  # every candidate is fully valid: no gain

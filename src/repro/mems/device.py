@@ -71,17 +71,6 @@ class MEMSStore:
         y = row / max(1, self.sectors_per_column - 1)
         return x, y
 
-    def seek_us(self, from_lba: int, to_lba: int) -> float:
-        """Two-axis seek time between two logical sectors (exposed for the
-        contract checker's distance probe)."""
-        x0, y0 = self._position_of(from_lba)
-        x1, y1 = self._position_of(to_lba)
-        # spring-limited sled: time grows with sqrt of normalized distance
-        tx = X_FULL_SWEEP_US * math.sqrt(abs(x1 - x0))
-        ty = Y_FULL_SWEEP_US * math.sqrt(abs(y1 - y0))
-        seek = max(tx, ty)
-        return SETTLE_US + seek if seek > 0 else 0.0
-
     def submit(self, request: IORequest) -> None:
         request.validate(self.capacity_bytes)
         request.submit_us = self.sim.now

@@ -93,10 +93,6 @@ class LatencySummary:
     p99_us: float
     max_us: float
 
-    @property
-    def mean_ms(self) -> float:
-        return self.mean_us / 1000.0
-
     @classmethod
     def exact(cls, samples: Iterable[float]) -> "LatencySummary":
         """Exact summary of *samples*: every percentile by :func:`percentile`
@@ -525,8 +521,8 @@ class StreamingLatencyRecorder:
     extremes, counts, and the reservoir's sample/RNG stream are identical
     to feeding :meth:`QuantileSketch.add` / :meth:`ReservoirSampler.add`
     one sample at a time — only the order in which the work is done
-    changes.  Reads (``count``/``samples``/``summary``) see a consistent
-    view: they fold the buffer first.
+    changes.  Reads (``count``/``summary``) see a consistent view: they
+    fold the buffer first.
     """
 
     __slots__ = ("sketch", "reservoir", "buffer")
@@ -559,13 +555,6 @@ class StreamingLatencyRecorder:
         if buffer:
             return self.sketch.count + len(buffer)
         return self.sketch.count
-
-    @property
-    def samples(self) -> List[float]:
-        """Reservoir sample (uniform, not exhaustive)."""
-        if self.buffer:
-            self.flush()
-        return self.reservoir.samples
 
     def summary(self) -> LatencySummary:
         if self.buffer:

@@ -60,8 +60,9 @@ def generate_exchange(config: ExchangeConfig) -> List[TraceRecord]:
             emitted += 1
             continue
         # write burst: consecutive pages, arriving back-to-back
+        # a region smaller than a burst clamps it, so the burst ends inside
         length = min(
-            BURST_MAX_PAGES,
+            BURST_MAX_PAGES, pages,
             max(1, round(burst_rng.expovariate(1.0 / BURST_MEAN_PAGES))),
         )
         start = addr_rng.randrange(max(1, pages - length)) * config.page_bytes

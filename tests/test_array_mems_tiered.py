@@ -86,10 +86,12 @@ class TestMEMS:
         assert abs(low_t - high_t) / low_t < 0.2
 
     def test_seek_grows_with_distance(self, sim):
-        mems = MEMSStore(sim)
-        near = mems.seek_us(0, 100)
-        far = mems.seek_us(0, mems.sectors - 1)
-        assert far > near
+        # each store's sled starts at sector 0
+        near, far = MEMSStore(sim), MEMSStore(sim)
+        near_io = run_io(sim, near, OpType.READ, 100 * 512, 4 * KIB)
+        far_io = run_io(sim, far, OpType.READ, far.capacity_bytes - 4 * KIB,
+                        4 * KIB)
+        assert far_io.response_us > near_io.response_us
 
     def test_sequential_streams_without_seek(self, sim):
         mems = MEMSStore(sim)

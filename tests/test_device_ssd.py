@@ -24,7 +24,7 @@ class TestBasics:
         config = SSDConfig(n_elements=2, geometry=small_geometry(),
                            spare_fraction=0.25)
         ssd = SSD(sim, config)
-        raw = 2 * small_geometry().element_bytes
+        raw = 2 * small_geometry().pages_per_element * 4096
         assert ssd.capacity_bytes == int(raw * 0.75) // 4096 * 4096
 
     def test_write_then_read(self, sim, small_ssd):
@@ -118,10 +118,10 @@ class TestInflightLimit:
             ssd.submit(IORequest(OpType.READ, 0, 4 * KIB))
         # before any event runs, only 2 of 8 may be in service
         assert ssd._inflight == 2
-        assert ssd.queued == 6
+        assert len(ssd.queue) == 6
         sim.run_until_idle()
         assert ssd._inflight == 0
-        assert ssd.queued == 0
+        assert len(ssd.queue) == 0
 
 
 class TestWriteAmplificationVisibility:

@@ -346,7 +346,7 @@ class TestHostQueue:
             ssd.submit(request)
         sim.run_until_idle()
         assert len(done) == 8
-        assert ssd._inflight == 0 and ssd.queued == 0
+        assert ssd._inflight == 0 and len(ssd.queue) == 0
         assert all(not r.early_release for r in requests)
 
 

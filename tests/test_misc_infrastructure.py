@@ -124,7 +124,7 @@ class TestConfigValidation:
 
     def test_geometry_capacity_helper(self):
         geometry = FlashGeometry.with_capacity(10 << 20)
-        assert geometry.element_bytes >= 10 << 20
+        assert geometry.pages_per_element * geometry.page_bytes >= 10 << 20
 
     def test_ssd_config_with_override(self):
         config = SSDConfig().with_(n_elements=3)

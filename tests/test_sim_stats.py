@@ -46,7 +46,6 @@ class TestExactSummary:
         assert summary.p50_us == pytest.approx(50.5)
         assert summary.p99_us == pytest.approx(99.01)
         assert summary.max_us == 100.0
-        assert summary.mean_ms == pytest.approx(0.0505)
 
 
 class TestRng:

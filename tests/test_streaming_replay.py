@@ -375,7 +375,8 @@ class TestBufferedRecorder:
             recorder.record(value)
         # count must see unflushed samples
         assert recorder.count == sketch.count == len(values)
-        assert recorder.samples == reservoir.samples
+        recorder.flush()
+        assert recorder.reservoir.samples == reservoir.samples
         assert recorder.sketch._buckets == sketch._buckets
         a, b = sketch.summary(), recorder.summary()
         assert (a.count, a.max_us) == (b.count, b.max_us)
@@ -402,8 +403,8 @@ class _QueueHighWater:
 
     def __call__(self, request):
         self._submit(request)
-        if self.device.queued > self.max_queued:
-            self.max_queued = self.device.queued
+        if len(self.device.queue) > self.max_queued:
+            self.max_queued = len(self.device.queue)
 
 
 class TestStreamingResultSink:

@@ -54,6 +54,13 @@ class TestExchange:
             assert record.offset % self.CONFIG.page_bytes == 0
             assert record.end <= self.CONFIG.region_bytes
 
+    def test_bursts_stay_inside_a_region_smaller_than_a_burst(self):
+        config = ExchangeConfig(count=200, region_bytes=2 * 8192,
+                                page_bytes=8192)
+        records = generate_exchange(config)
+        assert sum(r.op is OpType.WRITE for r in records) > 50
+        assert max(r.end for r in records) <= config.region_bytes
+
     def test_writes_come_in_sequential_bursts(self):
         """The workload's signature: delivery batches touch neighbouring
         pages, so a meaningful share of write->write steps is exactly
