@@ -2,7 +2,8 @@
 
 Runs every program in :func:`programs` -- the paper's claim sets, Table 3,
 the CI-sized perf gate, the four end-to-end workloads, the examples, the
-linter and the CI-sized write-amplification validator -- in this process,
+linter (also writing a baseline to a temporary file), two small fleet sweeps
+and the CI-sized write-amplification validator -- in this process,
 under a ``sys.setprofile`` hook that records each code object entered.  The
 fleet's process pool is replaced by one that runs each task in this
 process, so worker code is seen too.  Every ``def`` under ``src/repro``
@@ -31,6 +32,7 @@ import io
 import os
 import runpy
 import sys
+import tempfile
 import time
 from concurrent.futures import Future
 from pathlib import Path
@@ -45,10 +47,10 @@ WORKLOADS = ("replay_steady", "gc_churn", "swtf_burst", "fleet_mixed")
 Key = Tuple[str, int]
 
 
-def programs() -> List[Tuple[str, str, List[str]]]:
+def programs(workdir: Path) -> List[Tuple[str, str, List[str]]]:
     """``(kind, target, argv)`` of each program: ``kind`` is ``module``
     (``target.main(argv)``) or ``script`` (a path under the repo, run as
-    ``__main__``)."""
+    ``__main__``).  Files a program writes go under *workdir*."""
     return [
         ("module", "repro.bench.cli", ["claims"]),
         ("module", "repro.bench.cli", ["table3"]),
@@ -64,6 +66,15 @@ def programs() -> List[Tuple[str, str, List[str]]]:
           for path in sorted((ROOT / "examples").glob("*.py"))],
         ("module", "repro.analysis.lint", []),
         ("module", "repro.analysis.lint", ["--format=json"]),
+        # never the repo's own LINT_BASELINE.json
+        ("module", "repro.analysis.lint",
+         ["--write-baseline", "--baseline", str(workdir / "baseline.json")]),
+        # smoke sizes: the default tenants, then one named tenant over an
+        # over-provisioning axis
+        ("module", "repro.fleet.sweep", ["--devices", "1", "--count", "50"]),
+        ("module", "repro.fleet.sweep",
+         ["--devices", "1", "--count", "50", "--tenant", "oltp=random:gold",
+          "--op", "0.1"]),
         ("module", "repro.validation.write_amp", ["--fast"]),
     ]
 
@@ -197,11 +208,12 @@ def run_programs() -> None:
     pool = runner.ProcessPoolExecutor
     runner.ProcessPoolExecutor = InProcessPool
     try:
-        for kind, target, argv in programs():
-            started = time.perf_counter()
-            status = run_program(kind, target, argv)
-            print(f"ran {target} {' '.join(argv)}: exit {status} "
-                  f"[{time.perf_counter() - started:.1f}s]", flush=True)
+        with tempfile.TemporaryDirectory() as workdir:
+            for kind, target, argv in programs(Path(workdir)):
+                started = time.perf_counter()
+                status = run_program(kind, target, argv)
+                print(f"ran {target} {' '.join(argv)}: exit {status} "
+                      f"[{time.perf_counter() - started:.1f}s]", flush=True)
     finally:
         runner.ProcessPoolExecutor = pool
 

@@ -20,7 +20,7 @@ The seed implementation re-walked the whole host queue on every dispatch,
 calling ``elements_for_range`` + ``queue_wait_us`` per queued request —
 O(queue × elements) per dispatch, quadratic under open-loop overload, which
 is exactly the regime the paper's scheduling and cleaning-interference
-results live in.  The incremental version rests on three invariants:
+results live in.  The incremental version rests on four invariants:
 
 1. **Target sets are static.**  ``elements_for_range`` is a pure function
    of (offset, size) for every FTL, so the scheduler resolves it once at
@@ -40,19 +40,38 @@ results live in.  The incremental version rests on three invariants:
    So queued requests are bucketed by target set, FIFO within the bucket.
    Inside a bucket, the best candidate is simply the earliest arrival (the
    seed's tie rule); across buckets, the best is the minimum
-   ``(max(D_r, now), head arrival seq)``.  A dispatch therefore costs
-   O(buckets) — the number of *distinct target sets* queued (bounded by
-   the FTL's layout: elements, gangs, adjacent-gang spans), independent of
-   queue depth.  Clamping the key at ``now`` makes every zero-wait bucket
-   compare equal on wait, so ties between zero-wait requests — and only
-   those — resolve by arrival order, exactly like the seed's linear scan
-   with its first-strictly-smaller rule and zero-wait early exit.
+   ``(max(D_r, now), head arrival seq)``.  Clamping the key at ``now``
+   makes every zero-wait bucket compare equal on wait, so ties between
+   zero-wait requests — and only those — resolve by arrival order, exactly
+   like the seed's linear scan with its first-strictly-smaller rule and
+   zero-wait early exit.
+
+4. **A bucket's key never decreases.**  Its true key ``(max(now, D_b),
+   head seq)`` only grows: ``now`` only moves forward, every element's
+   ``drain_at_us`` only grows (it changes only at enqueue, where it moves
+   to a later tail), and a FIFO's head seq only grows (the head leaves,
+   and later arrivals carry later seqs).  So the buckets sit in a
+   **lazy-key heap**, one ``(key, head seq, targets, bucket)`` entry per
+   non-empty bucket, whose stored key may be stale but is never above the
+   true key.  ``select`` peeks at the top and recomputes its true key; if
+   the two are equal, that bucket's head is the strict minimum (every
+   other entry's true key is at or above its stored key, which is at or
+   above the top's), so it is returned.  If not, the entry is re-keyed in
+   place (``heapreplace``) and the new top is tried.  State does not
+   change inside one ``select``, so each entry is re-keyed at most once
+   per call and a dispatch costs O(k log B) for k stale entries among B
+   buckets: usually one peek, because under a deep queue only the bucket
+   the last dispatch fed has moved.  On the ``swtf_burst`` benchmark (8
+   buckets, a host queue about 2600 deep) ``select`` runs 142 Python
+   opcodes per call, where a scan of every bucket per dispatch ran 428
+   (``benchmarks/opcount.py``; docs/architecture.md §5).
 
 Admission mirrors the seed's skip-don't-block rule: candidates are probed
 in ``(wait, arrival)`` order and an inadmissible candidate is passed over
 in favour of the next arrival in its bucket (same wait, later seq).
-Removals (dispatch, queue-merge steals) are lazy flag flips; buckets skim
-dead entries when they surface.  The probe itself (``SSD.admissible``) asks
+Removals (dispatch, queue-merge steals) are lazy flag flips; a bucket
+skims dead entries when it surfaces at the heap's top, and the probe walk
+skims every bucket.  The probe itself (``SSD.admissible``) asks
 the FTL afresh each time; ``can_accept_write`` is O(1) for single-page and
 single-stripe writes on every FTL (docs/architecture.md §4 records why no
 memo sits in front of it).
@@ -65,7 +84,7 @@ as a test helper and pinned by the equivalence test in
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import count
 from typing import Iterator, List, Optional, TYPE_CHECKING
 
@@ -137,7 +156,10 @@ class HostQueue:
         self._live -= 1
         items = self._items
         if len(items) > 2 * self._live + _COMPACT_SLACK:
-            self._items = deque(e for e in items if _live(e))
+            # _live() inlined: a compaction walks every entry
+            self._items = deque([entry for entry in items
+                                 if entry[1].queued
+                                 and entry[1].seq == entry[0]])
 
     def head(self) -> Optional[IORequest]:
         """Earliest-arrived live request (None when empty)."""
@@ -169,6 +191,9 @@ class SWTFScheduler:
     invariants.  ``_buckets`` maps a target-element tuple to the FIFO of
     live queued requests with exactly that target set; entries of
     dispatched/stolen requests are skimmed lazily when they surface.
+    ``_heap`` holds one ``(key, head_seq, targets, bucket)`` entry per
+    non-empty bucket, ordered by a stored key that never exceeds the
+    bucket's true key.
     """
 
     name = "swtf"
@@ -176,13 +201,11 @@ class SWTFScheduler:
     def __init__(self) -> None:
         #: target-element tuple -> deque of (seq, request) entries
         self._buckets: dict[tuple, deque[tuple]] = {}
-        #: the non-empty subset of _buckets (same deque objects): select
-        #: walks only these; a bucket drops out when a skim empties it and
-        #: re-enters on the next submit that touches it.  Selection is
-        #: order-independent (strict (wait, seq) minimum — seqs are
-        #: unique), so which dict the walk iterates cannot change a
-        #: decision, only how much dead-entry skimming it performs.
-        self._active: dict[tuple, deque[tuple]] = {}
+        #: the lazy-key heap: a bucket has an entry exactly while its deque
+        #: is non-empty (pushed by the submit that fills it, popped by the
+        #: skim that empties it); ``(key, head_seq)`` pairs are unique
+        #: because seqs are, so entries never compare past them
+        self._heap: List[tuple] = []
         #: interned single-element target tuples (lazily built per FTL):
         #: the overwhelmingly common 4 KB request targets one element, and
         #: reusing one tuple object per element skips a tuple build per
@@ -201,8 +224,9 @@ class SWTFScheduler:
 
         ``elements_for_range`` runs once per *submit* (not per dispatch);
         the resulting tuple is the bucket key, so every later ``select()``
-        reads the target set off the bucket dict instead of recomputing or
-        carrying per-request state.
+        reads the target set off the bucket instead of recomputing or
+        carrying per-request state.  A request that fills an empty bucket
+        pushes the bucket's heap entry at its current true key.
         """
         op = request.op
         if op is _FREE or op is _FLUSH:
@@ -222,85 +246,101 @@ class SWTFScheduler:
         bucket = buckets.get(targets)
         if bucket is None:
             if len(buckets) >= self._prune_len:
-                active = self._active
                 for key in [k for k, b in buckets.items() if not b]:
                     del buckets[key]
-                    active.pop(key, None)
                 self._prune_len = max(2 * (len(buckets) + 1), 64)
             bucket = buckets[targets] = deque()
+        seq = request.seq
         if not bucket:
-            self._active[targets] = bucket
-        bucket.append((request.seq, request))
-
-    def select(self, ssd: "SSD") -> Optional[IORequest]:
-        """Pick the next request to dispatch (None when nothing qualifies).
-
-        Fast path: one linear min-scan over the buckets finds the best
-        ``(wait, arrival)`` candidate; when it is admissible — every read,
-        and every write outside an allocation stall — that single probe
-        decides the dispatch with no candidate heap built at all.  An
-        inadmissible best falls back to :meth:`_select_probing`, which
-        rebuilds the full candidate heap and walks it in ``(wait, arrival)``
-        order exactly as the always-heap implementation did (probing the
-        best candidate a second time).
-        """
-        now = ssd.sim.now
-        best: Optional[IORequest] = None
-        best_key = 0.0
-        best_seq = 0
-        drained: Optional[List[tuple]] = None
-        for targets, bucket in self._active.items():
-            # head skim with the _live() predicate inlined (this loop runs
-            # per dispatch and the call overhead shows in profiles)
-            while bucket:
-                head_seq, head = bucket[0]
-                if head.queued and head.seq == head_seq:
-                    break
-                bucket.popleft()
-            else:
-                # emptied by the skim: drop from the active walk (the
-                # deque itself stays in _buckets for reuse)
-                if drained is None:
-                    drained = []
-                drained.append(targets)
-                continue
-            key = now  # zero-wait clamp: ties resolve by arrival order
+            key = ssd.sim.now
             for element in targets:
                 drain_at = element.drain_at_us
                 if drain_at > key:
                     key = drain_at
-            if (best is None or key < best_key
-                    or (key == best_key and head_seq < best_seq)):
-                best = head
-                best_key = key
-                best_seq = head_seq
-        if drained:
-            active = self._active
-            for targets in drained:
-                del active[targets]
-        if best is None:
+            heappush(self._heap, (key, seq, targets, bucket))
+        bucket.append((seq, request))
+
+    def select(self, ssd: "SSD") -> Optional[IORequest]:
+        """Pick the next request to dispatch (None when nothing qualifies).
+
+        Fast path: peek at the heap's top, skim its bucket's dead heads and
+        recompute its true key.  When the stored key equals it, no other
+        bucket can beat that head (every other stored key is at or above
+        the top's and at or below its own true key); otherwise the entry
+        is re-keyed in place (``heapreplace``) and the new top is tried.
+        When the chosen head is admissible — every read, and every write
+        outside an allocation stall — that single probe decides the
+        dispatch.  An inadmissible head falls back to
+        :meth:`_select_probing`, which walks every bucket in ``(wait,
+        arrival)`` order exactly as the always-heap implementation did
+        (probing the best candidate a second time).
+        """
+        heap = self._heap
+        now = ssd.sim.now
+        while heap:
+            key, seq, targets, bucket = heap[0]
+            head_seq, head = bucket[0]
+            if not (head.queued and head.seq == head_seq):
+                # skim with the _live() predicate inlined (this loop runs
+                # per dispatch and the call overhead shows in profiles)
+                bucket.popleft()
+                while bucket:
+                    head_seq, head = bucket[0]
+                    if head.queued and head.seq == head_seq:
+                        break
+                    bucket.popleft()
+                else:
+                    # emptied: the entry leaves with it (the deque itself
+                    # stays in _buckets for reuse)
+                    heappop(heap)
+                    continue
+            true_key = now  # zero-wait clamp: ties resolve by arrival order
+            for element in targets:
+                drain_at = element.drain_at_us
+                if drain_at > true_key:
+                    true_key = drain_at
+            if true_key == key and head_seq == seq:
+                break
+            entry = (true_key, head_seq, targets, bucket)
+            heapreplace(heap, entry)
+            if heap[0] is entry:
+                break  # still on top, now at its true key
+        else:
             return None
-        if ssd.admissible(best):
-            return best
+        if ssd.admissible(head):
+            return head
         return self._select_probing(ssd, now)
 
     def _select_probing(self, ssd: "SSD", now: float) -> Optional[IORequest]:
         """The heap-ordered probe walk for the inadmissible-head case (an
         allocation stall is in progress): identical decisions to the seed's
         always-heap ``select``, just only paid for when skipping happens.
-        Bucket heads are already skimmed by the caller."""
+
+        ``select`` skimmed only the buckets that surfaced at the heap's
+        top, so this walk skims every bucket's dead heads itself, drops
+        the entries of buckets the skim empties and rebuilds the heap at
+        the true keys it computes."""
+        heap: List[tuple] = []
         candidates: List[tuple] = []
-        for targets, bucket in self._active.items():
-            if not bucket:
+        for _key, _seq, targets, bucket in self._heap:
+            while bucket:
+                head_seq, head = bucket[0]
+                if head.queued and head.seq == head_seq:
+                    break
+                bucket.popleft()
+            else:
                 continue
             key = now
             for element in targets:
                 drain_at = element.drain_at_us
                 if drain_at > key:
                     key = drain_at
+            heap.append((key, head_seq, targets, bucket))
             rest = iter(bucket)
-            head_seq, head = next(rest)  # == bucket[0]; `rest` is past it
+            next(rest)  # the head; `rest` is past it
             candidates.append((key, head_seq, head, rest, bucket))
+        heapify(heap)
+        self._heap = heap
         heapify(candidates)
         chosen: Optional[IORequest] = None
         compact: Optional[List[deque]] = None
@@ -328,7 +368,9 @@ class SWTFScheduler:
                 compact.append(bucket)
         if compact:
             # safe here: the candidate heap (and its live iterators over
-            # these deques) is abandoned once selection finishes
+            # these deques) is abandoned once selection finishes, and each
+            # compacted bucket keeps its live (blocked) head, so its heap
+            # entry stays exact
             for bucket in compact:
                 live = [entry for entry in bucket if _live(entry)]
                 bucket.clear()

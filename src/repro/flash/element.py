@@ -135,8 +135,11 @@ class FlashElement:
         #: the next op moves work from the FIFO to the in-flight slot without
         #: changing when the tail drains, and an idle element simply leaves a
         #: stale (past) value behind, so ``queue_wait_us()`` clamps at zero.
-        #: Monotonically non-decreasing, which is the property the SWTF
-        #: scheduler's lazy heap relies on.
+        #: Monotonically non-decreasing (an idle element's stale value is
+        #: at or below ``now``, so a new tail lands at or after it), which
+        #: is what keeps every stored key of
+        #: :class:`repro.device.scheduler.SWTFScheduler`'s lazy-key bucket
+        #: heap at or below the bucket's true key.
         self.drain_at_us: float = 0.0
         #: the one drain event realizing this element's FIFO on the clock
         self._drain = Event(0.0, -1, self._on_drain, ())

@@ -129,8 +129,9 @@ def device_stream(config: FleetConfig, device_index: int,
                   placements: List[TenantPlacement]) -> Iterator[TraceRecord]:
     """All resident tenants' streams, merged time-sorted (stable: ties go
     to the lower tenant index).  Lazy end to end — the merge holds one
-    record per tenant, and each pattern is O(1) memory, so a fleet
-    device's trace side stays O(tenants)."""
+    record per tenant, and each pattern holds one chunk of records
+    (:data:`repro.traces.patterns.CHUNK`), so a fleet device's trace side
+    stays O(tenants × chunk)."""
     streams = [tenant_records(config, device_index, placement)
                for placement in placements]
     if len(streams) == 1:

@@ -25,7 +25,7 @@ The rewrites are applied with numpy, in chunks, not page by page:
 * **Draws first.**  Every rewrite LPN is drawn up front: the values, and
   the generator's final state, of one ``rng.randrange(count)`` per rewrite
   in rewrite order (replayed in bulk from ``getrandbits``, see
-  :func:`_draw`).
+  :func:`repro.sim.rng.randrange_ints`).
 * **Elements are independent.**  An element sees only its own gang's map
   slots, in draw order; its cleans, pool pulls and frontier depend on
   nothing else.  So each element is aged on its own, from its gang's slot
@@ -61,6 +61,7 @@ from repro.flash.element import FlashElement, FlashStateError, PageState
 from repro.ftl.base import FTLStats
 from repro.ftl.blockmap import BlockMappedFTL
 from repro.ftl.pagemap import PageMappedFTL
+from repro.sim.rng import randrange_ints
 
 __all__ = ["PrefillStateError", "prefill_pagemap", "prefill_stripe_ftl"]
 
@@ -165,7 +166,7 @@ def _age(ftl: PageMappedFTL, count: int, rewrites: int,
          rng: random.Random) -> None:
     """Rewrite *rewrites* random logical pages of the first *count*, with
     instant cleans to hold every element at the floor (module docstring)."""
-    lpns = _draw(rng, count, rewrites)
+    lpns = randrange_ints(rng, count, rewrites)
     gangs = lpns % ftl.n_gangs
     slots = lpns // ftl.n_gangs
     # steady-state floor: just above the cleaner's low watermark (where a
@@ -178,35 +179,6 @@ def _age(ftl: PageMappedFTL, count: int, rewrites: int,
         gang_slots = slots[gangs == gang]
         for e_idx in range(gang * ftl.shards, (gang + 1) * ftl.shards):
             _age_element(ftl, e_idx, gang_slots, floor)
-
-
-def _draw(rng: random.Random, count: int, n: int) -> np.ndarray:
-    """*n* values of ``rng.randrange(count)``, drawn in order, leaving *rng*
-    in the state those *n* calls leave it in.
-
-    For a plain :class:`random.Random` and ``count < 2**32`` the calls are
-    replayed in bulk: each ``randrange(count)`` try takes the top
-    ``count.bit_length()`` bits of one 32-bit Mersenne Twister output and
-    rejects values ``>= count``, and ``getrandbits(32 * m)`` hands out the
-    next *m* outputs at once, first output in the lowest bits.  Every round
-    draws only as many outputs as values are still missing, so no output
-    past the last accepted one is consumed."""
-    k = count.bit_length()
-    if type(rng) is not random.Random or k > 32:
-        randrange = rng.randrange
-        return np.array([randrange(count) for _ in range(n)], dtype=np.int64)
-    parts = [np.empty(0, dtype=np.int64)]
-    missing = n
-    while missing:
-        words = np.frombuffer(
-            rng.getrandbits(32 * missing).to_bytes(4 * missing, "little"),
-            dtype="<u4",
-        )
-        values = words >> np.uint32(32 - k)
-        values = values[values < count]
-        parts.append(values.astype(np.int64))
-        missing -= len(values)
-    return np.concatenate(parts)
 
 
 def _age_element(ftl: PageMappedFTL, e_idx: int, slots: np.ndarray,

@@ -26,6 +26,7 @@ The host interface serializes data transfers (SATA-class bandwidth).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import nsmallest
 from typing import Callable, List, Optional, Tuple
 
 from repro.checks import Checked, bounded
@@ -62,14 +63,16 @@ class HDDConfig(Checked):
 
 
 class _MediaJob:
-    __slots__ = ("op", "lba", "sectors", "callback")
+    __slots__ = ("op", "lba", "sectors", "callback", "cylinder")
 
     def __init__(self, op: OpType, lba: int, sectors: int,
-                 callback: Callable[[], None]):
+                 callback: Callable[[], None], cylinder: int):
         self.op = op
         self.lba = lba
         self.sectors = sectors
         self.callback = callback
+        #: located once: the write-drain pick ranks every dirty job by it
+        self.cylinder = cylinder
 
 
 class HDD:
@@ -159,7 +162,7 @@ class HDD:
                 ),
             )
             return
-        job = _MediaJob(
+        job = self._job(
             OpType.READ, lba, sectors,
             callback=lambda r=request: self._read_media_done(r),
         )
@@ -196,7 +199,7 @@ class HDD:
     def _write_arrived(self, request: IORequest) -> None:
         sectors = request.size // SECTOR
         if not self.config.write_cache:
-            job = _MediaJob(
+            job = self._job(
                 OpType.WRITE, request.offset // SECTOR, sectors,
                 callback=lambda r=request: self._complete(r),
             )
@@ -211,7 +214,7 @@ class HDD:
 
     def _absorb_write(self, request: IORequest) -> None:
         self._dirty_bytes += request.size
-        job = _MediaJob(OpType.WRITE, request.offset // SECTOR,
+        job = self._job(OpType.WRITE, request.offset // SECTOR,
                         request.size // SECTOR,
                         callback=lambda s=request.size: self._drained(s))
         self._dirty.append(job)
@@ -227,6 +230,11 @@ class HDD:
             self._absorb_write(request)
 
     # -- the mechanical assembly -------------------------------------------
+
+    def _job(self, op: OpType, lba: int, sectors: int,
+             callback: Callable[[], None]) -> _MediaJob:
+        return _MediaJob(op, lba, sectors, callback,
+                         self.geometry.locate(lba).cylinder)
 
     def _media_kick(self) -> None:
         if self._media_busy:
@@ -247,20 +255,20 @@ class HDD:
         """Reads first (hosts wait on them); dirty writes drain with a
         positioning-aware pick: among the 8 nearest-cylinder candidates,
         take the one with the smallest seek+rotation estimate (SATF-lite,
-        the scheduling freedom a write-back cache buys the drive)."""
+        the scheduling freedom a write-back cache buys the drive).
+        ``heapq.nsmallest`` is documented equal to ``sorted(...)[:8]``, so
+        cylinder ties go to the earlier dirty job, without sorting the
+        whole queue per pick."""
         if self._read_queue:
             return self._read_queue.pop(0)
-        if not self._dirty:
+        dirty = self._dirty
+        if not dirty:
             return None
-        order = sorted(
-            range(len(self._dirty)),
-            key=lambda i: abs(
-                self.geometry.locate(self._dirty[i].lba).cylinder
-                - self._current_cylinder
-            ),
-        )
-        best = min(order[:8], key=lambda i: self._positioning_estimate(self._dirty[i]))
-        return self._dirty.pop(best)
+        cylinder = self._current_cylinder
+        nearest = nsmallest(8, range(len(dirty)),
+                            key=lambda i: abs(dirty[i].cylinder - cylinder))
+        best = min(nearest, key=lambda i: self._positioning_estimate(dirty[i]))
+        return dirty.pop(best)
 
     def _positioning_estimate(self, job: _MediaJob) -> float:
         """Seek + rotational wait if *job* started now (no state change)."""

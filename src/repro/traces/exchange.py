@@ -65,7 +65,7 @@ def generate_exchange(config: ExchangeConfig) -> List[TraceRecord]:
             BURST_MAX_PAGES, pages,
             max(1, round(burst_rng.expovariate(1.0 / BURST_MEAN_PAGES))),
         )
-        start = addr_rng.randrange(max(1, pages - length)) * config.page_bytes
+        start = addr_rng.randrange(pages - length + 1) * config.page_bytes
         for index in range(length):
             if emitted >= config.count:
                 break

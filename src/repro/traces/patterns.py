@@ -5,19 +5,21 @@ Real device studies need a *zoo* of access shapes, and the classic suites
 of composable primitives.  This module ports that idea onto the repo's
 streaming replay:
 
-* every pattern is a **lazy, seeded generator** of
-  :class:`~repro.traces.record.TraceRecord` — one record materialized at a
-  time, so a pattern can feed
+* every pattern is a **lazy, seeded iterator** of
+  :class:`~repro.traces.record.TraceRecord`, materialized in chunks of
+  :data:`CHUNK` records, so a pattern can feed
   :func:`repro.workloads.driver.replay_trace`'s one-record-ahead feeder at
-  O(1) memory regardless of ``count`` (the zipf/hot-cold tables are O(region
-  slots), the same order as the FTL map itself);
+  O(CHUNK) memory regardless of ``count`` (the zipf table is O(region
+  slots), the same order as the FTL map itself).  Nothing is drawn until
+  the first record is asked for;
 * patterns share one :class:`PatternConfig` (count, region, request size,
   read/write mix, arrival process, priority tagging, seed), so "the same
   traffic, different address shape" is a one-argument change;
 * patterns share one emission loop, :func:`_emit`: arrivals, the
   read/write mix and priority tagging are drawn there, and a pattern only
-  supplies its stream of address slots.  The paper's own generator
-  (:mod:`repro.traces.synthetic`) is one more pattern on that loop;
+  supplies its address slots, one array per chunk.  The paper's own
+  generator (:mod:`repro.traces.synthetic`) is one more pattern on that
+  loop;
 * phases compose: :func:`compose` chains pattern streams and emits
   **control records** between them — :class:`Barrier` (drain the device
   before the next phase; phase timestamps restart at the drain instant) and
@@ -44,21 +46,36 @@ Determinism: every pattern draws from :func:`repro.sim.rng.stream` streams
 namespaced per pattern (``pattern.<name>.<purpose>``), so a (seed, pattern)
 pair always replays the identical trace and adding a new pattern never
 perturbs existing ones.
+
+Chunks: each stream serves one chunk's draws at once
+(:func:`repro.sim.rng.random_floats` and
+:func:`~repro.sim.rng.randrange_ints` replay per-call ``random()`` and
+``randrange`` draws in bulk, values and generator state alike), arrival
+times accumulate with ``np.add.accumulate`` (sequential, so each sum is
+the one a ``now += gap`` loop makes), and the records are built in C
+(:func:`repro.traces.record.build_records`).  The streams are independent,
+so drawing one stream's chunk ahead of another's changes no value: every
+trace is the one a record-at-a-time loop over the same per-call draws
+yields.  The hot/cold and synthetic-walk address streams interleave draws
+whose kind depends on earlier values on one generator, so they draw per
+record inside the chunk loop.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import count, islice, repeat
-from math import gcd
+from itertools import chain, repeat
+from math import gcd, log
+from operator import itemgetter
 from random import Random
-from typing import Iterable, Iterator, List, Tuple, Union
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.checks import Bound, Checked, bounded
 from repro.device.interface import OpType
-from repro.sim.rng import stream
-from repro.traces.record import TraceRecord
+from repro.sim.rng import random_floats, randrange_ints, stream
+from repro.traces.record import TraceRecord, build_records
 
 __all__ = [
     "PatternConfig",
@@ -153,8 +170,22 @@ class PatternConfig(Checked):
         return self.region_bytes // self.request_bytes
 
 
+#: records per chunk: each stream draws a chunk's values at once and the
+#: chunk's records are built together.  A chunk's records stay alive until
+#: replayed, so a larger chunk costs garbage-collector passes over records
+#: that survive them (at 1024, swtf_burst ran one extra full collection
+#: and spent about 60 % more time in the collector than at 512), and a
+#: smaller one pays its fixed numpy calls more often
+CHUNK = 512
+
 #: a generator's (mix, arrivals, priority) random streams
 Streams = Tuple[Random, Random, Random]
+
+#: a pattern's address slots, one array (or list) per chunk of _spans()
+SlotChunks = Iterable[Union[np.ndarray, Sequence[int]]]
+
+#: op per mix outcome: index 0 = write, 1 = read
+_OPS = np.array([OpType.WRITE, OpType.READ], dtype=object)
 
 
 def _streams(config: PatternConfig, name: str) -> Streams:
@@ -166,13 +197,23 @@ def _streams(config: PatternConfig, name: str) -> Streams:
             stream(seed, f"pattern.{name}.priority"))
 
 
-def _emit(config: PatternConfig, streams: Streams,
-          slot_stream: Iterable[int]) -> Iterator[TraceRecord]:
-    """The one emission loop: arrivals, read/write mix, and priority
-    tagging around a generator-specific stream of address slots (record
-    *i* lands on the *i*-th slot; it is pulled once per record, so a lazy
-    stream draws exactly as an inline loop would).  A write-only config
-    (``read_fraction=0``) draws no mix."""
+def _spans(config: PatternConfig) -> Iterator[Tuple[int, int]]:
+    """``(first record index, records)`` of each chunk, in order."""
+    total = config.count
+    return ((first, min(CHUNK, total - first))
+            for first in range(0, total, CHUNK))
+
+
+def _chunks(config: PatternConfig, streams: Streams,
+            slot_chunks: SlotChunks) -> Iterator[List[TraceRecord]]:
+    """The one emission loop, a chunk at a time: arrivals, read/write mix
+    and priority tagging around a generator-specific stream of address
+    slots (record *i* lands on the *i*-th slot; the slot stream yields one
+    array per chunk of :func:`_spans`).  Each stream draws what a
+    record-at-a-time loop draws for the chunk's records, in order: one
+    ``random()`` per record for arrivals (none for ``fixed`` spacing or a
+    zero gap), for the mix (none when ``read_fraction=0``) and for
+    priority (none when ``priority_fraction=0``)."""
     mix_rng, arrival_rng, priority_rng = streams
     request_bytes = config.request_bytes
     base = config.lba_base_bytes
@@ -183,30 +224,45 @@ def _emit(config: PatternConfig, streams: Streams,
     fixed = config.arrival_process == "fixed"
     rate = 2.0 / gap if poisson and gap > 0 else 0.0
     fixed_gap = gap / 2.0
-    mix_random = mix_rng.random
-    priority_random = priority_rng.random
-    arrival_random = arrival_rng.random  # gap * random(): uniform(0.0, gap) exactly
-    arrival_expovariate = arrival_rng.expovariate
-    read_op, write_op = OpType.READ, OpType.WRITE
+    write_op = OpType.WRITE
 
     now = 0.0
-    for slot in islice(slot_stream, config.count):
+    for (_first, n), slots in zip(_spans(config), slot_chunks):
         if gap > 0:
             if poisson:
-                now += arrival_expovariate(rate)
+                # expovariate(rate), per value: -log(1 - random()) / rate
+                times = np.array([-log(1.0 - r) / rate for r in
+                                  random_floats(arrival_rng, n).tolist()])
             elif fixed:
-                now += fixed_gap
+                times = np.full(n, fixed_gap)
             else:
-                now += gap * arrival_random()
-        op = (read_op if read_fraction and mix_random() < read_fraction
-              else write_op)
-        priority = (
-            1
-            if priority_fraction > 0 and priority_random() < priority_fraction
-            else 0
-        )
-        yield TraceRecord(now, op, base + slot * request_bytes,
-                          request_bytes, priority)
+                # gap * random(): uniform(0.0, gap) exactly
+                times = gap * random_floats(arrival_rng, n)
+            times[0] += now
+            np.add.accumulate(times, out=times)
+            now = float(times[-1])
+        else:
+            times = np.zeros(n)
+        ops: Iterable[OpType] = (
+            _OPS[(random_floats(mix_rng, n) < read_fraction).view(np.int8)]
+            .tolist() if read_fraction else repeat(write_op))
+        priorities: Iterable[int] = (
+            (random_floats(priority_rng, n) < priority_fraction)
+            .astype(np.int64).tolist() if priority_fraction > 0
+            else repeat(0))
+        offsets = np.asarray(slots, dtype=np.int64) * request_bytes + base
+        yield build_records(times, ops, offsets, request_bytes, priorities)
+
+
+def _emit(config: PatternConfig, streams: Streams,
+          slot_chunks: SlotChunks) -> Iterator[TraceRecord]:
+    """:func:`_chunks`' records one by one (a C-level chain over the chunk
+    lists, so a record costs no generator resumption)."""
+    return chain.from_iterable(_chunks(config, streams, slot_chunks))
+
+
+def _record_indices(first: int, n: int) -> np.ndarray:
+    return np.arange(first, first + n, dtype=np.int64)
 
 
 def iter_sequential(config: PatternConfig,
@@ -216,15 +272,16 @@ def iter_sequential(config: PatternConfig,
     if not 0 <= start_slot < slots:
         raise ValueError(f"start_slot must be in [0, {slots}), got {start_slot}")
     return _emit(config, _streams(config, "sequential"),
-                 ((start_slot + i) % slots for i in count()))
+                 ((start_slot + _record_indices(first, n)) % slots
+                  for first, n in _spans(config)))
 
 
 def iter_random(config: PatternConfig) -> Iterator[TraceRecord]:
     """Uniform-random slot per record."""
-    randrange = stream(config.seed, "pattern.random.addresses").randrange
+    rng = stream(config.seed, "pattern.random.addresses")
     slots = config.slots
     return _emit(config, _streams(config, "random"),
-                 map(randrange, repeat(slots)))
+                 (randrange_ints(rng, slots, n) for _first, n in _spans(config)))
 
 
 def strided_period(config: PatternConfig, stride_bytes: int) -> int:
@@ -250,8 +307,12 @@ def iter_strided(config: PatternConfig, stride_bytes: int,
     step = stride_bytes // config.request_bytes
     if not 0 <= start_slot < slots:
         raise ValueError(f"start_slot must be in [0, {slots}), got {start_slot}")
+    # both factors reduced mod slots first, so the int64 product stays
+    # below slots**2
+    step %= slots
     return _emit(config, _streams(config, "strided"),
-                 ((start_slot + i * step) % slots for i in count()))
+                 ((start_slot + _record_indices(first, n) % slots * step)
+                  % slots for first, n in _spans(config)))
 
 
 def iter_snake(config: PatternConfig,
@@ -281,22 +342,38 @@ def iter_snake(config: PatternConfig,
             f"window ({window_slots} slots) must be smaller than the region "
             f"({slots} slots)"
         )
+    request_bytes = config.request_bytes
+    base = config.lba_base_bytes
+    free_op = OpType.FREE
+    time_of = itemgetter(0)
 
-    def trail(writes: Iterator[TraceRecord]) -> Iterator[TraceRecord]:
+    def trail(chunks: Iterator[List[TraceRecord]]
+              ) -> Iterator[List[TraceRecord]]:
         # the first window of writes frees nothing; after it, write i
         # frees slot ``(i - window_slots) % slots`` at its own timestamp
-        request_bytes = config.request_bytes
-        base = config.lba_base_bytes
-        free_op = OpType.FREE
-        yield from islice(writes, window_slots)
-        for tail, record in enumerate(writes):
-            yield record
-            yield TraceRecord(record.time_us, free_op,
-                              base + tail % slots * request_bytes,
-                              request_bytes, 0)
+        first = 0  # index of the chunk's first write
+        for writes in chunks:
+            lead = min(len(writes), max(0, window_slots - first))
+            trailing = writes[lead:]
+            tails = _record_indices(first + lead - window_slots,
+                                    len(trailing))
+            first += len(writes)
+            if not trailing:
+                yield writes
+                continue
+            frees = build_records(
+                np.fromiter(map(time_of, trailing), dtype=np.float64,
+                            count=len(trailing)),
+                repeat(free_op), tails % slots * request_bytes + base,
+                request_bytes, repeat(0))
+            paired: list = [None] * (2 * len(trailing))
+            paired[0::2] = trailing
+            paired[1::2] = frees
+            yield writes[:lead] + paired
 
-    return trail(_emit(config, _streams(config, "snake"),
-                       (i % slots for i in count())))
+    return chain.from_iterable(trail(_chunks(
+        config, _streams(config, "snake"),
+        (_record_indices(first, n) % slots for first, n in _spans(config)))))
 
 
 def iter_zipf(config: PatternConfig, theta: float = 1.0,
@@ -305,27 +382,31 @@ def iter_zipf(config: PatternConfig, theta: float = 1.0,
     proportional to ``1 / r**theta``.  ``scramble`` (default) maps ranks
     onto the region through a seeded permutation so the hot slots scatter
     instead of clustering at offset 0.  The rank table is O(region slots),
-    built once; each draw is one bisect."""
+    built with the first chunk; each draw is one ``searchsorted`` on it
+    (``side="right"``, the same rank ``bisect_right`` finds)."""
     Bound(gt=0).check("theta", theta)
     slots = config.slots
-    cumulative: List[float] = []
-    total = 0.0
-    for rank in range(1, slots + 1):
-        total += 1.0 / rank ** theta
-        cumulative.append(total)
-    rank_to_slot = list(range(slots))
-    if scramble:
-        stream(config.seed, "pattern.zipf.permute").shuffle(rank_to_slot)
-    draw = stream(config.seed, "pattern.zipf.addresses").random
 
-    def slot_stream() -> Iterator[int]:
-        while True:
-            rank = bisect_right(cumulative, draw() * total)
-            if rank >= slots:  # guard the floating-point top edge
-                rank = slots - 1
-            yield rank_to_slot[rank]
+    def slot_chunks() -> Iterator[np.ndarray]:
+        cumulative: List[float] = []
+        total = 0.0
+        for rank in range(1, slots + 1):
+            total += 1.0 / rank ** theta
+            cumulative.append(total)
+        table = np.array(cumulative)
+        rank_to_slot = list(range(slots))
+        if scramble:
+            stream(config.seed, "pattern.zipf.permute").shuffle(rank_to_slot)
+        ranked = np.array(rank_to_slot, dtype=np.int64)
+        rng = stream(config.seed, "pattern.zipf.addresses")
+        for _first, n in _spans(config):
+            ranks = np.searchsorted(table, random_floats(rng, n) * total,
+                                    side="right")
+            # guard the floating-point top edge
+            np.minimum(ranks, slots - 1, out=ranks)
+            yield ranked[ranks]
 
-    return _emit(config, _streams(config, "zipf"), slot_stream())
+    return _emit(config, _streams(config, "zipf"), slot_chunks())
 
 
 def iter_hot_cold(config: PatternConfig, hot_space_fraction: float = 0.2,
@@ -348,14 +429,15 @@ def iter_hot_cold(config: PatternConfig, hot_space_fraction: float = 0.2,
     rng = stream(config.seed, "pattern.hot_cold.addresses")
     random_, randrange = rng.random, rng.randrange
 
-    def slot_stream() -> Iterator[int]:
-        while True:
-            if random_() < hot_access_fraction:
-                yield randrange(hot_slots)
-            else:
-                yield hot_slots + randrange(cold_slots)
+    def slot_chunks() -> Iterator[List[int]]:
+        # the coin decides which range the next draw comes from, so the
+        # draws stay per record
+        for _first, n in _spans(config):
+            yield [randrange(hot_slots) if random_() < hot_access_fraction
+                   else hot_slots + randrange(cold_slots)
+                   for _ in range(n)]
 
-    return _emit(config, _streams(config, "hot_cold"), slot_stream())
+    return _emit(config, _streams(config, "hot_cold"), slot_chunks())
 
 
 def compose(*phases: Iterable[PatternRecord],

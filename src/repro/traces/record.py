@@ -10,10 +10,14 @@ without trim support simply complete FREEs as no-ops.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import repeat
+from typing import Iterable, List
+
+import numpy as np
 
 from repro.device.interface import OpType
 
-__all__ = ["TraceRecord"]
+__all__ = ["TraceRecord", "build_records"]
 
 
 _tuple_new = tuple.__new__  # bound once, as namedtuple's own __new__ does
@@ -47,3 +51,26 @@ class TraceRecord(namedtuple("TraceRecord",
     @property
     def end(self) -> int:
         return self.offset + self.size
+
+
+def build_records(times: np.ndarray, ops: Iterable[OpType],
+                  offsets: np.ndarray, size: int,
+                  priorities: Iterable[int]) -> List[TraceRecord]:
+    """Records from columns: one per entry of the ``times`` and ``offsets``
+    arrays, with ``ops`` and ``priorities`` iterables in step and one
+    ``size`` for all.
+
+    The three checks of ``TraceRecord.__new__`` run over the whole columns
+    first; if a record fails one, building that record raises the error
+    ``__new__`` raises for it, and no record is returned.  Otherwise the
+    records are built in C (``tuple.__new__`` mapped over the zipped
+    columns), with Python floats and ints in their fields, not one
+    ``__new__`` call each."""
+    ok = (offsets >= 0) & (times >= 0)  # ``>=`` is False for NaN
+    if size <= 0 or not ok.all():
+        first = 0 if size <= 0 else int(np.argmin(ok))
+        TraceRecord(float(times[first]), OpType.WRITE, int(offsets[first]),
+                    size)
+    return list(map(_tuple_new, repeat(TraceRecord),
+                    zip(times.tolist(), ops, offsets.tolist(), repeat(size),
+                        priorities)))

@@ -24,7 +24,7 @@ from typing import Iterator, List
 
 from repro.checks import bounded
 from repro.sim.rng import stream
-from repro.traces.patterns import PatternConfig, _emit
+from repro.traces.patterns import PatternConfig, _emit, _spans
 from repro.traces.record import TraceRecord
 
 __all__ = ["SyntheticConfig", "generate_synthetic", "iter_synthetic"]
@@ -45,9 +45,11 @@ def iter_synthetic(config: SyntheticConfig) -> Iterator[TraceRecord]:
     Each record continues where the previous one ended (wrapping to slot 0
     at the region end) with probability ``seq_probability``, and otherwise
     lands on a uniform-random slot.  The first record has no predecessor,
-    so it never rolls.  One record is materialized at a time, so a
-    10M-record replay can feed :func:`repro.workloads.driver.replay_trace`
-    straight from the generator with O(1) trace memory.
+    so it never rolls.  Records are materialized a chunk at a time
+    (:data:`repro.traces.patterns.CHUNK`), so a 10M-record replay can feed
+    :func:`repro.workloads.driver.replay_trace` straight from the generator
+    with O(chunk) trace memory.  The roll decides whether a slot draw
+    follows it on the same generator, so the walk draws per record.
     """
     addr_rng = stream(config.seed, "addresses")
     mix_rng = stream(config.seed, "mix")
@@ -57,14 +59,23 @@ def iter_synthetic(config: SyntheticConfig) -> Iterator[TraceRecord]:
     seq_probability = config.seq_probability
     slots = config.slots
 
-    def walk() -> Iterator[int]:
-        last = randrange(slots)  # no predecessor: the first record never rolls
-        while True:
-            yield last
-            if roll() < seq_probability:
-                last = last + 1 if last + 1 < slots else 0
-            else:
+    def walk() -> Iterator[List[int]]:
+        last = 0
+        for first, n in _spans(config):
+            chunk: List[int] = []
+            append = chunk.append
+            if first == 0:
+                # no predecessor: the first record never rolls
                 last = randrange(slots)
+                append(last)
+                n -= 1
+            for _ in range(n):
+                if roll() < seq_probability:
+                    last = last + 1 if last + 1 < slots else 0
+                else:
+                    last = randrange(slots)
+                append(last)
+            yield chunk
 
     return _emit(config, (mix_rng, arrival_rng, priority_rng), walk())
 

@@ -75,6 +75,8 @@ from repro.units import mb_per_s
 __all__ = ["WorkloadResult", "ResultSink", "StreamingResult", "ShardedResult",
            "replay_trace", "replay_pattern", "ClosedLoopDriver"]
 
+_tuple_new = tuple.__new__
+
 
 @dataclass
 class WorkloadResult:
@@ -435,8 +437,12 @@ def replay_pattern(
             if kind is Pause:
                 offset += item.delta_us
             elif offset:
-                yield TraceRecord(item.time_us + offset, item.op,
-                                  item.offset, item.size, item.priority)
+                # a checked record shifted by a sum of checked (finite,
+                # non-negative) pauses passes TraceRecord's checks, so the
+                # shifted copy is built without running them again
+                yield _tuple_new(TraceRecord, (item.time_us + offset, item.op,
+                                               item.offset, item.size,
+                                               item.priority))
             else:
                 yield item
         done = True

@@ -189,6 +189,89 @@ class TestSWTFEquivalence:
         assert checker.checks >= 1400
 
 
+class TestLazyKeyHeap:
+    """Regimes where the heap's stored keys go stale in different ways;
+    every decision is checked against the brute-force scan."""
+
+    def _replay(self, config: SSDConfig, seed: int, count: int,
+                spacing_us: float, sizes=(KB4,), read_frac: float = 0.5,
+                sequential: float = 0.0):
+        sim = Simulator()
+        ssd = SSD(sim, config)
+        checker = _CheckedSWTF(ssd.scheduler)
+        ssd.scheduler = checker
+        region = int(ssd.capacity_bytes * 0.5) // KB4
+        rng = random.Random(seed)
+        records = []
+        offset = 0
+        for i in range(count):
+            size = rng.choice(sizes)
+            if rng.random() >= sequential:
+                offset = rng.randrange(region) * KB4
+            op = OpType.READ if rng.random() < read_frac else OpType.WRITE
+            records.append(TraceRecord(i * spacing_us, op, offset, size,
+                                       1 if rng.random() < 0.1 else 0))
+            offset = (offset + size) % (region * KB4)
+        result = replay_trace(sim, ssd, records)
+        assert result.count == count
+        ssd.ftl.check_consistency()
+        return ssd, checker
+
+    def test_idle_elements_under_a_non_empty_queue(self):
+        # one request in flight at a time: the queue stays deep while most
+        # elements sit idle, so most keys clamp to a ``now`` that moves on
+        # every select
+        config = SSDConfig(
+            name="heap-idle",
+            n_elements=4,
+            geometry=small_geometry(),
+            scheduler="swtf",
+            max_inflight=1,
+            controller_overhead_us=5.0,
+        )
+        _ssd, checker = self._replay(config, seed=3, count=600,
+                                     spacing_us=2.0)
+        assert checker.max_queue > 100
+        assert checker.checks >= 590
+
+    def test_striped_multi_element_buckets(self):
+        # shards=4 and 4/8/16 KB requests: overlapping target sets of one
+        # to four elements, each bucket keyed by its slowest element
+        config = SSDConfig(
+            name="heap-striped",
+            n_elements=8,
+            geometry=small_geometry(),
+            logical_page_bytes=16384,
+            scheduler="swtf",
+            max_inflight=8,
+            controller_overhead_us=5.0,
+        )
+        ssd, checker = self._replay(config, seed=17, count=500,
+                                    spacing_us=5.0,
+                                    sizes=(KB4, 2 * KB4, 4 * KB4))
+        assert checker.max_queue > 100
+        assert len(ssd.scheduler.inner._buckets) > config.n_elements
+
+    def test_queue_merge_steals(self):
+        # contiguous writes let a dispatched write steal its queued
+        # neighbours: their bucket entries die without a dispatch
+        config = SSDConfig(
+            name="heap-merge",
+            n_elements=4,
+            geometry=small_geometry(),
+            logical_page_bytes=8192,
+            write_buffer="queue-merge",
+            scheduler="swtf",
+            max_inflight=4,
+            controller_overhead_us=5.0,
+        )
+        ssd, checker = self._replay(config, seed=29, count=1200,
+                                    spacing_us=4.0, read_frac=0.2,
+                                    sequential=0.7)
+        assert ssd.write_buffer.merged_requests > 50
+        assert checker.checks > 300
+
+
 # ---------------------------------------------------------------------------
 # 2. streaming replay
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ from repro.flash.timing import FlashTiming
 from repro.ftl.base import DeviceFullError
 from repro.ftl.cleaning import COST_BENEFIT, GREEDY, CleaningConfig
 from repro.ftl.pagemap import PageMappedFTL
-from repro.ftl.prefill import PrefillStateError, _draw, prefill_pagemap
+from repro.ftl.prefill import PrefillStateError, prefill_pagemap
+from repro.sim.rng import randrange_ints
 from repro.ftl.wearlevel import WearConfig
 from repro.sim.engine import Simulator
 from tests.conftest import run_io, small_geometry
@@ -246,14 +247,14 @@ class TestDraws:
                                             2**40 + 3])))
     def test_same_draws_and_final_state(self, seed, n, count):
         bulk, scalar = random.Random(seed), random.Random(seed)
-        values = _draw(bulk, count, n)
+        values = randrange_ints(bulk, count, n)
         assert values.dtype == np.int64
         assert values.tolist() == [scalar.randrange(count) for _ in range(n)]
         assert bulk.getstate() == scalar.getstate()
 
     def test_subclass_draws_through_randrange(self):
         bulk, scalar = _Subclassed(9), _Subclassed(9)
-        assert _draw(bulk, 1000, 50).tolist() == [
+        assert randrange_ints(bulk, 1000, 50).tolist() == [
             scalar.randrange(1000) for _ in range(50)]
         assert bulk.getstate() == scalar.getstate()
 
