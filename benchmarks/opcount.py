@@ -33,6 +33,8 @@ ROOT = Path(__file__).resolve().parent.parent
 E2E = ROOT / "benchmarks" / "e2e"
 #: the e2e benchmark's default seed, whose digests it pins
 DEFAULT_SEED = 2009
+#: functions listed, the costliest first
+TOP = 30
 
 
 def count_opcodes(run) -> Tuple[Dict[object, int], Dict[object, int]]:
@@ -71,8 +73,8 @@ def _module_names() -> Dict[str, str]:
 
 
 def report(opcodes: Dict[object, int], calls: Dict[object, int],
-           records: int, top: int) -> List[str]:
-    """The printed table: per-record opcodes by module, then the *top*
+           records: int) -> List[str]:
+    """The printed table: per-record opcodes by module, then the ``TOP``
     functions with their per-record calls and opcodes per call."""
     modules = _module_names()
     by_module: Dict[str, int] = defaultdict(int)
@@ -92,10 +94,10 @@ def report(opcodes: Dict[object, int], calls: Dict[object, int],
     for module, ops in sorted(by_module.items(),
                               key=lambda item: (-item[1], item[0])):
         lines.append(f"  {ops / records:10.1f}  {module}")
-    lines += ["", f"top {top} functions: opcodes per record, calls per "
+    lines += ["", f"top {TOP} functions: opcodes per record, calls per "
               "record, opcodes per call:"]
     ranked = sorted(by_function.items(),
-                    key=lambda item: (-item[1][0], item[0]))[:top]
+                    key=lambda item: (-item[1][0], item[0]))[:TOP]
     for name, (ops, n_calls) in ranked:
         per_call = ops / n_calls if n_calls else 0.0
         lines.append(f"  {ops / records:10.1f}  {n_calls / records:8.3f}  "
@@ -116,14 +118,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         choices=sorted(scenarios.WORKLOADS))
     parser.add_argument("--scale", type=float, default=1.0,
                         help="share of the workload's records (default 1)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--top", type=int, default=30,
-                        help="functions to list (default 30)")
     args = parser.parse_args(argv)
     if not 0 < args.scale <= 1:
         parser.error("--scale must be in (0, 1]")
 
-    workload = scenarios.WORKLOADS[args.workload](args.seed, args.scale)
+    workload = scenarios.WORKLOADS[args.workload](DEFAULT_SEED, args.scale)
     state = workload.setup()
     opcodes, calls = count_opcodes(
         lambda: workload.run(state, serial=True))
@@ -131,8 +130,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if outcome.problems:
         print("\n".join(outcome.problems), file=sys.stderr)
         return 1
-    print(f"workload {args.workload} scale {args.scale} seed {args.seed}: "
-          + "\n".join(report(opcodes, calls, outcome.records, args.top)))
+    print(f"workload {args.workload} scale {args.scale} seed {DEFAULT_SEED}: "
+          + "\n".join(report(opcodes, calls, outcome.records)))
     return 0
 
 

@@ -31,7 +31,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.checks import Checked, bounded
 from repro.device.interface import DeviceStats, IORequest, OpType
-from repro.hdd.geometry import DiskGeometry
+from repro.hdd.geometry import DiskGeometry, Location
 from repro.hdd.seek import SeekModel
 from repro.sim.engine import Simulator
 from repro.sim.resource import SerialResource
@@ -63,16 +63,17 @@ class HDDConfig(Checked):
 
 
 class _MediaJob:
-    __slots__ = ("op", "lba", "sectors", "callback", "cylinder")
+    __slots__ = ("op", "lba", "sectors", "callback", "loc")
 
     def __init__(self, op: OpType, lba: int, sectors: int,
-                 callback: Callable[[], None], cylinder: int):
+                 callback: Callable[[], None], loc: Location):
         self.op = op
         self.lba = lba
         self.sectors = sectors
         self.callback = callback
-        #: located once: the write-drain pick ranks every dirty job by it
-        self.cylinder = cylinder
+        #: located once: the write-drain pick ranks every dirty job by it,
+        #: and the pick's estimates and the service time read it again
+        self.loc = loc
 
 
 class HDD:
@@ -233,8 +234,7 @@ class HDD:
 
     def _job(self, op: OpType, lba: int, sectors: int,
              callback: Callable[[], None]) -> _MediaJob:
-        return _MediaJob(op, lba, sectors, callback,
-                         self.geometry.locate(lba).cylinder)
+        return _MediaJob(op, lba, sectors, callback, self.geometry.locate(lba))
 
     def _media_kick(self) -> None:
         if self._media_busy:
@@ -266,13 +266,13 @@ class HDD:
             return None
         cylinder = self._current_cylinder
         nearest = nsmallest(8, range(len(dirty)),
-                            key=lambda i: abs(dirty[i].cylinder - cylinder))
+                            key=lambda i: abs(dirty[i].loc.cylinder - cylinder))
         best = min(nearest, key=lambda i: self._positioning_estimate(dirty[i]))
         return dirty.pop(best)
 
     def _positioning_estimate(self, job: _MediaJob) -> float:
         """Seek + rotational wait if *job* started now (no state change)."""
-        loc = self.geometry.locate(job.lba)
+        loc = job.loc
         seek = self.config.seek.seek_us(abs(loc.cylinder - self._current_cylinder))
         arrive = self.sim.now + seek
         sector_time = self.rotation_us / loc.sectors_per_track
@@ -282,7 +282,7 @@ class HDD:
 
     def _service_time(self, job: _MediaJob) -> float:
         cfg = self.config
-        loc = self.geometry.locate(job.lba)
+        loc = job.loc
         distance = abs(loc.cylinder - self._current_cylinder)
         seek = cfg.seek.seek_us(distance)
         if distance == 0 and loc.head != self._current_head:

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_two_runs_agree_exactly():
     command = [sys.executable, str(ROOT / "benchmarks" / "opcount.py"),
-               "--workload", "swtf_burst", "--scale", "0.02", "--top", "20"]
+               "--workload", "swtf_burst", "--scale", "0.02"]
     runs = [subprocess.Popen(command, cwd=ROOT, stdout=subprocess.PIPE,
                              stderr=subprocess.PIPE, text=True)
             for _ in range(2)]
