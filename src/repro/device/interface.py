@@ -60,8 +60,12 @@ class IORequest:
     Instances are plain value objects that drivers construct directly, one
     per submission.  The device restamps the dispatch fields below on every
     submit and hangs no callbacks or events off the request, so nothing on
-    it outlives a dispatch.  ``__slots__`` (via the dataclass) keeps the
-    instance compact and attribute access cheap.
+    it outlives a dispatch.  The host queue keeps its own arrival stamps
+    and finds a queued request by identity, so nothing on the request
+    records that it is queued, and an object that has left one queue may
+    be submitted again, to the same device or another.  ``__slots__``
+    (via the dataclass) keeps the instance compact and attribute access
+    cheap.
     """
 
     op: OpType
@@ -84,14 +88,6 @@ class IORequest:
     # -- device-internal dispatch plumbing (stamped by the SSD; not part of
     # -- the host-visible request identity, hence compare=False/repr=False)
 
-    #: submission sequence number, restamped per submit from a process-wide
-    #: monotone counter: totally orders arrivals within a queue, and makes
-    #: lazily-stored queue/scheduler entries from a previous submission
-    #: unambiguously stale if the request object is ever resubmitted
-    seq: int = field(default=-1, compare=False, repr=False)
-    #: True while the request sits in the host queue (lazy-removal flag for
-    #: the arrival deque and the scheduler's heap entries)
-    queued: bool = field(default=False, compare=False, repr=False)
     #: the request's NCQ slot was released before completion (write-back
     #: cache ack, or the request was absorbed into another dispatch by
     #: queue merging).  A per-request flag — unlike an ``id()``-keyed side

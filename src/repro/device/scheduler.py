@@ -1,6 +1,8 @@
-"""Host-queue structure and dispatch policies for the SSD.
+"""The SSD's host queue: one dispatch policy object per device.
 
-Two policies from the paper:
+The policy *is* the queue: it holds the queued requests in the one
+structure its choice needs, and ``SSD.queue`` is an instance of one of
+two policies from the paper:
 
 * **FCFS** — dispatch strictly in arrival order; a write that cannot be
   admitted (flash allocation backpressure) blocks the queue head, as on a
@@ -12,7 +14,14 @@ Two policies from the paper:
   when its slowest shard does) and dispatch the minimum.  Inadmissible
   writes are skipped rather than blocking (the controller can reorder).
 
-Schedulers only *choose*; the SSD performs admission and dispatch.
+Both share one interface.  ``on_submit(request, ssd)`` queues a request;
+``select(ssd)`` takes out and returns the next one to dispatch (None when
+nothing qualifies); ``remove(request, ssd)`` takes out a queued request
+by identity (a queue-merge steal, or a write failed by read-only
+degradation).  Iteration and ``head()`` give arrival order, ``len()`` the
+depth.  ``pending`` is truthy exactly while a request is queued: the SSD
+reads it, not ``len()``, on its per-request empty checks.  The policy
+asks ``SSD.admissible`` and decides; the SSD dispatches.
 
 Incremental SWTF design
 -----------------------
@@ -49,8 +58,10 @@ results live in.  The incremental version rests on four invariants:
 4. **A bucket's key never decreases.**  Its true key ``(max(now, D_b),
    head seq)`` only grows: ``now`` only moves forward, every element's
    ``drain_at_us`` only grows (it changes only at enqueue, where it moves
-   to a later tail), and a FIFO's head seq only grows (the head leaves,
-   and later arrivals carry later seqs).  So the buckets sit in a
+   to a later tail), and a FIFO's head seq only grows while the bucket
+   stays non-empty (the head leaves, and later arrivals carry later seqs
+   from the scheduler's own counter).  A bucket that empties loses its
+   entry at once, so a refill starts a fresh one.  So the buckets sit in a
    **lazy-key heap**, one ``(key, head seq, targets, bucket)`` entry per
    non-empty bucket, whose stored key may be stale but is never above the
    true key.  ``select`` peeks at the top and recomputes its true key; if
@@ -62,19 +73,21 @@ results live in.  The incremental version rests on four invariants:
    per call and a dispatch costs O(k log B) for k stale entries among B
    buckets: usually one peek, because under a deep queue only the bucket
    the last dispatch fed has moved.  On the ``swtf_burst`` benchmark (8
-   buckets, a host queue about 2600 deep) ``select`` runs 142 Python
+   buckets, a host queue about 2600 deep) ``select`` runs 117 Python
    opcodes per call, where a scan of every bucket per dispatch ran 428
    (``benchmarks/opcount.py``; docs/architecture.md §5).
 
 Admission mirrors the seed's skip-don't-block rule: candidates are probed
 in ``(wait, arrival)`` order and an inadmissible candidate is passed over
 in favour of the next arrival in its bucket (same wait, later seq).
-Removals (dispatch, queue-merge steals) are lazy flag flips; a bucket
-skims dead entries when it surfaces at the heap's top, and the probe walk
-skims every bucket.  The probe itself (``SSD.admissible``) asks
-the FTL afresh each time; ``can_accept_write`` is O(1) for single-page and
-single-stripe writes on every FTL (docs/architecture.md §4 records why no
-memo sits in front of it).
+Removals are eager: a dispatch pops its bucket's head (or, past a
+skipped head, deletes the entry in place), a steal or failure deletes
+its entry from the bucket its targets name, and a bucket that empties
+drops its heap entry, so every bucket in the heap is non-empty and no
+structure holds a request that has left the queue.  The probe itself
+(``SSD.admissible``) asks the FTL afresh each time; ``can_accept_write``
+is O(1) for single-page and single-stripe writes on every FTL
+(docs/architecture.md §4 records why no memo sits in front of it).
 
 Dispatch decisions are bit-identical to the seed's brute-force scan (kept
 as a test helper and pinned by the equivalence test in
@@ -84,7 +97,7 @@ as a test helper and pinned by the equivalence test in
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush, heapreplace, merge
 from itertools import count
 from typing import Iterator, List, Optional, TYPE_CHECKING
 
@@ -93,95 +106,48 @@ from repro.device.interface import IORequest, OpType
 if TYPE_CHECKING:  # pragma: no cover
     from repro.device.ssd import SSD
 
-__all__ = ["HostQueue", "FCFSScheduler", "SWTFScheduler", "make_scheduler"]
+__all__ = ["FCFSScheduler", "SWTFScheduler", "make_scheduler"]
 
 _FREE, _FLUSH = OpType.FREE, OpType.FLUSH  # see OpType
 
-#: compact the arrival deque once dead entries outnumber live ones by this
-_COMPACT_SLACK = 64
-
-#: submission sequence numbers are *globally* unique (one process-wide
-#: counter), not per-queue: lazy structures key entry liveness on
-#: ``(seq at insert, request.queued)``, and a globally-unique seq makes an
-#: entry from a previous queue residency unambiguously dead even if the
-#: same request object is later resubmitted (to this device or another).
-#: Per-queue arrival order is preserved — the counter only moves forward.
-_SEQ_COUNTER = count().__next__
-
-
-def _live(entry: tuple) -> bool:
-    """Is a lazily-stored ``(seq, request)`` entry still in its queue?"""
-    seq, request = entry
-    return request.queued and request.seq == seq
-
-
-class HostQueue:
-    """The device's host queue: arrival order with O(1) lazy removal.
-
-    Requests are appended at submit and usually leave from arbitrary
-    positions (scheduler picks, queue-merge steals).  Instead of rebuilding
-    a list per removal, removal just clears ``request.queued``; dead
-    entries are skipped at the head, dropped during iteration, and
-    compacted away wholesale once they outnumber live ones.  Entries are
-    stored as ``(seq, request)`` and considered live only while the seq
-    still matches (see :data:`_SEQ_COUNTER`), so a request object reused
-    across queues cannot resurrect its old entries.
-    """
-
-    __slots__ = ("_items", "_live")
-
-    def __init__(self) -> None:
-        self._items: deque[tuple] = deque()
-        self._live = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __iter__(self) -> Iterator[IORequest]:
-        """Live requests in arrival order."""
-        return (entry[1] for entry in self._items if _live(entry))
-
-    def append(self, request: IORequest) -> None:
-        assert not request.queued, "request is already in a host queue"
-        seq = _SEQ_COUNTER()
-        request.seq = seq
-        request.queued = True
-        self._items.append((seq, request))
-        self._live += 1
-
-    def remove(self, request: IORequest) -> None:
-        """Lazily remove a live request (O(1) amortized)."""
-        assert request.queued, "request not in host queue"
-        request.queued = False
-        self._live -= 1
-        items = self._items
-        if len(items) > 2 * self._live + _COMPACT_SLACK:
-            # _live() inlined: a compaction walks every entry
-            self._items = deque([entry for entry in items
-                                 if entry[1].queued
-                                 and entry[1].seq == entry[0]])
-
-    def head(self) -> Optional[IORequest]:
-        """Earliest-arrived live request (None when empty)."""
-        items = self._items
-        while items and not _live(items[0]):
-            items.popleft()
-        return items[0][1] if items else None
-
 
 class FCFSScheduler:
-    """First-come first-served with head-of-line blocking."""
+    """First-come first-served with head-of-line blocking: the queue is
+    one arrival-order deque, ``pending``."""
 
     name = "fcfs"
 
+    def __init__(self) -> None:
+        self.pending: deque[IORequest] = deque()
+
+    def __len__(self) -> int:
+        return len(self.pending)
+
+    def __iter__(self) -> Iterator[IORequest]:
+        return iter(self.pending)
+
+    def head(self) -> Optional[IORequest]:
+        pending = self.pending
+        return pending[0] if pending else None
+
     def on_submit(self, request: IORequest, ssd: "SSD") -> None:
-        pass
+        self.pending.append(request)
 
     def select(self, ssd: "SSD") -> Optional[IORequest]:
-        head = ssd.queue.head()
-        if head is not None and ssd.admissible(head):
-            return head
+        pending = self.pending
+        if pending and ssd.admissible(pending[0]):
+            return pending.popleft()
         return None
+
+    def remove(self, request: IORequest, ssd: "SSD") -> None:
+        """Take a queued request out by identity (requests compare equal
+        by value, so ``deque.remove`` could take out a twin)."""
+        pending = self.pending
+        for index, queued in enumerate(pending):
+            if queued is request:
+                del pending[index]
+                return
+        raise ValueError("request is not queued")
 
 
 class SWTFScheduler:
@@ -189,11 +155,11 @@ class SWTFScheduler:
 
     See the module docstring for the incremental design and its
     invariants.  ``_buckets`` maps a target-element tuple to the FIFO of
-    live queued requests with exactly that target set; entries of
-    dispatched/stolen requests are skimmed lazily when they surface.
-    ``_heap`` holds one ``(key, head_seq, targets, bucket)`` entry per
-    non-empty bucket, ordered by a stored key that never exceeds the
-    bucket's true key.
+    ``(seq, request)`` entries queued with exactly that target set; the
+    buckets together are the queue, and arrival order is their merge by
+    seq.  ``pending`` is the lazy-key heap: one ``(key, head_seq,
+    targets, bucket)`` entry per non-empty bucket, ordered by a stored
+    key that never exceeds the bucket's true key.
     """
 
     name = "swtf"
@@ -202,10 +168,12 @@ class SWTFScheduler:
         #: target-element tuple -> deque of (seq, request) entries
         self._buckets: dict[tuple, deque[tuple]] = {}
         #: the lazy-key heap: a bucket has an entry exactly while its deque
-        #: is non-empty (pushed by the submit that fills it, popped by the
-        #: skim that empties it); ``(key, head_seq)`` pairs are unique
+        #: is non-empty (pushed by the submit that fills it, dropped by the
+        #: removal that empties it); ``(key, head_seq)`` pairs are unique
         #: because seqs are, so entries never compare past them
-        self._heap: List[tuple] = []
+        self.pending: List[tuple] = []
+        #: arrival stamps, unique within this queue
+        self._seq = count().__next__
         #: interned single-element target tuples (lazily built per FTL):
         #: the overwhelmingly common 4 KB request targets one element, and
         #: reusing one tuple object per element skips a tuple build per
@@ -219,6 +187,33 @@ class SWTFScheduler:
         #: target sets, so keeping them is cheap and pruning is a backstop)
         self._prune_len = 64
 
+    def __len__(self) -> int:
+        return sum(len(entry[3]) for entry in self.pending)
+
+    def __iter__(self) -> Iterator[IORequest]:
+        """Queued requests in arrival order (the buckets merged by seq)."""
+        return (entry[1]
+                for entry in merge(*[entry[3] for entry in self.pending]))
+
+    def head(self) -> Optional[IORequest]:
+        """The earliest-arrived queued request (None when empty)."""
+        return next(iter(self), None)
+
+    def _targets(self, request: IORequest, ssd: "SSD") -> tuple:
+        """The request's target elements: its bucket key."""
+        op = request.op
+        if op is _FREE or op is _FLUSH:
+            return ()
+        ftl = ssd.ftl
+        indices = ftl.elements_for_range(request.offset, request.size)
+        if len(indices) == 1:
+            single = self._single
+            if single is None:
+                single = self._single = [(el,) for el in ftl.elements]
+            return single[indices[0]]
+        elements = ftl.elements
+        return tuple(elements[e] for e in indices)
+
     def on_submit(self, request: IORequest, ssd: "SSD") -> None:
         """Resolve the request's target elements and bucket it under them.
 
@@ -228,20 +223,7 @@ class SWTFScheduler:
         carrying per-request state.  A request that fills an empty bucket
         pushes the bucket's heap entry at its current true key.
         """
-        op = request.op
-        if op is _FREE or op is _FLUSH:
-            targets: tuple = ()
-        else:
-            ftl = ssd.ftl
-            indices = ftl.elements_for_range(request.offset, request.size)
-            if len(indices) == 1:
-                single = self._single
-                if single is None:
-                    single = self._single = [(el,) for el in ftl.elements]
-                targets = single[indices[0]]
-            else:
-                elements = ftl.elements
-                targets = tuple(elements[e] for e in indices)
+        targets = self._targets(request, ssd)
         buckets = self._buckets
         bucket = buckets.get(targets)
         if bucket is None:
@@ -250,50 +232,38 @@ class SWTFScheduler:
                     del buckets[key]
                 self._prune_len = max(2 * (len(buckets) + 1), 64)
             bucket = buckets[targets] = deque()
-        seq = request.seq
+        seq = self._seq()
         if not bucket:
             key = ssd.sim.now
             for element in targets:
                 drain_at = element.drain_at_us
                 if drain_at > key:
                     key = drain_at
-            heappush(self._heap, (key, seq, targets, bucket))
+            heappush(self.pending, (key, seq, targets, bucket))
         bucket.append((seq, request))
 
     def select(self, ssd: "SSD") -> Optional[IORequest]:
-        """Pick the next request to dispatch (None when nothing qualifies).
+        """Take out and return the next request to dispatch (None when
+        nothing qualifies).
 
-        Fast path: peek at the heap's top, skim its bucket's dead heads and
-        recompute its true key.  When the stored key equals it, no other
-        bucket can beat that head (every other stored key is at or above
-        the top's and at or below its own true key); otherwise the entry
-        is re-keyed in place (``heapreplace``) and the new top is tried.
-        When the chosen head is admissible — every read, and every write
-        outside an allocation stall — that single probe decides the
-        dispatch.  An inadmissible head falls back to
-        :meth:`_select_probing`, which walks every bucket in ``(wait,
-        arrival)`` order exactly as the always-heap implementation did
-        (probing the best candidate a second time).
+        Fast path: peek at the heap's top and recompute its true key.
+        When the stored key equals it, no other bucket can beat that head
+        (every other stored key is at or above the top's and at or below
+        its own true key); otherwise the entry is re-keyed in place
+        (``heapreplace``) and the new top is tried.  When the chosen head
+        is admissible — every read, and every write outside an allocation
+        stall — that single probe decides the dispatch, and the head
+        leaves its bucket (the bucket's entry with it, if that empties
+        it).  An inadmissible head falls back to :meth:`_select_probing`,
+        which walks every bucket in ``(wait, arrival)`` order exactly as
+        the always-heap implementation did (probing the best candidate a
+        second time).
         """
-        heap = self._heap
+        heap = self.pending
         now = ssd.sim.now
         while heap:
             key, seq, targets, bucket = heap[0]
             head_seq, head = bucket[0]
-            if not (head.queued and head.seq == head_seq):
-                # skim with the _live() predicate inlined (this loop runs
-                # per dispatch and the call overhead shows in profiles)
-                bucket.popleft()
-                while bucket:
-                    head_seq, head = bucket[0]
-                    if head.queued and head.seq == head_seq:
-                        break
-                    bucket.popleft()
-                else:
-                    # emptied: the entry leaves with it (the deque itself
-                    # stays in _buckets for reuse)
-                    heappop(heap)
-                    continue
             true_key = now  # zero-wait clamp: ties resolve by arrival order
             for element in targets:
                 drain_at = element.drain_at_us
@@ -308,6 +278,9 @@ class SWTFScheduler:
         else:
             return None
         if ssd.admissible(head):
+            bucket.popleft()
+            if not bucket:
+                heappop(heap)  # the chosen bucket's entry is on top
             return head
         return self._select_probing(ssd, now)
 
@@ -316,66 +289,54 @@ class SWTFScheduler:
         allocation stall is in progress): identical decisions to the seed's
         always-heap ``select``, just only paid for when skipping happens.
 
-        ``select`` skimmed only the buckets that surfaced at the heap's
-        top, so this walk skims every bucket's dead heads itself, drops
-        the entries of buckets the skim empties and rebuilds the heap at
-        the true keys it computes."""
+        The walk computes every bucket's true key, so it rebuilds the heap
+        at those keys as it goes."""
         heap: List[tuple] = []
         candidates: List[tuple] = []
-        for _key, _seq, targets, bucket in self._heap:
-            while bucket:
-                head_seq, head = bucket[0]
-                if head.queued and head.seq == head_seq:
-                    break
-                bucket.popleft()
-            else:
-                continue
+        for _key, _seq, targets, bucket in self.pending:
             key = now
             for element in targets:
                 drain_at = element.drain_at_us
                 if drain_at > key:
                     key = drain_at
-            heap.append((key, head_seq, targets, bucket))
             rest = iter(bucket)
-            next(rest)  # the head; `rest` is past it
-            candidates.append((key, head_seq, head, rest, bucket))
-        heapify(heap)
-        self._heap = heap
+            head = next(rest)
+            heap.append((key, head[0], targets, bucket))
+            candidates.append((key, head, rest, bucket))
         heapify(candidates)
         chosen: Optional[IORequest] = None
-        compact: Optional[List[deque]] = None
         while candidates:
-            key, _seq, request, rest, bucket = heappop(candidates)
-            if ssd.admissible(request):
-                chosen = request
+            key, entry, rest, bucket = heappop(candidates)
+            if ssd.admissible(entry[1]):
+                chosen = entry[1]
+                # the walk ends here, so changing the bucket under its
+                # iterators is safe; entries ahead of this one differ in
+                # seq, so only this one compares equal
+                bucket.remove(entry)
+                if not bucket:
+                    heap = [item for item in heap if item[3] is not bucket]
                 break
             # skipped (inadmissible): the next arrival in the same bucket
             # has the same wait but a later seq
-            skimmed = 0
-            for entry in rest:
-                if _live(entry):
-                    successor_seq, successor = entry
-                    heappush(candidates,
-                             (key, successor_seq, successor, rest, bucket))
-                    break
-                skimmed += 1
-            if skimmed > _COMPACT_SLACK:
-                # a blocked head accumulates dead entries behind it that the
-                # head-skim can't reach; compact so repeated probes during a
-                # long stall don't re-walk an ever-growing dead prefix
-                if compact is None:
-                    compact = []
-                compact.append(bucket)
-        if compact:
-            # safe here: the candidate heap (and its live iterators over
-            # these deques) is abandoned once selection finishes, and each
-            # compacted bucket keeps its live (blocked) head, so its heap
-            # entry stays exact
-            for bucket in compact:
-                live = [entry for entry in bucket if _live(entry)]
-                bucket.clear()
-                bucket.extend(live)
+            successor = next(rest, None)
+            if successor is not None:
+                heappush(candidates, (key, successor, rest, bucket))
+        heapify(heap)
+        self.pending = heap
         return chosen
+
+    def remove(self, request: IORequest, ssd: "SSD") -> None:
+        """Take a queued request out of the bucket its targets name."""
+        bucket = self._buckets.get(self._targets(request, ssd))
+        entry = next((entry for entry in bucket or () if entry[1] is request),
+                     None)
+        if bucket is None or entry is None:
+            raise ValueError("request is not queued")
+        bucket.remove(entry)
+        if not bucket:
+            heap = self.pending = [item for item in self.pending
+                                   if item[3] is not bucket]
+            heapify(heap)
 
 
 def make_scheduler(name: str):

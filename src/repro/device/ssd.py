@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional
 
 from repro.device.interface import DeviceStats, IORequest, OpType
-from repro.device.scheduler import HostQueue, make_scheduler
+from repro.device.scheduler import make_scheduler
 from repro.device.ssd_config import SSDConfig
 from repro.device.write_buffer import (
     AligningWriteBuffer,
@@ -106,10 +106,10 @@ class SSD:
         self._retry_limit = cfg.host_retry_limit
         self._retry_backoff_us = cfg.host_retry_backoff_us
 
-        self.scheduler = make_scheduler(cfg.scheduler)
+        #: the host queue is the dispatch policy (see repro.device.scheduler)
+        self.queue = make_scheduler(cfg.scheduler)
         self.link = SerialResource(sim, cfg.host_interface_mb_s)
         self._stats = DeviceStats()
-        self.queue = HostQueue()
         self._inflight = 0
         self._pending_priority = 0
         # hot-loop scalars hoisted off the (frozen) config: _pump runs twice
@@ -146,13 +146,13 @@ class SSD:
         request.retries_left = self._retry_limit
         if request.priority > 0:
             self._pending_priority += 1
-        if (self.queue._live == 0 and self._inflight < self._max_inflight
+        if (not self.queue.pending and self._inflight < self._max_inflight
                 and (request.op is not _WRITE
                      or self.admissible(request))):
             # empty-queue fast lane: with a single candidate every
             # scheduler picks it (FCFS head; SWTF minimum over one bucket)
-            # iff admissible, so the queue/bucket round-trip — append,
-            # bucket entry, select walk, lazy removal — is skipped whole.
+            # iff admissible, so the queue round-trip — bucket entry,
+            # heap push, select walk — is skipped whole.
             # On a device that keeps up with its arrivals this is the
             # common case, and it is exactly equivalent: an inadmissible
             # write falls through to the ordinary path, where the pump
@@ -162,8 +162,7 @@ class SSD:
             self._inflight += 1
             self._arm_dispatch(request)
             return
-        self.queue.append(request)
-        self.scheduler.on_submit(request, self)
+        self.queue.on_submit(request, self)
         self._pump()
 
     def submit_batch(self, requests: Iterable[IORequest]) -> None:
@@ -194,8 +193,8 @@ class SSD:
 
     def _pump(self) -> None:
         queue = self.queue
-        while self._inflight < self._max_inflight and queue._live:
-            request = self.scheduler.select(self)
+        while self._inflight < self._max_inflight and queue.pending:
+            request = queue.select(self)
             if request is None:
                 head = queue.head()
                 if head is not None and head.op is _WRITE:
@@ -214,7 +213,6 @@ class SSD:
                     # blocked on allocation headroom: force reclamation
                     ftl.ensure_space(head.offset, head.size)
                 return
-            queue.remove(request)
             self._inflight += 1
             self._arm_dispatch(request)
 
@@ -335,7 +333,7 @@ class SSD:
         error so the reads queued behind them can proceed."""
         failed = [r for r in self.queue if r.op is _WRITE]
         for request in failed:
-            self.queue.remove(request)
+            self.queue.remove(request, self)
             request.error = "readonly"
             # never dispatched, so there is no NCQ slot to release
             request.early_release = True
@@ -345,7 +343,7 @@ class SSD:
 
     def _release_slot(self) -> None:
         self._inflight -= 1
-        if self.queue._live:
+        if self.queue.pending:
             self._pump()
 
     def steal_queued_writes(
@@ -370,10 +368,6 @@ class SSD:
         ``limit`` caps how many writes one call may return (the buffer
         passes its remaining batch headroom so a batch never exceeds
         ``MAX_BATCH``); queue arrival order decides which are taken first.
-
-        Stolen requests are removed lazily (flag flip per request) rather
-        than by rebuilding the queue; the arrival deque and any scheduler
-        heap entries skip them on sight.
         """
         stolen: List[IORequest] = []
         for queued in self.queue:
@@ -383,7 +377,7 @@ class SSD:
                 if limit is not None and len(stolen) >= limit:
                     break
         for request in stolen:
-            self.queue.remove(request)
+            self.queue.remove(request, self)
             request.early_release = True
         return stolen
 

@@ -24,7 +24,6 @@ from repro.fleet.report import FleetReport, TenantAggregate
 from repro.fleet.router import (TenantPlacement, device_layout, device_stream,
                                 make_classifier, tenant_records, tenant_seed)
 from repro.fleet.runner import DeviceRun, run_device, run_fleet
-from repro.fleet.sweep import SweepPoint, op_grid, run_sweep
 
 __all__ = [
     "QOS_CLASSES",
@@ -41,7 +40,4 @@ __all__ = [
     "DeviceRun",
     "run_device",
     "run_fleet",
-    "SweepPoint",
-    "op_grid",
-    "run_sweep",
 ]

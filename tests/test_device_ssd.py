@@ -199,8 +199,7 @@ class TestSchedulers:
     def _enqueue(ssd, *requests):
         """Place requests in the host queue without pumping dispatch."""
         for request in requests:
-            ssd.queue.append(request)
-            ssd.scheduler.on_submit(request, ssd)
+            ssd.queue.on_submit(request, ssd)
 
     def test_swtf_selects_request_with_idle_target(self, sim):
         ssd = SSD(sim, SSDConfig(n_elements=2, geometry=small_geometry(),
@@ -214,21 +213,21 @@ class TestSchedulers:
         busy = IORequest(OpType.READ, 0, 4 * KIB)        # element 0 (lpn 0)
         idle = IORequest(OpType.READ, 4 * KIB, 4 * KIB)  # element 1 (lpn 1)
         self._enqueue(ssd, busy, idle)
-        chosen = ssd.scheduler.select(ssd)
-        assert chosen is idle  # the idle element's request wins
         assert reference_select(ssd) is idle
-        ssd.queue.remove(busy)
-        ssd.queue.remove(idle)
+        chosen = ssd.queue.select(ssd)  # takes the request out
+        assert chosen is idle  # the idle element's request wins
+        assert list(ssd.queue) == [busy]
+        ssd.queue.remove(busy, ssd)
         sim.run_until_idle()
 
     def test_fcfs_selects_head(self, sim, small_ssd):
         first = IORequest(OpType.READ, 4 * KIB, 4 * KIB)
         second = IORequest(OpType.READ, 0, 4 * KIB)
         self._enqueue(small_ssd, first, second)
-        assert small_ssd.scheduler.select(small_ssd) is first
-        small_ssd.queue.remove(first)
-        small_ssd.queue.remove(second)
-        assert small_ssd.scheduler.select(small_ssd) is None
+        assert small_ssd.queue.select(small_ssd) is first
+        assert list(small_ssd.queue) == [second]
+        small_ssd.queue.remove(second, small_ssd)
+        assert small_ssd.queue.select(small_ssd) is None
 
     def test_unknown_scheduler_rejected(self):
         from repro.device.scheduler import make_scheduler

@@ -12,9 +12,9 @@ Four contracts:
    pre-scheduling, and rejects the first out-of-order record.
 3. **Front-lane engine ordering** — external-stimulus events beat
    same-timestamp internal events and keep their own order.
-4. **Host-queue / early-release plumbing** — lazy removal, arrival-order
-   iteration, and flag-based early slot release behave like the seed's
-   list/id()-set implementation.
+4. **Host-queue / early-release plumbing** — both policies' queues keep
+   arrival order under eager removal by identity, and flag-based early
+   slot release behaves like the seed's list/id()-set implementation.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import random
 import re
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.device.interface import IORequest, OpType
 from repro.device.ssd import SSD
@@ -70,13 +72,29 @@ def reference_select(ssd):
 # ---------------------------------------------------------------------------
 
 class _CheckedSWTF:
-    """Delegates to the incremental scheduler, asserting every decision
+    """Wraps the device's SWTF queue, asserting every ``select`` decision
     against the brute-force reference scan."""
 
     def __init__(self, inner):
         self.inner = inner
         self.checks = 0
         self.max_queue = 0
+
+    @property
+    def pending(self):
+        return self.inner.pending
+
+    def __len__(self):
+        return len(self.inner)
+
+    def __iter__(self):
+        return iter(self.inner)
+
+    def head(self):
+        return self.inner.head()
+
+    def remove(self, request, ssd):
+        self.inner.remove(request, ssd)
 
     def on_submit(self, request, ssd):
         self.inner.on_submit(request, ssd)
@@ -96,8 +114,8 @@ class _CheckedSWTF:
 def _drive_checked(config: SSDConfig, seed: int, count: int = 1200) -> _CheckedSWTF:
     sim = Simulator()
     ssd = SSD(sim, config)
-    checker = _CheckedSWTF(ssd.scheduler)
-    ssd.scheduler = checker
+    checker = _CheckedSWTF(ssd.queue)
+    ssd.queue = checker
     region = int(ssd.capacity_bytes * 0.6) // KB4
     rng = random.Random(seed)
 
@@ -166,8 +184,8 @@ class TestSWTFEquivalence:
             controller_overhead_us=5.0,
         )
         ssd = SSD(sim, config)
-        checker = _CheckedSWTF(ssd.scheduler)
-        ssd.scheduler = checker
+        checker = _CheckedSWTF(ssd.queue)
+        ssd.queue = checker
         region = int(ssd.capacity_bytes * 0.5) // KB4
         rng = random.Random(5)
         records = [
@@ -198,8 +216,8 @@ class TestLazyKeyHeap:
                 sequential: float = 0.0):
         sim = Simulator()
         ssd = SSD(sim, config)
-        checker = _CheckedSWTF(ssd.scheduler)
-        ssd.scheduler = checker
+        checker = _CheckedSWTF(ssd.queue)
+        ssd.queue = checker
         region = int(ssd.capacity_bytes * 0.5) // KB4
         rng = random.Random(seed)
         records = []
@@ -250,11 +268,11 @@ class TestLazyKeyHeap:
                                     spacing_us=5.0,
                                     sizes=(KB4, 2 * KB4, 4 * KB4))
         assert checker.max_queue > 100
-        assert len(ssd.scheduler.inner._buckets) > config.n_elements
+        assert len(ssd.queue.inner._buckets) > config.n_elements
 
     def test_queue_merge_steals(self):
         # contiguous writes let a dispatched write steal its queued
-        # neighbours: their bucket entries die without a dispatch
+        # neighbours: their bucket entries leave without a dispatch
         config = SSDConfig(
             name="heap-merge",
             n_elements=4,
@@ -369,52 +387,61 @@ class TestFrontLane:
 # ---------------------------------------------------------------------------
 
 class TestHostQueue:
-    def test_lazy_removal_and_order(self):
-        from repro.device.scheduler import HostQueue
-
-        queue = HostQueue()
-        requests = [IORequest(OpType.READ, i * KB4, KB4) for i in range(6)]
+    @pytest.mark.parametrize("policy", ["fcfs", "swtf"])
+    def test_arrival_order_and_removal(self, sim, policy):
+        """Requests spread over four buckets (one per target element) come
+        back in arrival order after removals from the front and the
+        middle.  Removal goes by identity: taking out ``requests[8]``
+        leaves its value-equal elder ``requests[4]`` queued."""
+        config = SSDConfig(n_elements=4, geometry=small_geometry(),
+                           scheduler=policy, controller_overhead_us=5.0)
+        ssd = SSD(sim, config)
+        queue = ssd.queue
+        requests = [IORequest(OpType.READ, (i * 3 % 4) * KB4, KB4)
+                    for i in range(10)]
+        twin = IORequest(OpType.READ, 0, KB4)
+        assert twin == requests[0] and twin is not requests[0]
+        requests.append(twin)
         for request in requests:
-            queue.append(request)
-        seqs = [r.seq for r in requests]
-        assert seqs == sorted(seqs) and len(set(seqs)) == 6
-        queue.remove(requests[0])
-        queue.remove(requests[2])
-        assert len(queue) == 4
+            queue.on_submit(request, ssd)
+        if policy == "swtf":
+            assert len(queue.pending) == 4  # one heap entry per bucket
+        assert len(queue) == 11
+        assert list(queue) == requests
+        for index in (0, 5, 8):
+            queue.remove(requests[index], ssd)
+        live = [r for i, r in enumerate(requests) if i not in (0, 5, 8)]
+        assert len(queue) == 8
         assert queue.head() is requests[1]
-        assert list(queue) == [requests[1], requests[3], requests[4], requests[5]]
-
-    def test_compaction_keeps_live_entries(self):
-        from repro.device.scheduler import HostQueue
-
-        queue = HostQueue()
-        requests = [IORequest(OpType.READ, 0, KB4) for _ in range(500)]
-        for request in requests:
-            queue.append(request)
-        for request in requests[:-1]:
-            queue.remove(request)
+        assert list(queue) == live
+        for request in live[:-1]:
+            queue.remove(request, ssd)
         assert len(queue) == 1
-        assert len(queue._items) < 500  # dead entries were compacted away
-        assert queue.head() is requests[-1]
+        assert queue.head() is twin
+        assert list(queue) == [twin]
+        queue.remove(twin, ssd)
+        assert len(queue) == 0 and not queue.pending
+        assert queue.head() is None
+        assert queue.select(ssd) is None
+        with pytest.raises(ValueError):
+            queue.remove(twin, ssd)
 
     def test_reused_request_does_not_resurrect_stale_entries(self, sim):
-        """A request object resubmitted (here: to a second device) must not
-        revive its lazily-removed entries in the first device's queue or
-        SWTF buckets — the seq restamp marks them dead."""
+        """A request object resubmitted (here: to a second device) after
+        leaving the first device's queue must leave nothing behind there:
+        removal is eager, so device A is empty and selects nothing."""
         config = SSDConfig(n_elements=2, geometry=small_geometry(),
                            scheduler="swtf", controller_overhead_us=5.0)
         ssd_a = SSD(sim, config)
         ssd_b = SSD(sim, config)
         request = IORequest(OpType.READ, 0, KB4)
-        ssd_a.queue.append(request)
-        ssd_a.scheduler.on_submit(request, ssd_a)
-        ssd_a.queue.remove(request)  # dispatched/stolen: lazy removal
-        ssd_b.queue.append(request)  # reuse on another device
-        ssd_b.scheduler.on_submit(request, ssd_b)
+        ssd_a.queue.on_submit(request, ssd_a)
+        ssd_a.queue.remove(request, ssd_a)  # stolen or failed
+        ssd_b.queue.on_submit(request, ssd_b)  # reuse on another device
         assert len(ssd_a.queue) == 0
         assert ssd_a.queue.head() is None
-        assert ssd_a.scheduler.select(ssd_a) is None  # stale bucket entry dead
-        assert ssd_b.scheduler.select(ssd_b) is request
+        assert ssd_a.queue.select(ssd_a) is None
+        assert ssd_b.queue.select(ssd_b) is request
 
     def test_early_release_flag_cleared_after_completion(self, sim):
         config = SSDConfig(
@@ -433,6 +460,133 @@ class TestHostQueue:
         assert all(not r.early_release for r in requests)
 
 
+def _noop() -> None:
+    pass
+
+
+_QUEUE_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("submit"),
+              st.sampled_from([OpType.READ, OpType.WRITE, OpType.FREE]),
+              st.integers(0, 7), st.sampled_from([1, 2, 4])),
+    st.tuples(st.just("select")),
+    st.tuples(st.just("remove"), st.integers(0, 63)),
+    st.tuples(st.just("resubmit"), st.integers(0, 63)),
+    st.tuples(st.just("busy"), st.integers(0, 3), st.integers(1, 400)),
+    st.tuples(st.just("tick"), st.integers(1, 300)),
+    st.tuples(st.just("stall"), st.booleans()),
+), max_size=80)
+
+#: bucket B (element 1) is emptied by a removal while bucket A (element 0,
+#: idle) holds the heap's top, then refilled: an entry the removal failed
+#: to drop would sit in the heap twice
+_EMPTIED_BELOW_TOP = [
+    ("submit", OpType.READ, 0, 1),
+    ("busy", 1, 300),
+    ("submit", OpType.READ, 1, 1),
+    ("remove", 1),
+    ("submit", OpType.READ, 1, 1),
+    ("select",),
+    ("select",),
+]
+
+#: a stalled WRITE heads bucket A (element 0) with a READ behind it, and
+#: bucket B's READ waits on a busy element: the probe walk passes over the
+#: WRITE to the READ behind it, then to B
+_PAST_A_STALLED_HEAD = [
+    ("busy", 1, 50),
+    ("submit", OpType.WRITE, 0, 1),
+    ("submit", OpType.READ, 1, 1),
+    ("submit", OpType.READ, 4, 1),
+    ("stall", True),
+    ("select",),
+    ("select",),
+    ("select",),
+    ("stall", False),
+    ("select",),
+]
+
+
+class TestQueueAgainstList:
+    """Random interleavings of submit, ``select``, ``remove`` and
+    resubmission of a request that left the queue, on both policies,
+    against a plain arrival-order list.  ``stall`` makes every WRITE
+    inadmissible (an allocation stall), so SWTF's probe walk runs; ``busy``
+    moves an element's drain time later, ``tick`` moves the clock."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @example(policy="swtf", steps=_EMPTIED_BELOW_TOP)
+    @example(policy="fcfs", steps=_EMPTIED_BELOW_TOP)
+    @example(policy="swtf", steps=_PAST_A_STALLED_HEAD)
+    @given(policy=st.sampled_from(["fcfs", "swtf"]), steps=_QUEUE_STEPS)
+    def test_matches_reference_list(self, policy, steps):
+        sim = Simulator()
+        ssd = SSD(sim, SSDConfig(n_elements=4, geometry=small_geometry(),
+                                 scheduler=policy,
+                                 controller_overhead_us=5.0))
+        queue = ssd.queue
+        stalled = [False]
+        probe = ssd.admissible
+
+        def admissible(request):
+            if stalled[0] and request.op is OpType.WRITE:
+                return False
+            return probe(request)
+
+        ssd.admissible = admissible
+        reference: list = []  # queued requests in arrival order
+        left: list = []  # requests taken out, ready to be submitted again
+
+        def take_out(request):
+            index = next(i for i, r in enumerate(reference) if r is request)
+            del reference[index]
+            left.append(request)
+
+        for step in steps:
+            kind = step[0]
+            if kind == "submit":
+                _, op, page, pages = step
+                request = IORequest(op, page * KB4, pages * KB4)
+                queue.on_submit(request, ssd)
+                reference.append(request)
+            elif kind == "select":
+                if policy == "swtf":
+                    expected = reference_select(ssd)
+                elif reference and admissible(reference[0]):
+                    expected = reference[0]
+                else:
+                    expected = None
+                got = queue.select(ssd)
+                assert got is expected
+                if got is not None:
+                    take_out(got)
+            elif kind == "remove":
+                if reference:
+                    request = reference[step[1] % len(reference)]
+                    queue.remove(request, ssd)
+                    take_out(request)
+            elif kind == "resubmit":
+                if left:
+                    request = left.pop(step[1] % len(left))
+                    queue.on_submit(request, ssd)
+                    reference.append(request)
+            elif kind == "busy":
+                element = ssd.ftl.elements[step[1]]
+                element.drain_at_us = (max(element.drain_at_us, sim.now)
+                                       + step[2])
+            elif kind == "tick":
+                sim.schedule(step[1], _noop)
+                sim.run_until_idle()
+            else:
+                stalled[0] = step[1]
+            assert len(queue) == len(reference)
+            assert bool(queue.pending) == bool(reference)
+            assert queue.head() is (reference[0] if reference else None)
+            order = list(queue)
+            assert len(order) == len(reference)
+            assert all(a is b for a, b in zip(order, reference))
+
+
 class TestAdmissionUnderBackpressure:
     """Writes refused admission (the pool at its reserve) are probed again
     on every dispatch attempt.  Through a real allocation stall every SWTF
@@ -443,8 +597,8 @@ class TestAdmissionUnderBackpressure:
                read_frac: float):
         sim = Simulator()
         ssd = SSD(sim, config)
-        checker = _CheckedSWTF(ssd.scheduler)
-        ssd.scheduler = checker
+        checker = _CheckedSWTF(ssd.queue)
+        ssd.queue = checker
         probe = ssd.admissible
         refused = []
 

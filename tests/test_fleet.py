@@ -23,18 +23,22 @@ The contracts under test:
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
-from repro.fleet import (FleetConfig, TenantSpec, op_grid, run_fleet,
-                         run_sweep)
+import repro
+from repro.fleet import FleetConfig, TenantSpec, run_fleet
 from repro.fleet.config import REGION_FRACTION
 from repro.fleet.router import (device_layout, device_stream, make_classifier,
                                 tenant_records, tenant_seed)
 from repro.fleet.runner import build_device
-from repro.fleet.sweep import SweepPoint, main as sweep_main
+from repro.fleet.sweep import (SweepPoint, main as sweep_main, op_grid,
+                               run_sweep)
 from repro.sim.rng import derive_seed
 from repro.sim.stats import QuantileSketch, ReservoirSampler
 from repro.workloads.driver import StreamingResult, replay_trace
@@ -394,6 +398,19 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "fingerprint:" in out
         assert "oltp" in out and "batch" in out
+
+    def test_cli_runs_as_main_without_warnings(self):
+        """``python -m repro.fleet.sweep`` runs the module once: the
+        package must not import it first, or runpy warns that it is
+        already in ``sys.modules`` (an error under ``-W error``)."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.fleet.sweep", "--count", "50", "--devices", "1"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert "fingerprint:" in run.stdout
 
     def test_cli_rejects_bad_tenant_spec(self, capsys):
         with pytest.raises(SystemExit):

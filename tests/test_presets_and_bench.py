@@ -78,7 +78,7 @@ class TestPresets:
 
     def test_preset_overrides(self, sim):
         device = s4slc_sim(sim, scheduler="swtf", max_inflight=7)
-        assert device.scheduler.name == "swtf"
+        assert device.queue.name == "swtf"
         assert device.config.max_inflight == 7
 
 
