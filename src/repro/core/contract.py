@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, List, Optional, Tuple
 
 from repro.device.interface import IORequest, OpType
@@ -204,34 +205,30 @@ def _probe_term1(make: Callable) -> Tuple[str, str]:
 
 
 def _spearman(xs: List[float], ys: List[float]) -> float:
-    try:
-        import warnings
+    """Spearman's rank correlation.  Ties share their average rank (as
+    scipy defines it), and a constant side (the SSD's flat latencies)
+    scores 0.0: no correlation, not an error."""
 
-        from scipy.stats import spearmanr
+    def ranks(values):
+        order = sorted(range(len(values)), key=values.__getitem__)
+        out = [0.0] * len(values)
+        start = 0
+        for _, group in groupby(order, key=values.__getitem__):
+            tied = list(group)
+            for index in tied:
+                out[index] = start + (len(tied) - 1) / 2
+            start += len(tied)
+        return out
 
-        with warnings.catch_warnings():
-            # constant latencies (the SSD case) are a legitimate "no
-            # correlation" outcome, not an error
-            warnings.simplefilter("ignore")
-            rho = spearmanr(xs, ys).statistic
-        return 0.0 if rho is None or math.isnan(rho) else float(rho)
-    except ImportError:  # pragma: no cover - scipy is an install extra
-        def ranks(values):
-            order = sorted(range(len(values)), key=values.__getitem__)
-            out = [0.0] * len(values)
-            for rank, index in enumerate(order):
-                out[index] = float(rank)
-            return out
-
-        rx, ry = ranks(xs), ranks(ys)
-        n = len(xs)
-        mx = sum(rx) / n
-        my = sum(ry) / n
-        num = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
-        den = math.sqrt(
-            sum((a - mx) ** 2 for a in rx) * sum((b - my) ** 2 for b in ry)
-        )
-        return num / den if den else 0.0
+    rx, ry = ranks(xs), ranks(ys)
+    n = len(xs)
+    mx = sum(rx) / n
+    my = sum(ry) / n
+    num = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
+    den = math.sqrt(
+        sum((a - mx) ** 2 for a in rx) * sum((b - my) ** 2 for b in ry)
+    )
+    return num / den if den else 0.0
 
 
 def _probe_term2(make: Callable, seed: int = 11) -> Tuple[str, str]:

@@ -28,6 +28,7 @@ independent at fixed utilization).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.device.ssd import SSD
@@ -66,7 +67,7 @@ def s1slc(sim: Simulator, element_mb: int = 32, **overrides) -> SSD:
     small volatile write cache that acknowledges writes on insertion (which
     is how the real sample sustains 54 MB/s of random 4 KB writes — far
     beyond one serial flash program per request)."""
-    config = SSDConfig(
+    config = replace(SSDConfig(
         name="S1slc",
         n_elements=16,
         geometry=_geometry(element_mb),
@@ -80,13 +81,13 @@ def s1slc(sim: Simulator, element_mb: int = 32, **overrides) -> SSD:
         buffer_capacity_bytes=8 * MIB,
         buffer_window_us=5000.0,
         buffer_page_bytes=4 * KIB,
-    ).with_(**overrides)
+    ), **overrides)
     return SSD(sim, config)
 
 
 def s2slc(sim: Simulator, element_mb: int = 32, **overrides) -> SSD:
     """Low-end SLC: block-mapped, 1 MB stripe over a gang of 8, no cache."""
-    config = SSDConfig(
+    config = replace(SSDConfig(
         name="S2slc",
         n_elements=8,
         # 32 pages/block * 4 KB * 8 elements = the paper's 1 MB stripe
@@ -102,13 +103,13 @@ def s2slc(sim: Simulator, element_mb: int = 32, **overrides) -> SSD:
         controller_overhead_us=50.0,
         host_interface_mb_s=70.0,
         max_inflight=8,
-    ).with_(**overrides)
+    ), **overrides)
     return SSD(sim, config)
 
 
 def s3slc(sim: Simulator, element_mb: int = 32, **overrides) -> SSD:
     """S2-class device behind a 16 MB volatile write-back cache."""
-    config = SSDConfig(
+    config = replace(SSDConfig(
         name="S3slc",
         n_elements=8,
         # smaller gangs (2 packages, 256 KB stripes) and a faster bus than
@@ -124,13 +125,13 @@ def s3slc(sim: Simulator, element_mb: int = 32, **overrides) -> SSD:
         write_buffer="align",
         buffer_capacity_bytes=16 * MIB,
         buffer_window_us=20_000.0,
-    ).with_(**overrides)
+    ), **overrides)
     return SSD(sim, config)
 
 
 def s4slc_sim(sim: Simulator, element_mb: int = 32, **overrides) -> SSD:
     """The paper's simulated SSD: 8-element page-mapped log-structured FTL."""
-    config = SSDConfig(
+    config = replace(SSDConfig(
         name="S4slc_sim",
         n_elements=8,
         geometry=_geometry(element_mb),
@@ -140,13 +141,13 @@ def s4slc_sim(sim: Simulator, element_mb: int = 32, **overrides) -> SSD:
         controller_overhead_us=2.0,
         host_interface_mb_s=1000.0,
         max_inflight=2,
-    ).with_(**overrides)
+    ), **overrides)
     return SSD(sim, config)
 
 
 def s5mlc(sim: Simulator, element_mb: int = 32, **overrides) -> SSD:
     """Mid-range MLC: page-mapped, slow MLC programs/erases."""
-    config = SSDConfig(
+    config = replace(SSDConfig(
         name="S5mlc",
         n_elements=8,
         geometry=_geometry(element_mb),
@@ -156,7 +157,7 @@ def s5mlc(sim: Simulator, element_mb: int = 32, **overrides) -> SSD:
         controller_overhead_us=20.0,
         host_interface_mb_s=70.0,
         max_inflight=8,
-    ).with_(**overrides)
+    ), **overrides)
     return SSD(sim, config)
 
 
@@ -164,8 +165,6 @@ def hdd_barracuda(sim: Simulator, capacity_bytes: int = 4 * GIB, **overrides) ->
     """Seagate Barracuda 7200.11-class disk (scaled capacity)."""
     config = HDDConfig(name="HDD", capacity_bytes=capacity_bytes)
     if overrides:
-        from dataclasses import replace
-
         config = replace(config, **overrides)
     return HDD(sim, config)
 
@@ -215,7 +214,7 @@ def table3_gang_ssd(
     packages; scaled here).  The gang shares its bus (modelled by dividing
     per-element bus bandwidth by the gang size).  ``aligned`` selects the
     queue-merging write scheme of Table 3."""
-    config = SSDConfig(
+    config = replace(SSDConfig(
         name="gang32k" + ("-aligned" if aligned else "-unaligned"),
         n_elements=8,
         geometry=_geometry(element_mb),
@@ -228,7 +227,7 @@ def table3_gang_ssd(
         host_interface_mb_s=250.0,
         max_inflight=4,
         write_buffer="queue-merge" if aligned else "passthrough",
-    ).with_(**overrides)
+    ), **overrides)
     return SSD(sim, config)
 
 

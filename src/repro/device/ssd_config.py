@@ -6,7 +6,7 @@ module only defines the schema and its validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.checks import Checked, bounded
@@ -74,7 +74,3 @@ class SSDConfig(Checked):
             raise ValueError(f"ftl_type must be one of {FTL_TYPES}")
         if self.write_buffer not in BUFFER_TYPES:
             raise ValueError(f"write_buffer must be one of {BUFFER_TYPES}")
-
-    def with_(self, **overrides) -> "SSDConfig":
-        """Copy with the given fields replaced."""
-        return replace(self, **overrides)

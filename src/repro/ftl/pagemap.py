@@ -23,13 +23,14 @@ per logical page, elements are statically partitioned into ``E / S`` gangs.
 Logical page ``lpn`` lives in gang ``lpn % n_gangs``, shard ``j`` on element
 ``gang * S + j``, at per-element map slot ``lpn // n_gangs``.  Sequential
 logical pages therefore rotate across gangs (page-level striping), matching
-the parallelism the paper's Figure 1 describes.
+the parallelism the paper's Figure 1 describes.  ``_pages`` walks a host
+range in this layout for every path but ``trim`` and the single-page forks.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Set
+from typing import Callable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -146,6 +147,20 @@ class PageMappedFTL(BaseFTL):
 
     def frontier_blocks(self, e_idx: int) -> List[int]:
         return list(self._frontier[e_idx].values())
+
+    def _pages(self, offset: int, size: int) -> Iterator[Tuple[int, int, int, int]]:
+        """``(first, slot, a, b)`` for each logical page the range touches,
+        where ``[a, b)`` is the part of the range inside that page and
+        shard ``j`` of the page lives on element ``first + j`` at map slot
+        ``slot``."""
+        lp = self.logical_page_bytes
+        shards = self.shards
+        n_gangs = self.n_gangs
+        end = offset + size
+        for lpn in range(offset // lp, (end - 1) // lp + 1):
+            base = lpn * lp
+            yield ((lpn % n_gangs) * shards, lpn // n_gangs,
+                   max(offset, base) - base, min(end, base + lp) - base)
 
     # ------------------------------------------------------------------
     # allocation
@@ -290,31 +305,17 @@ class PageMappedFTL(BaseFTL):
         allocate_run = self.allocate_run
         fp = self.geometry.page_bytes
         ppb = self._ppb
-        shards = self.shards
-        n_gangs = self.n_gangs
-        end = offset + size
+        shards = range(self.shards)
         touched: Set[int] = set()
 
-        for lpn in range(offset // lp, (end - 1) // lp + 1):
-            page_base = lpn * lp
-            a = offset - page_base
-            if a < 0:
-                a = 0
-            b = end - page_base
-            if b > lp:
-                b = lp
-            slot = lpn // n_gangs
-            e_base = (lpn % n_gangs) * shards
-            shard_base = 0
-            for j in range(shards):
-                e_idx = e_base + j
+        # a write reprograms every shard of each logical page it touches
+        for first, slot, a, b in self._pages(offset, size):
+            for j in shards:
+                e_idx = first + j
                 el = elements[e_idx]
                 mapv = mapvs[e_idx]
                 old = mapv[slot]
-                ca = a if a > shard_base else shard_base
-                shard_base += fp
-                cb = b if b < shard_base else shard_base
-                covered = cb - ca
+                covered = min(b, (j + 1) * fp) - max(a, j * fp)
                 if covered > 0:
                     stats.host_pages_written += 1
                 if old >= 0 and covered < fp:
@@ -383,40 +384,19 @@ class PageMappedFTL(BaseFTL):
         mapvs = self._mapv
         fp = self.geometry.page_bytes
         ppb = self._ppb
-        shards = self.shards
-        n_gangs = self.n_gangs
-        end = offset + size
 
-        for lpn in range(offset // lp, (end - 1) // lp + 1):
-            page_base = lpn * lp
-            a = offset - page_base
-            if a < 0:
-                a = 0
-            b = end - page_base
-            if b > lp:
-                b = lp
-            slot = lpn // n_gangs
-            e_base = (lpn % n_gangs) * shards
-            shard_base = 0
-            for j in range(shards):
-                ca = a if a > shard_base else shard_base
-                shard_base += fp
-                cb = b if b < shard_base else shard_base
-                if cb - ca <= 0:
-                    continue
+        # a read visits only the shards the range covers
+        for first, slot, a, b in self._pages(offset, size):
+            for j in range(a // fp, (b - 1) // fp + 1):
                 stats.host_pages_read += 1
-                e_idx = e_base + j
-                ppn = mapvs[e_idx][slot]
+                ppn = mapvs[first + j][slot]
                 if ppn < 0:
                     continue  # never written: served from the controller
                 expect()
-                elements[e_idx].read_page(
-                    ppn // ppb,
-                    ppn % ppb,
-                    nbytes=cb - ca,
-                    tag=tag,
-                    callback=child_done,
-                )
+                elements[first + j].read_page(
+                    ppn // ppb, ppn % ppb,
+                    nbytes=min(b, (j + 1) * fp) - max(a, j * fp),
+                    tag=tag, callback=child_done)
         stats.host_reads += 1
         join.arm()
 
@@ -450,13 +430,9 @@ class PageMappedFTL(BaseFTL):
 
     def _needed(self, offset: int, size: int) -> dict[int, int]:
         """Programs per element a write of this range will issue."""
-        lp = self.logical_page_bytes
-        end = offset + size
         needed: dict[int, int] = {}
-        for lpn in range(offset // lp, (end - 1) // lp + 1):
-            gang, _slot = self._gang_slot(lpn)
-            for j in range(self.shards):
-                e_idx = gang * self.shards + j
+        for first, _slot, _a, _b in self._pages(offset, size):
+            for e_idx in range(first, first + self.shards):
                 needed[e_idx] = needed.get(e_idx, 0) + 1
         return needed
 
@@ -518,16 +494,9 @@ class PageMappedFTL(BaseFTL):
         if self.shards == 1 and (offset % lp) + size <= lp:
             return [(offset // lp) % self.n_gangs]
         fp = self.geometry.page_bytes
-        end = offset + size
         out: Set[int] = set()
-        for lpn in range(offset // lp, (end - 1) // lp + 1):
-            page_base = lpn * lp
-            a = max(offset, page_base) - page_base
-            b = min(end, page_base + lp) - page_base
-            gang, _slot = self._gang_slot(lpn)
-            for j in range(self.shards):
-                if min(b, (j + 1) * fp) - max(a, j * fp) > 0:
-                    out.add(gang * self.shards + j)
+        for first, _slot, a, b in self._pages(offset, size):
+            out.update(range(first + a // fp, first + (b - 1) // fp + 1))
         return sorted(out)
 
     def mapped_ppn(self, lpn: int, shard: int = 0) -> int:

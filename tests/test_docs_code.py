@@ -6,7 +6,7 @@ checks them statically, block by block:
 * each block compiles;
 * every ``from repro... import name`` resolves to a module attribute or a
   submodule, and every ``import repro...`` to a module;
-* every keyword passed to ``SSDConfig(...)``, to ``.with_(...)`` or to a
+* every keyword passed to ``SSDConfig(...)`` or to a
   :mod:`repro.device.presets` factory is a parameter of that call: an
   ``SSDConfig`` field, a named preset parameter, or a field of the config
   a preset's ``**overrides`` go to.
@@ -51,9 +51,9 @@ def _blocks():
 
 
 def _accepted_keywords(func):
-    """Keywords *func* accepts: SSDConfig fields for ``SSDConfig`` and
-    ``with_``, named parameters plus the overridden config's fields for a
-    preset factory; None for any other callable (not checked)."""
+    """Keywords *func* accepts: SSDConfig fields for ``SSDConfig``, named
+    parameters plus the overridden config's fields for a preset factory;
+    None for any other callable (not checked)."""
     if func is SSDConfig:
         return _fields(SSDConfig)
     if (not inspect.isfunction(func)
@@ -110,13 +110,10 @@ class _Checker(ast.NodeVisitor):
     def _callee(self, func: ast.expr):
         if isinstance(func, ast.Name):
             return self.bound.get(func.id)
-        if isinstance(func, ast.Attribute):
-            if func.attr == "with_":
-                return SSDConfig
-            if isinstance(func.value, ast.Name):
-                owner = self.bound.get(func.value.id)
-                if inspect.ismodule(owner):
-                    return getattr(owner, func.attr, None)
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            owner = self.bound.get(func.value.id)
+            if inspect.ismodule(owner):
+                return getattr(owner, func.attr, None)
         return None
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -165,7 +162,6 @@ class TestChecker:
 
     def test_unknown_config_keyword(self):
         for call in ("SSDConfig(n_elements=8, streaming_stats=True)",
-                     "SSDConfig().with_(streaming_stats=True)",
                      "s4slc_sim(sim, element_mb=32, streaming_stats=True)",
                      "presets.s4slc_sim(sim, streaming_stats=True)"):
             source = ("from repro import SSDConfig\n"

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.flash.element import FlashElement, PageState
 from repro.flash.geometry import FlashGeometry
@@ -157,6 +159,58 @@ class TestWriteRead:
             ftl.write(ftl.logical_capacity_bytes, KB4)
         with pytest.raises(ValueError):
             ftl.read(0, 0)
+
+
+SECTOR = 512
+
+
+@st.composite
+def _ranges(draw, capacity, lp):
+    """A sector-aligned range up to three logical pages long, anywhere."""
+    sectors = draw(st.integers(1, 3 * lp // SECTOR))
+    start = draw(st.integers(0, capacity // SECTOR - sectors))
+    return start * SECTOR, sectors * SECTOR
+
+
+class TestRangeWalk:
+    """``write``, ``read``, ``_needed`` and ``elements_for_range`` all walk
+    a host range through ``_pages``; each must agree with the others on
+    ranges that straddle logical pages and cover shards only partly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), shards=st.sampled_from([1, 2, 4, 8]))
+    def test_consumers_agree(self, data, shards):
+        sim, ftl = make_ftl(n_elements=8, logical_page_bytes=shards * KB4)
+        cap, lp = ftl.logical_capacity_bytes, ftl.logical_page_bytes
+        earlier = data.draw(st.none() | _ranges(cap, lp), label="earlier")
+        if earlier is not None:
+            # old data under the range: the write merges surviving bytes
+            ftl.write(*earlier)
+            sim.run_until_idle()
+        offset, size = data.draw(_ranges(cap, lp), label="range")
+
+        # flash pages the range covers at least one byte of
+        covered = (offset + size - 1) // KB4 - offset // KB4 + 1
+        stats = ftl.stats.snapshot()
+
+        needed = ftl._needed(offset, size)
+        before = [el.pages_programmed for el in ftl.elements]
+        ftl.write(offset, size)
+        programs = {e: el.pages_programmed - before[e]
+                    for e, el in enumerate(ftl.elements)
+                    if el.pages_programmed != before[e]}
+        assert programs == needed
+        assert ftl.stats.host_pages_written - stats.host_pages_written == covered
+        sim.run_until_idle()
+
+        before = [el.pages_read for el in ftl.elements]
+        ftl.read(offset, size)
+        read_on = [e for e, el in enumerate(ftl.elements)
+                   if el.pages_read != before[e]]
+        assert ftl.elements_for_range(offset, size) == read_on
+        assert ftl.stats.host_pages_read - stats.host_pages_read == covered
+        sim.run_until_idle()
+        ftl.check_consistency()
 
 
 class TestTrim:

@@ -3,6 +3,10 @@ wear summaries, and the contract checker's fast pieces."""
 
 from __future__ import annotations
 
+import math
+import sys
+from dataclasses import replace
+
 import pytest
 
 from repro.core.contract import (
@@ -127,7 +131,7 @@ class TestConfigValidation:
         assert geometry.pages_per_element * geometry.page_bytes >= 10 << 20
 
     def test_ssd_config_with_override(self):
-        config = SSDConfig().with_(n_elements=3)
+        config = replace(SSDConfig(), n_elements=3)
         assert config.n_elements == 3
         assert SSDConfig().n_elements == 8  # original untouched
 
@@ -161,6 +165,12 @@ class TestContractPieces:
 
     def test_spearman_anticorrelated(self):
         assert _spearman([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
+
+    def test_spearman_ties_take_average_ranks_without_scipy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.stats", None)
+        assert _spearman([1, 2, 3, 4], [1, 1, 2, 2]) == pytest.approx(
+            2 / math.sqrt(5))
 
     def test_verdict_matching_rules(self):
         exact = TermVerdict(1, "disk", "T", "T", "")
