@@ -37,13 +37,13 @@ plus one robustness scenario through the same host path:
   bit-for-bit alongside the performance scenarios.  Faults stay off in
   every other scenario; their fingerprints do not move.
 
-plus three workload-zoo scenarios through :func:`replay_pattern` (the
-pattern-suite replay front end, PR 8):
+plus three workload-zoo scenarios, each a stream that :func:`replay_trace`
+feeds into a sink, reading any control records on the way:
 
 * ``pattern_mix``     — a three-phase composed suite (sequential sweep,
   uniform random, strided) with barriers and an idle pause between
-  phases, so the barrier/drain/re-stamp machinery itself is on the gated
-  path.
+  phases, so the feeder's barrier drains and pause offsets are on the
+  gated path.
 * ``zipf_hotcold``    — skewed addressing: a zipf(θ=1.1) phase then a
   20/80 hot/cold phase, exercising the rank-table and two-range draw
   paths under mixed reads/writes.
@@ -117,8 +117,7 @@ from repro.traces.patterns import (PatternConfig, compose, iter_hot_cold,
                                    iter_strided, iter_zipf)
 from repro.traces.synthetic import (SyntheticConfig, generate_synthetic,
                                     iter_synthetic)
-from repro.workloads.driver import (StreamingResult, replay_pattern,
-                                    replay_trace)
+from repro.workloads.driver import StreamingResult, replay_trace
 
 BENCH_CORE = _ROOT / "BENCH_CORE.json"
 
@@ -403,15 +402,6 @@ def _scenario_fault_soak(scale: float):
     return sim, device.ftl, runner
 
 
-class _PatternReplay(_SinkReplay):
-    """``replay_pattern``-into-a-sink adapter: same runner interface, but
-    the stream may carry :class:`Barrier`/:class:`Pause` control records."""
-
-    def run(self) -> None:
-        replay_pattern(self.sim, self.device, self.make_records(),
-                       sink=self.sink)
-
-
 def _scenario_pattern_mix(scale: float):
     """Three-phase composed suite (see module docstring): sequential ->
     random -> strided, a drain barrier plus a 2 ms idle pause between
@@ -437,7 +427,7 @@ def _scenario_pattern_mix(scale: float):
             pause_us=2_000.0,
         )
 
-    runner = _PatternReplay(sim, device, make_records, per_phase * 3)
+    runner = _SinkReplay(sim, device, make_records, per_phase * 3)
     return sim, device.ftl, runner
 
 
@@ -461,11 +451,11 @@ def _scenario_zipf_hotcold(scale: float):
                           hot_space_fraction=0.2, hot_access_fraction=0.8),
         )
 
-    runner = _PatternReplay(sim, device, make_records, per_phase * 2)
+    runner = _SinkReplay(sim, device, make_records, per_phase * 2)
     return sim, device.ftl, runner
 
 
-class _SnakeReplay(_PatternReplay):
+class _SnakeReplay(_SinkReplay):
     """``snake_trim`` runner: the informed-cleaning counters join the
     fingerprint (TRIM calls and pages invalidated by them)."""
 

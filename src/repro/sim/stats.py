@@ -521,7 +521,9 @@ class StreamingLatencyRecorder:
     extremes, counts, and the reservoir's sample/RNG stream are identical
     to feeding :meth:`QuantileSketch.add` / :meth:`ReservoirSampler.add`
     one sample at a time — only the order in which the work is done
-    changes.  Reads (``count``/``summary``) see a consistent view: they
+    changes.  The sketch's float ``sum`` is the one field that depends on
+    where the flushes fall, because each batch is summed by numpy before
+    it is added.  Reads (``count``/``summary``) see a consistent view: they
     fold the buffer first.
     """
 

@@ -24,7 +24,9 @@ streaming replay:
   **control records** between them — :class:`Barrier` (drain the device
   before the next phase; phase timestamps restart at the drain instant) and
   :class:`Pause` (inject idle time, e.g. to let background cleaning run).
-  :func:`repro.workloads.driver.replay_pattern` interprets them.
+  :func:`repro.workloads.driver.replay_trace`, the one open-loop feeder,
+  reads them as they arrive (:func:`~repro.workloads.driver.replay_pattern`
+  is it with a streaming sink).
 
 Address shapes
 --------------
@@ -446,11 +448,11 @@ def compose(*phases: Iterable[PatternRecord],
 
     Between consecutive phases a :class:`Barrier` is emitted and then a
     :class:`Pause` of ``pause_us`` (when positive).  Each phase keeps its
-    own relative timestamps — :func:`repro.workloads.driver.replay_pattern`
-    restarts the clock at every barrier, so phases compose without any
-    re-stamping.  Streams meant to overlap in time are merged into one
-    sorted stream instead (as :func:`repro.fleet.router.device_stream`
-    does), since replay requires sorted timestamps.
+    own relative timestamps: :func:`repro.workloads.driver.replay_trace`
+    restarts the timeline at each barrier's drain and delays later stamps
+    by each pause, rebuilding no record.  Streams meant to overlap in time
+    are merged into one sorted stream instead (as
+    :func:`repro.fleet.router.device_stream` does).
 
     Phases may themselves contain control records, so suites nest:
     ``compose(compose(a, b), c)`` behaves exactly like

@@ -2,7 +2,9 @@
 
 * :func:`replay_trace` — open-loop: every record is submitted at its
   timestamp regardless of completions (the device's queue absorbs bursts).
-  This is how the paper's priority/cleaning experiments load the SSD.
+  This is how the paper's priority/cleaning experiments load the SSD.  It
+  is the one open-loop feeder: it also reads the pattern suite's control
+  records (:func:`replay_pattern` is it with a streaming sink).
 * :class:`ClosedLoopDriver` — keeps a fixed number of requests outstanding,
   drawing the next operation from a generator; used by the
   microbenchmarks (Table 2) and the SWTF experiment.
@@ -31,12 +33,17 @@ emits sorted traces); the first record earlier than the one before it
 raises :class:`ValueError`.  Streams meant to overlap in time are merged
 before replay, as :func:`repro.fleet.router.device_stream` does.
 
-An earlier feeder held a 4096-record window, a sorted-run deque that fell
-back to a heap, so that locally unsorted input replayed too.  Only a
-test-only option of :func:`repro.traces.patterns.compose` ever fed it such
-input.  Run as a heap throughout, that window added 2.0 % run time on the
-``replay_steady`` workload of ``benchmarks/e2e`` and 3.8 % on
-``swtf_burst`` (in-process paired runs, 2-core machine).
+Control records
+---------------
+The same feeder replays a :func:`~repro.traces.patterns.compose` suite,
+reading its control records as the stream reaches them.  A
+:class:`~repro.traces.patterns.Pause` adds its ``delta_us`` to the
+segment's offset, and each record is armed at ``start + (time_us +
+offset) * time_scale``; the offset is 0.0 until a pause, and adding 0.0
+leaves a stamp unchanged, so a pause-free stream replays bit-identically.
+A :class:`~repro.traces.patterns.Barrier` stops arming: the simulator runs
+to idle, the sink is finalized, and the next segment's timeline starts at
+the drain instant with a zero offset.  No record is rebuilt on the way.
 
 Requests are plain :class:`~repro.device.interface.IORequest` objects,
 one per record; every completion, in every driver and result mode, goes
@@ -74,8 +81,6 @@ from repro.units import mb_per_s
 
 __all__ = ["WorkloadResult", "ResultSink", "StreamingResult", "ShardedResult",
            "replay_trace", "replay_pattern", "ClosedLoopDriver"]
-
-_tuple_new = tuple.__new__
 
 
 @dataclass
@@ -315,18 +320,22 @@ class ShardedResult:
 def replay_trace(
     sim: Simulator,
     device,
-    records: Iterable[TraceRecord],
+    records: Iterable[PatternRecord],
     time_scale: float = 1.0,
     sink: Optional[ResultSink] = None,
 ) -> Union[WorkloadResult, ResultSink]:
     """Open-loop replay: submit each record at ``time_us * time_scale``.
 
     Returns after the event queue drains.  READ/WRITE completions are
-    recorded; ``elapsed_us`` spans first submission to last completion.
+    recorded; ``elapsed_us`` spans the call, from its start to the last
+    completion.
 
     ``records`` must be sorted by ``time_us``: one upcoming record is held
     at a time (see the module docstring), and the first record earlier
-    than the one before it raises :class:`ValueError`.
+    than the one before it raises :class:`ValueError`.  The stream may
+    carry :mod:`repro.traces.patterns` control records: a ``Pause`` delays
+    the rest of its segment by ``delta_us``, and a ``Barrier`` drains the
+    device and restarts the timeline at the drain instant.
 
     Completions go to ``sink`` (any :class:`ResultSink`, e.g.
     :class:`StreamingResult`), which is returned; the default is a fresh
@@ -339,6 +348,7 @@ def replay_trace(
     Bound(ge=0).check("time_scale", time_scale)
     result = WorkloadResult() if sink is None else sink
     record_completion = result.record
+    finalize = getattr(result, "finalize", None)
     read_op, write_op = OpType.READ, OpType.WRITE
 
     def on_complete(request: IORequest) -> None:
@@ -346,11 +356,24 @@ def replay_trace(
         if op is read_op or op is write_op:
             record_completion(request)
 
-    start = sim.now
     iterator = iter(records)
     device_submit = device.submit
     rearm = sim.reschedule_at_front
-    head = next(iterator, None)
+
+    def data_record(item: Optional[PatternRecord]) -> Optional[TraceRecord]:
+        """The first data record from ``item`` on, reading control records;
+        None at a Barrier or at the end of the stream."""
+        nonlocal offset, barrier
+        while True:
+            kind = type(item)
+            if kind is Pause:
+                offset += item.delta_us
+            elif kind is Barrier:
+                barrier = True
+                return None
+            else:
+                return item
+            item = next(iterator, None)
 
     # ONE reusable front-lane event stays armed at ``head``'s timestamp
     # (see the module docstring).  Each firing submits ``head`` and every
@@ -364,9 +387,11 @@ def replay_trace(
             device_submit(IORequest(record.op, record.offset, record.size,
                                     record.priority, on_complete))
             upcoming = next(iterator, None)
-            if upcoming is None:
-                return
-            at = start + upcoming.time_us * time_scale
+            if type(upcoming) is not TraceRecord:
+                upcoming = data_record(upcoming)
+                if upcoming is None:
+                    return
+            at = start + (upcoming.time_us + offset) * time_scale
             if at != now:
                 break
             record = upcoming
@@ -379,79 +404,44 @@ def replay_trace(
         rearm(feeder, at)
 
     feeder = Event(0.0, 0, fire, ())
-    if head is not None:
-        rearm(feeder, start + head.time_us * time_scale)
-    sim.run_until_idle()
-    result.elapsed_us = sim.now - start
-    finalize = getattr(result, "finalize", None)
-    if finalize is not None:
-        finalize()
-    return result
+    begin = sim.now
+    while True:
+        # a segment: its first instant, its pause offset, and whether it
+        # ends at a Barrier
+        start, offset, barrier = sim.now, 0.0, False
+        head = data_record(next(iterator, None))
+        if head is not None:
+            rearm(feeder, start + (head.time_us + offset) * time_scale)
+        sim.run_until_idle()
+        # Finalize at every drain, not only at the end: a sketch's float
+        # ``sum`` depends on where its batches split, so the sink flushes
+        # where per-phase replays would.  Finalizing also hands
+        # ``elapsed_us`` to a ShardedResult's children.
+        result.elapsed_us = sim.now - begin
+        if finalize is not None:
+            finalize()
+        if not barrier:
+            return result
 
 
 def replay_pattern(
     sim: Simulator,
     device,
-    records: Iterable["PatternRecord"],
+    records: Iterable[PatternRecord],
     time_scale: float = 1.0,
     sink: Optional[ResultSink] = None,
 ) -> ResultSink:
-    """Open-loop replay of a pattern stream with control records.
+    """:func:`replay_trace` of a pattern stream into a sink, by default a
+    fresh :class:`StreamingResult`.
 
-    Accepts what :func:`replay_trace` does plus the two control records of
-    :mod:`repro.traces.patterns` interleaved in the stream:
-
-    * :class:`~repro.traces.patterns.Barrier` — stop admitting, run the
-      device to idle, then resume; the records after the barrier restart
-      their timeline at the drain instant (each phase of a
-      :func:`~repro.traces.patterns.compose` suite carries its own relative
-      timestamps).
-    * :class:`~repro.traces.patterns.Pause` — shift every later record of
-      the current segment ``delta_us`` into the future (idle-time
-      injection; ``time_scale`` applies to the shifted timestamps like any
-      others).
-
-    Implementation: the stream splits into segments at barriers and each
-    segment is fed to :func:`replay_trace` — whose trailing
-    ``run_until_idle()`` *is* the drain — so the per-record hot path is
-    exactly the streaming replay core, unchanged.  Pauses re-stamp
-    records on the way in (zero cost while no pause has occurred).
-
-    The result is always a sink (default :class:`StreamingResult`) shared
-    across segments; ``elapsed_us`` spans the whole suite, drains
-    included.
+    :func:`replay_trace` itself reads the stream's
+    :class:`~repro.traces.patterns.Barrier` and
+    :class:`~repro.traces.patterns.Pause` records; this front end only
+    picks the constant-memory result.  ``elapsed_us`` spans the whole
+    suite, drains and pauses included.
     """
-    if sink is None:
-        sink = StreamingResult()
-    iterator = iter(records)
-    start = sim.now
-    done = False
-
-    def segment() -> Iterable[TraceRecord]:
-        nonlocal done
-        offset = 0.0
-        for item in iterator:
-            kind = type(item)
-            if kind is Barrier:
-                return
-            if kind is Pause:
-                offset += item.delta_us
-            elif offset:
-                # a checked record shifted by a sum of checked (finite,
-                # non-negative) pauses passes TraceRecord's checks, so the
-                # shifted copy is built without running them again
-                yield _tuple_new(TraceRecord, (item.time_us + offset, item.op,
-                                               item.offset, item.size,
-                                               item.priority))
-            else:
-                yield item
-        done = True
-
-    while not done:
-        replay_trace(sim, device, segment(), time_scale=time_scale,
-                     sink=sink)
-    sink.elapsed_us = sim.now - start
-    return sink
+    return replay_trace(sim, device, records, time_scale,
+                        StreamingResult() if sink is None else sink)
 
 
 class ClosedLoopDriver:

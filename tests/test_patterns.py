@@ -11,13 +11,16 @@ those signatures on large seeded samples:
   exactly the window, and the live set never exceeds it;
 * compose/replay_pattern — barriers drain and restart phase clocks,
   pauses inject idle time, and a control-free stream replays identically
-  to plain :func:`replay_trace`.
+  to plain :func:`replay_trace`;
+* control records — :func:`replay_trace` reading a suite's barriers and
+  pauses itself matches replaying each segment on its own, re-stamped by
+  hand, bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
+from itertools import chain, islice
 from math import log
 
 import numpy as np
@@ -30,8 +33,10 @@ from repro.traces.patterns import (Barrier, PatternConfig, Pause, compose,
                                    iter_hot_cold, iter_random,
                                    iter_sequential, iter_snake, iter_strided,
                                    iter_zipf, strided_period)
+from repro.traces.record import TraceRecord
 from repro.traces.synthetic import SyntheticConfig
-from repro.workloads.driver import StreamingResult, replay_pattern, replay_trace
+from repro.workloads.driver import (ShardedResult, StreamingResult,
+                                    replay_pattern, replay_trace)
 
 KB4 = 4096
 MIB = 1 << 20
@@ -423,3 +428,109 @@ class TestReplayPattern:
         sim, device = self._device()
         result = replay_pattern(sim, device, iter(()))
         assert result.count == 0
+
+    def test_sharded_children_share_the_suite_span(self):
+        """Every child of a sharded sink spans the whole suite, pauses and
+        drains included, as the parent does."""
+        def phase(seed):
+            return iter_random(PatternConfig(
+                count=200, region_bytes=4 * MIB, priority_fraction=0.3,
+                interarrival_max_us=200.0, seed=seed))
+
+        sim, device = self._device()
+        children = [StreamingResult(), StreamingResult()]
+        sink = ShardedResult(children, lambda request: request.priority)
+        replay_pattern(sim, device, compose(phase(1), phase(2),
+                                            pause_us=5_000.0), sink=sink)
+        assert sink.elapsed_us == sim.now > 5_000.0
+        assert all(child.count for child in children)
+        assert [child.elapsed_us for child in children] == [sim.now] * 2
+
+    def test_unsorted_after_pause_quotes_the_records_own_times(self):
+        def write(time_us):
+            return TraceRecord(time_us, OpType.WRITE, 0, KB4)
+
+        sim, device = self._device()
+        stream = [write(0.0), Pause(10.0), write(5.0), write(1.0)]
+        with pytest.raises(ValueError,
+                           match=r"a record at 1\.0 us follows one at 5\.0 us"):
+            replay_pattern(sim, device, stream)
+
+
+def _phase(seed, count=300):
+    return iter_random(PatternConfig(
+        count=count, region_bytes=4 * MIB, read_fraction=0.4,
+        priority_fraction=0.2, interarrival_max_us=120.0, seed=seed))
+
+
+def _paused_mid_phase():
+    phase = _phase(31)
+    return chain(islice(phase, 120), [Pause(700.0)], phase)
+
+
+#: (suite factory, time_scale): suites whose control records sit where a
+#: segment-at-a-time replay is easiest to get wrong
+_SUITES = {
+    "nested": (lambda: compose(
+        _phase(1), compose(_phase(2), _phase(3), pause_us=900.0), _phase(4)),
+        1.0),
+    "nested_half_scale": (lambda: compose(
+        compose(_phase(5), _phase(6)), _phase(7), pause_us=400.0), 0.5),
+    "edge_barriers": (lambda: chain(
+        [Barrier()], _phase(11), [Barrier(), Barrier()], _phase(12),
+        [Barrier()]), 1.0),
+    "pause_mid_phase": (_paused_mid_phase, 1.0),
+    "pause_mid_phase_half_scale": (_paused_mid_phase, 0.5),
+}
+
+
+def _segments_replayed_one_by_one(sim, device, suite, time_scale, sink):
+    """The reference: split ``suite`` at its barriers, re-stamp each record
+    by its segment's summed pauses, replay each segment as a control-free
+    stream and finalize the sink after each drain."""
+    begin = sim.now
+    segments, offset = [[]], 0.0
+    for item in suite:
+        if type(item) is Barrier:
+            segments.append([])
+            offset = 0.0
+        elif type(item) is Pause:
+            offset += item.delta_us
+        else:
+            segments[-1].append(item._replace(time_us=item.time_us + offset))
+    for segment in segments:
+        replay_trace(sim, device, segment, time_scale=time_scale, sink=sink)
+        sink.finalize()
+    sink.elapsed_us = sim.now - begin
+
+
+def _sink_state(sink):
+    """A streaming sink's canonical state, floats exact."""
+    rows = []
+    for key, aggregate in sink.class_items():
+        recorder = aggregate.latencies
+        sketch, reservoir = recorder.sketch, recorder.reservoir
+        rows.append((key, aggregate.bytes, list(recorder.buffer),
+                     sketch.count, sketch.bucket_items(), sketch.sum.hex(),
+                     sketch.min.hex(), sketch.max.hex(), reservoir.seen,
+                     [value.hex() for value in reservoir.samples]))
+    return rows, sink.errors, sink.elapsed_us.hex()
+
+
+@pytest.mark.parametrize("name", sorted(_SUITES))
+def test_replay_trace_reads_control_records(name):
+    """``replay_trace`` fed a suite straight matches the suite replayed
+    one segment at a time: clock, events, FTL stats and the sink's
+    canonical state (the sketch ``sum`` included, which only matches when
+    the sink is finalized at every drain)."""
+    make_suite, time_scale = _SUITES[name]
+    runs = []
+    for replay in (replay_trace, _segments_replayed_one_by_one):
+        sim = Simulator()
+        device = s4slc_sim(sim, element_mb=8)
+        sink = StreamingResult()
+        replay(sim, device, make_suite(), time_scale, sink)
+        runs.append((sim.now.hex(), sim.events_run,
+                     device.ftl.stats.as_dict(), _sink_state(sink)))
+        assert sink.count > 0 and not sink.errors
+    assert runs[0] == runs[1]

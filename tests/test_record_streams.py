@@ -8,8 +8,8 @@ times).
 
 * ``iter_synthetic`` (uniform and poisson arrivals),
 * every pattern generator the fleet router can name,
-* :func:`compose` through :func:`replay_pattern`, whose ``Pause`` re-stamp
-  builds a second record per request (captured at the device's front door),
+* :func:`compose` through :func:`replay_pattern`, whose feeder adds each
+  ``Pause`` to the stamps after it (captured at the device's front door),
 * a fleet :func:`device_stream` (three tenants merged on one device).
 
 The contract tests hold the record's checks, immutability, pickling and
@@ -125,7 +125,7 @@ class _FrontDoor:
 
 def test_compose_restamp_stream_pinned():
     """Pauses shift later records; barriers restart the timeline.  The
-    re-stamped records are read where the device receives them."""
+    shifted arrivals are read where the device receives them."""
     phase = PatternConfig(count=N // 4, region_bytes=4 << 20,
                           read_fraction=0.5, priority_fraction=0.1, seed=3)
     suite = compose(iter_random(phase),
