@@ -110,7 +110,16 @@ class IORequest:
         return self.offset + self.size
 
     def validate(self, capacity_bytes: int) -> None:
-        if self.op is _FLUSH:
+        """Refuse a request the device cannot address: FLUSH is exempt,
+        anything else needs a positive, sector-aligned size at a
+        non-negative, sector-aligned offset inside the capacity."""
+        offset = self.offset
+        size = self.size
+        # the valid case in one test; a failure falls through to the checks
+        # below, which raise the first failed check's message
+        if (offset >= 0 and size > 0 and offset + size <= capacity_bytes
+                and not offset % SECTOR and not size % SECTOR
+                or self.op is _FLUSH):
             return
         if self.size <= 0:
             raise RequestError(f"request size must be positive, got {self.size}")

@@ -12,20 +12,29 @@ The element plays two roles:
    :meth:`~FlashElement.program_page`, :meth:`~FlashElement.erase_block`,
    :meth:`~FlashElement.copy_run`), each of which makes its state
    transition and queues the timed command.  The FIFO holds plain
-   ``(duration_us, accumulator, callback)`` tuples in a ``deque``; one
-   reusable *drain* event per element realizes it on the clock (no per-op
-   Event), and each tuple carries its tag's ``[busy_us, op_count]``
+   ``(duration_us, accumulator, callback, pages)`` tuples in a ``deque``;
+   one reusable *drain* event per element realizes it on the clock (no
+   per-op Event), and each tuple carries its tag's ``[busy_us, op_count]``
    accumulator cell so completion does no dict update.  An earlier version
    queued recycled command objects from a per-element slab; a tuple costs
    less to build than a slab round trip.
 
    Cleaning copies pages in *runs*: :meth:`FlashElement.copy_run` moves a
-   list of source pages into consecutive destination pages with one call,
-   so the per-page cost is one loop iteration rather than an allocation,
-   a ``copy_page`` call and an issue call.  On the cleaning-heavy
-   ``gc_churn`` benchmark the tuple FIFO and run copy-back raised
-   ``records_per_s`` by 14–19 % in the median (two paired A/B runs of 10
-   pairs on a two-core Xeon, Python 3.11, change winning 9 of 10 in each).
+   list of source pages into consecutive destination pages with one call
+   and queues the whole run as one FIFO entry of ``pages`` equal-length
+   page commands (host commands are entries of one page).  The drain event
+   *ticks* through a run's pages (:class:`repro.sim.engine.Event`): the
+   engine re-arms it once per page with the seq and time a per-page
+   re-arm would use, but runs :meth:`FlashElement._on_drain` only when the
+   run's last page finishes, so a copy page costs a heap entry and no
+   Python call.  Because of that, ``busy_us``/``ops_by_tag`` count a run's
+   pages when the run completes, adding them one page at a time (the same
+   float sums as per-page accounting): mid-run they lag by up to one run,
+   and a run is at most one cleaning batch.
+   On the cleaning-heavy ``gc_churn`` benchmark the tuple FIFO and run
+   copy-back raised ``records_per_s`` by 14–19 % in the median (two paired
+   A/B runs of 10 pairs on a two-core Xeon, Python 3.11, change winning 9
+   of 10 in each).
 
 2. **Physical page state machine.**  Every physical page is FREE → VALID →
    INVALID → (erase) → FREE.  State transitions are *synchronous* — the FTL
@@ -37,7 +46,9 @@ State is held in numpy arrays so multi-GB devices stay compact and warm-up
 (:mod:`repro.ftl.prefill`) can bulk-initialize.  Hot scalar accesses go
 through memoryviews over the same buffers — plain-int reads without numpy
 scalar boxing — so bulk operations stay vectorized while the per-op path
-stays cheap.
+stays cheap.  The per-page views are flat (index ``block * ppb + page``,
+the page-mapped FTL's physical page number): a 1-D memoryview index costs
+about half a 2-D ``mv[block, page]`` one.
 """
 
 from __future__ import annotations
@@ -78,7 +89,7 @@ class FlashElement:
         "erase_count", "block_mtime", "retired",
         "_ps", "_rl", "_vc", "_wp", "_ec", "_mt", "_rt",
         "_queue", "_inflight", "drain_at_us", "_drain",
-        "_page_bytes", "_page_read_us", "_page_program_us",
+        "_ppb", "_page_bytes", "_page_read_us", "_page_program_us",
         "_erase_cmd_us", "_page_copy_us",
         "_accum", "erases_performed", "pages_programmed", "pages_read",
         "read_retries", "fault_model", "strict_program_order",
@@ -117,9 +128,11 @@ class FlashElement:
         self.retired = np.zeros(blocks, dtype=bool)
 
         # memoryviews over the arrays above: scalar reads/writes without
-        # numpy boxing; bulk/vectorized users keep the numpy handles
-        self._ps = memoryview(self.page_state)
-        self._rl = memoryview(self.reverse_lpn)
+        # numpy boxing; bulk/vectorized users keep the numpy handles.  The
+        # per-page views are flat: page (block, page) is block * ppb + page
+        self._ppb = ppb
+        self._ps = memoryview(self.page_state.reshape(-1))
+        self._rl = memoryview(self.reverse_lpn.reshape(-1))
         self._vc = memoryview(self.valid_count)
         self._wp = memoryview(self.write_ptr)
         self._ec = memoryview(self.erase_count)
@@ -127,7 +140,8 @@ class FlashElement:
         self._rt = memoryview(self.retired)
 
         # timed-executor state
-        #: queued ops as (duration_us, accumulator, callback) tuples
+        #: queued ops as (duration_us, accumulator, callback, pages) tuples:
+        #: *pages* commands of *duration_us* each, *callback* riding the last
         self._queue: deque[tuple] = deque()
         self._inflight: Optional[tuple] = None
         #: absolute simulated time at which everything currently enqueued
@@ -141,7 +155,8 @@ class FlashElement:
         #: :class:`repro.device.scheduler.SWTFScheduler`'s lazy-key bucket
         #: heap at or below the bucket's true key.
         self.drain_at_us: float = 0.0
-        #: the one drain event realizing this element's FIFO on the clock
+        #: the one drain event realizing this element's FIFO on the clock;
+        #: it ticks through the pages of a multi-page entry
         self._drain = Event(0.0, -1, self._on_drain, ())
         self._drain.alive = False
 
@@ -185,24 +200,36 @@ class FlashElement:
         if acc is None:
             acc = accum[tag] = [0.0, 0]
         if self._inflight is None:
-            self._inflight = (duration_us, acc, callback)
+            self._inflight = (duration_us, acc, callback, 1)
             done_at = self.sim.now + duration_us
             self.drain_at_us = done_at
             self.sim.reschedule(self._drain, done_at)
         else:
-            self._queue.append((duration_us, acc, callback))
+            self._queue.append((duration_us, acc, callback, 1))
             self.drain_at_us += duration_us
 
     def _on_drain(self) -> None:
-        """The in-flight command finished: account, start the next, notify."""
-        duration_us, acc, callback = self._inflight
-        acc[0] += duration_us
-        acc[1] += 1
+        """The in-flight entry's last page finished: account its pages,
+        start the next entry, notify."""
+        duration_us, acc, callback, pages = self._inflight
+        if pages == 1:
+            acc[0] += duration_us
+        else:
+            # page by page: the same float sum as one drain per page
+            busy_us = acc[0]
+            for _ in range(pages):
+                busy_us += duration_us
+            acc[0] = busy_us
+        acc[1] += pages
         sim = self.sim
         queue = self._queue
         if queue:
-            nxt = queue.popleft()
-            self._inflight = nxt
+            nxt = self._inflight = queue.popleft()
+            if nxt[3] != 1:
+                # a copy run: the drain ticks through all but its last page
+                drain = self._drain
+                drain.ticks = nxt[3] - 1
+                drain.period = nxt[0]
             sim.reschedule(self._drain, sim.now + nxt[0])
             if callback is not None:
                 callback(sim.now)
@@ -213,9 +240,10 @@ class FlashElement:
 
     @property
     def queue_depth(self) -> int:
-        depth = len(self._queue)
+        """Page commands not yet finished (in flight and queued)."""
+        depth = sum(entry[3] for entry in self._queue)
         if self._inflight is not None:
-            depth += 1
+            depth += self._drain.ticks + 1
         return depth
 
     def queue_wait_us(self) -> float:
@@ -227,11 +255,13 @@ class FlashElement:
 
     @property
     def ops_by_tag(self) -> dict[str, int]:
-        """Completed op count per accounting tag."""
+        """Completed op count per accounting tag (a copy run's pages count
+        when the run completes)."""
         return {tag: acc[1] for tag, acc in self._accum.items()}
 
     def busy_us(self, tag: Optional[str] = None) -> float:
-        """Total busy time, optionally restricted to one accounting tag."""
+        """Total busy time, optionally restricted to one accounting tag (a
+        copy run's pages count when the run completes)."""
         if tag is not None:
             acc = self._accum.get(tag)
             return acc[0] if acc is not None else 0.0
@@ -248,7 +278,8 @@ class FlashElement:
         Enforces NAND in-order programming within a block.  *op* and *tag*
         only enrich the error message when the transition is illegal.
         """
-        if self._ps[block, page] != PageState.FREE:
+        ppn = block * self._ppb + page
+        if self._ps[ppn] != PageState.FREE:
             raise FlashStateError(
                 f"element {self.element_id}: {op} (tag={tag}) of non-free "
                 f"page ({block}, {page}) state={self.page_state[block, page]}"
@@ -260,8 +291,8 @@ class FlashElement:
                 f"page {page} in block {block} "
                 f"(write_ptr={self.write_ptr[block]})"
             )
-        self._ps[block, page] = PageState.VALID
-        self._rl[block, page] = lpn
+        self._ps[ppn] = PageState.VALID
+        self._rl[ppn] = lpn
         self._vc[block] += 1
         if page >= write_ptr:
             self._wp[block] = page + 1
@@ -272,13 +303,14 @@ class FlashElement:
                          op: str = "invalidate",
                          tag: Optional[str] = None) -> None:
         """Mark a previously valid page invalid (its data was superseded)."""
-        if self._ps[block, page] != PageState.VALID:
+        ppn = block * self._ppb + page
+        if self._ps[ppn] != PageState.VALID:
             raise FlashStateError(
                 f"element {self.element_id}: {op} (tag={tag}) of non-valid "
                 f"page ({block}, {page}) state={self.page_state[block, page]}"
             )
-        self._ps[block, page] = PageState.INVALID
-        self._rl[block, page] = -1
+        self._ps[ppn] = PageState.INVALID
+        self._rl[ppn] = -1
         self._vc[block] -= 1
 
     def erase_state(self, block: int, op: str = "erase",
@@ -301,7 +333,7 @@ class FlashElement:
     def read_state_check(self, block: int, page: int, op: str = "read",
                          tag: Optional[str] = None) -> None:
         """Sanity check that a read targets a valid page."""
-        if self._ps[block, page] != PageState.VALID:
+        if self._ps[block * self._ppb + page] != PageState.VALID:
             raise FlashStateError(
                 f"element {self.element_id}: {op} (tag={tag}) of non-valid "
                 f"page ({block}, {page}) state={self.page_state[block, page]}"
@@ -319,7 +351,7 @@ class FlashElement:
         tag: str = TAG_HOST,
         callback: Optional[Callable[[float], None]] = None,
     ) -> None:
-        if self._ps[block, page] != PageState.VALID:
+        if self._ps[block * self._ppb + page] != PageState.VALID:
             self.read_state_check(block, page, tag=tag)  # raises with detail
         self.pages_read += 1
         if nbytes is None or nbytes == self._page_bytes:
@@ -352,7 +384,8 @@ class FlashElement:
         # state transition inlined from program_state (one call per host
         # write; the checks are identical)
         ps = self._ps
-        if ps[block, page] != 0:  # PageState.FREE
+        ppn = block * self._ppb + page
+        if ps[ppn] != 0:  # PageState.FREE
             self.program_state(block, page, lpn, tag=tag)  # raises with detail
         wp = self._wp
         write_ptr = wp[block]
@@ -364,13 +397,13 @@ class FlashElement:
             duration = self.timing.program_us(nbytes)
         fm = self.fault_model
         if fm is not None and fm.draw_program_failure(block, page):
-            ps[block, page] = 2  # PageState.INVALID: burned
+            ps[ppn] = 2  # PageState.INVALID: burned
             if page >= write_ptr:
                 wp[block] = page + 1
             self._issue(duration, tag, None)
             return False
-        ps[block, page] = 1  # PageState.VALID
-        self._rl[block, page] = lpn
+        ps[ppn] = 1  # PageState.VALID
+        self._rl[ppn] = lpn
         self._vc[block] += 1
         if page >= write_ptr:
             wp[block] = page + 1
@@ -422,7 +455,7 @@ class FlashElement:
         if not self.copy_run(src_block, (src_page,), dst_block, dst_page,
                              tag, callback):
             return False
-        self._rl[dst_block, dst_page] = lpn
+        self._rl[dst_block * self._ppb + dst_page] = lpn
         return True
 
     def copy_run(
@@ -436,7 +469,7 @@ class FlashElement:
     ) -> int:
         """Copy-back the valid pages *src_pages* of *src_block*, in order,
         into consecutive free pages of *dst_block* from *dst_page* on: one
-        COPY op per page, issued with one call.
+        COPY op per page, queued as one FIFO entry.
 
         Each destination page takes over its source page's logical tag and
         the source page becomes INVALID.  *callback* rides the last copy.
@@ -450,8 +483,8 @@ class FlashElement:
         # moves every valid page of every victim through this loop
         ps = self._ps
         rl = self._rl
-        vc = self._vc
         wp = self._wp
+        ppb = self._ppb
         write_ptr = wp[dst_block]
         if self.strict_program_order and dst_page != write_ptr:
             self.program_state(dst_block, dst_page, -1, op="copy", tag=tag)
@@ -461,47 +494,55 @@ class FlashElement:
             acc = accum[tag] = [0.0, 0]
         duration = self._page_copy_us
         fm = self.fault_model
-        queue = self._queue
-        drain_at = self.drain_at_us
-        first = dst_page
-        last = len(src_pages) - 1
+        idle = self._inflight is None
+        # the tail advances page by page, as one entry per page would
+        drain_at = self.sim.now if idle else self.drain_at_us
+        src_base = src_block * ppb
+        dst_base = dst_block * ppb
+        dst = first = dst_base + dst_page
         copied = 0
         for src_page in src_pages:
-            if ps[src_block, src_page] != 1:  # PageState.VALID
+            src = src_base + src_page
+            if ps[src] != 1:  # PageState.VALID
                 self.read_state_check(src_block, src_page, op="copy", tag=tag)
-            if ps[dst_block, dst_page] != 0:  # PageState.FREE
-                self.program_state(dst_block, dst_page, -1, op="copy", tag=tag)
-            failed = fm is not None and fm.draw_program_failure(dst_block,
-                                                                dst_page)
-            if failed:
-                ps[dst_block, dst_page] = 2  # PageState.INVALID: burned
-                entry = (duration, acc, None)
-            else:
-                ps[src_block, src_page] = 2  # PageState.INVALID
-                ps[dst_block, dst_page] = 1  # PageState.VALID
-                rl[dst_block, dst_page] = rl[src_block, src_page]
-                rl[src_block, src_page] = -1
-                vc[src_block] -= 1
-                vc[dst_block] += 1
-                entry = (duration, acc, callback if copied == last else None)
-                copied += 1
-            dst_page += 1
-            if self._inflight is None:
-                self._inflight = entry
-                drain_at = self.sim.now + duration
-                self.sim.reschedule(self._drain, drain_at)
-            else:
-                queue.append(entry)
-                drain_at += duration
-            if failed:
+            if ps[dst] != 0:  # PageState.FREE
+                self.program_state(dst_block, dst - dst_base, -1, op="copy",
+                                   tag=tag)
+            drain_at += duration
+            if fm is not None and fm.draw_program_failure(dst_block,
+                                                          dst - dst_base):
+                ps[dst] = 2  # PageState.INVALID: burned
+                dst += 1
                 break
+            ps[src] = 2  # PageState.INVALID
+            ps[dst] = 1  # PageState.VALID
+            rl[dst] = rl[src]
+            rl[src] = -1
+            dst += 1
+            copied += 1
+        pages = dst - first
+        if not pages:
+            return 0
+        if copied:
+            self._vc[src_block] -= copied
+            self._vc[dst_block] += copied
+            self._mt[dst_block] = self.sim.now
+        entry = (duration, acc,
+                 callback if copied == len(src_pages) else None, pages)
+        if idle:
+            self._inflight = entry
+            drain = self._drain
+            drain.ticks = pages - 1
+            drain.period = duration
+            self.sim.reschedule(drain, self.sim.now + duration)
+        else:
+            self._queue.append(entry)
         self.drain_at_us = drain_at
+        dst_page = dst - dst_base
         if dst_page > write_ptr:
             wp[dst_block] = dst_page
-        if copied:
-            self._mt[dst_block] = self.sim.now
         self.pages_programmed += copied
-        self.pages_read += dst_page - first
+        self.pages_read += pages
         return copied
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -9,7 +9,8 @@ wear-leveling — the accounting behind Tables 5 and 6.
 There is no command object and no command-kind enum: each of the element's
 issue helpers (read, program, erase, copy-back) times its command with the
 matching :class:`repro.flash.timing.FlashTiming` method and queues a plain
-``(duration_us, accumulator, callback)`` tuple (see ``FlashElement``).
+``(duration_us, accumulator, callback, pages)`` tuple (see
+``FlashElement``); a copy-back run is one tuple of several pages.
 """
 
 from __future__ import annotations

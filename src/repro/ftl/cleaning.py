@@ -209,7 +209,7 @@ class Cleaner:
         ftl = self.ftl
         el = ftl.elements[e_idx]
         self.being_cleaned[e_idx].add(victim)
-        pages = [int(p) for p in np.nonzero(el.page_state[victim] == 1)[0]]
+        pages = np.flatnonzero(el.page_state[victim] == 1).tolist()
         self._copy_batch(e_idx, victim, pages, 0)
 
     def _copy_batch(self, e_idx: int, victim: int, pages: list, start: int) -> None:
@@ -227,18 +227,20 @@ class Cleaner:
         ftl = self.ftl
         el = ftl.elements[e_idx]
         stats = ftl.stats
+        # flat views: physical page (block, page) is block * ppb + page
         page_state = el._ps
         reverse_lpn = el._rl
         emap = ftl._mapv[e_idx]
         ppb = ftl._ppb
-        copy_us = el.timing.copy_us(ftl.geometry.page_bytes)
+        victim_base = victim * ppb
+        copy_us = el._page_copy_us
         batch_pages = self.config.batch_pages
         n_pages = len(pages)
         index = start
         while index < n_pages:
             end = min(index + batch_pages, n_pages)
             batch = [p for p in pages[index:end]
-                     if page_state[victim, p] == 1]  # PageState.VALID
+                     if page_state[victim_base + p] == 1]  # PageState.VALID
             index = end
             if not batch:
                 continue
@@ -260,8 +262,9 @@ class Cleaner:
                                      block, first, TAG_CLEAN, callback)
                 # map the copies before a retirement can rescue them
                 clean_time_us = stats.clean_time_us
-                for page in range(first, first + copied):
-                    emap[reverse_lpn[block, page]] = block * ppb + page
+                first_ppn = block * ppb + first
+                for ppn in range(first_ppn, first_ppn + copied):
+                    emap[reverse_lpn[ppn]] = ppn
                     clean_time_us += copy_us
                 stats.clean_time_us = clean_time_us
                 stats.clean_pages_moved += copied

@@ -16,6 +16,15 @@ Design notes
   :class:`repro.flash.element.FlashElement`) allocate one :class:`Event` up
   front and re-arm it with :meth:`Simulator.reschedule`, so steady-state
   simulation pushes no new Event objects at all.
+* An event can *tick*: with ``ticks = k`` and ``period = p`` set before it
+  is armed, the loop pops it k times without running its callback, each
+  time re-pushing it ``p`` later with a fresh normal-lane seq, and runs the
+  callback on the (k+1)-th pop.  Each tick stores ``now``/``now_seq``,
+  draws its seq at the same point and counts in :attr:`events_run` exactly
+  as a callback that re-armed the event with :meth:`reschedule` would, so
+  k+1 ticking pops are indistinguishable from k+1 re-armed events except
+  that no Python frame runs between them.  The flash element arms one
+  ticking drain per copy-back run instead of re-arming per page.
 * A second, negative sequence lane (:meth:`Simulator.reschedule_at_front`)
   exists for *external stimulus*: events that must win every same-timestamp
   tie against simulation-internal events, exactly as if they had all been
@@ -53,9 +62,13 @@ class Event:
     re-arm a fresh event at the same deferred reservation's unchanged
     projection.  The tuple compare then falls through to this method, which
     finds the two equal (the cancelled one is skipped when popped).
+
+    ``ticks`` and ``period`` make the event tick (see the module notes):
+    the caller sets them before arming, and each tick the loop takes
+    counts ``ticks`` down, so a fired event has ``ticks == 0``.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "alive")
+    __slots__ = ("time", "seq", "fn", "args", "alive", "ticks", "period")
 
     def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple) -> None:
         self.time = time
@@ -63,6 +76,10 @@ class Event:
         self.fn = fn
         self.args = args
         self.alive = True
+        #: pops left that re-arm the event ``period`` later instead of
+        #: running ``fn``
+        self.ticks = 0
+        self.period = 0.0
 
     def __lt__(self, other: "Event") -> bool:
         # exact stamp compare is the heap's ordering contract itself
@@ -185,14 +202,16 @@ class Simulator:
         heapq.heappush(self._heap, (time_us, seq, event))
 
     def cancel(self, event: Event) -> None:
-        """Cancel a pending event; cancelling twice or after it ran is a no-op."""
+        """Cancel a pending event (and any ticks it has left); cancelling
+        twice or after it ran is a no-op."""
         event.alive = False
+        event.ticks = 0
 
     # -- running ----------------------------------------------------------
 
     def run(self, until_us: Optional[float] = None) -> int:
         """Run events until the queue drains or the clock passes *until_us*.
-        Returns the number of callbacks run.
+        Returns the number of events run, ticks included.
 
         When stopping on *until_us*, the clock is advanced to exactly
         *until_us* and events scheduled later stay queued.
@@ -200,6 +219,8 @@ class Simulator:
         ran = 0
         heap = self._heap
         pop = heapq.heappop
+        push = heapq.heappush
+        reserve_seq = self.reserve_seq
         if until_us is None:
             # hot path: drain everything, no bound check per iteration
             while heap:
@@ -207,10 +228,19 @@ class Simulator:
                 if not event.alive:
                     continue
                 self.now = time_us
-                event.alive = False
                 self.now_seq = seq
-                event.fn(*event.args)
                 ran += 1
+                if event.ticks:
+                    # a tick: re-arm as the callback's reschedule would
+                    event.ticks -= 1
+                    time_us += event.period
+                    seq = reserve_seq()
+                    event.time = time_us
+                    event.seq = seq
+                    push(heap, (time_us, seq, event))
+                    continue
+                event.alive = False
+                event.fn(*event.args)
             self._events_run += ran
             return ran
         while heap:
@@ -222,10 +252,18 @@ class Simulator:
                 break
             pop(heap)
             self.now = time_us
-            event.alive = False
             self.now_seq = seq
-            event.fn(*event.args)
             ran += 1
+            if event.ticks:
+                event.ticks -= 1
+                time_us += event.period
+                seq = reserve_seq()
+                event.time = time_us
+                event.seq = seq
+                push(heap, (time_us, seq, event))
+                continue
+            event.alive = False
+            event.fn(*event.args)
         if self.now < until_us:
             self.now = until_us
         self._events_run += ran
@@ -239,7 +277,7 @@ class Simulator:
 
     @property
     def events_run(self) -> int:
-        """Total callbacks executed since construction."""
+        """Total events run since construction: callbacks and ticks."""
         return self._events_run
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

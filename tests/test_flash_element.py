@@ -6,6 +6,7 @@ import pytest
 
 from repro.flash.element import FlashElement, FlashStateError, PageState
 from repro.flash.geometry import FlashGeometry
+from repro.flash.ops import TAG_CLEAN, TAG_HOST
 from repro.flash.timing import FlashTiming
 from repro.sim.engine import Simulator
 
@@ -236,3 +237,266 @@ class TestCopyPage:
         assert el.page_state[1, 0] == PageState.VALID
         assert el.reverse_lpn[1, 0] == 42
         assert el.reverse_lpn[0, 0] == -1
+
+
+# -- copy runs against the per-page reference ------------------------------
+
+
+class _ReferenceElement(FlashElement):
+    """The per-page FIFO that one-entry copy runs replaced: every page of a
+    copy run is its own ``(duration_us, accumulator, callback)`` entry and
+    its own drain callback.  ``_issue``, ``_on_drain``, ``copy_run`` and
+    ``queue_depth`` are that implementation verbatim, but for the two 2-D
+    state views ``copy_run`` indexes."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._ps2d = memoryview(self.page_state)
+        self._rl2d = memoryview(self.reverse_lpn)
+
+    def _issue(self, duration_us, tag, callback):
+        accum = self._accum
+        acc = accum.get(tag)
+        if acc is None:
+            acc = accum[tag] = [0.0, 0]
+        if self._inflight is None:
+            self._inflight = (duration_us, acc, callback)
+            done_at = self.sim.now + duration_us
+            self.drain_at_us = done_at
+            self.sim.reschedule(self._drain, done_at)
+        else:
+            self._queue.append((duration_us, acc, callback))
+            self.drain_at_us += duration_us
+
+    def _on_drain(self):
+        duration_us, acc, callback = self._inflight
+        acc[0] += duration_us
+        acc[1] += 1
+        sim = self.sim
+        queue = self._queue
+        if queue:
+            nxt = queue.popleft()
+            self._inflight = nxt
+            sim.reschedule(self._drain, sim.now + nxt[0])
+            if callback is not None:
+                callback(sim.now)
+            return
+        self._inflight = None
+        if callback is not None:
+            callback(sim.now)
+
+    @property
+    def queue_depth(self):
+        depth = len(self._queue)
+        if self._inflight is not None:
+            depth += 1
+        return depth
+
+    def copy_run(self, src_block, src_pages, dst_block, dst_page,
+                 tag=TAG_CLEAN, callback=None):
+        ps = self._ps2d
+        rl = self._rl2d
+        vc = self._vc
+        wp = self._wp
+        write_ptr = wp[dst_block]
+        if self.strict_program_order and dst_page != write_ptr:
+            self.program_state(dst_block, dst_page, -1, op="copy", tag=tag)
+        accum = self._accum
+        acc = accum.get(tag)
+        if acc is None:
+            acc = accum[tag] = [0.0, 0]
+        duration = self._page_copy_us
+        fm = self.fault_model
+        queue = self._queue
+        drain_at = self.drain_at_us
+        first = dst_page
+        last = len(src_pages) - 1
+        copied = 0
+        for src_page in src_pages:
+            if ps[src_block, src_page] != 1:  # PageState.VALID
+                self.read_state_check(src_block, src_page, op="copy", tag=tag)
+            if ps[dst_block, dst_page] != 0:  # PageState.FREE
+                self.program_state(dst_block, dst_page, -1, op="copy", tag=tag)
+            failed = fm is not None and fm.draw_program_failure(dst_block,
+                                                                dst_page)
+            if failed:
+                ps[dst_block, dst_page] = 2  # PageState.INVALID: burned
+                entry = (duration, acc, None)
+            else:
+                ps[src_block, src_page] = 2  # PageState.INVALID
+                ps[dst_block, dst_page] = 1  # PageState.VALID
+                rl[dst_block, dst_page] = rl[src_block, src_page]
+                rl[src_block, src_page] = -1
+                vc[src_block] -= 1
+                vc[dst_block] += 1
+                entry = (duration, acc, callback if copied == last else None)
+                copied += 1
+            dst_page += 1
+            if self._inflight is None:
+                self._inflight = entry
+                drain_at = self.sim.now + duration
+                self.sim.reschedule(self._drain, drain_at)
+            else:
+                queue.append(entry)
+                drain_at += duration
+            if failed:
+                break
+        self.drain_at_us = drain_at
+        if dst_page > write_ptr:
+            wp[dst_block] = dst_page
+        if copied:
+            self._mt[dst_block] = self.sim.now
+        self.pages_programmed += copied
+        self.pages_read += dst_page - first
+        return copied
+
+
+class _BurnOne:
+    """A fault model that fails exactly one program: (block, page)."""
+
+    def __init__(self, block, page):
+        self.target = (block, page)
+
+    def draw_program_failure(self, block, page):
+        return (block, page) == self.target
+
+    def draw_read_retries(self, block, page):
+        return 0
+
+
+def _drive_script(cls, script, n_elements=2):
+    """Run *script* on fresh elements of *cls* and return everything an
+    observer can see: the callback log (with the clock, the running seq
+    and every element's ``queue_depth``, ``drain_at_us`` and
+    ``queue_wait_us()`` at each callback), the same at every bounded-run
+    stop, the event count, and the accounting and page state after
+    draining."""
+    sim = Simulator()
+    geom = FlashGeometry(page_bytes=4096, pages_per_block=8,
+                         blocks_per_element=16)
+    # a copy time with no exact binary sum, so float order shows
+    timing = FlashTiming.slc().scaled(page_program_us=200.7)
+    elements = [cls(sim, geom, timing, element_id=i)
+                for i in range(n_elements)]
+    for el in elements:
+        for page in range(8):
+            el.program_state(0, page, lpn=100 + page)
+        el.program_state(2, 0, lpn=7)
+    log = []
+
+    def observe(label):
+        return (label, sim.now, sim.now_seq, sim.events_run,
+                [el.queue_depth for el in elements],
+                [el.drain_at_us for el in elements],
+                [el.queue_wait_us() for el in elements])
+
+    def note(label):
+        return lambda *_: log.append(observe(label))
+
+    stops = script(sim, elements, note)
+    for until_us in stops:
+        sim.run(until_us=until_us)
+        log.append(observe(f"stop@{until_us}"))
+    sim.run_until_idle()
+    log.append(observe("idle"))
+    after = [(el.busy_us(), el.busy_us(TAG_CLEAN), el.busy_us(TAG_HOST),
+              el.ops_by_tag, el.page_state.tolist(), el.reverse_lpn.tolist(),
+              el.valid_count.tolist(), el.write_ptr.tolist(),
+              el.block_mtime.tolist(), el.pages_programmed, el.pages_read)
+             for el in elements]
+    return log, sim.events_run, after
+
+
+def _page_boundaries(el, start, pages):
+    """The instants a run's pages finish, summed as the drain sums them."""
+    bounds = []
+    at = start
+    for _ in range(pages):
+        at += el._page_copy_us
+        bounds.append(at)
+    return bounds
+
+
+def _twin_runs(sim, elements, note):
+    # identical runs on two elements from one instant: every page boundary
+    # is an exact tie between the two drains
+    for el in elements:
+        el.copy_run(0, [0, 2, 3, 5, 6], 1, 0, TAG_CLEAN,
+                    note(f"run{el.element_id}"))
+    bounds = _page_boundaries(elements[0], 0.0, 5)
+    # ... and a same-instant event, scheduled after the runs, on two of them
+    sim.schedule_at(bounds[1], note("tie1"))
+    sim.schedule_at(bounds[4], note("tie4"))
+    return [bounds[0] / 2, bounds[2], (bounds[2] + bounds[3]) / 2]
+
+
+def _host_behind_run(sim, elements, note):
+    el = elements[0]
+    el.read_page(2, 0, callback=note("read-first"))
+    el.copy_run(0, [1, 2, 4, 7], 1, 0, TAG_CLEAN, note("run"))
+    el.program_page(3, 0, lpn=9, callback=note("program-behind"))
+    el.copy_run(0, [0, 3], 1, 4, TAG_CLEAN, note("run2"))
+    elements[1].program_page(3, 0, lpn=1, callback=note("other"))
+    start = el.timing.read_us(4096)
+    bounds = _page_boundaries(el, start, 4)
+    return [start + 1.0, bounds[1], bounds[3] + 1.0]
+
+
+def _zero_delay_on_boundary(sim, elements, note):
+    a, b = elements
+    bounds = _page_boundaries(b, 0.0, 6)
+    # pre-scheduled on B's third page boundary: ranks before that tick
+    sim.schedule_at(bounds[2], note("before-tick"))
+
+    def a_done(now):
+        note("a-done")()
+        # scheduled at B's third boundary, after the tick there drew its seq
+        sim.schedule(0.0, note("zero-delay"))
+
+    a.copy_run(0, [0, 1, 2], 1, 0, TAG_CLEAN, a_done)
+    b.copy_run(0, [0, 1, 2, 3, 4, 5], 1, 0, TAG_CLEAN, note("b-done"))
+    return [bounds[2], (bounds[2] + bounds[3]) / 2]
+
+
+def _burn_mid_run(sim, elements, note):
+    el = elements[0]
+    el.fault_model = _BurnOne(1, 3)
+    el.read_page(2, 0, callback=note("read"))
+    copied = el.copy_run(0, [0, 1, 2, 3, 4, 5], 1, 0, TAG_CLEAN,
+                         note("never: the run burned"))
+    assert copied == 3
+    el.program_page(3, 0, lpn=5, callback=note("program-after-burn"))
+    # the burned page's source is still valid: copy it again elsewhere
+    el.copy_run(0, [3, 4], 4, 0, TAG_CLEAN, note("retry"))
+    start = el.timing.read_us(4096)
+    return [_page_boundaries(el, start, 4)[2]]
+
+
+class TestCopyRunMatchesPerPageReference:
+    """A copy run is one FIFO entry whose drain ticks through its pages;
+    every observable must match the per-page FIFO it replaced."""
+
+    @pytest.mark.parametrize("script", [_twin_runs, _host_behind_run,
+                                        _zero_delay_on_boundary,
+                                        _burn_mid_run],
+                             ids=["twin-runs", "host-behind-run",
+                                  "zero-delay-on-boundary", "burn-mid-run"])
+    def test_matches_reference(self, script):
+        ran = _drive_script(FlashElement, script)
+        reference = _drive_script(_ReferenceElement, script)
+        assert ran == reference
+
+    def test_run_is_one_entry_counting_its_pages(self, element):
+        sim, el = element
+        for page in range(4):
+            el.program_state(0, page, lpn=page)
+        el.read_page(0, 0)
+        el.copy_run(0, [1, 2, 3], 1, 0)
+        assert len(el._queue) == 1
+        assert el.queue_depth == 4
+        sim.run(until_us=el.timing.read_us(4096) + 1.0)
+        assert el.queue_depth == 3
+        assert el.ops_by_tag == {TAG_HOST: 1, TAG_CLEAN: 0}  # run not done
+        sim.run_until_idle()
+        assert el.queue_depth == 0
+        assert el.ops_by_tag == {TAG_HOST: 1, TAG_CLEAN: 3}

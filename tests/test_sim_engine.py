@@ -368,3 +368,130 @@ def test_event_lt_breaks_full_heap_ties():
     assert early < late and not late < early
     twin = Event(1.0, 5, print, ())
     assert not early < twin and not twin < early
+
+
+# -- ticking events ---------------------------------------------------------
+#
+# A ticking event (ticks = k, period = p) must be indistinguishable from one
+# event whose callback re-arms it k times with reschedule(now + p): the same
+# order against same-instant events of every lane, the same seq draws, the
+# same events_run, and the same now/now_seq wherever a bounded run stops.
+
+_TICK_START, _TICK_PERIOD, _TICKS = 1.0, 2.5, 4
+
+
+def _tick_program(seed, ticking, drain):
+    """A randomized same-instant-heavy schedule around one event that pops
+    ``_TICKS + 1`` times, either ticking (*ticking*) or re-armed by its own
+    callback; returns everything observable about the run."""
+    import random
+
+    rng = random.Random(seed)
+    sim = Simulator()
+    log = []
+    instants = [_TICK_START]
+    for _ in range(_TICKS):
+        instants.append(instants[-1] + _TICK_PERIOD)
+
+    def probe(label):
+        log.append((label, sim.now, sim.now_seq))
+        if label.endswith("!"):
+            # a zero-delay child draws its seq after any tick before it
+            sim.schedule(0.0, probe, label[:-1] + "-child")
+
+    left = [_TICKS]
+
+    def step():
+        # the reference: one callback per pop, re-arming itself
+        if left[0]:
+            left[0] -= 1
+            sim.reschedule(event, sim.now + _TICK_PERIOD)
+            return
+        log.append(("done", sim.now, sim.now_seq))
+
+    def done():
+        log.append(("done", sim.now, sim.now_seq))
+
+    event = Event(0.0, 0, done if ticking else step, ())
+    event.alive = False
+    armed = rng.randrange(20)
+    for i in range(20):
+        if i == armed:
+            if ticking:
+                event.ticks = _TICKS
+                event.period = _TICK_PERIOD
+            sim.reschedule(event, _TICK_START)
+        time_us = rng.choice(instants + [0.5, 4.0, 7.25])
+        label = f"e{i}" + ("!" if rng.random() < 0.3 else "")
+        if rng.randrange(2):
+            sim.schedule_at(time_us, probe, label)
+        else:
+            schedule_at_front(sim, time_us, probe, label)
+    stops = drain(sim)
+    return log, stops, sim.events_run, (event.time, event.seq, event.ticks)
+
+
+def _run_all(sim):
+    sim.run_until_idle()
+    return [(sim.now, sim.now_seq)]
+
+
+def _run_stepped(sim):
+    # stop between ticks (2.0 lies inside the first period, 5.0 and 7.0
+    # inside later ones), on a tick instant (6.0) and after everything
+    stops = []
+    for until_us in (2.0, 5.0, 6.0, 7.0, 1e9):
+        ran = sim.run(until_us=until_us)
+        stops.append((until_us, ran, sim.now, sim.now_seq, sim.events_run,
+                      sorted((t, s) for t, s, e in sim._heap if e.alive)))
+    return stops
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("drain", [_run_all, _run_stepped],
+                         ids=["run", "run_until"])
+def test_ticking_event_matches_rearmed_event(seed, drain):
+    ticking = _tick_program(seed, True, drain)
+    reference = _tick_program(seed, False, drain)
+    assert ticking == reference
+    log, _stops, events_run, (_t, _s, ticks) = ticking
+    done_at = _TICK_START
+    for _ in range(_TICKS):
+        done_at += _TICK_PERIOD
+    assert [entry[1] for entry in log if entry[0] == "done"] == [done_at]
+    assert ticks == 0
+    # every tick counts as an event run
+    assert events_run == len(log) + _TICKS
+
+
+def test_ticking_event_runs_callback_once_at_last_tick():
+    sim = Simulator()
+    seen = []
+    event = Event(0.0, 0, lambda: seen.append((sim.now, sim.events_run)), ())
+    event.alive = False
+    event.ticks = 3
+    event.period = 2.0
+    sim.reschedule(event, 1.0)
+    assert sim.run_until_idle() == 4
+    assert seen == [(7.0, 0)]
+    assert sim.events_run == 4
+    assert not event.alive and event.ticks == 0
+
+
+def test_cancelled_ticking_event_does_not_fire():
+    sim = Simulator()
+    fired = []
+    event = Event(0.0, 0, fired.append, ("fired",))
+    event.alive = False
+    event.ticks = 3
+    event.period = 1.0
+    sim.reschedule(event, 1.0)
+    # the front lane wins the tie at 2.0: the cancel lands before that tick
+    schedule_at_front(sim, 2.0, sim.cancel, event)
+    assert sim.run_until_idle() == 2  # the tick at 1.0 and the cancel
+    assert fired == []
+    assert event.ticks == 0
+    # re-armed later, it is an ordinary one-shot event again
+    sim.reschedule(event, 10.0)
+    assert sim.run_until_idle() == 1
+    assert fired == ["fired"]

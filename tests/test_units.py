@@ -53,6 +53,29 @@ class TestIORequest:
         with pytest.raises(RequestError):
             IORequest(OpType.READ, 0, 0).validate(4096)
 
+    @pytest.mark.parametrize("offset,size,message", [
+        (0, 0, "request size must be positive, got 0"),
+        (-512, -512, "request size must be positive, got -512"),
+        (-512, 512, "negative offset -512"),
+        (100, 512, r"offset/size must be 512-byte aligned \(offset=100, "
+                   r"size=512\)"),
+        (512, 100, r"offset/size must be 512-byte aligned \(offset=512, "
+                   r"size=100\)"),
+        (100, 8192, "offset/size"),  # alignment is checked before capacity
+        (2048, 4096, r"request \[2048, 6144\) exceeds capacity 4096"),
+    ])
+    def test_validate_raises_first_failed_check(self, offset, size, message):
+        with pytest.raises(RequestError, match=f"^{message}"):
+            IORequest(OpType.WRITE, offset, size).validate(4096)
+
+    @pytest.mark.parametrize("offset,size", [(0, 512), (0, 4096), (3584, 512),
+                                             (512.0, 1024)])
+    def test_validate_accepts_in_range_aligned(self, offset, size):
+        IORequest(OpType.READ, offset, size).validate(4096)
+
+    def test_validate_exempts_flush_from_every_check(self):
+        IORequest(OpType.FLUSH, -100, -3).validate(0)
+
     def test_completion_of(self):
         request = IORequest(OpType.WRITE, 0, 4096, priority=1)
         request.submit_us = 10.0
