@@ -67,7 +67,10 @@ class TieredSSD:
 
         remaining = [len(pieces)]
 
-        def child_done(_child: IORequest) -> None:
+        def child_done(child: IORequest) -> None:
+            # the parent fails with its first failed piece
+            if request.error is None:
+                request.error = child.error
             remaining[0] -= 1
             if remaining[0] == 0:
                 self._complete(request)

@@ -9,9 +9,14 @@ Design notes
 * Cancellation is lazy: :meth:`Simulator.cancel` flips the ``alive`` flag and
   the event is discarded when popped.  This keeps ``schedule``/``cancel``
   O(log n) without heap surgery.
+* One loop, :meth:`Simulator.run`, serves drained and bounded runs alike:
+  no bound is an infinite one, and a live event past the bound is pushed
+  back unchanged and ends the run.
 * Callbacks run with the simulator clock already advanced to the event time,
   so a callback that calls :meth:`Simulator.schedule` with delay 0 runs later
-  in the same instant (after all earlier same-time events).
+  in the same instant (after all earlier same-time events).  The loop counts
+  each event in :attr:`Simulator.events_run` before running it, so a
+  callback reading the counter sees itself and everything before it.
 * Hot callers (the per-element FIFO drain in
   :class:`repro.flash.element.FlashElement`) allocate one :class:`Event` up
   front and re-arm it with :meth:`Simulator.reschedule`, so steady-state
@@ -35,9 +40,9 @@ Design notes
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from itertools import count
-from math import isnan
+from math import inf, isnan
 from typing import Any, Callable, Optional
 
 __all__ = ["Event", "Simulator", "SimulationError"]
@@ -146,7 +151,7 @@ class Simulator:
         time_us = self.now + delay_us
         seq = self.reserve_seq()
         event = Event(time_us, seq, fn, args)
-        heapq.heappush(self._heap, (time_us, seq, event))
+        heappush(self._heap, (time_us, seq, event))
         return event
 
     def schedule_at(self, time_us: float, fn: Callable[..., Any], *args: Any) -> Event:
@@ -155,7 +160,7 @@ class Simulator:
             raise _refused_time(time_us, self.now)
         seq = self.reserve_seq()
         event = Event(time_us, seq, fn, args)
-        heapq.heappush(self._heap, (time_us, seq, event))
+        heappush(self._heap, (time_us, seq, event))
         return event
 
     def reschedule_at_front(self, event: Event, time_us: float) -> None:
@@ -179,7 +184,7 @@ class Simulator:
         event.time = time_us
         event.seq = seq
         event.alive = True
-        heapq.heappush(self._heap, (time_us, seq, event))
+        heappush(self._heap, (time_us, seq, event))
 
     def reschedule(self, event: Event, time_us: float, seq: Optional[int] = None) -> None:
         """Re-arm a previously fired (or never armed) event at *time_us*.
@@ -199,7 +204,7 @@ class Simulator:
         event.time = time_us
         event.seq = seq
         event.alive = True
-        heapq.heappush(self._heap, (time_us, seq, event))
+        heappush(self._heap, (time_us, seq, event))
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event (and any ticks it has left); cancelling
@@ -210,64 +215,44 @@ class Simulator:
     # -- running ----------------------------------------------------------
 
     def run(self, until_us: Optional[float] = None) -> int:
-        """Run events until the queue drains or the clock passes *until_us*.
-        Returns the number of events run, ticks included.
+        """Run events until the queue drains or the next live event lies
+        past *until_us* (``None``: no bound).  Returns the number of
+        events run, ticks included.
 
-        When stopping on *until_us*, the clock is advanced to exactly
-        *until_us* and events scheduled later stay queued.
+        A bounded stop leaves that next event queued at its own
+        ``(time, seq)`` and advances the clock to *until_us* if it is
+        behind it.
         """
-        ran = 0
+        bound = inf if until_us is None else until_us
+        if isnan(bound):
+            raise SimulationError("cannot run until a NaN time")
         heap = self._heap
-        pop = heapq.heappop
-        push = heapq.heappush
         reserve_seq = self.reserve_seq
-        if until_us is None:
-            # hot path: drain everything, no bound check per iteration
-            while heap:
-                time_us, seq, event = pop(heap)
-                if not event.alive:
-                    continue
-                self.now = time_us
-                self.now_seq = seq
-                ran += 1
-                if event.ticks:
-                    # a tick: re-arm as the callback's reschedule would
-                    event.ticks -= 1
-                    time_us += event.period
-                    seq = reserve_seq()
-                    event.time = time_us
-                    event.seq = seq
-                    push(heap, (time_us, seq, event))
-                    continue
-                event.alive = False
-                event.fn(*event.args)
-            self._events_run += ran
-            return ran
+        first = self._events_run
         while heap:
-            time_us, seq, event = heap[0]
+            time_us, seq, event = heappop(heap)
             if not event.alive:
-                pop(heap)
                 continue
-            if time_us > until_us:
+            if time_us > bound:
+                heappush(heap, (time_us, seq, event))
                 break
-            pop(heap)
             self.now = time_us
             self.now_seq = seq
-            ran += 1
+            self._events_run += 1
             if event.ticks:
+                # a tick: re-arm as the callback's reschedule would
                 event.ticks -= 1
                 time_us += event.period
                 seq = reserve_seq()
                 event.time = time_us
                 event.seq = seq
-                push(heap, (time_us, seq, event))
+                heappush(heap, (time_us, seq, event))
                 continue
             event.alive = False
             event.fn(*event.args)
-        if self.now < until_us:
+        if until_us is not None and self.now < until_us:
             self.now = until_us
-        self._events_run += ran
-        return ran
+        return self._events_run - first
 
     def run_until_idle(self) -> int:
         """Run until no events remain.  Convenience wrapper over :meth:`run`."""
@@ -277,7 +262,11 @@ class Simulator:
 
     @property
     def events_run(self) -> int:
-        """Total events run since construction: callbacks and ticks."""
+        """Total events run since construction: callbacks and ticks.
+
+        The loop counts each event before it runs, so a callback reading
+        this counts itself and every event before it, the ``run()`` in
+        progress included."""
         return self._events_run
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -241,8 +241,6 @@ class StreamingResult:
         ]
         if not matched:
             return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        if len(matched) == 1:
-            return matched[0].latencies.summary()
         merged = QuantileSketch(self._alpha)
         for aggregate in matched:
             aggregate.latencies.flush()

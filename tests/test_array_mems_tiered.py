@@ -142,3 +142,17 @@ class TestTieredSSD:
     def test_flush_fans_out(self, sim):
         device = tiered_slc_mlc(sim)
         assert run_io(sim, device, OpType.FLUSH, 0, 0).complete_us >= 0
+
+    def test_failed_tier_write_fails_the_request(self, sim):
+        device = tiered_slc_mlc(sim, 4, 4)
+        device.mlc.ftl.enter_read_only()
+        done = run_io(sim, device, OpType.WRITE, device.tier_boundary + 4 * KIB, 4 * KIB)
+        assert device.mlc.stats.requests_failed == 1
+        assert done.error == "readonly"
+        assert device.stats.requests_failed == 1
+        assert device.stats.writes == 0
+        # a write straddling the tiers fails with its MLC piece
+        straddling = run_io(sim, device, OpType.WRITE,
+                            device.tier_boundary - 4 * KIB, 8 * KIB)
+        assert straddling.error == "readonly"
+        assert device.stats.requests_failed == 2

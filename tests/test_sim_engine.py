@@ -112,6 +112,57 @@ def test_events_run_counter():
     assert sim.events_run == 4
 
 
+def test_run_refuses_nan_bound():
+    """NaN compares false against every time, so a ``time > until_us``
+    stop never fired and the whole queue ran."""
+    sim = Simulator()
+    seen = []
+    sim.schedule(10.0, seen.append, 1)
+    sim.schedule(50.0, seen.append, 2)
+    with pytest.raises(SimulationError, match="NaN"):
+        sim.run(until_us=float("nan"))
+    assert seen == [] and sim.now == 0.0 and sim.events_run == 0
+    assert sim.run_until_idle() == 2
+
+
+def _counted_program():
+    """Callbacks that log ``events_run`` around one ticking event (pops
+    at 1, 3 and 5, callback at 7) and one cancelled event."""
+    sim = Simulator()
+    log = []
+
+    def probe(label):
+        log.append((label, sim.events_run))
+
+    for time_us, label in ((0.5, "a"), (2.0, "b"), (4.0, "c"),
+                           (6.0, "d"), (8.0, "e")):
+        sim.schedule_at(time_us, probe, label)
+    sim.cancel(sim.schedule_at(3.0, probe, "cancelled"))
+    event = Event(0.0, 0, probe, ("ticked",))
+    event.alive = False
+    event.ticks = 3
+    event.period = 2.0
+    sim.reschedule(event, 1.0)
+    return sim, log
+
+
+@pytest.mark.parametrize("bounds", [(None,), (100.0,), (2.0, 4.5, 6.0, 100.0)],
+                         ids=["run", "run_until", "stop_between_ticks"])
+def test_events_run_is_exact_inside_callbacks(bounds):
+    sim, log = _counted_program()
+    stops = []
+    for until_us in bounds:
+        ran = sim.run(until_us)
+        stops.append((ran, sim.events_run))
+    # each callback counts every live pop so far, ticks and itself included
+    assert log == [("a", 1), ("b", 3), ("c", 5), ("d", 7),
+                   ("ticked", 8), ("e", 9)]
+    assert sum(ran for ran, _ in stops) == sim.events_run == 9
+    if len(bounds) > 1:
+        # 2.0 and 4.5 stop between ticks, 6.0 on a callback instant
+        assert stops == [(3, 3), (2, 5), (2, 7), (2, 9)]
+
+
 def test_pending_excludes_cancelled():
     sim = Simulator()
     ran = []
@@ -473,7 +524,7 @@ def test_ticking_event_runs_callback_once_at_last_tick():
     event.period = 2.0
     sim.reschedule(event, 1.0)
     assert sim.run_until_idle() == 4
-    assert seen == [(7.0, 0)]
+    assert seen == [(7.0, 4)]  # its three ticks and itself
     assert sim.events_run == 4
     assert not event.alive and event.ticks == 0
 
