@@ -52,7 +52,7 @@ def main() -> None:
                             ("archive", archive, 256 * KIB)):
         start = sim.now
         finished = []
-        store.read(oid, 0, size, done=lambda: finished.append(sim.now))
+        store.read(oid, 0, size, done=lambda error: finished.append(sim.now))
         sim.run_until_idle()
         print(f"read 256 KiB of {name:8s}: {(finished[0] - start) / 1000:.2f} ms")
 

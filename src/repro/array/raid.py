@@ -18,10 +18,13 @@ what matters for load spreading).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import List, Optional
 
 from repro.checks import Checked, bounded
-from repro.device.interface import DeviceStats, IORequest, OpType, RequestError
+from repro.device.interface import (
+    DeviceStats, IORequest, OpType, StorageDevice, submit_pieces,
+)
 from repro.hdd.disk import HDD, HDDConfig
 from repro.sim.engine import Simulator
 from repro.units import GIB, SECTOR
@@ -51,18 +54,17 @@ class RAID5Config(Checked):
             raise ValueError("chunk must be sector aligned")
 
 
-class RAID5:
+class RAID5(StorageDevice):
     """Software RAID-5 striping over :class:`repro.hdd.disk.HDD` members."""
 
     def __init__(self, sim: Simulator, config: Optional[RAID5Config] = None) -> None:
-        self.sim = sim
+        super().__init__(sim)
         self.config = config if config is not None else RAID5Config()
         cfg = self.config
         self.disks: List[HDD] = [
             HDD(sim, replace(cfg.disk, name=f"{cfg.name}-d{i}"))
             for i in range(cfg.n_disks)
         ]
-        self._stats = DeviceStats()
         data_disks = cfg.n_disks - 1
         chunks_per_disk = self.disks[0].capacity_bytes // cfg.chunk_bytes
         self._stripes = chunks_per_disk
@@ -86,39 +88,28 @@ class RAID5:
         return self._stats
 
     def submit(self, request: IORequest) -> None:
-        request.validate(self.capacity_bytes)
-        request.submit_us = self.sim.now
+        self._accept(request)
         if request.op in (OpType.FREE, OpType.FLUSH):
             self.sim.schedule(0.0, self._complete, request)
             return
-        pieces = list(self._split(request.offset, request.size))
-        remaining = [0]
-
-        def child_done(_child: IORequest) -> None:
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                self._complete(request)
-
-        children: List[tuple[int, IORequest]] = []
-        for stripe, chunk_index, chunk_off, length in pieces:
-            disk_index, lba_offset = self._place(stripe, chunk_index, chunk_off)
+        pieces: List[tuple[HDD, IORequest]] = []
+        for stripe, chunk_index, chunk_off, length in self._split(
+                request.offset, request.size):
             if request.op is OpType.READ:
-                children.append(
-                    (disk_index,
+                disk_index, lba_offset = self._place(stripe, chunk_index,
+                                                     chunk_off)
+                pieces.append(
+                    (self.disks[disk_index],
                      IORequest(OpType.READ, lba_offset, length,
-                               priority=request.priority, on_complete=child_done))
+                               priority=request.priority))
                 )
             else:
-                children.extend(
+                pieces.extend(
                     self._small_write(stripe, chunk_index, chunk_off, length,
-                                      request.priority, child_done)
+                                      request.priority)
                 )
-        remaining[0] = len(children)
-        if not children:
-            self.sim.schedule(0.0, self._complete, request)
-            return
-        for disk_index, child in children:
-            self.disks[disk_index].submit(child)
+        # the array request fails with its first failed member piece
+        submit_pieces(self.sim, pieces, partial(self._complete, request))
 
     # ------------------------------------------------------------------
 
@@ -144,22 +135,23 @@ class RAID5:
         disk_index = chunk_index if chunk_index < parity_disk else chunk_index + 1
         return disk_index, stripe * cfg.chunk_bytes + chunk_off
 
-    def _small_write(self, stripe, chunk_index, chunk_off, length, priority, done):
+    def _small_write(self, stripe, chunk_index, chunk_off, length, priority):
         """The RAID-5 small-write penalty: read old data and parity, write
         new data and parity (4 media ops on 2 disks)."""
         cfg = self.config
-        data_disk, data_off = self._place(stripe, chunk_index, chunk_off)
-        parity_disk = stripe % cfg.n_disks
+        data_index, data_off = self._place(stripe, chunk_index, chunk_off)
+        data_disk = self.disks[data_index]
+        parity_disk = self.disks[stripe % cfg.n_disks]
         parity_off = stripe * cfg.chunk_bytes + chunk_off
         return [
             (data_disk, IORequest(OpType.READ, data_off, length,
-                                  priority=priority, on_complete=done)),
+                                  priority=priority)),
             (parity_disk, IORequest(OpType.READ, parity_off, length,
-                                    priority=priority, on_complete=done)),
+                                    priority=priority)),
             (data_disk, IORequest(OpType.WRITE, data_off, length,
-                                  priority=priority, on_complete=done)),
+                                  priority=priority)),
             (parity_disk, IORequest(OpType.WRITE, parity_off, length,
-                                    priority=priority, on_complete=done)),
+                                    priority=priority)),
         ]
 
     def _scrub_tick(self) -> None:
@@ -174,9 +166,3 @@ class RAID5:
         self.scrub_reads += 1
         disk.submit(IORequest(OpType.READ, offset, SCRUB_BYTES))
         self.sim.schedule(cfg.scrub_interval_us, self._scrub_tick)
-
-    def _complete(self, request: IORequest) -> None:
-        request.complete_us = self.sim.now
-        self._stats.record(request)
-        if request.on_complete is not None:
-            request.on_complete(request)

@@ -180,7 +180,8 @@ def tier_placement(scale: float = 1.0, seed: int = 42) -> ExperimentResult:
             for _ in range(reads_per_object):
                 start = sim.now
                 done = []
-                store.read(oid, 0, object_bytes, done=lambda: done.append(sim.now))
+                store.read(oid, 0, object_bytes,
+                           done=lambda error: done.append(sim.now))
                 sim.run_until_idle()
                 latencies.append(done[0] - start)
         rows.append([policy_name, sum(latencies) / len(latencies) / 1000.0])

@@ -43,6 +43,7 @@ from repro.device.presets import (
 from repro.array.raid import RAID5, RAID5Config
 from repro.ftl.pagemap import PageMappedFTL
 from repro.ftl.prefill import prefill_pagemap
+from repro.hdd.disk import HDD
 from repro.sim.engine import Simulator
 from repro.sim.rng import stream
 from repro.units import KIB, MIB
@@ -336,8 +337,7 @@ def _probe_term6(make: Callable) -> Tuple[str, str]:
         if device.scrub_reads > 0:
             return "F", f"{device.scrub_reads} background scrub reads"
         return "T", "no scrub activity"
-    write_cache = getattr(getattr(device, "config", None), "write_cache", False)
-    if write_cache:
+    if isinstance(device, HDD):
         return "y", "write-back drain time-shifts host data (no self-initiated work)"
     return "T", "device only acts on host requests"
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.device.interface import IORequest, OpType
+from repro.device.interface import IORequest, OpType, submit_pieces
 from repro.traces.filesystem import Ext3LiteAllocator
 
 __all__ = ["BlockFilesystem", "FilesystemError"]
@@ -43,8 +43,9 @@ class BlockFilesystem:
     # ------------------------------------------------------------------
 
     def create(self, nbytes: int, group_hint: int = 0,
-               done: Optional[Callable[[], None]] = None) -> int:
-        """Create a file of *nbytes* (rounded up to 4 KB blocks) and write it."""
+               done: Optional[Callable[[Optional[str]], None]] = None) -> int:
+        """Create a file of *nbytes* (rounded up to 4 KB blocks) and write
+        it; ``done`` gets the first failed write's error (None on success)."""
         if nbytes <= 0:
             raise FilesystemError("file size must be positive")
         nblocks = -(-nbytes // _BLOCK)
@@ -55,7 +56,8 @@ class BlockFilesystem:
         self._submit_runs(OpType.WRITE, blocks, done)
         return fid
 
-    def delete(self, fid: int, done: Optional[Callable[[], None]] = None) -> None:
+    def delete(self, fid: int,
+               done: Optional[Callable[[Optional[str]], None]] = None) -> None:
         """Delete: the FS frees its own bitmap; the device only hears about
         it through the pseudo-driver (if enabled)."""
         blocks = self._files.pop(fid, None)
@@ -65,13 +67,13 @@ class BlockFilesystem:
         if self.pseudo_driver and blocks:
             self.frees_issued += 1
             self._submit_runs(OpType.FREE, blocks, done)
-        elif done is not None:
-            self.sim.schedule(0.0, done)
+        else:
+            submit_pieces(self.sim, [], done)
 
     # ------------------------------------------------------------------
 
     def _submit_runs(self, op: OpType, blocks: List[int],
-                     done: Optional[Callable[[], None]]) -> None:
+                     done: Optional[Callable[[Optional[str]], None]]) -> None:
         """Submit one request per contiguous block run."""
         runs: List[tuple[int, int]] = []
         if blocks:
@@ -84,19 +86,7 @@ class BlockFilesystem:
                     runs.append((start, length))
                     start, length = block, 1
             runs.append((start, length))
-        if not runs:
-            if done is not None:
-                self.sim.schedule(0.0, done)
-            return
-        remaining = [len(runs)]
-
-        def child_done(_request: IORequest) -> None:
-            remaining[0] -= 1
-            if remaining[0] == 0 and done is not None:
-                done()
-
-        for start, length in runs:
-            self.device.submit(
-                IORequest(op, start * _BLOCK, length * _BLOCK,
-                          on_complete=child_done)
-            )
+        submit_pieces(self.sim, [
+            (self.device, IORequest(op, start * _BLOCK, length * _BLOCK))
+            for start, length in runs
+        ], done)

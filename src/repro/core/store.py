@@ -17,7 +17,8 @@ each of the paper's proposed improvements:
 * **tier co-location** — on heterogeneous devices a placement policy pins
   hot/root objects into SLC (§3.3).
 
-The store works over any :class:`repro.device.interface.StorageDevice`.
+The store works over any device with ``capacity_bytes`` and ``submit``
+(see :mod:`repro.device`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, Dict, List, Optional
 from repro.core.allocator import ExtentAllocator
 from repro.core.object import ObjectAttributes, ObjectDescriptor
 from repro.core.placement import LinearPlacement
-from repro.device.interface import IORequest, OpType
+from repro.device.interface import IORequest, OpType, submit_pieces
 from repro.units import align_up
 
 __all__ = ["ObjectStore", "ObjectStoreError"]
@@ -95,9 +96,10 @@ class ObjectStore:
         oid: int,
         offset: int,
         size: int,
-        done: Optional[Callable[[], None]] = None,
+        done: Optional[Callable[[Optional[str]], None]] = None,
     ) -> None:
-        """WRITE: extends the object as needed (no sparse holes)."""
+        """WRITE: extends the object as needed (no sparse holes).  ``done``
+        gets the first failed device request's error (None on success)."""
         descriptor = self._descriptor(oid)
         if offset > descriptor.size:
             raise ObjectStoreError(
@@ -118,10 +120,13 @@ class ObjectStore:
         oid: int,
         offset: int,
         size: int,
-        done: Optional[Callable[[], None]] = None,
+        done: Optional[Callable[[Optional[str]], None]] = None,
     ) -> None:
-        """READ a logical byte range of the object."""
+        """READ a logical byte range of the object; ``done`` as for
+        :meth:`write`."""
         descriptor = self._descriptor(oid)
+        if size <= 0:
+            raise ObjectStoreError("read size must be positive")
         if offset + size > descriptor.size:
             raise ObjectStoreError(
                 f"object {oid}: read [{offset}, {offset + size}) beyond size "
@@ -129,7 +134,8 @@ class ObjectStore:
             )
         self._issue(descriptor, OpType.READ, offset, size, done)
 
-    def remove(self, oid: int, done: Optional[Callable[[], None]] = None) -> None:
+    def remove(self, oid: int,
+               done: Optional[Callable[[Optional[str]], None]] = None) -> None:
         """REMOVE: free the object's extents and *tell the device* (FREE).
 
         This is the informed-cleaning hook: the device learns immediately
@@ -140,26 +146,13 @@ class ObjectStore:
             raise ObjectStoreError(f"no such object {oid}")
         extents = descriptor.extents
         self.allocator.free(extents)
-        if not extents:
-            if done is not None:
-                self.sim.schedule(0.0, done)
-            return
-        remaining = [len(extents)]
-
-        def child_done(_request: IORequest) -> None:
-            remaining[0] -= 1
-            if remaining[0] == 0 and done is not None:
-                done()
-
-        for extent in extents:
-            self.frees_issued += 1
-            self.device.submit(
-                IORequest(
-                    OpType.FREE, extent.start, extent.length,
-                    priority=descriptor.attributes.priority,
-                    on_complete=child_done,
-                )
-            )
+        self.frees_issued += len(extents)
+        priority = descriptor.attributes.priority
+        submit_pieces(self.sim, [
+            (self.device, IORequest(OpType.FREE, extent.start, extent.length,
+                                    priority=priority))
+            for extent in extents
+        ], done)
 
     # ------------------------------------------------------------------
     # internals
@@ -193,25 +186,14 @@ class ObjectStore:
         op: OpType,
         offset: int,
         size: int,
-        done: Optional[Callable[[], None]],
+        done: Optional[Callable[[Optional[str]], None]],
     ) -> None:
-        pieces = descriptor.physical_ranges(offset, size)
-        remaining = [len(pieces)]
-
-        def child_done(_request: IORequest) -> None:
-            remaining[0] -= 1
-            if remaining[0] == 0 and done is not None:
-                done()
-
         hints = None
         if op is OpType.WRITE and descriptor.attributes.read_only:
             hints = {"temp": "cold"}
-        for start, length in pieces:
-            self.device.submit(
-                IORequest(
-                    op, start, length,
-                    priority=descriptor.attributes.priority,
-                    on_complete=child_done,
-                    hints=hints,
-                )
-            )
+        priority = descriptor.attributes.priority
+        submit_pieces(self.sim, [
+            (self.device, IORequest(op, start, length, priority=priority,
+                                    hints=hints))
+            for start, length in descriptor.physical_ranges(offset, size)
+        ], done)

@@ -12,8 +12,9 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, runtime_checkable
+from typing import Any, Callable, Optional, Sequence, Tuple
 
+from repro.sim.engine import Simulator
 from repro.units import SECTOR
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "DeviceStats",
     "StorageDevice",
     "RequestError",
+    "submit_pieces",
 ]
 
 
@@ -215,16 +217,66 @@ class DeviceStats:
         return self.media_bytes_written / self.bytes_written
 
 
-@runtime_checkable
-class StorageDevice(Protocol):
-    """The protocol every device model implements."""
+class StorageDevice:
+    """The base of the block-device models (HDD, MEMS, RAID-5, tiered).
+
+    A subclass answers ``capacity_bytes`` and ``submit(request)``.  Its
+    ``submit`` opens with :meth:`_accept` and every request it takes ends
+    in one :meth:`_complete`, on the simulator clock.  The SSD keeps its
+    own submit and completion, which also run its NCQ slots, retries and
+    priority count.
+    """
+
+    __slots__ = ("sim", "_stats")
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        self._stats = DeviceStats()
 
     @property
-    def capacity_bytes(self) -> int: ...
+    def stats(self) -> DeviceStats:
+        return self._stats
 
-    @property
-    def stats(self) -> DeviceStats: ...
+    def _accept(self, request: IORequest) -> None:
+        """Refuse a request the device cannot address; stamp its submit."""
+        request.validate(self.capacity_bytes)
+        request.submit_us = self.sim.now
 
-    def submit(self, request: IORequest) -> None:
-        """Accept a request; completion is signalled via request.on_complete."""
-        ...
+    def _complete(self, request: IORequest, error: Optional[str] = None) -> None:
+        """Finish *request* with *error* (None on success): stamp it,
+        count it and fire its ``on_complete``."""
+        request.error = error
+        request.complete_us = self.sim.now
+        self._stats.record(request)
+        if request.on_complete is not None:
+            request.on_complete(request)
+
+
+def submit_pieces(sim: Simulator, pieces: Sequence[Tuple[Any, IORequest]],
+                  done: Optional[Callable[[Optional[str]], None]]) -> None:
+    """Submit each ``(device, request)`` piece of a split request, in
+    order, and call ``done(error)`` once after the last piece completes.
+
+    ``error`` is the error of the first piece to complete with one (None
+    if every piece succeeded).  With no pieces ``done(None)`` runs from
+    one zero-delay event, never from inside this call.  A ``done`` of
+    None means nobody is waiting.
+    """
+    if not pieces:
+        if done is not None:
+            sim.schedule(0.0, done, None)
+        return
+    remaining = len(pieces)
+    error: Optional[str] = None
+
+    def piece_done(piece: IORequest) -> None:
+        nonlocal remaining, error
+        if error is None:
+            error = piece.error
+        remaining -= 1
+        if remaining == 0 and done is not None:
+            done(error)
+
+    for device, request in pieces:
+        request.on_complete = piece_done
+        device.submit(request)

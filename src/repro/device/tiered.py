@@ -15,9 +15,12 @@ it — which is exactly why contract term 3 fails.  The object layer
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List
 
-from repro.device.interface import DeviceStats, IORequest, OpType
+from repro.device.interface import (
+    DeviceStats, IORequest, OpType, StorageDevice, submit_pieces,
+)
 from repro.device.ssd import SSD
 from repro.device.ssd_config import SSDConfig
 from repro.sim.engine import Simulator
@@ -25,14 +28,13 @@ from repro.sim.engine import Simulator
 __all__ = ["TieredSSD"]
 
 
-class TieredSSD:
+class TieredSSD(StorageDevice):
     """Two SSDs glued into one address space: [0, slc) ++ [slc, slc+mlc)."""
 
     def __init__(self, sim: Simulator, slc_config: SSDConfig, mlc_config: SSDConfig):
-        self.sim = sim
+        super().__init__(sim)
         self.slc = SSD(sim, slc_config)
         self.mlc = SSD(sim, mlc_config)
-        self._stats = DeviceStats()
 
     @property
     def capacity_bytes(self) -> int:
@@ -51,41 +53,23 @@ class TieredSSD:
         return self._stats
 
     def submit(self, request: IORequest) -> None:
-        request.validate(self.capacity_bytes)
-        request.submit_us = self.sim.now
-        boundary = self.tier_boundary
-        pieces: List[tuple[SSD, int, int]] = []
-        if request.op is OpType.FLUSH:
-            pieces = [(self.slc, 0, 0), (self.mlc, 0, 0)]
+        self._accept(request)
+        op = request.op
+        priority = request.priority
+        pieces: List[tuple[SSD, IORequest]] = []
+        if op is OpType.FLUSH:
+            pieces = [(self.slc, IORequest(op, 0, 0, priority=priority)),
+                      (self.mlc, IORequest(op, 0, 0, priority=priority))]
         else:
+            boundary = self.tier_boundary
             if request.offset < boundary:
                 size = min(request.size, boundary - request.offset)
-                pieces.append((self.slc, request.offset, size))
+                pieces.append((self.slc, IORequest(op, request.offset, size,
+                                                   priority=priority)))
             if request.end > boundary:
                 start = max(request.offset, boundary)
-                pieces.append((self.mlc, start - boundary, request.end - start))
-
-        remaining = [len(pieces)]
-
-        def child_done(child: IORequest) -> None:
-            # the parent fails with its first failed piece
-            if request.error is None:
-                request.error = child.error
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                self._complete(request)
-
-        for device, offset, size in pieces:
-            if request.op is OpType.FLUSH:
-                child = IORequest(OpType.FLUSH, 0, 0,
-                                  priority=request.priority, on_complete=child_done)
-            else:
-                child = IORequest(request.op, offset, size,
-                                  priority=request.priority, on_complete=child_done)
-            device.submit(child)
-
-    def _complete(self, request: IORequest) -> None:
-        request.complete_us = self.sim.now
-        self._stats.record(request)
-        if request.on_complete is not None:
-            request.on_complete(request)
+                pieces.append((self.mlc, IORequest(op, start - boundary,
+                                                   request.end - start,
+                                                   priority=priority)))
+        # the parent fails with its first failed piece
+        submit_pieces(self.sim, pieces, partial(self._complete, request))

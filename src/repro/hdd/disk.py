@@ -12,7 +12,7 @@ boundary crossed.
 
 Caching
 -------
-* Write-back cache (default on, as on the consumer drive the paper measured):
+* Write-back cache (always on, as on the consumer drive the paper measured):
   writes acknowledge after the interface transfer and drain to media in the
   background, shortest-seek-first.  Reads overlapping a dirty extent are
   served from the cache.  This is why the paper's HDD random *writes*
@@ -30,7 +30,7 @@ from heapq import nsmallest
 from typing import Callable, List, Optional, Tuple
 
 from repro.checks import Checked, bounded
-from repro.device.interface import DeviceStats, IORequest, OpType
+from repro.device.interface import IORequest, OpType, StorageDevice
 from repro.hdd.geometry import DiskGeometry, Location
 from repro.hdd.seek import SeekModel
 from repro.sim.engine import Simulator
@@ -42,7 +42,7 @@ __all__ = ["HDD", "HDDConfig"]
 #: effectively-overlapped transfer (the drive streams to the host while
 #: reading ahead), so the link rarely bounds throughput
 INTERFACE_MB_S = 1000.0
-#: write-back cache size (when ``HDDConfig.write_cache`` is on)
+#: write-back cache size
 WRITE_CACHE_BYTES = 16 << 20
 
 
@@ -59,7 +59,6 @@ class HDDConfig(Checked):
     rpm: int = bounded(7200, ge=1)
     seek: SeekModel = field(default_factory=SeekModel.barracuda)
     controller_overhead_us: float = bounded(100.0, ge=0)
-    write_cache: bool = True
 
 
 class _MediaJob:
@@ -76,11 +75,11 @@ class _MediaJob:
         self.loc = loc
 
 
-class HDD:
-    """A mechanical disk implementing the StorageDevice protocol."""
+class HDD(StorageDevice):
+    """A mechanical disk (a :class:`StorageDevice`)."""
 
     def __init__(self, sim: Simulator, config: Optional[HDDConfig] = None) -> None:
-        self.sim = sim
+        super().__init__(sim)
         self.config = config if config is not None else HDDConfig()
         cfg = self.config
         self.geometry = DiskGeometry.stock(
@@ -92,7 +91,6 @@ class HDD:
         )
         self.rotation_us = 60_000_000.0 / cfg.rpm
         self.link = SerialResource(sim, INTERFACE_MB_S)
-        self._stats = DeviceStats()
 
         self._current_cylinder = 0
         self._current_head = 0
@@ -108,20 +106,15 @@ class HDD:
         self._readahead_span: Tuple[int, int] = (0, 0)
 
     # ------------------------------------------------------------------
-    # StorageDevice protocol
+    # StorageDevice
     # ------------------------------------------------------------------
 
     @property
     def capacity_bytes(self) -> int:
         return self.geometry.capacity_bytes
 
-    @property
-    def stats(self) -> DeviceStats:
-        return self._stats
-
     def submit(self, request: IORequest) -> None:
-        request.validate(self.capacity_bytes)
-        request.submit_us = self.sim.now
+        self._accept(request)
         self.sim.schedule(
             self.config.controller_overhead_us, self._dispatch, request
         )
@@ -198,15 +191,6 @@ class HDD:
     # -- writes -----------------------------------------------------------
 
     def _write_arrived(self, request: IORequest) -> None:
-        sectors = request.size // SECTOR
-        if not self.config.write_cache:
-            job = self._job(
-                OpType.WRITE, request.offset // SECTOR, sectors,
-                callback=lambda r=request: self._complete(r),
-            )
-            self._dirty.append(job)
-            self._media_kick()
-            return
         if self._dirty_bytes + request.size <= WRITE_CACHE_BYTES:
             self._absorb_write(request)
         else:
@@ -316,14 +300,6 @@ class HDD:
         self._inflight_job = None
         job.callback()
         self._media_kick()
-
-    # ------------------------------------------------------------------
-
-    def _complete(self, request: IORequest) -> None:
-        request.complete_us = self.sim.now
-        self._stats.record(request)
-        if request.on_complete is not None:
-            request.on_complete(request)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

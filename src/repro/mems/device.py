@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from repro.device.interface import DeviceStats, IORequest, OpType
+from repro.device.interface import IORequest, OpType, StorageDevice
 from repro.sim.engine import Simulator
 from repro.sim.resource import SerialResource
 from repro.units import MIB, SECTOR
@@ -38,15 +38,14 @@ INTERFACE_MB_S = 100.0
 CONTROLLER_OVERHEAD_US = 15.0
 
 
-class MEMSStore:
-    """A MEMS storage device implementing the StorageDevice protocol."""
+class MEMSStore(StorageDevice):
+    """A MEMS storage device (a :class:`StorageDevice`)."""
 
     def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
+        super().__init__(sim)
         self.sectors = CAPACITY_BYTES // SECTOR
         self.sectors_per_column = max(1, self.sectors // X_POSITIONS)
         self.link = SerialResource(sim, INTERFACE_MB_S)
-        self._stats = DeviceStats()
         self._x = 0.0
         self._y = 0.0
         self._media_free_at = 0.0
@@ -55,10 +54,6 @@ class MEMSStore:
     @property
     def capacity_bytes(self) -> int:
         return self.sectors * SECTOR
-
-    @property
-    def stats(self) -> DeviceStats:
-        return self._stats
 
     # ------------------------------------------------------------------
 
@@ -72,8 +67,7 @@ class MEMSStore:
         return x, y
 
     def submit(self, request: IORequest) -> None:
-        request.validate(self.capacity_bytes)
-        request.submit_us = self.sim.now
+        self._accept(request)
         if request.op in (OpType.FREE, OpType.FLUSH):
             self.sim.schedule(CONTROLLER_OVERHEAD_US, self._complete, request)
             return
@@ -105,9 +99,3 @@ class MEMSStore:
 
     def _transfer_out(self, request: IORequest) -> None:
         self.link.transfer(request.size, lambda now, r=request: self._complete(r))
-
-    def _complete(self, request: IORequest) -> None:
-        request.complete_us = self.sim.now
-        self._stats.record(request)
-        if request.on_complete is not None:
-            request.on_complete(request)

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.array.raid import RAID5, RAID5Config
-from repro.device.interface import IORequest, OpType
+from repro.device.interface import (
+    DeviceStats, IORequest, OpType, submit_pieces,
+)
 from repro.device.presets import tiered_slc_mlc
 from repro.hdd.disk import HDDConfig
 from repro.mems.device import MEMSStore
@@ -17,6 +19,23 @@ from tests.conftest import run_io
 def make_raid(sim, **overrides):
     disk = HDDConfig(capacity_bytes=GIB)
     return RAID5(sim, RAID5Config(disk=disk, **overrides))
+
+
+class ScriptedDevice:
+    """A stand-in device: logs each request it is given and completes it
+    *delay_us* later with *error*."""
+
+    def __init__(self, sim, log, delay_us=1.0, error=None):
+        self.sim = sim
+        self.log = log
+        self.delay_us = delay_us
+        self.error = error
+        self.stats = DeviceStats()
+
+    def submit(self, request):
+        self.log.append((self, request.offset))
+        request.error = self.error
+        self.sim.schedule(self.delay_us, request.on_complete, request)
 
 
 class TestRAID5:
@@ -71,6 +90,18 @@ class TestRAID5:
         raid = make_raid(sim)
         assert run_io(sim, raid, OpType.FREE, 0, 4 * KIB).complete_us >= 0
         assert run_io(sim, raid, OpType.FLUSH, 0, 0).complete_us >= 0
+
+    def test_failed_member_piece_fails_the_request(self, sim):
+        raid = make_raid(sim)
+        raid.disks = [ScriptedDevice(sim, [], error="transient")
+                      for _ in raid.disks]
+        read = run_io(sim, raid, OpType.READ, 0, 4 * KIB)
+        write = run_io(sim, raid, OpType.WRITE, 0, 4 * KIB)
+        assert read.error == "transient"
+        assert write.error == "transient"
+        stats = raid.stats
+        assert (stats.reads, stats.writes, stats.bytes_written,
+                stats.requests_failed) == (0, 0, 0, 2)
 
 
 class TestMEMS:
@@ -156,3 +187,40 @@ class TestTieredSSD:
                             device.tier_boundary - 4 * KIB, 8 * KIB)
         assert straddling.error == "readonly"
         assert device.stats.requests_failed == 2
+
+
+class TestSubmitPieces:
+    def test_no_pieces_completes_after_the_call_returns(self, sim):
+        calls = []
+        submit_pieces(sim, [], calls.append)
+        assert calls == []
+        sim.run_until_idle()
+        assert calls == [None]
+
+    def test_failed_first_piece_keeps_its_error(self, sim):
+        log = []
+        fails_first = ScriptedDevice(sim, log, delay_us=1.0, error="transient")
+        succeeds_later = ScriptedDevice(sim, log, delay_us=2.0)
+        calls = []
+        submit_pieces(sim, [
+            (fails_first, IORequest(OpType.READ, 0, 4 * KIB)),
+            (succeeds_later, IORequest(OpType.READ, 0, 4 * KIB)),
+        ], calls.append)
+        sim.run_until_idle()
+        assert calls == ["transient"]
+        assert sim.now == 2.0
+
+    def test_pieces_reach_their_devices_in_order(self, sim):
+        log = []
+        first = ScriptedDevice(sim, log, delay_us=3.0)
+        second = ScriptedDevice(sim, log, delay_us=1.0)
+        calls = []
+        submit_pieces(sim, [
+            (first, IORequest(OpType.WRITE, 0, 4 * KIB)),
+            (second, IORequest(OpType.WRITE, 4 * KIB, 4 * KIB)),
+            (first, IORequest(OpType.WRITE, 8 * KIB, 4 * KIB)),
+        ], calls.append)
+        assert log == [(first, 0), (second, 4 * KIB), (first, 8 * KIB)]
+        sim.run_until_idle()
+        assert calls == [None]
+        assert sim.now == 3.0

@@ -56,9 +56,16 @@ class TestLifecycle:
         store.write(oid, 0, 8 * KIB)
         settle(sim)
         fired = []
-        store.read(oid, 0, 8 * KIB, done=lambda: fired.append(True))
+        store.read(oid, 0, 8 * KIB, done=fired.append)
         settle(sim)
-        assert fired
+        assert fired == [None]
+
+    def test_empty_read_rejected(self, sim, store):
+        oid = store.create()
+        store.write(oid, 0, 4 * KIB)
+        settle(sim)
+        with pytest.raises(ObjectStoreError):
+            store.read(oid, 0, 0, done=lambda error: None)
 
     def test_read_beyond_size_rejected(self, sim, store):
         oid = store.create()

@@ -77,15 +77,10 @@ class TestHDDBehaviour:
         assert rand_mean > 3 * seq_mean
 
     def test_writeback_ack_fast(self, sim):
-        hdd = HDD(sim, HDDConfig(capacity_bytes=GIB, write_cache=True))
+        hdd = HDD(sim, HDDConfig(capacity_bytes=GIB))
         first = run_io(sim, hdd, OpType.WRITE, 512 * MIB, 4 * KIB)
         # ack after interface transfer, long before the media settles
         assert first.response_us < 1000.0
-
-    def test_write_through_pays_positioning(self, sim):
-        hdd = HDD(sim, HDDConfig(capacity_bytes=GIB, write_cache=False))
-        completion = run_io(sim, hdd, OpType.WRITE, 512 * MIB, 4 * KIB)
-        assert completion.response_us > 1000.0
 
     def test_flush_waits_for_drain(self, sim):
         hdd = HDD(sim, HDDConfig(capacity_bytes=GIB))
