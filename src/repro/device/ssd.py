@@ -290,6 +290,15 @@ class SSD:
             self._schedule_retry(request)
             return
         self._stats_record(request)
+        self._leave_service(request)
+        if request.on_complete is not None:
+            request.on_complete(request)
+
+    def _leave_service(self, request: IORequest) -> None:
+        """*request* gives back what it held while in service: its count
+        in the outstanding priority requests (the FTL resumes paused work
+        when that reaches zero) and its NCQ slot, unless that was released
+        early."""
         if request.priority > 0:
             self._pending_priority -= 1
             if self._pending_priority == 0:
@@ -298,8 +307,6 @@ class SSD:
             request.early_release = False
         else:
             self._release_slot()
-        if request.on_complete is not None:
-            request.on_complete(request)
 
     def _schedule_retry(self, request: IORequest) -> None:
         """A write failed with a transient error and has retry budget:
@@ -307,14 +314,7 @@ class SSD:
         exponentially-growing backoff."""
         request.retries_left -= 1
         self._stats.write_retries += 1
-        if request.priority > 0:
-            self._pending_priority -= 1
-            if self._pending_priority == 0:
-                self.ftl.priority_idle()
-        if request.early_release:
-            request.early_release = False
-        else:
-            self._release_slot()
+        self._leave_service(request)
         attempt = self._retry_limit - request.retries_left  # 1-based
         delay = self._retry_backoff_us * (2.0 ** (attempt - 1))
         self.sim.schedule(delay, self._resubmit, request)

@@ -15,7 +15,7 @@ Three behaviours, selected by ``SSDConfig.write_buffer``:
 * ``"align"`` — :class:`AligningWriteBuffer` is a volatile write-back
   cache (the caches of S1slc and S3slc): requests complete on insertion
   while the buffer merges runs per logical page and drains them in the
-  background — a page flushes once its runs cover it, when its hold window
+  background — a page flushes once one run covers it, when its hold window
   expires, under capacity pressure, or ahead of an overlapping read.
   Sustained random writes become drain-limited, which is why such a cache
   "is ineffective in masking the write amplifications" (Table 2, S3slc).
@@ -23,6 +23,15 @@ Three behaviours, selected by ``SSDConfig.write_buffer``:
   list and retry when cleaning frees space.  When the FTL reports that no
   reclamation can ever admit the head run (a wedged device), the device
   goes read-only and the held runs are dropped as lost pages.
+
+Every byte run reaches the FTL through :meth:`PassthroughBuffer._hand_over`,
+which returns the write error the FTL raised on it.  Passthrough puts the
+error on its request; a queue-merge batch completes as one, so its first
+run error goes to every member; the cache has already acked its requests,
+so a run error marks the FLUSH barriers then waiting (first error wins).
+Both merging buffers keep sorted disjoint :class:`_Run` lists built by
+:func:`_splice`, and each run writes with the majority of its requests'
+OSD ``temp`` hints (read by :func:`_cold`).
 
 All three share one FLUSH barrier (:meth:`PassthroughBuffer.flush_all`):
 a counter of writes handed over but not yet programmed, which a barrier
@@ -47,11 +56,81 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["PassthroughBuffer", "AligningWriteBuffer", "QueueMergingBuffer"]
 
 
+def _cold(request: IORequest) -> int:
+    """1 when *request* carries the cold hint, else 0."""
+    hints = request.hints
+    return 1 if hints is not None and hints.get("temp") == "cold" else 0
+
+
+class _Run:
+    """One contiguous byte run, with its temperature tally.
+
+    ``n``/``cold`` count the requests whose ranges were folded into the
+    run; the run's write temperature is the majority hint (ties go hot, the
+    conservative default — cold placement parks data on worn blocks, so a
+    mixed run must not be parked on the word of a minority).
+    """
+
+    __slots__ = ("start", "end", "n", "cold")
+
+    def __init__(self, start: int, end: int, n: int, cold: int) -> None:
+        self.start = start
+        self.end = end
+        self.n = n
+        self.cold = cold
+
+    @property
+    def temp(self) -> str:
+        return "cold" if 2 * self.cold > self.n else "hot"
+
+
+def _run_start(run: _Run) -> int:
+    return run.start
+
+
+def _splice(runs: List[_Run], start: int, end: int, cold: int) -> int:
+    """Fold one request's range [start, end) into the sorted disjoint
+    *runs*; return how many of its bytes no run covered before.
+
+    Runs merge when they overlap *or touch* (byte-adjacent writes become
+    one contiguous FTL write), so no two runs touch and the list does not
+    depend on arrival order.  A merged run's ``n``/``cold`` sum its parts.
+    """
+    i = bisect_right(runs, start, key=_run_start)
+    if i and runs[i - 1].end >= start:
+        i -= 1
+    fresh = end - start
+    n = 1
+    j = i
+    while j < len(runs) and runs[j].start <= end:
+        run = runs[j]
+        overlap = min(run.end, end) - max(run.start, start)
+        if overlap > 0:
+            fresh -= overlap
+        n += run.n
+        cold += run.cold
+        j += 1
+    if j == i:
+        runs.insert(i, _Run(start, end, 1, cold))
+        return fresh
+    merged = runs[i]
+    if start < merged.start:
+        merged.start = start
+    last = runs[j - 1].end
+    merged.end = last if last > end else end
+    merged.n = n
+    merged.cold = cold
+    del runs[i + 1:j]
+    return fresh
+
+
 class PassthroughBuffer:
     """No buffering: every write goes straight to the FTL.
 
     Admission control happens at the SSD dispatcher (``admits``), so the
-    FTL never sees a write it cannot allocate for.
+    FTL never sees a write it cannot allocate for.  :meth:`_hand_over` is
+    the one place a buffer writes to the FTL; here it carries each request
+    as it came, and its write error becomes the request's.
 
     Flush/barrier semantics: the buffer holds no data, but writes it has
     issued may still be in flight inside the FTL.  ``flush_all`` therefore
@@ -74,7 +153,7 @@ class PassthroughBuffer:
         self._outstanding = 0
         #: barriers waiting for the outstanding count to hit zero, as
         #: ``[done, error]``: the error a barrier completes with is set
-        #: when held runs it waited on are dropped
+        #: when runs it waited on failed or were dropped
         self._flush_waiters: List[list] = []
 
     def admits(self, offset: int, size: int) -> bool:
@@ -87,44 +166,51 @@ class PassthroughBuffer:
 
     def insert(self, request: IORequest, complete: Callable[[IORequest], None]) -> None:
         self.ftl.promise(request.offset, request.size, -1)
-        temp = "hot"
-        hints = request.hints
-        if hints is not None and hints.get("temp") == "cold":
-            temp = "cold"
         self._outstanding += 1
 
         def done(now: float) -> None:
             complete(request)
             self._written(now)
 
+        error = self._hand_over(request.offset, request.size, done,
+                                "cold" if _cold(request) else "hot")
+        if error is not None:
+            request.error = error
+
+    def _hand_over(self, offset: int, size: int,
+                   done: Callable[[float], None], temp: str) -> Optional[str]:
+        """Write the byte run [offset, offset + size) to the FTL (*done*
+        fires once it has left the FTL) and return the write error the FTL
+        raised on it, or None.
+
+        Write errors are synchronous, so the FTL's sticky ``write_error``
+        is taken and cleared here, by the run that raised it.  Without
+        faults no write loses data.  With faults the spare pool may dry
+        mid-write (block-mapped FTL under grown bad blocks): the run fails
+        instead of crashing the simulation, and *done* fires from a zero-delay
+        event only — a write that raised never completes through its FTL
+        join, though the programs it issued before raising still land.
+        """
         ftl = self.ftl
         if not ftl.faults_enabled:
-            ftl.write(request.offset, request.size, done=done, temp=temp)
-            return
+            ftl.write(offset, size, done=done, temp=temp)
+            return None
         try:
-            ftl.write(request.offset, request.size, done=done, temp=temp)
+            ftl.write(offset, size, done=done, temp=temp)
         except DeviceFullError:
-            # the spare pool dried mid-write (block-mapped FTL under grown bad
-            # blocks): fail the request instead of crashing the run.  The
-            # completion fires here only: a write that raised never
-            # completes through its FTL join, though the programs it
-            # issued before raising still land
             ftl._note_write_error()
             self.sim.schedule(0.0, done, 0.0)
-        # allocation-path failures are synchronous: attribute the FTL's
-        # sticky error to the request that triggered it, so the device can
-        # retry or surface it
-        if ftl.write_error is not None:
-            request.error = ftl.write_error
-            ftl.write_error = None
+        error = ftl.write_error
+        ftl.write_error = None
+        return error
 
     def before_read(self, offset: int, size: int) -> None:
         """Nothing is held here, so a read never waits on a flush."""
 
     def flush_all(self, done: Callable[[Optional[str]], None]) -> None:
         """Hand every held write to the FTL, then call ``done(error)`` once
-        every issued write has left it (``error`` is None, or
-        ``"readonly"`` when writes it waited on were dropped).
+        every issued write has left it (``error`` is None, or the error of
+        a write it waited on: ``"readonly"`` when writes were dropped).
 
         Completion is asynchronous (zero-delay event) even when nothing is
         outstanding, preserving the no-reentrant-callback contract.
@@ -154,32 +240,6 @@ class PassthroughBuffer:
         pass
 
 
-class _MergeRun:
-    """One contiguous byte run of a merge batch, with its temperature tally.
-
-    ``n``/``cold`` count the requests whose ranges were folded into the
-    run; the run's write temperature is the majority hint (ties go hot, the
-    conservative default — cold placement parks data on worn blocks, so a
-    mixed run must not be parked on the word of a minority).
-    """
-
-    __slots__ = ("start", "end", "n", "cold")
-
-    def __init__(self, start: int, end: int, cold: int) -> None:
-        self.start = start
-        self.end = end
-        self.n = 1
-        self.cold = cold
-
-    @property
-    def temp(self) -> str:
-        return "cold" if 2 * self.cold > self.n else "hot"
-
-
-def _run_start(run: _MergeRun) -> int:
-    return run.start
-
-
 class QueueMergingBuffer(PassthroughBuffer):
     """Merge a dispatched write with co-queued writes on the same stripes.
 
@@ -193,11 +253,9 @@ class QueueMergingBuffer(PassthroughBuffer):
 
     Merge structure
     ---------------
-    Coverage is maintained *incrementally* as requests are stolen: a sorted
-    list of disjoint :class:`_MergeRun` byte runs, each absorption a bisect
-    plus neighbour folds (amortized O(log runs) per request), replacing the
-    seed's collect-everything-then-sort pass (O(batch log batch) per batch,
-    rebuilt from scratch every time the steal window grew).  The run list
+    Coverage is maintained *incrementally* as requests are stolen: each
+    stolen range is spliced (:func:`_splice`) into the batch's run list,
+    replacing the seed's collect-everything-then-sort pass.  The run list
     doubles as the merge-window tracker: its first start / last end give
     the logical-page-aligned window chased in *both* directions — the seed
     only chased ``hi`` upward, and its steal predicate only matched writes
@@ -205,10 +263,8 @@ class QueueMergingBuffer(PassthroughBuffer):
     of the union range were silently left behind (see
     ``SSD.steal_queued_writes``).
 
-    Each run carries a temperature tally so a run of cold-hinted requests
-    still lands in the FTL's cold partition — the seed's merge path dropped
-    the ``temp`` hint entirely, sending cold-hinted writes hot whenever
-    merging was enabled.
+    The batch completes as one once its last run has left the FTL; the
+    first error any run raised goes to every member.
 
     A batch absorbs at most :data:`MAX_BATCH` requests; the steal calls are
     capped to the remaining headroom so truncation is exact, not
@@ -226,51 +282,11 @@ class QueueMergingBuffer(PassthroughBuffer):
     #: bound on how many co-queued requests one batch may absorb
     MAX_BATCH = 64
 
-    @staticmethod
-    def _is_cold(request: IORequest) -> int:
-        hints = request.hints
-        return 1 if hints is not None and hints.get("temp") == "cold" else 0
-
-    @staticmethod
-    def _absorb(runs: List[_MergeRun], start: int, end: int, cold: int) -> None:
-        """Fold [start, end) into the sorted disjoint run list.
-
-        Runs merge when they overlap *or touch* (byte-adjacent writes become
-        one contiguous FTL write), matching the seed's ``start <= prev_end``
-        rule, so the resulting coverage is identical to sorting all ranges
-        up front — interval union is order-independent.
-        """
-        i = bisect_right(runs, start, key=_run_start)
-        if i and runs[i - 1].end >= start:
-            run = runs[i - 1]
-            run.n += 1
-            run.cold += cold
-            if end <= run.end:
-                return
-            run.end = end
-        else:
-            run = _MergeRun(start, end, cold)
-            runs.insert(i, run)
-            i += 1
-        # the grown run may now swallow followers
-        j = i
-        while j < len(runs) and runs[j].start <= run.end:
-            follower = runs[j]
-            if follower.end > run.end:
-                run.end = follower.end
-            run.n += follower.n
-            run.cold += follower.cold
-            j += 1
-        if j > i:
-            del runs[i:j]
-
     def insert(self, request: IORequest, complete: Callable[[IORequest], None]) -> None:
         self.ftl.promise(request.offset, request.size, -1)
         lp = self.page_bytes
         group = [request]
-        runs: List[_MergeRun] = [
-            _MergeRun(request.offset, request.end, self._is_cold(request))
-        ]
+        runs = [_Run(request.offset, request.end, 1, _cold(request))]
         lo = (request.offset // lp) * lp
         hi = -(-request.end // lp) * lp
         # chase the window both ways: a stolen write extending past either
@@ -283,7 +299,7 @@ class QueueMergingBuffer(PassthroughBuffer):
                 break
             group.extend(stolen)
             for r in stolen:
-                self._absorb(runs, r.offset, r.end, self._is_cold(r))
+                _splice(runs, r.offset, r.end, _cold(r))
             new_lo = (runs[0].start // lp) * lp
             new_hi = -(-runs[-1].end // lp) * lp
             if new_lo == lo and new_hi == hi:
@@ -302,29 +318,26 @@ class QueueMergingBuffer(PassthroughBuffer):
                     complete(member)
             self._written(now)
 
-        write = self.ftl.write
+        error = None
         for run in runs:
-            write(run.start, run.end - run.start, done=run_done, temp=run.temp)
-
-
-class _Run:
-    """One buffered contiguous byte run inside a logical page."""
-
-    __slots__ = ("start", "end")
-
-    def __init__(self, start: int, end: int) -> None:
-        self.start = start
-        self.end = end
+            run_error = self._hand_over(run.start, run.end - run.start,
+                                        run_done, run.temp)
+            if error is None:
+                error = run_error
+        if error is not None:
+            for member in group:
+                member.error = error
 
 
 class AligningWriteBuffer(PassthroughBuffer):
     """Volatile write-back cache that merges and stripe-aligns runs (see
     the module docstring).
 
-    The buffer tracks byte runs per logical page.  A page whose runs cover
-    it completely flushes immediately as one full-page write (no RMW in the
-    FTL).  Pages still partial after ``window_us`` flush as-is.  When
-    ``capacity_bytes`` is exceeded the oldest page flushes early.
+    The buffer tracks byte runs per logical page.  A page that one run
+    spans flushes immediately as one full-page write (no RMW in the FTL).
+    Pages still partial after ``window_us`` flush as-is.  When
+    ``capacity_bytes`` is exceeded the oldest page flushes early.  A run
+    that fails in the FTL marks the FLUSH barriers then waiting.
     """
 
     acks_on_insert = True
@@ -343,7 +356,8 @@ class AligningWriteBuffer(PassthroughBuffer):
         self.page_bytes = logical_page_bytes
         self.window_us = window_us
         self.capacity_bytes = capacity_bytes
-        #: page index -> sorted disjoint runs, oldest buffered page first
+        #: page index -> sorted disjoint runs (page-relative byte offsets),
+        #: oldest buffered page first
         self._pages: Dict[int, List[_Run]] = {}
         self._timers: Dict[int, Event] = {}
         #: pages flushed but awaiting FTL admission (FIFO; deque keeps the
@@ -373,19 +387,22 @@ class AligningWriteBuffer(PassthroughBuffer):
         pages)."""
         self.sim.schedule(0.0, complete, request)
         offset, end = request.offset, request.end
-        first = offset // self.page_bytes
-        last = (end - 1) // self.page_bytes
+        lp = self.page_bytes
+        cold = _cold(request)
+        first = offset // lp
+        last = (end - 1) // lp
         for page in range(first, last + 1):
-            base = page * self.page_bytes
-            lo = max(offset, base) - base
-            hi = min(end, base + self.page_bytes) - base
-            self._add_run(page, lo, hi)
+            base = page * lp
+            self._add_run(page, max(offset, base) - base,
+                          min(end, base + lp) - base, cold)
         for page in range(first, last + 1):
-            if page in self._pages and self._covered(page) == self.page_bytes:
+            runs = self._pages.get(page)
+            if (runs is not None and len(runs) == 1
+                    and runs[0].end - runs[0].start == lp):
                 self._flush_page(page, full=True)
         self._enforce_capacity()
 
-    def _add_run(self, page: int, lo: int, hi: int) -> None:
+    def _add_run(self, page: int, lo: int, hi: int, cold: int) -> None:
         runs = self._pages.get(page)
         if runs is None:
             runs = []
@@ -399,30 +416,7 @@ class AligningWriteBuffer(PassthroughBuffer):
         self._timers[page] = self.sim.schedule(
             self.window_us, self._window_expired, page
         )
-        # splice [lo, hi) into the sorted disjoint run list — the same
-        # bisect-window discipline as QueueMergingBuffer._absorb.  Runs are
-        # kept strictly separated (touching runs merge on insert), so at
-        # most one left neighbour can fold and followers fold while they
-        # start inside the new range.
-        added = hi - lo
-        merged = _Run(lo, hi)
-        i = bisect_right(runs, lo, key=_run_start)
-        if i and runs[i - 1].end >= lo:
-            i -= 1
-        j = i
-        while j < len(runs) and runs[j].start <= hi:
-            run = runs[j]
-            added -= max(0, min(run.end, hi) - max(run.start, lo))
-            if run.start < merged.start:
-                merged.start = run.start
-            if run.end > merged.end:
-                merged.end = run.end
-            j += 1
-        runs[i:j] = [merged]
-        self.buffered_bytes += max(0, added)
-
-    def _covered(self, page: int) -> int:
-        return sum(r.end - r.start for r in self._pages.get(page, ()))
+        self.buffered_bytes += _splice(runs, lo, hi, cold)
 
     # ------------------------------------------------------------------
     # flushing
@@ -471,7 +465,11 @@ class AligningWriteBuffer(PassthroughBuffer):
                     ftl.ensure_space(offset, size)  # retried via on_space_freed
                 return
             self._drain_queue.popleft()
-            ftl.write(offset, size, done=self._written_b)
+            error = self._hand_over(offset, size, self._written_b, run.temp)
+            if error is not None:
+                for waiter in self._flush_waiters:
+                    if waiter[1] is None:
+                        waiter[1] = error
 
     def _drop_held(self) -> None:
         """No reclamation can ever admit the held runs: the device goes

@@ -28,14 +28,17 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.fleet.config import FleetConfig, TenantSpec
 from repro.sim.rng import derive_seed
 from repro.sim.stats import LatencySummary, QuantileSketch, ReservoirSampler
 from repro.units import mb_per_s
 
-__all__ = ["DeviceSummary", "TenantAggregate", "FleetReport"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.fleet.runner import DeviceRun
+
+__all__ = ["TenantAggregate", "FleetReport"]
 
 #: FTLStats keys the device table and fingerprint read (a fixed tuple so
 #: the fingerprint cannot silently change shape when FTLStats grows)
@@ -45,25 +48,6 @@ _STAT_KEYS = (
     "clean_erases", "clean_time_us", "wear_migrations", "wear_pages_moved",
     "trims", "trimmed_pages", "write_stalls", "blocks_retired",
 )
-
-
-@dataclass
-class DeviceSummary:
-    """One device's roll-up inside the fleet report."""
-
-    device_index: int
-    requests: int
-    clock_us: float
-    events_run: int
-    elapsed_us: float
-    stats: Dict[str, float]
-    errors: Dict[str, int]
-
-    @property
-    def write_amplification(self) -> float:
-        """Flash pages programmed per host page written (0 when idle)."""
-        host = self.stats.get("host_pages_written", 0)
-        return self.stats.get("flash_pages_programmed", 0) / host if host else 0.0
 
 
 @dataclass
@@ -114,7 +98,8 @@ class FleetReport:
     """The merged outcome of one fleet run (see module docstring)."""
 
     config: FleetConfig
-    devices: List[DeviceSummary]
+    #: the runner's per-device rows, in device-index order
+    devices: List["DeviceRun"]
     tenants: List[TenantAggregate]
     #: all tenants' latencies merged (canonical tenant order)
     aggregate_sketch: QuantileSketch
@@ -132,20 +117,7 @@ class FleetReport:
             raise ValueError(
                 f"need one run per device {sorted(expected)}, "
                 f"got {sorted(runs)}")
-        ordered = [runs[i] for i in range(config.n_devices)]
-
-        devices = [
-            DeviceSummary(
-                device_index=run.device_index,
-                requests=run.requests,
-                clock_us=run.clock_us,
-                events_run=run.events_run,
-                elapsed_us=run.elapsed_us,
-                stats={key: run.ftl_stats.get(key, 0) for key in _STAT_KEYS},
-                errors=dict(run.errors),
-            )
-            for run in ordered
-        ]
+        devices = [runs[i] for i in range(config.n_devices)]
 
         tenants: List[TenantAggregate] = []
         for tenant_index, spec in enumerate(config.tenants):
@@ -160,7 +132,7 @@ class FleetReport:
             throughput = 0.0
             wa_weighted = 0.0
             hosting = 0
-            for run, summary in zip(ordered, devices):
+            for run in devices:
                 shard = run.tenants.get(tenant_index)
                 if shard is None:
                     continue
@@ -180,7 +152,7 @@ class FleetReport:
                         shard_bytes += aggregate.bytes
                         bytes_written += aggregate.bytes
                         wa_weighted += (aggregate.bytes
-                                        * summary.write_amplification)
+                                        * run.write_amplification)
                     # FREE/FLUSH move no data; they count as requests only
                 if run.elapsed_us > 0:
                     throughput += mb_per_s(shard_bytes, run.elapsed_us)

@@ -59,10 +59,17 @@ class DeviceRun:
     clock_us: float
     events_run: int
     elapsed_us: float
-    ftl_stats: Dict[str, float]
+    #: the FTL's stats (``FTLStats.as_dict()``)
+    stats: Dict[str, float]
     errors: Dict[str, int]
     #: tenant_index -> that tenant's streamed result on this device
     tenants: Dict[int, StreamingResult] = field(default_factory=dict)
+
+    @property
+    def write_amplification(self) -> float:
+        """Flash pages programmed per host page written (0 when idle)."""
+        host = self.stats["host_pages_written"]
+        return self.stats["flash_pages_programmed"] / host if host else 0.0
 
 
 def build_device(config: FleetConfig, device_index: int):
@@ -121,7 +128,7 @@ def run_device_live(config: FleetConfig, device_index: int):
         clock_us=sim.now,
         events_run=sim.events_run,
         elapsed_us=sharded.elapsed_us,
-        ftl_stats=device.ftl.stats.as_dict(),
+        stats=device.ftl.stats.as_dict(),
         errors=sharded.errors,
         tenants={p.tenant_index: sink
                  for p, sink in zip(placements, sinks)},

@@ -242,15 +242,16 @@ class HDD(StorageDevice):
         the scheduling freedom a write-back cache buys the drive).
         ``heapq.nsmallest`` is documented equal to ``sorted(...)[:8]``, so
         cylinder ties go to the earlier dirty job, without sorting the
-        whole queue per pick."""
+        whole queue per pick; the distances are built in one pass so the
+        ranking calls no Python key function per job."""
         if self._read_queue:
             return self._read_queue.pop(0)
         dirty = self._dirty
         if not dirty:
             return None
         cylinder = self._current_cylinder
-        nearest = nsmallest(8, range(len(dirty)),
-                            key=lambda i: abs(dirty[i].loc.cylinder - cylinder))
+        keys = [abs(job.loc.cylinder - cylinder) for job in dirty]
+        nearest = nsmallest(8, range(len(keys)), key=keys.__getitem__)
         best = min(nearest, key=lambda i: self._positioning_estimate(dirty[i]))
         return dirty.pop(best)
 

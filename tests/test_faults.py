@@ -17,7 +17,7 @@ from operator import attrgetter
 import pytest
 
 from repro.device.interface import IORequest, OpType
-from repro.device.presets import s2slc
+from repro.device.presets import s2slc, table3_gang_ssd
 from repro.device.ssd import SSD
 from repro.device.ssd_config import SSDConfig
 from repro.flash.element import FlashElement, PageState
@@ -291,13 +291,14 @@ _SOAK_FAULTS = dict(program_fail_prob=0.02, erase_fail_base_prob=0.01,
 
 
 _FAMILIES = ["pagemap", "blockmap"]
+_BUFFERS = ["passthrough", "queue-merge", "align"]
 
 
 class _Soak:
     """Closed-loop random mixed load against a fault-injecting SSD."""
 
     def __init__(self, seed, ftl_type="pagemap", count=6000, depth=4,
-                 write_fraction=0.7, wear=None):
+                 write_fraction=0.7, wear=None, write_buffer="passthrough"):
         self.sim = Simulator()
         config = SSDConfig(
             n_elements=4,
@@ -310,6 +311,7 @@ class _Soak:
             host_retry_limit=2,
             host_retry_backoff_us=20.0,
             wear=WearConfig() if wear is None else wear,
+            write_buffer=write_buffer,
         )
         self.ssd = SSD(self.sim, config)
         self.count = count
@@ -351,6 +353,9 @@ class _Soak:
             m.read_retry_steps for m in models)
         assert ssd.stats.requests_failed == sum(self.errors.values())
         assert self.completed == self.count
+        # every write error the FTL raised was handed to a request or a
+        # FLUSH barrier, none left pending for an unrelated later write
+        assert ftl.write_error is None
         ftl.check_consistency()
 
 
@@ -388,13 +393,16 @@ class TestSpareExhaustionEndToEnd:
         assert soak.ssd.ftl.stats.program_failures > 0
         assert soak.ssd.ftl.stats.blocks_retired > 0
 
+    @pytest.mark.parametrize("write_buffer", _BUFFERS)
     @pytest.mark.parametrize("ftl_type", _FAMILIES)
-    def test_multi_seed_sweep(self, ftl_type):
+    def test_multi_seed_sweep(self, ftl_type, write_buffer):
         """CI sets REPRO_FAULT_SEEDS=3: the books must balance under every
-        seed's fault plan, not just the pinned one, on every FTL family."""
+        seed's fault plan, not just the pinned one, on every FTL family
+        behind every write buffer."""
         seeds = int(os.environ.get("REPRO_FAULT_SEEDS", "1"))
         for seed in range(11, 11 + seeds):
-            soak = _Soak(seed=seed, ftl_type=ftl_type, count=3000)
+            soak = _Soak(seed=seed, ftl_type=ftl_type, count=3000,
+                         write_buffer=write_buffer)
             soak.assert_books_balance()
             assert soak.ssd.ftl.stats.program_failures > 0
 
@@ -418,32 +426,125 @@ class TestRefusedWrite:
 
 class TestFaultedStripeWriteCompletesOnce:
     """A stripe write that raises ``DeviceFullError`` on its second stripe
-    has already issued the first stripe's programs.  The passthrough
-    buffer fails it; the programs that landed must not complete it a
-    second time (which also drove the FLUSH barrier's count below the
-    writes outstanding)."""
+    has already issued the first stripe's programs.  The buffer fails it;
+    the programs that landed must not complete it a second time (which
+    also drove the FLUSH barrier's count below the writes outstanding).
+    The queue-merging buffer hands its merged runs over the same way, so
+    such a run fails its batch instead of escaping the simulation."""
 
-    def test_each_write_completes_once(self):
+    @staticmethod
+    def _run(write_buffer):
+        """Random small and stripe-spanning writes through an S2slc that
+        grows bad blocks until a stripe write runs out of spares; returns
+        ``(ssd, completions per request, errors, DeviceFullErrors raised)``."""
         sim = Simulator()
         ssd = s2slc(sim, element_mb=8, max_inflight=1,
+                    write_buffer=write_buffer,
                     faults=FaultConfig(enabled=True, seed=3,
                                        program_fail_prob=0.03))
+        raised = []
+        write = ssd.ftl.write
+
+        def counted_write(*args, **kwargs):
+            try:
+                write(*args, **kwargs)
+            except DeviceFullError:
+                raised.append(sim.now)
+                raise
+
+        ssd.ftl.write = counted_write
         sb = ssd.ftl.stripe_bytes
         rng = random.Random(3)
         completed: Counter = Counter()
+        errors: Counter = Counter()
+
+        def on_complete(request):
+            completed.update([id(request)])
+            errors.update([request.error])
+
         t = 0.0
         for _ in range(3000):
             t += rng.uniform(0.0, 400.0)
             size = rng.choice((4 * KIB, sb + 8 * KIB, 2 * sb))
             offset = rng.randrange((ssd.capacity_bytes - size) // 4096) * 4096
             request = IORequest(OpType.WRITE, offset, size,
-                                on_complete=lambda r: completed.update([id(r)]))
+                                on_complete=on_complete)
             sim.schedule_at(t, ssd.submit, request)
         sim.run_until_idle()
+        return ssd, completed, errors, raised
+
+    def test_each_write_completes_once(self):
+        ssd, completed, _, _ = self._run("passthrough")
         assert len(completed) == 3000
         assert set(completed.values()) == {1}
         assert ssd.write_buffer._outstanding == 0
         assert ssd.ftl.read_only  # the run did reach the mid-write failure
+
+    def test_merged_run_out_of_spares_fails_its_batch(self):
+        ssd, completed, errors, raised = self._run("queue-merge")
+        assert raised  # a merged run did run out of spares mid-write
+        assert ssd.write_buffer.merged_requests > 0
+        assert len(completed) == 3000
+        assert set(completed.values()) == {1}
+        assert errors["transient"] > 0
+        assert ssd.stats.requests_failed == 3000 - errors[None]
+        assert ssd.write_buffer._outstanding == 0
+        assert ssd.ftl.write_error is None
+        assert ssd.ftl.read_only
+
+
+class TestQueueMergeRunErrors:
+    """A run of a merged batch that loses a page fails every member of the
+    batch: the batch completes as one, so the run's error is theirs too."""
+
+    def test_every_member_of_a_batch_that_lost_a_page_fails(self):
+        sim = Simulator()
+        ssd = table3_gang_ssd(
+            sim, element_mb=2, aligned=True, host_retry_limit=0,
+            faults=FaultConfig(enabled=True, seed=1, program_fail_prob=0.02))
+        ftl = ssd.ftl
+        buffer = ssd.write_buffer
+        # record each batch's members, and whether a run of it lost a page
+        batches = []
+        insert, steal, write = buffer.insert, ssd.steal_queued_writes, ftl.write
+
+        def logged_insert(request, complete):
+            batches.append(([request], []))
+            insert(request, complete)
+
+        def logged_steal(lo, hi, limit=None):
+            stolen = steal(lo, hi, limit=limit)
+            batches[-1][0].extend(stolen)
+            return stolen
+
+        def logged_write(offset, size, done=None, **kwargs):
+            lost = ftl.stats.failed_pages
+            write(offset, size, done=done, **kwargs)
+            if ftl.stats.failed_pages > lost:
+                batches[-1][1].append((offset, size))
+
+        buffer.insert = logged_insert
+        ssd.steal_queued_writes = logged_steal
+        ftl.write = logged_write
+
+        rng = random.Random(1)
+        pages = ssd.capacity_bytes // (4 * KIB)
+        t = 0.0
+        for _ in range(1500):
+            t += rng.uniform(0.0, 150.0)
+            sim.schedule_at(t, ssd.submit, IORequest(
+                OpType.WRITE, rng.randrange(pages) * 4 * KIB, 4 * KIB))
+        sim.run_until_idle()
+
+        assert ftl.stats.failed_pages > 0
+        failed = [members for members, lost_runs in batches if lost_runs]
+        assert failed
+        assert sum(len(members) for members in failed) > len(failed)
+        for members in failed:
+            for member in members:
+                assert member.complete_us is not None
+                assert member.error in ("transient", "readonly")
+        assert ftl.write_error is None
 
 
 class TestLifecycleConservation:

@@ -21,18 +21,29 @@ write-buffer bugfixes, each with a dedicated regression test:
   link or, under SWTF, still in the host queue —
   ``TestFlushOrdersEarlierWrites``.
 
+* The write-back cache writes each drained run with its majority
+  temperature (it used to drop the cold hint) — ``TestWriteBackColdHint``.
+
 Plus golden-pinned coverage of the incremental sorted-run merge structure
-(overlap, adjacency, MAX_BATCH truncation) — ``TestQueueMergeRuns``.
+(overlap, adjacency, MAX_BATCH truncation) — ``TestQueueMergeRuns`` — and a
+property test of the one splice both merging buffers use against a plain
+set-of-bytes union — ``TestSplice``.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.device.interface import IORequest, OpType
 from repro.device.ssd import SSD
 from repro.device.ssd_config import SSDConfig
-from repro.device.write_buffer import AligningWriteBuffer, QueueMergingBuffer
+from repro.device.write_buffer import (
+    AligningWriteBuffer,
+    QueueMergingBuffer,
+    _splice,
+)
 from repro.sim.engine import Simulator
 from repro.units import KIB
 from tests.conftest import run_io, small_geometry
@@ -442,6 +453,27 @@ class TestQueueMergeTemp:
         assert log.runs == [(0, 12 * KIB, "cold")]
 
 
+class TestWriteBackColdHint:
+    """Bugfix: the write-back cache drains a cold-hinted run to the cold
+    frontier (it used to write every drained run hot)."""
+
+    def test_cold_hinted_page_lands_on_the_cold_frontier(self):
+        sim = Simulator()
+        ssd = aligning_ssd(sim)  # page-mapped, 16 KB logical pages
+        ftl = ssd.ftl
+        cold = {"temp": "cold"}
+        # two full logical pages on element 0: one cold-hinted, one not
+        page = ftl.logical_page_bytes
+        stride = page * ftl.n_gangs
+        ssd.submit(IORequest(OpType.WRITE, 0, page, hints=cold))
+        ssd.submit(IORequest(OpType.WRITE, stride, page))
+        sim.run_until_idle()
+        frontiers = ftl._frontier[0]
+        block_of = ftl.geometry.block_of
+        assert block_of(ftl.mapped_ppn(0)) == frontiers.get("cold")
+        assert block_of(ftl.mapped_ppn(ftl.n_gangs)) == frontiers["hot"]
+
+
 class TestQueueMergeStealWindow:
     """Bugfix: the steal window chases the union range downward too."""
 
@@ -544,6 +576,34 @@ class TestQueueMergeRuns:
         # the remaining 3 form the second batch
         assert buffer.batches == 2
         assert buffer.merged_requests == (4 - 1) + (3 - 1)
+
+
+class TestSplice:
+    """``_splice`` against a plain set-of-bytes union."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 96), st.integers(1, 24),
+                              st.booleans()),
+                    min_size=1, max_size=24))
+    def test_matches_a_set_union(self, ranges):
+        runs = []
+        covered = set()
+        for start, length, cold in ranges:
+            end = start + length
+            fresh = _splice(runs, start, end, int(cold))
+            assert fresh == len(set(range(start, end)) - covered)
+            covered.update(range(start, end))
+            assert {b for run in runs
+                    for b in range(run.start, run.end)} == covered
+            # sorted, disjoint, and never touching
+            for left, right in zip(runs, runs[1:]):
+                assert left.end < right.start
+        # each range lies inside exactly one run; a run tallies its ranges
+        for run in runs:
+            inside = [cold for start, length, cold in ranges
+                      if run.start <= start and start + length <= run.end]
+            assert run.n == len(inside)
+            assert run.cold == sum(inside)
 
 
 class TestValidation:
