@@ -90,6 +90,7 @@ class RAID5(StorageDevice):
     def submit(self, request: IORequest) -> None:
         self._accept(request)
         if request.op in (OpType.FREE, OpType.FLUSH):
+            # once per request; the array has no dispatch pump to re-enter
             self.sim.schedule(0.0, self._complete, request)
             return
         pieces: List[tuple[HDD, IORequest]] = []

@@ -264,6 +264,7 @@ def submit_pieces(sim: Simulator, pieces: Sequence[Tuple[Any, IORequest]],
     """
     if not pieces:
         if done is not None:
+            # once per split request; nothing is queued here to re-probe
             sim.schedule(0.0, done, None)
         return
     remaining = len(pieces)

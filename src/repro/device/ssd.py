@@ -198,20 +198,10 @@ class SSD:
             if request is None:
                 head = queue.head()
                 if head is not None and head.op is _WRITE:
-                    ftl = self.ftl
-                    ftl.stats.write_stalls += 1
-                    if (not ftl.read_only
-                            and ftl.write_wedged(head.offset, head.size)):
-                        # spares exhausted with no reclamation in flight
-                        # (grown bad blocks, or a spare area too small for
-                        # the workload): degrade to read-only instead of
-                        # stalling forever
-                        ftl.enter_read_only()
-                    if ftl.read_only:
-                        self._fail_queued_writes()
+                    self.ftl.stats.write_stalls += 1
+                    if not self.ftl.ensure_space(head.offset, head.size):
+                        self._fail_queued_writes()  # read-only for good
                         continue  # reads behind the writes can now dispatch
-                    # blocked on allocation headroom: force reclamation
-                    ftl.ensure_space(head.offset, head.size)
                 return
             self._inflight += 1
             self._arm_dispatch(request)
@@ -338,7 +328,8 @@ class SSD:
             # never dispatched, so there is no NCQ slot to release
             request.early_release = True
             # complete via a zero-delay event: the driver's on_complete may
-            # submit more requests, which must not re-enter the pump
+            # submit more requests, which must not re-enter the pump; the
+            # write left the queue for good, so queued writes only decrease
             self.sim.schedule(0.0, self._complete, request)
 
     def _release_slot(self) -> None:

@@ -20,9 +20,9 @@ Three behaviours, selected by ``SSDConfig.write_buffer``:
   Sustained random writes become drain-limited, which is why such a cache
   "is ineffective in masking the write amplifications" (Table 2, S3slc).
   Drained runs honour FTL allocation backpressure: they queue in a drain
-  list and retry when cleaning frees space.  When the FTL reports that no
-  reclamation can ever admit the head run (a wedged device), the device
-  goes read-only and the held runs are dropped as lost pages.
+  list and retry when cleaning frees space.  The FTL's one stall response
+  (``ensure_space``) forces reclamation or, on a wedged device, goes
+  read-only, and the held runs are dropped as lost pages.
 
 Every byte run reaches the FTL through :meth:`PassthroughBuffer._hand_over`,
 which returns the write error the FTL raised on it.  Passthrough puts the
@@ -199,6 +199,7 @@ class PassthroughBuffer:
             ftl.write(offset, size, done=done, temp=temp)
         except DeviceFullError:
             ftl._note_write_error()
+            # the run's one completion (its join never fires)
             self.sim.schedule(0.0, done, 0.0)
         error = ftl.write_error
         ftl.write_error = None
@@ -234,6 +235,7 @@ class PassthroughBuffer:
         waiters = self._flush_waiters
         self._flush_waiters = []
         for done, error in waiters:
+            # each FLUSH completes once: the waiting barriers decrease
             self.sim.schedule(0.0, done, error)
 
     def on_space_freed(self) -> None:
@@ -385,6 +387,7 @@ class AligningWriteBuffer(PassthroughBuffer):
     def insert(self, request: IORequest, complete: Callable[[IORequest], None]) -> None:
         """Ack one write request and absorb it (its byte range may span
         pages)."""
+        # the write's one completion; the cache then holds it, not the pump
         self.sim.schedule(0.0, complete, request)
         offset, end = request.offset, request.end
         lp = self.page_bytes
@@ -459,11 +462,9 @@ class AligningWriteBuffer(PassthroughBuffer):
             offset = page * self.page_bytes + run.start
             size = run.end - run.start
             if not ftl.can_accept_write(offset, size):
-                if ftl.read_only or ftl.write_wedged(offset, size):
+                if not ftl.ensure_space(offset, size):  # now read-only
                     self._drop_held()
-                else:
-                    ftl.ensure_space(offset, size)  # retried via on_space_freed
-                return
+                return  # retried via on_space_freed
             self._drain_queue.popleft()
             error = self._hand_over(offset, size, self._written_b, run.temp)
             if error is not None:
@@ -472,11 +473,10 @@ class AligningWriteBuffer(PassthroughBuffer):
                         waiter[1] = error
 
     def _drop_held(self) -> None:
-        """No reclamation can ever admit the held runs: the device goes
-        read-only, their pages are lost (``failed_pages``) and they leave
-        the barrier, failing every FLUSH that waits on them."""
+        """The device is read-only, so no held run can be admitted: their
+        pages are lost (``failed_pages``) and they leave the barrier,
+        failing every FLUSH that waits on them."""
         ftl = self.ftl
-        ftl.enter_read_only()
         fp = ftl.geometry.page_bytes
         for waiter in self._flush_waiters:
             waiter[1] = "readonly"

@@ -24,6 +24,10 @@ through a few small hooks (:meth:`BaseFTL._pull_block`,
 :meth:`BaseFTL._rescue_row`, :meth:`BaseFTL._spare_page`,
 :meth:`BaseFTL._page_moved`, :meth:`BaseFTL._row_relocated`,
 :meth:`BaseFTL._row_pooled`).
+
+Write admission is written here once too; a family supplies only its
+numbers (:meth:`BaseFTL._needed`, :meth:`BaseFTL._headroom`,
+:meth:`BaseFTL._can_reclaim`, :meth:`BaseFTL._reclaim`).
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ def complete_async(sim: Simulator, done: Optional[Callable[[float], None]]) -> N
     op, allocating no :class:`CompletionJoin`.
     """
     if done is not None:
+        # may re-enter the pump via the completion: one per request
         sim.schedule(0.0, done, sim.now)
 
 
@@ -91,7 +96,8 @@ class FTLStats:
     wear_pages_moved: int = 0
     trims: int = 0
     trimmed_pages: int = 0
-    #: writes refused admission at least once (backpressure events)
+    #: stall probes of the SSD's dispatch pump: a write refused N times
+    #: counts N; refusals in the write-back cache's drain are not counted
     write_stalls: int = 0
     #: fault handling (all zero unless fault injection is enabled):
     #: program/copy failures the FTL redirected or rescued
@@ -152,6 +158,7 @@ class CompletionJoin:
         asynchronously so callers never re-enter)."""
         self._remaining -= 1
         if self._remaining == 0:
+            # may re-enter the pump via the completion: _fire runs done once
             self._sim.schedule(0.0, self._fire, self._sim.now)
 
     def child_done(self, now: float) -> None:
@@ -167,7 +174,7 @@ class CompletionJoin:
 
 
 class BaseFTL:
-    """Common state, the common API and the block lifecycle of every FTL.
+    """Common state, API, write admission and block lifecycle of every FTL.
 
     *group_width* elements form one allocation group; the elements are
     split into consecutive groups of that width (see the module docstring).
@@ -221,20 +228,6 @@ class BaseFTL:
         #: request so the host sees an error completion.
         self.write_error: Optional[str] = None
 
-    def enter_read_only(self) -> None:
-        """Degrade to read-only: writes are refused admission from here on
-        (the SSD fails queued writes instead of stalling forever)."""
-        if not self.read_only:
-            self.read_only = True
-
-    def write_wedged(self, offset: int, size: int) -> bool:
-        """True when a blocked write can never be admitted again: the free
-        pool is exhausted and no reclamation (cleaning, stripe retirement)
-        is possible or in flight.  Probed on the write-stall paths only:
-        by the SSD for a refused queued write and by the write-back cache
-        for a refused drain."""
-        return False
-
     # -- interface the SSD drives ----------------------------------------
 
     def read(
@@ -259,10 +252,26 @@ class BaseFTL:
     def trim(self, offset: int, size: int) -> None:
         raise NotImplementedError
 
-    def can_accept_write(self, offset: int, size: int) -> bool:
-        """True when the write can be admitted without risking allocation
-        failure (the SSD dispatcher holds writes back otherwise)."""
+    def priority_idle(self) -> None:
+        """The device's priority queue just drained; FTLs with paused
+        background work may resume it.  Default: nothing to resume."""
+
+    def elements_for_range(self, offset: int, size: int) -> List[int]:
+        """Indices of elements a request would touch (for SWTF estimates)."""
         raise NotImplementedError
+
+    # -- admission ---------------------------------------------------------
+
+    def can_accept_write(self, offset: int, size: int) -> bool:
+        """True when the device is not read-only and every group the write
+        needs keeps its reserve after what is promised and what the write
+        pulls (the SSD dispatcher holds writes back otherwise)."""
+        if self.read_only:
+            return False
+        headroom = self._headroom
+        promised = self._promised
+        return all(headroom(group) - promised[group] - n >= 0
+                   for group, n in self._needed(offset, size).items())
 
     def promise(self, offset: int, size: int, count: int) -> None:
         """Hold (``count=1``) or hand back (``count=-1``) what a write of
@@ -280,19 +289,39 @@ class BaseFTL:
         the block-mapped FTL, pages for the page-mapped FTL."""
         raise NotImplementedError
 
-    def ensure_space(self, offset: int, size: int) -> None:
-        """A write for this range is blocked on allocation headroom: start
-        whatever reclamation the FTL has, regardless of watermarks.  The
-        default is a no-op (FTLs whose reclamation is already in flight —
-        inline erase-after-RMW — need nothing extra)."""
+    def write_wedged(self, offset: int, size: int) -> bool:
+        """True when any group the write alone takes below its reserve (a
+        promise resolves on its own) can no longer reclaim."""
+        return not all(map(self._can_reclaim, self._short(offset, size)))
 
-    def priority_idle(self) -> None:
-        """The device's priority queue just drained; FTLs with paused
-        background work may resume it.  Default: nothing to resume."""
+    def ensure_space(self, offset: int, size: int) -> bool:
+        """The one response to a refused write: a wedged write makes the
+        device read-only (the only way in) and returns False; otherwise
+        each short group reclaims now and the write waits for freed space."""
+        if self.read_only or self.write_wedged(offset, size):
+            self.read_only = True
+            return False
+        for group in self._short(offset, size):
+            self._reclaim(group)
+        return True
 
-    def elements_for_range(self, offset: int, size: int) -> List[int]:
-        """Indices of elements a request would touch (for SWTF estimates)."""
+    def _short(self, offset: int, size: int) -> List[int]:
+        headroom = self._headroom
+        return [group for group, n in self._needed(offset, size).items()
+                if headroom(group) - n < 0]
+
+    def _headroom(self, group: int) -> int:  # pragma: no cover
+        """What *group* can still hand out beyond its reserve, in the unit
+        of :meth:`_needed`."""
         raise NotImplementedError
+
+    def _can_reclaim(self, group: int) -> bool:
+        """Can *group*'s headroom still rise?  Default: an erase is in
+        flight (the block-mapped FTL's only reclamation)."""
+        return bool(self._erasing[group])
+
+    def _reclaim(self, group: int) -> None:
+        """Start reclamation on a short *group* now.  Default: none."""
 
     # -- addressing --------------------------------------------------------
 

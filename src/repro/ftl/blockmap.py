@@ -21,9 +21,10 @@ RMW), as on the simple devices this models.
 Stripe rows run the block lifecycle shared with the page-mapped FTL (a
 per-gang list of erased rows pulled LIFO, background erase,
 retire-and-rescue, program retry; see :class:`repro.ftl.base.BaseFTL`); a
-gang is the lifecycle's allocation group.  This module adds the row map,
-admission and the host path, which walks a byte range stripe by stripe for
-``read``, ``trim`` and ``write``.
+gang is the lifecycle's allocation group.  This module adds the row map
+and the host path, which walks a byte range stripe by stripe for ``read``,
+``trim`` and ``write``.  Admission counts pooled rows beyond
+``reserve_rows``; only the background erases reclaim.
 """
 
 from __future__ import annotations
@@ -291,23 +292,8 @@ class BlockMappedFTL(BaseFTL):
             needed[gang] = needed.get(gang, 0) + 1
         return needed
 
-    def can_accept_write(self, offset: int, size: int) -> bool:
-        if self.read_only:
-            return False
-        pool = self._pool
-        promised = self._promised
-        return all(
-            len(pool[gang]) - promised[gang] - count >= self.reserve_rows
-            for gang, count in self._needed(offset, size).items()
-        )
-
-    def write_wedged(self, offset: int, size: int) -> bool:
-        for gang, count in self._needed(offset, size).items():
-            if len(self._pool[gang]) - count >= self.reserve_rows:
-                continue
-            # background erases in flight may replenish the pool
-            return not self._erasing[gang]
-        return False
+    def _headroom(self, gang: int) -> int:
+        return len(self._pool[gang]) - self.reserve_rows
 
     def elements_for_range(self, offset: int, size: int) -> List[int]:
         shards = self.shards

@@ -196,6 +196,19 @@ class Cleaner:
         score = np.where(gain, (1.0 - u) / (1.0 + u) * age, -1.0)
         return int(score.argmax())
 
+    def can_reclaim(self, e_idx: int) -> bool:
+        """Can cleaning still raise *e_idx*'s free count?  Not once a clean
+        died for want of a page, nor without a victim whose valid pages
+        (greedy's is the fewest) have a free page to go to."""
+        if self._no_space[e_idx]:
+            return False
+        if self._active[e_idx]:
+            return True
+        victim = self.select_victim(e_idx)
+        return victim >= 0 and (
+            self._free[e_idx] > 0
+            or int(self.ftl.elements[e_idx].valid_count[victim]) == 0)
+
     # ------------------------------------------------------------------
 
     def _clean_block(self, e_idx: int, victim: int) -> None:
@@ -291,6 +304,7 @@ class Cleaner:
         self.being_cleaned[e_idx].discard(victim)
         self._active[e_idx] = False
         self._no_space[e_idx] = True
+        # re-enters the pump; each zero-delay lap flags one more element
         ftl.sim.schedule(0.0, ftl._space_freed)
 
     def _batch_done(self, e_idx: int, victim: int, pages: list, start: int) -> None:

@@ -70,7 +70,8 @@ def pop_most_worn(pool: List[int], wear) -> int:
 
 
 class PageMappedFTL(BaseFTL):
-    """Page-mapped log-structured FTL (see module docstring)."""
+    """Page-mapped log-structured FTL (see module docstring).  Admission
+    counts free pages beyond ``reserve_pages``; the cleaner reclaims."""
 
     def __init__(
         self,
@@ -444,12 +445,7 @@ class PageMappedFTL(BaseFTL):
             e_idx = (offset // lp) % self.n_gangs
             return (self._free[e_idx] - self._promised[e_idx] - 1
                     >= self.reserve_pages)
-        free = self._free
-        promised = self._promised
-        for e_idx, count in self._needed(offset, size).items():
-            if free[e_idx] - promised[e_idx] - count < self.reserve_pages:
-                return False
-        return True
+        return super().can_accept_write(offset, size)
 
     def promise(self, offset: int, size: int, count: int) -> None:
         lp = self.logical_page_bytes
@@ -458,33 +454,14 @@ class PageMappedFTL(BaseFTL):
             return
         super().promise(offset, size, count)
 
-    def write_wedged(self, offset: int, size: int) -> bool:
-        cleaner = self.cleaner
-        for e_idx, count in self._needed(offset, size).items():
-            if self._free[e_idx] - count >= self.reserve_pages:
-                continue
-            if cleaner._no_space[e_idx]:
-                # a clean already died for want of a destination page
-                return True
-            if cleaner._active[e_idx]:
-                return False
-            victim = cleaner.select_victim(e_idx)
-            if victim < 0:
-                return True
-            if (self._free[e_idx] == 0
-                    and int(self.elements[e_idx].valid_count[victim]) > 0):
-                # a victim exists, but its valid pages have nowhere to go
-                # (greedy picks the min-valid candidate, so no victim is
-                # better); cleaning cannot free anything either
-                return True
-            # cleaning can still (eventually) raise the free count
-            return False
-        return False
+    def _headroom(self, e_idx: int) -> int:
+        return self._free[e_idx] - self.reserve_pages
 
-    def ensure_space(self, offset: int, size: int) -> None:
-        for e_idx, count in self._needed(offset, size).items():
-            if self._free[e_idx] - count < self.reserve_pages:
-                self.cleaner.maybe_clean(e_idx, force=True)
+    def _can_reclaim(self, e_idx: int) -> bool:
+        return self.cleaner.can_reclaim(e_idx)
+
+    def _reclaim(self, e_idx: int) -> None:
+        self.cleaner.maybe_clean(e_idx, force=True)
 
     def priority_idle(self) -> None:
         self.cleaner.priority_drained()

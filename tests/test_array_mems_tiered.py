@@ -176,7 +176,7 @@ class TestTieredSSD:
 
     def test_failed_tier_write_fails_the_request(self, sim):
         device = tiered_slc_mlc(sim, 4, 4)
-        device.mlc.ftl.enter_read_only()
+        device.mlc.ftl.read_only = True
         done = run_io(sim, device, OpType.WRITE, device.tier_boundary + 4 * KIB, 4 * KIB)
         assert device.mlc.stats.requests_failed == 1
         assert done.error == "readonly"

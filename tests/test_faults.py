@@ -25,13 +25,14 @@ from repro.flash.faults import FaultConfig, FaultModel
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FlashTiming
 from repro.ftl.base import DeviceFullError
+from repro.ftl.blockmap import BlockMappedFTL
 from repro.ftl.cleaning import CleaningConfig
 from repro.ftl.pagemap import PageMappedFTL
 from repro.ftl.prefill import prefill_pagemap
 from repro.ftl.wearlevel import WearConfig
 from repro.sim.engine import Simulator
 from repro.units import KIB
-from tests.conftest import run_io, small_geometry
+from tests.conftest import Watchdog, run_io, small_geometry
 
 
 class _Scripted:
@@ -298,7 +299,8 @@ class _Soak:
     """Closed-loop random mixed load against a fault-injecting SSD."""
 
     def __init__(self, seed, ftl_type="pagemap", count=6000, depth=4,
-                 write_fraction=0.7, wear=None, write_buffer="passthrough"):
+                 write_fraction=0.7, wear=None, write_buffer="passthrough",
+                 watchdog=True):
         self.sim = Simulator()
         config = SSDConfig(
             n_elements=4,
@@ -321,9 +323,13 @@ class _Soak:
         self.errors = {}
         self.completed = 0
         self._issued = 0
+        self.watchdog = Watchdog(self.ssd) if watchdog else None
         for _ in range(depth):
             self._issue()
-        self.sim.run_until_idle()
+        if self.watchdog is None:
+            self.sim.run_until_idle()
+        else:
+            self.watchdog.run_until_idle()
 
     def _issue(self):
         if self._issued >= self.count:
@@ -405,6 +411,106 @@ class TestSpareExhaustionEndToEnd:
                          write_buffer=write_buffer)
             soak.assert_books_balance()
             assert soak.ssd.ftl.stats.program_failures > 0
+
+
+    def test_watchdog_changes_nothing(self):
+        """The watchdog only reads: a watched soak runs the same events to
+        the same clock and the same books as an unwatched one."""
+        def observe(soak):
+            stats = soak.ssd.stats
+            return (soak.sim.events_run, soak.sim.now,
+                    soak.ssd.ftl.stats.as_dict(), soak.errors,
+                    [getattr(stats, name) for name in stats.__slots__])
+
+        watched = _Soak(seed=1)
+        assert observe(watched) == observe(_Soak(seed=1, watchdog=False))
+        assert watched.ssd.ftl.read_only  # it watched a degrading run
+
+
+def _tight_run(fault_seed, write_buffer):
+    """The tight-device liveness load: a 2 MiB-element gang with no host
+    retries and a 2 % program-failure rate takes 3000 random 4 KiB
+    writes, open loop, at uniform(0, 150) us gaps.  The load is the same
+    for every fault seed.  Returns the watched SSD and its completions."""
+    sim = Simulator()
+    buffer = {"passthrough": {}, "queue-merge": {"aligned": True},
+              "align": {"write_buffer": "align"}}[write_buffer]
+    ssd = table3_gang_ssd(
+        sim, element_mb=2, host_retry_limit=0,
+        faults=FaultConfig(enabled=True, seed=fault_seed,
+                           program_fail_prob=0.02),
+        **buffer)
+    rng = random.Random(3)
+    pages = ssd.capacity_bytes // 4096
+    done = []
+    at = 0.0
+    for _ in range(3000):
+        at += rng.uniform(0, 150)
+        sim.schedule_at(at, ssd.submit,
+                        IORequest(OpType.WRITE, rng.randrange(pages) * 4096,
+                                  4096, on_complete=done.append))
+    Watchdog(ssd).run_until_idle()
+    return ssd, done
+
+
+class TestTightDeviceLiveness:
+    """A device too small for its fault plan must degrade, not spin."""
+
+    def test_wedged_element_behind_a_cleaning_one_goes_read_only(self):
+        """Element 2 was short with a clean in flight; element 7 was
+        short, and its clean had died for want of a page.  A wedge test
+        that stopped at element 2 forced cleaning again, the dead clean
+        re-armed the pump at zero delay, and the clock stayed at
+        256603.9 us with 285 writes done."""
+        ssd, done = _tight_run(3, "queue-merge")
+        assert len(done) == 3000
+        assert ssd.ftl.read_only
+        assert ssd.ftl.write_error is None
+        ssd.ftl.check_consistency()
+
+    @pytest.mark.parametrize("write_buffer", _BUFFERS)
+    def test_fault_sweep_drains(self, write_buffer):
+        """CI sets REPRO_FAULT_SEEDS=3: fault seeds 1 to N, each run must
+        drain with every write completed (the watchdog fails a spin or
+        stranded work)."""
+        seeds = int(os.environ.get("REPRO_FAULT_SEEDS", "1"))
+        for seed in range(1, 1 + seeds):
+            ssd, done = _tight_run(seed, write_buffer)
+            assert len(done) == 3000
+            assert ssd.ftl.write_error is None
+            ssd.ftl.check_consistency()
+
+
+@pytest.mark.parametrize("stuck_first", [True, False])
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_wedged_whatever_the_order_of_needed(family, stuck_first):
+    """A write that needs a group that is reclaiming and a group that can
+    no longer reclaim is wedged, whichever of the two ``_needed`` lists
+    first; the one stall response then degrades the device."""
+    stuck, reclaiming = (0, 1) if stuck_first else (1, 0)
+    sim = Simulator()
+    if family == "pagemap":
+        # one 8 KiB logical page over two elements: needs element 0, 1
+        ftl = PageMappedFTL(sim, [_element(sim) for _ in range(2)],
+                            logical_page_bytes=8 * KIB, spare_fraction=0.5)
+        size = 8 * KIB
+        for e_idx in (0, 1):
+            ftl._free[e_idx] = ftl.reserve_pages  # one page short
+        ftl.cleaner._active[reclaiming] = True
+        ftl.cleaner._no_space[stuck] = True
+    else:
+        # two single-element gangs: two stripes need gang 0, then gang 1
+        ftl = BlockMappedFTL(sim, [_element(sim) for _ in range(2)],
+                             gang_size=1, spare_fraction=0.5)
+        size = 2 * ftl.stripe_bytes
+        for gang in (0, 1):
+            del ftl._pool[gang][ftl.reserve_rows:]  # one row short
+        ftl._erasing[reclaiming].add(7)  # the stuck gang erases nothing
+    assert list(ftl._needed(0, size)) == [0, 1]
+    assert not ftl.can_accept_write(0, size)
+    assert ftl.write_wedged(0, size)
+    assert not ftl.ensure_space(0, size)
+    assert ftl.read_only
 
 
 class TestRefusedWrite:

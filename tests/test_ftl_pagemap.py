@@ -338,6 +338,19 @@ class TestCleaning:
         ftl.promise(0, 4 * KB4, -1)
         assert ftl._promised == [0, 0]
 
+    def test_refused_only_by_promised_pages_is_not_wedged(self):
+        """Nothing is written, so cleaning has no victim: a wedge test
+        that counted the promise would call this write wedged."""
+        _sim, ftl = make_ftl(n_elements=1, blocks=8, pages=4, spare=0.3)
+        ftl._free[0] = ftl.reserve_pages + 1
+        ftl.promise(0, KB4, 1)      # admitted, data still on the link
+        assert not ftl.can_accept_write(0, KB4)
+        assert not ftl.write_wedged(0, KB4)  # the promise will resolve
+        assert ftl.ensure_space(0, KB4)
+        assert not ftl.read_only
+        ftl.promise(0, KB4, -1)     # arrived: the write pulls for itself
+        assert ftl.can_accept_write(0, KB4)
+
     def test_deep_queue_never_overcommits_pages(self):
         """Regression: every write admitted while an earlier one was still
         on the host link counted the same headroom, so at depth 32 the
